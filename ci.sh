@@ -4,8 +4,9 @@
 # bench/example compilation, bench smoke runs with JSON schema gates
 # (including the e17 overlap-speedup gate, the e18 fleet keys x
 # throughput gate, the e19 quiet-stream delta-shrink gate, and — in
-# remote-feature jobs — the e20 pipelined-remote speedup gate), and
-# rustdoc. Fails fast on
+# remote-feature jobs — the e20 pipelined-remote speedup gate and a
+# smoke run of the repository benchmark, benchmark/run.sh), a Rust
+# line count per crate (target/ci/loc.json), and rustdoc. Fails fast on
 # the first broken step, and prints a per-step wall-clock summary at the
 # end (also emitted to $GITHUB_STEP_SUMMARY under Actions) so gate-time
 # regressions are visible in PRs.
@@ -311,12 +312,46 @@ case " ${DSV_FEATURES:-} " in *remote*)
     ;;
 esac
 
+case " ${DSV_FEATURES:-} " in *remote*)
+    step "benchmark smoke (benchmark/run.sh --smoke)"
+    # The standalone benchmark package (/BENCHMARK.json) at 1/16 size:
+    # it builds against the public surface listed at the end of
+    # benchmark/README.md and verifies every pass of all five workloads
+    # (reference trackers, eps audit, bit-identity, failover state)
+    # before exiting 0 — which is what proves a deletion or refactoring
+    # pass kept that surface compiling and its answers unchanged. Its
+    # timings are not gated here. It depends on dsv-engine's `remote`
+    # feature, hence the remote jobs; it builds into benchmark/target.
+    bash benchmark/run.sh --smoke > /dev/null
+    ;;
+esac
+
 step "bench_schema --all (every committed BENCH_*.json)"
 # Safety net over the per-experiment steps above: glob-validate every
 # committed artifact at the repo root in one pass, so a newly added
 # BENCH_*.json is schema- and gate-checked from the moment it lands even
 # if its dedicated ci.sh step is forgotten.
 cargo run -q --release -p dsv-bench ${BENCH_FEATURE_FLAGS[@]+"${BENCH_FEATURE_FLAGS[@]}"} --bin bench_schema -- --all
+
+step "loc (Rust lines per crate -> target/ci/loc.json)"
+# "Net-negative" as a recorded number: lines of Rust per crate (the root
+# facade is src/ + tests/ + examples/), excluding the standalone
+# benchmark/ package, the vendored crates/compat/ stand-ins and target/.
+rust_lines() { find "$@" -name '*.rs' -print0 | xargs -0 cat | wc -l | tr -d ' '; }
+{
+    n=$(rust_lines src tests examples)
+    total=$n
+    printf '{"dsv": %s' "$n"
+    for dir in crates/*/; do
+        crate=$(basename "$dir")
+        [ "$crate" = compat ] && continue
+        n=$(rust_lines "$dir")
+        total=$((total + n))
+        printf ', "dsv-%s": %s' "$crate" "$n"
+    done
+    printf ', "total": %s}\n' "$total"
+} > target/ci/loc.json
+cat target/ci/loc.json
 
 step "cargo doc --no-deps --workspace (warning-free)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}

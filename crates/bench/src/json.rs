@@ -5,10 +5,9 @@
 //! builds offline, so instead of `serde_json` this module implements the
 //! small JSON subset those artifacts need: a value tree ([`Json`]), a
 //! pretty writer that refuses non-finite numbers, a strict
-//! recursive-descent parser, and the schema validators CI runs
-//! ([`validate_e16`], [`validate_e17`], [`validate_e18`],
-//! [`validate_e19`]) — the `bench_schema` bin dispatches on each
-//! document's `experiment` tag.
+//! recursive-descent parser, and the schema gate CI runs
+//! ([`validate_bench_doc`]: one table of schemas keyed by each document's
+//! `experiment` tag, walked by one validator).
 
 use std::fmt;
 
@@ -367,621 +366,394 @@ impl<'a> Parser<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// The BENCH schema gates. The field helpers are shared by every
-// experiment validator so their semantics (and error wording) cannot
-// drift between schemas.
+// The BENCH schema gates: an experiment is a row of `SCHEMAS`, and one
+// walker checks them all, so field rules and error wording cannot drift.
 // ---------------------------------------------------------------------------
 
-/// Object field lookup that errors on absence.
-fn field(j: &Json, key: &str) -> Result<Json, String> {
-    j.get(key).cloned().ok_or(format!("missing field '{key}'"))
+/// What a required field must hold.
+#[derive(Clone, Copy)]
+enum Rule {
+    Bool,
+    Str,
+    /// A string from a fixed vocabulary.
+    OneOf(&'static [&'static str]),
+    /// A finite number > 0.
+    Pos,
+    /// A finite number ≥ 0 (a count).
+    Count,
+    /// A finite number in (0, 1).
+    Eps,
+    /// A recorded gate, with the experiment's floor baked in (`≥ floor`,
+    /// and why): an artifact cannot lower its own bar.
+    Floor(f64, &'static str),
+    /// A recorded gate that must strictly exceed a bound (and why).
+    Above(f64, &'static str),
 }
 
-/// A required finite number > 0.
-fn pos_num(j: &Json, key: &str) -> Result<f64, String> {
-    let v = field(j, key)?
-        .as_f64()
-        .ok_or(format!("field '{key}' must be a number"))?;
-    if !(v.is_finite() && v > 0.0) {
-        return Err(format!("field '{key}' must be finite and > 0, got {v}"));
-    }
-    Ok(v)
-}
+type Fields = &'static [(&'static str, Rule)];
 
-/// A required finite number ≥ 0 (a count).
-fn count(j: &Json, key: &str) -> Result<f64, String> {
-    let v = field(j, key)?
-        .as_f64()
-        .ok_or(format!("field '{key}' must be a number"))?;
-    if !(v.is_finite() && v >= 0.0) {
-        return Err(format!("field '{key}' must be finite and >= 0, got {v}"));
-    }
-    Ok(v)
-}
-
-/// Validate a `BENCH_e16.json` document: the schema CI enforces so perf
-/// regressions stay visible in the benchmark trajectory. Beyond shape
-/// and finiteness, the validator re-enforces the consolidation gate on
-/// the recorded numbers of full runs: `consolidation_speedup` must meet
-/// the document's `consolidate_gate`, and the gate itself cannot be
-/// weakened below 1.3× — so the committed artifact can neither regress
-/// nor quietly lower its own floor.
-///
-/// Required shape:
-///
-/// ```json
-/// {
-///   "experiment": "e16_throughput",
-///   "smoke": bool, "n": > 0, "kind": str, "k": > 0, "eps": (0,1),
-///   "consolidate_gate": ≥ 1.3, "consolidation_speedup": finite > 0
-///     (≥ consolidate_gate when smoke is false),
-///   "streams": [ non-empty, each:
-///     { "stream": str, "baseline_updates_per_sec": finite > 0,
-///       "rows": [ non-empty, each:
-///         { "mode": "routed" | "parted" | "consolidated", "shards" ≥ 1,
-///           "batch" ≥ 1, "updates_per_sec" finite > 0, "speedup" finite > 0,
-///           "boundary_violations" ≥ 0, "messages" ≥ 0 } ] } ]
-/// }
-/// ```
-pub fn validate_e16(doc: &Json) -> Result<(), String> {
-    if field(doc, "experiment")?.as_str() != Some("e16_throughput") {
-        return Err("field 'experiment' must be \"e16_throughput\"".into());
-    }
-    let smoke = field(doc, "smoke")?
-        .as_bool()
-        .ok_or("field 'smoke' must be a bool")?;
-    pos_num(doc, "n")?;
-    field(doc, "kind")?
-        .as_str()
-        .ok_or("field 'kind' must be a string")?;
-    pos_num(doc, "k")?;
-    let eps = pos_num(doc, "eps")?;
-    if eps >= 1.0 {
-        return Err(format!("field 'eps' must be < 1, got {eps}"));
-    }
-    let gate = pos_num(doc, "consolidate_gate")?;
-    if gate < 1.3 {
-        return Err(format!(
-            "field 'consolidate_gate' must be at least 1.3 (the consolidation floor), got {gate}"
-        ));
-    }
-    let cons_speedup = pos_num(doc, "consolidation_speedup")?;
-    if !smoke && cons_speedup < gate {
-        return Err(format!(
-            "full-run consolidation_speedup {cons_speedup:.2} is below the gate {gate:.2}"
-        ));
-    }
-
-    let streams_field = field(doc, "streams")?;
-    let streams = streams_field
-        .as_array()
-        .ok_or("field 'streams' must be an array")?;
-    if streams.is_empty() {
-        return Err("'streams' must be non-empty".into());
-    }
-    for (i, stream) in streams.iter().enumerate() {
-        let ctx = |e: String| format!("streams[{i}]: {e}");
-        field(stream, "stream")
-            .map_err(ctx)?
-            .as_str()
-            .ok_or_else(|| ctx("field 'stream' must be a string".into()))?;
-        pos_num(stream, "baseline_updates_per_sec").map_err(ctx)?;
-        let rows_field = field(stream, "rows").map_err(ctx)?;
-        let rows = rows_field
-            .as_array()
-            .ok_or_else(|| ctx("field 'rows' must be an array".into()))?;
-        if rows.is_empty() {
-            return Err(ctx("'rows' must be non-empty".into()));
-        }
-        for (j, row) in rows.iter().enumerate() {
-            let ctx = |e: String| format!("streams[{i}].rows[{j}]: {e}");
-            let mode = field(row, "mode")
-                .map_err(ctx)?
-                .as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| ctx("field 'mode' must be a string".into()))?;
-            if mode != "routed" && mode != "parted" && mode != "consolidated" {
-                return Err(ctx(format!(
-                    "field 'mode' must be \"routed\", \"parted\", or \"consolidated\", got \"{mode}\""
-                )));
-            }
-            pos_num(row, "shards").map_err(ctx)?;
-            pos_num(row, "batch").map_err(ctx)?;
-            pos_num(row, "updates_per_sec").map_err(ctx)?;
-            pos_num(row, "speedup").map_err(ctx)?;
-            count(row, "boundary_violations").map_err(ctx)?;
-            count(row, "messages").map_err(ctx)?;
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// The E17 schema gate.
-// ---------------------------------------------------------------------------
-
-/// Validate a `BENCH_e17.json` document: the pipelined-ingestion overlap
-/// experiment. Beyond shape and finiteness, the validator re-enforces the
-/// experiment's acceptance gate on the recorded numbers: the `slow-feed`
-/// scenario's `overlap_speedup` must meet the document's `overlap_gate`,
-/// so a committed artifact that regressed below the gate fails CI even
+/// `(value, gate, when)`: `doc[value] ≥ doc[gate]`, re-enforced on the
+/// recorded numbers so a committed artifact that regressed fails CI
 /// without re-running the bench.
-///
-/// Required shape:
-///
-/// ```json
-/// {
-///   "experiment": "e17_pipeline",
-///   "smoke": bool, "n": > 0, "kind": str, "k": > 0, "shards": > 0,
-///   "batch": > 0, "overlap_gate": > 1,
-///   "scenarios": [ non-empty, each:
-///     { "scenario": str, "overlap_speedup": finite > 0,
-///       "rows": [ non-empty, each:
-///         { "mode": "sync" | "pipelined", "wall_ms" > 0,
-///           "updates_per_sec" > 0, "messages" ≥ 0,
-///           "boundary_violations" ≥ 0, "push_stalls" ≥ 0,
-///           "pop_waits" ≥ 0, "mean_occupancy" ≥ 0 } ] } ]
-/// }
-/// ```
-pub fn validate_e17(doc: &Json) -> Result<(), String> {
-    if field(doc, "experiment")?.as_str() != Some("e17_pipeline") {
-        return Err("field 'experiment' must be \"e17_pipeline\"".into());
-    }
-    field(doc, "smoke")?
-        .as_bool()
-        .ok_or("field 'smoke' must be a bool")?;
-    pos_num(doc, "n")?;
-    field(doc, "kind")?
-        .as_str()
-        .ok_or("field 'kind' must be a string")?;
-    pos_num(doc, "k")?;
-    pos_num(doc, "shards")?;
-    pos_num(doc, "batch")?;
-    let gate = pos_num(doc, "overlap_gate")?;
-    if gate <= 1.0 {
-        return Err(format!(
-            "field 'overlap_gate' must exceed 1 (a no-op pipeline passes anything else), got {gate}"
-        ));
-    }
+type Gate = (&'static str, &'static str, When);
 
-    let scenarios_field = field(doc, "scenarios")?;
-    let scenarios = scenarios_field
-        .as_array()
-        .ok_or("field 'scenarios' must be an array")?;
-    if scenarios.is_empty() {
-        return Err("'scenarios' must be non-empty".into());
-    }
-    let mut saw_slow_feed = false;
-    for (i, scenario) in scenarios.iter().enumerate() {
-        let ctx = |e: String| format!("scenarios[{i}]: {e}");
-        let name = field(scenario, "scenario")
-            .map_err(ctx)?
-            .as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| ctx("field 'scenario' must be a string".into()))?;
-        let speedup = pos_num(scenario, "overlap_speedup").map_err(ctx)?;
-        if name == "slow-feed" {
-            saw_slow_feed = true;
-            if speedup < gate {
-                return Err(ctx(format!(
-                    "slow-feed overlap_speedup {speedup:.2} is below the gate {gate:.2}"
-                )));
-            }
-        }
-        let rows_field = field(scenario, "rows").map_err(ctx)?;
-        let rows = rows_field
-            .as_array()
-            .ok_or_else(|| ctx("field 'rows' must be an array".into()))?;
-        if rows.is_empty() {
-            return Err(ctx("'rows' must be non-empty".into()));
-        }
-        for (j, row) in rows.iter().enumerate() {
-            let ctx = |e: String| format!("scenarios[{i}].rows[{j}]: {e}");
-            let mode = field(row, "mode")
-                .map_err(ctx)?
-                .as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| ctx("field 'mode' must be a string".into()))?;
-            if mode != "sync" && mode != "pipelined" {
-                return Err(ctx(format!(
-                    "field 'mode' must be \"sync\" or \"pipelined\", got \"{mode}\""
-                )));
-            }
-            pos_num(row, "wall_ms").map_err(ctx)?;
-            pos_num(row, "updates_per_sec").map_err(ctx)?;
-            count(row, "messages").map_err(ctx)?;
-            count(row, "boundary_violations").map_err(ctx)?;
-            count(row, "push_stalls").map_err(ctx)?;
-            count(row, "pop_waits").map_err(ctx)?;
-            count(row, "mean_occupancy").map_err(ctx)?;
-        }
-    }
-    if !saw_slow_feed {
-        return Err("'scenarios' must include the gated \"slow-feed\" scenario".into());
-    }
-    Ok(())
+#[derive(Clone, Copy, PartialEq)]
+enum When {
+    /// A machine-speed gate: smoke artifacts are shape-checked only.
+    FullRuns,
+    /// A structural gate (byte ratios, round trips eliminated): binds on
+    /// smoke artifacts too.
+    Always,
 }
 
-// ---------------------------------------------------------------------------
-// The E18 schema gate.
-// ---------------------------------------------------------------------------
-
-/// Validate a `BENCH_e18.json` document: the keyed-fleet scale
-/// experiment. Beyond shape and finiteness, the validator re-enforces
-/// the keys × throughput acceptance gate on the recorded numbers of
-/// **full** runs: `live_keys ≥ keys_gate` and `steady_updates_per_sec ≥
-/// rate_gate` — and refuses documents whose recorded gates have been
-/// weakened below the experiment's floors (1M keys, 1e7 updates/sec),
-/// so a committed artifact can neither regress nor move its own
-/// goalposts without failing CI.
-///
-/// Required shape:
-///
-/// ```json
-/// {
-///   "experiment": "e18_fleet",
-///   "smoke": bool, "n": > 0, "kind": str, "k": > 0, "eps": (0,1),
-///   "shards": > 0, "batch": > 0, "fleet_cache": > 0,
-///   "keys_gate": ≥ 1e6, "rate_gate": ≥ 1e7,
-///   "live_keys": > 0, "steady_updates_per_sec": > 0,
-///   "total_bytes": > 0, "key_violations": ≥ 0,
-///   "phases": [ non-empty, must include "steady", each:
-///     { "phase": str, "updates" > 0, "wall_s" > 0,
-///       "updates_per_sec" > 0, "boundaries" ≥ 0, "key_violations" ≥ 0 } ]
-/// }
-/// ```
-pub fn validate_e18(doc: &Json) -> Result<(), String> {
-    if field(doc, "experiment")?.as_str() != Some("e18_fleet") {
-        return Err("field 'experiment' must be \"e18_fleet\"".into());
-    }
-    let smoke = field(doc, "smoke")?
-        .as_bool()
-        .ok_or("field 'smoke' must be a bool")?;
-    pos_num(doc, "n")?;
-    field(doc, "kind")?
-        .as_str()
-        .ok_or("field 'kind' must be a string")?;
-    pos_num(doc, "k")?;
-    let eps = pos_num(doc, "eps")?;
-    if eps >= 1.0 {
-        return Err(format!("field 'eps' must be < 1, got {eps}"));
-    }
-    pos_num(doc, "shards")?;
-    pos_num(doc, "batch")?;
-    pos_num(doc, "fleet_cache")?;
-    let keys_gate = pos_num(doc, "keys_gate")?;
-    if keys_gate < 1.0e6 {
-        return Err(format!(
-            "field 'keys_gate' must be at least 1e6 (the fleet-scale floor), got {keys_gate}"
-        ));
-    }
-    let rate_gate = pos_num(doc, "rate_gate")?;
-    if rate_gate < 1.0e7 {
-        return Err(format!(
-            "field 'rate_gate' must be at least 1e7 updates/sec, got {rate_gate}"
-        ));
-    }
-    let live_keys = pos_num(doc, "live_keys")?;
-    let steady = pos_num(doc, "steady_updates_per_sec")?;
-    pos_num(doc, "total_bytes")?;
-    count(doc, "key_violations")?;
-    if !smoke {
-        if live_keys < keys_gate {
-            return Err(format!(
-                "full-run live_keys {live_keys} is below the gate {keys_gate}"
-            ));
-        }
-        if steady < rate_gate {
-            return Err(format!(
-                "full-run steady_updates_per_sec {steady:.3e} is below the gate {rate_gate:.1e}"
-            ));
-        }
-    }
-
-    let phases_field = field(doc, "phases")?;
-    let phases = phases_field
-        .as_array()
-        .ok_or("field 'phases' must be an array")?;
-    if phases.is_empty() {
-        return Err("'phases' must be non-empty".into());
-    }
-    let mut saw_steady = false;
-    for (i, phase) in phases.iter().enumerate() {
-        let ctx = |e: String| format!("phases[{i}]: {e}");
-        let name = field(phase, "phase")
-            .map_err(ctx)?
-            .as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| ctx("field 'phase' must be a string".into()))?;
-        if name == "steady" {
-            saw_steady = true;
-        }
-        pos_num(phase, "updates").map_err(ctx)?;
-        pos_num(phase, "wall_s").map_err(ctx)?;
-        pos_num(phase, "updates_per_sec").map_err(ctx)?;
-        count(phase, "boundaries").map_err(ctx)?;
-        count(phase, "key_violations").map_err(ctx)?;
-    }
-    if !saw_steady {
-        return Err("'phases' must include the gated \"steady\" phase".into());
-    }
-    Ok(())
+/// One experiment's schema: required scalars, recorded gates, and its
+/// result table — a non-empty array of entries, each optionally carrying
+/// a non-empty `rows` array.
+#[derive(Clone, Copy)]
+struct Schema {
+    tag: &'static str,
+    /// Required top-level scalars, beyond [`COMMON`].
+    scalars: Fields,
+    gates: &'static [Gate],
+    table: &'static str,
+    /// The string fields naming a table entry (joined with '/').
+    key: &'static [&'static str],
+    fields: Fields,
+    /// Fields of each nested row (empty: the table is flat).
+    rows: Fields,
+    /// Entry names that must be present.
+    must_include: &'static [&'static str],
+    /// A top-level string field naming one more required entry.
+    include_from: Option<&'static str>,
+    /// `(entry, field, gate)`: that entry's `field` must meet `doc[gate]`.
+    entry_gate: Option<(&'static str, &'static str, &'static str)>,
+    /// `(field, set)`: within every entry, the rows' values of `field`
+    /// must be exactly `set`.
+    rows_cover: Option<(&'static str, &'static [f64])>,
+    /// A row field that must strictly fall from row to row.
+    rows_falling: Option<&'static str>,
 }
 
-// ---------------------------------------------------------------------------
-// The E19 schema gate.
-// ---------------------------------------------------------------------------
+/// A flat table with no gates: the base every row of [`SCHEMAS`] updates.
+const BASE: Schema = Schema {
+    tag: "",
+    scalars: &[],
+    gates: &[],
+    table: "",
+    key: &[],
+    fields: &[],
+    rows: &[],
+    must_include: &[],
+    include_from: None,
+    entry_gate: None,
+    rows_cover: None,
+    rows_falling: None,
+};
 
-/// Validate a `BENCH_e19.json` document: the incremental-checkpoint
-/// bytes experiment. Beyond shape and finiteness, the validator
-/// re-enforces the quiet-stream shrink gate on the recorded numbers —
-/// `quiet_shrink ≥ shrink_gate` — and refuses documents whose recorded
-/// gate has been weakened below the experiment's 10× floor. The shrink
-/// ratio is a property of the delta encoding, not of machine speed, so
-/// unlike the throughput gates it binds on smoke artifacts too.
-///
-/// Required shape:
-///
-/// ```json
-/// {
-///   "experiment": "e19_checkpoint",
-///   "smoke": bool, "n": > 0, "kind": str, "k": > 0, "eps": (0,1),
-///   "shards": > 0, "batch": > 0, "rebase": ≥ 0,
-///   "shrink_gate": ≥ 10, "quiet_shrink": ≥ shrink_gate, "loud_shrink": > 0,
-///   "scenarios": [ non-empty, must include "quiet" and "loud", each:
-///     { "scenario": str, "updates" > 0, "boundaries" > 0, "bases" > 0,
-///       "identity_links" ≥ 0, "full_bytes" > 0, "delta_bytes" > 0,
-///       "full_bytes_per_boundary" > 0, "delta_bytes_per_boundary" > 0,
-///       "shrink" > 0 } ]
-/// }
-/// ```
-pub fn validate_e19(doc: &Json) -> Result<(), String> {
-    if field(doc, "experiment")?.as_str() != Some("e19_checkpoint") {
-        return Err("field 'experiment' must be \"e19_checkpoint\"".into());
-    }
-    field(doc, "smoke")?
-        .as_bool()
-        .ok_or("field 'smoke' must be a bool")?;
-    pos_num(doc, "n")?;
-    field(doc, "kind")?
-        .as_str()
-        .ok_or("field 'kind' must be a string")?;
-    pos_num(doc, "k")?;
-    let eps = pos_num(doc, "eps")?;
-    if eps >= 1.0 {
-        return Err(format!("field 'eps' must be < 1, got {eps}"));
-    }
-    pos_num(doc, "shards")?;
-    pos_num(doc, "batch")?;
-    count(doc, "rebase")?;
-    let gate = pos_num(doc, "shrink_gate")?;
-    if gate < 10.0 {
-        return Err(format!(
-            "field 'shrink_gate' must be at least 10 (the quiet-stream floor), got {gate}"
-        ));
-    }
-    let quiet_shrink = pos_num(doc, "quiet_shrink")?;
-    // Structural gate: binds regardless of the smoke flag.
-    if quiet_shrink < gate {
-        return Err(format!(
-            "quiet_shrink {quiet_shrink:.2} is below the gate {gate:.2}"
-        ));
-    }
-    pos_num(doc, "loud_shrink")?;
+/// Scalars every artifact carries.
+const COMMON: Fields = &[
+    ("smoke", Rule::Bool),
+    ("n", Rule::Pos),
+    ("kind", Rule::Str),
+    ("k", Rule::Pos),
+];
 
-    let scenarios_field = field(doc, "scenarios")?;
-    let scenarios = scenarios_field
-        .as_array()
-        .ok_or("field 'scenarios' must be an array")?;
-    if scenarios.is_empty() {
-        return Err("'scenarios' must be non-empty".into());
-    }
-    let mut saw = (false, false);
-    for (i, sc) in scenarios.iter().enumerate() {
-        let ctx = |e: String| format!("scenarios[{i}]: {e}");
-        let name = field(sc, "scenario")
-            .map_err(ctx)?
-            .as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| ctx("field 'scenario' must be a string".into()))?;
-        match name.as_str() {
-            "quiet" => saw.0 = true,
-            "loud" => saw.1 = true,
-            _ => {}
-        }
-        pos_num(sc, "updates").map_err(ctx)?;
-        pos_num(sc, "boundaries").map_err(ctx)?;
-        pos_num(sc, "bases").map_err(ctx)?;
-        count(sc, "identity_links").map_err(ctx)?;
-        pos_num(sc, "full_bytes").map_err(ctx)?;
-        pos_num(sc, "delta_bytes").map_err(ctx)?;
-        pos_num(sc, "full_bytes_per_boundary").map_err(ctx)?;
-        pos_num(sc, "delta_bytes_per_boundary").map_err(ctx)?;
-        let shrink = pos_num(sc, "shrink").map_err(ctx)?;
-        if name == "quiet" && shrink < gate {
-            return Err(ctx(format!(
-                "quiet scenario shrink {shrink:.2} is below the gate {gate:.2}"
-            )));
-        }
-    }
-    if !saw.0 {
-        return Err("'scenarios' must include the gated \"quiet\" scenario".into());
-    }
-    if !saw.1 {
-        return Err("'scenarios' must include the \"loud\" scenario".into());
-    }
-    Ok(())
-}
+use Rule::{Above, Count, Eps, Floor, OneOf, Pos, Str};
 
-// ---------------------------------------------------------------------------
-// The E20 schema gate.
-// ---------------------------------------------------------------------------
+static SCHEMAS: [Schema; 5] = [
+    // Sharded throughput. The consolidation speedup is machine-speed, so
+    // only full runs are held to it.
+    Schema {
+        tag: "e16_throughput",
+        scalars: &[
+            ("eps", Eps),
+            ("consolidate_gate", Floor(1.3, "the consolidation floor")),
+            ("consolidation_speedup", Pos),
+        ],
+        gates: &[("consolidation_speedup", "consolidate_gate", When::FullRuns)],
+        table: "streams",
+        key: &["stream"],
+        fields: &[("stream", Str), ("baseline_updates_per_sec", Pos)],
+        rows: &[
+            ("mode", OneOf(&["routed", "parted", "consolidated"])),
+            ("shards", Pos),
+            ("batch", Pos),
+            ("updates_per_sec", Pos),
+            ("speedup", Pos),
+            ("boundary_violations", Count),
+            ("messages", Count),
+        ],
+        ..BASE
+    },
+    // Pipelined-ingestion overlap: the slow-feed scenario carries the gate.
+    Schema {
+        tag: "e17_pipeline",
+        scalars: &[
+            ("shards", Pos),
+            ("batch", Pos),
+            ("overlap_gate", Above(1.0, "else a no-op passes")),
+        ],
+        table: "scenarios",
+        key: &["scenario"],
+        fields: &[("scenario", Str), ("overlap_speedup", Pos)],
+        rows: &[
+            ("mode", OneOf(&["sync", "pipelined"])),
+            ("wall_ms", Pos),
+            ("updates_per_sec", Pos),
+            ("messages", Count),
+            ("boundary_violations", Count),
+            ("push_stalls", Count),
+            ("pop_waits", Count),
+            ("mean_occupancy", Count),
+        ],
+        must_include: &["slow-feed"],
+        entry_gate: Some(("slow-feed", "overlap_speedup", "overlap_gate")),
+        ..BASE
+    },
+    // Keyed-fleet scale: keys × throughput, machine-speed, full runs only.
+    Schema {
+        tag: "e18_fleet",
+        scalars: &[
+            ("eps", Eps),
+            ("shards", Pos),
+            ("batch", Pos),
+            ("fleet_cache", Pos),
+            ("keys_gate", Floor(1.0e6, "the fleet-scale floor")),
+            ("rate_gate", Floor(1.0e7, "updates/sec")),
+            ("live_keys", Pos),
+            ("steady_updates_per_sec", Pos),
+            ("total_bytes", Pos),
+            ("key_violations", Count),
+        ],
+        gates: &[
+            ("live_keys", "keys_gate", When::FullRuns),
+            ("steady_updates_per_sec", "rate_gate", When::FullRuns),
+        ],
+        table: "phases",
+        key: &["phase"],
+        fields: &[
+            ("phase", Str),
+            ("updates", Pos),
+            ("wall_s", Pos),
+            ("updates_per_sec", Pos),
+            ("boundaries", Count),
+            ("key_violations", Count),
+        ],
+        must_include: &["steady"],
+        ..BASE
+    },
+    // Incremental-checkpoint bytes. The shrink ratio is a property of the
+    // delta encoding, not of machine speed: binds on smoke artifacts too.
+    Schema {
+        tag: "e19_checkpoint",
+        scalars: &[
+            ("eps", Eps),
+            ("shards", Pos),
+            ("batch", Pos),
+            ("rebase", Count),
+            ("shrink_gate", Floor(10.0, "the quiet-stream floor")),
+            ("quiet_shrink", Pos),
+            ("loud_shrink", Pos),
+        ],
+        gates: &[("quiet_shrink", "shrink_gate", When::Always)],
+        table: "scenarios",
+        key: &["scenario"],
+        fields: &[
+            ("scenario", Str),
+            ("updates", Pos),
+            ("boundaries", Pos),
+            ("bases", Pos),
+            ("identity_links", Count),
+            ("full_bytes", Pos),
+            ("delta_bytes", Pos),
+            ("full_bytes_per_boundary", Pos),
+            ("delta_bytes_per_boundary", Pos),
+            ("shrink", Pos),
+        ],
+        must_include: &["quiet", "loud"],
+        entry_gate: Some(("quiet", "shrink", "shrink_gate")),
+        ..BASE
+    },
+    // Remote socket tax. The pipelining speedup is round trips eliminated,
+    // not cycles saved, so it binds on smoke artifacts too; and wider
+    // frames must mean strictly fewer of them (deterministic framing).
+    Schema {
+        tag: "e20_remote",
+        scalars: &[
+            ("eps", Eps),
+            ("shards", Pos),
+            ("workers", Pos),
+            ("batch", Pos),
+            ("speedup_gate", Floor(1.3, "the pipelining floor")),
+            ("gate_combo", Str),
+            ("gate_speedup", Pos),
+            ("local_updates_per_sec", Pos),
+        ],
+        gates: &[("gate_speedup", "speedup_gate", When::Always)],
+        table: "combos",
+        key: &["transport", "spawn"],
+        fields: &[
+            ("transport", OneOf(&["uds", "tcp"])),
+            ("spawn", OneOf(&["threads", "processes"])),
+        ],
+        rows: &[
+            ("rounds_per_frame", Pos),
+            ("wall_s", Pos),
+            ("updates_per_sec", Pos),
+            ("speedup_vs_sync", Pos),
+            ("vs_local", Pos),
+            ("frames_sent", Pos),
+            ("frames_received", Pos),
+            ("bytes_sent", Pos),
+            ("bytes_received", Pos),
+        ],
+        include_from: Some("gate_combo"),
+        rows_cover: Some(("rounds_per_frame", &[1.0, 4.0, 16.0])),
+        rows_falling: Some("frames_sent"),
+        ..BASE
+    },
+];
 
-/// Validate a `BENCH_e20.json` document: the remote-ingestion socket-tax
-/// experiment. Beyond shape and finiteness, the validator re-enforces
-/// the pipelining gate on the recorded numbers — `gate_speedup` must
-/// meet the document's `speedup_gate`, which itself cannot be weakened
-/// below the 1.3× floor — and checks the structural signature of frame
-/// batching: within every combo, `frames_sent` must strictly fall as
-/// `rounds_per_frame` rises (the amortization the experiment exists to
-/// demonstrate). The speedup is protocol-structural (round-trips
-/// eliminated, not cycles saved), so the gate binds on smoke artifacts
-/// too.
-///
-/// Required shape:
-///
-/// ```json
-/// {
-///   "experiment": "e20_remote",
-///   "smoke": bool, "n": > 0, "kind": str, "k": > 0, "eps": (0,1),
-///   "shards": > 0, "workers": > 0, "batch": > 0,
-///   "speedup_gate": ≥ 1.3, "gate_combo": str,
-///   "gate_speedup": ≥ speedup_gate, "local_updates_per_sec": > 0,
-///   "combos": [ non-empty, must include the gate_combo, each:
-///     { "transport": "uds" | "tcp", "spawn": "threads" | "processes",
-///       "rows": [ covering rounds_per_frame 1, 4, and 16, each:
-///         { "rounds_per_frame": 1 | 4 | 16, "wall_s" > 0,
-///           "updates_per_sec" > 0, "speedup_vs_sync" > 0, "vs_local" > 0,
-///           "frames_sent" > 0 (strictly falling across the rows),
-///           "frames_received" > 0, "bytes_sent" > 0,
-///           "bytes_received" > 0 } ] } ]
-/// }
-/// ```
-pub fn validate_e20(doc: &Json) -> Result<(), String> {
-    if field(doc, "experiment")?.as_str() != Some("e20_remote") {
-        return Err("field 'experiment' must be \"e20_remote\"".into());
-    }
-    field(doc, "smoke")?
-        .as_bool()
-        .ok_or("field 'smoke' must be a bool")?;
-    pos_num(doc, "n")?;
-    field(doc, "kind")?
-        .as_str()
-        .ok_or("field 'kind' must be a string")?;
-    pos_num(doc, "k")?;
-    let eps = pos_num(doc, "eps")?;
-    if eps >= 1.0 {
-        return Err(format!("field 'eps' must be < 1, got {eps}"));
-    }
-    pos_num(doc, "shards")?;
-    pos_num(doc, "workers")?;
-    pos_num(doc, "batch")?;
-    let gate = pos_num(doc, "speedup_gate")?;
-    if gate < 1.3 {
-        return Err(format!(
-            "field 'speedup_gate' must be at least 1.3 (the pipelining floor), got {gate}"
-        ));
-    }
-    let gate_combo = field(doc, "gate_combo")?
-        .as_str()
-        .map(str::to_owned)
-        .ok_or("field 'gate_combo' must be a string")?;
-    let gate_speedup = pos_num(doc, "gate_speedup")?;
-    // Structural gate: binds regardless of the smoke flag.
-    if gate_speedup < gate {
-        return Err(format!(
-            "gate_speedup {gate_speedup:.2} is below the gate {gate:.2}"
-        ));
-    }
-    pos_num(doc, "local_updates_per_sec")?;
-
-    let combos_field = field(doc, "combos")?;
-    let combos = combos_field
-        .as_array()
-        .ok_or("field 'combos' must be an array")?;
-    if combos.is_empty() {
-        return Err("'combos' must be non-empty".into());
-    }
-    let mut saw_gate_combo = false;
-    for (i, combo) in combos.iter().enumerate() {
-        let ctx = |e: String| format!("combos[{i}]: {e}");
-        let transport = field(combo, "transport")
-            .map_err(ctx)?
-            .as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| ctx("field 'transport' must be a string".into()))?;
-        if transport != "uds" && transport != "tcp" {
-            return Err(ctx(format!(
-                "field 'transport' must be \"uds\" or \"tcp\", got \"{transport}\""
-            )));
-        }
-        let spawn = field(combo, "spawn")
-            .map_err(ctx)?
-            .as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| ctx("field 'spawn' must be a string".into()))?;
-        if spawn != "threads" && spawn != "processes" {
-            return Err(ctx(format!(
-                "field 'spawn' must be \"threads\" or \"processes\", got \"{spawn}\""
-            )));
-        }
-        if format!("{transport}/{spawn}") == gate_combo {
-            saw_gate_combo = true;
-        }
-        let rows_field = field(combo, "rows").map_err(ctx)?;
-        let rows = rows_field
-            .as_array()
-            .ok_or_else(|| ctx("field 'rows' must be an array".into()))?;
-        if rows.is_empty() {
-            return Err(ctx("'rows' must be non-empty".into()));
-        }
-        let mut saw_rpf = (false, false, false);
-        let mut prev_frames = f64::INFINITY;
-        for (j, row) in rows.iter().enumerate() {
-            let ctx = |e: String| format!("combos[{i}].rows[{j}]: {e}");
-            let rpf = pos_num(row, "rounds_per_frame").map_err(ctx)?;
-            match rpf as u64 {
-                1 => saw_rpf.0 = true,
-                4 => saw_rpf.1 = true,
-                16 => saw_rpf.2 = true,
-                _ => {
-                    return Err(ctx(format!(
-                        "field 'rounds_per_frame' must be 1, 4, or 16, got {rpf}"
-                    )))
+/// Check one required field of `j` against its rule.
+fn check(j: &Json, (key, rule): (&str, Rule)) -> Result<(), String> {
+    let v = j.get(key).ok_or(format!("missing field '{key}'"))?;
+    let must = |what: String| Err(format!("field '{key}' must be {what}"));
+    match rule {
+        Rule::Bool if v.as_bool().is_some() => return Ok(()),
+        Rule::Bool => return must("a bool".into()),
+        Rule::Str | Rule::OneOf(_) => {
+            let Some(s) = v.as_str() else {
+                return must("a string".into());
+            };
+            return match rule {
+                Rule::OneOf(words) if !words.contains(&s) => {
+                    must(format!("one of {words:?}, got \"{s}\""))
                 }
-            }
-            pos_num(row, "wall_s").map_err(ctx)?;
-            pos_num(row, "updates_per_sec").map_err(ctx)?;
-            pos_num(row, "speedup_vs_sync").map_err(ctx)?;
-            pos_num(row, "vs_local").map_err(ctx)?;
-            let frames = pos_num(row, "frames_sent").map_err(ctx)?;
-            // The amortization signature: wider frames, strictly fewer of
-            // them. This is deterministic framing, not a timing artifact.
-            if frames >= prev_frames {
-                return Err(ctx(format!(
-                    "'frames_sent' must strictly fall as rounds_per_frame rises \
-                     (got {frames} after {prev_frames})"
+                _ => Ok(()),
+            };
+        }
+        _ => {}
+    }
+    let Some(x) = v.as_f64() else {
+        return must("a number".into());
+    };
+    match rule {
+        Rule::Count if x.is_finite() && x >= 0.0 => Ok(()),
+        Rule::Count => must(format!("finite and >= 0, got {x}")),
+        _ if !(x.is_finite() && x > 0.0) => must(format!("finite and > 0, got {x}")),
+        Rule::Eps if x >= 1.0 => must(format!("< 1, got {x}")),
+        Rule::Floor(floor, why) if x < floor => must(format!("at least {floor} ({why}), got {x}")),
+        Rule::Above(bound, why) if x <= bound => must(format!("above {bound} ({why}), got {x}")),
+        _ => Ok(()),
+    }
+}
+
+/// A numeric field that [`check`] has already accepted.
+fn num(j: &Json, key: &str) -> f64 {
+    j.get(key)
+        .and_then(Json::as_f64)
+        .expect("the schema checks a field before gating on it")
+}
+
+/// A required non-empty array field.
+fn non_empty<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    let items = j
+        .get(key)
+        .ok_or(format!("missing field '{key}'"))?
+        .as_array()
+        .ok_or(format!("field '{key}' must be an array"))?;
+    if items.is_empty() {
+        return Err(format!("'{key}' must be non-empty"));
+    }
+    Ok(items)
+}
+
+fn walk_table(doc: &Json, t: &Schema) -> Result<(), String> {
+    let mut names = Vec::new();
+    for (i, entry) in non_empty(doc, t.table)?.iter().enumerate() {
+        let at = |e: String| format!("{}[{i}]: {e}", t.table);
+        for &f in t.fields {
+            check(entry, f).map_err(at)?;
+        }
+        let parts: Vec<&str> = t
+            .key
+            .iter()
+            .filter_map(|k| entry.get(k)?.as_str())
+            .collect();
+        let name = parts.join("/");
+        if let Some((_, field, gate)) = t.entry_gate.filter(|(gated, ..)| *gated == name) {
+            let (x, g) = (num(entry, field), num(doc, gate));
+            if x < g {
+                let what = t.key[0];
+                return Err(at(format!(
+                    "{name} {what} {field} {x:.2} is below the gate {g:.2}"
                 )));
             }
-            prev_frames = frames;
-            pos_num(row, "frames_received").map_err(ctx)?;
-            pos_num(row, "bytes_sent").map_err(ctx)?;
-            pos_num(row, "bytes_received").map_err(ctx)?;
         }
-        if !(saw_rpf.0 && saw_rpf.1 && saw_rpf.2) {
-            return Err(ctx("'rows' must cover rounds_per_frame 1, 4, and 16".into()));
+        names.push(name);
+        if t.rows.is_empty() {
+            continue;
+        }
+        let rows = non_empty(entry, "rows").map_err(at)?;
+        let mut prev = f64::INFINITY;
+        for (j, row) in rows.iter().enumerate() {
+            let at = |e: String| format!("{}[{i}].rows[{j}]: {e}", t.table);
+            for &f in t.rows {
+                check(row, f).map_err(at)?;
+            }
+            if let Some(field) = t.rows_falling {
+                let x = num(row, field);
+                if x >= prev {
+                    return Err(at(format!(
+                        "'{field}' must strictly fall from row to row (got {x} after {prev})"
+                    )));
+                }
+                prev = x;
+            }
+        }
+        if let Some((field, set)) = t.rows_cover {
+            let seen: Vec<f64> = rows.iter().map(|row| num(row, field)).collect();
+            if !(set.iter().all(|x| seen.contains(x)) && seen.iter().all(|x| set.contains(x))) {
+                return Err(at(format!(
+                    "'rows' must cover {field} {set:?} exactly, got {seen:?}"
+                )));
+            }
         }
     }
-    if !saw_gate_combo {
-        return Err(format!(
-            "'combos' must include the gated combo \"{gate_combo}\""
-        ));
+    let named = t.include_from.and_then(|key| doc.get(key)?.as_str());
+    for want in t.must_include.iter().copied().chain(named) {
+        if !names.iter().any(|name| name == want) {
+            return Err(format!("'{}' must include \"{want}\"", t.table));
+        }
     }
     Ok(())
 }
 
-/// Validate any known `BENCH_*.json` document by its `experiment` tag
-/// (the dispatch the `bench_schema` bin uses).
+/// Validate any known `BENCH_*.json` document against the schema its
+/// `experiment` tag names (what the `bench_schema` bin runs): shape and
+/// finiteness, then the recorded acceptance gates on the recorded
+/// numbers. Returns the tag.
 pub fn validate_bench_doc(doc: &Json) -> Result<&'static str, String> {
-    match doc.get("experiment").and_then(Json::as_str) {
-        Some("e16_throughput") => validate_e16(doc).map(|()| "e16_throughput"),
-        Some("e17_pipeline") => validate_e17(doc).map(|()| "e17_pipeline"),
-        Some("e18_fleet") => validate_e18(doc).map(|()| "e18_fleet"),
-        Some("e19_checkpoint") => validate_e19(doc).map(|()| "e19_checkpoint"),
-        Some("e20_remote") => validate_e20(doc).map(|()| "e20_remote"),
-        Some(other) => Err(format!("unknown experiment tag \"{other}\"")),
-        None => Err("missing string field 'experiment'".into()),
+    let tag = doc
+        .get("experiment")
+        .and_then(Json::as_str)
+        .ok_or("missing string field 'experiment'")?;
+    let schema = SCHEMAS
+        .iter()
+        .find(|s| s.tag == tag)
+        .ok_or(format!("unknown experiment tag \"{tag}\""))?;
+    for &f in COMMON.iter().chain(schema.scalars) {
+        check(doc, f)?;
     }
+    let full_run = doc.get("smoke").and_then(Json::as_bool) == Some(false);
+    for &(value, gate, when) in schema.gates {
+        let (x, g) = (num(doc, value), num(doc, gate));
+        if x < g && (full_run || when == When::Always) {
+            return Err(format!("{value} {x} is below the gate {g}"));
+        }
+    }
+    walk_table(doc, schema)?;
+    Ok(schema.tag)
 }
 
 #[cfg(test)]
@@ -1053,158 +825,90 @@ mod tests {
         assert_eq!(doc.get("b").unwrap().get("c"), Some(&Json::Null));
     }
 
-    fn valid_doc() -> Json {
-        let row = |mode: &str, ups: f64| {
-            Json::obj(vec![
-                ("mode", Json::str(mode)),
-                ("shards", Json::num(8.0)),
-                ("batch", Json::num(65_536.0)),
-                ("updates_per_sec", Json::num(ups)),
-                ("speedup", Json::num(ups / 5.0e6)),
-                ("boundary_violations", Json::num(0.0)),
-                ("messages", Json::num(1234.0)),
-            ])
-        };
-        Json::obj(vec![
-            ("experiment", Json::str("e16_throughput")),
-            ("smoke", Json::Bool(true)),
-            ("n", Json::num(400_000.0)),
-            ("kind", Json::str("deterministic")),
-            ("k", Json::num(8.0)),
-            ("eps", Json::num(0.1)),
-            ("consolidate_gate", Json::num(1.3)),
-            ("consolidation_speedup", Json::num(1.9)),
-            (
-                "streams",
-                Json::Arr(vec![Json::obj(vec![
-                    ("stream", Json::str("monotone")),
-                    ("baseline_updates_per_sec", Json::num(5.0e6)),
-                    (
-                        "rows",
-                        Json::Arr(vec![row("parted", 4.1e7), row("consolidated", 7.8e7)]),
-                    ),
-                ])]),
-            ),
-        ])
+    // The fixtures are the committed artifacts themselves (full runs,
+    // printed one `"key": value` pair per line), doctored per case.
+    const E16: &str = include_str!("../../../BENCH_e16.json");
+    const E17: &str = include_str!("../../../BENCH_e17.json");
+    const E18: &str = include_str!("../../../BENCH_e18.json");
+    const E19: &str = include_str!("../../../BENCH_e19.json");
+    const E20: &str = include_str!("../../../BENCH_e20.json");
+
+    /// `text` with the value of every `"key": …` pair replaced.
+    fn set(text: &str, key: &str, value: &str) -> String {
+        let key = format!("\"{key}\": ");
+        assert!(text.contains(&key), "fixture lacks {key}");
+        let lines = text.lines().map(|line| match line.find(&key) {
+            Some(at) => {
+                let comma = if line.ends_with(',') { "," } else { "" };
+                format!("{}{value}{comma}", &line[..at + key.len()])
+            }
+            None => line.to_string(),
+        });
+        lines.collect::<Vec<_>>().join("\n")
+    }
+
+    /// `text` with the entry named `name` renamed to `to`.
+    fn rename(text: &str, name: &str, to: &str) -> String {
+        assert!(
+            text.contains(&format!("\"{name}\"")),
+            "fixture lacks {name}"
+        );
+        text.replace(&format!("\"{name}\""), &format!("\"{to}\""))
+    }
+
+    fn verdict(text: &str) -> Result<&'static str, String> {
+        validate_bench_doc(&Json::parse(text).unwrap())
+    }
+
+    /// The doctored fixture must be refused, naming `needle`.
+    fn refused(text: &str, needle: &str) {
+        let err = verdict(text).unwrap_err();
+        assert!(err.contains(needle), "wanted {needle:?}, got: {err}");
     }
 
     #[test]
     fn e16_schema_accepts_the_emitted_shape() {
-        assert_eq!(validate_e16(&valid_doc()), Ok(()));
+        assert_eq!(verdict(E16), Ok("e16_throughput"));
+        assert_eq!(verdict(&set(E16, "smoke", "true")), Ok("e16_throughput"));
     }
 
     #[test]
     fn e16_schema_enforces_the_consolidation_gate_on_full_runs() {
         // A smoke artifact may sit below the gate; a full run may not.
-        let below = valid_doc().to_string().replace(
-            "\"consolidation_speedup\": 1.9",
-            "\"consolidation_speedup\": 1.1",
-        );
-        let doc = Json::parse(&below).unwrap();
-        assert_eq!(validate_e16(&doc), Ok(()));
-        let full = below.replace("\"smoke\": true", "\"smoke\": false");
-        let doc = Json::parse(&full).unwrap();
-        assert!(validate_e16(&doc).unwrap_err().contains("below the gate"));
-
+        let below = set(E16, "consolidation_speedup", "1.1");
+        refused(&below, "below the gate");
+        assert_eq!(verdict(&set(&below, "smoke", "true")), Ok("e16_throughput"));
         // The artifact cannot weaken its own floor either.
-        let weak = valid_doc()
-            .to_string()
-            .replace("\"consolidate_gate\": 1.3", "\"consolidate_gate\": 1.05");
-        let doc = Json::parse(&weak).unwrap();
-        assert!(validate_e16(&doc).unwrap_err().contains("at least 1.3"));
-
+        refused(&set(&below, "consolidate_gate", "1.05"), "at least 1.3");
         // And unknown modes stay rejected.
-        let bad = valid_doc()
-            .to_string()
-            .replace("\"mode\": \"consolidated\"", "\"mode\": \"turbo\"");
-        let doc = Json::parse(&bad).unwrap();
-        assert!(validate_e16(&doc).unwrap_err().contains("turbo"));
+        refused(&rename(E16, "consolidated", "turbo"), "turbo");
     }
 
     #[test]
     fn e16_schema_rejects_missing_and_degenerate_fields() {
-        let mut doc = valid_doc();
+        refused(
+            &rename(E16, "streams", "streamz"),
+            "missing field 'streams'",
+        );
+        let mut doc = Json::parse(E16).unwrap();
         if let Json::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "streams");
+            pairs.last_mut().unwrap().1 = Json::Arr(vec![]);
         }
-        assert!(validate_e16(&doc).unwrap_err().contains("streams"));
-
-        let mut doc = valid_doc();
-        if let Json::Obj(pairs) = &mut doc {
-            for (k, v) in pairs.iter_mut() {
-                if k == "streams" {
-                    *v = Json::Arr(vec![]);
-                }
-            }
-        }
-        assert!(validate_e16(&doc).unwrap_err().contains("non-empty"));
-
+        assert!(validate_bench_doc(&doc).unwrap_err().contains("non-empty"));
         // A zero throughput (the "bench crashed instantly" signature).
-        let text = valid_doc()
-            .to_string()
-            .replace("\"updates_per_sec\": 41000000", "\"updates_per_sec\": 0");
-        let doc = Json::parse(&text).unwrap();
-        assert!(validate_e16(&doc).unwrap_err().contains("updates_per_sec"));
-    }
-
-    fn valid_e17_doc() -> Json {
-        let row = |mode: &str, wall: f64| {
-            Json::obj(vec![
-                ("mode", Json::str(mode)),
-                ("wall_ms", Json::num(wall)),
-                ("updates_per_sec", Json::num(2.0e7)),
-                ("messages", Json::num(900.0)),
-                ("boundary_violations", Json::num(0.0)),
-                (
-                    "push_stalls",
-                    Json::num(if mode == "sync" { 0.0 } else { 3.0 }),
-                ),
-                (
-                    "pop_waits",
-                    Json::num(if mode == "sync" { 0.0 } else { 17.0 }),
-                ),
-                ("mean_occupancy", Json::num(41.5)),
-            ])
-        };
-        let scenario = |name: &str, speedup: f64| {
-            Json::obj(vec![
-                ("scenario", Json::str(name)),
-                (
-                    "rows",
-                    Json::Arr(vec![row("sync", 200.0), row("pipelined", 110.0)]),
-                ),
-                ("overlap_speedup", Json::num(speedup)),
-            ])
-        };
-        Json::obj(vec![
-            ("experiment", Json::str("e17_pipeline")),
-            ("smoke", Json::Bool(true)),
-            ("n", Json::num(2.0e6)),
-            ("kind", Json::str("deterministic")),
-            ("k", Json::num(4.0)),
-            ("shards", Json::num(4.0)),
-            ("batch", Json::num(32_768.0)),
-            ("overlap_gate", Json::num(1.25)),
-            (
-                "scenarios",
-                Json::Arr(vec![
-                    scenario("uniform", 1.02),
-                    scenario("slow-feed", 1.81),
-                    scenario("skewed-feed", 1.05),
-                ]),
-            ),
-        ])
+        refused(&set(E16, "updates_per_sec", "0"), "updates_per_sec");
+        // Ill-typed and out-of-domain scalars.
+        refused(&set(E16, "smoke", "1"), "a bool");
+        refused(&set(E16, "kind", "7"), "a string");
+        refused(&set(E16, "n", "\"many\""), "a number");
+        refused(&set(E16, "eps", "1"), "< 1");
+        refused(&set(E16, "messages", "-1"), ">= 0");
     }
 
     #[test]
     fn e17_schema_accepts_the_emitted_shape_and_dispatches() {
-        assert_eq!(validate_e17(&valid_e17_doc()), Ok(()));
-        assert_eq!(validate_bench_doc(&valid_e17_doc()), Ok("e17_pipeline"));
-        assert_eq!(validate_bench_doc(&valid_doc()), Ok("e16_throughput"));
-        let unknown = Json::obj(vec![("experiment", Json::str("e99_mystery"))]);
-        assert!(validate_bench_doc(&unknown)
-            .unwrap_err()
-            .contains("e99_mystery"));
+        assert_eq!(verdict(E17), Ok("e17_pipeline"));
+        refused(&rename(E17, "e17_pipeline", "e99_mystery"), "e99_mystery");
         assert!(validate_bench_doc(&Json::obj(vec![])).is_err());
     }
 
@@ -1212,293 +916,75 @@ mod tests {
     fn e17_schema_enforces_the_overlap_gate_on_recorded_numbers() {
         // A slow-feed speedup below the document's own gate is a schema
         // failure: the committed artifact cannot regress silently.
-        let text = valid_e17_doc()
-            .to_string()
-            .replace("\"overlap_speedup\": 1.81", "\"overlap_speedup\": 1.1");
-        let doc = Json::parse(&text).unwrap();
-        let err = validate_e17(&doc).unwrap_err();
-        assert!(err.contains("below the gate"), "{err}");
-
+        refused(&set(E17, "overlap_speedup", "1.1"), "below the gate");
         // Dropping the gated scenario entirely is also a failure.
-        let text = valid_e17_doc()
-            .to_string()
-            .replace("\"scenario\": \"slow-feed\"", "\"scenario\": \"slow-ish\"");
-        let doc = Json::parse(&text).unwrap();
-        assert!(validate_e17(&doc).unwrap_err().contains("slow-feed"));
-
+        refused(&rename(E17, "slow-feed", "slow-ish"), "slow-feed");
         // Degenerate gate values are rejected.
-        let text = valid_e17_doc()
-            .to_string()
-            .replace("\"overlap_gate\": 1.25", "\"overlap_gate\": 1");
-        let doc = Json::parse(&text).unwrap();
-        assert!(validate_e17(&doc).unwrap_err().contains("overlap_gate"));
-
-        // Bad mode string.
-        let text = valid_e17_doc()
-            .to_string()
-            .replace("\"mode\": \"pipelined\"", "\"mode\": \"overlapped\"");
-        let doc = Json::parse(&text).unwrap();
-        assert!(validate_e17(&doc).unwrap_err().contains("mode"));
-    }
-
-    fn valid_e18_doc(smoke: bool) -> Json {
-        let phase = |name: &str, updates: f64, rate: f64| {
-            Json::obj(vec![
-                ("phase", Json::str(name)),
-                ("updates", Json::num(updates)),
-                ("wall_s", Json::num(updates / rate)),
-                ("updates_per_sec", Json::num(rate)),
-                ("boundaries", Json::num(16.0)),
-                ("key_violations", Json::num(0.0)),
-            ])
-        };
-        Json::obj(vec![
-            ("experiment", Json::str("e18_fleet")),
-            ("smoke", Json::Bool(smoke)),
-            ("n", Json::num(41_048_576.0)),
-            ("kind", Json::str("deterministic")),
-            ("k", Json::num(1.0)),
-            ("eps", Json::num(0.1)),
-            ("shards", Json::num(64.0)),
-            ("batch", Json::num(65_536.0)),
-            ("fleet_cache", Json::num(4_096.0)),
-            ("keys_gate", Json::num(1.0e6)),
-            ("rate_gate", Json::num(1.0e7)),
-            ("live_keys", Json::num(1_048_576.0)),
-            ("steady_updates_per_sec", Json::num(1.1e7)),
-            ("total_bytes", Json::num(3.6e8)),
-            ("key_violations", Json::num(0.0)),
-            (
-                "phases",
-                Json::Arr(vec![
-                    phase("cold-insert", 1_048_576.0, 3.2e5),
-                    phase("steady", 40_000_000.0, 1.1e7),
-                ]),
-            ),
-        ])
+        refused(&set(E17, "overlap_gate", "1"), "overlap_gate");
+        refused(&rename(E17, "pipelined", "overlapped"), "mode");
     }
 
     #[test]
     fn e18_schema_accepts_the_emitted_shape_and_dispatches() {
-        assert_eq!(validate_e18(&valid_e18_doc(false)), Ok(()));
-        assert_eq!(validate_e18(&valid_e18_doc(true)), Ok(()));
-        assert_eq!(validate_bench_doc(&valid_e18_doc(false)), Ok("e18_fleet"));
+        assert_eq!(verdict(E18), Ok("e18_fleet"));
+        assert_eq!(verdict(&set(E18, "smoke", "true")), Ok("e18_fleet"));
     }
 
     #[test]
     fn e18_schema_enforces_the_keys_and_rate_gates_on_full_runs() {
         // A full run below either gate is a schema failure; the same
         // numbers pass as a smoke run (smoke is shape-checked only).
-        let starved = valid_e18_doc(false)
-            .to_string()
-            .replace("\"live_keys\": 1048576", "\"live_keys\": 900000");
-        let doc = Json::parse(&starved).unwrap();
-        assert!(validate_e18(&doc).unwrap_err().contains("live_keys"));
-        let slow = valid_e18_doc(false).to_string().replace(
-            "\"steady_updates_per_sec\": 11000000",
-            "\"steady_updates_per_sec\": 9000000",
-        );
-        let doc = Json::parse(&slow).unwrap();
-        assert!(validate_e18(&doc).unwrap_err().contains("below the gate"));
-        let doc = Json::parse(&slow.replace("\"smoke\": false", "\"smoke\": true")).unwrap();
-        assert_eq!(validate_e18(&doc), Ok(()));
-
+        refused(&set(E18, "live_keys", "900000"), "live_keys");
+        let slow = set(E18, "steady_updates_per_sec", "6000000");
+        refused(&slow, "below the gate");
+        assert_eq!(verdict(&set(&slow, "smoke", "true")), Ok("e18_fleet"));
         // The recorded gates cannot be weakened below the floors.
-        let moved = valid_e18_doc(false)
-            .to_string()
-            .replace("\"rate_gate\": 10000000", "\"rate_gate\": 5000000")
-            .replace(
-                "\"steady_updates_per_sec\": 11000000",
-                "\"steady_updates_per_sec\": 6000000",
-            );
-        let doc = Json::parse(&moved).unwrap();
-        assert!(validate_e18(&doc).unwrap_err().contains("rate_gate"));
-        let moved = valid_e18_doc(false)
-            .to_string()
-            .replace("\"keys_gate\": 1000000", "\"keys_gate\": 1000");
-        let doc = Json::parse(&moved).unwrap();
-        assert!(validate_e18(&doc).unwrap_err().contains("keys_gate"));
-
+        refused(&set(&slow, "rate_gate", "5000000"), "rate_gate");
+        refused(&set(E18, "keys_gate", "1000"), "keys_gate");
         // Dropping the gated phase is also a failure.
-        let text = valid_e18_doc(true)
-            .to_string()
-            .replace("\"phase\": \"steady\"", "\"phase\": \"steadyish\"");
-        let doc = Json::parse(&text).unwrap();
-        assert!(validate_e18(&doc).unwrap_err().contains("steady"));
-    }
-
-    fn valid_e19_doc(smoke: bool) -> Json {
-        let scenario = |name: &str, shrink: f64| {
-            Json::obj(vec![
-                ("scenario", Json::str(name)),
-                ("updates", Json::num(3_840_000.0)),
-                ("boundaries", Json::num(96.0)),
-                ("bases", Json::num(3.0)),
-                ("identity_links", Json::num(1_395.0)),
-                ("full_bytes", Json::num(1.07e8)),
-                ("delta_bytes", Json::num(1.07e8 / shrink)),
-                ("full_bytes_per_boundary", Json::num(1.1e6)),
-                ("delta_bytes_per_boundary", Json::num(1.1e6 / shrink)),
-                ("shrink", Json::num(shrink)),
-            ])
-        };
-        Json::obj(vec![
-            ("experiment", Json::str("e19_checkpoint")),
-            ("smoke", Json::Bool(smoke)),
-            ("n", Json::num(7_680_000.0)),
-            ("kind", Json::str("deterministic")),
-            ("k", Json::num(64.0)),
-            ("eps", Json::num(0.1)),
-            ("shards", Json::num(16.0)),
-            ("batch", Json::num(4_096.0)),
-            ("rebase", Json::num(32.0)),
-            ("shrink_gate", Json::num(10.0)),
-            ("quiet_shrink", Json::num(19.2)),
-            ("loud_shrink", Json::num(16.6)),
-            (
-                "scenarios",
-                Json::Arr(vec![scenario("quiet", 19.2), scenario("loud", 16.6)]),
-            ),
-        ])
+        refused(&rename(E18, "steady", "steadyish"), "\"steady\"");
     }
 
     #[test]
     fn e19_schema_accepts_the_emitted_shape_and_dispatches() {
-        assert_eq!(validate_e19(&valid_e19_doc(false)), Ok(()));
-        assert_eq!(validate_e19(&valid_e19_doc(true)), Ok(()));
-        assert_eq!(
-            validate_bench_doc(&valid_e19_doc(false)),
-            Ok("e19_checkpoint")
-        );
+        assert_eq!(verdict(E19), Ok("e19_checkpoint"));
+        assert_eq!(verdict(&set(E19, "smoke", "true")), Ok("e19_checkpoint"));
     }
 
     #[test]
     fn e19_schema_enforces_the_shrink_gate_even_on_smoke_runs() {
         // The shrink gate is structural, so it binds regardless of the
         // smoke flag — unlike the e16/e18 machine-speed gates.
-        for smoke in [false, true] {
-            let starved = valid_e19_doc(smoke)
-                .to_string()
-                .replace("\"quiet_shrink\": 19.2", "\"quiet_shrink\": 8.5");
-            let doc = Json::parse(&starved).unwrap();
-            assert!(validate_e19(&doc).unwrap_err().contains("below the gate"));
-        }
-
+        let starved = set(E19, "quiet_shrink", "3");
+        refused(&starved, "below the gate");
+        refused(&set(&starved, "smoke", "true"), "below the gate");
         // The recorded gate cannot be weakened below the 10x floor.
-        let moved = valid_e19_doc(false)
-            .to_string()
-            .replace("\"shrink_gate\": 10", "\"shrink_gate\": 2")
-            .replace("\"quiet_shrink\": 19.2", "\"quiet_shrink\": 3");
-        let doc = Json::parse(&moved).unwrap();
-        assert!(validate_e19(&doc).unwrap_err().contains("shrink_gate"));
-
+        refused(&set(&starved, "shrink_gate", "2"), "shrink_gate");
         // The per-scenario shrink is cross-checked against the gate too,
         // and both named scenarios must be present.
-        let padded =
-            valid_e19_doc(false)
-                .to_string()
-                .replacen("\"shrink\": 19.2", "\"shrink\": 4", 1);
-        let doc = Json::parse(&padded).unwrap();
-        assert!(validate_e19(&doc).unwrap_err().contains("quiet scenario"));
-        let text = valid_e19_doc(true)
-            .to_string()
-            .replace("\"scenario\": \"quiet\"", "\"scenario\": \"quietish\"");
-        let doc = Json::parse(&text).unwrap();
-        assert!(validate_e19(&doc).unwrap_err().contains("quiet"));
-        let text = valid_e19_doc(true)
-            .to_string()
-            .replace("\"scenario\": \"loud\"", "\"scenario\": \"loudish\"");
-        let doc = Json::parse(&text).unwrap();
-        assert!(validate_e19(&doc).unwrap_err().contains("loud"));
-    }
-
-    fn valid_e20_doc(smoke: bool) -> Json {
-        let row = |rpf: f64, ups: f64, speedup: f64, frames: f64| {
-            Json::obj(vec![
-                ("rounds_per_frame", Json::num(rpf)),
-                ("wall_s", Json::num(2_000_000.0 / ups)),
-                ("updates_per_sec", Json::num(ups)),
-                ("speedup_vs_sync", Json::num(speedup)),
-                ("vs_local", Json::num(ups / 4.0e7)),
-                ("frames_sent", Json::num(frames)),
-                ("frames_received", Json::num(frames + 900.0)),
-                ("bytes_sent", Json::num(8.0e6)),
-                ("bytes_received", Json::num(2.4e5)),
-            ])
-        };
-        let combo = |transport: &str, spawn: &str, sync_ups: f64| {
-            Json::obj(vec![
-                ("transport", Json::str(transport)),
-                ("spawn", Json::str(spawn)),
-                (
-                    "rows",
-                    Json::Arr(vec![
-                        row(1.0, sync_ups, 1.0, 2004.0),
-                        row(4.0, sync_ups * 6.8, 6.8, 504.0),
-                        row(16.0, sync_ups * 40.7, 40.7, 130.0),
-                    ]),
-                ),
-            ])
-        };
-        Json::obj(vec![
-            ("experiment", Json::str("e20_remote")),
-            ("smoke", Json::Bool(smoke)),
-            ("n", Json::num(2_000_000.0)),
-            ("kind", Json::str("deterministic")),
-            ("k", Json::num(4.0)),
-            ("eps", Json::num(0.1)),
-            ("shards", Json::num(4.0)),
-            ("workers", Json::num(2.0)),
-            ("batch", Json::num(1_000.0)),
-            ("speedup_gate", Json::num(1.3)),
-            ("gate_combo", Json::str("tcp/processes")),
-            ("gate_speedup", Json::num(40.7)),
-            ("local_updates_per_sec", Json::num(4.0e7)),
-            (
-                "combos",
-                Json::Arr(vec![
-                    combo("uds", "processes", 2.4e7),
-                    combo("tcp", "threads", 1.1e4),
-                    combo("tcp", "processes", 1.1e4),
-                ]),
-            ),
-        ])
+        refused(&set(E19, "shrink", "4"), "quiet scenario");
+        refused(&rename(E19, "quiet", "quietish"), "\"quiet\"");
+        refused(&rename(E19, "loud", "loudish"), "\"loud\"");
     }
 
     #[test]
     fn e20_schema_accepts_the_emitted_shape_and_dispatches() {
-        assert_eq!(validate_e20(&valid_e20_doc(false)), Ok(()));
-        assert_eq!(validate_e20(&valid_e20_doc(true)), Ok(()));
-        assert_eq!(validate_bench_doc(&valid_e20_doc(false)), Ok("e20_remote"));
+        assert_eq!(verdict(E20), Ok("e20_remote"));
+        assert_eq!(verdict(&set(E20, "smoke", "true")), Ok("e20_remote"));
     }
 
     #[test]
     fn e20_schema_enforces_the_pipelining_gate_even_on_smoke_runs() {
         // Round-trip elimination is protocol-structural, so the gate
         // binds regardless of the smoke flag.
-        for smoke in [false, true] {
-            let slow = valid_e20_doc(smoke)
-                .to_string()
-                .replace("\"gate_speedup\": 40.7", "\"gate_speedup\": 1.1");
-            let doc = Json::parse(&slow).unwrap();
-            assert!(validate_e20(&doc).unwrap_err().contains("below the gate"));
-        }
-
+        let slow = set(E20, "gate_speedup", "1.05");
+        refused(&slow, "below the gate");
+        refused(&set(&slow, "smoke", "true"), "below the gate");
         // The recorded gate cannot be weakened below the 1.3x floor.
-        let moved = valid_e20_doc(false)
-            .to_string()
-            .replace("\"speedup_gate\": 1.3", "\"speedup_gate\": 1.01")
-            .replace("\"gate_speedup\": 40.7", "\"gate_speedup\": 1.05");
-        let doc = Json::parse(&moved).unwrap();
-        assert!(validate_e20(&doc).unwrap_err().contains("speedup_gate"));
-
+        refused(&set(&slow, "speedup_gate", "1.01"), "speedup_gate");
         // The gated combo must actually be among the recorded combos.
-        let text = valid_e20_doc(false).to_string().replace(
-            "\"gate_combo\": \"tcp/processes\"",
-            "\"gate_combo\": \"tcp/fibers\"",
-        );
-        let doc = Json::parse(&text).unwrap();
-        assert!(validate_e20(&doc).unwrap_err().contains("tcp/fibers"));
+        refused(&set(E20, "gate_combo", "\"tcp/fibers\""), "tcp/fibers");
+        refused(&rename(E20, "threads", "fibers"), "fibers");
     }
 
     #[test]
@@ -1506,19 +992,9 @@ mod tests {
         // Wider frames must mean strictly fewer of them: a document where
         // frames_sent fails to fall as rounds_per_frame rises is refused
         // even if every throughput gate passes.
-        let flat = valid_e20_doc(false)
-            .to_string()
-            .replace("\"frames_sent\": 504", "\"frames_sent\": 2004");
-        let doc = Json::parse(&flat).unwrap();
-        assert!(validate_e20(&doc)
-            .unwrap_err()
-            .contains("must strictly fall"));
-
-        // And every combo must cover the full rpf sweep.
-        let partial = valid_e20_doc(false)
-            .to_string()
-            .replace("\"rounds_per_frame\": 16", "\"rounds_per_frame\": 4");
-        let doc = Json::parse(&partial).unwrap();
-        assert!(validate_e20(&doc).unwrap_err().contains("16"));
+        refused(&set(E20, "frames_sent", "2004"), "must strictly fall");
+        // And every combo must cover the full rpf sweep, in known widths.
+        refused(&set(E20, "rounds_per_frame", "4"), "16");
+        refused(&set(E20, "rounds_per_frame", "8"), "got [8.0");
     }
 }

@@ -16,9 +16,7 @@ pub mod json;
 pub mod stats;
 pub mod table;
 
-pub use json::{
-    validate_bench_doc, validate_e16, validate_e17, validate_e18, validate_e19, Json, JsonError,
-};
+pub use json::{validate_bench_doc, Json, JsonError};
 pub use stats::Summary;
 pub use table::Table;
 

@@ -35,10 +35,9 @@
 use crate::blocks::{BlockConfig, BlockCoordinator, BlockSite};
 use dsv_net::codec::{restore_seq, CodecError, Dec, Enc};
 use dsv_net::{
-    CoordOutbox, CoordinatorNode, ItemUpdate, MergedEntry, Outbox, SiteNode, StarSim, Time,
-    WireSize,
+    CoordOutbox, CoordinatorNode, MergedEntry, Outbox, SiteNode, StarSim, Time, WireSize,
 };
-use dsv_sketch::{CountMinMap, CounterMap, CrPrecisMap, ExactCounts, FreqSketch, IdentityMap};
+use dsv_sketch::{CountMinMap, CounterMap, CrPrecisMap, IdentityMap};
 
 /// Site → coordinator messages of the frequency tracker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -536,121 +535,25 @@ impl CrPrecisFreqTracker {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Auditing runner.
-// ---------------------------------------------------------------------------
-
-/// Outcome of auditing a frequency tracker over an item stream.
-#[derive(Debug, Clone)]
-pub struct FreqRunReport {
-    /// Updates consumed.
-    pub n: u64,
-    /// Final dataset size.
-    pub final_f1: i64,
-    /// Number of per-item audits performed.
-    pub audits: u64,
-    /// Audited (item, time) pairs whose error exceeded `ε·F1(t)`.
-    pub item_violations: u64,
-    /// Largest audited `|f̂_ℓ − f_ℓ| / F1` ratio.
-    pub max_err_over_f1: f64,
-    /// Timesteps where the coordinator's F1 estimate broke its ε bound.
-    pub f1_violations: u64,
-    /// Final communication ledger.
-    pub stats: dsv_net::CommStats,
-    /// Coordinator space in words.
-    pub coord_space_words: usize,
-}
-
-impl FreqRunReport {
-    /// Fraction of audited item queries that violated the bound.
-    pub fn item_violation_rate(&self) -> f64 {
-        if self.audits == 0 {
-            0.0
-        } else {
-            self.item_violations as f64 / self.audits as f64
-        }
-    }
-}
-
-/// Drives an item stream through a frequency tracker, auditing every
-/// `audit_every` steps against exact ground truth.
-#[deprecated(
-    since = "0.2.0",
-    note = "use dsv_core::api::ItemDriver::run_items — same accounting, typed errors, \
-            one runner for counting and item streams"
-)]
-#[derive(Debug, Clone, Copy)]
-pub struct FreqRunner {
-    eps: f64,
-    audit_every: u64,
-}
-
-#[allow(deprecated)]
-impl FreqRunner {
-    /// Audit against error `eps` every `audit_every` timesteps.
-    pub fn new(eps: f64, audit_every: u64) -> Self {
-        assert!(eps > 0.0 && eps < 1.0);
-        assert!(audit_every >= 1);
-        FreqRunner { eps, audit_every }
-    }
-
-    /// Run and audit. At each audit point, every item that ever appeared
-    /// (plus item `0` as an absent-item probe) is checked.
-    pub fn run<M: CounterMap>(
-        &self,
-        sim: &mut StarSim<FreqSite<M>, FreqCoord<M>>,
-        updates: &[ItemUpdate],
-    ) -> FreqRunReport {
-        let mut truth = ExactCounts::new();
-        let mut seen: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        seen.insert(0);
-        let mut audits = 0u64;
-        let mut item_violations = 0u64;
-        let mut max_ratio = 0.0f64;
-        let mut f1_violations = 0u64;
-
-        for u in updates {
-            truth.update(u.item, u.delta);
-            seen.insert(u.item);
-            let f1_est = sim.step(u.site, (u.item, u.delta));
-            let f1 = truth.f1();
-            if dsv_net::relative_error(f1, f1_est) > self.eps * (1.0 + 1e-12) {
-                f1_violations += 1;
-            }
-            if u.time % self.audit_every == 0 {
-                let budget = self.eps * f1 as f64;
-                for &item in &seen {
-                    let est = sim.coordinator().estimate_item(item);
-                    let err = (est - truth.estimate(item)).unsigned_abs() as f64;
-                    audits += 1;
-                    if err > budget * (1.0 + 1e-12) {
-                        item_violations += 1;
-                    }
-                    if f1 > 0 {
-                        max_ratio = max_ratio.max(err / f1 as f64);
-                    }
-                }
-            }
-        }
-
-        FreqRunReport {
-            n: updates.len() as u64,
-            final_f1: truth.f1(),
-            audits,
-            item_violations,
-            max_err_over_f1: max_ratio,
-            f1_violations,
-            stats: sim.stats().clone(),
-            coord_space_words: sim.coordinator().space_words(),
-        }
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // exercises the FreqRunner shim until its removal
 mod tests {
     use super::*;
+    use crate::api::{ItemDriver, ItemRunReport, ItemTracker};
     use dsv_gen::{ItemStreamGen, RoundRobin};
+    use dsv_net::ItemUpdate;
+
+    fn audited(
+        sim: &mut impl ItemTracker,
+        eps: f64,
+        every: u64,
+        updates: &[ItemUpdate],
+    ) -> ItemRunReport {
+        ItemDriver::new(eps)
+            .unwrap()
+            .with_item_audit(every)
+            .run_items(sim, updates)
+            .unwrap()
+    }
 
     fn zipf_stream(n: u64, k: usize, universe: usize, seed: u64) -> Vec<ItemUpdate> {
         ItemStreamGen::new(seed, universe, 1.1, 0.35, 1).updates(n, RoundRobin::new(k))
@@ -661,14 +564,14 @@ mod tests {
         let (k, eps, universe) = (4, 0.2, 500);
         let updates = zipf_stream(20_000, k, universe, 7);
         let mut sim = ExactFreqTracker::sim(k, eps, universe);
-        let report = FreqRunner::new(eps, 500).run(&mut sim, &updates);
+        let report = audited(&mut sim, eps, 500, &updates);
         assert!(report.audits > 0);
         assert_eq!(
             report.item_violations, 0,
             "max ratio {}",
             report.max_err_over_f1
         );
-        assert_eq!(report.f1_violations, 0);
+        assert_eq!(report.run.violations, 0);
     }
 
     #[test]
@@ -676,7 +579,7 @@ mod tests {
         let (k, eps, universe) = (4, 0.25, 400u64);
         let updates = zipf_stream(15_000, k, universe as usize, 11);
         let mut sim = CrPrecisFreqTracker::sim(k, eps, universe);
-        let report = FreqRunner::new(eps, 500).run(&mut sim, &updates);
+        let report = audited(&mut sim, eps, 500, &updates);
         assert!(report.audits > 0);
         assert_eq!(
             report.item_violations, 0,
@@ -690,7 +593,7 @@ mod tests {
         let (k, eps, universe) = (4, 0.2, 2_000);
         let updates = zipf_stream(20_000, k, universe, 13);
         let mut sim = CountMinFreqTracker::sim(k, eps, 99);
-        let report = FreqRunner::new(eps, 500).run(&mut sim, &updates);
+        let report = audited(&mut sim, eps, 500, &updates);
         assert!(report.audits > 0);
         // Per-item failure probability ≤ 1/9; audited rate should stay
         // well under that with margin.
@@ -707,10 +610,10 @@ mod tests {
         let updates = zipf_stream(10_000, k, universe, 17);
 
         let mut exact = ExactFreqTracker::sim(k, eps, universe);
-        let re = FreqRunner::new(eps, 10_000).run(&mut exact, &updates);
+        let re = audited(&mut exact, eps, 10_000, &updates);
 
         let mut cm = CountMinFreqTracker::sim(k, eps, 3);
-        let rcm = FreqRunner::new(eps, 10_000).run(&mut cm, &updates);
+        let rcm = audited(&mut cm, eps, 10_000, &updates);
 
         assert!(
             rcm.coord_space_words * 10 < re.coord_space_words,
@@ -725,9 +628,9 @@ mod tests {
         let (k, eps, universe) = (8, 0.1, 300);
         let updates = zipf_stream(30_000, k, universe, 23);
         let mut sim = ExactFreqTracker::sim(k, eps, universe);
-        let report = FreqRunner::new(eps, 1_000).run(&mut sim, &updates);
-        assert_eq!(report.f1_violations, 0);
-        assert!(report.final_f1 > 0);
+        let report = audited(&mut sim, eps, 1_000, &updates);
+        assert_eq!(report.run.violations, 0);
+        assert!(report.run.final_f > 0);
     }
 
     #[test]
@@ -737,19 +640,19 @@ mod tests {
         let grow =
             ItemStreamGen::new(5, universe, 1.1, 0.05, 1).updates(40_000, RoundRobin::new(k));
         let mut sim = ExactFreqTracker::sim(k, eps, universe);
-        let r_grow = FreqRunner::new(eps, 40_000).run(&mut sim, &grow);
+        let r_grow = audited(&mut sim, eps, 40_000, &grow);
 
         // Heavy-churn stream at small F1: v is much larger ⇒ more messages.
         let churn =
             ItemStreamGen::new(5, universe, 1.1, 0.495, 1).updates(40_000, RoundRobin::new(k));
         let mut sim2 = ExactFreqTracker::sim(k, eps, universe);
-        let r_churn = FreqRunner::new(eps, 40_000).run(&mut sim2, &churn);
+        let r_churn = audited(&mut sim2, eps, 40_000, &churn);
 
         assert!(
-            r_churn.stats.total_messages() > 2 * r_grow.stats.total_messages(),
+            r_churn.run.stats.total_messages() > 2 * r_grow.run.stats.total_messages(),
             "churn {} vs grow {}",
-            r_churn.stats.total_messages(),
-            r_grow.stats.total_messages()
+            r_churn.run.stats.total_messages(),
+            r_grow.run.stats.total_messages()
         );
     }
 }

@@ -624,10 +624,10 @@ impl RandFreqTracker {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // compares against the FreqRunner shim until its removal
 mod tests {
     use super::*;
-    use crate::frequencies::{ExactFreqTracker, FreqRunner};
+    use crate::api::ItemDriver;
+    use crate::frequencies::ExactFreqTracker;
     use dsv_gen::{ItemStreamGen, RoundRobin};
     use dsv_net::ItemUpdate;
     use dsv_sketch::{ExactCounts, FreqSketch};
@@ -746,7 +746,11 @@ mod tests {
         let (k, eps, universe) = (4usize, 0.2f64, 250usize);
         let updates = stream(12_000, k, universe, 41);
         let mut det = ExactFreqTracker::sim(k, eps, universe);
-        let det_report = FreqRunner::new(eps, 1_000).run(&mut det, &updates);
+        let det_report = ItemDriver::new(eps)
+            .unwrap()
+            .with_item_audit(1_000)
+            .run_items(&mut det, &updates)
+            .unwrap();
         assert_eq!(det_report.item_violations, 0);
         // The randomized variant is allowed failures but must stay far
         // from always-wrong.

@@ -56,25 +56,51 @@ use crate::config::{EngineConfig, EngineError};
 use crate::consolidate::{ConsolidateInput, Consolidator};
 use crate::ingest::{FleetFeed, Ring};
 use crate::partition::hash_item;
+use crate::round::{validate_sites, worker_groups};
 
 /// Magic bytes opening a serialized [`FleetCheckpoint`].
 pub const FLEET_MAGIC: [u8; 4] = *b"DSVF";
 
 /// Current fleet-checkpoint format version. Bump on **any** layout
 /// change (and see `MIGRATION.md`); nested tracker payloads carry their
-/// own `DSVT` version independently. v2 adds a shard-table variant tag
-/// after the version: `TABLE_FULL` for the classic full table,
-/// `TABLE_DELTA` for a parent-anchored [`FleetDelta`] table; v1 bytes
-/// (no tag, full table) still decode.
+/// own `DSVT` version independently. A shard-table variant tag follows
+/// the version: `TABLE_FULL` for the full table, `TABLE_DELTA` for a
+/// parent-anchored [`FleetDelta`] table. Decoders read exactly this
+/// version (`MIGRATION.md`, format policy).
 pub const FLEET_VERSION: u16 = 2;
 
-/// `DSVF` v2 shard-table variant: every slot record in full (the only
-/// layout v1 had).
+/// `DSVF` shard-table variant: every slot record in full.
 const TABLE_FULL: u8 = 1;
 
-/// `DSVF` v2 shard-table variant: delta-chain table — slot ops diffed
+/// `DSVF` shard-table variant: delta-chain table — slot ops diffed
 /// against a parent checkpoint, decoded by [`FleetDelta::from_bytes`].
 const TABLE_DELTA: u8 = 2;
+
+/// Open a `DSVF` payload that must hold table variant `want`: the magic,
+/// exactly [`FLEET_VERSION`], then the variant tag. The other known
+/// variant is refused as `wrong_variant`.
+fn open_table<'a>(
+    bytes: &'a [u8],
+    want: u8,
+    wrong_variant: &'static str,
+) -> Result<Dec<'a>, CodecError> {
+    let mut dec = Dec::new(bytes);
+    if dec.magic(FLEET_MAGIC, FLEET_VERSION)? != FLEET_VERSION {
+        return Err(CodecError::BadValue {
+            what: "fleet format version (only the current generation is read)",
+        });
+    }
+    match dec.u8()? {
+        tag if tag == want => Ok(dec),
+        TABLE_FULL | TABLE_DELTA => Err(CodecError::BadValue {
+            what: wrong_variant,
+        }),
+        tag => Err(CodecError::BadTag {
+            what: "fleet table variant",
+            tag: tag as u64,
+        }),
+    }
+}
 
 /// Niche marker for "no slot / no cache entry / no staged successor".
 const NONE_U32: u32 = u32::MAX;
@@ -749,34 +775,14 @@ impl FleetCheckpoint {
 
     /// Decode the versioned wire form, requiring exact consumption and
     /// internal consistency (shard and state shapes, update accounting).
-    /// Accepts v1 bytes (no table-variant tag) and v2 full tables; a v2
-    /// delta table is a typed error directing the caller to
+    /// A delta table is a typed error directing the caller to
     /// [`FleetDelta::from_bytes`], since it cannot stand alone.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut dec = Dec::new(bytes);
-        let version = dec.magic(FLEET_MAGIC, FLEET_VERSION)?;
-        if version >= 2 {
-            match dec.u8()? {
-                TABLE_FULL => {}
-                TABLE_DELTA => {
-                    return Err(CodecError::BadValue {
-                        what: "fleet table variant (delta tables decode with FleetDelta)",
-                    })
-                }
-                tag => {
-                    return Err(CodecError::BadTag {
-                        what: "fleet table variant",
-                        tag: tag as u64,
-                    })
-                }
-            }
-        }
-        Self::decode_table(&mut dec)
-    }
-
-    /// Decode the table body shared by v1 and v2-full payloads
-    /// (everything after the magic/version/variant prefix).
-    fn decode_table(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
+        let mut dec = open_table(
+            bytes,
+            TABLE_FULL,
+            "fleet table variant (delta tables decode with FleetDelta)",
+        )?;
         let tag = dec.u8()?;
         let kind = kind_from_tag(tag).ok_or(CodecError::BadTag {
             what: "fleet tracker kind",
@@ -799,7 +805,7 @@ impl FleetCheckpoint {
                 what: "fleet max relative error",
             });
         }
-        let tracker_stats = CommStats::decode(dec)?;
+        let tracker_stats = CommStats::decode(&mut dec)?;
         let n_shards = dec.seq_len("fleet shards", 8)?;
         if n_shards == 0 {
             return Err(CodecError::BadValue {
@@ -1142,27 +1148,11 @@ impl FleetDelta {
     /// after the aligned prefix). Truncated, corrupted, or version-skewed
     /// payloads decode to typed [`CodecError`]s, never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut dec = Dec::new(bytes);
-        let version = dec.magic(FLEET_MAGIC, FLEET_VERSION)?;
-        if version < 2 {
-            return Err(CodecError::BadValue {
-                what: "fleet delta table requires format v2",
-            });
-        }
-        match dec.u8()? {
-            TABLE_DELTA => {}
-            TABLE_FULL => {
-                return Err(CodecError::BadValue {
-                    what: "fleet table variant (full tables decode with FleetCheckpoint)",
-                })
-            }
-            tag => {
-                return Err(CodecError::BadTag {
-                    what: "fleet table variant",
-                    tag: tag as u64,
-                })
-            }
-        }
+        let mut dec = open_table(
+            bytes,
+            TABLE_DELTA,
+            "fleet table variant (full tables decode with FleetCheckpoint)",
+        )?;
         let parent_time = dec.u64()?;
         let parent_hash = dec.u64()?;
         let tag = dec.u8()?;
@@ -1591,15 +1581,13 @@ where
         let factory = Arc::clone(&self.factory);
         let proto = Arc::clone(&self.proto);
         let proto_stats = Arc::clone(&self.proto_stats);
-        let mut outs: Vec<(usize, ApplyOut)> = Vec::new();
-        if workers <= 1 {
-            for (sid, shard) in self.shards.iter_mut().enumerate() {
-                if shard.touched.is_empty() {
-                    continue;
-                }
-                outs.push((
-                    sid,
-                    shard.apply(
+        // Worker w applies the touched shards of its group s ≡ w (mod W);
+        // a lone worker is the calling thread.
+        let apply_group = |group: Vec<(usize, &mut ShardSlab<T, In>)>| {
+            group
+                .into_iter()
+                .map(|(sid, shard)| {
+                    let out = shard.apply(
                         eps,
                         &*factory,
                         &proto,
@@ -1607,54 +1595,34 @@ where
                         cap,
                         gc_floor,
                         consolidate,
-                    )?,
-                ));
-            }
+                    )?;
+                    Ok((sid, out))
+                })
+                .collect::<Result<Vec<(usize, ApplyOut)>, EngineError>>()
+        };
+        let mut groups = worker_groups(self.shards.iter_mut().enumerate(), workers);
+        for group in &mut groups {
+            group.retain(|(_, shard)| !shard.touched.is_empty());
+        }
+        groups.retain(|group| !group.is_empty());
+        let results: Vec<_> = if workers == 1 {
+            groups.into_iter().map(apply_group).collect()
         } else {
-            let mut groups: Vec<Vec<(usize, &mut ShardSlab<T, In>)>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (sid, shard) in self.shards.iter_mut().enumerate() {
-                if shard.touched.is_empty() {
-                    continue;
-                }
-                groups[sid % workers].push((sid, shard));
-            }
-            let results = std::thread::scope(|scope| {
+            let apply_group = &apply_group;
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = groups
                     .into_iter()
-                    .filter(|g| !g.is_empty())
-                    .map(|group| {
-                        let factory = Arc::clone(&factory);
-                        let proto = Arc::clone(&proto);
-                        let proto_stats = Arc::clone(&proto_stats);
-                        scope.spawn(move || -> Result<Vec<(usize, ApplyOut)>, EngineError> {
-                            let mut outs = Vec::with_capacity(group.len());
-                            for (sid, shard) in group {
-                                outs.push((
-                                    sid,
-                                    shard.apply(
-                                        eps,
-                                        &*factory,
-                                        &proto,
-                                        &proto_stats,
-                                        cap,
-                                        gc_floor,
-                                        consolidate,
-                                    )?,
-                                ));
-                            }
-                            Ok(outs)
-                        })
-                    })
+                    .map(|group| scope.spawn(move || apply_group(group)))
                     .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("fleet worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for r in results {
-                outs.extend(r?);
-            }
+                    .collect()
+            })
+        };
+        let mut outs: Vec<(usize, ApplyOut)> = Vec::new();
+        for r in results {
+            outs.extend(r?);
         }
         // Reconcile in shard order so worker placement never shows in
         // any scalar or ledger.
@@ -1809,16 +1777,7 @@ where
         F: FnOnce(Vec<FleetFeed<In>>),
     {
         let started = Instant::now();
-        for &site in sites {
-            if site >= self.k {
-                return Err(RunError::SiteOutOfRange {
-                    site,
-                    k: self.k,
-                    time: self.time,
-                }
-                .into());
-            }
-        }
+        validate_sites(sites, self.k, self.kind, self.time)?;
         let mark = self.mark();
         let batch = self.cfg.batch_size();
         let queue_cap = self.cfg.queue_capacity_value();
@@ -2329,21 +2288,20 @@ mod tests {
     }
 
     #[test]
-    fn fleet_v1_bytes_still_decode() {
+    fn fleet_v1_bytes_are_refused() {
         let mut fleet = CounterFleet::counters(spec(), cfg()).unwrap();
         for t in 0..128u64 {
             fleet.update(t % 9, 1).unwrap();
         }
-        let ckpt = fleet.checkpoint().unwrap();
-        // Rewrite the v2 wire form as v1: drop the table-variant byte
-        // (index 6) and patch the version word back to 1.
-        let mut v1 = ckpt.to_bytes();
+        // The v1 wire form: no table-variant byte (index 6), version 1.
+        let mut v1 = fleet.checkpoint().unwrap().to_bytes();
         v1.remove(6);
         v1[4] = 1;
         v1[5] = 0;
-        let back = FleetCheckpoint::from_bytes(&v1).unwrap();
-        assert_eq!(back, ckpt);
-        assert_eq!(back.to_bytes(), ckpt.to_bytes(), "re-encodes as v2");
+        assert!(matches!(
+            FleetCheckpoint::from_bytes(&v1),
+            Err(CodecError::BadValue { .. })
+        ));
     }
 
     #[test]

@@ -60,7 +60,7 @@ use crate::ingest::{Backpressure, Ring};
 use crate::merge::MergeCoordinator;
 use crate::partition::InputDelta;
 use crate::report::EngineReport;
-use crate::sharded::RunAudit;
+use crate::round::{chunk_bounds, rounds_of, validate_feeds, Cut, Entry, RunAudit};
 use dsv_core::api::{Problem, RunError, TrackerKind, TrackerSpec};
 use dsv_core::codec::{CodecError, Enc, TrackerState};
 use dsv_net::transport::{
@@ -74,7 +74,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{JoinHandle, Scope, ScopedJoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use wire::{Chunk, Inputs, RoundWork, ShardInit, StateEntry, StatePull, ToCoord, ToWorker};
 
 /// How the coordinator rendezvouses with its shard workers.
@@ -627,37 +627,11 @@ impl<In: RemoteInput> RemoteEngine<In> {
     /// (respawn/reattach + replay from the last committed checkpoint);
     /// every recovery is recorded in [`events`](Self::events).
     pub fn run_parted(&mut self, feeds: &[(SiteId, &[In])]) -> Result<EngineReport, RemoteError> {
-        let started = Instant::now();
-        let batch = self.cfg.batch_size();
-        let deletions_ok = self.kind.supports_deletions();
-
-        for &(site, inputs) in feeds {
-            if site >= self.k {
-                return Err(RunError::SiteOutOfRange {
-                    site,
-                    k: self.k,
-                    time: self.time,
-                }
-                .into());
-            }
-            if !deletions_ok {
-                if let Some(pos) = inputs.iter().position(|&x| x.delta_of() < 0) {
-                    return Err(RunError::DeletionUnsupported {
-                        kind: self.kind,
-                        time: self.time + pos as Time + 1,
-                    }
-                    .into());
-                }
-            }
-        }
+        let mut audit = RunAudit::new(&self.cfg);
+        validate_feeds(feeds.iter().copied(), self.k, self.kind, self.time)?;
 
         let total: usize = feeds.iter().map(|(_, inputs)| inputs.len()).sum();
-        let rounds = feeds
-            .iter()
-            .map(|(_, inputs)| inputs.len().div_ceil(batch))
-            .max()
-            .unwrap_or(0);
-        let mut audit = RunAudit::new(self.cfg.eps_value(), self.cfg.probe_period());
+        let rounds = rounds_of(feeds, self.cfg.batch_size());
         let period = self.cfg.checkpoint_period();
         // Rounds fully absorbed this call, and how many of those the last
         // committed checkpoint covers — the replay window on failover.
@@ -683,18 +657,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
         } else {
             for round in 0..rounds {
                 let entries = self.exchange_round(feeds, round, ckpt_rounds, rounds_done)?;
-                // Same per-boundary order as the in-process path: fold
-                // ground truth, absorb end-of-round estimates ascending
-                // sid, audit.
-                for (&sid, &(_, sum, len)) in &entries {
-                    self.f += sum;
-                    self.time += len as Time;
-                    self.dirty[sid] += len;
-                }
-                for (&sid, &(est, _, _)) in &entries {
-                    self.coord.absorb(sid, est);
-                }
-                audit.boundary(self.time, self.f, self.coord.estimate());
+                self.cut(&mut audit).close(entries.into_values());
                 rounds_done += 1;
                 for w in 0..self.workers.len() {
                     if let Some(kind) = self.faults.take(FaultPoint::AtBoundary(rounds_done - 1), w)
@@ -718,22 +681,25 @@ impl<In: RemoteInput> RemoteEngine<In> {
         self.sync_checkpoint(feeds, None, &mut ckpt_rounds, rounds_done)?;
 
         let (_, tracker_stats) = self.resume_final()?;
-        Ok(EngineReport {
-            n: total as u64,
-            batches: audit.batches,
-            shards: self.cfg.shards_count(),
-            workers: self.workers.len(),
-            batch_size: batch,
-            final_f: self.f,
-            final_estimate: self.coord.estimate(),
-            boundary_violations: audit.violations,
-            max_boundary_rel_err: audit.max_err,
+        Ok(audit.report(
+            &self.cfg,
+            total as u64,
+            self.f,
+            &self.coord,
             tracker_stats,
-            merge_stats: self.coord.stats().clone(),
-            ingest_stats: IngestStats::new(),
-            probes: audit.probes,
-            elapsed: started.elapsed(),
-        })
+            IngestStats::new(),
+        ))
+    }
+
+    /// The boundary cut over this engine's state, for closing one round.
+    fn cut<'a>(&'a mut self, audit: &'a mut RunAudit) -> Cut<'a> {
+        Cut::new(
+            &mut self.time,
+            &mut self.f,
+            &mut self.dirty,
+            &mut self.coord,
+            audit,
+        )
     }
 
     /// Drive one round to completion: send each worker its feed-order
@@ -745,7 +711,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
         round: usize,
         ckpt_rounds: u64,
         rounds_done: u64,
-    ) -> Result<BTreeMap<usize, (i64, i64, u64)>, RemoteError> {
+    ) -> Result<BTreeMap<usize, Entry>, RemoteError> {
         let s_count = self.cfg.shards_count();
         let batch = self.cfg.batch_size();
         let mut remaining: BTreeSet<usize> = feeds
@@ -753,23 +719,16 @@ impl<In: RemoteInput> RemoteEngine<In> {
             .filter(|(_, inputs)| chunk_bounds(inputs.len(), batch, round).is_some())
             .map(|&(site, _)| site % s_count)
             .collect();
-        let mut entries: BTreeMap<usize, (i64, i64, u64)> = BTreeMap::new();
+        let mut entries: BTreeMap<usize, Entry> = BTreeMap::new();
 
         while !remaining.is_empty() {
             let mut per_worker: BTreeMap<usize, Vec<Chunk>> = BTreeMap::new();
-            for &(site, inputs) in feeds {
-                let Some((lo, hi)) = chunk_bounds(inputs.len(), batch, round) else {
-                    continue;
-                };
-                let sid = site % s_count;
-                if !remaining.contains(&sid) {
-                    continue;
-                }
-                per_worker.entry(self.owner[sid]).or_default().push(Chunk {
-                    sid,
-                    site,
-                    inputs: In::wrap(&inputs[lo..hi]),
-                });
+            for chunk in round_chunks(feeds, s_count, batch, round, |sid| remaining.contains(&sid))
+            {
+                per_worker
+                    .entry(self.owner[chunk.sid])
+                    .or_default()
+                    .push(chunk);
             }
             let mut failed: BTreeSet<usize> = BTreeSet::new();
             let mut sent: Vec<(usize, Vec<usize>)> = Vec::new();
@@ -799,13 +758,12 @@ impl<In: RemoteInput> RemoteEngine<In> {
                 match self.recv_coord(w) {
                     Ok(ToCoord::RoundReport { round: r, reports }) if r == rounds_done => {
                         for e in reports {
-                            entries.insert(e.sid, (e.estimate, e.sum, e.len));
+                            entries.insert(e.sid, (e.sid, e.estimate, e.sum, e.len));
                             remaining.remove(&e.sid);
                         }
                         // A live worker must report every shard it was
                         // sent — resending to it would double-apply.
-                        if let Some(&sid) = sids.iter().find(|sid| remaining.contains(sid)) {
-                            let _ = sid;
+                        if sids.iter().any(|sid| remaining.contains(sid)) {
                             return Err(RemoteError::Protocol {
                                 worker: w,
                                 what: "round report missing a dispatched shard",
@@ -862,37 +820,21 @@ impl<In: RemoteInput> RemoteEngine<In> {
         let policy = self.cfg.backpressure_policy();
         let period = self.cfg.checkpoint_period();
         let w_count = self.workers.len();
-        // Two blocks in flight plus their flush cuts always fit.
-        let cap = 2 * rpf + 2;
 
         std::thread::scope(|scope| {
-            let mut rings: Vec<Arc<Ring<Cmd>>> = Vec::with_capacity(w_count);
-            let mut lanes: Vec<Option<ScopedJoinHandle<'_, Conn>>> = Vec::with_capacity(w_count);
+            let mut lanes = Lanes::new(scope, feeds, s_count, batch, rpf, w_count);
             let mut drive = || -> Result<(), RemoteError> {
                 for w in 0..w_count {
                     if self.workers[w].conn.is_none() {
                         self.failover(w, feeds, *ckpt_rounds, *rounds_done)?;
                     }
-                    let conn = self.worker_conn_clone(w)?;
-                    let ring = Arc::new(Ring::new(cap));
-                    lanes.push(Some(spawn_writer(
-                        scope,
-                        Arc::clone(&ring),
-                        conn,
-                        feeds,
-                        self.owner.clone(),
-                        w,
-                        s_count,
-                        batch,
-                        rpf,
-                    )));
-                    rings.push(ring);
+                    self.start_lane(&mut lanes, w)?;
                 }
                 // Per-worker expectation FIFO (rounds staged, report not
                 // yet received) and per-round report entries received
                 // but not yet absorbed.
                 let mut outstanding: Vec<VecDeque<u64>> = vec![VecDeque::new(); w_count];
-                let mut pending: BTreeMap<u64, BTreeMap<usize, (i64, i64, u64)>> = BTreeMap::new();
+                let mut pending: BTreeMap<u64, BTreeMap<usize, Entry>> = BTreeMap::new();
                 let mut staged: u64 = 0;
 
                 while (*rounds_done as usize) < rounds {
@@ -922,7 +864,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
                                         _ => 0,
                                     };
                                     while !stage_push(
-                                        &rings[w],
+                                        &lanes.rings[w],
                                         policy,
                                         Cmd::Round {
                                             round: rr,
@@ -942,21 +884,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
                                             &mut outstanding,
                                             &mut pending,
                                         )?;
-                                        let conn = self.worker_conn_clone(w)?;
-                                        rebuild_lane(
-                                            scope,
-                                            &mut rings,
-                                            &mut lanes,
-                                            &mut self.wire,
-                                            conn,
-                                            feeds,
-                                            self.owner.clone(),
-                                            w,
-                                            s_count,
-                                            batch,
-                                            rpf,
-                                            cap,
-                                        );
+                                        self.start_lane(&mut lanes, w)?;
                                     }
                                     outstanding[w].push_back(rr);
                                     if matches!(
@@ -972,7 +900,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
                             for w in 0..w_count {
                                 let in_block =
                                     outstanding[w].back().is_some_and(|&r| r >= block_start);
-                                if in_block && !stage_push(&rings[w], policy, Cmd::Flush) {
+                                if in_block && !stage_push(&lanes.rings[w], policy, Cmd::Flush) {
                                     self.pipelined_failover(
                                         w,
                                         feeds,
@@ -982,21 +910,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
                                         &mut outstanding,
                                         &mut pending,
                                     )?;
-                                    let conn = self.worker_conn_clone(w)?;
-                                    rebuild_lane(
-                                        scope,
-                                        &mut rings,
-                                        &mut lanes,
-                                        &mut self.wire,
-                                        conn,
-                                        feeds,
-                                        self.owner.clone(),
-                                        w,
-                                        s_count,
-                                        batch,
-                                        rpf,
-                                        cap,
-                                    );
+                                    self.start_lane(&mut lanes, w)?;
                                 }
                             }
                             staged = block_end;
@@ -1017,7 +931,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
                                         outstanding[w].pop_front();
                                         let slot = pending.entry(round).or_default();
                                         for e in reports {
-                                            slot.insert(e.sid, (e.estimate, e.sum, e.len));
+                                            slot.insert(e.sid, (e.sid, e.estimate, e.sum, e.len));
                                         }
                                     }
                                     Ok(_) => {
@@ -1036,21 +950,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
                                             &mut outstanding,
                                             &mut pending,
                                         )?;
-                                        let conn = self.worker_conn_clone(w)?;
-                                        rebuild_lane(
-                                            scope,
-                                            &mut rings,
-                                            &mut lanes,
-                                            &mut self.wire,
-                                            conn,
-                                            feeds,
-                                            self.owner.clone(),
-                                            w,
-                                            s_count,
-                                            batch,
-                                            rpf,
-                                            cap,
-                                        );
+                                        self.start_lane(&mut lanes, w)?;
                                     }
                                     Err(e) => return Err(e),
                                 }
@@ -1066,18 +966,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
                                     });
                                 }
                             }
-                            // Same per-boundary order as the synchronous
-                            // path: fold ground truth, absorb ascending
-                            // sid, audit.
-                            for (&sid, &(_, sum, len)) in &entries {
-                                self.f += sum;
-                                self.time += len as Time;
-                                self.dirty[sid] += len;
-                            }
-                            for (&sid, &(est, _, _)) in &entries {
-                                self.coord.absorb(sid, est);
-                            }
-                            audit.boundary(self.time, self.f, self.coord.estimate());
+                            self.cut(audit).close(entries.into_values());
                             *rounds_done += 1;
                             for w in 0..w_count {
                                 if let Some(kind) = self
@@ -1104,21 +993,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
                         )?;
                         for (w, &gen) in gens.iter().enumerate().take(w_count) {
                             if self.workers[w].generation != gen {
-                                let conn = self.worker_conn_clone(w)?;
-                                rebuild_lane(
-                                    scope,
-                                    &mut rings,
-                                    &mut lanes,
-                                    &mut self.wire,
-                                    conn,
-                                    feeds,
-                                    self.owner.clone(),
-                                    w,
-                                    s_count,
-                                    batch,
-                                    rpf,
-                                    cap,
-                                );
+                                self.start_lane(&mut lanes, w)?;
                             }
                         }
                     }
@@ -1128,16 +1003,11 @@ impl<In: RemoteInput> RemoteEngine<In> {
             let result = drive();
             // Always torn down before the scope exits — an error must not
             // leave a writer parked on an open queue.
-            for ring in &rings {
+            for ring in &lanes.rings {
                 ring.close();
             }
-            for lane in lanes.iter_mut() {
-                if let Some(handle) = lane.take() {
-                    match handle.join() {
-                        Ok(conn) => self.wire.merge(conn.stats()),
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    }
-                }
+            for w in 0..w_count {
+                lanes.stop(w, &mut self.wire);
             }
             result
         })
@@ -1164,7 +1034,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
         rounds_done: u64,
         frontier: u64,
         outstanding: &mut [VecDeque<u64>],
-        pending: &mut BTreeMap<u64, BTreeMap<usize, (i64, i64, u64)>>,
+        pending: &mut BTreeMap<u64, BTreeMap<usize, Entry>>,
     ) -> Result<(), RemoteError> {
         let s_count = self.cfg.shards_count();
         let batch = self.cfg.batch_size();
@@ -1172,21 +1042,9 @@ impl<In: RemoteInput> RemoteEngine<In> {
             outstanding[dead].clear();
             self.failover(dead, feeds, ckpt_rounds, rounds_done)?;
             for rr in rounds_done..frontier {
-                let mut chunks = Vec::new();
-                for &(site, inputs) in feeds {
-                    let Some((lo, hi)) = chunk_bounds(inputs.len(), batch, rr as usize) else {
-                        continue;
-                    };
-                    let sid = site % s_count;
-                    if self.owner[sid] != dead {
-                        continue;
-                    }
-                    chunks.push(Chunk {
-                        sid,
-                        site,
-                        inputs: In::wrap(&inputs[lo..hi]),
-                    });
-                }
+                let chunks = round_chunks(feeds, s_count, batch, rr as usize, |sid| {
+                    self.owner[sid] == dead
+                });
                 if chunks.is_empty() {
                     continue;
                 }
@@ -1199,7 +1057,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
                     Ok(ToCoord::RoundReport { round, reports }) if round == rr => {
                         let slot = pending.entry(rr).or_default();
                         for e in reports {
-                            slot.insert(e.sid, (e.estimate, e.sum, e.len));
+                            slot.insert(e.sid, (e.sid, e.estimate, e.sum, e.len));
                         }
                     }
                     Ok(_) => {
@@ -1216,18 +1074,16 @@ impl<In: RemoteInput> RemoteEngine<In> {
         }
     }
 
-    /// A fresh handle on worker `w`'s live connection for a writer
-    /// thread ([`Conn::try_clone`] — shared socket, private ledger).
-    fn worker_conn_clone(&self, w: usize) -> Result<Conn, RemoteError> {
-        match self.workers[w].conn.as_ref() {
-            Some(conn) => conn
-                .try_clone()
-                .map_err(|err| RemoteError::Transport { worker: w, err }),
-            None => Err(RemoteError::Transport {
-                worker: w,
-                err: TransportError::Closed { op: "clone" },
-            }),
+    /// (Re)start worker `w`'s send lane over a fresh handle on its live
+    /// connection ([`Conn::try_clone`] — shared socket, private ledger).
+    fn start_lane(&mut self, lanes: &mut Lanes<'_, '_, In>, w: usize) -> Result<(), RemoteError> {
+        let conn = match self.workers[w].conn.as_ref() {
+            Some(conn) => conn.try_clone(),
+            None => Err(TransportError::Closed { op: "clone" }),
         }
+        .map_err(|err| RemoteError::Transport { worker: w, err })?;
+        lanes.start(w, conn, self.owner.clone(), &mut self.wire);
+        Ok(())
     }
 
     /// Commit a checkpoint cut at the current boundary: pull the state of
@@ -1463,22 +1319,9 @@ impl<In: RemoteInput> RemoteEngine<In> {
             // live and must not see the rounds twice).
             let mut replayed = 0u64;
             for replay_round in ckpt_rounds..rounds_done {
-                let mut chunks = Vec::new();
-                for &(site, inputs) in feeds {
-                    let Some((lo, hi)) = chunk_bounds(inputs.len(), batch, replay_round as usize)
-                    else {
-                        continue;
-                    };
-                    let sid = site % s_count;
-                    if !owned.contains(&sid) {
-                        continue;
-                    }
-                    chunks.push(Chunk {
-                        sid,
-                        site,
-                        inputs: In::wrap(&inputs[lo..hi]),
-                    });
-                }
+                let chunks = round_chunks(feeds, s_count, batch, replay_round as usize, |sid| {
+                    owned.contains(&sid)
+                });
                 if chunks.is_empty() {
                     continue;
                 }
@@ -1756,21 +1599,8 @@ fn writer_drain<In: RemoteInput>(
         };
         match cmd {
             Cmd::Round { round, delay_ms } => {
-                let mut chunks = Vec::new();
-                for &(site, inputs) in feeds {
-                    let Some((lo, hi)) = chunk_bounds(inputs.len(), batch, round as usize) else {
-                        continue;
-                    };
-                    let sid = site % s_count;
-                    if owner[sid] != w {
-                        continue;
-                    }
-                    chunks.push(Chunk {
-                        sid,
-                        site,
-                        inputs: In::wrap(&inputs[lo..hi]),
-                    });
-                }
+                let chunks =
+                    round_chunks(feeds, s_count, batch, round as usize, |sid| owner[sid] == w);
                 frame.push(RoundWork {
                     round,
                     delay_ms,
@@ -1799,72 +1629,92 @@ fn ship_frame(conn: &mut Conn, frame: &mut Vec<RoundWork>) -> Result<(), Transpo
     conn.send(&msg.to_bytes())
 }
 
-/// Spawn a writer thread for worker `w` inside the run's scope.
-#[allow(clippy::too_many_arguments)]
-fn spawn_writer<'scope, 'env, In: RemoteInput>(
+/// A pipelined run's send lanes: per worker, one bounded command queue
+/// and the scoped writer thread draining it into that worker's socket.
+struct Lanes<'scope, 'env, In: RemoteInput> {
     scope: &'scope Scope<'scope, 'env>,
-    ring: Arc<Ring<Cmd>>,
-    conn: Conn,
     feeds: &'env [(SiteId, &'env [In])],
-    owner: Vec<usize>,
-    w: usize,
     s_count: usize,
     batch: usize,
     rpf: usize,
-) -> ScopedJoinHandle<'scope, Conn> {
-    scope.spawn(move || writer_drain(&ring, conn, feeds, &owner, w, s_count, batch, rpf))
+    /// Queue capacity: two blocks in flight plus their flush cuts, so
+    /// staging never waits.
+    cap: usize,
+    rings: Vec<Arc<Ring<Cmd>>>,
+    writers: Vec<Option<ScopedJoinHandle<'scope, Conn>>>,
 }
 
-/// Tear down worker `w`'s send lane (close the queue, join the writer,
-/// fold its wire ledger) and start a fresh one over `conn` — the
-/// recovery step after any failover replaces the slot's connection.
-#[allow(clippy::too_many_arguments)]
-fn rebuild_lane<'scope, 'env, In: RemoteInput>(
-    scope: &'scope Scope<'scope, 'env>,
-    rings: &mut [Arc<Ring<Cmd>>],
-    lanes: &mut [Option<ScopedJoinHandle<'scope, Conn>>],
-    wire: &mut WireStats,
-    conn: Conn,
-    feeds: &'env [(SiteId, &'env [In])],
-    owner: Vec<usize>,
-    w: usize,
-    s_count: usize,
-    batch: usize,
-    rpf: usize,
-    cap: usize,
-) {
-    rings[w].close();
-    if let Some(handle) = lanes[w].take() {
-        match handle.join() {
-            Ok(old) => wire.merge(old.stats()),
-            Err(panic) => std::panic::resume_unwind(panic),
+impl<'scope, 'env, In: RemoteInput> Lanes<'scope, 'env, In> {
+    /// Queues for `w_count` workers, no writer started yet.
+    fn new(
+        scope: &'scope Scope<'scope, 'env>,
+        feeds: &'env [(SiteId, &'env [In])],
+        s_count: usize,
+        batch: usize,
+        rpf: usize,
+        w_count: usize,
+    ) -> Self {
+        let cap = 2 * rpf + 2;
+        Lanes {
+            scope,
+            feeds,
+            s_count,
+            batch,
+            rpf,
+            cap,
+            rings: (0..w_count).map(|_| Arc::new(Ring::new(cap))).collect(),
+            writers: (0..w_count).map(|_| None).collect(),
         }
     }
-    let ring = Arc::new(Ring::new(cap));
-    lanes[w] = Some(spawn_writer(
-        scope,
-        Arc::clone(&ring),
-        conn,
-        feeds,
-        owner,
-        w,
-        s_count,
-        batch,
-        rpf,
-    ));
-    rings[w] = ring;
+
+    /// Close worker `w`'s queue, join its writer (if any) and fold the
+    /// writer's wire ledger into `wire`.
+    fn stop(&mut self, w: usize, wire: &mut WireStats) {
+        self.rings[w].close();
+        if let Some(handle) = self.writers[w].take() {
+            match handle.join() {
+                Ok(conn) => wire.merge(conn.stats()),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    }
+
+    /// (Re)start worker `w`'s lane over `conn` with a fresh queue — at
+    /// run start, and after any failover replaced the slot's connection.
+    fn start(&mut self, w: usize, conn: Conn, owner: Vec<usize>, wire: &mut WireStats) {
+        self.stop(w, wire);
+        let ring = Arc::new(Ring::new(self.cap));
+        self.rings[w] = Arc::clone(&ring);
+        let (feeds, s_count, batch, rpf) = (self.feeds, self.s_count, self.batch, self.rpf);
+        self.writers[w] = Some(
+            self.scope
+                .spawn(move || writer_drain(&ring, conn, feeds, &owner, w, s_count, batch, rpf)),
+        );
+    }
 }
 
-/// The `run_parted` chunking rule: round `round`'s slice of a feed of
-/// `len` inputs, or `None` when the feed is exhausted.
-fn chunk_bounds(len: usize, batch: usize, round: usize) -> Option<(usize, usize)> {
-    let lo = (round * batch).min(len);
-    let hi = ((round + 1) * batch).min(len);
-    if lo == hi {
-        None
-    } else {
-        Some((lo, hi))
+/// Round `round`'s wire chunks for the shards `wanted` selects, in feed
+/// order — the one slicing every exchange, replay, catch-up and writer
+/// frame ships.
+fn round_chunks<In: RemoteInput>(
+    feeds: &[(SiteId, &[In])],
+    s_count: usize,
+    batch: usize,
+    round: usize,
+    wanted: impl Fn(usize) -> bool,
+) -> Vec<Chunk> {
+    let mut chunks = Vec::new();
+    for &(site, inputs) in feeds {
+        let sid = site % s_count;
+        if let Some((lo, hi)) = chunk_bounds(inputs.len(), batch, round).filter(|_| wanted(sid)) {
+            chunks.push(Chunk {
+                sid,
+                site,
+                inputs: In::wrap(&inputs[lo..hi]),
+            });
+        }
     }
+    chunks
 }
 
 #[cfg(test)]

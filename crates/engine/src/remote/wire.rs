@@ -24,15 +24,11 @@ use dsv_net::StateDelta;
 /// Magic bytes opening every remote-protocol message.
 pub const WIRE_MAGIC: [u8; 4] = *b"DSVR";
 
-/// Current remote-protocol version. A peer speaking a newer version is a
-/// typed [`CodecError::UnsupportedVersion`], surfaced before any shard
-/// state moves. v2 adds delta checkpoint pulls — per-shard want-delta
-/// flags on [`ToWorker::Checkpoint`] and tagged [`StateEntry`] report
-/// entries. v3 adds the pipelined-ingestion [`ToWorker::Rounds`]
-/// envelope, batching several rounds of chunks into one frame (the
-/// worker still answers one [`ToCoord::RoundReport`] per round). Older
-/// frames (v1 plain shard lists and untagged full states, v2
-/// single-round [`ToWorker::Round`] frames) still decode.
+/// Current remote-protocol version. Coordinator and workers are always
+/// the same build (the coordinator spawns or hand-shakes its workers), so
+/// decoders read exactly this version; any other is a typed
+/// [`CodecError::UnsupportedVersion`], surfaced before any shard state
+/// moves (`MIGRATION.md`, format policy).
 pub const WIRE_VERSION: u16 = 3;
 
 /// One shard's inputs for one round — the per-problem input payload.
@@ -281,11 +277,8 @@ impl ToWorker {
     }
 
     /// Decode one transport frame payload; must consume it exactly.
-    /// Accepts v1 frames, whose checkpoint requests carry no want-delta
-    /// flags (decoded as all-full pulls).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut dec = Dec::new(bytes);
-        let version = dec.magic(WIRE_MAGIC, WIRE_VERSION)?;
+        let mut dec = open_frame(bytes)?;
         let msg = match dec.u8()? {
             1 => {
                 let spec = TrackerSpec::decode(&mut dec)?;
@@ -328,7 +321,7 @@ impl ToWorker {
                 let mut shards = Vec::with_capacity(n);
                 for _ in 0..n {
                     let sid = dec.usize()?;
-                    let want_delta = if version >= 2 { dec.bool()? } else { false };
+                    let want_delta = dec.bool()?;
                     shards.push(StatePull { sid, want_delta });
                 }
                 ToWorker::Checkpoint { shards }
@@ -344,6 +337,19 @@ impl ToWorker {
         dec.finish()?;
         Ok(msg)
     }
+}
+
+/// Open a frame: the magic, then exactly [`WIRE_VERSION`].
+fn open_frame(bytes: &[u8]) -> Result<Dec<'_>, CodecError> {
+    let mut dec = Dec::new(bytes);
+    let found = dec.magic(WIRE_MAGIC, WIRE_VERSION)?;
+    if found != WIRE_VERSION {
+        return Err(CodecError::UnsupportedVersion {
+            found,
+            supported: WIRE_VERSION,
+        });
+    }
+    Ok(dec)
 }
 
 fn encode_chunks(enc: &mut Enc, chunks: &[Chunk]) {
@@ -478,11 +484,8 @@ impl ToCoord {
     }
 
     /// Decode one transport frame payload; must consume it exactly.
-    /// Accepts v1 frames, whose checkpoint reports carry untagged full
-    /// states.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut dec = Dec::new(bytes);
-        let version = dec.magic(WIRE_MAGIC, WIRE_VERSION)?;
+        let mut dec = open_frame(bytes)?;
         let msg = match dec.u8()? {
             1 => ToCoord::AssignAck {
                 error: String::from_utf8(dec.blob()?.to_vec()).map_err(|_| {
@@ -510,19 +513,15 @@ impl ToCoord {
                 let mut states = Vec::with_capacity(n);
                 for _ in 0..n {
                     let sid = dec.usize()?;
-                    let entry = if version >= 2 {
-                        match dec.u8()? {
-                            1 => StateEntry::Full(TrackerState::from_bytes(dec.blob()?)?),
-                            2 => StateEntry::Delta(StateDelta::decode(&mut dec)?),
-                            tag => {
-                                return Err(CodecError::BadTag {
-                                    what: "checkpoint state entry",
-                                    tag: tag as u64,
-                                })
-                            }
+                    let entry = match dec.u8()? {
+                        1 => StateEntry::Full(TrackerState::from_bytes(dec.blob()?)?),
+                        2 => StateEntry::Delta(StateDelta::decode(&mut dec)?),
+                        tag => {
+                            return Err(CodecError::BadTag {
+                                what: "checkpoint state entry",
+                                tag: tag as u64,
+                            })
                         }
-                    } else {
-                        StateEntry::Full(TrackerState::from_bytes(dec.blob()?)?)
                     };
                     states.push((sid, entry));
                 }
@@ -698,71 +697,28 @@ mod tests {
     }
 
     #[test]
-    fn v2_single_round_frames_still_decode() {
-        // A v2 Round frame, exactly as a PR 6 coordinator would emit it:
-        // the tag-3 single-round shape under the older version word.
-        let mut enc = Enc::new();
-        enc.magic(WIRE_MAGIC, 2);
-        enc.u8(3);
-        enc.u64(4); // round
-        enc.u64(0); // delay_ms
-        enc.seq_len(1);
-        enc.usize(2);
-        enc.usize(2);
-        enc.u8(1); // Inputs::Counts
-        enc.seq_i64(&[1, -1]);
-        assert_eq!(
-            ToWorker::from_bytes(&enc.into_bytes()).unwrap(),
-            ToWorker::Round {
-                round: 4,
-                delay_ms: 0,
-                chunks: vec![Chunk {
-                    sid: 2,
-                    site: 2,
-                    inputs: Inputs::Counts(vec![1, -1]),
-                }],
+    fn older_generations_are_refused() {
+        // Every message shape, re-stamped with each retired version word
+        // (v1: untagged states and flag-less pulls; v2: no `Rounds`).
+        let (to_worker, to_coord) = sample_messages();
+        for old in 1..WIRE_VERSION {
+            let refused = CodecError::UnsupportedVersion {
+                found: old,
+                supported: WIRE_VERSION,
+            };
+            let restamp = |mut bytes: Vec<u8>| {
+                bytes[4..6].copy_from_slice(&old.to_le_bytes());
+                bytes
+            };
+            for msg in &to_worker {
+                let bytes = restamp(msg.to_bytes());
+                assert_eq!(ToWorker::from_bytes(&bytes), Err(refused));
             }
-        );
-    }
-
-    #[test]
-    fn v1_checkpoint_frames_still_decode() {
-        // A v1 Checkpoint request: shard list with no want-delta flags.
-        let mut enc = Enc::new();
-        enc.magic(WIRE_MAGIC, 1);
-        enc.u8(4);
-        enc.seq_len(2);
-        enc.usize(0);
-        enc.usize(2);
-        assert_eq!(
-            ToWorker::from_bytes(&enc.into_bytes()).unwrap(),
-            ToWorker::Checkpoint {
-                shards: vec![
-                    StatePull {
-                        sid: 0,
-                        want_delta: false,
-                    },
-                    StatePull {
-                        sid: 2,
-                        want_delta: false,
-                    },
-                ],
+            for msg in &to_coord {
+                let bytes = restamp(msg.to_bytes());
+                assert_eq!(ToCoord::from_bytes(&bytes), Err(refused));
             }
-        );
-        // A v1 CheckpointReport: untagged full states.
-        let state = TrackerState::new(TrackerKind::Randomized, 3, vec![9; 24]);
-        let mut enc = Enc::new();
-        enc.magic(WIRE_MAGIC, 1);
-        enc.u8(3);
-        enc.seq_len(1);
-        enc.usize(2);
-        enc.blob(&state.to_bytes());
-        assert_eq!(
-            ToCoord::from_bytes(&enc.into_bytes()).unwrap(),
-            ToCoord::CheckpointReport {
-                states: vec![(2, StateEntry::Full(state))],
-            }
-        );
+        }
     }
 
     #[test]

@@ -1,0 +1,330 @@
+//! The boundary cut, written once.
+//!
+//! Every ingestion mode — routed, pre-parted, pipelined, socket-backed —
+//! schedules shard work its own way, but all of them must agree on what a
+//! *round* is and on what happens when one ends. This module owns that
+//! agreement: feed validation, the chunking rule, the shard → worker map,
+//! the [`Cut`] that closes a round (fold Σδ and lengths → absorb each
+//! shard's end-of-round estimate in ascending shard order → ε-audit), and
+//! the one [`EngineReport`] constructor. Bit-identity between modes holds
+//! because they all end a round here, not because copies of this sequence
+//! are proven to agree (`DESIGN.md` §5).
+
+use crate::config::EngineConfig;
+use crate::merge::MergeCoordinator;
+use crate::partition::InputDelta;
+use crate::report::EngineReport;
+use dsv_core::api::{RunError, TrackerKind};
+use dsv_net::{relative_error, CommStats, ErrorProbe, IngestStats, SiteId, Time};
+use std::time::Instant;
+
+/// One shard's contribution to a round: `(shard, estimate after the
+/// work, Σδ of the work, inputs consumed)`.
+pub(crate) type Entry = (usize, i64, i64, u64);
+
+/// Whole-feed validation, before anything runs: every feed's site in
+/// range, and no deletion into an insert-only kind.
+pub(crate) fn validate_feeds<'a, In: InputDelta + 'a>(
+    feeds: impl IntoIterator<Item = (SiteId, &'a [In])>,
+    k: usize,
+    kind: TrackerKind,
+    time: Time,
+) -> Result<(), RunError> {
+    let deletions_ok = kind.supports_deletions();
+    for (site, inputs) in feeds {
+        if site >= k {
+            return Err(RunError::SiteOutOfRange { site, k, time });
+        }
+        if !deletions_ok {
+            if let Some(pos) = inputs.iter().position(|&x| x.delta_of() < 0) {
+                return Err(RunError::DeletionUnsupported {
+                    kind,
+                    time: time + pos as Time + 1,
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// [`validate_feeds`] for a mode that only knows its sites up front (the
+/// pipelined paths validate inputs at the push boundary): empty feeds.
+pub(crate) fn validate_sites(
+    sites: &[SiteId],
+    k: usize,
+    kind: TrackerKind,
+    time: Time,
+) -> Result<(), RunError> {
+    let none: &[i64] = &[];
+    validate_feeds(sites.iter().map(|&site| (site, none)), k, kind, time)
+}
+
+/// The chunking rule: round `round`'s slice of a feed of `len` inputs, or
+/// `None` once the feed is exhausted.
+pub(crate) fn chunk_bounds(len: usize, batch: usize, round: usize) -> Option<(usize, usize)> {
+    let lo = round.saturating_mul(batch).min(len);
+    let hi = lo.saturating_add(batch).min(len);
+    (lo < hi).then_some((lo, hi))
+}
+
+/// Rounds needed to drain every feed at `batch` inputs per feed per round.
+pub(crate) fn rounds_of<In>(feeds: &[(SiteId, &[In])], batch: usize) -> usize {
+    feeds
+        .iter()
+        .map(|(_, inputs)| inputs.len().div_ceil(batch))
+        .max()
+        .unwrap_or(0)
+}
+
+/// The shard → worker map: worker `w` owns shards `s ≡ w (mod W)` as a
+/// dense group, a shard's slot within its group being `s / W`.
+pub(crate) fn worker_groups<X>(shards: impl IntoIterator<Item = X>, workers: usize) -> Vec<Vec<X>> {
+    let mut groups: Vec<Vec<X>> = (0..workers).map(|_| Vec::new()).collect();
+    for (sid, shard) in shards.into_iter().enumerate() {
+        groups[sid % workers].push(shard);
+    }
+    groups
+}
+
+/// Run-local audit accumulator and wall clock (one per ingestion call).
+pub(crate) struct RunAudit {
+    eps: f64,
+    probe_every: u64,
+    started: Instant,
+    batches: u64,
+    violations: u64,
+    max_err: f64,
+    probes: Vec<ErrorProbe>,
+}
+
+impl RunAudit {
+    pub(crate) fn new(cfg: &EngineConfig) -> Self {
+        RunAudit {
+            eps: cfg.eps_value(),
+            probe_every: cfg.probe_period(),
+            started: Instant::now(),
+            batches: 0,
+            violations: 0,
+            max_err: 0.0,
+            probes: Vec::new(),
+        }
+    }
+
+    /// Audit one batch boundary: global truth `f` vs merged estimate.
+    fn boundary(&mut self, time: Time, f: i64, fhat: i64) {
+        self.batches += 1;
+        let err = relative_error(f, fhat);
+        if err > self.max_err {
+            self.max_err = err;
+        }
+        // Same float-slack convention as the sequential Driver.
+        if err > self.eps * (1.0 + 1e-12) {
+            self.violations += 1;
+        }
+        if self.probe_every > 0 && self.batches.is_multiple_of(self.probe_every) {
+            self.probes.push(ErrorProbe {
+                time,
+                f,
+                fhat,
+                rel_err: err,
+            });
+        }
+    }
+
+    /// Assemble the run's report from the audit and the engine's state
+    /// after the last cut.
+    pub(crate) fn report(
+        self,
+        cfg: &EngineConfig,
+        n: u64,
+        f: i64,
+        coord: &MergeCoordinator,
+        tracker_stats: CommStats,
+        ingest_stats: IngestStats,
+    ) -> EngineReport {
+        EngineReport {
+            n,
+            batches: self.batches,
+            shards: cfg.shards_count(),
+            workers: cfg.workers_count(),
+            batch_size: cfg.batch_size(),
+            final_f: f,
+            final_estimate: coord.estimate(),
+            boundary_violations: self.violations,
+            max_boundary_rel_err: self.max_err,
+            tracker_stats,
+            merge_stats: coord.stats().clone(),
+            ingest_stats,
+            probes: self.probes,
+            elapsed: self.started.elapsed(),
+        }
+    }
+}
+
+/// The engine state a round boundary touches, borrowed for as long as
+/// the caller's scheduling allows (a whole call in-process, one round at
+/// a time over sockets).
+pub(crate) struct Cut<'a> {
+    time: &'a mut Time,
+    f: &'a mut i64,
+    /// Inputs consumed per shard since its last checkpoint capture.
+    dirty: &'a mut [u64],
+    coord: &'a mut MergeCoordinator,
+    audit: &'a mut RunAudit,
+    /// Scratch: each shard's last estimate within the round being closed.
+    finals: Vec<Option<i64>>,
+}
+
+impl<'a> Cut<'a> {
+    pub(crate) fn new(
+        time: &'a mut Time,
+        f: &'a mut i64,
+        dirty: &'a mut [u64],
+        coord: &'a mut MergeCoordinator,
+        audit: &'a mut RunAudit,
+    ) -> Self {
+        let finals = vec![None; dirty.len()];
+        Cut {
+            time,
+            f,
+            dirty,
+            coord,
+            audit,
+            finals,
+        }
+    }
+
+    /// Close one round. `entries` may interleave shards in any order; a
+    /// shard's own entries must arrive in the order its work ran, so the
+    /// last one carries its end-of-round estimate. Absorbing only that
+    /// one, in ascending shard order, is what keeps the merge ledger
+    /// independent of worker count and arrival order; shards without
+    /// entries are covered by the coordinator's cached last report.
+    pub(crate) fn close(&mut self, entries: impl IntoIterator<Item = Entry>) {
+        for (sid, est, sum, len) in entries {
+            *self.f += sum;
+            *self.time += len;
+            self.dirty[sid] += len;
+            self.finals[sid] = Some(est);
+        }
+        for (sid, est) in self.finals.iter_mut().enumerate() {
+            if let Some(est) = est.take() {
+                self.coord.absorb(sid, est);
+            }
+        }
+        self.audit
+            .boundary(*self.time, *self.f, self.coord.estimate());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Everything a cut can move, after closing `rounds` on fresh state.
+    fn outcome(rounds: &[Vec<Entry>]) -> (Time, i64, Vec<u64>, i64, CommStats, Vec<ErrorProbe>) {
+        let (mut time, mut f, mut dirty) = (0, 0, vec![0u64; 4]);
+        let mut coord = MergeCoordinator::new(4);
+        let mut audit = RunAudit::new(&EngineConfig::new(4, 8));
+        let mut cut = Cut::new(&mut time, &mut f, &mut dirty, &mut coord, &mut audit);
+        for entries in rounds {
+            cut.close(entries.iter().copied());
+        }
+        assert_eq!(audit.batches, rounds.len() as u64);
+        let probes = audit.probes;
+        (
+            time,
+            f,
+            dirty,
+            coord.estimate(),
+            coord.stats().clone(),
+            probes,
+        )
+    }
+
+    #[test]
+    fn close_is_order_free_across_shards() {
+        // One entry per shard (shard 1 silent), then a round where only
+        // shard 2 moved: 3! arrival orders × the second round.
+        let first = [(0, 10, 9, 5), (2, -4, -3, 8), (3, 7, 7, 1)];
+        let second = vec![(2, -2, 2, 2), (0, 10, 1, 1)];
+        let reference = outcome(&[first.to_vec(), second.clone()]);
+        assert_eq!(reference.0, 17);
+        assert_eq!(reference.1, 16);
+        assert_eq!(reference.2, vec![6, 0, 10, 1]);
+        assert_eq!(reference.3, 15);
+        // Shard 0 re-reporting 10 is silent: 3 + 1 messages.
+        assert_eq!(reference.4.total_messages(), 4);
+        for perm in [[0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            let shuffled: Vec<Entry> = perm.iter().map(|&i| first[i]).collect();
+            let mut second = second.clone();
+            second.reverse();
+            assert_eq!(outcome(&[shuffled, second]), reference, "{perm:?}");
+        }
+    }
+
+    #[test]
+    fn last_entry_per_shard_wins_and_is_absorbed_once() {
+        // Shard 1 ran three chunks this round, interleaved with shard 0.
+        let interleaved = vec![(1, 3, 3, 3), (0, 5, 5, 5), (1, 1, -2, 2), (1, 4, 3, 3)];
+        let grouped = vec![(0, 5, 5, 5), (1, 3, 3, 3), (1, 1, -2, 2), (1, 4, 3, 3)];
+        let folded = vec![(1, 4, 4, 8), (0, 5, 5, 5)];
+        let reference = outcome(std::slice::from_ref(&folded));
+        assert_eq!(reference.3, 9);
+        assert_eq!(reference.4.total_messages(), 2);
+        assert_eq!(outcome(&[interleaved]), reference);
+        assert_eq!(outcome(&[grouped]), reference);
+    }
+
+    #[test]
+    fn chunk_bounds_edges() {
+        let batch = 8;
+        assert_eq!(chunk_bounds(0, batch, 0), None);
+        assert_eq!(chunk_bounds(batch, batch, 0), Some((0, 8)));
+        assert_eq!(chunk_bounds(batch, batch, 1), None);
+        assert_eq!(chunk_bounds(batch + 1, batch, 0), Some((0, 8)));
+        assert_eq!(chunk_bounds(batch + 1, batch, 1), Some((8, 9)));
+        assert_eq!(chunk_bounds(batch + 1, batch, 2), None);
+        assert_eq!(chunk_bounds(batch + 1, batch, usize::MAX), None);
+
+        let (a, b, c) = ([0i64; 17], [0i64; 8], [0i64; 0]);
+        let feeds: [(SiteId, &[i64]); 3] = [(0, &a), (1, &b), (0, &c)];
+        assert_eq!(rounds_of(&feeds, batch), 3);
+        assert_eq!(rounds_of::<i64>(&[], batch), 0);
+    }
+
+    #[test]
+    fn feeds_are_validated_whole_and_sites_alone() {
+        let kind = TrackerKind::CmyMonotone;
+        let ok: &[i64] = &[1, 1];
+        let bad: &[i64] = &[1, 1, -1];
+        assert_eq!(validate_feeds([(0, ok), (1, ok)], 2, kind, 40), Ok(()));
+        assert_eq!(
+            validate_feeds([(0, ok), (2, ok)], 2, kind, 40),
+            Err(RunError::SiteOutOfRange {
+                site: 2,
+                k: 2,
+                time: 40
+            })
+        );
+        assert_eq!(
+            validate_feeds([(0, ok), (1, bad)], 2, kind, 40),
+            Err(RunError::DeletionUnsupported { kind, time: 43 })
+        );
+        let kind = TrackerKind::Deterministic;
+        assert_eq!(validate_feeds([(1, bad)], 2, kind, 0), Ok(()));
+        // Sites only: the shape the pipelined paths validate up front.
+        assert_eq!(validate_sites(&[0, 1], 2, kind, 0), Ok(()));
+        assert!(validate_sites(&[0, 5], 2, kind, 0).is_err());
+    }
+
+    #[test]
+    fn worker_groups_are_dense_residue_classes() {
+        assert_eq!(
+            worker_groups(0..5, 2),
+            vec![vec![0, 2, 4], vec![1, 3]],
+            "slot s / W within group s mod W"
+        );
+        assert_eq!(worker_groups(0..2, 1), vec![vec![0, 1]]);
+    }
+}

@@ -8,16 +8,16 @@ use crate::ingest::{Ring, RingConsumer, ShardFeed};
 use crate::merge::MergeCoordinator;
 use crate::partition::{hash_item, Partition, ShardRecord};
 use crate::report::EngineReport;
+use crate::round::{
+    chunk_bounds, rounds_of, validate_feeds, validate_sites, worker_groups, Cut, Entry, RunAudit,
+};
 use dsv_core::api::{ItemTracker, RunError, Tracker, TrackerKind, TrackerSpec};
 use dsv_core::codec::{Dec, Enc, TrackerState};
-use dsv_net::{
-    relative_error, CommStats, ErrorProbe, IngestStats, MsgKind, SiteId, StateFrame, Time, WireSize,
-};
-use std::collections::BTreeMap;
+use dsv_net::{CommStats, IngestStats, MsgKind, SiteId, StateFrame, Time, WireSize};
+use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The counting-problem engine: shard replicas built by
 /// [`ShardedEngine::counters`] from any of the six counter kinds.
@@ -38,15 +38,14 @@ enum WorkBuf<In> {
 }
 
 /// Per-record validation shared by both routing layouts: rejects what
-/// the sequential `Driver` rejects, returning the record's ground-truth
-/// increment.
+/// the sequential `Driver` rejects.
 #[inline]
 fn check_record<R, In>(
     rec: &R,
     k: usize,
     kind: TrackerKind,
     deletions_ok: bool,
-) -> Result<i64, EngineError>
+) -> Result<(), EngineError>
 where
     R: ShardRecord<In = In>,
     In: Copy,
@@ -59,15 +58,14 @@ where
         }
         .into());
     }
-    let delta = rec.delta();
-    if delta < 0 && !deletions_ok {
+    if rec.delta() < 0 && !deletions_ok {
         return Err(RunError::DeletionUnsupported {
             kind,
             time: rec.time(),
         }
         .into());
     }
-    Ok(delta)
+    Ok(())
 }
 
 /// Feed a same-site run to a shard replica, through the consolidation
@@ -75,43 +73,46 @@ where
 /// [`EngineConfig::consolidate`] is on). Both paths are bit-identical;
 /// the consolidated one pre-aggregates the run (RLE for counter inputs,
 /// sort-merge for item inputs) so the tracker's closed-form absorb
-/// kernels see whole segments instead of every ±1.
+/// kernels see whole segments instead of every ±1. Returns the run's
+/// [`Entry`] fields: `(estimate after the run, Σδ, inputs consumed)`.
 fn ingest_run<T, In>(
     tracker: &mut T,
     site: SiteId,
     run: &[In],
     scratch: Option<&mut Consolidator>,
-) -> i64
+) -> (i64, i64, u64)
 where
     T: Tracker<In> + ?Sized,
     In: ConsolidateInput,
 {
-    match scratch {
+    // Summed first on purpose: the streaming pass pulls the run into
+    // cache for the tracker's branchier kernel.
+    let sum = run.iter().map(|x| x.delta_of()).sum();
+    let estimate = match scratch {
         Some(s) => In::update_consolidated(tracker, site, run, s),
         None => tracker.update_run(site, run),
-    }
+    };
+    (estimate, sum, run.len() as u64)
 }
 
 /// Route one batch into per-site run buffers (`shard == site`; valid
-/// whenever every shard owns at most one site). Returns the batch's
-/// ground-truth increment.
+/// whenever every shard owns at most one site).
 fn fill_runs<R, In>(
     batch: &[R],
     k: usize,
     kind: TrackerKind,
     deletions_ok: bool,
     bufs: &mut [Vec<In>],
-) -> Result<i64, EngineError>
+) -> Result<(), EngineError>
 where
     R: ShardRecord<In = In>,
     In: Copy,
 {
-    let mut df = 0i64;
     for rec in batch {
-        df += check_record(rec, k, kind, deletions_ok)?;
+        check_record(rec, k, kind, deletions_ok)?;
         bufs[rec.site()].push(rec.input());
     }
-    Ok(df)
+    Ok(())
 }
 
 /// Route one batch into per-shard mixed-site buffers (general layout).
@@ -129,14 +130,13 @@ fn fill_tuples<R, In>(
     lut: &[u32],
     rr: &mut usize,
     bufs: &mut [Vec<(SiteId, In)>],
-) -> Result<i64, EngineError>
+) -> Result<(), EngineError>
 where
     R: ShardRecord<In = In>,
     In: Copy,
 {
-    let mut df = 0i64;
     for rec in batch {
-        let delta = check_record(rec, k, kind, deletions_ok)?;
+        check_record(rec, k, kind, deletions_ok)?;
         let site = rec.site();
         let shard = match partition {
             Partition::SiteAffine => lut[site] as usize,
@@ -153,10 +153,129 @@ where
                 None => return Err(EngineError::MissingItemKey { time: rec.time() }),
             },
         };
-        df += delta;
         bufs[shard].push((site, rec.input()));
     }
-    Ok(df)
+    Ok(())
+}
+
+/// What a [`ShardExec`] runs per work item against the item's shard
+/// replica: `(estimate after the item, Σδ of the item, inputs consumed)`.
+type ShardBody<'a, T, W> =
+    &'a (dyn Fn(&mut T, &W, Option<&mut Consolidator>) -> (i64, i64, u64) + Sync);
+
+/// A call-scoped shard executor: runs the body once per dispatched work
+/// item and hands back `(entry, item)` pairs. With one worker the body
+/// runs on the calling thread at dispatch; with more, worker `w` owns the
+/// replicas of [`worker_groups`]' group `w` and serves them from a
+/// bounded channel — so a shard's items complete in dispatch order
+/// either way, and worker count never shows in what comes back.
+enum ShardExec<'a, T, W> {
+    Inline {
+        shards: &'a mut [T],
+        scratch: Option<Consolidator>,
+        body: ShardBody<'a, T, W>,
+        done: VecDeque<(Entry, W)>,
+    },
+    Threads {
+        work_txs: Vec<mpsc::SyncSender<(usize, W)>>,
+        res_rx: mpsc::Receiver<(Entry, W)>,
+        outstanding: usize,
+    },
+}
+
+impl<T, W> ShardExec<'_, T, W> {
+    /// Hand `work` to the worker owning shard `sid`.
+    fn dispatch(&mut self, sid: usize, work: W) {
+        match self {
+            ShardExec::Inline {
+                shards,
+                scratch,
+                body,
+                done,
+            } => {
+                let (est, sum, len) = body(&mut shards[sid], &work, scratch.as_mut());
+                done.push_back(((sid, est, sum, len), work));
+            }
+            ShardExec::Threads {
+                work_txs,
+                outstanding,
+                ..
+            } => {
+                let workers = work_txs.len();
+                work_txs[sid % workers]
+                    .send((sid / workers, work))
+                    .expect("shard worker died");
+                *outstanding += 1;
+            }
+        }
+    }
+
+    /// The next finished item, blocking on the workers; `None` once
+    /// everything dispatched has been handed back.
+    fn next_done(&mut self) -> Option<(Entry, W)> {
+        match self {
+            ShardExec::Inline { done, .. } => done.pop_front(),
+            ShardExec::Threads {
+                res_rx,
+                outstanding,
+                ..
+            } => {
+                *outstanding = outstanding.checked_sub(1)?;
+                Some(res_rx.recv().expect("shard worker died"))
+            }
+        }
+    }
+}
+
+/// Run `drive` with a [`ShardExec`] over `shards`. `bound` is the most
+/// items one worker can be handed per round, so dispatch never blocks.
+fn with_shard_exec<T: Send, W: Send, R>(
+    shards: &mut [T],
+    cfg: &EngineConfig,
+    bound: usize,
+    body: ShardBody<'_, T, W>,
+    drive: impl FnOnce(&mut ShardExec<'_, T, W>) -> R,
+) -> R {
+    let workers = cfg.workers_count();
+    let consolidate = cfg.consolidate_enabled();
+    if workers == 1 {
+        return drive(&mut ShardExec::Inline {
+            shards,
+            scratch: consolidate.then(Consolidator::new),
+            body,
+            done: VecDeque::new(),
+        });
+    }
+    std::thread::scope(|scope| {
+        let (res_tx, res_rx) = mpsc::channel();
+        let mut work_txs = Vec::with_capacity(workers);
+        for (w, mut group) in worker_groups(shards.iter_mut(), workers)
+            .into_iter()
+            .enumerate()
+        {
+            let (tx, rx) = mpsc::sync_channel::<(usize, W)>(bound.max(1));
+            let res_tx = res_tx.clone();
+            work_txs.push(tx);
+            scope.spawn(move || {
+                // Per-worker consolidation scratch, reused across rounds —
+                // no allocation in the steady state.
+                let mut scratch = consolidate.then(Consolidator::new);
+                while let Ok((slot, work)) = rx.recv() {
+                    let (est, sum, len) = body(&mut *group[slot], &work, scratch.as_mut());
+                    let sid = slot * workers + w;
+                    if res_tx.send(((sid, est, sum, len), work)).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(res_tx);
+        drive(&mut ShardExec::Threads {
+            work_txs,
+            res_rx,
+            outstanding: 0,
+        })
+    })
 }
 
 /// One feed drained by a pipelined worker: its queue's consumer end, a
@@ -174,52 +293,6 @@ struct OwnedShard<In: Copy> {
     slot: usize,
     sid: usize,
     feeds: Vec<FeedState<In>>,
-}
-
-/// Run-local audit accumulator (per `run` call). Shared with the remote
-/// coordinator, which audits the same boundary cut over socket-delivered
-/// reports.
-pub(crate) struct RunAudit {
-    eps: f64,
-    probe_every: u64,
-    pub(crate) batches: u64,
-    pub(crate) violations: u64,
-    pub(crate) max_err: f64,
-    pub(crate) probes: Vec<ErrorProbe>,
-}
-
-impl RunAudit {
-    pub(crate) fn new(eps: f64, probe_every: u64) -> Self {
-        RunAudit {
-            eps,
-            probe_every,
-            batches: 0,
-            violations: 0,
-            max_err: 0.0,
-            probes: Vec::new(),
-        }
-    }
-
-    /// Audit one batch boundary: global truth `f` vs merged estimate.
-    pub(crate) fn boundary(&mut self, time: Time, f: i64, fhat: i64) {
-        self.batches += 1;
-        let err = relative_error(f, fhat);
-        if err > self.max_err {
-            self.max_err = err;
-        }
-        // Same float-slack convention as the sequential Driver.
-        if err > self.eps * (1.0 + 1e-12) {
-            self.violations += 1;
-        }
-        if self.probe_every > 0 && self.batches.is_multiple_of(self.probe_every) {
-            self.probes.push(ErrorProbe {
-                time,
-                f,
-                fhat,
-                rel_err: err,
-            });
-        }
-    }
 }
 
 /// A batched, sharded runner over `S` tracker replicas.
@@ -497,10 +570,9 @@ where
         R: ShardRecord<In = In>,
         In: ConsolidateInput,
     {
-        let started = Instant::now();
         let cfg = self.cfg;
+        let mut audit = RunAudit::new(&cfg);
         let s_count = cfg.shards_count();
-        let w_count = cfg.workers_count();
         let kind = self.shards[0].kind();
         let k = self.shards[0].k();
         let deletions_ok = kind.supports_deletions();
@@ -531,24 +603,29 @@ where
         };
         let mut rr = (self.time % s_count as u64) as usize;
 
-        let mut audit = RunAudit::new(cfg.eps_value(), cfg.probe_period());
-
-        // Split borrows so worker threads can own `&mut` replicas while
-        // the main thread plays coordinator.
-        let shards = &mut self.shards;
-        let coord = &mut self.coord;
-        let time = &mut self.time;
-        let f = &mut self.f;
-        let shard_inputs = &mut self.shard_inputs;
-
-        if w_count == 1 {
-            // One worker (any shard count): batched, but inline — no
-            // thread machinery. Same state trajectory as the threaded
-            // path, since replica state never depends on worker placement.
-            let mut scratch = cfg.consolidate_enabled().then(Consolidator::new);
+        let (shards, mut cut) = self.split(&mut audit);
+        let body =
+            |tracker: &mut T, work: &WorkBuf<In>, scratch: Option<&mut Consolidator>| match work {
+                WorkBuf::Batch(buf) => (
+                    tracker.update_batch(buf),
+                    buf.iter().map(|(_, x)| x.delta_of()).sum::<i64>(),
+                    buf.len() as u64,
+                ),
+                WorkBuf::Run(site, buf) => ingest_run(tracker, *site, buf, scratch),
+            };
+        // At most one work item per shard per batch.
+        let bound = s_count.div_ceil(cfg.workers_count());
+        with_shard_exec(shards, &cfg, bound, &body, |exec| {
             for batch in stream.chunks(cfg.batch_size()) {
-                let df = if use_runs {
-                    fill_runs(batch, k, kind, deletions_ok, &mut run_bufs)?
+                // The source: route the batch, one work item per shard
+                // that received updates, carrying its (recycled) buffer.
+                if use_runs {
+                    fill_runs(batch, k, kind, deletions_ok, &mut run_bufs)?;
+                    for (site, buf) in run_bufs.iter_mut().enumerate() {
+                        if !buf.is_empty() {
+                            exec.dispatch(site, WorkBuf::Run(site, std::mem::take(buf)));
+                        }
+                    }
                 } else {
                     fill_tuples(
                         batch,
@@ -560,136 +637,33 @@ where
                         &lut,
                         &mut rr,
                         &mut tup_bufs,
-                    )?
-                };
-                *time += batch.len() as Time;
-                *f += df;
-                if use_runs {
-                    // shard == site in this layout.
-                    for (site, buf) in run_bufs.iter_mut().enumerate() {
-                        if buf.is_empty() {
-                            continue;
-                        }
-                        shard_inputs[site] += buf.len() as u64;
-                        let est = ingest_run(&mut shards[site], site, buf, scratch.as_mut());
-                        buf.clear();
-                        coord.absorb(site, est);
-                    }
-                } else {
+                    )?;
                     for (sid, buf) in tup_bufs.iter_mut().enumerate() {
-                        if buf.is_empty() {
-                            continue;
+                        if !buf.is_empty() {
+                            exec.dispatch(sid, WorkBuf::Batch(std::mem::take(buf)));
                         }
-                        shard_inputs[sid] += buf.len() as u64;
-                        let est = shards[sid].update_batch(buf);
-                        buf.clear();
-                        coord.absorb(sid, est);
                     }
                 }
-                audit.boundary(*time, *f, coord.estimate());
-            }
-        } else {
-            std::thread::scope(|scope| -> Result<(), EngineError> {
-                let (res_tx, res_rx) = mpsc::channel::<(usize, i64, WorkBuf<In>)>();
-                // Worker w owns logical shards {s : s ≡ w (mod W)}, as a
-                // dense group; a shard's slot within its group is s / W.
-                let mut groups: Vec<Vec<&mut T>> = (0..w_count).map(|_| Vec::new()).collect();
-                for (sid, tracker) in shards.iter_mut().enumerate() {
-                    groups[sid % w_count].push(tracker);
-                }
-                let mut work_txs = Vec::with_capacity(w_count);
-                let consolidate = cfg.consolidate_enabled();
-                for (w, mut group) in groups.into_iter().enumerate() {
-                    let bound = group.len().max(1);
-                    let (tx, rx) = mpsc::sync_channel::<(usize, WorkBuf<In>)>(bound);
-                    let res_tx = res_tx.clone();
-                    work_txs.push(tx);
-                    scope.spawn(move || {
-                        // Per-worker consolidation scratch, reused across
-                        // rounds — no allocation in the steady state.
-                        let mut scratch = consolidate.then(Consolidator::new);
-                        while let Ok((slot, work)) = rx.recv() {
-                            let tracker = &mut *group[slot];
-                            let est = match &work {
-                                WorkBuf::Batch(buf) => tracker.update_batch(buf),
-                                WorkBuf::Run(site, buf) => {
-                                    ingest_run(tracker, *site, buf, scratch.as_mut())
-                                }
-                            };
-                            let sid = slot * w_count + w;
-                            if res_tx.send((sid, est, work)).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-                drop(res_tx);
-
-                for batch in stream.chunks(cfg.batch_size()) {
-                    let df = if use_runs {
-                        fill_runs(batch, k, kind, deletions_ok, &mut run_bufs)?
-                    } else {
-                        fill_tuples(
-                            batch,
-                            k,
-                            kind,
-                            deletions_ok,
-                            s_count,
-                            partition,
-                            &lut,
-                            &mut rr,
-                            &mut tup_bufs,
-                        )?
-                    };
-                    *time += batch.len() as Time;
-                    *f += df;
-                    let mut outstanding = 0;
-                    for sid in 0..s_count {
-                        let work = if use_runs {
-                            if sid >= k || run_bufs[sid].is_empty() {
-                                continue;
-                            }
-                            WorkBuf::Run(sid, std::mem::take(&mut run_bufs[sid]))
-                        } else {
-                            if tup_bufs[sid].is_empty() {
-                                continue;
-                            }
-                            WorkBuf::Batch(std::mem::take(&mut tup_bufs[sid]))
-                        };
-                        shard_inputs[sid] += match &work {
-                            WorkBuf::Run(_, buf) => buf.len() as u64,
-                            WorkBuf::Batch(buf) => buf.len() as u64,
-                        };
-                        work_txs[sid % w_count]
-                            .send((sid / w_count, work))
-                            .expect("shard worker died");
-                        outstanding += 1;
-                    }
-                    for _ in 0..outstanding {
-                        let (sid, est, work) = res_rx.recv().expect("shard worker died");
+                cut.close(
+                    std::iter::from_fn(|| exec.next_done()).map(|(entry, work)| {
                         match work {
-                            // Recycle the allocation for the next batch.
                             WorkBuf::Run(_, mut buf) => {
                                 buf.clear();
-                                run_bufs[sid] = buf;
+                                run_bufs[entry.0] = buf;
                             }
                             WorkBuf::Batch(mut buf) => {
                                 buf.clear();
-                                tup_bufs[sid] = buf;
+                                tup_bufs[entry.0] = buf;
                             }
                         }
-                        coord.absorb(sid, est);
-                    }
-                    // Shards without updates this batch are covered by the
-                    // coordinator's cached last report, which is still
-                    // exact — the delta-reporting merge rule.
-                    audit.boundary(*time, *f, coord.estimate());
-                }
-                Ok(())
-            })?;
-        }
+                        entry
+                    }),
+                );
+            }
+            Ok::<(), EngineError>(())
+        })?;
 
-        Ok(self.finish_report(stream.len() as u64, audit, started))
+        Ok(self.finish_report(stream.len() as u64, audit))
     }
 
     /// Ingest pre-parted per-site feeds — the shape a deployed system
@@ -710,154 +684,35 @@ where
     where
         In: ConsolidateInput + Sync,
     {
-        let started = Instant::now();
         let cfg = self.cfg;
+        let mut audit = RunAudit::new(&cfg);
         let s_count = cfg.shards_count();
-        let w_count = cfg.workers_count();
-        let kind = self.shards[0].kind();
-        let k = self.shards[0].k();
-        let deletions_ok = kind.supports_deletions();
         let batch = cfg.batch_size();
-
-        // Validate before anything runs: sites in range, and insert-only
-        // kinds reject feeds containing deletions.
-        for &(site, inputs) in feeds {
-            if site >= k {
-                return Err(RunError::SiteOutOfRange {
-                    site,
-                    k,
-                    time: self.time,
-                }
-                .into());
-            }
-            if !deletions_ok {
-                if let Some(pos) = inputs.iter().position(|&x| x.delta_of() < 0) {
-                    return Err(RunError::DeletionUnsupported {
-                        kind,
-                        time: self.time + pos as Time + 1,
-                    }
-                    .into());
-                }
-            }
-        }
+        let kind = self.shards[0].kind();
+        validate_feeds(feeds.iter().copied(), self.shards[0].k(), kind, self.time)?;
 
         let total: usize = feeds.iter().map(|(_, inputs)| inputs.len()).sum();
-        let rounds = feeds
-            .iter()
-            .map(|(_, inputs)| inputs.len().div_ceil(batch))
-            .max()
-            .unwrap_or(0);
-        let mut audit = RunAudit::new(cfg.eps_value(), cfg.probe_period());
-
-        let shards = &mut self.shards;
-        let coord = &mut self.coord;
-        let time = &mut self.time;
-        let f = &mut self.f;
-        let shard_inputs = &mut self.shard_inputs;
-
-        let chunk_of = |inputs: &'_ [In], round: usize| {
-            let lo = (round * batch).min(inputs.len());
-            let hi = ((round + 1) * batch).min(inputs.len());
-            (lo, hi)
-        };
-
-        if w_count == 1 {
-            // Absorb once per shard per round (the shard's end-of-round
-            // estimate), exactly like the threaded path — worker count
-            // must never show in the merge ledger.
-            let mut scratch = cfg.consolidate_enabled().then(Consolidator::new);
-            let mut finals: Vec<Option<i64>> = vec![None; s_count];
-            for round in 0..rounds {
-                for &(site, inputs) in feeds {
-                    let (lo, hi) = chunk_of(inputs, round);
-                    if lo == hi {
-                        continue;
-                    }
-                    let chunk = &inputs[lo..hi];
-                    let sum: i64 = chunk.iter().map(|x| x.delta_of()).sum();
-                    let sid = site % s_count;
-                    shard_inputs[sid] += chunk.len() as u64;
-                    let est = ingest_run(&mut shards[sid], site, chunk, scratch.as_mut());
-                    *time += chunk.len() as Time;
-                    *f += sum;
-                    finals[sid] = Some(est);
-                }
-                for (sid, est) in finals.iter_mut().enumerate() {
-                    if let Some(e) = est.take() {
-                        coord.absorb(sid, e);
+        let (shards, mut cut) = self.split(&mut audit);
+        // Work items are (feed, lo, hi) index tuples resolved against the
+        // shared feed slices, so nothing is copied on this path.
+        let body =
+            |tracker: &mut T, &(feed, lo, hi): &(usize, usize, usize), scratch: Option<&mut _>| {
+                let (site, inputs) = feeds[feed];
+                ingest_run(tracker, site, &inputs[lo..hi], scratch)
+            };
+        with_shard_exec(shards, &cfg, feeds.len(), &body, |exec| {
+            for round in 0..rounds_of(feeds, batch) {
+                // The source: slice every live feed's next chunk.
+                for (feed, &(site, inputs)) in feeds.iter().enumerate() {
+                    if let Some((lo, hi)) = chunk_bounds(inputs.len(), batch, round) {
+                        exec.dispatch(site % s_count, (feed, lo, hi));
                     }
                 }
-                audit.boundary(*time, *f, coord.estimate());
+                cut.close(std::iter::from_fn(|| exec.next_done()).map(|(entry, _)| entry));
             }
-        } else {
-            std::thread::scope(|scope| {
-                // Work items are (group slot, feed, lo, hi) index tuples;
-                // workers resolve them against the shared feed slices, so
-                // nothing is copied on this path.
-                let (res_tx, res_rx) = mpsc::channel::<(usize, i64, i64, usize)>();
-                let mut groups: Vec<Vec<&mut T>> = (0..w_count).map(|_| Vec::new()).collect();
-                for (sid, tracker) in shards.iter_mut().enumerate() {
-                    groups[sid % w_count].push(tracker);
-                }
-                let mut work_txs = Vec::with_capacity(w_count);
-                let consolidate = cfg.consolidate_enabled();
-                for (w, mut group) in groups.into_iter().enumerate() {
-                    let bound = feeds.len().max(1);
-                    let (tx, rx) = mpsc::sync_channel::<(usize, usize, usize, usize)>(bound);
-                    let res_tx = res_tx.clone();
-                    work_txs.push(tx);
-                    scope.spawn(move || {
-                        let mut scratch = consolidate.then(Consolidator::new);
-                        while let Ok((slot, feed, lo, hi)) = rx.recv() {
-                            let (site, inputs) = feeds[feed];
-                            let chunk = &inputs[lo..hi];
-                            let sum: i64 = chunk.iter().map(|x| x.delta_of()).sum();
-                            let tracker = &mut *group[slot];
-                            let est = ingest_run(tracker, site, chunk, scratch.as_mut());
-                            let sid = slot * w_count + w;
-                            if res_tx.send((sid, est, sum, chunk.len())).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-                drop(res_tx);
+        });
 
-                let mut finals: Vec<Option<i64>> = vec![None; s_count];
-                for round in 0..rounds {
-                    let mut outstanding = 0;
-                    for (feed, &(site, inputs)) in feeds.iter().enumerate() {
-                        let (lo, hi) = chunk_of(inputs, round);
-                        if lo == hi {
-                            continue;
-                        }
-                        let sid = site % s_count;
-                        shard_inputs[sid] += (hi - lo) as u64;
-                        work_txs[sid % w_count]
-                            .send((sid / w_count, feed, lo, hi))
-                            .expect("shard worker died");
-                        outstanding += 1;
-                    }
-                    for _ in 0..outstanding {
-                        let (sid, est, sum, len) = res_rx.recv().expect("shard worker died");
-                        *f += sum;
-                        *time += len as Time;
-                        // Per-worker FIFO means the last estimate received
-                        // per shard is its end-of-round state; absorbing
-                        // only that keeps merge accounting once-per-shard.
-                        finals[sid] = Some(est);
-                    }
-                    for (sid, est) in finals.iter_mut().enumerate() {
-                        if let Some(e) = est.take() {
-                            coord.absorb(sid, e);
-                        }
-                    }
-                    audit.boundary(*time, *f, coord.estimate());
-                }
-            });
-        }
-
-        Ok(self.finish_report(total as u64, audit, started))
+        Ok(self.finish_report(total as u64, audit))
     }
 
     /// Ingest through the pipelined path: per-feed bounded queues,
@@ -902,25 +757,14 @@ where
         In: ConsolidateInput + Send + Sync,
         F: FnOnce(Vec<ShardFeed<In>>),
     {
-        let started = Instant::now();
         let cfg = self.cfg;
+        let mut audit = RunAudit::new(&cfg);
         let s_count = cfg.shards_count();
         let w_count = cfg.workers_count();
         let kind = self.shards[0].kind();
-        let k = self.shards[0].k();
         let deletions_ok = kind.supports_deletions();
         let batch = cfg.batch_size();
-
-        for &site in sites {
-            if site >= k {
-                return Err(RunError::SiteOutOfRange {
-                    site,
-                    k,
-                    time: self.time,
-                }
-                .into());
-            }
-        }
+        validate_sites(sites, self.shards[0].k(), kind, self.time)?;
 
         // One bounded SPSC ring per feed; producer ends become the
         // ShardFeed handles, consumer ends go to the owning workers.
@@ -952,34 +796,25 @@ where
                 });
         }
 
-        let mut audit = RunAudit::new(cfg.eps_value(), cfg.probe_period());
+        let time_before = self.time;
+        let (shards, mut cut) = self.split(&mut audit);
 
-        let shards = &mut self.shards;
-        let coord = &mut self.coord;
-        let time = &mut self.time;
-        let f = &mut self.f;
-        let shard_inputs = &mut self.shard_inputs;
-
-        /// A worker's end-of-round message: per owned shard with work
-        /// this round, `(shard, end-of-round estimate, Σ delta, inputs)`.
+        /// A worker's end-of-round message: one entry per chunk it
+        /// ingested this round.
         enum CoordMsg {
             Round {
                 worker: usize,
                 round: u64,
-                reports: Vec<(usize, i64, i64, u64)>,
+                reports: Vec<Entry>,
             },
             Done {
                 worker: usize,
             },
         }
 
-        let n_total = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let (res_tx, res_rx) = mpsc::channel::<CoordMsg>();
-            let mut groups: Vec<Vec<&mut T>> = (0..w_count).map(|_| Vec::new()).collect();
-            for (sid, tracker) in shards.iter_mut().enumerate() {
-                groups[sid % w_count].push(tracker);
-            }
-
+            let groups = worker_groups(shards.iter_mut(), w_count);
             let consolidate = cfg.consolidate_enabled();
             for ((w, mut group), shard_feeds) in groups.into_iter().enumerate().zip(consumers) {
                 let res_tx = res_tx.clone();
@@ -1005,10 +840,6 @@ where
                     loop {
                         let mut reports = Vec::new();
                         for shard in owned.iter_mut() {
-                            let mut sum = 0i64;
-                            let mut len = 0u64;
-                            let mut est = 0i64;
-                            let mut any = false;
                             for fs in shard.feeds.iter_mut() {
                                 if fs.done {
                                     continue;
@@ -1024,17 +855,14 @@ where
                                 if fs.buf.is_empty() {
                                     continue;
                                 }
-                                sum += fs.buf.iter().map(|x| x.delta_of()).sum::<i64>();
-                                len += fs.buf.len() as u64;
-                                est = ingest_run(
+                                // One entry per chunk, in feed order: the
+                                // cut keeps the shard's last estimate.
+                                let (est, sum, len) = ingest_run(
                                     &mut *group[shard.slot],
                                     fs.consumer.site,
                                     &fs.buf,
                                     scratch.as_mut(),
                                 );
-                                any = true;
-                            }
-                            if any {
                                 reports.push((shard.sid, est, sum, len));
                             }
                         }
@@ -1062,15 +890,13 @@ where
 
             // The coordinator: runs on its own scoped thread so merging
             // boundary r overlaps the workers' ingestion of r+1.
-            let audit_ref = &mut audit;
             let coordinator = scope.spawn(move || {
-                let mut n: u64 = 0;
                 // next_watermark[w]: lowest round worker w might still
                 // report (MAX once done). Worker messages arrive in round
                 // order per worker, so a round below every watermark is
-                // complete and can be reconciled.
+                // complete and can be closed.
                 let mut next_watermark = vec![0u64; w_count];
-                let mut pending: BTreeMap<u64, Vec<(usize, i64, i64, u64)>> = BTreeMap::new();
+                let mut pending: BTreeMap<u64, Vec<Entry>> = BTreeMap::new();
                 let mut next_round = 0u64;
                 for msg in res_rx {
                     match msg {
@@ -1088,29 +914,15 @@ where
                     }
                     let ready = next_watermark.iter().copied().min().unwrap_or(u64::MAX);
                     while next_round < ready {
-                        let Some(mut reports) = pending.remove(&next_round) else {
+                        let Some(reports) = pending.remove(&next_round) else {
                             // Rounds are dense: no entry means every
-                            // produced round is already reconciled.
+                            // produced round is already closed.
                             break;
                         };
-                        // Same per-boundary order as run_parted: fold the
-                        // ground truth, then absorb shard estimates in
-                        // shard order, then audit the boundary.
-                        reports.sort_unstable_by_key(|&(sid, ..)| sid);
-                        for &(sid, _, sum, len) in &reports {
-                            *f += sum;
-                            *time += len as Time;
-                            shard_inputs[sid] += len;
-                            n += len;
-                        }
-                        for &(sid, est, ..) in &reports {
-                            coord.absorb(sid, est);
-                        }
-                        audit_ref.boundary(*time, *f, coord.estimate());
+                        cut.close(reports);
                         next_round += 1;
                     }
                 }
-                n
             });
 
             feeder(handles);
@@ -1126,28 +938,33 @@ where
             ring.drain_stats(&mut self.ingest_stats);
         }
 
-        Ok(self.finish_report(n_total, audit, started))
+        Ok(self.finish_report(self.time - time_before, audit))
+    }
+
+    /// Split the engine for an ingestion call: the replicas for the shard
+    /// workers, and the boundary cut over everything a round moves.
+    fn split<'a>(&'a mut self, audit: &'a mut RunAudit) -> (&'a mut [T], Cut<'a>) {
+        let cut = Cut::new(
+            &mut self.time,
+            &mut self.f,
+            &mut self.shard_inputs,
+            &mut self.coord,
+            audit,
+        );
+        (&mut self.shards, cut)
     }
 
     /// Assemble the report shared by the ingestion paths (all execution
     /// borrows have ended by the time this runs).
-    fn finish_report(&self, n: u64, audit: RunAudit, started: Instant) -> EngineReport {
-        EngineReport {
+    fn finish_report(&self, n: u64, audit: RunAudit) -> EngineReport {
+        audit.report(
+            &self.cfg,
             n,
-            batches: audit.batches,
-            shards: self.cfg.shards_count(),
-            workers: self.cfg.workers_count(),
-            batch_size: self.cfg.batch_size(),
-            final_f: self.f,
-            final_estimate: self.coord.estimate(),
-            boundary_violations: audit.violations,
-            max_boundary_rel_err: audit.max_err,
-            tracker_stats: self.tracker_stats(),
-            merge_stats: self.coord.stats().clone(),
-            ingest_stats: self.ingest_stats.clone(),
-            probes: audit.probes,
-            elapsed: started.elapsed(),
-        }
+            self.f,
+            &self.coord,
+            self.tracker_stats(),
+            self.ingest_stats.clone(),
+        )
     }
 }
 
@@ -1214,7 +1031,7 @@ mod tests {
     use super::*;
     use dsv_core::api::{Driver, TrackerSpec};
     use dsv_gen::{DeltaGen, ItemStreamGen, MonotoneGen, RoundRobin, WalkGen};
-    use dsv_net::{ItemUpdate, Update};
+    use dsv_net::{relative_error, ItemUpdate, Update};
 
     fn det_spec(k: usize) -> TrackerSpec {
         TrackerSpec::new(TrackerKind::Deterministic)

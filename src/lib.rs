@@ -5,7 +5,7 @@
 //!
 //! See the workspace `README.md` for an overview, `DESIGN.md` for the system
 //! inventory, `EXPERIMENTS.md` for the per-theorem reproduction results, and
-//! `MIGRATION.md` for moving off the deprecated `Monitor` enum.
+//! `MIGRATION.md` for the old-to-new API table and the format-version policy.
 //!
 //! ## Quickstart
 //!
@@ -59,14 +59,8 @@ pub mod prelude {
     pub use dsv_core::codec::{CodecError, TrackerState};
     pub use dsv_core::deterministic::DeterministicTracker;
     pub use dsv_core::expand::expand_update;
-    #[allow(deprecated)]
-    pub use dsv_core::frequencies::FreqRunner;
-    pub use dsv_core::frequencies::{
-        CountMinFreqTracker, CrPrecisFreqTracker, ExactFreqTracker, FreqRunReport,
-    };
+    pub use dsv_core::frequencies::{CountMinFreqTracker, CrPrecisFreqTracker, ExactFreqTracker};
     pub use dsv_core::frequencies_rand::RandFreqTracker;
-    #[allow(deprecated)]
-    pub use dsv_core::monitor::{Monitor, MonitorKind};
     pub use dsv_core::randomized::RandomizedTracker;
     pub use dsv_core::single_site::SingleSiteTracker;
     pub use dsv_core::tracing::{HistorySummary, TracingRecorder};
