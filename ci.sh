@@ -16,9 +16,7 @@
 # toolchain, and runs it — once per feature-matrix job:
 #
 #   ./ci.sh                            # default features
-#   DSV_FEATURES=async-ingest ./ci.sh  # the async-ingest feature seam
 #   DSV_FEATURES=remote ./ci.sh        # distributed shards + failover
-#   DSV_FEATURES=async-ingest,remote ./ci.sh  # both seams combined
 #
 # DSV_STEP_BUDGET_SECS=<n> (default off) fails an otherwise-green run if
 # any single step took longer than n seconds — the per-step wall clocks
@@ -27,14 +25,14 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # Cargo feature flags for this run (the workflow matrix sets
-# DSV_FEATURES; empty means default features, commas combine seams). The
-# dsv facade forwards each feature to the member crates that implement it.
+# DSV_FEATURES; empty means default features). The dsv facade forwards
+# the feature to the member crate that implements it.
 # Possibly-empty arrays are expanded with the ${arr[@]+"${arr[@]}"}
 # idiom throughout: plain "${arr[@]}" on an empty array trips set -u on
 # bash < 4.4 (e.g. the stock macOS /bin/bash 3.2). The %N in the timing
 # code is GNU date; BSD date degrades it to whole seconds, gracefully.
 FEATURE_FLAGS=()
-# dsv-bench mirrors the facade's feature names (each forwarding to its
+# dsv-bench mirrors the facade's feature name (forwarding to its
 # dsv-engine/<feature> seam), so `-p dsv-bench` commands take
 # DSV_FEATURES verbatim — feature resolution stays identical to the
 # workspace-wide steps (no mid-gate feature flip, no redundant rebuild,
@@ -151,12 +149,6 @@ cargo fmt --all --check
 
 step "cargo build --release"
 cargo build --release ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}
-
-step "cargo build --no-default-features (feature-seam floor)"
-# The workspace has no default features today; this keeps it that way —
-# a dependency accidentally made non-optional or a cfg leak outside its
-# feature gate fails here instead of rotting until someone flips flags.
-cargo build --no-default-features
 
 step "cargo clippy --workspace --all-targets (-D warnings)"
 cargo clippy --workspace --all-targets ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"} -- -D warnings

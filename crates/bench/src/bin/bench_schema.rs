@@ -22,6 +22,8 @@
 //! if no artifact matches, so an accidental `--all` from the wrong
 //! directory cannot pass vacuously.
 
+#![forbid(unsafe_code)]
+
 use dsv_bench::{validate_bench_doc, Json};
 use std::process::ExitCode;
 

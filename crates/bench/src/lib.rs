@@ -10,6 +10,7 @@
 //! `bench_schema` bin ([`json`]). Two additional criterion targets
 //! (`micro_sketch`, `micro_tracker`) measure hot-path throughput.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;

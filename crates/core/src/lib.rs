@@ -26,6 +26,7 @@
 //! message accounting, so every bound in the paper can be (and is)
 //! checked empirically — see the workspace's `EXPERIMENTS.md`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;

@@ -79,10 +79,8 @@ impl EngineConfig {
     /// Values ≤ 1 keep the PR 6 synchronous ping-pong: the coordinator
     /// ships one `Round` frame per worker and blocks on its report. For
     /// `n > 1` the remote engine switches to pipelined ingestion: round
-    /// chunks are staged into per-worker bounded send queues (the same
-    /// SPSC rings and [`Backpressure`] policies as
-    /// [`crate::ShardedEngine::run_pipelined`]) and a writer thread per
-    /// connection drains them into DSVR v3 `Rounds` envelopes carrying up
+    /// commands are staged into per-worker bounded send queues and a
+    /// writer thread per connection drains them into DSVR v3 `Rounds` envelopes carrying up
     /// to `n` rounds per length-prefixed frame, so staging overlaps
     /// socket writes and worker absorption. Purely an execution/transport
     /// knob: workers still answer one `RoundReport` per round, and the

@@ -689,18 +689,38 @@ struct SlotRecord {
     state: Vec<u8>,
 }
 
-/// A versioned snapshot of a whole fleet (`b"DSVF"`, currently
-/// [`FLEET_VERSION`]): fleet scalars, the aggregate ledger, and one
-/// compact record per key. Taking one cuts a batch boundary first (staged
-/// updates are applied, so a checkpoint is always a boundary state).
-///
-/// The wire form is produced by [`to_bytes`](Self::to_bytes) and read by
-/// [`from_bytes`](Self::from_bytes); truncated, corrupted, version-skewed
-/// or internally inconsistent payloads decode to typed [`CodecError`]s,
-/// never panics (held by `tests/codec_robustness.rs`). Checkpoint bytes
-/// are bit-identical across worker counts *and* cache capacities.
+impl SlotRecord {
+    fn encode(&self, enc: &mut Enc) {
+        enc.u64(self.key);
+        enc.i64(self.f);
+        enc.u64(self.updates);
+        enc.u64(self.violations);
+        enc.i64(self.estimate);
+        enc.blob(&self.state);
+    }
+
+    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
+        let rec = SlotRecord {
+            key: dec.u64()?,
+            f: dec.i64()?,
+            updates: dec.u64()?,
+            violations: dec.u64()?,
+            estimate: dec.i64()?,
+            state: dec.blob()?.to_vec(),
+        };
+        if rec.state.is_empty() {
+            return Err(CodecError::BadValue {
+                what: "fleet slot state",
+            });
+        }
+        Ok(rec)
+    }
+}
+
+/// What every `DSVF` table says about the fleet before its shard table:
+/// the build's identity, the fleet scalars, and the aggregate ledger.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FleetCheckpoint {
+struct FleetHeader {
     kind: TrackerKind,
     k: usize,
     time: Time,
@@ -710,45 +730,11 @@ pub struct FleetCheckpoint {
     agg_violations: u64,
     max_err: f64,
     tracker_stats: CommStats,
-    shards: Vec<Vec<SlotRecord>>,
 }
 
-impl FleetCheckpoint {
-    /// The checkpointed tracker kind.
-    pub fn kind(&self) -> TrackerKind {
-        self.kind
-    }
-
-    /// Sites per keyed tracker.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Logical shard count (must match the resuming config).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Live keys captured.
-    pub fn keys(&self) -> usize {
-        self.shards.iter().map(Vec::len).sum()
-    }
-
-    /// Updates applied when the checkpoint was cut.
-    pub fn time(&self) -> Time {
-        self.time
-    }
-
-    /// Fleet-wide ground truth at the checkpoint.
-    pub fn f(&self) -> i64 {
-        self.f
-    }
-
-    /// Serialize to the versioned wire form (v2, full shard table).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
-        enc.magic(FLEET_MAGIC, FLEET_VERSION);
-        enc.u8(TABLE_FULL);
+impl FleetHeader {
+    /// Encode the header and the length of the shard table it precedes.
+    fn encode(&self, enc: &mut Enc, n_shards: usize) {
         enc.u8(kind_tag(self.kind));
         enc.usize(self.k);
         enc.u64(self.time);
@@ -757,32 +743,13 @@ impl FleetCheckpoint {
         enc.u64(self.key_violations);
         enc.u64(self.agg_violations);
         enc.f64(self.max_err);
-        self.tracker_stats.encode(&mut enc);
-        enc.seq_len(self.shards.len());
-        for records in &self.shards {
-            enc.seq_len(records.len());
-            for rec in records {
-                enc.u64(rec.key);
-                enc.i64(rec.f);
-                enc.u64(rec.updates);
-                enc.u64(rec.violations);
-                enc.i64(rec.estimate);
-                enc.blob(&rec.state);
-            }
-        }
-        enc.into_bytes()
+        self.tracker_stats.encode(enc);
+        enc.seq_len(n_shards);
     }
 
-    /// Decode the versioned wire form, requiring exact consumption and
-    /// internal consistency (shard and state shapes, update accounting).
-    /// A delta table is a typed error directing the caller to
-    /// [`FleetDelta::from_bytes`], since it cannot stand alone.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut dec = open_table(
-            bytes,
-            TABLE_FULL,
-            "fleet table variant (delta tables decode with FleetDelta)",
-        )?;
+    /// Decode and validate the header, and the (non-zero) length of the
+    /// shard table that follows it.
+    fn decode(dec: &mut Dec<'_>) -> Result<(Self, usize), CodecError> {
         let tag = dec.u8()?;
         let kind = kind_from_tag(tag).ok_or(CodecError::BadTag {
             what: "fleet tracker kind",
@@ -805,53 +772,14 @@ impl FleetCheckpoint {
                 what: "fleet max relative error",
             });
         }
-        let tracker_stats = CommStats::decode(&mut dec)?;
+        let tracker_stats = CommStats::decode(dec)?;
         let n_shards = dec.seq_len("fleet shards", 8)?;
         if n_shards == 0 {
             return Err(CodecError::BadValue {
                 what: "fleet shard count",
             });
         }
-        let mut shards = Vec::with_capacity(n_shards);
-        let mut total_updates: u64 = 0;
-        for _ in 0..n_shards {
-            let n_slots = dec.seq_len("fleet slots", 48)?;
-            let mut records = Vec::with_capacity(n_slots);
-            for _ in 0..n_slots {
-                let key = dec.u64()?;
-                let fk = dec.i64()?;
-                let updates = dec.u64()?;
-                let violations = dec.u64()?;
-                let estimate = dec.i64()?;
-                let state = dec.blob()?.to_vec();
-                if state.is_empty() {
-                    return Err(CodecError::BadValue {
-                        what: "fleet slot state",
-                    });
-                }
-                total_updates = total_updates.saturating_add(updates);
-                records.push(SlotRecord {
-                    key,
-                    f: fk,
-                    updates,
-                    violations,
-                    estimate,
-                    state,
-                });
-            }
-            shards.push(records);
-        }
-        dec.finish()?;
-        // Every applied update belongs to exactly one key, so the
-        // per-key counts must re-sum to the fleet clock.
-        if total_updates != time {
-            return Err(CodecError::Mismatch {
-                what: "fleet per-key update total vs time",
-                expected: time,
-                found: total_updates,
-            });
-        }
-        Ok(FleetCheckpoint {
+        let head = FleetHeader {
             kind,
             k,
             time,
@@ -861,8 +789,107 @@ impl FleetCheckpoint {
             agg_violations,
             max_err,
             tracker_stats,
-            shards,
-        })
+        };
+        Ok((head, n_shards))
+    }
+}
+
+/// A versioned snapshot of a whole fleet (`b"DSVF"`, currently
+/// [`FLEET_VERSION`]): fleet scalars, the aggregate ledger, and one
+/// compact record per key. Taking one cuts a batch boundary first (staged
+/// updates are applied, so a checkpoint is always a boundary state).
+///
+/// The wire form is produced by [`to_bytes`](Self::to_bytes) and read by
+/// [`from_bytes`](Self::from_bytes); truncated, corrupted, version-skewed
+/// or internally inconsistent payloads decode to typed [`CodecError`]s,
+/// never panics (held by `tests/codec_robustness.rs`). Checkpoint bytes
+/// are bit-identical across worker counts *and* cache capacities.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FleetCheckpoint {
+    head: FleetHeader,
+    shards: Vec<Vec<SlotRecord>>,
+}
+
+impl FleetCheckpoint {
+    /// The checkpointed tracker kind.
+    pub fn kind(&self) -> TrackerKind {
+        self.head.kind
+    }
+
+    /// Sites per keyed tracker.
+    pub fn k(&self) -> usize {
+        self.head.k
+    }
+
+    /// Logical shard count (must match the resuming config).
+    pub fn shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Live keys captured.
+    pub fn keys(&self) -> usize {
+        self.shards.iter().map(Vec::len).sum()
+    }
+
+    /// Updates applied when the checkpoint was cut.
+    pub fn time(&self) -> Time {
+        self.head.time
+    }
+
+    /// Fleet-wide ground truth at the checkpoint.
+    pub fn f(&self) -> i64 {
+        self.head.f
+    }
+
+    /// Serialize to the versioned wire form (v2, full shard table).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut enc = Enc::new();
+        enc.magic(FLEET_MAGIC, FLEET_VERSION);
+        enc.u8(TABLE_FULL);
+        self.head.encode(&mut enc, self.shards.len());
+        for records in &self.shards {
+            enc.seq_len(records.len());
+            for rec in records {
+                rec.encode(&mut enc);
+            }
+        }
+        enc.into_bytes()
+    }
+
+    /// Decode the versioned wire form, requiring exact consumption and
+    /// internal consistency (shard and state shapes, update accounting).
+    /// A delta table is a typed error directing the caller to
+    /// [`FleetDelta::from_bytes`], since it cannot stand alone.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
+        let mut dec = open_table(
+            bytes,
+            TABLE_FULL,
+            "fleet table variant (delta tables decode with FleetDelta)",
+        )?;
+        let (head, n_shards) = FleetHeader::decode(&mut dec)?;
+        let mut shards = Vec::with_capacity(n_shards);
+        let mut total_updates: u64 = 0;
+        for _ in 0..n_shards {
+            let n_slots = dec.seq_len("fleet slots", 48)?;
+            let mut records = Vec::with_capacity(n_slots);
+            for _ in 0..n_slots {
+                let rec = SlotRecord::decode(&mut dec)?;
+                total_updates = total_updates.saturating_add(rec.updates);
+                records.push(rec);
+            }
+            shards.push(records);
+        }
+        dec.finish()?;
+        // Every applied update belongs to exactly one key, so the
+        // per-key counts must re-sum to the fleet clock.
+        if total_updates != head.time {
+            return Err(CodecError::Mismatch {
+                what: "fleet per-key update total vs time",
+                expected: head.time,
+                found: total_updates,
+            });
+        }
+        Ok(FleetCheckpoint { head, shards })
     }
 }
 
@@ -903,15 +930,8 @@ enum SlotOp {
 pub struct FleetDelta {
     parent_time: Time,
     parent_hash: u64,
-    kind: TrackerKind,
-    k: usize,
-    time: Time,
-    f: i64,
-    boundaries: u64,
-    key_violations: u64,
-    agg_violations: u64,
-    max_err: f64,
-    tracker_stats: CommStats,
+    /// The child's header.
+    head: FleetHeader,
     shards: Vec<Vec<SlotOp>>,
 }
 
@@ -922,18 +942,18 @@ impl FleetDelta {
     /// the fleet clock advanced — anything else is a typed
     /// [`EngineError::CheckpointMismatch`].
     pub fn between(parent: &FleetCheckpoint, child: &FleetCheckpoint) -> Result<Self, EngineError> {
-        if child.kind != parent.kind {
+        if child.head.kind != parent.head.kind {
             return Err(EngineError::CheckpointMismatch {
                 what: "tracker kind tag",
-                expected: kind_tag(parent.kind) as u64,
-                found: kind_tag(child.kind) as u64,
+                expected: kind_tag(parent.head.kind) as u64,
+                found: kind_tag(child.head.kind) as u64,
             });
         }
-        if child.k != parent.k {
+        if child.head.k != parent.head.k {
             return Err(EngineError::CheckpointMismatch {
                 what: "site count",
-                expected: parent.k as u64,
-                found: child.k as u64,
+                expected: parent.head.k as u64,
+                found: child.head.k as u64,
             });
         }
         if child.shards.len() != parent.shards.len() {
@@ -943,11 +963,11 @@ impl FleetDelta {
                 found: child.shards.len() as u64,
             });
         }
-        if child.time < parent.time {
+        if child.head.time < parent.head.time {
             return Err(EngineError::CheckpointMismatch {
                 what: "monotone fleet clock",
-                expected: parent.time,
-                found: child.time,
+                expected: parent.head.time,
+                found: child.head.time,
             });
         }
         let mut shards = Vec::with_capacity(child.shards.len());
@@ -986,17 +1006,9 @@ impl FleetDelta {
             shards.push(ops);
         }
         Ok(FleetDelta {
-            parent_time: parent.time,
+            parent_time: parent.head.time,
             parent_hash: fingerprint(&parent.to_bytes()),
-            kind: child.kind,
-            k: child.k,
-            time: child.time,
-            f: child.f,
-            boundaries: child.boundaries,
-            key_violations: child.key_violations,
-            agg_violations: child.agg_violations,
-            max_err: child.max_err,
-            tracker_stats: child.tracker_stats.clone(),
+            head: child.head.clone(),
             shards,
         })
     }
@@ -1061,23 +1073,15 @@ impl FleetDelta {
             }
             shards.push(records);
         }
-        if total_updates != self.time {
+        if total_updates != self.head.time {
             return Err(CodecError::Mismatch {
                 what: "fleet per-key update total vs time",
-                expected: self.time,
+                expected: self.head.time,
                 found: total_updates,
             });
         }
         Ok(FleetCheckpoint {
-            kind: self.kind,
-            k: self.k,
-            time: self.time,
-            f: self.f,
-            boundaries: self.boundaries,
-            key_violations: self.key_violations,
-            agg_violations: self.agg_violations,
-            max_err: self.max_err,
-            tracker_stats: self.tracker_stats.clone(),
+            head: self.head.clone(),
             shards,
         })
     }
@@ -1089,7 +1093,7 @@ impl FleetDelta {
 
     /// Fleet clock of the child this delta reconstructs.
     pub fn time(&self) -> Time {
-        self.time
+        self.head.time
     }
 
     /// Serialize to the versioned wire form (`DSVF` v2, delta table).
@@ -1099,16 +1103,7 @@ impl FleetDelta {
         enc.u8(TABLE_DELTA);
         enc.u64(self.parent_time);
         enc.u64(self.parent_hash);
-        enc.u8(kind_tag(self.kind));
-        enc.usize(self.k);
-        enc.u64(self.time);
-        enc.i64(self.f);
-        enc.u64(self.boundaries);
-        enc.u64(self.key_violations);
-        enc.u64(self.agg_violations);
-        enc.f64(self.max_err);
-        self.tracker_stats.encode(&mut enc);
-        enc.seq_len(self.shards.len());
+        self.head.encode(&mut enc, self.shards.len());
         for ops in &self.shards {
             enc.seq_len(ops.len());
             for op in ops {
@@ -1130,12 +1125,7 @@ impl FleetDelta {
                     }
                     SlotOp::Full(rec) => {
                         enc.u8(2);
-                        enc.u64(rec.key);
-                        enc.i64(rec.f);
-                        enc.u64(rec.updates);
-                        enc.u64(rec.violations);
-                        enc.i64(rec.estimate);
-                        enc.blob(&rec.state);
+                        rec.encode(&mut enc);
                     }
                 }
             }
@@ -1155,35 +1145,7 @@ impl FleetDelta {
         )?;
         let parent_time = dec.u64()?;
         let parent_hash = dec.u64()?;
-        let tag = dec.u8()?;
-        let kind = kind_from_tag(tag).ok_or(CodecError::BadTag {
-            what: "fleet tracker kind",
-            tag: tag as u64,
-        })?;
-        let k = dec.usize()?;
-        if k == 0 {
-            return Err(CodecError::BadValue {
-                what: "fleet site count",
-            });
-        }
-        let time = dec.u64()?;
-        let f = dec.i64()?;
-        let boundaries = dec.u64()?;
-        let key_violations = dec.u64()?;
-        let agg_violations = dec.u64()?;
-        let max_err = dec.f64()?;
-        if max_err.is_nan() || max_err < 0.0 {
-            return Err(CodecError::BadValue {
-                what: "fleet max relative error",
-            });
-        }
-        let tracker_stats = CommStats::decode(&mut dec)?;
-        let n_shards = dec.seq_len("fleet shards", 8)?;
-        if n_shards == 0 {
-            return Err(CodecError::BadValue {
-                what: "fleet shard count",
-            });
-        }
+        let (head, n_shards) = FleetHeader::decode(&mut dec)?;
         let mut shards = Vec::with_capacity(n_shards);
         for _ in 0..n_shards {
             let n_ops = dec.seq_len("fleet delta ops", 1)?;
@@ -1201,25 +1163,7 @@ impl FleetDelta {
                     },
                     2 => {
                         appending = true;
-                        let key = dec.u64()?;
-                        let fk = dec.i64()?;
-                        let updates = dec.u64()?;
-                        let violations = dec.u64()?;
-                        let estimate = dec.i64()?;
-                        let state = dec.blob()?.to_vec();
-                        if state.is_empty() {
-                            return Err(CodecError::BadValue {
-                                what: "fleet slot state",
-                            });
-                        }
-                        SlotOp::Full(SlotRecord {
-                            key,
-                            f: fk,
-                            updates,
-                            violations,
-                            estimate,
-                            state,
-                        })
+                        SlotOp::Full(SlotRecord::decode(&mut dec)?)
                     }
                     tag => {
                         return Err(CodecError::BadTag {
@@ -1241,15 +1185,7 @@ impl FleetDelta {
         Ok(FleetDelta {
             parent_time,
             parent_hash,
-            kind,
-            k,
-            time,
-            f,
-            boundaries,
-            key_violations,
-            agg_violations,
-            max_err,
-            tracker_stats,
+            head,
             shards,
         })
     }
@@ -1276,21 +1212,15 @@ pub struct TrackerFleet<T, In: Copy> {
     proto: Arc<TrackerState>,
     /// A fresh tracker's ledger, charged once per key on first apply.
     proto_stats: Arc<CommStats>,
-    kind: TrackerKind,
-    k: usize,
+    /// Everything a checkpoint says about the fleet as a whole, kept in
+    /// the form the checkpoint writes: `time` counts updates applied (the
+    /// fleet clock; staged updates not included), `f` is the fleet-wide
+    /// ground truth Σ_key f_key.
+    head: FleetHeader,
     deletions_ok: bool,
     shards: Vec<ShardSlab<T, In>>,
-    /// Updates applied (the fleet clock; staged updates not included).
-    time: Time,
-    /// Fleet-wide ground truth Σ_key f_key.
-    f: i64,
     /// Fleet-wide Σ_key boundary estimates.
     agg_estimate: i64,
-    boundaries: u64,
-    key_violations: u64,
-    agg_violations: u64,
-    max_err: f64,
-    tracker_stats: CommStats,
     ingest_stats: IngestStats,
     staged_total: usize,
     /// Last staged key's routing, so bursty streams skip the shard hash
@@ -1338,18 +1268,20 @@ where
             factory,
             proto,
             proto_stats,
-            kind,
-            k,
+            head: FleetHeader {
+                kind,
+                k,
+                time: 0,
+                f: 0,
+                boundaries: 0,
+                key_violations: 0,
+                agg_violations: 0,
+                max_err: 0.0,
+                tracker_stats: CommStats::new(),
+            },
             deletions_ok: kind.supports_deletions(),
             shards,
-            time: 0,
-            f: 0,
             agg_estimate: 0,
-            boundaries: 0,
-            key_violations: 0,
-            agg_violations: 0,
-            max_err: 0.0,
-            tracker_stats: CommStats::new(),
             ingest_stats: IngestStats::new(),
             staged_total: 0,
             memo_key: 0,
@@ -1379,18 +1311,18 @@ where
             });
         }
         let mut fleet = Self::with_factory(cfg, factory)?;
-        if fleet.kind != ckpt.kind {
+        if fleet.head.kind != ckpt.head.kind {
             return Err(EngineError::CheckpointMismatch {
                 what: "tracker kind tag",
-                expected: kind_tag(fleet.kind) as u64,
-                found: kind_tag(ckpt.kind) as u64,
+                expected: kind_tag(fleet.head.kind) as u64,
+                found: kind_tag(ckpt.head.kind) as u64,
             });
         }
-        if fleet.k != ckpt.k {
+        if fleet.head.k != ckpt.head.k {
             return Err(EngineError::CheckpointMismatch {
                 what: "site count",
-                expected: fleet.k as u64,
-                found: ckpt.k as u64,
+                expected: fleet.head.k as u64,
+                found: ckpt.head.k as u64,
             });
         }
         let n_shards = fleet.shards.len() as u64;
@@ -1430,13 +1362,7 @@ where
                 fleet.agg_estimate += rec.estimate;
             }
         }
-        fleet.time = ckpt.time;
-        fleet.f = ckpt.f;
-        fleet.boundaries = ckpt.boundaries;
-        fleet.key_violations = ckpt.key_violations;
-        fleet.agg_violations = ckpt.agg_violations;
-        fleet.max_err = ckpt.max_err;
-        fleet.tracker_stats = ckpt.tracker_stats.clone();
+        fleet.head = ckpt.head.clone();
         Ok(fleet)
     }
 
@@ -1447,22 +1373,22 @@ where
 
     /// The tracker kind every key runs.
     pub fn kind(&self) -> TrackerKind {
-        self.kind
+        self.head.kind
     }
 
     /// Sites per keyed tracker.
     pub fn k(&self) -> usize {
-        self.k
+        self.head.k
     }
 
     /// Updates applied (staged updates not yet included).
     pub fn time(&self) -> Time {
-        self.time
+        self.head.time
     }
 
     /// Fleet-wide ground truth Σ_key f_key.
     pub fn f(&self) -> i64 {
-        self.f
+        self.head.f
     }
 
     /// Fleet-wide Σ_key boundary estimates.
@@ -1482,28 +1408,28 @@ where
 
     /// Batch boundaries cut so far.
     pub fn boundaries(&self) -> u64 {
-        self.boundaries
+        self.head.boundaries
     }
 
     /// Per-key boundary ε-violations so far.
     pub fn key_violations(&self) -> u64 {
-        self.key_violations
+        self.head.key_violations
     }
 
     /// Aggregate (Σf vs Σf̂) boundary ε-violations so far.
     pub fn aggregate_violations(&self) -> u64 {
-        self.agg_violations
+        self.head.agg_violations
     }
 
     /// Worst per-key boundary relative error seen so far.
     pub fn max_rel_err(&self) -> f64 {
-        self.max_err
+        self.head.max_err
     }
 
     /// Cumulative in-protocol traffic, summed over every key's tracker —
     /// exactly Σ_key of what each key's standalone twin would report.
     pub fn comm_stats(&self) -> &CommStats {
-        &self.tracker_stats
+        &self.head.tracker_stats
     }
 
     /// Cumulative pipelined-ingestion ledger.
@@ -1534,18 +1460,18 @@ where
     /// Stage one update for `key` arriving at `site`, cutting a batch
     /// boundary automatically once `cfg.batch` updates are staged.
     pub fn update_at(&mut self, key: u64, site: SiteId, input: In) -> Result<(), EngineError> {
-        if site >= self.k {
+        if site >= self.head.k {
             return Err(RunError::SiteOutOfRange {
                 site,
-                k: self.k,
-                time: self.time + self.staged_total as u64 + 1,
+                k: self.head.k,
+                time: self.head.time + self.staged_total as u64 + 1,
             }
             .into());
         }
         if !self.deletions_ok && input.delta_of() < 0 {
             return Err(RunError::DeletionUnsupported {
-                kind: self.kind,
-                time: self.time + self.staged_total as u64 + 1,
+                kind: self.head.kind,
+                time: self.head.time + self.staged_total as u64 + 1,
             }
             .into());
         }
@@ -1628,22 +1554,22 @@ where
         // any scalar or ledger.
         outs.sort_unstable_by_key(|&(sid, _)| sid);
         for (_, out) in &outs {
-            self.f += out.f_delta;
+            self.head.f += out.f_delta;
             self.agg_estimate += out.est_delta;
-            self.key_violations += out.violations;
-            if out.max_err > self.max_err {
-                self.max_err = out.max_err;
+            self.head.key_violations += out.violations;
+            if out.max_err > self.head.max_err {
+                self.head.max_err = out.max_err;
             }
-            self.tracker_stats.merge(&out.stats_delta);
+            self.head.tracker_stats.merge(&out.stats_delta);
         }
-        self.time += n;
+        self.head.time += n;
         self.staged_total = 0;
-        self.boundaries += 1;
+        self.head.boundaries += 1;
         // Aggregate ε-audit: the fleet-wide Σf̂ versus Σf. Each term is
         // ε-accurate, so the sum of one-signed truths is too; the audit
         // records when mixed-sign cancellation breaks that.
-        if relative_error(self.f, self.agg_estimate) > eps * (1.0 + 1e-12) {
-            self.agg_violations += 1;
+        if relative_error(self.head.f, self.agg_estimate) > eps * (1.0 + 1e-12) {
+            self.head.agg_violations += 1;
         }
         Ok(())
     }
@@ -1732,15 +1658,7 @@ where
             shards.push(shard.records(&self.proto)?);
         }
         Ok(FleetCheckpoint {
-            kind: self.kind,
-            k: self.k,
-            time: self.time,
-            f: self.f,
-            boundaries: self.boundaries,
-            key_violations: self.key_violations,
-            agg_violations: self.agg_violations,
-            max_err: self.max_err,
-            tracker_stats: self.tracker_stats.clone(),
+            head: self.head.clone(),
             shards,
         })
     }
@@ -1777,7 +1695,7 @@ where
         F: FnOnce(Vec<FleetFeed<In>>),
     {
         let started = Instant::now();
-        validate_sites(sites, self.k, self.kind, self.time)?;
+        validate_sites(sites, self.head.k, self.head.kind, self.head.time)?;
         let mark = self.mark();
         let batch = self.cfg.batch_size();
         let queue_cap = self.cfg.queue_capacity_value();
@@ -1849,27 +1767,27 @@ where
 
     fn mark(&self) -> Mark {
         Mark {
-            time: self.time,
-            boundaries: self.boundaries,
-            key_violations: self.key_violations,
-            agg_violations: self.agg_violations,
+            time: self.head.time,
+            boundaries: self.head.boundaries,
+            key_violations: self.head.key_violations,
+            agg_violations: self.head.agg_violations,
         }
     }
 
     fn finish_report(&self, mark: Mark, started: Instant) -> FleetReport {
         FleetReport {
-            n: self.time - mark.time,
-            boundaries: self.boundaries - mark.boundaries,
+            n: self.head.time - mark.time,
+            boundaries: self.head.boundaries - mark.boundaries,
             live_keys: self.len() as u64,
             shards: self.cfg.shards_count(),
             workers: self.cfg.workers_count(),
             batch: self.cfg.batch_size(),
-            final_f: self.f,
+            final_f: self.head.f,
             final_estimate: self.agg_estimate,
-            key_violations: self.key_violations - mark.key_violations,
-            aggregate_violations: self.agg_violations - mark.agg_violations,
-            max_rel_err: self.max_err,
-            tracker_stats: self.tracker_stats.clone(),
+            key_violations: self.head.key_violations - mark.key_violations,
+            aggregate_violations: self.head.agg_violations - mark.agg_violations,
+            max_rel_err: self.head.max_err,
+            tracker_stats: self.head.tracker_stats.clone(),
             ingest_stats: self.ingest_stats.clone(),
             elapsed: started.elapsed(),
         }

@@ -2,13 +2,26 @@
 //!
 //! [`crate::ShardedEngine::run_parted`] synchronizes every round from one
 //! feeder thread: a slow feed stalls every shard. This module is the
-//! decoupling layer that fixes that. Each feed gets a **bounded SPSC ring
-//! queue** (hand-rolled on atomics — no dependencies); the producer side
-//! is a [`ShardFeed`] handle the feeder code pushes into, the consumer
-//! side is drained by the owning shard worker inside
+//! decoupling layer that fixes that. Each feed gets a **bounded
+//! single-producer / single-consumer queue**; the producer side is a
+//! [`ShardFeed`] handle the feeder code pushes into, the consumer side is
+//! drained by the owning shard worker inside
 //! [`crate::ShardedEngine::run_pipelined`]. A feed that lags only stalls
 //! the shard it feeds; every other worker keeps absorbing, and the
 //! coordinator reconciles completed boundaries concurrently.
+//!
+//! ## The queue
+//!
+//! The queue is a plain monitor on `std` primitives: a `VecDeque`, the
+//! closed flag, the ledger and the parked async producer's waker live
+//! under **one** mutex, every condition is checked and changed under it,
+//! and the two waits (producer on a full queue, consumer on an empty one)
+//! are untimed `Condvar` waits — an idle feed costs nothing. Transfers
+//! are chunk-grained (a push or a pop moves its whole chunk as two slice
+//! copies per lock acquisition), so with the engine's batch-sized chunks
+//! the lock is noise on the throughput path; DESIGN.md §7 has the
+//! measurements. Because close and push serialize on the lock, an input
+//! is never acknowledged behind a close.
 //!
 //! ## Backpressure
 //!
@@ -43,22 +56,21 @@
 //! the boundary cut are byte-for-byte the same with the knob on or off,
 //! and producers never pay the sort/RLE cost on their threads.
 //!
-//! ## The `async-ingest` feature
+//! ## Async pushes
 //!
-//! With the `async-ingest` feature the handles additionally expose
-//! `ShardFeed::push_async` / `ShardFeed::push_batch_async`: futures
+//! [`ShardFeed::push_async`] / [`ShardFeed::push_batch_async`] are futures
 //! that resolve when the input is enqueued, awaiting capacity instead of
-//! blocking the thread. The futures are runtime-agnostic (plain
-//! `std::future` wakers — they run on `tokio` or any other executor, and
-//! the feature adds no dependency).
+//! blocking the thread. They are runtime-agnostic (plain `std::future`
+//! wakers — they run on `tokio` or any other executor) and always
+//! compiled: the waker is one more field under the queue's lock.
 
 use crate::partition::InputDelta;
 use dsv_net::{FeedFrame, IngestStats, SiteId};
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::future::Future;
+use std::pin::Pin;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::task::{Context, Poll, Waker};
 
 /// What a [`ShardFeed`] push does when its bounded queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -123,230 +135,167 @@ impl std::fmt::Display for FeedError {
 
 impl std::error::Error for FeedError {}
 
-/// How long a parked producer or consumer sleeps per condvar wait. The
-/// waiting protocol re-checks its condition before every wait, so this is
-/// a robustness bound on wakeup latency, not a poll period.
-const PARK_TIMEOUT: Duration = Duration::from_micros(100);
-
-/// The bounded SPSC ring. One producer ([`ShardFeed`]) and one consumer
-/// (the owning worker's [`RingConsumer`]) — the discipline is enforced by
-/// handle ownership, not checked at runtime.
-///
-/// Lock-free on the data path: `tail` counts items ever pushed (written
-/// by the producer only), `head` items ever popped (consumer only), both
-/// monotone, so `tail - head` is the occupancy and slot `i % cap` is safe
-/// to write iff `tail - head < cap` and safe to read iff `head < tail`.
-/// The Release store of each counter publishes the slot writes/reads that
-/// preceded it; the opposite side's Acquire load observes them. Waiting
-/// (full producer, empty consumer) is a classic monitor: the waiter
-/// re-checks its condition under the `gate` mutex before waiting, and the
-/// other side notifies under the same mutex after every counter advance —
-/// chunk-grained, so the lock is uncontended noise on the throughput
-/// path, and wakeups can never be lost (the timed wait is pure belt and
-/// braces).
-pub(crate) struct Ring<T: Copy> {
-    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    cap: usize,
-    tail: AtomicU64,
-    head: AtomicU64,
-    closed: AtomicBool,
-    gate: Mutex<()>,
-    not_full: Condvar,
-    not_empty: Condvar,
-    // Ledger counters (relaxed; read by the engine after the run).
-    frames: AtomicU64,
-    items: AtomicU64,
-    words: AtomicU64,
-    push_stalls: AtomicU64,
-    pop_waits: AtomicU64,
-    occ_sum: AtomicU64,
-    occ_samples: AtomicU64,
-    high_water: AtomicU64,
-    #[cfg(feature = "async-ingest")]
-    prod_waker: Mutex<Option<std::task::Waker>>,
+/// Everything the two ends of a [`Ring`] share, under its one lock.
+struct Shared<T> {
+    queue: VecDeque<T>,
+    closed: bool,
+    /// The producer's waker while an async push is pending on a full
+    /// queue; taken (and woken) by the next pop or by the close.
+    waker: Option<Waker>,
+    /// The ring's ledger, `dropped` excepted ([`Ring::drain_stats`]
+    /// reads it off the queue at teardown).
+    stats: IngestStats,
 }
 
-// SAFETY: the slots are accessed from two threads, but never the same
-// slot concurrently — the producer only writes slots in `head + cap >
-// i >= tail` territory it owns, the consumer only reads slots `< tail`
-// it owns, and the Acquire/Release counter handshake orders the accesses
-// (see the type docs). `T: Copy` means no drops are ever owed.
-unsafe impl<T: Copy + Send> Sync for Ring<T> {}
-unsafe impl<T: Copy + Send> Send for Ring<T> {}
+impl<T> Shared<T> {
+    /// Count the frame of a push call that is over (completed, or cut
+    /// short by a close or a full queue) after landing `pushed` inputs,
+    /// and sample occupancy: resident items once the frame has landed —
+    /// the queue depth a new arrival would see behind it. A call that
+    /// landed nothing is no frame.
+    fn end_frame(&mut self, pushed: usize) {
+        if pushed > 0 {
+            let occupancy = self.queue.len() as u64;
+            self.stats.frames += 1;
+            self.stats.occupancy_sum += occupancy;
+            self.stats.occupancy_samples += 1;
+            self.stats.high_water = self.stats.high_water.max(occupancy);
+        }
+    }
+
+    /// Count `call` as a push stall, once however long it stalls.
+    fn stall(&mut self, call: &mut Progress) {
+        if !call.stalled {
+            call.stalled = true;
+            self.stats.push_stalls += 1;
+        }
+    }
+}
+
+/// The bounded SPSC queue. One producer (a [`ShardFeed`] or [`FleetFeed`])
+/// and one consumer (the owning worker's [`RingConsumer`]) — the
+/// discipline is enforced by handle ownership, not checked at runtime.
+///
+/// A monitor: all state is in [`Shared`] behind `shared`, a producer out
+/// of space waits on `not_full`, a consumer out of data on `not_empty`,
+/// and whoever changes the condition notifies while still holding the
+/// lock — so a wakeup cannot be lost and no wait needs a timeout.
+pub(crate) struct Ring<T: Copy> {
+    cap: usize,
+    shared: Mutex<Shared<T>>,
+    not_full: Condvar,
+    not_empty: Condvar,
+}
 
 impl<T: Copy> Ring<T> {
     pub(crate) fn new(cap: usize) -> Self {
         assert!(cap > 0, "ring capacity must be positive (validated)");
-        let slots = (0..cap)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         Ring {
-            slots,
             cap,
-            tail: AtomicU64::new(0),
-            head: AtomicU64::new(0),
-            closed: AtomicBool::new(false),
-            gate: Mutex::new(()),
+            shared: Mutex::new(Shared {
+                queue: VecDeque::with_capacity(cap),
+                closed: false,
+                waker: None,
+                stats: IngestStats::new(),
+            }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
-            frames: AtomicU64::new(0),
-            items: AtomicU64::new(0),
-            words: AtomicU64::new(0),
-            push_stalls: AtomicU64::new(0),
-            pop_waits: AtomicU64::new(0),
-            occ_sum: AtomicU64::new(0),
-            occ_samples: AtomicU64::new(0),
-            high_water: AtomicU64::new(0),
-            #[cfg(feature = "async-ingest")]
-            prod_waker: Mutex::new(None),
         }
+    }
+
+    /// Every update leaves [`Shared`] valid at every step (at worst the
+    /// ledger misses a frame), so a guard poisoned by a panicking peer is
+    /// still good — and [`close`](Self::close) runs in `Drop`, which must
+    /// not panic.
+    fn lock(&self) -> MutexGuard<'_, Shared<T>> {
+        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wait on `cv`, releasing `st`; poison-tolerant like [`lock`](Self::lock).
+    fn wait<'a>(cv: &Condvar, st: MutexGuard<'a, Shared<T>>) -> MutexGuard<'a, Shared<T>> {
+        cv.wait(st).unwrap_or_else(PoisonError::into_inner)
     }
 
     fn occupancy(&self) -> u64 {
-        self.tail.load(Ordering::Relaxed) - self.head.load(Ordering::Acquire)
-    }
-
-    fn is_full(&self) -> bool {
-        self.occupancy() >= self.cap as u64
-    }
-
-    /// Base pointer of the slot array as `*mut T` (the sanctioned
-    /// `UnsafeCell` path; `UnsafeCell<MaybeUninit<T>>` is layout-
-    /// transparent over `T`, and consecutive slots are contiguous).
-    fn base(&self) -> *mut T {
-        UnsafeCell::raw_get(self.slots.as_ptr()).cast::<T>()
-    }
-
-    /// Producer-only: enqueue as many of `xs` as fit right now, as at
-    /// most two contiguous `memcpy` segments (no per-item index math).
-    /// Returns the number enqueued. Never waits, and never enqueues into
-    /// a closed ring (the caller reports a typed `Closed` instead), so a
-    /// push racing an engine force-close cannot acknowledge inputs no
-    /// worker will drain — except in the unavoidable window where the
-    /// close lands between this check and the `tail` publication, which
-    /// teardown accounts as [`IngestStats::dropped`].
-    pub(crate) fn push_some(&self, xs: &[T]) -> usize {
-        if self.is_closed() {
-            return 0;
-        }
-        let t = self.tail.load(Ordering::Relaxed);
-        let h = self.head.load(Ordering::Acquire);
-        let space = self.cap as u64 - (t - h);
-        let n = xs.len().min(space as usize);
-        if n == 0 {
-            return 0;
-        }
-        let start = (t % self.cap as u64) as usize;
-        let first = n.min(self.cap - start);
-        // SAFETY: slots `t..t+space` are unoccupied (consumer is at `h`
-        // and `t + space - h == cap`) and owned by this producer; the two
-        // segments stay inside the allocation and cannot alias `xs`.
-        unsafe {
-            std::ptr::copy_nonoverlapping(xs.as_ptr(), self.base().add(start), first);
-            std::ptr::copy_nonoverlapping(xs.as_ptr().add(first), self.base(), n - first);
-        }
-        self.tail.store(t + n as u64, Ordering::Release);
-        // Publish under the gate: a consumer past its own re-check is
-        // either already waiting (notified) or will re-check the new tail
-        // once it acquires the gate — wakeups cannot be lost.
-        let _guard = self.gate.lock().unwrap();
-        self.not_empty.notify_all();
-        n
-    }
-
-    /// Producer-only: park until the queue has space or is closed.
-    pub(crate) fn wait_not_full(&self) {
-        let guard = self.gate.lock().unwrap();
-        if self.is_full() && !self.closed.load(Ordering::Acquire) {
-            let _unused = self.not_full.wait_timeout(guard, PARK_TIMEOUT).unwrap();
-        }
+        self.lock().queue.len() as u64
     }
 
     /// Close the queue (idempotent; producer side or engine teardown).
+    /// Once this returns no push lands: the flag is set under the lock
+    /// every push checks it under.
     pub(crate) fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        let _guard = self.gate.lock().unwrap();
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-        #[cfg(feature = "async-ingest")]
-        if let Some(waker) = self.prod_waker.lock().unwrap().take() {
+        let waker = {
+            let mut st = self.lock();
+            st.closed = true;
+            self.not_empty.notify_all();
+            self.not_full.notify_all();
+            st.waker.take()
+        };
+        if let Some(waker) = waker {
             waker.wake();
         }
     }
 
+    #[cfg(test)]
     pub(crate) fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
+        self.lock().closed
     }
 
     /// Consumer-only: pop exactly `want` items into `out`, waiting for
     /// the producer as needed; fewer only when the queue is closed and
     /// drained (the feed's final partial round).
     pub(crate) fn pop_round(&self, out: &mut Vec<T>, want: usize) {
+        let mut st = self.lock();
         let mut waited = false;
         while out.len() < want {
-            let h = self.head.load(Ordering::Relaxed);
-            let t = self.tail.load(Ordering::Acquire);
-            if t == h {
-                if self.closed.load(Ordering::Acquire) {
-                    // `closed` is set after the final push; re-read the
-                    // tail so a push racing the close is not dropped.
-                    if self.tail.load(Ordering::Acquire) == h {
-                        break;
-                    }
-                    continue;
+            if st.queue.is_empty() {
+                if st.closed {
+                    break;
                 }
                 if !waited {
                     waited = true;
-                    self.pop_waits.fetch_add(1, Ordering::Relaxed);
+                    st.stats.pop_waits += 1;
                 }
-                let guard = self.gate.lock().unwrap();
-                if self.tail.load(Ordering::Acquire) == h && !self.closed.load(Ordering::Acquire) {
-                    let _unused = self.not_empty.wait_timeout(guard, PARK_TIMEOUT).unwrap();
-                }
+                st = Self::wait(&self.not_empty, st);
                 continue;
             }
-            let take = ((t - h) as usize).min(want - out.len());
-            let start = (h % self.cap as u64) as usize;
-            let first = take.min(self.cap - start);
-            // SAFETY: slots `h..t` were initialized by the producer and
-            // published by its Release store of `tail`; this consumer
-            // owns them until it advances `head`. Viewing them as `&[T]`
-            // is sound — the producer only writes the disjoint free
-            // region.
-            unsafe {
-                out.extend_from_slice(std::slice::from_raw_parts(self.base().add(start), first));
-                out.extend_from_slice(std::slice::from_raw_parts(self.base(), take - first));
-            }
-            self.head.store(h + take as u64, Ordering::Release);
-            {
-                let _guard = self.gate.lock().unwrap();
-                self.not_full.notify_all();
-            }
-            #[cfg(feature = "async-ingest")]
-            if let Some(waker) = self.prod_waker.lock().unwrap().take() {
+            let take = st.queue.len().min(want - out.len());
+            let (front, back) = st.queue.as_slices();
+            let first = take.min(front.len());
+            out.extend_from_slice(&front[..first]);
+            out.extend_from_slice(&back[..take - first]);
+            st.queue.drain(..take);
+            self.not_full.notify_one();
+            if let Some(waker) = st.waker.take() {
+                // Woken outside the lock: a waker may poll inline.
+                drop(st);
                 waker.wake();
+                st = self.lock();
             }
         }
     }
 
     /// Fold this ring's counters into an engine-level ledger (called
     /// after the run, once the workers have exited). Inputs still
-    /// resident — possible only when a stashed handle's push raced the
-    /// engine's force-close — are surfaced as `dropped` rather than
-    /// silently vanishing.
+    /// resident — the consumer stopped before draining them — are
+    /// surfaced as `dropped` rather than silently vanishing.
     pub(crate) fn drain_stats(&self, into: &mut IngestStats) {
+        let st = self.lock();
         into.merge(&IngestStats {
-            frames: self.frames.load(Ordering::Relaxed),
-            items: self.items.load(Ordering::Relaxed),
-            words: self.words.load(Ordering::Relaxed),
-            push_stalls: self.push_stalls.load(Ordering::Relaxed),
-            pop_waits: self.pop_waits.load(Ordering::Relaxed),
-            occupancy_sum: self.occ_sum.load(Ordering::Relaxed),
-            occupancy_samples: self.occ_samples.load(Ordering::Relaxed),
-            high_water: self.high_water.load(Ordering::Relaxed),
-            dropped: self.occupancy(),
+            dropped: st.queue.len() as u64,
+            ..st.stats.clone()
         });
+    }
+}
+
+impl<T: Copy> std::fmt::Debug for Ring<T> {
+    fn fmt(&self, fm: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let st = self.lock();
+        fm.debug_struct("Ring")
+            .field("cap", &self.cap)
+            .field("occupancy", &st.queue.len())
+            .field("closed", &st.closed)
+            .finish()
     }
 }
 
@@ -363,6 +312,155 @@ impl<T: Copy> RingConsumer<T> {
     }
 }
 
+/// How far one push call has got: it may span several lock acquisitions
+/// (a full queue mid-chunk) or, on the async path, several polls.
+#[derive(Debug, Default)]
+struct Progress {
+    /// Inputs of the call landed so far.
+    pushed: usize,
+    /// Whether the call has already been counted as a push stall.
+    stalled: bool,
+}
+
+/// The producer end of one ring: the whole push protocol, written once
+/// under [`ShardFeed`] (plain inputs) and [`FleetFeed`] (keyed inputs —
+/// a plain input one word wider). Single producer by ownership.
+#[derive(Debug)]
+struct Producer<T: Copy> {
+    ring: Arc<Ring<T>>,
+    feed: usize,
+    policy: Backpressure,
+    deletions_ok: bool,
+}
+
+impl<T: InputDelta> Producer<T> {
+    /// Open a push call: validate the whole chunk (before taking the
+    /// lock), then check the feed is open. A closed feed outranks a
+    /// rejected deletion.
+    fn begin(&self, xs: &[T]) -> Result<MutexGuard<'_, Shared<T>>, FeedError> {
+        let deletion = if self.deletions_ok {
+            None
+        } else {
+            xs.iter().position(|x| x.delta_of() < 0)
+        };
+        let st = self.ring.lock();
+        if st.closed {
+            Err(FeedError::Closed { pushed: 0 })
+        } else if let Some(at) = deletion {
+            Err(FeedError::DeletionUnsupported { at })
+        } else {
+            Ok(st)
+        }
+    }
+
+    /// One step of a push call, under the lock: land as much of the rest
+    /// of `xs` as fits right now (two slice copies) and charge it. `Some`
+    /// once the call is over — everything landed, or the feed was closed
+    /// under it (engine teardown; the landed prefix is consumed like any
+    /// other inputs, so it is charged like any other inputs); `None`
+    /// while inputs are left and the queue is full.
+    fn offer(
+        &self,
+        st: &mut Shared<T>,
+        xs: &[T],
+        call: &mut Progress,
+    ) -> Option<Result<(), FeedError>> {
+        if st.closed {
+            st.end_frame(call.pushed);
+            return Some(Err(FeedError::Closed {
+                pushed: call.pushed,
+            }));
+        }
+        let rest = &xs[call.pushed..];
+        let n = rest.len().min(self.ring.cap - st.queue.len());
+        if n > 0 {
+            st.queue.extend(&rest[..n]);
+            let frame = FeedFrame::for_chunk(self.feed, n, T::WORDS);
+            st.stats.items += frame.items as u64;
+            st.stats.words += frame.words as u64;
+            call.pushed += n;
+            self.ring.not_empty.notify_one();
+        }
+        if call.pushed < xs.len() {
+            return None;
+        }
+        st.end_frame(call.pushed);
+        Some(Ok(()))
+    }
+
+    fn try_push(&mut self, x: T) -> Result<(), FeedError> {
+        let xs = [x];
+        let mut st = self.begin(&xs)?;
+        self.offer(&mut st, &xs, &mut Progress::default())
+            .unwrap_or(Err(FeedError::Full { pushed: 0 }))
+    }
+
+    fn push_batch(&mut self, xs: &[T]) -> Result<(), FeedError> {
+        let ring = &*self.ring;
+        let mut st = self.begin(xs)?;
+        let mut call = Progress::default();
+        loop {
+            if let Some(done) = self.offer(&mut st, xs, &mut call) {
+                return done;
+            }
+            st = match self.policy {
+                Backpressure::Error => {
+                    st.end_frame(call.pushed);
+                    return Err(FeedError::Full {
+                        pushed: call.pushed,
+                    });
+                }
+                Backpressure::Yield => {
+                    st.stall(&mut call);
+                    drop(st);
+                    std::thread::yield_now();
+                    ring.lock()
+                }
+                Backpressure::Block => {
+                    st.stall(&mut call);
+                    Ring::wait(&ring.not_full, st)
+                }
+            };
+        }
+    }
+
+    /// One poll of an async push. Ledger semantics match the sync calls:
+    /// inputs are charged as they land (across polls), the frame when the
+    /// call is over, and a call that ever suspends is one push stall.
+    /// The waker is registered under the same lock the consumer pops
+    /// under, so a pop cannot slip between the failed offer and the
+    /// registration.
+    fn poll_push(
+        &mut self,
+        cx: &mut Context<'_>,
+        xs: &[T],
+        call: &mut Progress,
+    ) -> Poll<Result<(), FeedError>> {
+        let mut st = if call.pushed == 0 {
+            match self.begin(xs) {
+                Ok(st) => st,
+                Err(e) => return Poll::Ready(Err(e)),
+            }
+        } else {
+            self.ring.lock()
+        };
+        match self.offer(&mut st, xs, call) {
+            Some(done) => Poll::Ready(done),
+            None => {
+                st.stall(call);
+                st.waker = Some(cx.waker().clone());
+                Poll::Pending
+            }
+        }
+    }
+}
+
+impl<T: Copy> Drop for Producer<T> {
+    fn drop(&mut self) {
+        self.ring.close();
+    }
+}
+
 /// The producer handle for one feed of a pipelined run: push inputs for
 /// one site into its shard's bounded queue.
 ///
@@ -374,24 +472,9 @@ impl<T: Copy> RingConsumer<T> {
 /// [`FeedError::Closed`].
 #[derive(Debug)]
 pub struct ShardFeed<In: Copy> {
-    ring: Arc<Ring<In>>,
-    feed: usize,
+    tx: Producer<In>,
     site: SiteId,
     shard: usize,
-    policy: Backpressure,
-    deletions_ok: bool,
-    words_per_item: usize,
-    closed: bool,
-}
-
-impl<In: Copy> std::fmt::Debug for Ring<In> {
-    fn fmt(&self, fm: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        fm.debug_struct("Ring")
-            .field("cap", &self.cap)
-            .field("occupancy", &self.occupancy())
-            .field("closed", &self.is_closed())
-            .finish()
-    }
 }
 
 impl<In: InputDelta> ShardFeed<In> {
@@ -404,14 +487,14 @@ impl<In: InputDelta> ShardFeed<In> {
         deletions_ok: bool,
     ) -> Self {
         ShardFeed {
-            ring,
-            feed,
+            tx: Producer {
+                ring,
+                feed,
+                policy,
+                deletions_ok,
+            },
             site,
             shard,
-            policy,
-            deletions_ok,
-            words_per_item: In::WORDS,
-            closed: false,
         }
     }
 
@@ -427,74 +510,24 @@ impl<In: InputDelta> ShardFeed<In> {
 
     /// The queue's capacity in inputs.
     pub fn capacity(&self) -> usize {
-        self.ring.cap
+        self.tx.ring.cap
     }
 
     /// Inputs currently resident in the queue (racy snapshot).
     pub fn occupancy(&self) -> u64 {
-        self.ring.occupancy()
-    }
-
-    fn check_open(&self, pushed: usize) -> Result<(), FeedError> {
-        if self.closed || self.ring.is_closed() {
-            Err(FeedError::Closed { pushed })
-        } else {
-            Ok(())
-        }
-    }
-
-    fn check_delta(&self, x: In, at: usize) -> Result<(), FeedError> {
-        if !self.deletions_ok && x.delta_of() < 0 {
-            Err(FeedError::DeletionUnsupported { at })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Charge `items` enqueued inputs (traffic volume only; the async
-    /// path calls this once per landed segment).
-    fn charge_items(&self, items: usize) {
-        let frame = FeedFrame::for_chunk(self.feed, items, self.words_per_item);
-        let r = &self.ring;
-        r.items.fetch_add(frame.items as u64, Ordering::Relaxed);
-        r.words.fetch_add(frame.words as u64, Ordering::Relaxed);
-    }
-
-    /// Count one frame (one `push` / `push_batch` call, sync or async)
-    /// and sample occupancy: resident items once the frame has landed —
-    /// the queue depth a new arrival would see behind it.
-    fn charge_frame_meta(&self) {
-        let r = &self.ring;
-        let occupancy = r.occupancy();
-        r.frames.fetch_add(1, Ordering::Relaxed);
-        r.occ_sum.fetch_add(occupancy, Ordering::Relaxed);
-        r.occ_samples.fetch_add(1, Ordering::Relaxed);
-        r.high_water.fetch_max(occupancy, Ordering::Relaxed);
-    }
-
-    /// Charge one complete frame of `items` inputs.
-    fn charge(&self, items: usize) {
-        self.charge_items(items);
-        self.charge_frame_meta();
+        self.tx.ring.occupancy()
     }
 
     /// Push one input, honoring the configured [`Backpressure`] policy
     /// when the queue is full.
     pub fn push(&mut self, x: In) -> Result<(), FeedError> {
-        self.push_batch(&[x])
+        self.tx.push_batch(&[x])
     }
 
     /// Push one input without ever waiting, regardless of policy:
     /// [`FeedError::Full`] if the queue has no space right now.
     pub fn try_push(&mut self, x: In) -> Result<(), FeedError> {
-        self.check_open(0)?;
-        self.check_delta(x, 0)?;
-        if self.ring.push_some(&[x]) == 1 {
-            self.charge(1);
-            Ok(())
-        } else {
-            Err(FeedError::Full { pushed: 0 })
-        }
+        self.tx.try_push(x)
     }
 
     /// Push a chunk of inputs in order, honoring the configured
@@ -502,54 +535,29 @@ impl<In: InputDelta> ShardFeed<In> {
     /// error, `pushed` inputs of this call were enqueued (and will be
     /// consumed); the rest were not.
     pub fn push_batch(&mut self, xs: &[In]) -> Result<(), FeedError> {
-        self.check_open(0)?;
-        for (i, &x) in xs.iter().enumerate() {
-            self.check_delta(x, i)?;
+        self.tx.push_batch(xs)
+    }
+
+    /// Async push: resolves once the input is enqueued, awaiting
+    /// capacity instead of blocking the thread. (The sync
+    /// [`Backpressure`] policy does not apply — awaiting *is* the
+    /// backpressure.)
+    pub fn push_async(&mut self, x: In) -> AsyncPush<'_, In> {
+        AsyncPush {
+            tx: &mut self.tx,
+            x,
+            call: Progress::default(),
         }
-        let mut pushed = 0;
-        let mut stalled = false;
-        while pushed < xs.len() {
-            if let Err(e) = self.check_open(pushed) {
-                // The feed closed mid-chunk (engine teardown): the
-                // enqueued prefix is consumed like any other inputs, so
-                // it is charged like any other inputs.
-                if pushed > 0 {
-                    self.charge(pushed);
-                }
-                return Err(e);
-            }
-            let n = self.ring.push_some(&xs[pushed..]);
-            pushed += n;
-            if pushed == xs.len() {
-                break;
-            }
-            match self.policy {
-                Backpressure::Error => {
-                    if pushed > 0 {
-                        self.charge(pushed);
-                    }
-                    return Err(FeedError::Full { pushed });
-                }
-                Backpressure::Yield => {
-                    if !stalled {
-                        stalled = true;
-                        self.ring.push_stalls.fetch_add(1, Ordering::Relaxed);
-                    }
-                    std::thread::yield_now();
-                }
-                Backpressure::Block => {
-                    if !stalled {
-                        stalled = true;
-                        self.ring.push_stalls.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.ring.wait_not_full();
-                }
-            }
+    }
+
+    /// Async chunk push; see [`push_async`](Self::push_async). The
+    /// chunk is enqueued in order, possibly across several polls.
+    pub fn push_batch_async<'a>(&'a mut self, xs: &'a [In]) -> AsyncPushBatch<'a, In> {
+        AsyncPushBatch {
+            tx: &mut self.tx,
+            xs,
+            call: Progress::default(),
         }
-        if pushed > 0 {
-            self.charge(pushed);
-        }
-        Ok(())
     }
 
     /// Close the feed: the worker drains what was pushed, finishes the
@@ -557,19 +565,7 @@ impl<In: InputDelta> ShardFeed<In> {
     /// Idempotent; also performed on drop. Pushing after a close is a
     /// typed [`FeedError::Closed`].
     pub fn close(&mut self) {
-        if !self.closed {
-            self.closed = true;
-            self.ring.close();
-        }
-    }
-}
-
-impl<In: Copy> Drop for ShardFeed<In> {
-    fn drop(&mut self) {
-        if !self.closed {
-            self.closed = true;
-            self.ring.close();
-        }
+        self.tx.ring.close();
     }
 }
 
@@ -582,16 +578,13 @@ impl<In: Copy> Drop for ShardFeed<In> {
 /// configured [`Backpressure`] policy applies when the queue fills.
 /// Unlike a [`ShardFeed`], a fleet feed is not tied to a site or shard —
 /// the key routes each delta to its shard on the consumer side, which is
-/// why the traffic is charged as *keyed* frames
-/// ([`FeedFrame::for_keyed_chunk`]: every input ships its routing key as
-/// one extra word) to the fleet's [`IngestStats`] ledger.
+/// why the traffic is charged as *keyed* frames (every input ships its
+/// routing key as one extra word — [`FeedFrame::for_keyed_chunk`], here
+/// the `(key, input)` pair's own [`InputDelta::WORDS`]) to the fleet's
+/// [`IngestStats`] ledger.
 #[derive(Debug)]
 pub struct FleetFeed<In: Copy> {
-    ring: Arc<Ring<(u64, In)>>,
-    feed: usize,
-    policy: Backpressure,
-    deletions_ok: bool,
-    closed: bool,
+    tx: Producer<(u64, In)>,
 }
 
 impl<In: InputDelta> FleetFeed<In> {
@@ -602,292 +595,102 @@ impl<In: InputDelta> FleetFeed<In> {
         deletions_ok: bool,
     ) -> Self {
         FleetFeed {
-            ring,
-            feed,
-            policy,
-            deletions_ok,
-            closed: false,
+            tx: Producer {
+                ring,
+                feed,
+                policy,
+                deletions_ok,
+            },
         }
     }
 
     /// This feed's index among the run's feeds (drain order).
     pub fn feed(&self) -> usize {
-        self.feed
+        self.tx.feed
     }
 
     /// The queue's capacity in keyed inputs.
     pub fn capacity(&self) -> usize {
-        self.ring.cap
+        self.tx.ring.cap
     }
 
     /// Keyed inputs currently resident in the queue (racy snapshot).
     pub fn occupancy(&self) -> u64 {
-        self.ring.occupancy()
-    }
-
-    fn check_open(&self, pushed: usize) -> Result<(), FeedError> {
-        if self.closed || self.ring.is_closed() {
-            Err(FeedError::Closed { pushed })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Charge one keyed frame of `items` enqueued inputs.
-    fn charge(&self, items: usize) {
-        let frame = FeedFrame::for_keyed_chunk(self.feed, items, In::WORDS);
-        let r = &self.ring;
-        r.items.fetch_add(frame.items as u64, Ordering::Relaxed);
-        r.words.fetch_add(frame.words as u64, Ordering::Relaxed);
-        let occupancy = r.occupancy();
-        r.frames.fetch_add(1, Ordering::Relaxed);
-        r.occ_sum.fetch_add(occupancy, Ordering::Relaxed);
-        r.occ_samples.fetch_add(1, Ordering::Relaxed);
-        r.high_water.fetch_max(occupancy, Ordering::Relaxed);
+        self.tx.ring.occupancy()
     }
 
     /// Push one keyed delta, honoring the configured [`Backpressure`]
     /// policy when the queue is full.
     pub fn push(&mut self, key: u64, input: In) -> Result<(), FeedError> {
-        self.push_batch(&[(key, input)])
+        self.tx.push_batch(&[(key, input)])
     }
 
     /// Push one keyed delta without ever waiting, regardless of policy:
     /// [`FeedError::Full`] if the queue has no space right now.
     pub fn try_push(&mut self, key: u64, input: In) -> Result<(), FeedError> {
-        self.check_open(0)?;
-        if !self.deletions_ok && input.delta_of() < 0 {
-            return Err(FeedError::DeletionUnsupported { at: 0 });
-        }
-        if self.ring.push_some(&[(key, input)]) == 1 {
-            self.charge(1);
-            Ok(())
-        } else {
-            Err(FeedError::Full { pushed: 0 })
-        }
+        self.tx.try_push((key, input))
     }
 
     /// Push a chunk of keyed deltas in order; identical contract to
     /// [`ShardFeed::push_batch`] (validated before transport, `pushed`
     /// counts the landed prefix on error).
     pub fn push_batch(&mut self, xs: &[(u64, In)]) -> Result<(), FeedError> {
-        self.check_open(0)?;
-        if !self.deletions_ok {
-            if let Some(at) = xs.iter().position(|&(_, x)| x.delta_of() < 0) {
-                return Err(FeedError::DeletionUnsupported { at });
-            }
-        }
-        let mut pushed = 0;
-        let mut stalled = false;
-        while pushed < xs.len() {
-            if let Err(e) = self.check_open(pushed) {
-                if pushed > 0 {
-                    self.charge(pushed);
-                }
-                return Err(e);
-            }
-            let n = self.ring.push_some(&xs[pushed..]);
-            pushed += n;
-            if pushed == xs.len() {
-                break;
-            }
-            match self.policy {
-                Backpressure::Error => {
-                    if pushed > 0 {
-                        self.charge(pushed);
-                    }
-                    return Err(FeedError::Full { pushed });
-                }
-                Backpressure::Yield => {
-                    if !stalled {
-                        stalled = true;
-                        self.ring.push_stalls.fetch_add(1, Ordering::Relaxed);
-                    }
-                    std::thread::yield_now();
-                }
-                Backpressure::Block => {
-                    if !stalled {
-                        stalled = true;
-                        self.ring.push_stalls.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.ring.wait_not_full();
-                }
-            }
-        }
-        if pushed > 0 {
-            self.charge(pushed);
-        }
-        Ok(())
+        self.tx.push_batch(xs)
     }
 
     /// Close the feed: the fleet drains what was pushed and stops
     /// expecting data. Idempotent; also performed on drop.
     pub fn close(&mut self) {
-        if !self.closed {
-            self.closed = true;
-            self.ring.close();
-        }
+        self.tx.ring.close();
     }
 }
 
-impl<In: Copy> Drop for FleetFeed<In> {
-    fn drop(&mut self) {
-        if !self.closed {
-            self.closed = true;
-            self.ring.close();
-        }
+/// Future of [`ShardFeed::push_async`].
+#[derive(Debug)]
+#[must_use = "futures do nothing unless polled"]
+pub struct AsyncPush<'a, In: Copy> {
+    tx: &'a mut Producer<In>,
+    x: In,
+    call: Progress,
+}
+
+/// Future of [`ShardFeed::push_batch_async`].
+#[derive(Debug)]
+#[must_use = "futures do nothing unless polled"]
+pub struct AsyncPushBatch<'a, In: Copy> {
+    tx: &'a mut Producer<In>,
+    xs: &'a [In],
+    call: Progress,
+}
+
+// The futures hold no self-references (the input is plain `Copy` data and
+// the producer a normal `&mut`), so they are always Unpin even when `In`
+// itself is not.
+impl<In: Copy> Unpin for AsyncPush<'_, In> {}
+impl<In: Copy> Unpin for AsyncPushBatch<'_, In> {}
+
+impl<In: InputDelta> Future for AsyncPush<'_, In> {
+    type Output = Result<(), FeedError>;
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        this.tx.poll_push(cx, &[this.x], &mut this.call)
     }
 }
 
-#[cfg(feature = "async-ingest")]
-mod async_feed {
-    //! Runtime-agnostic async pushes (`async-ingest` feature): plain
-    //! `std::future` futures that await queue capacity via the ring's
-    //! producer waker — drive them from `tokio`, any other executor, or a
-    //! hand-rolled `block_on`.
-
-    use super::{FeedError, ShardFeed};
-    use crate::partition::InputDelta;
-    use std::future::Future;
-    use std::pin::Pin;
-    use std::sync::atomic::Ordering;
-    use std::task::{Context, Poll};
-
-    impl<In: InputDelta> ShardFeed<In> {
-        /// Async push: resolves once the input is enqueued, awaiting
-        /// capacity instead of blocking the thread. (The sync
-        /// [`Backpressure`](super::Backpressure) policy does not apply —
-        /// awaiting *is* the backpressure.)
-        pub fn push_async(&mut self, x: In) -> AsyncPush<'_, In> {
-            AsyncPush {
-                feed: self,
-                x,
-                stalled: false,
-            }
-        }
-
-        /// Async chunk push; see [`push_async`](Self::push_async). The
-        /// chunk is enqueued in order, possibly across several polls.
-        pub fn push_batch_async<'a>(&'a mut self, xs: &'a [In]) -> AsyncPushBatch<'a, In> {
-            AsyncPushBatch {
-                feed: self,
-                xs,
-                at: 0,
-                stalled: false,
-            }
-        }
-
-        /// One poll step shared by the async futures: try to push
-        /// `xs[*at..]`, registering `cx`'s waker before parking.
-        ///
-        /// Ledger semantics match the sync calls: enqueued inputs are
-        /// charged as they land (segment by segment across polls), one
-        /// frame + occupancy sample is counted when the call completes —
-        /// or, like the sync error paths, when it errors with a landed
-        /// prefix — and a call that ever suspends counts one push stall
-        /// (`*stalled` persists across polls in the future's state).
-        fn poll_push(
-            &mut self,
-            cx: &mut Context<'_>,
-            xs: &[In],
-            at: &mut usize,
-            stalled: &mut bool,
-        ) -> Poll<Result<(), FeedError>> {
-            if *at == 0 {
-                if let Err(e) = self.check_open(0) {
-                    return Poll::Ready(Err(e));
-                }
-                for (i, &x) in xs.iter().enumerate() {
-                    if let Err(e) = self.check_delta(x, i) {
-                        return Poll::Ready(Err(e));
-                    }
-                }
-            }
-            loop {
-                if let Err(e) = self.check_open(*at) {
-                    if *at > 0 {
-                        self.charge_frame_meta();
-                    }
-                    return Poll::Ready(Err(e));
-                }
-                let n = self.ring.push_some(&xs[*at..]);
-                if n > 0 {
-                    self.charge_items(n);
-                    *at += n;
-                }
-                if *at == xs.len() {
-                    if !xs.is_empty() {
-                        self.charge_frame_meta();
-                    }
-                    return Poll::Ready(Ok(()));
-                }
-                // Register, then re-check: a consumer pop between the
-                // failed push and the registration must not be lost.
-                *self.ring.prod_waker.lock().unwrap() = Some(cx.waker().clone());
-                if self.ring.is_full() && !self.ring.is_closed() {
-                    if !*stalled {
-                        *stalled = true;
-                        self.ring.push_stalls.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Poll::Pending;
-                }
-            }
-        }
-    }
-
-    /// Future of [`ShardFeed::push_async`].
-    #[derive(Debug)]
-    #[must_use = "futures do nothing unless polled"]
-    pub struct AsyncPush<'a, In: Copy> {
-        feed: &'a mut ShardFeed<In>,
-        x: In,
-        stalled: bool,
-    }
-
-    // The futures hold no self-references (the input is plain `Copy`
-    // data and the feed a normal `&mut`), so they are always Unpin even
-    // when `In` itself is not.
-    impl<In: Copy> Unpin for AsyncPush<'_, In> {}
-    impl<In: Copy> Unpin for AsyncPushBatch<'_, In> {}
-
-    impl<In: InputDelta> Future for AsyncPush<'_, In> {
-        type Output = Result<(), FeedError>;
-        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-            let this = self.get_mut();
-            let x = this.x;
-            // A single input either enqueues fully or not at all, so the
-            // progress cursor can restart at 0 every poll.
-            let mut at = 0;
-            this.feed.poll_push(cx, &[x], &mut at, &mut this.stalled)
-        }
-    }
-
-    /// Future of [`ShardFeed::push_batch_async`].
-    #[derive(Debug)]
-    #[must_use = "futures do nothing unless polled"]
-    pub struct AsyncPushBatch<'a, In: Copy> {
-        feed: &'a mut ShardFeed<In>,
-        xs: &'a [In],
-        at: usize,
-        stalled: bool,
-    }
-
-    impl<In: InputDelta> Future for AsyncPushBatch<'_, In> {
-        type Output = Result<(), FeedError>;
-        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-            let this = self.get_mut();
-            let xs = this.xs;
-            this.feed.poll_push(cx, xs, &mut this.at, &mut this.stalled)
-        }
+impl<In: InputDelta> Future for AsyncPushBatch<'_, In> {
+    type Output = Result<(), FeedError>;
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        this.tx.poll_push(cx, this.xs, &mut this.call)
     }
 }
-
-#[cfg(feature = "async-ingest")]
-pub use async_feed::{AsyncPush, AsyncPushBatch};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::task::Wake;
+    use std::time::Duration;
 
     fn feed_pair(cap: usize, policy: Backpressure) -> (ShardFeed<i64>, RingConsumer<i64>) {
         let ring = Arc::new(Ring::new(cap));
@@ -1055,5 +858,154 @@ mod tests {
         assert_eq!(stats.occupancy_samples, 2);
         assert_eq!(stats.high_water, 4); // after the 4th input landed
         assert_eq!(stats.push_stalls, 0);
+    }
+
+    /// A parked consumer sleeps until it is notified: no timed wait, no
+    /// polling. (A 100 µs timed wait would wake ~3,000 times here.)
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_parked_consumer_does_not_poll() {
+        fn voluntary_switches() -> u64 {
+            let status = std::fs::read_to_string("/proc/thread-self/status").unwrap();
+            let line = status
+                .lines()
+                .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+                .expect("no voluntary_ctxt_switches line");
+            line.trim().parse().unwrap()
+        }
+        let (mut feed, cons) = feed_pair(4, Backpressure::Block);
+        std::thread::scope(|scope| {
+            let consumer = scope.spawn(move || {
+                let before = voluntary_switches();
+                let mut out = Vec::new();
+                cons.pop_round(&mut out, 1);
+                (out, voluntary_switches() - before)
+            });
+            std::thread::sleep(Duration::from_millis(300));
+            feed.push(7).unwrap();
+            let (out, switches) = consumer.join().unwrap();
+            assert_eq!(out, vec![7]);
+            assert!(
+                switches < 50,
+                "a consumer parked for 300 ms switched {switches} times"
+            );
+        });
+    }
+
+    /// Close and push serialize on the lock: whatever `push_batch`
+    /// acknowledges (`Ok`, or `pushed` in an error) is popped or counted
+    /// as dropped, and a call that starts after `close()` has returned
+    /// acknowledges nothing.
+    #[test]
+    fn a_close_racing_pushes_never_loses_or_invents_an_input() {
+        for i in 0..10_000usize {
+            let policy = [
+                Backpressure::Block,
+                Backpressure::Yield,
+                Backpressure::Error,
+            ][i % 3];
+            let (mut feed, cons) = feed_pair(8, policy);
+            let close_returned = AtomicBool::new(false);
+            let mut out = Vec::new();
+            let acked = std::thread::scope(|scope| {
+                let producer = scope.spawn(|| {
+                    let mut acked = 0usize;
+                    loop {
+                        let late = close_returned.load(Ordering::SeqCst);
+                        let xs: Vec<i64> = (acked as i64..acked as i64 + 5).collect();
+                        let (landed, over) = match feed.push_batch(&xs) {
+                            Ok(()) => (xs.len(), false),
+                            Err(FeedError::Full { pushed }) => (pushed, false),
+                            Err(FeedError::Closed { pushed }) => (pushed, true),
+                            Err(e) => panic!("unexpected feed error: {e}"),
+                        };
+                        assert!(
+                            !late || landed == 0,
+                            "{landed} inputs acknowledged after close() returned"
+                        );
+                        acked += landed;
+                        if over {
+                            return acked;
+                        }
+                    }
+                });
+                cons.pop_round(&mut out, i % 7);
+                cons.ring.close();
+                close_returned.store(true, Ordering::SeqCst);
+                producer.join().unwrap()
+            });
+            let mut stats = IngestStats::new();
+            cons.ring.drain_stats(&mut stats);
+            assert_eq!(stats.items, acked as u64);
+            assert_eq!(out.len() as u64 + stats.dropped, acked as u64);
+            cons.pop_round(&mut out, usize::MAX);
+            assert!(out.iter().copied().eq(0..acked as i64), "iteration {i}");
+        }
+    }
+
+    /// The tightest queue there is: every input is its own handoff.
+    #[test]
+    fn capacity_one_preserves_order_under_block_and_yield() {
+        for policy in [Backpressure::Block, Backpressure::Yield] {
+            let n = 100_000i64;
+            let (mut feed, cons) = feed_pair(1, policy);
+            std::thread::scope(|scope| {
+                scope.spawn(move || {
+                    let xs: Vec<i64> = (0..n).collect();
+                    let (singles, chunks) = xs.split_at(1_000);
+                    for &x in singles {
+                        feed.push(x).unwrap();
+                    }
+                    for chunk in chunks.chunks(4_999) {
+                        feed.push_batch(chunk).unwrap();
+                    }
+                });
+                let mut out = Vec::new();
+                cons.pop_round(&mut out, n as usize + 1);
+                assert!(out.iter().copied().eq(0..n), "{policy:?}");
+            });
+            let mut stats = IngestStats::new();
+            cons.ring.drain_stats(&mut stats);
+            assert_eq!(stats.items, n as u64, "{policy:?}");
+            assert_eq!(stats.high_water, 1);
+            assert_eq!(stats.dropped, 0);
+        }
+    }
+
+    /// A pending async push is woken by the consumer's pop and by the
+    /// close, with no executor in the picture: the waker only counts.
+    #[test]
+    fn a_pending_async_push_is_woken_by_a_pop_and_by_close() {
+        struct CountWakes(AtomicUsize);
+        impl Wake for CountWakes {
+            fn wake(self: Arc<Self>) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let wakes = Arc::new(CountWakes(AtomicUsize::new(0)));
+        let waker = Waker::from(Arc::clone(&wakes));
+        let mut cx = Context::from_waker(&waker);
+        let woken = || wakes.0.load(Ordering::SeqCst);
+
+        let (mut feed, cons) = feed_pair(2, Backpressure::Block);
+        let xs = [1i64, 2, 3, 4, 5];
+        let mut fut = feed.push_batch_async(&xs);
+        assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
+        assert_eq!(woken(), 0);
+        let mut out = Vec::new();
+        cons.pop_round(&mut out, 1);
+        assert_eq!(woken(), 1, "a pop wakes the pending producer");
+        assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
+        assert_eq!(woken(), 1);
+        cons.ring.close();
+        assert_eq!(woken(), 2, "a close wakes the pending producer");
+        assert_eq!(
+            Pin::new(&mut fut).poll(&mut cx),
+            Poll::Ready(Err(FeedError::Closed { pushed: 3 }))
+        );
+        let mut stats = IngestStats::new();
+        cons.ring.drain_stats(&mut stats);
+        assert_eq!((stats.items, stats.frames, stats.push_stalls), (3, 1, 1));
+        assert_eq!(stats.dropped, 2);
     }
 }

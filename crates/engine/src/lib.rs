@@ -42,8 +42,8 @@
 //! (per-feed bounded queues — see the [`ingest`] types [`ShardFeed`] /
 //! [`Backpressure`] — where feeding, shard execution, and coordinator
 //! reconciliation all overlap while keeping estimates and ledgers
-//! bit-identical to `run_parted`). The optional `async-ingest` feature
-//! adds runtime-agnostic `push_async` futures to the feed handles.
+//! bit-identical to `run_parted`). The feed handles also offer
+//! runtime-agnostic [`ShardFeed::push_async`] futures.
 //!
 //! For multi-tenant workloads — millions of independent `(tenant,
 //! metric)` functions rather than one big one — the [`fleet`] module's
@@ -68,6 +68,7 @@
 //! assert!(report.final_estimate > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod checkpoint;
@@ -92,10 +93,7 @@ pub use fleet::{
     CounterFleet, FleetCheckpoint, FleetDelta, FleetMemory, FleetReport, ItemFleet, KeyAudit,
     TrackerFleet, FLEET_MAGIC, FLEET_VERSION,
 };
-pub use ingest::{Backpressure, FeedError, FleetFeed, ShardFeed};
+pub use ingest::{AsyncPush, AsyncPushBatch, Backpressure, FeedError, FleetFeed, ShardFeed};
 pub use partition::{InputDelta, Partition, ShardRecord};
 pub use report::EngineReport;
 pub use sharded::{CounterEngine, ItemEngine, ShardedEngine};
-
-#[cfg(feature = "async-ingest")]
-pub use ingest::{AsyncPush, AsyncPushBatch};

@@ -45,7 +45,9 @@ pub(crate) fn hash_item(item: u64) -> u64 {
 
 /// The ground-truth increment a raw tracker input contributes to the
 /// audited scalar — `delta` itself for counter inputs, the signed count
-/// for item inputs. The parted ingestion path
+/// for item inputs, and the carried input's for anything keyed (an item
+/// input `(item, delta)` is a counter input with a one-word key in front;
+/// a fleet input `(key, input)` likewise). The parted ingestion path
 /// ([`crate::ShardedEngine::run_parted`]) receives bare inputs instead of
 /// timed records, and audits through this.
 pub trait InputDelta: Copy {
@@ -65,11 +67,11 @@ impl InputDelta for i64 {
     }
 }
 
-impl InputDelta for (u64, i64) {
-    const WORDS: usize = 2;
+impl<In: InputDelta> InputDelta for (u64, In) {
+    const WORDS: usize = In::WORDS + 1;
 
     fn delta_of(self) -> i64 {
-        self.1
+        self.1.delta_of()
     }
 }
 

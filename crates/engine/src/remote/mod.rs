@@ -21,9 +21,8 @@
 //!
 //! **Pipelining.** With [`EngineConfig::rounds_per_frame`]` > 1` the
 //! coordinator stops ping-ponging one round per frame: round commands
-//! are staged into a bounded per-worker send queue (the same SPSC ring
-//! and [`crate::Backpressure`] policies that drive
-//! [`crate::ShardedEngine::run_pipelined`]), and a writer thread per
+//! are staged into a bounded per-worker send queue (a
+//! `std::sync::mpsc::sync_channel`), and a writer thread per
 //! connection drains them into DSVR v3 `Rounds` envelopes of up to
 //! `rounds_per_frame` rounds per frame while the coordinator absorbs
 //! earlier rounds' reports. Frame cuts are deterministic (fixed blocks,
@@ -56,7 +55,6 @@ pub mod worker;
 
 use crate::checkpoint::EngineCheckpoint;
 use crate::config::{EngineConfig, EngineError};
-use crate::ingest::{Backpressure, Ring};
 use crate::merge::MergeCoordinator;
 use crate::partition::InputDelta;
 use crate::report::EngineReport;
@@ -72,7 +70,7 @@ use std::marker::PhantomData;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::{JoinHandle, Scope, ScopedJoinHandle};
 use std::time::Duration;
 use wire::{Chunk, Inputs, RoundWork, ShardInit, StateEntry, StatePull, ToCoord, ToWorker};
@@ -817,7 +815,6 @@ impl<In: RemoteInput> RemoteEngine<In> {
         let s_count = self.cfg.shards_count();
         let batch = self.cfg.batch_size();
         let rpf = self.cfg.rounds_per_frame_value();
-        let policy = self.cfg.backpressure_policy();
         let period = self.cfg.checkpoint_period();
         let w_count = self.workers.len();
 
@@ -863,16 +860,15 @@ impl<In: RemoteInput> RemoteEngine<In> {
                                         Some(FaultKind::Delay { ms }) => ms,
                                         _ => 0,
                                     };
-                                    while !stage_push(
-                                        &lanes.rings[w],
-                                        policy,
+                                    while !lanes.stage(
+                                        w,
                                         Cmd::Round {
                                             round: rr,
                                             delay_ms,
                                         },
                                     ) {
                                         // The writer observed a dead
-                                        // socket and closed its queue:
+                                        // socket and hung up its queue:
                                         // fail over, then restage onto
                                         // the replacement's fresh lane.
                                         self.pipelined_failover(
@@ -900,7 +896,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
                             for w in 0..w_count {
                                 let in_block =
                                     outstanding[w].back().is_some_and(|&r| r >= block_start);
-                                if in_block && !stage_push(&lanes.rings[w], policy, Cmd::Flush) {
+                                if in_block && !lanes.stage(w, Cmd::Flush) {
                                     self.pipelined_failover(
                                         w,
                                         feeds,
@@ -1002,10 +998,9 @@ impl<In: RemoteInput> RemoteEngine<In> {
             };
             let result = drive();
             // Always torn down before the scope exits — an error must not
-            // leave a writer parked on an open queue.
-            for ring in &lanes.rings {
-                ring.close();
-            }
+            // leave a writer parked on an open queue. Hang up every queue
+            // first so the writers flush side by side.
+            lanes.senders.fill_with(|| None);
             for w in 0..w_count {
                 lanes.stop(w, &mut self.wire);
             }
@@ -1528,12 +1523,9 @@ impl<In: RemoteInput> Drop for RemoteEngine<In> {
     }
 }
 
-/// A staged command for one worker's writer thread, carried over the
-/// same SPSC ring the pipelined local engine feeds shards with. `Copy`
-/// because the ring memcpys its slots; the chunk payloads are *not*
-/// staged — the writer re-derives them from the shared feeds, so a
-/// command is two words however fat the round.
-#[derive(Clone, Copy)]
+/// A staged command for one worker's writer thread. The chunk payloads
+/// are *not* staged — the writer re-derives them from the shared feeds,
+/// so a command is two words however fat the round.
 enum Cmd {
     /// Stage round `round` (with an injected worker-side stall of
     /// `delay_ms`, normally 0) into the writer's pending frame; the
@@ -1544,38 +1536,18 @@ enum Cmd {
     Flush,
 }
 
-/// Blocking producer push honoring the engine's [`Backpressure`] policy.
-/// Returns `false` — with the command not enqueued — only when the queue
-/// is closed, which is how a writer thread reports a dead socket. The
-/// `Error` policy cannot shed a round command (dropping one would desync
-/// the absorber), so it parks like `Block`; the two-block staging
-/// discipline keeps the queue from ever filling in the first place.
-fn stage_push(ring: &Ring<Cmd>, policy: Backpressure, cmd: Cmd) -> bool {
-    loop {
-        if ring.is_closed() {
-            return false;
-        }
-        if ring.push_some(std::slice::from_ref(&cmd)) == 1 {
-            return true;
-        }
-        match policy {
-            Backpressure::Yield => std::thread::yield_now(),
-            Backpressure::Block | Backpressure::Error => ring.wait_not_full(),
-        }
-    }
-}
-
 /// One worker's writer thread: drain round commands from the queue,
 /// build their chunks from the shared feeds (owner snapshot — static,
 /// because pipelined failover always respawns), and ship `Rounds`
 /// envelopes of up to `rpf` rounds per frame. On a send failure the
-/// writer closes its own queue — that is its death notice to the
-/// staging side — and returns; on close-and-drained it flushes any
-/// pending partial frame and returns. Either way the connection handle
-/// comes back so the coordinator can fold its wire ledger.
+/// writer returns, dropping its end of the queue — that is its death
+/// notice to the staging side; once the staging side has hung up and the
+/// queue is drained it flushes any pending partial frame and returns.
+/// Either way the connection handle comes back so the coordinator can
+/// fold its wire ledger.
 #[allow(clippy::too_many_arguments)]
 fn writer_drain<In: RemoteInput>(
-    ring: &Ring<Cmd>,
+    cmds: Receiver<Cmd>,
     mut conn: Conn,
     feeds: &[(SiteId, &[In])],
     owner: &[usize],
@@ -1584,20 +1556,9 @@ fn writer_drain<In: RemoteInput>(
     batch: usize,
     rpf: usize,
 ) -> Conn {
-    let mut cmds: Vec<Cmd> = Vec::with_capacity(1);
     let mut frame: Vec<RoundWork> = Vec::new();
-    loop {
-        cmds.clear();
-        ring.pop_round(&mut cmds, 1);
-        let Some(&cmd) = cmds.first() else {
-            // Closed and drained: ship the partial frame (a no-op
-            // teardown when the run absorbed everything) and exit.
-            if !frame.is_empty() {
-                let _ = ship_frame(&mut conn, &mut frame);
-            }
-            return conn;
-        };
-        match cmd {
+    for cmd in cmds {
+        let cut = match cmd {
             Cmd::Round { round, delay_ms } => {
                 let chunks =
                     round_chunks(feeds, s_count, batch, round as usize, |sid| owner[sid] == w);
@@ -1606,19 +1567,20 @@ fn writer_drain<In: RemoteInput>(
                     delay_ms,
                     chunks,
                 });
-                if frame.len() >= rpf && ship_frame(&mut conn, &mut frame).is_err() {
-                    ring.close();
-                    return conn;
-                }
+                frame.len() >= rpf
             }
-            Cmd::Flush => {
-                if !frame.is_empty() && ship_frame(&mut conn, &mut frame).is_err() {
-                    ring.close();
-                    return conn;
-                }
-            }
+            Cmd::Flush => !frame.is_empty(),
+        };
+        if cut && ship_frame(&mut conn, &mut frame).is_err() {
+            return conn;
         }
     }
+    // Hung up and drained: ship the partial frame (a no-op teardown
+    // when the run absorbed everything) and exit.
+    if !frame.is_empty() {
+        let _ = ship_frame(&mut conn, &mut frame);
+    }
+    conn
 }
 
 /// Send the writer's pending rounds as one `Rounds` envelope.
@@ -1640,12 +1602,14 @@ struct Lanes<'scope, 'env, In: RemoteInput> {
     /// Queue capacity: two blocks in flight plus their flush cuts, so
     /// staging never waits.
     cap: usize,
-    rings: Vec<Arc<Ring<Cmd>>>,
+    /// The staging ends; `None` before a lane's first start and once it
+    /// is hung up.
+    senders: Vec<Option<SyncSender<Cmd>>>,
     writers: Vec<Option<ScopedJoinHandle<'scope, Conn>>>,
 }
 
 impl<'scope, 'env, In: RemoteInput> Lanes<'scope, 'env, In> {
-    /// Queues for `w_count` workers, no writer started yet.
+    /// Lanes for `w_count` workers, none started yet.
     fn new(
         scope: &'scope Scope<'scope, 'env>,
         feeds: &'env [(SiteId, &'env [In])],
@@ -1662,15 +1626,24 @@ impl<'scope, 'env, In: RemoteInput> Lanes<'scope, 'env, In> {
             batch,
             rpf,
             cap,
-            rings: (0..w_count).map(|_| Arc::new(Ring::new(cap))).collect(),
+            senders: (0..w_count).map(|_| None).collect(),
             writers: (0..w_count).map(|_| None).collect(),
         }
     }
 
-    /// Close worker `w`'s queue, join its writer (if any) and fold the
+    /// Stage `cmd` for worker `w`'s writer. `false` — with the command
+    /// not enqueued — only when the writer has returned, which is how it
+    /// reports a dead socket.
+    fn stage(&self, w: usize, cmd: Cmd) -> bool {
+        self.senders[w]
+            .as_ref()
+            .is_some_and(|tx| tx.send(cmd).is_ok())
+    }
+
+    /// Hang up worker `w`'s queue, join its writer (if any) and fold the
     /// writer's wire ledger into `wire`.
     fn stop(&mut self, w: usize, wire: &mut WireStats) {
-        self.rings[w].close();
+        self.senders[w] = None;
         if let Some(handle) = self.writers[w].take() {
             match handle.join() {
                 Ok(conn) => wire.merge(conn.stats()),
@@ -1683,12 +1656,12 @@ impl<'scope, 'env, In: RemoteInput> Lanes<'scope, 'env, In> {
     /// run start, and after any failover replaced the slot's connection.
     fn start(&mut self, w: usize, conn: Conn, owner: Vec<usize>, wire: &mut WireStats) {
         self.stop(w, wire);
-        let ring = Arc::new(Ring::new(self.cap));
-        self.rings[w] = Arc::clone(&ring);
+        let (tx, rx) = sync_channel(self.cap);
+        self.senders[w] = Some(tx);
         let (feeds, s_count, batch, rpf) = (self.feeds, self.s_count, self.batch, self.rpf);
         self.writers[w] = Some(
             self.scope
-                .spawn(move || writer_drain(&ring, conn, feeds, &owner, w, s_count, batch, rpf)),
+                .spawn(move || writer_drain(rx, conn, feeds, &owner, w, s_count, batch, rpf)),
         );
     }
 }

@@ -559,8 +559,10 @@ where
     }
 
     /// Ingest `stream` in batches, reconciling and auditing at every
-    /// batch boundary. With more than one shard, each batch's per-shard
-    /// sub-batches execute on persistent worker threads.
+    /// batch boundary. With more than one worker, each batch's per-shard
+    /// sub-batches execute on worker threads that live for this call:
+    /// they are spawned when it starts and joined before it returns
+    /// (`with_shard_exec`), not kept between calls.
     ///
     /// Streams the sequential `Driver` rejects (out-of-range sites,
     /// deletions into insert-only kinds) return the same typed errors

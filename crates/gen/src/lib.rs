@@ -20,6 +20,7 @@
 //! [`DeltaGen`] trait, and pair with a [`SiteAssign`] policy to produce the
 //! `(time, site, delta)` triples the distributed model consumes.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod adversarial;

@@ -51,11 +51,7 @@ impl FeedFrame {
     /// key is payload (the receiver needs it to route within the shard),
     /// unlike the un-charged `feed` address.
     pub fn for_keyed_chunk(feed: usize, items: usize, words_per_item: usize) -> Self {
-        FeedFrame {
-            feed,
-            items,
-            words: items * (words_per_item + 1),
-        }
+        FeedFrame::for_chunk(feed, items, words_per_item + 1)
     }
 }
 
@@ -94,10 +90,10 @@ pub struct IngestStats {
     pub occupancy_samples: u64,
     /// Highest queue occupancy observed at any sample.
     pub high_water: u64,
-    /// Inputs still resident in a queue when its run tore down — only
-    /// possible when a feed handle was stashed past its feeder's
-    /// lifetime and raced the engine's force-close. Normal runs (handles
-    /// closed or dropped by the feeder) always drain to zero.
+    /// Inputs still resident in a queue when its run tore down: the
+    /// consumer stopped before draining them (a fleet run that errored
+    /// mid-stream). A push is never acknowledged behind a close, so runs
+    /// that finish always drain to zero.
     pub dropped: u64,
 }
 

@@ -24,6 +24,7 @@
 //! implementations of [`protocol::SiteNode`] and [`protocol::CoordinatorNode`]
 //! and executed by [`sim::StarSim`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;

@@ -21,6 +21,7 @@
 //! how Appendix H uses them ("the coordinator can then linearly combine its
 //! estimates").
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod countmin;

@@ -14,6 +14,8 @@
 //! finish (exit 0), the link closes (exit 0 — a replacement inherits the
 //! shards from checkpoint), or the protocol is violated (exit 1).
 
+#![forbid(unsafe_code)]
+
 fn main() {
     std::process::exit(dsv::engine::remote::worker::shard_server_main());
 }

@@ -40,6 +40,7 @@
 //! assert!((report.stats.total_messages() as f64) <= 30.0 * k as f64 * (v + 1.0) / eps);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use dsv_core as core;

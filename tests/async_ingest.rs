@@ -1,14 +1,11 @@
-//! The `async-ingest` seam: `ShardFeed::push_async` / `push_batch_async`
-//! futures await queue capacity instead of blocking, resolve on any
-//! executor (driven here by a hand-rolled parker `block_on` — no runtime
+//! Async pushes: `ShardFeed::push_async` / `push_batch_async` futures
+//! await queue capacity instead of blocking, resolve on any executor
+//! (driven here by a hand-rolled parker `block_on` — no runtime
 //! dependency), and land bit-identically on the synchronous pipelined
-//! path. Compiled only under `--features async-ingest`; the CI matrix
-//! builds and tests both sides of the seam.
-#![cfg(feature = "async-ingest")]
+//! path.
 
 use dsv::prelude::*;
 use std::future::Future;
-use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::Thread;
@@ -22,11 +19,10 @@ impl Wake for Parker {
     }
 }
 
-fn block_on<F: Future>(mut fut: F) -> F::Output {
+fn block_on<F: Future>(fut: F) -> F::Output {
     let waker = Waker::from(Arc::new(Parker(std::thread::current())));
     let mut cx = Context::from_waker(&waker);
-    // SAFETY-free pinning: the future never moves out of this stack slot.
-    let mut fut = unsafe { Pin::new_unchecked(&mut fut) };
+    let mut fut = std::pin::pin!(fut);
     loop {
         match fut.as_mut().poll(&mut cx) {
             Poll::Ready(out) => return out,
