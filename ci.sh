@@ -156,6 +156,14 @@ cargo clippy --workspace --all-targets ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}
 step "cargo test --workspace -q (superset of the tier-1 'cargo test -q')"
 cargo test --workspace -q ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}
 
+step "cargo test --release: codec_robustness + state_bounded (the restore gauntlet and the O(k) state check, optimized)"
+# Both profiles are needed. The restore-then-continue gauntlet's
+# `assert!` panics reproduce only when a restored tracker is stepped and
+# survive into release; its shift and add overflows panic only in debug
+# (the workspace-test step above). state_bounded runs a tenth of its
+# sizes in debug and the stated 1e5 / 1e6 / 1e7 updates here.
+cargo test -q --release -p dsv ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"} --test codec_robustness --test state_bounded
+
 step "cargo build --release --examples"
 cargo build --release --examples ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}
 

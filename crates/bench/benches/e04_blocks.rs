@@ -6,13 +6,14 @@
 
 use dsv_bench::table::f;
 use dsv_bench::{banner, Table};
-use dsv_core::blocks::{threshold_for, BlockOnlyCoord, BlockOnlySite};
+use dsv_core::blocks::{threshold_for, BlockOnlyCoord, BlockOnlySite, BlockTrace};
 use dsv_core::variability::VariabilityMeter;
 use dsv_gen::{AdversarialGen, DeltaGen, MonotoneGen, NearlyMonotoneGen, WalkGen};
 use dsv_net::StarSim;
 
 fn run_case(name: &str, deltas: Vec<i64>, k: usize, t: &mut Table) {
     let mut sim = StarSim::with_k(k, |_| BlockOnlySite::new(), BlockOnlyCoord::new(k));
+    let mut trace = BlockTrace::attach(sim.coordinator().blocks());
     let mut meter = VariabilityMeter::new();
     let mut v_series = Vec::with_capacity(deltas.len());
     let mut values = Vec::with_capacity(deltas.len());
@@ -24,7 +25,8 @@ fn run_case(name: &str, deltas: Vec<i64>, k: usize, t: &mut Table) {
         v_series.push(meter.value());
         values.push(meter.f());
         sim.step(i % k, d);
-        let nblocks = sim.coordinator().blocks().log().unwrap().len();
+        trace.observe(sim.time(), sim.coordinator().blocks());
+        let nblocks = trace.blocks().len();
         if nblocks > prev_blocks {
             let now = sim.stats().clone();
             per_block_msgs.push(now.since(&prev_stats).total_messages());
@@ -32,7 +34,7 @@ fn run_case(name: &str, deltas: Vec<i64>, k: usize, t: &mut Table) {
             prev_blocks = nblocks;
         }
     }
-    let log = sim.coordinator().blocks().log().unwrap();
+    let log = trace.blocks();
     if log.is_empty() {
         return;
     }

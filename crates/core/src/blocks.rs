@@ -25,7 +25,7 @@
 //!   steps contributes ≥ `1/(2^r·5k)`. We assert `1/10` and report the
 //!   measured per-block gains, which land between the two, in E4.)
 
-use dsv_net::codec::{CodecError, Dec, Enc};
+use dsv_net::codec::{restore_check, CodecError, Dec, Enc};
 use dsv_net::{CoordOutbox, CoordinatorNode, Outbox, SiteNode, Time, WireSize};
 
 /// `⌈2^{r−1}⌉`: the per-site count threshold and the unit of the block
@@ -50,6 +50,13 @@ pub fn radius_for(f_abs: u64, k: usize) -> u32 {
     } else {
         (f_abs / (2 * k)).ilog2()
     }
+}
+
+/// Restore check shared by the drift-tracking coordinators: a maintained
+/// sum must be the (wrapping) sum of the per-site values it summarizes.
+pub(crate) fn check_sum(what: &'static str, sum: i64, parts: &[i64]) -> Result<(), CodecError> {
+    let total = parts.iter().fold(0i64, |acc, &x| acc.wrapping_add(x));
+    restore_check(total == sum, what)
 }
 
 /// Static configuration of the partitioner.
@@ -143,12 +150,24 @@ impl BlockSite {
         enc.u64(self.threshold);
     }
 
-    /// Restore state written by [`save_state`](Self::save_state).
+    /// Restore state written by [`save_state`](Self::save_state): the
+    /// unsent count must sit below its threshold, as it does between any
+    /// two timesteps.
     pub fn load_state(&mut self, dec: &mut Dec) -> Result<(), CodecError> {
         self.c = dec.u64()?;
         self.f_i = dec.i64()?;
         self.threshold = dec.u64()?;
-        Ok(())
+        restore_check(self.c < self.threshold, "site update count")
+    }
+
+    /// Restore validation for the embedding site, whose state repeats
+    /// two things this one holds: its radius `r` must be a shiftable one
+    /// (`r < 64`) with this count threshold, and its own in-block drift
+    /// (for the kinds that keep one) must equal `f_i`.
+    pub fn check_restored(&self, r: u32, drift: Option<i64>) -> Result<(), CodecError> {
+        let radius_ok = r < 64 && self.threshold == threshold_for(r);
+        restore_check(radius_ok, "site block radius")?;
+        restore_check(drift.is_none_or(|d| d == self.f_i), "site in-block drift")
     }
 
     /// Current unsent update count (diagnostics).
@@ -162,7 +181,8 @@ impl BlockSite {
     }
 }
 
-/// Completed-block record, for the E4 experiments and invariant tests.
+/// Completed-block record, collected by a [`BlockTrace`] for the E4
+/// experiments and invariant tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockInfo {
     /// Block index `j` (0-based).
@@ -205,7 +225,6 @@ pub struct BlockCoordinator {
     reply_f_sum: i64,
     block_index: u64,
     block_start: Time,
-    log: Option<Vec<BlockInfo>>,
 }
 
 impl BlockCoordinator {
@@ -223,21 +242,7 @@ impl BlockCoordinator {
             reply_f_sum: 0,
             block_index: 0,
             block_start: 0,
-            log: None,
         }
-    }
-
-    /// Record a [`BlockInfo`] per completed block (costs memory; used by
-    /// experiments).
-    pub fn enable_log(&mut self) {
-        if self.log.is_none() {
-            self.log = Some(Vec::new());
-        }
-    }
-
-    /// The completed-block log, if enabled.
-    pub fn log(&self) -> Option<&[BlockInfo]> {
-        self.log.as_deref()
     }
 
     /// Radius `r` of the current block.
@@ -255,6 +260,11 @@ impl BlockCoordinator {
         self.block_index
     }
 
+    /// `n_j`: the timestep at which the current block started.
+    pub fn block_start(&self) -> Time {
+        self.block_start
+    }
+
     /// Whether a report collection is in flight.
     pub fn collecting(&self) -> bool {
         self.collecting
@@ -265,8 +275,9 @@ impl BlockCoordinator {
         self.k
     }
 
-    /// Serialize the partitioner's coordinator-side state, including the
-    /// completed-block log if enabled (snapshot seam).
+    /// Serialize the partitioner's coordinator-side state (snapshot seam):
+    /// ten scalars, whatever the stream — completed blocks are not state
+    /// (see [`BlockTrace`]).
     pub fn save_state(&self, enc: &mut Enc) {
         enc.usize(self.k);
         enc.u32(self.r);
@@ -278,25 +289,13 @@ impl BlockCoordinator {
         enc.i64(self.reply_f_sum);
         enc.u64(self.block_index);
         enc.u64(self.block_start);
-        match &self.log {
-            None => enc.bool(false),
-            Some(log) => {
-                enc.bool(true);
-                enc.seq_len(log.len());
-                for b in log {
-                    enc.u64(b.index);
-                    enc.u32(b.r);
-                    enc.u64(b.start);
-                    enc.u64(b.end);
-                    enc.i64(b.f_start);
-                    enc.i64(b.f_end);
-                }
-            }
-        }
     }
 
     /// Restore state written by [`save_state`](Self::save_state); the
-    /// serialized site count must match this coordinator's.
+    /// serialized site count must match this coordinator's, and the
+    /// scalars must be ones a run can reach between two timesteps
+    /// (DESIGN.md §6 lists the invariants) — the protocol indexes, shifts
+    /// and asserts on them without looking again.
     pub fn load_state(&mut self, dec: &mut Dec) -> Result<(), CodecError> {
         let k = dec.usize()?;
         if k != self.k {
@@ -315,24 +314,13 @@ impl BlockCoordinator {
         self.reply_f_sum = dec.i64()?;
         self.block_index = dec.u64()?;
         self.block_start = dec.u64()?;
-        self.log = if dec.bool()? {
-            let n = dec.seq_len("block log", 44)?;
-            let mut log = Vec::with_capacity(n);
-            for _ in 0..n {
-                log.push(BlockInfo {
-                    index: dec.u64()?,
-                    r: dec.u32()?,
-                    start: dec.u64()?,
-                    end: dec.u64()?,
-                    f_start: dec.i64()?,
-                    f_end: dec.i64()?,
-                });
-            }
-            Some(log)
-        } else {
-            None
-        };
-        Ok(())
+        let radius = radius_for(self.f_sync.unsigned_abs(), self.k);
+        restore_check(self.r == radius, "block radius")?;
+        let quota = threshold_for(radius).checked_mul(self.k as u64);
+        restore_check(Some(self.quota) == quota, "block quota")?;
+        restore_check(self.replies < self.k, "report reply count")?;
+        let idle = self.replies == 0 && self.reply_f_sum == 0 && self.t_hat < self.quota;
+        restore_check(self.collecting || idle, "collection state")
     }
 
     /// Process a count message `c_i`. Returns `true` when the block quota
@@ -359,19 +347,8 @@ impl BlockCoordinator {
             return None;
         }
         // Block j ends at time t: f(n_{j+1}) = f(n_j) + Σ_i f_i, exactly.
-        let f_start = self.f_sync;
         self.f_sync += self.reply_f_sum;
         let new_r = radius_for(self.f_sync.unsigned_abs(), self.k);
-        if let Some(log) = self.log.as_mut() {
-            log.push(BlockInfo {
-                index: self.block_index,
-                r: self.r,
-                start: self.block_start,
-                end: t,
-                f_start,
-                f_end: self.f_sync,
-            });
-        }
         self.block_index += 1;
         self.block_start = t;
         self.r = new_r;
@@ -381,6 +358,72 @@ impl BlockCoordinator {
         self.replies = 0;
         self.reply_f_sum = 0;
         Some(new_r)
+    }
+}
+
+/// Observer that records one [`BlockInfo`] per completed block —
+/// **outside** the protocol state, the way [`StarSim`](dsv_net::StarSim)'s
+/// message transcript is, so a tracker holds O(k) words however long it
+/// runs and a snapshot carries no history. Attach it to a coordinator
+/// (fresh or resumed) and call [`observe`](Self::observe) after **every**
+/// single-update `step`: at most one block closes per timestep (the quota
+/// resets to ≥ k and no new count can arrive before the next update).
+#[derive(Debug, Clone)]
+pub struct BlockTrace {
+    /// The open block; `end`/`f_end` are filled in when it closes.
+    open: BlockInfo,
+    blocks: Vec<BlockInfo>,
+}
+
+impl BlockTrace {
+    /// Start tracing at `coord`'s current (incomplete) block.
+    pub fn attach(coord: &BlockCoordinator) -> Self {
+        let (start, f_start) = (coord.block_start(), coord.f_sync());
+        let open = BlockInfo {
+            index: coord.block_index(),
+            r: coord.r(),
+            start,
+            end: start,
+            f_start,
+            f_end: f_start,
+        };
+        BlockTrace {
+            open,
+            blocks: Vec::new(),
+        }
+    }
+
+    /// Record the block that closed at timestep `t`, if one did.
+    ///
+    /// # Panics
+    ///
+    /// If the coordinator moved on other than by closing exactly one
+    /// block at `t` — an observation was skipped (a multi-update batch),
+    /// and the missing records could only be guessed.
+    pub fn observe(&mut self, t: Time, coord: &BlockCoordinator) {
+        if coord.block_index() == self.open.index {
+            return;
+        }
+        let next = Self::attach(coord).open;
+        assert!(
+            next.index == self.open.index + 1 && next.start == t,
+            "BlockTrace::observe must follow every step: block {} was open, \
+             block {} (started at {}) is at t = {t}",
+            self.open.index,
+            next.index,
+            next.start,
+        );
+        self.blocks.push(BlockInfo {
+            end: t,
+            f_end: next.f_start,
+            ..self.open
+        });
+        self.open = next;
+    }
+
+    /// The blocks completed since [`attach`](Self::attach), in order.
+    pub fn blocks(&self) -> &[BlockInfo] {
+        &self.blocks
     }
 }
 
@@ -474,14 +517,14 @@ pub struct BlockOnlyCoord {
 }
 
 impl BlockOnlyCoord {
-    /// Fresh coordinator for `k` sites, with block logging enabled.
+    /// Fresh coordinator for `k` sites.
     pub fn new(k: usize) -> Self {
-        let mut inner = BlockCoordinator::new(BlockConfig::new(k));
-        inner.enable_log();
-        BlockOnlyCoord { inner }
+        BlockOnlyCoord {
+            inner: BlockCoordinator::new(BlockConfig::new(k)),
+        }
     }
 
-    /// Access the partitioner state (block log, radius, ...).
+    /// Access the partitioner state (radius, sync value, block index).
     pub fn blocks(&self) -> &BlockCoordinator {
         &self.inner
     }
@@ -583,16 +626,25 @@ mod tests {
         assert_eq!(s.drift_since_broadcast(), 0);
     }
 
-    fn run_blocks(k: usize, deltas: &[i64]) -> (StarSim<BlockOnlySite, BlockOnlyCoord>, Vec<i64>) {
+    type BlockSim = StarSim<BlockOnlySite, BlockOnlyCoord>;
+
+    /// One update, then the observation `BlockTrace` needs after each.
+    fn step_traced(sim: &mut BlockSim, trace: &mut BlockTrace, site: usize, d: i64) {
+        sim.step(site, d);
+        trace.observe(sim.time(), sim.coordinator().blocks());
+    }
+
+    fn run_blocks(k: usize, deltas: &[i64]) -> (BlockSim, BlockTrace, Vec<i64>) {
         let mut sim = StarSim::with_k(k, |_| BlockOnlySite::new(), BlockOnlyCoord::new(k));
+        let mut trace = BlockTrace::attach(sim.coordinator().blocks());
         let mut values = Vec::with_capacity(deltas.len());
         let mut f = 0i64;
         for (i, &d) in deltas.iter().enumerate() {
             f += d;
             values.push(f);
-            sim.step(i % k, d);
+            step_traced(&mut sim, &mut trace, i % k, d);
         }
-        (sim, values)
+        (sim, trace, values)
     }
 
     #[test]
@@ -601,8 +653,8 @@ mod tests {
         let deltas: Vec<i64> = (0..5_000)
             .map(|i| if i % 7 == 3 { -1 } else { 1 })
             .collect();
-        let (sim, values) = run_blocks(k, &deltas);
-        let log = sim.coordinator().blocks().log().unwrap();
+        let (_, trace, values) = run_blocks(k, &deltas);
+        let log = trace.blocks();
         assert!(!log.is_empty());
         for b in log {
             assert_eq!(
@@ -618,8 +670,8 @@ mod tests {
     fn block_length_bounds_hold() {
         let k = 4;
         let deltas: Vec<i64> = (0..20_000).map(|_| 1).collect(); // monotone
-        let (sim, _) = run_blocks(k, &deltas);
-        let log = sim.coordinator().blocks().log().unwrap();
+        let (_, trace, _) = run_blocks(k, &deltas);
+        let log = trace.blocks();
         assert!(log.len() > 5);
         for b in log {
             let th = threshold_for(b.r);
@@ -640,9 +692,8 @@ mod tests {
         // A walk that grows then shrinks, to exercise several radii.
         let mut deltas: Vec<i64> = vec![1; 3_000];
         deltas.extend(std::iter::repeat_n(-1, 2_500));
-        let (sim, values) = run_blocks(k, &deltas);
-        let log = sim.coordinator().blocks().log().unwrap();
-        for b in log {
+        let (_, trace, values) = run_blocks(k, &deltas);
+        for b in trace.blocks() {
             let bound = (1u64 << b.r) * k as u64;
             // The paper's in-block facts: |f(n) − f(n_j)| ≤ 2^r·k, and |f|
             // confined to [2^r·k, 2^r·5k] for r ≥ 1 (≤ 5k for r = 0).
@@ -672,12 +723,13 @@ mod tests {
             .map(|i| if i % 5 == 4 { -1 } else { 1 })
             .collect();
         let mut sim = StarSim::with_k(k, |_| BlockOnlySite::new(), BlockOnlyCoord::new(k));
+        let mut trace = BlockTrace::attach(sim.coordinator().blocks());
         let mut prev = sim.stats().clone();
         let mut prev_blocks = 0usize;
         let mut per_block_msgs: Vec<u64> = Vec::new();
         for (i, &d) in deltas.iter().enumerate() {
-            sim.step(i % k, d);
-            let nblocks = sim.coordinator().blocks().log().unwrap().len();
+            step_traced(&mut sim, &mut trace, i % k, d);
+            let nblocks = trace.blocks().len();
             if nblocks > prev_blocks {
                 let now = sim.stats().clone();
                 per_block_msgs.push(now.since(&prev).total_messages());
@@ -698,15 +750,16 @@ mod tests {
         let deltas: Vec<i64> = (0..20_000)
             .map(|i| if i % 3 == 2 { -1 } else { 1 })
             .collect();
-        let mut sim = StarSim::with_k(k, |_| BlockOnlySite::new(), BlockOnlyCoord::new(k));
         let mut meter = VariabilityMeter::new();
-        let mut v_series = Vec::with_capacity(deltas.len());
-        for (i, &d) in deltas.iter().enumerate() {
-            meter.observe(d);
-            v_series.push(meter.value());
-            sim.step(i % k, d);
-        }
-        let log = sim.coordinator().blocks().log().unwrap();
+        let v_series: Vec<f64> = deltas
+            .iter()
+            .map(|&d| {
+                meter.observe(d);
+                meter.value()
+            })
+            .collect();
+        let (_, trace, _) = run_blocks(k, &deltas);
+        let log = trace.blocks();
         assert!(log.len() > 5);
         for b in log {
             let v_start = if b.start == 0 {
@@ -725,9 +778,82 @@ mod tests {
     }
 
     #[test]
+    fn trace_records_chain_from_block_zero() {
+        let k = 3;
+        let mut deltas: Vec<i64> = vec![1; 4_000];
+        deltas.extend((0..4_000).map(|i| if i % 4 == 0 { 1 } else { -1 }));
+        let (sim, trace, _) = run_blocks(k, &deltas);
+        let log = trace.blocks();
+        assert!(log.len() > 20);
+        assert_eq!((log[0].index, log[0].start, log[0].f_start), (0, 0, 0));
+        for (j, b) in log.iter().enumerate() {
+            assert_eq!(b.index, j as u64);
+            assert_eq!(b.r, radius_for(b.f_start.unsigned_abs(), k));
+            if let Some(next) = log.get(j + 1) {
+                assert_eq!((next.start, next.f_start), (b.end, b.f_end));
+            }
+        }
+        // The open block picks up where the last record stops.
+        let coord = sim.coordinator().blocks();
+        let last = log.last().unwrap();
+        assert_eq!(coord.block_index(), last.index + 1);
+        assert_eq!(
+            (coord.block_start(), coord.f_sync()),
+            (last.end, last.f_end)
+        );
+    }
+
+    #[test]
+    fn trace_attached_after_resume_continues_the_twin() {
+        use crate::deterministic::DeterministicTracker;
+        let (k, eps, cut) = (4usize, 0.1, 3_001usize);
+        let deltas: Vec<i64> = (0..9_000).map(|i| if i % 9 < 6 { 1 } else { -1 }).collect();
+        let mut twin = DeterministicTracker::sim(k, eps);
+        let mut twin_trace = BlockTrace::attach(twin.coordinator().blocks());
+        let mut resumed = DeterministicTracker::sim(k, eps);
+        let mut resumed_trace = None;
+        for (i, &d) in deltas.iter().enumerate() {
+            if i == cut {
+                // The snapshot carries no history: the trace of the
+                // resumed tracker starts at the block open at the cut.
+                let mut enc = Enc::new();
+                twin.save_state(&mut enc).unwrap();
+                let mut dec = Dec::new(enc.as_bytes());
+                resumed.load_state(&mut dec).unwrap();
+                dec.finish().unwrap();
+                resumed_trace = Some(BlockTrace::attach(resumed.coordinator().blocks()));
+            }
+            twin.step(i % k, d);
+            twin_trace.observe(twin.time(), twin.coordinator().blocks());
+            if let Some(trace) = resumed_trace.as_mut() {
+                resumed.step(i % k, d);
+                trace.observe(resumed.time(), resumed.coordinator().blocks());
+            }
+        }
+        let tail = resumed_trace.unwrap();
+        let (full, tail) = (twin_trace.blocks(), tail.blocks());
+        assert!(tail.len() > 3 && full.len() > tail.len());
+        assert!(tail[0].start < cut as u64 && tail[0].end > cut as u64);
+        assert_eq!(&full[full.len() - tail.len()..], tail);
+    }
+
+    #[test]
+    #[should_panic(expected = "BlockTrace::observe must follow every step")]
+    fn trace_observe_after_skipped_blocks_panics() {
+        let k = 2;
+        let mut sim = StarSim::with_k(k, |_| BlockOnlySite::new(), BlockOnlyCoord::new(k));
+        let mut trace = BlockTrace::attach(sim.coordinator().blocks());
+        // r = 0, k = 2: a block closes every two updates, so this batch
+        // closes two before the trace gets to look.
+        sim.step_batch(&[(0, 1), (1, 1), (0, 1), (1, 1)]);
+        assert_eq!(sim.coordinator().blocks().block_index(), 2);
+        trace.observe(sim.time(), sim.coordinator().blocks());
+    }
+
+    #[test]
     fn k_equals_one_works() {
-        let (sim, values) = run_blocks(1, &vec![1i64; 100]);
-        let log = sim.coordinator().blocks().log().unwrap();
+        let (sim, trace, values) = run_blocks(1, &vec![1i64; 100]);
+        let log = trace.blocks();
         assert!(!log.is_empty());
         // Coordinator's estimate equals f at the last sync.
         let last = log.last().unwrap();

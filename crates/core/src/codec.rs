@@ -23,11 +23,11 @@
 //!
 //! A serialized [`TrackerState`] is `b"DSVT"`, a `u16` format version
 //! (currently [`STATE_VERSION`]), a `u8` kind tag ([`kind_tag`]), the
-//! site count, and the simulator payload as a blob. Decoders accept
-//! versions `1..=STATE_VERSION` and return
-//! [`CodecError::UnsupportedVersion`] beyond that; any layout change to
-//! any node's state **must** bump [`STATE_VERSION`] (see the workspace
-//! `MIGRATION.md` for the compatibility policy). Truncated, corrupted, or
+//! site count, and the simulator payload as a blob. Decoders read exactly
+//! [`STATE_VERSION`] and return [`CodecError::UnsupportedVersion`] for
+//! any other, older or newer; any layout change to any node's state
+//! **must** bump [`STATE_VERSION`] (see the workspace `MIGRATION.md` for
+//! the compatibility policy). Truncated, corrupted, or
 //! foreign payloads decode to typed [`CodecError`]s — never panics.
 //!
 //! The round-trip contract (held by `tests/state_roundtrip.rs`):
@@ -36,15 +36,16 @@
 //! [`dsv_net::CommStats`] to an uninterrupted run.
 
 use crate::api::TrackerKind;
-pub use dsv_net::codec::{restore_seq, CodecError, Dec, Enc};
+pub use dsv_net::codec::{restore_check, restore_seq, CodecError, Dec, Enc};
 
 /// Magic bytes opening a serialized [`TrackerState`].
 pub const STATE_MAGIC: [u8; 4] = *b"DSVT";
 
 /// Current tracker-state format version. Bump on **any** change to the
 /// envelope or to any node's `save_state` layout, and document the bump
-/// in `MIGRATION.md`.
-pub const STATE_VERSION: u16 = 1;
+/// in `MIGRATION.md`. Version 2 dropped the completed-block log from the
+/// block coordinator's state.
+pub const STATE_VERSION: u16 = 2;
 
 /// Stable wire tag for a [`TrackerKind`] (independent of enum order).
 pub fn kind_tag(kind: TrackerKind) -> u8 {
@@ -150,7 +151,13 @@ impl TrackerState {
     /// Decode one state from an in-progress decoder (the engine
     /// checkpoint's nested form).
     pub fn decode(dec: &mut Dec) -> Result<Self, CodecError> {
-        dec.magic(STATE_MAGIC, STATE_VERSION)?;
+        let found = dec.magic(STATE_MAGIC, STATE_VERSION)?;
+        if found != STATE_VERSION {
+            return Err(CodecError::UnsupportedVersion {
+                found,
+                supported: STATE_VERSION,
+            });
+        }
         let tag = dec.u8()?;
         let kind = kind_from_tag(tag).ok_or(CodecError::BadTag {
             what: "tracker kind",
@@ -210,11 +217,18 @@ mod tests {
             TrackerState::from_bytes(&bad_kind),
             Err(CodecError::BadTag { tag: 250, .. })
         ));
-        let mut future = bytes;
-        future[4] = (STATE_VERSION + 1) as u8; // the version word
-        assert!(matches!(
-            TrackerState::from_bytes(&future),
-            Err(CodecError::UnsupportedVersion { .. })
-        ));
+        // One generation per format: the retired v1 (block log in the
+        // coordinator state) is refused like a future version is.
+        for skew in [STATE_VERSION + 1, 1] {
+            let mut skewed = bytes.clone();
+            skewed[4..6].copy_from_slice(&skew.to_le_bytes()); // the version word
+            assert_eq!(
+                TrackerState::from_bytes(&skewed),
+                Err(CodecError::UnsupportedVersion {
+                    found: skew,
+                    supported: STATE_VERSION
+                })
+            );
+        }
     }
 }

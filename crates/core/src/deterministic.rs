@@ -17,7 +17,7 @@
 //! raises `v` by ≥ 1/5, giving `O((k/ε)·v(n))` in-block messages plus
 //! `O(k·v(n))` partition messages.
 
-use crate::blocks::{BlockConfig, BlockCoordinator, BlockSite};
+use crate::blocks::{check_sum, BlockConfig, BlockCoordinator, BlockSite};
 use dsv_net::codec::{restore_seq, CodecError, Dec, Enc};
 use dsv_net::{CoordOutbox, CoordinatorNode, Outbox, SiteNode, StarSim, Time, WireSize};
 
@@ -206,7 +206,7 @@ impl SiteNode for DetSite {
         self.d = dec.i64()?;
         self.delta = dec.i64()?;
         self.r = dec.u32()?;
-        Ok(())
+        self.blocks.check_restored(self.r, Some(self.d))
     }
 }
 
@@ -221,18 +221,16 @@ pub struct DetCoord {
 }
 
 impl DetCoord {
-    /// Fresh coordinator for `k` sites with block logging enabled.
+    /// Fresh coordinator for `k` sites.
     pub fn new(k: usize) -> Self {
-        let mut blocks = BlockCoordinator::new(BlockConfig::new(k));
-        blocks.enable_log();
         DetCoord {
-            blocks,
+            blocks: BlockCoordinator::new(BlockConfig::new(k)),
             dhat: vec![0; k],
             dhat_sum: 0,
         }
     }
 
-    /// Access the partitioner (radius, sync value, block log).
+    /// Access the partitioner (radius, sync value, block index).
     pub fn blocks(&self) -> &BlockCoordinator {
         &self.blocks
     }
@@ -282,7 +280,7 @@ impl CoordinatorNode for DetCoord {
             &dec.seq_i64("dhat")?,
         )?;
         self.dhat_sum = dec.i64()?;
-        Ok(())
+        check_sum("drift estimate sum", self.dhat_sum, &self.dhat)
     }
 }
 

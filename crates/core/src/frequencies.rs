@@ -32,8 +32,8 @@
 //! adds at most `ε·F1/3` (CR-precis deterministically, Count-Min w.p. 8/9),
 //! for a total of `ε·F1(n)`.
 
-use crate::blocks::{BlockConfig, BlockCoordinator, BlockSite};
-use dsv_net::codec::{restore_seq, CodecError, Dec, Enc};
+use crate::blocks::{check_sum, BlockConfig, BlockCoordinator, BlockSite};
+use dsv_net::codec::{restore_check, restore_seq, CodecError, Dec, Enc};
 use dsv_net::{
     CoordOutbox, CoordinatorNode, MergedEntry, Outbox, SiteNode, StarSim, Time, WireSize,
 };
@@ -101,6 +101,17 @@ impl WireSize for FreqDown {
 #[inline]
 fn counter_threshold(eps: f64, r: u32) -> f64 {
     eps * (1u64 << r) as f64 / 3.0
+}
+
+/// Whether a counter's pending change `p` must be sent: any change in an
+/// (exact) `r = 0` block, one that reached the band `thresh` otherwise.
+#[inline]
+fn counter_fires(r: u32, thresh: f64, p: i64) -> bool {
+    if r == 0 {
+        p != 0
+    } else {
+        p.unsigned_abs() as f64 >= thresh
+    }
 }
 
 /// Per-site state of the frequency tracker, generic over the item→counter
@@ -171,12 +182,7 @@ impl<M: CounterMap> SiteNode for FreqSite<M> {
             let c = self.scratch[i] as usize;
             self.totals[c] += delta;
             self.pending[c] += delta;
-            let fire = if self.r == 0 {
-                self.pending[c] != 0
-            } else {
-                self.pending[c].unsigned_abs() as f64 >= thresh
-            };
-            if fire {
+            if counter_fires(self.r, thresh, self.pending[c]) {
                 out.send(FreqUp::Delta {
                     idx: c as u32,
                     delta: self.pending[c],
@@ -249,13 +255,7 @@ impl<M: CounterMap> SiteNode for FreqSite<M> {
             // rows index disjoint ranges), so checking every row against
             // its un-advanced pending value equals the sequential check.
             for &c in &self.scratch {
-                let p = self.pending[c as usize] + delta;
-                let fire = if self.r == 0 {
-                    p != 0
-                } else {
-                    p.unsigned_abs() as f64 >= thresh
-                };
-                if fire {
+                if counter_fires(self.r, thresh, self.pending[c as usize] + delta) {
                     break 'outer;
                 }
             }
@@ -361,7 +361,10 @@ impl<M: CounterMap> SiteNode for FreqSite<M> {
         self.f1_d = dec.i64()?;
         self.f1_delta = dec.i64()?;
         self.r = dec.u32()?;
-        Ok(())
+        self.blocks.check_restored(self.r, Some(self.f1_d))?;
+        let thresh = counter_threshold(self.eps, self.r);
+        let quiet = |&p: &i64| !counter_fires(self.r, thresh, p);
+        restore_check(self.pending.iter().all(quiet), "pending counter delta")
     }
 }
 
@@ -381,11 +384,9 @@ impl<M: CounterMap> FreqCoord<M> {
     /// Fresh coordinator for `k` sites with reduction `map` (must be built
     /// from the same seed/shape as the sites').
     pub fn new(k: usize, map: M) -> Self {
-        let mut blocks = BlockCoordinator::new(BlockConfig::new(k));
-        blocks.enable_log();
         let c = map.counters();
         FreqCoord {
-            blocks,
+            blocks: BlockCoordinator::new(BlockConfig::new(k)),
             map,
             fhat: vec![0; c],
             f1_dhat: vec![0; k],
@@ -467,7 +468,7 @@ impl<M: CounterMap> CoordinatorNode for FreqCoord<M> {
         restore_seq("counter estimates", &mut self.fhat, &dec.seq_i64("fhat")?)?;
         restore_seq("F1 drifts", &mut self.f1_dhat, &dec.seq_i64("f1_dhat")?)?;
         self.f1_dhat_sum = dec.i64()?;
-        Ok(())
+        check_sum("F1 drift sum", self.f1_dhat_sum, &self.f1_dhat)
     }
 }
 

@@ -24,8 +24,8 @@
 //! `ε·2^r·k/3` with probability `1 − 18/c²`. The default `c = 9` targets
 //! failure ≤ 2/9 per row per timestep; `r = 0` blocks are exact.
 
-use crate::blocks::{BlockConfig, BlockCoordinator, BlockSite};
-use crate::randomized::{load_rng, sampling_probability_with, save_rng};
+use crate::blocks::{check_sum, BlockConfig, BlockCoordinator, BlockSite};
+use crate::randomized::{load_probability, load_rng, sampling_probability_with, save_rng};
 use dsv_net::codec::{restore_seq, CodecError, Dec, Enc};
 use dsv_net::{CoordOutbox, CoordinatorNode, Outbox, SiteNode, StarSim, Time, WireSize};
 use dsv_sketch::{CountMinMap, CounterMap, IdentityMap};
@@ -337,7 +337,8 @@ impl<M: CounterMap> SiteNode for RFreqSite<M> {
         self.f1_d = dec.i64()?;
         self.f1_delta = dec.i64()?;
         self.r = dec.u32()?;
-        self.p = dec.f64()?;
+        self.blocks.check_restored(self.r, Some(self.f1_d))?;
+        self.p = load_probability(dec)?;
         self.rng = load_rng(dec)?;
         self.carry = dec.seq_bool("sampling carry")?;
         self.carry_at = dec.usize()?;
@@ -385,18 +386,15 @@ pub struct RFreqCoord<M: CounterMap> {
     eps: f64,
     k: usize,
     sample_const: f64,
-    r: u32,
     breakdown: RFreqBreakdown,
 }
 
 impl<M: CounterMap> RFreqCoord<M> {
     /// Fresh coordinator (reduction must match the sites').
     pub fn new(k: usize, map: M, eps: f64, c: f64) -> Self {
-        let mut blocks = BlockCoordinator::new(BlockConfig::new(k));
-        blocks.enable_log();
         let n = map.counters();
         RFreqCoord {
-            blocks,
+            blocks: BlockCoordinator::new(BlockConfig::new(k)),
             map,
             base: vec![0; n],
             dhat_plus: vec![0.0; n * k],
@@ -409,7 +407,6 @@ impl<M: CounterMap> RFreqCoord<M> {
             eps,
             k,
             sample_const: c,
-            r: 0,
             breakdown: RFreqBreakdown::default(),
         }
     }
@@ -449,7 +446,7 @@ impl<M: CounterMap> RFreqCoord<M> {
 
     fn apply_sample(&mut self, site: usize, idx: u32, d: u64, plus: bool) {
         let c = idx as usize;
-        let est = if self.r == 0 {
+        let est = if self.blocks.r() == 0 {
             d as f64
         } else {
             d as f64 - 1.0 + 1.0 / self.p
@@ -462,7 +459,7 @@ impl<M: CounterMap> RFreqCoord<M> {
         };
         self.drift[c] += sign * (est - *store);
         *store = est;
-        self.combined[c] = self.base[c] + self.drift[c].round() as i64;
+        self.combined[c] = self.base[c].saturating_add(self.drift[c].round() as i64);
     }
 }
 
@@ -488,7 +485,6 @@ impl<M: CounterMap> CoordinatorNode for RFreqCoord<M> {
                     self.combined.fill(0);
                     self.f1_dhat.fill(0);
                     self.f1_dhat_sum = 0;
-                    self.r = r;
                     self.p = sampling_probability_with(self.sample_const, self.eps, r, self.k);
                     out.broadcast(RFreqDown::NewBlock { r });
                 }
@@ -502,7 +498,7 @@ impl<M: CounterMap> CoordinatorNode for RFreqCoord<M> {
                 self.breakdown.heavy += 1;
                 let c = idx as usize;
                 self.base[c] += value;
-                self.combined[c] = self.base[c] + self.drift[c].round() as i64;
+                self.combined[c] = self.base[c].saturating_add(self.drift[c].round() as i64);
             }
             RFreqUp::SamplePlus { idx, d } => {
                 self.breakdown.sampled += 1;
@@ -529,7 +525,6 @@ impl<M: CounterMap> CoordinatorNode for RFreqCoord<M> {
         enc.seq_i64(&self.f1_dhat);
         enc.i64(self.f1_dhat_sum);
         enc.f64(self.p);
-        enc.u32(self.r);
         enc.u64(self.breakdown.sampled);
         enc.u64(self.breakdown.heavy);
         enc.u64(self.breakdown.f1_drift);
@@ -550,8 +545,8 @@ impl<M: CounterMap> CoordinatorNode for RFreqCoord<M> {
         )?;
         restore_seq("F1 drifts", &mut self.f1_dhat, &dec.seq_i64("f1_dhat")?)?;
         self.f1_dhat_sum = dec.i64()?;
-        self.p = dec.f64()?;
-        self.r = dec.u32()?;
+        check_sum("F1 drift sum", self.f1_dhat_sum, &self.f1_dhat)?;
+        self.p = load_probability(dec)?;
         self.breakdown = RFreqBreakdown {
             sampled: dec.u64()?,
             heavy: dec.u64()?,
@@ -627,6 +622,7 @@ impl RandFreqTracker {
 mod tests {
     use super::*;
     use crate::api::ItemDriver;
+    use crate::blocks::BlockTrace;
     use crate::frequencies::ExactFreqTracker;
     use dsv_gen::{ItemStreamGen, RoundRobin};
     use dsv_net::ItemUpdate;
@@ -681,11 +677,13 @@ mod tests {
         let updates = stream(12_000, k, universe, 17);
         let mut truth = ExactCounts::new();
         let mut sim = RandFreqTracker::sim_exact(k, eps, universe, 19);
+        let mut trace = BlockTrace::attach(sim.coordinator().blocks());
         let mut blocks_seen = 0usize;
         for u in &updates {
             truth.update(u.item, u.delta);
             sim.step(u.site, (u.item, u.delta));
-            let nblocks = sim.coordinator().blocks().log().unwrap().len();
+            trace.observe(sim.time(), sim.coordinator().blocks());
+            let nblocks = trace.blocks().len();
             if nblocks > blocks_seen {
                 blocks_seen = nblocks;
                 // Immediately after a block end, heavy counters were just

@@ -48,7 +48,7 @@ pub use api::{
     BuildError, Driver, ItemDriver, ItemRunReport, ItemTracker, KindInfo, KnownKind, Problem,
     ResumeError, RunError, StreamRecord, Tracker, TrackerKind, TrackerSpec,
 };
-pub use blocks::{BlockConfig, BlockCoordinator, BlockInfo, BlockSite};
+pub use blocks::{BlockConfig, BlockCoordinator, BlockInfo, BlockSite, BlockTrace};
 pub use codec::{CodecError, TrackerState};
 pub use deterministic::DeterministicTracker;
 pub use frequencies::{CountMinFreqTracker, CrPrecisFreqTracker, ExactFreqTracker};

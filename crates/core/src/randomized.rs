@@ -24,7 +24,7 @@
 //! for at most `k` updates per `r = 0` block.
 
 use crate::blocks::{BlockConfig, BlockCoordinator, BlockSite};
-use dsv_net::codec::{restore_seq, CodecError, Dec, Enc};
+use dsv_net::codec::{restore_check, restore_seq, CodecError, Dec, Enc};
 use dsv_net::{CoordOutbox, CoordinatorNode, Outbox, SiteNode, StarSim, Time, WireSize};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -43,6 +43,14 @@ pub(crate) fn load_rng(dec: &mut Dec) -> Result<SmallRng, CodecError> {
         *w = dec.u64()?;
     }
     Ok(SmallRng::from_state(s))
+}
+
+/// Restore a sampling probability: it must be one (and never 0 —
+/// `p = min{1, c/(ε·2^r·√k)}` is positive), or the next draw panics.
+pub(crate) fn load_probability(dec: &mut Dec) -> Result<f64, CodecError> {
+    let p = dec.f64()?;
+    restore_check(p > 0.0 && p <= 1.0, "sampling probability")?;
+    Ok(p)
 }
 
 /// The sampling probability `p = min{1, 3/(ε·2^r·√k)}` of block radius `r`.
@@ -206,7 +214,8 @@ impl SiteNode for RandSite {
         self.d_plus = dec.u64()?;
         self.d_minus = dec.u64()?;
         self.r = dec.u32()?;
-        self.p = dec.f64()?;
+        self.blocks.check_restored(self.r, None)?;
+        self.p = load_probability(dec)?;
         self.rng = load_rng(dec)?;
         Ok(())
     }
@@ -224,7 +233,6 @@ pub struct RandCoord {
     eps: f64,
     k: usize,
     sample_const: f64,
-    r: u32,
 }
 
 impl RandCoord {
@@ -236,10 +244,8 @@ impl RandCoord {
     /// Fresh coordinator with a non-default sampling constant `c` (must
     /// match the sites').
     pub fn with_sampling_constant(c: f64, k: usize, eps: f64) -> Self {
-        let mut blocks = BlockCoordinator::new(BlockConfig::new(k));
-        blocks.enable_log();
         RandCoord {
-            blocks,
+            blocks: BlockCoordinator::new(BlockConfig::new(k)),
             dhat_plus: vec![0.0; k],
             dhat_minus: vec![0.0; k],
             sum_plus: 0.0,
@@ -248,11 +254,10 @@ impl RandCoord {
             eps,
             k,
             sample_const: c,
-            r: 0,
         }
     }
 
-    /// Access the partitioner (radius, sync value, block log).
+    /// Access the partitioner (radius, sync value, block index).
     pub fn blocks(&self) -> &BlockCoordinator {
         &self.blocks
     }
@@ -261,7 +266,7 @@ impl RandCoord {
     fn apply_sample(&mut self, site: usize, d: u64, plus: bool) {
         // In r = 0 blocks every update is forwarded, so the count is exact;
         // otherwise apply d̂±_i = d±_i − 1 + 1/p (Fact 3.1).
-        let est = if self.r == 0 {
+        let est = if self.blocks.r() == 0 {
             d as f64
         } else {
             d as f64 - 1.0 + 1.0 / self.p
@@ -293,7 +298,6 @@ impl CoordinatorNode for RandCoord {
                     self.dhat_minus.fill(0.0);
                     self.sum_plus = 0.0;
                     self.sum_minus = 0.0;
-                    self.r = r;
                     self.p = sampling_probability_with(self.sample_const, self.eps, r, self.k);
                     out.broadcast(RandDown::NewBlock { r });
                 }
@@ -304,8 +308,9 @@ impl CoordinatorNode for RandCoord {
     }
 
     fn estimate(&self) -> i64 {
+        // `as` saturates an absurd drift; so does the sum.
         let drift = self.sum_plus - self.sum_minus;
-        self.blocks.f_sync() + drift.round() as i64
+        self.blocks.f_sync().saturating_add(drift.round() as i64)
     }
 
     fn save_state(&self, enc: &mut Enc) -> bool {
@@ -315,7 +320,6 @@ impl CoordinatorNode for RandCoord {
         enc.f64(self.sum_plus);
         enc.f64(self.sum_minus);
         enc.f64(self.p);
-        enc.u32(self.r);
         true
     }
 
@@ -325,8 +329,7 @@ impl CoordinatorNode for RandCoord {
         restore_seq("A- estimates", &mut self.dhat_minus, &dec.seq_f64("dhat-")?)?;
         self.sum_plus = dec.f64()?;
         self.sum_minus = dec.f64()?;
-        self.p = dec.f64()?;
-        self.r = dec.u32()?;
+        self.p = load_probability(dec)?;
         Ok(())
     }
 }
@@ -377,6 +380,7 @@ impl RandomizedTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocks::BlockTrace;
     use crate::variability::Variability;
     use dsv_gen::{AdversarialGen, DeltaGen, MonotoneGen, RoundRobin, WalkGen};
     use dsv_net::TrackerRunner;
@@ -429,14 +433,16 @@ mod tests {
         let k = 4;
         let updates = WalkGen::biased(3, 0.4).updates(20_000, RoundRobin::new(k));
         let mut sim = RandomizedTracker::sim(k, 0.1, 5);
+        let mut trace = BlockTrace::attach(sim.coordinator().blocks());
         let mut f = 0i64;
         let mut truth = Vec::with_capacity(updates.len());
         for u in &updates {
             f += u.delta;
             truth.push(f);
             sim.step(u.site, u.delta);
+            trace.observe(sim.time(), sim.coordinator().blocks());
         }
-        let log = sim.coordinator().blocks().log().unwrap();
+        let log = trace.blocks();
         assert!(log.len() > 3);
         for b in log {
             assert_eq!(b.f_end, truth[(b.end - 1) as usize]);

@@ -44,8 +44,10 @@ pub const STORE_MAGIC: [u8; 4] = *b"DSVS";
 
 /// Current checkpoint-store format version. Bump on **any** layout
 /// change (and see `MIGRATION.md`); nested deltas carry their own `DSVD`
-/// version independently.
-pub const STORE_VERSION: u16 = 1;
+/// version independently. Base links hold **bare** tracker payloads
+/// (no `DSVT` envelope), so this moves with
+/// `dsv_core::codec::STATE_VERSION`: version 2 is state version 2.
+pub const STORE_VERSION: u16 = 2;
 
 /// One shard's contribution to one retained boundary.
 #[derive(Debug, Clone, PartialEq)]
@@ -324,7 +326,13 @@ impl CheckpointStore {
     /// fingerprint.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut dec = Dec::new(bytes);
-        dec.magic(STORE_MAGIC, STORE_VERSION)?;
+        let found = dec.magic(STORE_MAGIC, STORE_VERSION)?;
+        if found != STORE_VERSION {
+            return Err(CodecError::UnsupportedVersion {
+                found,
+                supported: STORE_VERSION,
+            });
+        }
         let tag = dec.u8()?;
         let k = dec.usize()?;
         let shards = dec.usize()?;

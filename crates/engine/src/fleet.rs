@@ -66,8 +66,10 @@ pub const FLEET_MAGIC: [u8; 4] = *b"DSVF";
 /// own `DSVT` version independently. A shard-table variant tag follows
 /// the version: `TABLE_FULL` for the full table, `TABLE_DELTA` for a
 /// parent-anchored [`FleetDelta`] table. Decoders read exactly this
-/// version (`MIGRATION.md`, format policy).
-pub const FLEET_VERSION: u16 = 2;
+/// version (`MIGRATION.md`, format policy). Slot spans hold **bare**
+/// tracker payloads, so this moves with
+/// `dsv_core::codec::STATE_VERSION`: version 3 is state version 2.
+pub const FLEET_VERSION: u16 = 3;
 
 /// `DSVF` shard-table variant: every slot record in full.
 const TABLE_FULL: u8 = 1;
@@ -841,7 +843,7 @@ impl FleetCheckpoint {
         self.head.f
     }
 
-    /// Serialize to the versioned wire form (v2, full shard table).
+    /// Serialize to the versioned wire form (full shard table).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut enc = Enc::new();
         enc.magic(FLEET_MAGIC, FLEET_VERSION);
@@ -914,7 +916,7 @@ enum SlotOp {
 }
 
 /// A fleet checkpoint encoded as a diff against a **parent**
-/// [`FleetCheckpoint`] — the `DSVF` v2 delta-chain shard-table variant.
+/// [`FleetCheckpoint`] — the `DSVF` delta-chain shard-table variant.
 ///
 /// Build one with [`TrackerFleet::checkpoint_delta`] (or
 /// [`FleetDelta::between`] two explicit checkpoints); reconstruct the
@@ -1096,7 +1098,7 @@ impl FleetDelta {
         self.head.time
     }
 
-    /// Serialize to the versioned wire form (`DSVF` v2, delta table).
+    /// Serialize to the versioned wire form (`DSVF`, delta table).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut enc = Enc::new();
         enc.magic(FLEET_MAGIC, FLEET_VERSION);
@@ -2220,6 +2222,22 @@ mod tests {
             FleetCheckpoint::from_bytes(&v1),
             Err(CodecError::BadValue { .. })
         ));
+        // The v2 wire form: today's layout around slot payloads that
+        // still carried the block log (`DSVT` v1), so only the version
+        // word tells — and it is enough, for both table variants.
+        let parent = fleet.checkpoint().unwrap();
+        fleet.update(3, 1).unwrap();
+        let restamp = |mut bytes: Vec<u8>| {
+            bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+            bytes
+        };
+        let refused = Some(CodecError::BadValue {
+            what: "fleet format version (only the current generation is read)",
+        });
+        let full = restamp(parent.to_bytes());
+        assert_eq!(FleetCheckpoint::from_bytes(&full).err(), refused);
+        let delta = restamp(fleet.checkpoint_delta(&parent).unwrap().to_bytes());
+        assert_eq!(FleetDelta::from_bytes(&delta).err(), refused);
     }
 
     #[test]

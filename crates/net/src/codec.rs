@@ -403,6 +403,17 @@ pub fn restore_seq<T: Copy>(
     Ok(())
 }
 
+/// The domain check that ties a decoded value to what the restored
+/// protocol can run from: `Ok` if `ok`, else [`CodecError::BadValue`]
+/// naming `what`.
+pub fn restore_check(ok: bool, what: &'static str) -> Result<(), CodecError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(CodecError::BadValue { what })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -56,7 +56,7 @@ pub mod prelude {
         ResumeError, RunError, StreamRecord, Tracker, TrackerKind, TrackerSpec,
     };
     pub use dsv_core::baselines::{CmyCounter, HyzCounter, NaiveTracker, PeriodicSync};
-    pub use dsv_core::blocks::{BlockConfig, BlockCoordinator, BlockSite};
+    pub use dsv_core::blocks::{BlockConfig, BlockCoordinator, BlockSite, BlockTrace};
     pub use dsv_core::codec::{CodecError, TrackerState};
     pub use dsv_core::deterministic::DeterministicTracker;
     pub use dsv_core::expand::expand_update;

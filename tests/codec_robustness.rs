@@ -98,6 +98,114 @@ fn corrupted_bytes_never_panic_and_usually_fail_typed() {
     }
 }
 
+/// The six kinds built on the §3.1 block partitioner.
+const BLOCK_KINDS: [TrackerKind; 6] = [
+    TrackerKind::Deterministic,
+    TrackerKind::Randomized,
+    TrackerKind::ExactFreq,
+    TrackerKind::CountMinFreq,
+    TrackerKind::CrPrecisFreq,
+    TrackerKind::RandFreq,
+];
+
+/// Substitute 0x00 / 0x80 / 0xFF for every `stride`-th byte of `state`'s
+/// payload in turn, restore, and — where the restore is accepted — keep
+/// running: `inputs` one `step` at a time round-robin, the last 512 as
+/// one `update_run`. Returns one replayable line (kind, byte offset,
+/// value) per case that panicked instead of failing typed or running on.
+fn restore_then_continue<In: Copy, T: Tracker<In> + ?Sized>(
+    state: &TrackerState,
+    inputs: &[In],
+    stride: usize,
+    resume: impl Fn(&TrackerState) -> Result<Box<T>, ResumeError>,
+) -> Vec<String> {
+    let (steps, run) = inputs.split_at(inputs.len() - 512);
+    let mut panicked = Vec::new();
+    for offset in (0..state.payload().len()).step_by(stride) {
+        for value in [0x00u8, 0x80, 0xFF] {
+            let mut evil = state.payload().to_vec();
+            if evil[offset] == value {
+                continue;
+            }
+            evil[offset] = value;
+            let evil = TrackerState::new(state.kind(), state.k(), evil);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if let Ok(mut tracker) = resume(&evil) {
+                    for (i, &input) in steps.iter().enumerate() {
+                        tracker.step(i % state.k(), input);
+                    }
+                    tracker.update_run(0, run);
+                }
+            }));
+            if outcome.is_err() {
+                panicked.push(format!(
+                    "{}: payload[{offset}] = {value:#04x}",
+                    state.kind().label()
+                ));
+            }
+        }
+    }
+    panicked
+}
+
+#[test]
+fn corrupted_states_restore_typed_or_keep_running() {
+    // `corrupted_bytes_never_panic_and_usually_fail_typed` stops at the
+    // restore; a corrupted-but-decodable state does its damage on the
+    // *next update* (a collection that closes on the first reply, a
+    // shift by a radius ≥ 64, a sampling probability outside [0, 1]).
+    // `load_state` must refuse what the protocol cannot run from.
+    let mut s = 67u64;
+    let deltas: Vec<i64> = (0..2_512)
+        .map(|_| if lcg(&mut s).is_multiple_of(3) { -1 } else { 1 })
+        .collect();
+    let mut panicked = Vec::new();
+    for kind in BLOCK_KINDS {
+        if kind.problem() == Problem::Counting {
+            let (spec, state) = warm_state(kind);
+            panicked.extend(restore_then_continue(&state, &deltas, 1, |s| {
+                spec.resume(s)
+            }));
+            continue;
+        }
+        // Item kinds: a small universe and, for the sketches, a wide ε
+        // keep the counter vectors short. The sketch kinds run the very
+        // `FreqSite`/`FreqCoord` that `ExactFreq` probes byte by byte —
+        // only their vectors are longer — so they take every 7th offset
+        // (coprime to the 8-byte word: every byte lane is still hit).
+        let sketched = matches!(kind, TrackerKind::CountMinFreq | TrackerKind::CrPrecisFreq);
+        let spec = TrackerSpec::new(kind)
+            .k(3)
+            .eps(if sketched { 0.9 } else { 0.2 })
+            .seed(9)
+            .universe(8)
+            .deletions(true);
+        let mut tracker = spec.build_item().unwrap();
+        let mut items = |n: usize| -> Vec<(u64, i64)> {
+            (0..n)
+                .map(|_| {
+                    let item = lcg(&mut s) % 8;
+                    (item, if lcg(&mut s).is_multiple_of(3) { -1 } else { 1 })
+                })
+                .collect()
+        };
+        for (i, input) in items(1_500).into_iter().enumerate() {
+            tracker.step(i % 3, input);
+        }
+        let state = tracker.snapshot().unwrap();
+        let stride = if sketched { 7 } else { 1 };
+        panicked.extend(restore_then_continue(&state, &items(2_512), stride, |s| {
+            spec.resume_item(s)
+        }));
+    }
+    assert!(
+        panicked.is_empty(),
+        "{} corrupted states were accepted and then panicked:\n{}",
+        panicked.len(),
+        panicked.join("\n")
+    );
+}
+
 #[test]
 fn wrong_version_and_wrong_magic_are_specific_errors() {
     let (_, state) = warm_state(TrackerKind::Deterministic);
@@ -118,6 +226,20 @@ fn wrong_version_and_wrong_magic_are_specific_errors() {
         TrackerState::from_bytes(&zero),
         Err(CodecError::UnsupportedVersion { found: 0, .. })
     ));
+
+    // The retired `DSVT` v1 (its coordinator state ended in the block
+    // log): one generation per format, so it is refused by version, not
+    // mis-read positionally.
+    let mut v1 = bytes.clone();
+    v1[4] = 1;
+    v1[5] = 0;
+    assert_eq!(
+        TrackerState::from_bytes(&v1),
+        Err(CodecError::UnsupportedVersion {
+            found: 1,
+            supported: 2
+        })
+    );
 
     let mut alien = bytes.clone();
     alien[..4].copy_from_slice(b"JUNK");
@@ -388,6 +510,17 @@ fn checkpoint_store_bytes_survive_the_gauntlet() {
         CheckpointStore::from_bytes(&future),
         Err(CodecError::UnsupportedVersion { .. })
     ));
+    // `DSVS` v1 base links held bare `DSVT` v1 payloads: refused whole.
+    let mut v1 = bytes.clone();
+    v1[4] = 1;
+    v1[5] = 0;
+    assert_eq!(
+        CheckpointStore::from_bytes(&v1).err(),
+        Some(CodecError::UnsupportedVersion {
+            found: 1,
+            supported: 2
+        })
+    );
     let mut trailing = bytes.clone();
     trailing.extend_from_slice(&[3]);
     assert!(matches!(
@@ -517,7 +650,7 @@ fn fleet_delta_tables_survive_the_gauntlet() {
         })
     ));
 
-    // The two DSVF v2 table variants refuse to decode as each other.
+    // The two DSVF table variants refuse to decode as each other.
     assert!(FleetCheckpoint::from_bytes(&bytes).is_err());
     assert!(FleetDelta::from_bytes(&child.to_bytes()).is_err());
 }

@@ -148,14 +148,16 @@ fn trackers_agree_with_naive_ground_truth_at_block_ends() {
     let k = 4;
     let updates = WalkGen::biased(7, 0.3).updates(20_000, RoundRobin::new(k));
     let mut det = DeterministicTracker::sim(k, 0.1);
+    let mut trace = BlockTrace::attach(det.coordinator().blocks());
     let mut truth = Vec::new();
     let mut f = 0i64;
     for u in &updates {
         f += u.delta;
         truth.push(f);
         det.step(u.site, u.delta);
+        trace.observe(det.time(), det.coordinator().blocks());
     }
-    let log = det.coordinator().blocks().log().unwrap();
+    let log = trace.blocks();
     assert!(log.len() > 3, "expected several blocks");
     for b in log {
         assert_eq!(b.f_end, truth[(b.end - 1) as usize]);

@@ -162,17 +162,18 @@ proptest! {
         deltas in pm1_stream(800),
         k in 1usize..5,
     ) {
-        use dsv::core::blocks::{threshold_for, BlockOnlyCoord, BlockOnlySite};
+        use dsv::core::blocks::{threshold_for, BlockOnlyCoord, BlockOnlySite, BlockTrace};
         let mut sim = StarSim::with_k(k, |_| BlockOnlySite::new(), BlockOnlyCoord::new(k));
+        let mut trace = BlockTrace::attach(sim.coordinator().blocks());
         let mut values = Vec::with_capacity(deltas.len());
         let mut f = 0i64;
         for (i, &d) in deltas.iter().enumerate() {
             f += d;
             values.push(f);
             sim.step(i % k, d);
+            trace.observe(sim.time(), sim.coordinator().blocks());
         }
-        let log = sim.coordinator().blocks().log().unwrap();
-        for b in log {
+        for b in trace.blocks() {
             prop_assert_eq!(b.f_end, values[(b.end - 1) as usize]);
             let th = threshold_for(b.r);
             prop_assert!(b.len() >= th * k as u64);
