@@ -156,13 +156,16 @@ cargo clippy --workspace --all-targets ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}
 step "cargo test --workspace -q (superset of the tier-1 'cargo test -q')"
 cargo test --workspace -q ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}
 
-step "cargo test --release: codec_robustness + state_bounded (the restore gauntlet and the O(k) state check, optimized)"
+step "cargo test --release: codec_robustness + state_bounded + fleet_equivalence + state_roundtrip (the restore gauntlet, the O(k) state check and the snapshot seam, optimized)"
 # Both profiles are needed. The restore-then-continue gauntlet's
 # `assert!` panics reproduce only when a restored tracker is stepped and
 # survive into release; its shift and add overflows panic only in debug
 # (the workspace-test step above). state_bounded runs a tenth of its
-# sizes in debug and the stated 1e5 / 1e6 / 1e7 updates here.
-cargo test -q --release -p dsv ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"} --test codec_robustness --test state_bounded
+# sizes in debug and the stated 1e5 / 1e6 / 1e7 updates here. The fleet's
+# eviction path (freeze appends to the arena through `snapshot_into`)
+# runs at scale only in release, with its `debug_assert`s compiled out,
+# so its equivalence matrix and the seam's round-trip suite run here too.
+cargo test -q --release -p dsv ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"} --test codec_robustness --test state_bounded --test fleet_equivalence --test state_roundtrip
 
 step "cargo build --release --examples"
 cargo build --release --examples ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}

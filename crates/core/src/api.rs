@@ -395,6 +395,22 @@ pub trait Tracker<In: Copy = i64>: std::fmt::Debug {
         Err(CodecError::UnsupportedNode)
     }
 
+    /// Append exactly `self.snapshot()?.payload()` to `out`, keeping what
+    /// `out` already holds; on error `out` is left at its entry length.
+    ///
+    /// This is the seam a slab writes through: the keyed fleet
+    /// (`dsv-engine::fleet`) freezes an evicted key by appending its state
+    /// straight onto the shard arena, so eviction costs the encoding and
+    /// no allocation. The [`StarSim`] blanket impl encodes in place and
+    /// derives [`snapshot`](Self::snapshot) from this method; the default
+    /// goes the other way, so a custom tracker that implements only
+    /// `snapshot` works unchanged (and one that implements neither
+    /// reports [`CodecError::UnsupportedNode`] here too).
+    fn snapshot_into(&self, out: &mut Vec<u8>) -> Result<(), CodecError> {
+        out.extend_from_slice(self.snapshot()?.payload());
+        Ok(())
+    }
+
     /// Restore a [`snapshot`](Self::snapshot) into this tracker, which
     /// must have been built with the same parameters. Kind and shape
     /// mismatches are typed [`CodecError`]s; on error the tracker may be
@@ -450,13 +466,17 @@ where
     }
 
     fn snapshot(&self) -> Result<TrackerState, CodecError> {
-        let mut enc = Enc::new();
-        StarSim::save_state(self, &mut enc)?;
+        let mut payload = Vec::new();
+        self.snapshot_into(&mut payload)?;
         Ok(TrackerState::new(
             <Self as KnownKind>::KIND,
             StarSim::k(self),
-            enc.into_bytes(),
+            payload,
         ))
+    }
+
+    fn snapshot_into(&self, out: &mut Vec<u8>) -> Result<(), CodecError> {
+        Enc::append_to(out, |enc| StarSim::save_state(self, enc))
     }
 
     fn restore(&mut self, state: &TrackerState) -> Result<(), CodecError> {
@@ -512,6 +532,10 @@ impl<In: Copy, T: Tracker<In> + ?Sized> Tracker<In> for Box<T> {
 
     fn snapshot(&self) -> Result<TrackerState, CodecError> {
         (**self).snapshot()
+    }
+
+    fn snapshot_into(&self, out: &mut Vec<u8>) -> Result<(), CodecError> {
+        (**self).snapshot_into(out)
     }
 
     fn restore(&mut self, state: &TrackerState) -> Result<(), CodecError> {
@@ -1713,6 +1737,93 @@ mod tests {
             .with_floor(f64::NAN)
             .is_err());
         assert!(Driver::<i64>::new(1.5).is_err());
+    }
+
+    /// `snapshot_into` after a prefix must leave the prefix alone and
+    /// append exactly the snapshot's payload.
+    fn assert_appends_payload<In: Copy>(tracker: &(impl Tracker<In> + ?Sized), label: &str) {
+        let prefix = [0xA5u8, 0, 0xFF, 7, 7];
+        let mut out = prefix.to_vec();
+        tracker.snapshot_into(&mut out).unwrap();
+        let state = tracker.snapshot().unwrap();
+        assert_eq!(out[..prefix.len()], prefix, "{label}: prefix disturbed");
+        assert_eq!(&out[prefix.len()..], state.payload(), "{label}");
+        // Appending again lays a second, identical record behind the first.
+        tracker.snapshot_into(&mut out).unwrap();
+        assert_eq!(
+            &out[prefix.len() + state.payload().len()..],
+            state.payload(),
+            "{label}: second append"
+        );
+    }
+
+    #[test]
+    fn snapshot_into_appends_exactly_the_snapshot_payload_for_every_kind() {
+        let deltas = WalkGen::fair(9).deltas(2_000);
+        for kind in TrackerKind::COUNTERS {
+            let k = if kind == TrackerKind::SingleSite {
+                1
+            } else {
+                3
+            };
+            let spec = counter_spec(kind, k);
+            let mut tracker = spec.build().unwrap();
+            assert_appends_payload(&tracker, kind.label());
+            for (i, &d) in deltas.iter().enumerate() {
+                let d = if kind.supports_deletions() { d } else { 1 };
+                tracker.step(i % k, d);
+            }
+            assert_appends_payload(&tracker, kind.label());
+            // The appended bytes are a restorable state, not just equal ones.
+            let mut payload = Vec::new();
+            tracker.snapshot_into(&mut payload).unwrap();
+            let resumed = spec.resume(&TrackerState::new(kind, k, payload)).unwrap();
+            assert_eq!(resumed.snapshot().unwrap(), tracker.snapshot().unwrap());
+        }
+        let updates = ItemStreamGen::new(5, 64, 1.1, 0.2, 1).updates(2_000, RoundRobin::new(3));
+        for kind in TrackerKind::FREQUENCIES {
+            let spec = TrackerSpec::new(kind).k(3).eps(0.2).seed(11).universe(64);
+            let mut tracker = spec.build_item().unwrap();
+            assert_appends_payload(&tracker, kind.label());
+            for u in &updates {
+                tracker.step(u.site, (u.item, u.delta));
+            }
+            assert_appends_payload(&tracker, kind.label());
+        }
+    }
+
+    #[test]
+    fn snapshot_into_defaults_to_snapshot_for_trackers_that_only_have_that() {
+        /// A custom tracker written against the trait as it was before
+        /// `snapshot_into`: required methods plus `snapshot`.
+        #[derive(Debug)]
+        struct Legacy(Box<dyn Tracker + Send>);
+        impl Tracker for Legacy {
+            fn step(&mut self, site: SiteId, input: i64) -> i64 {
+                self.0.step(site, input)
+            }
+            fn estimate(&self) -> i64 {
+                self.0.estimate()
+            }
+            fn stats(&self) -> &CommStats {
+                self.0.stats()
+            }
+            fn kind(&self) -> TrackerKind {
+                self.0.kind()
+            }
+            fn k(&self) -> usize {
+                self.0.k()
+            }
+            fn snapshot(&self) -> Result<TrackerState, CodecError> {
+                self.0.snapshot()
+            }
+        }
+        let mut legacy = Legacy(counter_spec(TrackerKind::Deterministic, 2).build().unwrap());
+        for t in 0..500 {
+            legacy.step(t % 2, 1);
+        }
+        assert_appends_payload(&legacy, "legacy");
+        assert_appends_payload(&Box::new(legacy), "boxed legacy");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! (where `v = O(log n)`), which experiment E7 verifies.
 
 use crate::randomized::{load_rng, save_rng};
-use dsv_net::codec::{restore_seq, CodecError, Dec, Enc};
+use dsv_net::codec::{CodecError, Dec, Enc};
 use dsv_net::{CoordOutbox, CoordinatorNode, Outbox, SiteNode, StarSim, Time, WireSize};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -257,7 +257,7 @@ impl CoordinatorNode for CmyCoord {
     }
 
     fn load_state(&mut self, dec: &mut Dec) -> Result<(), CodecError> {
-        restore_seq("per-site counts", &mut self.nhat, &dec.seq_u64("nhat")?)?;
+        dec.fill_u64("per-site counts", &mut self.nhat)?;
         self.sum = dec.u64()?;
         Ok(())
     }
@@ -443,12 +443,8 @@ impl CoordinatorNode for HyzCoord {
     }
 
     fn load_state(&mut self, dec: &mut Dec) -> Result<(), CodecError> {
-        restore_seq("per-site estimates", &mut self.nhat, &dec.seq_f64("nhat")?)?;
-        restore_seq(
-            "per-site exact bases",
-            &mut self.exact_base,
-            &dec.seq_u64("exact_base")?,
-        )?;
+        dec.fill_f64("per-site estimates", &mut self.nhat)?;
+        dec.fill_u64("per-site exact bases", &mut self.exact_base)?;
         self.sum = dec.f64()?;
         self.p = dec.f64()?;
         self.round_threshold = dec.f64()?;

@@ -18,7 +18,7 @@
 //! `O(k·v(n))` partition messages.
 
 use crate::blocks::{check_sum, BlockConfig, BlockCoordinator, BlockSite};
-use dsv_net::codec::{restore_seq, CodecError, Dec, Enc};
+use dsv_net::codec::{CodecError, Dec, Enc};
 use dsv_net::{CoordOutbox, CoordinatorNode, Outbox, SiteNode, StarSim, Time, WireSize};
 
 /// Site → coordinator messages of the deterministic tracker.
@@ -274,11 +274,7 @@ impl CoordinatorNode for DetCoord {
 
     fn load_state(&mut self, dec: &mut Dec) -> Result<(), CodecError> {
         self.blocks.load_state(dec)?;
-        restore_seq(
-            "per-site drift estimates",
-            &mut self.dhat,
-            &dec.seq_i64("dhat")?,
-        )?;
+        dec.fill_i64("per-site drift estimates", &mut self.dhat)?;
         self.dhat_sum = dec.i64()?;
         check_sum("drift estimate sum", self.dhat_sum, &self.dhat)
     }

@@ -33,7 +33,7 @@
 //! for a total of `ε·F1(n)`.
 
 use crate::blocks::{check_sum, BlockConfig, BlockCoordinator, BlockSite};
-use dsv_net::codec::{restore_check, restore_seq, CodecError, Dec, Enc};
+use dsv_net::codec::{restore_check, CodecError, Dec, Enc};
 use dsv_net::{
     CoordOutbox, CoordinatorNode, MergedEntry, Outbox, SiteNode, StarSim, Time, WireSize,
 };
@@ -352,12 +352,8 @@ impl<M: CounterMap> SiteNode for FreqSite<M> {
 
     fn load_state(&mut self, dec: &mut Dec) -> Result<(), CodecError> {
         self.blocks.load_state(dec)?;
-        restore_seq("counter totals", &mut self.totals, &dec.seq_i64("totals")?)?;
-        restore_seq(
-            "pending deltas",
-            &mut self.pending,
-            &dec.seq_i64("pending")?,
-        )?;
+        dec.fill_i64("counter totals", &mut self.totals)?;
+        dec.fill_i64("pending deltas", &mut self.pending)?;
         self.f1_d = dec.i64()?;
         self.f1_delta = dec.i64()?;
         self.r = dec.u32()?;
@@ -465,8 +461,8 @@ impl<M: CounterMap> CoordinatorNode for FreqCoord<M> {
 
     fn load_state(&mut self, dec: &mut Dec) -> Result<(), CodecError> {
         self.blocks.load_state(dec)?;
-        restore_seq("counter estimates", &mut self.fhat, &dec.seq_i64("fhat")?)?;
-        restore_seq("F1 drifts", &mut self.f1_dhat, &dec.seq_i64("f1_dhat")?)?;
+        dec.fill_i64("counter estimates", &mut self.fhat)?;
+        dec.fill_i64("F1 drifts", &mut self.f1_dhat)?;
         self.f1_dhat_sum = dec.i64()?;
         check_sum("F1 drift sum", self.f1_dhat_sum, &self.f1_dhat)
     }

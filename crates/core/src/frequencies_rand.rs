@@ -26,7 +26,7 @@
 
 use crate::blocks::{check_sum, BlockConfig, BlockCoordinator, BlockSite};
 use crate::randomized::{load_probability, load_rng, sampling_probability_with, save_rng};
-use dsv_net::codec::{restore_seq, CodecError, Dec, Enc};
+use dsv_net::codec::{CodecError, Dec, Enc};
 use dsv_net::{CoordOutbox, CoordinatorNode, Outbox, SiteNode, StarSim, Time, WireSize};
 use dsv_sketch::{CountMinMap, CounterMap, IdentityMap};
 use rand::rngs::SmallRng;
@@ -331,9 +331,9 @@ impl<M: CounterMap> SiteNode for RFreqSite<M> {
 
     fn load_state(&mut self, dec: &mut Dec) -> Result<(), CodecError> {
         self.blocks.load_state(dec)?;
-        restore_seq("counter totals", &mut self.totals, &dec.seq_i64("totals")?)?;
-        restore_seq("A+ drifts", &mut self.d_plus, &dec.seq_u64("d_plus")?)?;
-        restore_seq("A- drifts", &mut self.d_minus, &dec.seq_u64("d_minus")?)?;
+        dec.fill_i64("counter totals", &mut self.totals)?;
+        dec.fill_u64("A+ drifts", &mut self.d_plus)?;
+        dec.fill_u64("A- drifts", &mut self.d_minus)?;
         self.f1_d = dec.i64()?;
         self.f1_delta = dec.i64()?;
         self.r = dec.u32()?;
@@ -534,16 +534,12 @@ impl<M: CounterMap> CoordinatorNode for RFreqCoord<M> {
 
     fn load_state(&mut self, dec: &mut Dec) -> Result<(), CodecError> {
         self.blocks.load_state(dec)?;
-        restore_seq("block-start bases", &mut self.base, &dec.seq_i64("base")?)?;
-        restore_seq("A+ estimates", &mut self.dhat_plus, &dec.seq_f64("dhat+")?)?;
-        restore_seq("A- estimates", &mut self.dhat_minus, &dec.seq_f64("dhat-")?)?;
-        restore_seq("drift sums", &mut self.drift, &dec.seq_f64("drift")?)?;
-        restore_seq(
-            "combined estimates",
-            &mut self.combined,
-            &dec.seq_i64("combined")?,
-        )?;
-        restore_seq("F1 drifts", &mut self.f1_dhat, &dec.seq_i64("f1_dhat")?)?;
+        dec.fill_i64("block-start bases", &mut self.base)?;
+        dec.fill_f64("A+ estimates", &mut self.dhat_plus)?;
+        dec.fill_f64("A- estimates", &mut self.dhat_minus)?;
+        dec.fill_f64("drift sums", &mut self.drift)?;
+        dec.fill_i64("combined estimates", &mut self.combined)?;
+        dec.fill_i64("F1 drifts", &mut self.f1_dhat)?;
         self.f1_dhat_sum = dec.i64()?;
         check_sum("F1 drift sum", self.f1_dhat_sum, &self.f1_dhat)?;
         self.p = load_probability(dec)?;

@@ -24,7 +24,7 @@
 //! for at most `k` updates per `r = 0` block.
 
 use crate::blocks::{BlockConfig, BlockCoordinator, BlockSite};
-use dsv_net::codec::{restore_check, restore_seq, CodecError, Dec, Enc};
+use dsv_net::codec::{restore_check, CodecError, Dec, Enc};
 use dsv_net::{CoordOutbox, CoordinatorNode, Outbox, SiteNode, StarSim, Time, WireSize};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -325,8 +325,8 @@ impl CoordinatorNode for RandCoord {
 
     fn load_state(&mut self, dec: &mut Dec) -> Result<(), CodecError> {
         self.blocks.load_state(dec)?;
-        restore_seq("A+ estimates", &mut self.dhat_plus, &dec.seq_f64("dhat+")?)?;
-        restore_seq("A- estimates", &mut self.dhat_minus, &dec.seq_f64("dhat-")?)?;
+        dec.fill_f64("A+ estimates", &mut self.dhat_plus)?;
+        dec.fill_f64("A- estimates", &mut self.dhat_minus)?;
         self.sum_plus = dec.f64()?;
         self.sum_minus = dec.f64()?;
         self.p = load_probability(dec)?;

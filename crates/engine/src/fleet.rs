@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 
 use dsv_core::api::{BuildError, ItemTracker, RunError, Tracker, TrackerKind, TrackerSpec};
 use dsv_core::codec::{kind_from_tag, kind_tag, CodecError, Dec, Enc, TrackerState};
-use dsv_net::{fingerprint, relative_error, CommStats, IngestStats, SiteId, StateDelta, Time};
+use dsv_net::{relative_error, CommStats, Fingerprint, IngestStats, SiteId, StateDelta, Time};
 
 use crate::config::{EngineConfig, EngineError};
 use crate::consolidate::{ConsolidateInput, Consolidator};
@@ -126,9 +126,16 @@ struct KeyIndex {
 
 impl KeyIndex {
     fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// An index that takes `keys` inserts without growing: the table
+    /// doubling would have reached, allocated once.
+    fn with_capacity(keys: usize) -> Self {
+        let cells = (keys * 2).next_power_of_two().max(16);
         KeyIndex {
-            keys: vec![0; 16],
-            vals: vec![0; 16],
+            keys: vec![0; cells],
+            vals: vec![0; cells],
             len: 0,
         }
     }
@@ -352,7 +359,8 @@ where
         self.slots[sid as usize].tail = at;
     }
 
-    /// Snapshot cache entry `ci`'s tracker into the arena, releasing the
+    /// Snapshot cache entry `ci`'s tracker onto the end of the arena
+    /// (encoded in place: eviction allocates nothing), releasing the
     /// entry for reuse. The frozen bytes equal what a checkpoint would
     /// record, which is why eviction never shows in results.
     fn freeze(&mut self, ci: usize) -> Result<(), EngineError> {
@@ -360,16 +368,15 @@ where
         if owner == NONE_U32 {
             return Ok(());
         }
-        let state = self.cache[ci]
+        let off = self.arena.len();
+        self.cache[ci]
             .tracker
-            .snapshot()
+            .snapshot_into(&mut self.arena)
             .map_err(EngineError::Codec)?;
-        let bytes = state.payload();
         let slot = &mut self.slots[owner as usize];
-        slot.off = self.arena.len();
-        slot.len = bytes.len() as u32;
+        slot.off = off;
+        slot.len = (self.arena.len() - off) as u32;
         slot.cached = NONE_U32;
-        self.arena.extend_from_slice(bytes);
         self.cache[ci].slot = NONE_U32;
         Ok(())
     }
@@ -556,12 +563,14 @@ where
         let mut out = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
             let state = if slot.cached != NONE_U32 {
+                // A key's state keeps the fresh prototype's shape, so its
+                // length sizes the record's one allocation.
+                let mut state = Vec::with_capacity(proto.payload().len());
                 self.cache[slot.cached as usize]
                     .tracker
-                    .snapshot()
-                    .map_err(EngineError::Codec)?
-                    .payload()
-                    .to_vec()
+                    .snapshot_into(&mut state)
+                    .map_err(EngineError::Codec)?;
+                state
             } else if slot.len != FRESH {
                 self.arena[slot.off..slot.off + slot.len as usize].to_vec()
             } else {
@@ -843,19 +852,40 @@ impl FleetCheckpoint {
         self.head.f
     }
 
-    /// Serialize to the versioned wire form (full shard table).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
+    /// Write the versioned wire form (full shard table) through `enc`,
+    /// handing it to `piece` after every slot record and once at the end,
+    /// so a caller that only folds over the image can drain the encoder
+    /// as it goes. The pieces, in order, are the image.
+    fn encode_pieces(&self, enc: &mut Enc, mut piece: impl FnMut(&mut Enc)) {
         enc.magic(FLEET_MAGIC, FLEET_VERSION);
         enc.u8(TABLE_FULL);
-        self.head.encode(&mut enc, self.shards.len());
+        self.head.encode(enc, self.shards.len());
         for records in &self.shards {
             enc.seq_len(records.len());
             for rec in records {
-                rec.encode(&mut enc);
+                rec.encode(enc);
+                piece(enc);
             }
         }
+        piece(enc);
+    }
+
+    /// Serialize to the versioned wire form (full shard table).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut enc = Enc::new();
+        self.encode_pieces(&mut enc, |_| {});
         enc.into_bytes()
+    }
+
+    /// `fingerprint(&self.to_bytes())` without building the image: the
+    /// wire form streams through one record-sized buffer into the fold.
+    fn wire_fingerprint(&self) -> u64 {
+        let mut fold = Fingerprint::new();
+        self.encode_pieces(&mut Enc::new(), |enc| {
+            fold.update(enc.as_bytes());
+            enc.clear();
+        });
+        fold.finish()
     }
 
     /// Decode the versioned wire form, requiring exact consumption and
@@ -1009,7 +1039,7 @@ impl FleetDelta {
         }
         Ok(FleetDelta {
             parent_time: parent.head.time,
-            parent_hash: fingerprint(&parent.to_bytes()),
+            parent_hash: parent.wire_fingerprint(),
             head: child.head.clone(),
             shards,
         })
@@ -1021,7 +1051,7 @@ impl FleetDelta {
     /// a wrong or tampered parent, a cross-wired state delta, or a
     /// shape mismatch is a typed [`CodecError`].
     pub fn apply(&self, parent: &FleetCheckpoint) -> Result<FleetCheckpoint, CodecError> {
-        let found = fingerprint(&parent.to_bytes());
+        let found = parent.wire_fingerprint();
         if found != self.parent_hash {
             return Err(CodecError::Mismatch {
                 what: "fleet delta parent fingerprint",
@@ -1329,6 +1359,14 @@ where
         }
         let n_shards = fleet.shards.len() as u64;
         for (s, records) in ckpt.shards.iter().enumerate() {
+            // Size the slab once, from what the checkpoint holds, instead
+            // of doubling slots, arena and index while inserting.
+            let shard = &mut fleet.shards[s];
+            shard.slots.reserve(records.len());
+            shard
+                .arena
+                .reserve(records.iter().map(|rec| rec.state.len()).sum());
+            shard.index = KeyIndex::with_capacity(records.len());
             for rec in records {
                 let route = hash_item(rec.key) % n_shards;
                 if route != s as u64 {
@@ -1338,7 +1376,6 @@ where
                         found: route,
                     });
                 }
-                let shard = &mut fleet.shards[s];
                 if shard.index.get(rec.key).is_some() {
                     return Err(EngineError::CheckpointMismatch {
                         what: "unique fleet keys per shard",
@@ -1929,6 +1966,85 @@ mod tests {
             tiny.2, large.2,
             "checkpoint bytes differ across cache sizes"
         );
+    }
+
+    #[test]
+    fn frozen_slots_hold_exactly_their_standalone_twins_payloads() {
+        // A one-entry cache evicts on every touch of another key, so
+        // nearly every slot is frozen bytes written by `freeze`.
+        let keys = 41u64;
+        let mut stream = Vec::new();
+        let mut state = 0xF1EE7u64;
+        for t in 0..900i64 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            stream.push(((state >> 33) % keys, 1 + (t % 3)));
+        }
+        let mut fleet = CounterFleet::counters(spec(), cfg().fleet_cache(1)).unwrap();
+        let mut roomy = CounterFleet::counters(spec(), cfg()).unwrap();
+        for &(key, delta) in &stream {
+            fleet.update(key, delta).unwrap();
+            roomy.update(key, delta).unwrap();
+        }
+        fleet.flush().unwrap();
+        let mut frozen = 0;
+        for shard in &fleet.shards {
+            assert!(shard.cache.len() <= 1);
+            for slot in &shard.slots {
+                if slot.len == FRESH {
+                    assert_ne!(slot.cached, NONE_U32, "key {} has no state", slot.key);
+                    continue;
+                }
+                let mut twin = spec().build().unwrap();
+                for &(key, delta) in &stream {
+                    if key == slot.key {
+                        twin.step(0, delta);
+                    }
+                }
+                assert_eq!(
+                    &shard.arena[slot.off..slot.off + slot.len as usize],
+                    twin.snapshot().unwrap().payload(),
+                    "key {}",
+                    slot.key
+                );
+                frozen += 1;
+            }
+        }
+        assert!(frozen as u64 >= keys - 4, "only {frozen} frozen slots");
+        assert_eq!(
+            fleet.checkpoint().unwrap().to_bytes(),
+            roomy.checkpoint().unwrap().to_bytes()
+        );
+    }
+
+    #[test]
+    fn streamed_parent_fingerprint_equals_the_hash_of_the_image() {
+        let check = |ckpt: &FleetCheckpoint| {
+            assert_eq!(
+                ckpt.wire_fingerprint(),
+                dsv_net::fingerprint(&ckpt.to_bytes())
+            );
+        };
+        // No key at all; then keys in one shard only (the rest empty).
+        let mut fleet = CounterFleet::counters(spec(), cfg()).unwrap();
+        check(&fleet.checkpoint().unwrap());
+        let home = fleet.shard_of(1);
+        for key in 1..200u64 {
+            if fleet.shard_of(key) == home {
+                fleet.update(key, 2).unwrap();
+            }
+        }
+        let parent = fleet.checkpoint().unwrap();
+        assert_eq!(parent.shards.iter().filter(|s| !s.is_empty()).count(), 1);
+        check(&parent);
+        // Every shard populated, and the image `apply` rebuilds.
+        for t in 0..500u64 {
+            fleet.update(t % 61, 1).unwrap();
+        }
+        let delta = fleet.checkpoint_delta(&parent).unwrap();
+        assert_eq!(delta.parent_hash, dsv_net::fingerprint(&parent.to_bytes()));
+        check(&delta.apply(&parent).unwrap());
     }
 
     #[test]

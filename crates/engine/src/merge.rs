@@ -1,6 +1,6 @@
 //! The coordinator side of the engine: merging shard estimates.
 
-use dsv_net::codec::{restore_seq, CodecError, Dec, Enc};
+use dsv_net::codec::{CodecError, Dec, Enc};
 use dsv_net::{CommStats, MsgKind, ShardReport, WireSize};
 
 /// Maintains the coordinator-side global estimate `f̂ = Σ_s f̂_s` under
@@ -56,11 +56,7 @@ impl MergeCoordinator {
     /// Restore state written by [`save_state`](Self::save_state); the
     /// serialized shard count must match this coordinator's.
     pub(crate) fn load_state(&mut self, dec: &mut Dec) -> Result<(), CodecError> {
-        restore_seq(
-            "merge shard reports",
-            &mut self.last_reported,
-            &dec.seq_i64("last_reported")?,
-        )?;
+        dec.fill_i64("merge shard reports", &mut self.last_reported)?;
         self.global = dec.i64()?;
         self.stats = CommStats::decode(dec)?;
         Ok(())

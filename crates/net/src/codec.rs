@@ -11,9 +11,9 @@
 //! * `f64` as IEEE-754 bit patterns (`to_bits`/`from_bits` — exact, so
 //!   restored probabilities and HYZ estimates are bit-identical);
 //! * sequences as a `u64` length prefix followed by the elements;
-//! * nested node payloads as length-prefixed blobs ([`Enc::blob`] /
-//!   [`Dec::blob`]), each of which must be consumed exactly
-//!   ([`Dec::finish`]).
+//! * nested node payloads as length-prefixed blobs ([`Enc::blob`], or
+//!   [`Enc::nested`] to write one in place / [`Dec::blob`]), each of
+//!   which must be consumed exactly ([`Dec::finish`]).
 //!
 //! Decoding never panics: truncated, corrupted, or wrong-version payloads
 //! surface as typed [`CodecError`]s, and sequence lengths are validated
@@ -131,6 +131,32 @@ impl Enc {
         Self::default()
     }
 
+    /// Run `write` on an encoder that appends to `out` — the caller's
+    /// buffer is the encoder's for the duration, so nothing is copied and
+    /// what `out` already holds is kept. If `write` fails, `out` is
+    /// truncated back to its entry length.
+    pub fn append_to(
+        out: &mut Vec<u8>,
+        write: impl FnOnce(&mut Enc) -> Result<(), CodecError>,
+    ) -> Result<(), CodecError> {
+        let entry = out.len();
+        let mut enc = Enc {
+            buf: std::mem::take(out),
+        };
+        let result = write(&mut enc);
+        *out = enc.buf;
+        if result.is_err() {
+            out.truncate(entry);
+        }
+        result
+    }
+
+    /// Forget everything written so far, keeping the allocation (for a
+    /// caller that encodes piece by piece through one buffer).
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// The encoded bytes so far.
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
@@ -238,6 +264,28 @@ impl Enc {
     pub fn blob(&mut self, bytes: &[u8]) {
         self.u64(bytes.len() as u64);
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Write a nested payload in place: reserve the length prefix, let
+    /// `write` append the payload to this encoder, then back-patch the
+    /// prefix. The bytes are exactly those of [`blob`](Self::blob) over a
+    /// side encoder `write` had filled, without the side encoder. Nests.
+    /// If `write` fails the encoder is truncated back to where the blob
+    /// began.
+    pub fn nested(
+        &mut self,
+        write: impl FnOnce(&mut Enc) -> Result<(), CodecError>,
+    ) -> Result<(), CodecError> {
+        let prefix = self.buf.len();
+        self.u64(0);
+        let body = self.buf.len();
+        if let Err(e) = write(self) {
+            self.buf.truncate(prefix);
+            return Err(e);
+        }
+        let len = (self.buf.len() - body) as u64;
+        self.buf[prefix..body].copy_from_slice(&len.to_le_bytes());
+        Ok(())
     }
 }
 
@@ -375,6 +423,49 @@ impl<'a> Dec<'a> {
     pub fn seq_bool(&mut self, what: &'static str) -> Result<Vec<bool>, CodecError> {
         let n = self.seq_len(what, 1)?;
         (0..n).map(|_| self.bool()).collect()
+    }
+
+    /// Read a length-prefixed sequence into `target`, whose length the
+    /// sequence must have: the prefix is checked against the remaining
+    /// payload ([`CodecError::BadLength`]) and then against the target
+    /// ([`CodecError::Mismatch`]) before an element is read.
+    fn fill<T>(
+        &mut self,
+        what: &'static str,
+        target: &mut [T],
+        read: impl Fn(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<(), CodecError> {
+        let n = self.seq_len(what, 8)?;
+        if n != target.len() {
+            return Err(CodecError::Mismatch {
+                what,
+                expected: target.len() as u64,
+                found: n as u64,
+            });
+        }
+        for slot in target {
+            *slot = read(self)?;
+        }
+        Ok(())
+    }
+
+    /// Read a length-prefixed `u64` sequence into a slice of exactly that
+    /// length — [`seq_u64`](Self::seq_u64) + [`restore_seq`] without the
+    /// intermediate `Vec`, for state whose shape the restoring node fixes.
+    pub fn fill_u64(&mut self, what: &'static str, target: &mut [u64]) -> Result<(), CodecError> {
+        self.fill(what, target, Self::u64)
+    }
+
+    /// Read a length-prefixed `i64` sequence into a slice of exactly that
+    /// length; see [`fill_u64`](Self::fill_u64).
+    pub fn fill_i64(&mut self, what: &'static str, target: &mut [i64]) -> Result<(), CodecError> {
+        self.fill(what, target, Self::i64)
+    }
+
+    /// Read a length-prefixed `f64` sequence into a slice of exactly that
+    /// length; see [`fill_u64`](Self::fill_u64).
+    pub fn fill_f64(&mut self, what: &'static str, target: &mut [f64]) -> Result<(), CodecError> {
+        self.fill(what, target, Self::f64)
     }
 
     /// Read a length-prefixed blob (a nested payload). Decode it with a
@@ -550,6 +641,119 @@ mod tests {
                 expected: 3,
                 found: 2
             })
+        );
+    }
+
+    #[test]
+    fn nested_writer_equals_blob_of_a_side_encoder() {
+        // Empty, one-level, and nested-in-nested payloads, each after a
+        // prefix the back-patch must not disturb.
+        let inner = |enc: &mut Enc| {
+            enc.i64(-7);
+            enc.seq_f64(&[0.25, 8.0]);
+        };
+        let mut side_inner = Enc::new();
+        inner(&mut side_inner);
+        let mut side_outer = Enc::new();
+        side_outer.u32(9);
+        side_outer.blob(side_inner.as_bytes());
+        side_outer.blob(&[]);
+        side_outer.bool(true);
+        let mut want = Enc::new();
+        want.u16(0xBEEF);
+        want.blob(&[]);
+        want.blob(side_inner.as_bytes());
+        want.blob(side_outer.as_bytes());
+
+        let mut got = Enc::new();
+        got.u16(0xBEEF);
+        got.nested(|_| Ok(())).unwrap();
+        got.nested(|enc| {
+            inner(enc);
+            Ok(())
+        })
+        .unwrap();
+        got.nested(|enc| {
+            enc.u32(9);
+            enc.nested(|enc| {
+                inner(enc);
+                Ok(())
+            })?;
+            enc.nested(|_| Ok(()))?;
+            enc.bool(true);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(got.as_bytes(), want.as_bytes());
+
+        // A failing writer takes its partial blob with it, at any depth.
+        let before = got.len();
+        let err = got.nested(|enc| {
+            enc.u64(1);
+            enc.nested(|enc| {
+                enc.u8(2);
+                Err(CodecError::UnsupportedNode)
+            })
+        });
+        assert_eq!(err, Err(CodecError::UnsupportedNode));
+        assert_eq!(got.len(), before);
+        assert_eq!(got.as_bytes(), want.as_bytes());
+    }
+
+    #[test]
+    fn append_to_keeps_the_prefix_and_truncates_on_error() {
+        let mut out = vec![0xAA, 0xBB];
+        Enc::append_to(&mut out, |enc| {
+            enc.u16(0x0102);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(out, [0xAA, 0xBB, 0x02, 0x01]);
+        let err = Enc::append_to(&mut out, |enc| {
+            enc.u64(u64::MAX);
+            Err(CodecError::UnsupportedNode)
+        });
+        assert_eq!(err, Err(CodecError::UnsupportedNode));
+        assert_eq!(out, [0xAA, 0xBB, 0x02, 0x01]);
+
+        let mut enc = Enc::new();
+        enc.u64(5);
+        enc.clear();
+        assert!(enc.is_empty());
+    }
+
+    #[test]
+    fn fill_reads_in_place_and_checks_length_then_shape() {
+        let mut enc = Enc::new();
+        enc.seq_u64(&[1, 2, 3]);
+        enc.seq_i64(&[-1, 0, 1]);
+        enc.seq_f64(&[0.5, -2.25]);
+        let bytes = enc.into_bytes();
+        let (mut a, mut b, mut c) = ([0u64; 3], [0i64; 3], [0f64; 2]);
+        let mut dec = Dec::new(&bytes);
+        dec.fill_u64("a", &mut a).unwrap();
+        dec.fill_i64("b", &mut b).unwrap();
+        dec.fill_f64("c", &mut c).unwrap();
+        dec.finish().unwrap();
+        assert_eq!((a, b, c), ([1, 2, 3], [-1, 0, 1], [0.5, -2.25]));
+
+        // Wrong target shape: the same Mismatch restore_seq reports.
+        assert_eq!(
+            Dec::new(&bytes).fill_u64("a", &mut [0u64; 2]),
+            Err(CodecError::Mismatch {
+                what: "a",
+                expected: 2,
+                found: 3
+            })
+        );
+        // A prefix the payload cannot hold is BadLength first, even when
+        // it happens to equal the target's length.
+        let mut enc = Enc::new();
+        enc.u64(4);
+        enc.u64(0);
+        assert_eq!(
+            Dec::new(enc.as_bytes()).fill_i64("short", &mut [0i64; 4]),
+            Err(CodecError::BadLength { what: "short" })
         );
     }
 

@@ -49,12 +49,43 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// The 64-bit FNV-1a fingerprint of `bytes` — the chain-integrity hash
 /// [`StateDelta`] records for its base and its result.
 pub fn fingerprint(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+    let mut fold = Fingerprint::new();
+    fold.update(bytes);
+    fold.finish()
+}
+
+/// [`fingerprint`] as an incremental fold: feeding an image piece by
+/// piece, in order, yields the fingerprint of the whole — so a large
+/// wire form can be pinned without being materialized.
+#[derive(Debug, Clone, Copy)]
+pub struct Fingerprint(u64);
+
+impl Fingerprint {
+    /// The fold over no bytes yet.
+    pub fn new() -> Self {
+        Fingerprint(FNV_OFFSET)
     }
-    h
+
+    /// Fold the next `bytes` of the image in.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        self.0 = h;
+    }
+
+    /// The fingerprint of everything fed so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fingerprint {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// One section's fate in a delta.
@@ -558,5 +589,21 @@ mod tests {
         assert_eq!(fingerprint(b""), FNV_OFFSET);
         assert_ne!(fingerprint(b"a"), fingerprint(b"b"));
         assert_ne!(fingerprint(b"ab"), fingerprint(b"ba"));
+        // The published FNV-1a test vector, so the fold cannot drift.
+        assert_eq!(fingerprint(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn fingerprint_fold_is_cut_invariant() {
+        let image: Vec<u8> = (0..1000u32).map(|i| (i * 31 + 7) as u8).collect();
+        let whole = fingerprint(&image);
+        for cut in [0, 1, 7, 500, 999, 1000] {
+            let mut fold = Fingerprint::new();
+            fold.update(&image[..cut]);
+            fold.update(&[]);
+            fold.update(&image[cut..]);
+            assert_eq!(fold.finish(), whole, "cut at {cut}");
+        }
+        assert_eq!(Fingerprint::default().finish(), fingerprint(b""));
     }
 }

@@ -124,11 +124,14 @@ where
 
     /// Serialize the simulator's full dynamic state — simulated time, the
     /// [`CommStats`] ledger, and every node's protocol state (each as a
-    /// length-prefixed blob) — into `enc`.
+    /// length-prefixed blob, written in place by [`Enc::nested`]) — into
+    /// `enc`.
     ///
     /// Returns [`CodecError::UnsupportedNode`] if the protocol pair keeps
     /// the default [`SiteNode::save_state`] /
-    /// [`CoordinatorNode::save_state`]. Transcripts are not captured; a
+    /// [`CoordinatorNode::save_state`]; `enc` then still holds whatever
+    /// was written before the node that opted out ([`Enc::append_to`]
+    /// rolls a caller's buffer back). Transcripts are not captured; a
     /// restored simulator starts with transcript recording disabled.
     /// Snapshots are taken between timesteps, when the network is
     /// quiescent — which is the only state a caller can observe — so the
@@ -137,17 +140,10 @@ where
         enc.usize(self.sites.len());
         enc.u64(self.time);
         self.stats.encode(enc);
-        let mut sub = Enc::new();
-        if !self.coord.save_state(&mut sub) {
-            return Err(CodecError::UnsupportedNode);
-        }
-        enc.blob(sub.as_bytes());
+        let seam = |saved: bool| saved.then_some(()).ok_or(CodecError::UnsupportedNode);
+        enc.nested(|enc| seam(self.coord.save_state(enc)))?;
         for site in &self.sites {
-            let mut sub = Enc::new();
-            if !site.save_state(&mut sub) {
-                return Err(CodecError::UnsupportedNode);
-            }
-            enc.blob(sub.as_bytes());
+            enc.nested(|enc| seam(site.save_state(enc)))?;
         }
         Ok(())
     }

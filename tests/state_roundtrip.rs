@@ -326,4 +326,53 @@ fn custom_protocols_without_the_seam_are_a_typed_error() {
         sim.save_state(&mut enc).unwrap_err(),
         CodecError::UnsupportedNode
     );
+
+    // The same through the appending seam: a tracker without the seam
+    // leaves the caller's buffer at its entry length.
+    #[derive(Debug)]
+    struct Seamless(StarSim<FwdSite, SumCoord>);
+    impl Tracker for Seamless {
+        fn step(&mut self, site: SiteId, input: i64) -> i64 {
+            self.0.step(site, input)
+        }
+        fn estimate(&self) -> i64 {
+            self.0.estimate()
+        }
+        fn stats(&self) -> &CommStats {
+            self.0.stats()
+        }
+        fn kind(&self) -> TrackerKind {
+            TrackerKind::Naive
+        }
+        fn k(&self) -> usize {
+            self.0.k()
+        }
+    }
+    let mut tracker = Seamless(sim);
+    tracker.step(0, 3);
+    let mut out = vec![1u8, 2, 3];
+    assert_eq!(
+        tracker.snapshot_into(&mut out),
+        Err(CodecError::UnsupportedNode)
+    );
+    assert_eq!(out, [1, 2, 3]);
+    // So does a protocol pair that opts out halfway: the coordinator has
+    // written its blob by the time the site declines.
+    struct SavingCoord;
+    impl CoordinatorNode for SavingCoord {
+        type Up = i64;
+        type Down = ();
+        fn on_up(&mut self, _t: Time, _s: SiteId, _m: i64, _o: &mut CoordOutbox<()>) {}
+        fn estimate(&self) -> i64 {
+            0
+        }
+        fn save_state(&self, enc: &mut dsv::net::codec::Enc) -> bool {
+            enc.u64(0xC0FFEE);
+            true
+        }
+    }
+    let half = StarSim::new(vec![FwdSite], SavingCoord);
+    let appended = dsv::net::codec::Enc::append_to(&mut out, |enc| half.save_state(enc));
+    assert_eq!(appended, Err(CodecError::UnsupportedNode));
+    assert_eq!(out, [1, 2, 3]);
 }
