@@ -4,7 +4,7 @@
 # bench/example compilation, bench smoke runs with JSON schema gates
 # (including the e17 overlap-speedup gate, the e18 fleet keys x
 # throughput gate, the e19 quiet-stream delta-shrink gate, and — in
-# remote-feature jobs — the e20 pipelined-remote speedup gate and a
+# remote-feature jobs — the e20 remote TCP/UDS parity gate and a
 # smoke run of the repository benchmark, benchmark/run.sh), a Rust
 # line count per crate (target/ci/loc.json), and rustdoc. Fails fast on
 # the first broken step, and prints a per-step wall-clock summary at the
@@ -293,17 +293,19 @@ if [ -f BENCH_e19.json ]; then
 fi
 
 case " ${DSV_FEATURES:-} " in *remote*)
-    step "e20 remote-ingestion smoke + BENCH json schema + pipelining gate"
+    step "e20 remote-ingestion smoke + BENCH json schema + TCP/UDS parity gate"
     # The socket-tax experiment in --smoke mode: RemoteEngine throughput
     # across rounds_per_frame {1,4,16} x {uds,tcp} x {threads,processes},
     # every run audited bit-identical to the in-process engine before its
-    # timing is believed. The binary enforces the >= 1.3x pipelined-over-
-    # sync gate on the TCP/processes combo (round-trip elimination is
-    # protocol-structural, so it binds on smoke too) before writing any
-    # JSON; bench_schema re-enforces it — plus the frames-fall-as-rpf-
-    # rises amortization signature — on the fresh artifact and on the
-    # committed BENCH_e20.json. DSV_SHARD_SERVER_BIN pins the worker
-    # binary to the artifact this very gate just built.
+    # timing is believed. The binary enforces tcp_uds_parity — on each
+    # spawn mode, one round per frame over TCP >= 0.25x the same over
+    # UDS; a ratio of two runs on one host, so it binds on smoke too
+    # (0.9-1.3 on a healthy socket, 0.001 when a frame waits on Nagle) —
+    # before writing any JSON; bench_schema re-enforces it, plus the
+    # frames-fall-as-rpf-rises amortization signature, on the fresh
+    # artifact and on the committed BENCH_e20.json. Pipelined-over-sync
+    # speedups are recorded per row, not gated. DSV_SHARD_SERVER_BIN pins
+    # the worker binary to the artifact this very gate just built.
     e20_bin=$(bench_bin e20_remote)
     [ -n "$e20_bin" ] || { echo "e20 bench binary not found"; exit 1; }
     DSV_SHARD_SERVER_BIN=target/release/dsv-shard-server \

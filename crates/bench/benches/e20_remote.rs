@@ -12,7 +12,8 @@
 //! per-worker send queues staging rounds while earlier rounds are in
 //! flight, multi-round DSVR v3 `Rounds` frames on the wire — which
 //! amortizes that latency across the frame without changing a single
-//! byte of engine state (see `DESIGN.md` §12).
+//! byte of engine state (see `DESIGN.md` §12). What is left to amortize
+//! once the socket itself does not stall is what the rows record.
 //!
 //! Every timed run is audited first: estimates, ground truth, batch
 //! counts, `CommStats` ledgers, per-shard replica estimates, and the
@@ -21,19 +22,23 @@
 //! wrong answer aborts the run before any JSON exists.
 //!
 //! **The gate** (enforced here before `BENCH_e20.json` is written, and
-//! re-enforced by `bench_schema` on the committed artifact): on the
-//! gate combo — TCP with separate processes (threads only when the
-//! server binary is absent) — the best pipelined configuration must
-//! reach ≥ [`SPEEDUP_GATE`]× the one-round-per-frame throughput. TCP is
-//! the gated family because it is where the tax actually lives: the
-//! transport sets no `TCP_NODELAY`, so the synchronous ping-pong's
-//! small request/response frames couple with Nagle + delayed-ACK into
-//! tens of milliseconds per round, and batching rounds per frame is the
-//! protocol-level fix (observed 7–48× here; UDS, whose kernel path is
-//! nearly free, hovers near 1× and is reported as context, not gated).
-//! The speedup comes from eliminating per-round round-trips — a
-//! property of the protocol rather than of machine speed — so the gate
-//! binds on smoke runs too.
+//! re-enforced by `bench_schema` on the committed artifact) is
+//! `tcp_uds_parity`: on each spawn mode, TCP throughput at
+//! `rounds_per_frame = 1` must reach ≥ [`PARITY_GATE`] × UDS throughput
+//! at `rounds_per_frame = 1`. The two families run the same protocol
+//! over the same loopback, so the ratio sits near 1 (0.9–1.3 observed)
+//! whatever the machine's speed, and it binds on smoke runs too. What it
+//! catches is a transport that waits on something the socket does not
+//! charge for: a length prefix and a payload written separately on a
+//! socket without `TCP_NODELAY` wait ~44 ms a frame on Nagle + delayed
+//! ACK, UDS does not, and the ratio reads 0.001. What pipelining buys
+//! over one round per frame is recorded in every row (`speedup_vs_sync`,
+//! beside `vs_local`) and not gated: on a socket that does not stall it
+//! is the overlap of frame encoding and thread wake-ups with worker
+//! absorption, a function of round size and host (EXPERIMENTS.md E22
+//! has the committed rows). The exact-count signature stays a gate:
+//! every combo covers `rounds_per_frame` 1/4/16 and `frames_sent`
+//! strictly falls as it rises.
 //!
 //! ```sh
 //! cargo bench -p dsv-bench --features remote --bench e20_remote
@@ -43,7 +48,7 @@
 //! The shard-server binary for process mode is located next to this
 //! bench automatically; set `DSV_SHARD_SERVER_BIN` to override (CI
 //! does, to pin the exact artifact under test). Without it, process
-//! combos are skipped and the gate falls back to the threads combo.
+//! combos are skipped and the gate reads the threads combos alone.
 
 use dsv_bench::{banner, Json, Table};
 use dsv_core::api::{TrackerKind, TrackerSpec};
@@ -58,9 +63,10 @@ const SHARDS: usize = 4;
 const WORKERS: usize = 2;
 /// Frame widths under test; 1 is the synchronous PR 6 baseline.
 const RPFS: [usize; 3] = [1, 4, 16];
-/// The acceptance gate: best pipelined throughput over the synchronous
-/// one-round-per-frame throughput, on the gate combo.
-const SPEEDUP_GATE: f64 = 1.3;
+/// The acceptance gate: TCP over UDS throughput at one round per frame,
+/// on every spawn mode. Two orders of magnitude from either side — 0.001
+/// on a stalled socket, 0.9–1.3 on a healthy one.
+const PARITY_GATE: f64 = 0.25;
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state
@@ -180,19 +186,18 @@ fn main() {
             }
         }
     }
-    // The synchronous TCP rows pay Nagle + delayed-ACK per round (that
-    // is the point of the experiment), so round counts are chosen to
-    // keep even those rows to seconds: 60 rounds per feed in smoke, 500
-    // in the full run.
-    let n: u64 = if smoke { 60_000 } else { 2_000_000 };
+    // 600 rounds per feed in smoke, 500 in the full run: a round is
+    // tens of microseconds, and a row timed over a couple of milliseconds
+    // is one scheduler hiccup away from halving (the parity gate divides
+    // two of them; at 60 rounds it read 0.36–0.90 over ten runs).
+    let n: u64 = if smoke { 600_000 } else { 2_000_000 };
     let batch: usize = if smoke { 250 } else { 1_000 };
 
     banner(
         "E20 — remote ingestion and the socket tax",
         "RemoteEngine::run_parted vs the in-process engine across \
-         rounds_per_frame x transport x spawn mode; pipelined frames must \
-         buy back >= 1.3x over the one-round-per-frame wire protocol, \
-         bit-identically",
+         rounds_per_frame x transport x spawn mode; one round per frame \
+         over TCP must reach >= 0.25x the same over UDS, bit-identically",
     );
     println!(
         "n = {n}, sites = {SITES}, shards = {SHARDS}, workers = {WORKERS}, \
@@ -310,41 +315,39 @@ fn main() {
     table.print();
     println!("\nin-process reference: {:.2} Mups", local_ups / 1e6);
 
-    // The gate combo: TCP with separate processes — the deployment shape
-    // where the per-round-trip tax is real (see the module docs; UDS is
-    // context, not a gate). Threads stand in only when the server binary
-    // is absent.
-    let gate_spawn = if server_bin.is_some() {
-        "processes"
-    } else {
-        "threads"
+    // The gate: per spawn mode, TCP over UDS at one round per frame; the
+    // worst pair is the one recorded. (Without a UDS family there is
+    // nothing to hold TCP against, and no artifact.)
+    let sync_ups = |transport: &str, spawn: &str| {
+        combos
+            .iter()
+            .find(|c| c.transport == transport && c.spawn == spawn)
+            .map(|c| c.rows[0].updates_per_sec)
     };
-    let gate_transport = "tcp";
-    let gate = combos
+    let worst = spawns
         .iter()
-        .find(|c| c.spawn == gate_spawn && c.transport == gate_transport)
-        .expect("gate combo was run");
-    let sync_ups = gate.rows[0].updates_per_sec;
-    let gate_speedup = gate
-        .rows
-        .iter()
-        .skip(1)
-        .map(|r| r.updates_per_sec / sync_ups)
-        .fold(0.0, f64::max);
-    let gate_combo = format!("{gate_transport}/{gate_spawn}");
+        .filter_map(|(spawn, _)| Some((sync_ups("tcp", spawn)? / sync_ups("uds", spawn)?, *spawn)))
+        .min_by(|a, b| a.0.total_cmp(&b.0));
+    let Some((parity, gate_spawn)) = worst else {
+        println!(
+            "\nno UDS rows on this platform: tcp_uds_parity has nothing to compare, no artifact"
+        );
+        return;
+    };
+    let gate_combo = format!("tcp/{gate_spawn}");
     println!(
-        "\ngate: best pipelined speedup on {gate_combo} = {gate_speedup:.2}x \
-         (target >= {SPEEDUP_GATE:.1}x); every run audited bit-identical to \
-         the in-process engine"
+        "\ngate: tcp_uds_parity = {parity:.2} on {gate_combo}, the lowest over spawn \
+         modes (target >= {PARITY_GATE}); every run audited bit-identical to the \
+         in-process engine"
     );
-    // The speedup is protocol-structural — pipelining removes per-round
-    // round-trips — so the gate binds before the artifact is written, on
-    // smoke and full runs alike. A regression never produces a green
-    // BENCH file.
-    if gate_speedup < SPEEDUP_GATE {
+    // A ratio of two runs of one protocol on one host, so it binds before
+    // the artifact is written, on smoke and full runs alike. A regression
+    // never produces a green BENCH file.
+    if parity < PARITY_GATE {
         eprintln!(
-            "e20_remote: GATE FAILED — best pipelined speedup {gate_speedup:.2}x \
-             on {gate_combo} is below the required {SPEEDUP_GATE:.1}x"
+            "e20_remote: GATE FAILED — one round per frame on {gate_combo} runs at \
+             {parity:.3}x its UDS twin, below the required {PARITY_GATE}x: the TCP \
+             path is waiting on something the socket does not charge for"
         );
         std::process::exit(1);
     }
@@ -359,9 +362,9 @@ fn main() {
         ("shards", Json::num(SHARDS as f64)),
         ("workers", Json::num(WORKERS as f64)),
         ("batch", Json::num(batch as f64)),
-        ("speedup_gate", Json::num(SPEEDUP_GATE)),
+        ("parity_gate", Json::num(PARITY_GATE)),
         ("gate_combo", Json::str(&gate_combo)),
-        ("gate_speedup", Json::num(gate_speedup)),
+        ("tcp_uds_parity", Json::num(parity)),
         ("local_updates_per_sec", Json::num(local_ups)),
         ("combos", Json::Arr(combo_docs)),
     ]);
@@ -370,12 +373,12 @@ fn main() {
 
     println!(
         "\nreading: rpf = 1 is the PR 6 wire protocol — every engine round a\n\
-         synchronous coordinator <-> worker round-trip, so the socket latency\n\
-         is paid n/batch times. rpf = 4/16 stage rounds into bounded send\n\
-         queues and ship multi-round DSVR v3 frames, so the same latency is\n\
-         paid once per frame; 'frames out' falling as rpf rises is that\n\
-         amortization made visible. 'vs local' prices what remains of the\n\
-         socket tax after pipelining — the floor is serialization plus one\n\
-         memcpy per side, not zero."
+         synchronous coordinator <-> worker round-trip, paid n/batch times.\n\
+         rpf = 4/16 stage rounds into bounded send queues and ship multi-round\n\
+         DSVR v3 frames, so the round-trip is paid once per frame; 'frames\n\
+         out' falling as rpf rises is that amortization made visible, and\n\
+         'vs sync' is what it buys on a socket that charges microseconds a\n\
+         round-trip. 'vs local' prices what remains of the socket tax — the\n\
+         floor is serialization plus one memcpy per side, not zero."
     );
 }

@@ -401,8 +401,8 @@ type Gate = (&'static str, &'static str, When);
 enum When {
     /// A machine-speed gate: smoke artifacts are shape-checked only.
     FullRuns,
-    /// A structural gate (byte ratios, round trips eliminated): binds on
-    /// smoke artifacts too.
+    /// A structural gate (byte ratios, one protocol over two socket
+    /// families): binds on smoke artifacts too.
     Always,
 }
 
@@ -574,9 +574,10 @@ static SCHEMAS: [Schema; 5] = [
         entry_gate: Some(("quiet", "shrink", "shrink_gate")),
         ..BASE
     },
-    // Remote socket tax. The pipelining speedup is round trips eliminated,
-    // not cycles saved, so it binds on smoke artifacts too; and wider
-    // frames must mean strictly fewer of them (deterministic framing).
+    // Remote socket tax. TCP over UDS at one round per frame is a ratio
+    // of two runs of one protocol on one host, not cycles saved, so it
+    // binds on smoke artifacts too; and wider frames must mean strictly
+    // fewer of them (deterministic framing).
     Schema {
         tag: "e20_remote",
         scalars: &[
@@ -584,12 +585,12 @@ static SCHEMAS: [Schema; 5] = [
             ("shards", Pos),
             ("workers", Pos),
             ("batch", Pos),
-            ("speedup_gate", Floor(1.3, "the pipelining floor")),
+            ("parity_gate", Floor(0.25, "the TCP/UDS parity floor")),
             ("gate_combo", Str),
-            ("gate_speedup", Pos),
+            ("tcp_uds_parity", Pos),
             ("local_updates_per_sec", Pos),
         ],
-        gates: &[("gate_speedup", "speedup_gate", When::Always)],
+        gates: &[("tcp_uds_parity", "parity_gate", When::Always)],
         table: "combos",
         key: &["transport", "spawn"],
         fields: &[
@@ -974,14 +975,15 @@ mod tests {
     }
 
     #[test]
-    fn e20_schema_enforces_the_pipelining_gate_even_on_smoke_runs() {
-        // Round-trip elimination is protocol-structural, so the gate
-        // binds regardless of the smoke flag.
-        let slow = set(E20, "gate_speedup", "1.05");
-        refused(&slow, "below the gate");
-        refused(&set(&slow, "smoke", "true"), "below the gate");
-        // The recorded gate cannot be weakened below the 1.3x floor.
-        refused(&set(&slow, "speedup_gate", "1.01"), "speedup_gate");
+    fn e20_schema_enforces_the_parity_gate_even_on_smoke_runs() {
+        // TCP against UDS on one host is not a machine-speed number, so
+        // the gate binds regardless of the smoke flag. 0.001 is what the
+        // prefix-then-payload write on a Nagle socket recorded.
+        let stalled = set(E20, "tcp_uds_parity", "0.001");
+        refused(&stalled, "below the gate");
+        refused(&set(&stalled, "smoke", "true"), "below the gate");
+        // The recorded gate cannot be weakened below the 0.25 floor.
+        refused(&set(&stalled, "parity_gate", "0.0005"), "parity_gate");
         // The gated combo must actually be among the recorded combos.
         refused(&set(E20, "gate_combo", "\"tcp/fibers\""), "tcp/fibers");
         refused(&rename(E20, "threads", "fibers"), "fibers");

@@ -228,28 +228,31 @@ impl Enc {
         self.u64(n as u64);
     }
 
+    /// Write a length-prefixed sequence of 8-byte words as one slab: the
+    /// buffer grows once and each word is stored into its slot — the
+    /// bytes of a `seq_len` followed by one scalar write per element.
+    fn seq_words<T: Copy>(&mut self, vs: &[T], le_bytes: impl Fn(T) -> [u8; 8]) {
+        self.seq_len(vs.len());
+        let body = self.buf.len();
+        self.buf.resize(body + vs.len() * 8, 0);
+        for (slot, &v) in self.buf[body..].chunks_exact_mut(8).zip(vs) {
+            slot.copy_from_slice(&le_bytes(v));
+        }
+    }
+
     /// Write a `u64` slice as a length-prefixed sequence.
     pub fn seq_u64(&mut self, vs: &[u64]) {
-        self.seq_len(vs.len());
-        for &v in vs {
-            self.u64(v);
-        }
+        self.seq_words(vs, u64::to_le_bytes);
     }
 
     /// Write an `i64` slice as a length-prefixed sequence.
     pub fn seq_i64(&mut self, vs: &[i64]) {
-        self.seq_len(vs.len());
-        for &v in vs {
-            self.i64(v);
-        }
+        self.seq_words(vs, i64::to_le_bytes);
     }
 
     /// Write an `f64` slice as a length-prefixed sequence of bit patterns.
     pub fn seq_f64(&mut self, vs: &[f64]) {
-        self.seq_len(vs.len());
-        for &v in vs {
-            self.f64(v);
-        }
+        self.seq_words(vs, |v| v.to_bits().to_le_bytes());
     }
 
     /// Write a bool slice as a length-prefixed sequence of bytes.
@@ -401,22 +404,31 @@ impl<'a> Dec<'a> {
         Ok(n as usize)
     }
 
+    /// Read a length-prefixed sequence of 8-byte words: the prefix is
+    /// validated against the remaining payload before the exactly-sized
+    /// `Vec` is allocated, and the body is taken as one slice.
+    fn seq_words<T>(
+        &mut self,
+        what: &'static str,
+        from_le: impl Fn([u8; 8]) -> T,
+    ) -> Result<Vec<T>, CodecError> {
+        let n = self.seq_len(what, 8)?;
+        Ok(words(self.take(n * 8)?, from_le).collect())
+    }
+
     /// Read a length-prefixed `u64` sequence.
     pub fn seq_u64(&mut self, what: &'static str) -> Result<Vec<u64>, CodecError> {
-        let n = self.seq_len(what, 8)?;
-        (0..n).map(|_| self.u64()).collect()
+        self.seq_words(what, u64::from_le_bytes)
     }
 
     /// Read a length-prefixed `i64` sequence.
     pub fn seq_i64(&mut self, what: &'static str) -> Result<Vec<i64>, CodecError> {
-        let n = self.seq_len(what, 8)?;
-        (0..n).map(|_| self.i64()).collect()
+        self.seq_words(what, i64::from_le_bytes)
     }
 
     /// Read a length-prefixed `f64` sequence.
     pub fn seq_f64(&mut self, what: &'static str) -> Result<Vec<f64>, CodecError> {
-        let n = self.seq_len(what, 8)?;
-        (0..n).map(|_| self.f64()).collect()
+        self.seq_words(what, f64_from_le)
     }
 
     /// Read a length-prefixed bool sequence.
@@ -425,15 +437,15 @@ impl<'a> Dec<'a> {
         (0..n).map(|_| self.bool()).collect()
     }
 
-    /// Read a length-prefixed sequence into `target`, whose length the
-    /// sequence must have: the prefix is checked against the remaining
-    /// payload ([`CodecError::BadLength`]) and then against the target
-    /// ([`CodecError::Mismatch`]) before an element is read.
+    /// Read a length-prefixed sequence of 8-byte words into `target`,
+    /// whose length the sequence must have: the prefix is checked against
+    /// the remaining payload ([`CodecError::BadLength`]) and then against
+    /// the target ([`CodecError::Mismatch`]) before a word is read.
     fn fill<T>(
         &mut self,
         what: &'static str,
         target: &mut [T],
-        read: impl Fn(&mut Self) -> Result<T, CodecError>,
+        from_le: impl Fn([u8; 8]) -> T,
     ) -> Result<(), CodecError> {
         let n = self.seq_len(what, 8)?;
         if n != target.len() {
@@ -443,8 +455,8 @@ impl<'a> Dec<'a> {
                 found: n as u64,
             });
         }
-        for slot in target {
-            *slot = read(self)?;
+        for (slot, word) in target.iter_mut().zip(words(self.take(n * 8)?, from_le)) {
+            *slot = word;
         }
         Ok(())
     }
@@ -453,19 +465,19 @@ impl<'a> Dec<'a> {
     /// length — [`seq_u64`](Self::seq_u64) + [`restore_seq`] without the
     /// intermediate `Vec`, for state whose shape the restoring node fixes.
     pub fn fill_u64(&mut self, what: &'static str, target: &mut [u64]) -> Result<(), CodecError> {
-        self.fill(what, target, Self::u64)
+        self.fill(what, target, u64::from_le_bytes)
     }
 
     /// Read a length-prefixed `i64` sequence into a slice of exactly that
     /// length; see [`fill_u64`](Self::fill_u64).
     pub fn fill_i64(&mut self, what: &'static str, target: &mut [i64]) -> Result<(), CodecError> {
-        self.fill(what, target, Self::i64)
+        self.fill(what, target, i64::from_le_bytes)
     }
 
     /// Read a length-prefixed `f64` sequence into a slice of exactly that
     /// length; see [`fill_u64`](Self::fill_u64).
     pub fn fill_f64(&mut self, what: &'static str, target: &mut [f64]) -> Result<(), CodecError> {
-        self.fill(what, target, Self::f64)
+        self.fill(what, target, f64_from_le)
     }
 
     /// Read a length-prefixed blob (a nested payload). Decode it with a
@@ -474,6 +486,23 @@ impl<'a> Dec<'a> {
         let n = self.seq_len("blob", 1)?;
         self.take(n)
     }
+}
+
+/// The 8-byte little-endian words of a sequence body (whose length the
+/// caller has validated as a whole number of them), converted in order.
+/// The conversion is `impl Fn`, not a `fn` pointer, so it is inlined into
+/// the loop: through a pointer it was an indirect call per word and the
+/// bulk decode ran no faster than the element-wise one.
+fn words<'a, T>(
+    body: &'a [u8],
+    from_le: impl Fn([u8; 8]) -> T + 'a,
+) -> impl ExactSizeIterator<Item = T> + 'a {
+    body.chunks_exact(8)
+        .map(move |word| from_le(word.try_into().expect("chunks of exactly 8 bytes")))
+}
+
+fn f64_from_le(word: [u8; 8]) -> f64 {
+    f64::from_bits(u64::from_le_bytes(word))
 }
 
 /// Copy a decoded sequence into an existing slice of the same length (the
@@ -755,6 +784,114 @@ mod tests {
             Dec::new(enc.as_bytes()).fill_i64("short", &mut [0i64; 4]),
             Err(CodecError::BadLength { what: "short" })
         );
+    }
+
+    /// What `write` encodes behind a marker byte: a slab must land after
+    /// what the buffer already holds.
+    fn after_marker(write: impl FnOnce(&mut Enc)) -> Vec<u8> {
+        let mut enc = Enc::new();
+        enc.u8(0xEE);
+        write(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// The element-wise codec the bulk `seq_*` paths replaced, kept here
+    /// as their oracle: a length prefix, then one scalar at a time.
+    fn seq_by_element<T: Copy>(vs: &[T], write: fn(&mut Enc, T)) -> Vec<u8> {
+        after_marker(|enc| {
+            enc.seq_len(vs.len());
+            for &v in vs {
+                write(enc, v);
+            }
+        })
+    }
+
+    /// Skip the marker, run `read`, and require the payload consumed.
+    fn read_after_marker<T>(
+        bytes: &[u8],
+        read: impl FnOnce(&mut Dec<'_>) -> Result<T, CodecError>,
+    ) -> Result<T, CodecError> {
+        let mut dec = Dec::new(bytes);
+        dec.u8()?;
+        let got = read(&mut dec)?;
+        dec.finish()?;
+        Ok(got)
+    }
+
+    fn unseq_by_element(bytes: &[u8]) -> Result<Vec<i64>, CodecError> {
+        read_after_marker(bytes, |dec| {
+            let n = dec.seq_len("seq", 8)?;
+            (0..n).map(|_| dec.i64()).collect()
+        })
+    }
+
+    #[test]
+    fn bulk_sequences_are_the_element_wise_bytes_both_ways() {
+        // Empty, one, and 8k words walking the i64 edges and, read as
+        // f64 bits, quiet/signalling NaNs, +inf and -0.0.
+        let edges = [
+            i64::MIN,
+            i64::MAX,
+            -1,
+            0,
+            0x7FF8_0000_0000_0001,
+            0x7FF0_0000_0000_0001,
+            0x7FF0_0000_0000_0000,
+            i64::MIN + 1,
+        ];
+        let big: Vec<i64> = (0..8192i64)
+            .map(|i| edges[i as usize % edges.len()].wrapping_add(i / 8))
+            .collect();
+        for vs in [&big[..0], &big[..1], &big[..]] {
+            let us: Vec<u64> = vs.iter().map(|&v| v as u64).collect();
+            let fs: Vec<f64> = us.iter().map(|&u| f64::from_bits(u)).collect();
+            let bytes = seq_by_element(vs, Enc::i64);
+            assert_eq!(after_marker(|enc| enc.seq_i64(vs)), bytes);
+            assert_eq!(after_marker(|enc| enc.seq_u64(&us)), bytes);
+            assert_eq!(after_marker(|enc| enc.seq_f64(&fs)), bytes);
+            assert_eq!(seq_by_element(&us, Enc::u64), bytes);
+            assert_eq!(seq_by_element(&fs, Enc::f64), bytes);
+
+            let bits = |fs: &[f64]| fs.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(read_after_marker(&bytes, |d| d.seq_i64("seq")).unwrap(), vs);
+            assert_eq!(read_after_marker(&bytes, |d| d.seq_u64("seq")).unwrap(), us);
+            let got = read_after_marker(&bytes, |d| d.seq_f64("seq")).unwrap();
+            assert_eq!(bits(&got), us, "NaN payloads survive bit for bit");
+            let mut filled = vec![0f64; vs.len()];
+            read_after_marker(&bytes, |d| d.fill_f64("seq", &mut filled)).unwrap();
+            assert_eq!(bits(&filled), us);
+        }
+    }
+
+    #[test]
+    fn bulk_decode_fails_where_the_element_wise_decode_fails() {
+        let vs = [i64::MIN, -1, i64::MAX];
+        let bytes = seq_by_element(&vs, Enc::i64);
+        for cut in 0..=bytes.len() {
+            let cut_bytes = &bytes[..cut];
+            let want = unseq_by_element(cut_bytes);
+            let unit = want.clone().map(|_| ());
+            assert_eq!(read_after_marker(cut_bytes, |d| d.seq_i64("seq")), want);
+            assert_eq!(
+                read_after_marker(cut_bytes, |d| d.seq_u64("seq").map(|_| ())),
+                unit
+            );
+            assert_eq!(
+                read_after_marker(cut_bytes, |d| d.seq_f64("seq").map(|_| ())),
+                unit
+            );
+            assert_eq!(
+                read_after_marker(cut_bytes, |d| d.fill_i64("seq", &mut [0; 3])),
+                unit
+            );
+            // Inside the prefix is Eof; inside the body the prefix
+            // promises more than is left, before anything is allocated.
+            match cut {
+                0..=8 => assert_eq!(want, Err(CodecError::Eof), "cut {cut}"),
+                9..=32 => assert_eq!(want, Err(CodecError::BadLength { what: "seq" })),
+                _ => assert_eq!(want.as_deref(), Ok(&vs[..])),
+            }
+        }
     }
 
     #[test]

@@ -187,6 +187,54 @@ fn stalled_worker_is_failed_over_not_waited_for() {
     assert_recovered("delay", &mut remote, &report, &re);
 }
 
+/// A fault "mid-round" is two different recoveries, told apart by whether
+/// the round's report reached the coordinator before the worker was
+/// gone — and against a reply that takes microseconds, a `Kill` at
+/// `MidRound` lands on either side of it (DESIGN.md §8). Each side is
+/// pinned here by a fault that cannot land on the other, under the
+/// benchmark's `checkpoint_every(1)`, where they read 0 and 1 replayed
+/// rounds:
+///
+/// * **reply lost → re-send.** A `Delay` holds the worker past
+///   `io_timeout` with the report unwritten, so the failover happens
+///   inside the round: nothing after the last commit to replay, and the
+///   round itself is re-sent to the replacement and its report used.
+/// * **reply landed → the failure surfaces in the commit.** A `Kill` at
+///   `AtBoundary` fires once the report is absorbed; the boundary's
+///   checkpoint pull is what finds the worker dead, and the replay
+///   window is the round it had already answered.
+#[test]
+fn both_sides_of_the_mid_round_race_are_pinned() {
+    let cfg = EngineConfig::new(4, 250).workers(2).checkpoint_every(1);
+    let fs = feeds(8_000, 4);
+    let parts = slices(&fs);
+    let re = reference(cfg, &parts);
+    let stall = FaultKind::Delay { ms: 1_000 };
+    for (label, point, kind, round, replayed) in [
+        ("reply lost", FaultPoint::MidRound(5), stall, 5, 0),
+        (
+            "reply landed",
+            FaultPoint::AtBoundary(5),
+            FaultKind::Kill,
+            6,
+            1,
+        ),
+    ] {
+        let rcfg = RemoteConfig {
+            io_timeout: Duration::from_millis(150),
+            ..proc_rcfg(RemoteTransport::Tcp)
+        };
+        let mut remote = RemoteEngine::counters(spec(4), cfg, rcfg).unwrap();
+        remote.set_fault_plan(FaultPlan::new().inject(point, 1, kind));
+        let report = remote.run_parted(&parts).unwrap();
+        assert_eq!(remote.events().len(), 1, "{label}");
+        let event = remote.events()[0];
+        assert_eq!(event.round, round, "{label}: rounds absorbed at detection");
+        assert_eq!(event.replayed_rounds, replayed, "{label}");
+        assert_recovered(label, &mut remote, &report, &re);
+    }
+}
+
 /// The acceptance gate: kill a shard process mid-stream, 50 consecutive
 /// runs per transport, every one bit-identical to the undisturbed
 /// in-process reference.
