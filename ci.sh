@@ -5,8 +5,9 @@
 # (including the e17 overlap-speedup gate, the e18 fleet keys x
 # throughput gate, the e19 quiet-stream delta-shrink gate, and — in
 # remote-feature jobs — the e20 remote TCP/UDS parity gate and a
-# smoke run of the repository benchmark, benchmark/run.sh), a Rust
-# line count per crate (target/ci/loc.json), and rustdoc. Fails fast on
+# smoke run of the repository benchmark, benchmark/run.sh), the
+# 150-word cap on the top CHANGES.md entry, a Rust line count per crate
+# (target/ci/loc.json), and rustdoc. Fails fast on
 # the first broken step, and prints a per-step wall-clock summary at the
 # end (also emitted to $GITHUB_STEP_SUMMARY under Actions) so gate-time
 # regressions are visible in PRs.
@@ -295,17 +296,16 @@ fi
 case " ${DSV_FEATURES:-} " in *remote*)
     step "e20 remote-ingestion smoke + BENCH json schema + TCP/UDS parity gate"
     # The socket-tax experiment in --smoke mode: RemoteEngine throughput
-    # across rounds_per_frame {1,4,16} x {uds,tcp} x {threads,processes},
-    # every run audited bit-identical to the in-process engine before its
-    # timing is believed. The binary enforces tcp_uds_parity — on each
-    # spawn mode, one round per frame over TCP >= 0.25x the same over
-    # UDS; a ratio of two runs on one host, so it binds on smoke too
-    # (0.9-1.3 on a healthy socket, 0.001 when a frame waits on Nagle) —
-    # before writing any JSON; bench_schema re-enforces it, plus the
-    # frames-fall-as-rpf-rises amortization signature, on the fresh
-    # artifact and on the committed BENCH_e20.json. Pipelined-over-sync
-    # speedups are recorded per row, not gated. DSV_SHARD_SERVER_BIN pins
-    # the worker binary to the artifact this very gate just built.
+    # across {uds,tcp} x {threads,processes}, one row each (there is one
+    # remote round loop and no knob on it), every run audited
+    # bit-identical to the in-process engine before its timing is
+    # believed. The binary enforces tcp_uds_parity — on each spawn mode,
+    # TCP >= 0.25x the same run over UDS; a ratio of two runs on one
+    # host, so it binds on smoke too (0.6-1.3 on a healthy socket, 0.001
+    # when a frame waits on Nagle) — before writing any JSON;
+    # bench_schema re-enforces it on the fresh artifact and on the
+    # committed BENCH_e20.json. DSV_SHARD_SERVER_BIN pins the worker
+    # binary to the artifact this very gate just built.
     e20_bin=$(bench_bin e20_remote)
     [ -n "$e20_bin" ] || { echo "e20 bench binary not found"; exit 1; }
     DSV_SHARD_SERVER_BIN=target/release/dsv-shard-server \
@@ -337,6 +337,12 @@ step "bench_schema --all (every committed BENCH_*.json)"
 # BENCH_*.json is schema- and gate-checked from the moment it lands even
 # if its dedicated ci.sh step is forgotten.
 cargo run -q --release -p dsv-bench ${BENCH_FEATURE_FLAGS[@]+"${BENCH_FEATURE_FLAGS[@]}"} --bin bench_schema -- --all
+
+step "CHANGES.md top entry <= 150 words"
+# A CHANGES entry is what changed, the claim, met or not, and a pointer;
+# tables and run logs live in DESIGN.md / EXPERIMENTS.md (ROADMAP).
+words=$(grep -m1 '^- ' CHANGES.md | wc -w)
+[ "$words" -le 150 ] || { echo "top CHANGES.md entry is $words words (limit 150)"; exit 1; }
 
 step "loc (Rust lines per crate -> target/ci/loc.json)"
 # "Net-negative" as a recorded number: lines of Rust per crate (the root

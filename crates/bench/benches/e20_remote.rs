@@ -1,19 +1,13 @@
-//! E20 — the socket tax on remote ingestion, and what pipelining buys
-//! back: `RemoteEngine::run_parted` throughput versus the in-process
-//! engine, swept over `rounds_per_frame ∈ {1, 4, 16}`, both socket
-//! families (UDS where the platform has it, TCP loopback everywhere),
-//! and both worker deployments (in-process threads, separate
-//! `dsv-shard-server` processes).
+//! E20 — the socket tax on remote ingestion: `RemoteEngine::run_parted`
+//! throughput versus the in-process engine, over both socket families
+//! (UDS where the platform has it, TCP loopback everywhere) and both
+//! worker deployments (in-process threads, separate `dsv-shard-server`
+//! processes).
 //!
-//! `rounds_per_frame = 1` is the PR 6 wire protocol: one synchronous
-//! round-trip per engine round, so every round pays a full
-//! coordinator ↔ worker latency out of the ingestion clock. Larger
-//! values switch the coordinator to the pipelined driver — bounded
-//! per-worker send queues staging rounds while earlier rounds are in
-//! flight, multi-round DSVR v3 `Rounds` frames on the wire — which
-//! amortizes that latency across the frame without changing a single
-//! byte of engine state (see `DESIGN.md` §12). What is left to amortize
-//! once the socket itself does not stall is what the rows record.
+//! There is one remote round loop and nothing to tune on it: the
+//! coordinator keeps a computed window of rounds on the wire past the
+//! one it is absorbing (DESIGN.md §8), so every combo is one row — what
+//! a default deployment gets.
 //!
 //! Every timed run is audited first: estimates, ground truth, batch
 //! counts, `CommStats` ledgers, per-shard replica estimates, and the
@@ -23,22 +17,16 @@
 //!
 //! **The gate** (enforced here before `BENCH_e20.json` is written, and
 //! re-enforced by `bench_schema` on the committed artifact) is
-//! `tcp_uds_parity`: on each spawn mode, TCP throughput at
-//! `rounds_per_frame = 1` must reach ≥ [`PARITY_GATE`] × UDS throughput
-//! at `rounds_per_frame = 1`. The two families run the same protocol
-//! over the same loopback, so the ratio sits near 1 (0.9–1.3 observed)
-//! whatever the machine's speed, and it binds on smoke runs too. What it
-//! catches is a transport that waits on something the socket does not
-//! charge for: a length prefix and a payload written separately on a
-//! socket without `TCP_NODELAY` wait ~44 ms a frame on Nagle + delayed
-//! ACK, UDS does not, and the ratio reads 0.001. What pipelining buys
-//! over one round per frame is recorded in every row (`speedup_vs_sync`,
-//! beside `vs_local`) and not gated: on a socket that does not stall it
-//! is the overlap of frame encoding and thread wake-ups with worker
-//! absorption, a function of round size and host (EXPERIMENTS.md E22
-//! has the committed rows). The exact-count signature stays a gate:
-//! every combo covers `rounds_per_frame` 1/4/16 and `frames_sent`
-//! strictly falls as it rises.
+//! `tcp_uds_parity`: on each spawn mode, TCP throughput must reach ≥
+//! [`PARITY_GATE`] × UDS throughput. The two families run the same
+//! protocol over the same loopback, so the ratio sits near 1 (0.8–1.3
+//! observed) whatever the machine's speed, and it binds on smoke runs
+//! too. What it catches is a transport that waits on something the
+//! socket does not charge for: a length prefix and a payload written
+//! separately on a socket without `TCP_NODELAY` wait ~44 ms a frame on
+//! Nagle + delayed ACK, UDS does not, and the ratio reads 0.001.
+//! `vs_local` prices what is left of the socket tax and is recorded,
+//! not gated (EXPERIMENTS.md E22 has the committed rows).
 //!
 //! ```sh
 //! cargo bench -p dsv-bench --features remote --bench e20_remote
@@ -61,10 +49,7 @@ const EPS: f64 = 0.1;
 const SITES: usize = 4;
 const SHARDS: usize = 4;
 const WORKERS: usize = 2;
-/// Frame widths under test; 1 is the synchronous PR 6 baseline.
-const RPFS: [usize; 3] = [1, 4, 16];
-/// The acceptance gate: TCP over UDS throughput at one round per frame,
-/// on every spawn mode. Two orders of magnitude from either side — 0.001
+/// The acceptance gate: TCP over UDS throughput, on every spawn mode. Two orders of magnitude from either side — 0.001
 /// on a stalled socket, 0.9–1.3 on a healthy one.
 const PARITY_GATE: f64 = 0.25;
 
@@ -99,8 +84,9 @@ fn locate_server_bin() -> Option<PathBuf> {
     candidate.is_file().then_some(candidate)
 }
 
-struct Row {
-    rpf: usize,
+struct Combo {
+    transport: &'static str,
+    spawn: &'static str,
     wall_s: f64,
     updates_per_sec: f64,
     frames_sent: u64,
@@ -109,17 +95,12 @@ struct Row {
     bytes_received: u64,
 }
 
-struct Combo {
-    transport: &'static str,
-    spawn: &'static str,
-    rows: Vec<Row>,
-}
-
 /// Run one remote configuration over `slices`, audit it bit-identical to
 /// the in-process reference, and return its timing + wire ledger.
 #[allow(clippy::too_many_arguments)]
 fn run_remote(
-    label: &str,
+    transport: &'static str,
+    spawn: &'static str,
     spec: TrackerSpec,
     cfg: EngineConfig,
     rcfg: RemoteConfig,
@@ -127,7 +108,8 @@ fn run_remote(
     n: u64,
     local: &mut CounterEngine,
     local_report: &EngineReport,
-) -> Row {
+) -> Combo {
+    let label = format!("{transport}/{spawn}");
     let mut remote = RemoteEngine::counters(spec, cfg, rcfg).expect("remote engine spawns");
     let start = Instant::now();
     let report = remote.run_parted(slices).expect("remote run completes");
@@ -160,8 +142,9 @@ fn run_remote(
     );
 
     let wire = remote.wire_stats();
-    Row {
-        rpf: cfg.rounds_per_frame_value(),
+    Combo {
+        transport,
+        spawn,
         wall_s: wall,
         updates_per_sec: n as f64 / wall,
         frames_sent: wire.frames_sent,
@@ -196,8 +179,8 @@ fn main() {
     banner(
         "E20 — remote ingestion and the socket tax",
         "RemoteEngine::run_parted vs the in-process engine across \
-         rounds_per_frame x transport x spawn mode; one round per frame \
-         over TCP must reach >= 0.25x the same over UDS, bit-identically",
+         transport x spawn mode; TCP must reach >= 0.25x the same run \
+         over UDS, bit-identically",
     );
     println!(
         "n = {n}, sites = {SITES}, shards = {SHARDS}, workers = {WORKERS}, \
@@ -246,87 +229,65 @@ fn main() {
                 io_timeout: Duration::from_secs(10),
                 ..RemoteConfig::default()
             };
-            let mut rows = Vec::new();
-            for rpf in RPFS {
-                let label = format!("{tname}/{sname} rpf={rpf}");
-                rows.push(run_remote(
-                    &label,
-                    spec,
-                    base_cfg.rounds_per_frame(rpf),
-                    rcfg.clone(),
-                    &slices,
-                    n,
-                    &mut local,
-                    &local_report,
-                ));
-            }
-            combos.push(Combo {
-                transport: tname,
-                spawn: sname,
-                rows,
-            });
+            combos.push(run_remote(
+                tname,
+                sname,
+                spec,
+                base_cfg,
+                rcfg,
+                &slices,
+                n,
+                &mut local,
+                &local_report,
+            ));
         }
     }
 
     let mut table = Table::new(&[
         "transport",
         "spawn",
-        "rpf",
         "Mups",
-        "vs sync",
         "vs local",
         "frames out",
         "KB out",
     ]);
     let mut combo_docs = Vec::new();
     for combo in &combos {
-        let sync_ups = combo.rows[0].updates_per_sec;
-        let mut row_docs = Vec::new();
-        for row in &combo.rows {
-            let speedup = row.updates_per_sec / sync_ups;
-            table.row(vec![
-                combo.transport.to_string(),
-                combo.spawn.to_string(),
-                row.rpf.to_string(),
-                format!("{:.2}", row.updates_per_sec / 1e6),
-                format!("{speedup:.2}x"),
-                format!("{:.2}x", row.updates_per_sec / local_ups),
-                row.frames_sent.to_string(),
-                format!("{:.0}", row.bytes_sent as f64 / 1024.0),
-            ]);
-            row_docs.push(Json::obj(vec![
-                ("rounds_per_frame", Json::num(row.rpf as f64)),
-                ("wall_s", Json::num(row.wall_s)),
-                ("updates_per_sec", Json::num(row.updates_per_sec)),
-                ("speedup_vs_sync", Json::num(speedup)),
-                ("vs_local", Json::num(row.updates_per_sec / local_ups)),
-                ("frames_sent", Json::num(row.frames_sent as f64)),
-                ("frames_received", Json::num(row.frames_received as f64)),
-                ("bytes_sent", Json::num(row.bytes_sent as f64)),
-                ("bytes_received", Json::num(row.bytes_received as f64)),
-            ]));
-        }
+        table.row(vec![
+            combo.transport.to_string(),
+            combo.spawn.to_string(),
+            format!("{:.2}", combo.updates_per_sec / 1e6),
+            format!("{:.2}x", combo.updates_per_sec / local_ups),
+            combo.frames_sent.to_string(),
+            format!("{:.0}", combo.bytes_sent as f64 / 1024.0),
+        ]);
         combo_docs.push(Json::obj(vec![
             ("transport", Json::str(combo.transport)),
             ("spawn", Json::str(combo.spawn)),
-            ("rows", Json::Arr(row_docs)),
+            ("wall_s", Json::num(combo.wall_s)),
+            ("updates_per_sec", Json::num(combo.updates_per_sec)),
+            ("vs_local", Json::num(combo.updates_per_sec / local_ups)),
+            ("frames_sent", Json::num(combo.frames_sent as f64)),
+            ("frames_received", Json::num(combo.frames_received as f64)),
+            ("bytes_sent", Json::num(combo.bytes_sent as f64)),
+            ("bytes_received", Json::num(combo.bytes_received as f64)),
         ]));
     }
     table.print();
     println!("\nin-process reference: {:.2} Mups", local_ups / 1e6);
 
-    // The gate: per spawn mode, TCP over UDS at one round per frame; the
-    // worst pair is the one recorded. (Without a UDS family there is
-    // nothing to hold TCP against, and no artifact.)
-    let sync_ups = |transport: &str, spawn: &str| {
+    // The gate: per spawn mode, TCP over UDS; the worst pair is the one
+    // recorded. (Without a UDS family there is nothing to hold TCP
+    // against, and no artifact.)
+    let ups = |transport: &str, spawn: &str| {
         combos
             .iter()
             .find(|c| c.transport == transport && c.spawn == spawn)
-            .map(|c| c.rows[0].updates_per_sec)
+            .map(|c| c.updates_per_sec)
     };
     let worst = spawns
         .iter()
-        .filter_map(|(spawn, _)| Some((sync_ups("tcp", spawn)? / sync_ups("uds", spawn)?, *spawn)))
+        .filter_map(|(spawn, _)| Some((ups("tcp", spawn)? / ups("uds", spawn)?, *spawn)))
         .min_by(|a, b| a.0.total_cmp(&b.0));
     let Some((parity, gate_spawn)) = worst else {
         println!(
@@ -345,7 +306,7 @@ fn main() {
     // never produces a green BENCH file.
     if parity < PARITY_GATE {
         eprintln!(
-            "e20_remote: GATE FAILED — one round per frame on {gate_combo} runs at \
+            "e20_remote: GATE FAILED — {gate_combo} runs at \
              {parity:.3}x its UDS twin, below the required {PARITY_GATE}x: the TCP \
              path is waiting on something the socket does not charge for"
         );
@@ -372,13 +333,11 @@ fn main() {
     println!("\nwrote {out}");
 
     println!(
-        "\nreading: rpf = 1 is the PR 6 wire protocol — every engine round a\n\
-         synchronous coordinator <-> worker round-trip, paid n/batch times.\n\
-         rpf = 4/16 stage rounds into bounded send queues and ship multi-round\n\
-         DSVR v3 frames, so the round-trip is paid once per frame; 'frames\n\
-         out' falling as rpf rises is that amortization made visible, and\n\
-         'vs sync' is what it buys on a socket that charges microseconds a\n\
-         round-trip. 'vs local' prices what remains of the socket tax — the\n\
-         floor is serialization plus one memcpy per side, not zero."
+        "\nreading: every engine round is one Round frame per worker and one\n\
+         report back; the coordinator keeps a computed window of rounds on\n\
+         the wire, so a worker is handed round r + 1 while round r's report\n\
+         is read and reconciled. 'vs local' prices what remains of the\n\
+         socket tax — the floor is serialization plus one memcpy per side,\n\
+         not zero."
     );
 }

@@ -427,11 +427,6 @@ struct Schema {
     include_from: Option<&'static str>,
     /// `(entry, field, gate)`: that entry's `field` must meet `doc[gate]`.
     entry_gate: Option<(&'static str, &'static str, &'static str)>,
-    /// `(field, set)`: within every entry, the rows' values of `field`
-    /// must be exactly `set`.
-    rows_cover: Option<(&'static str, &'static [f64])>,
-    /// A row field that must strictly fall from row to row.
-    rows_falling: Option<&'static str>,
 }
 
 /// A flat table with no gates: the base every row of [`SCHEMAS`] updates.
@@ -446,8 +441,6 @@ const BASE: Schema = Schema {
     must_include: &[],
     include_from: None,
     entry_gate: None,
-    rows_cover: None,
-    rows_falling: None,
 };
 
 /// Scalars every artifact carries.
@@ -574,10 +567,9 @@ static SCHEMAS: [Schema; 5] = [
         entry_gate: Some(("quiet", "shrink", "shrink_gate")),
         ..BASE
     },
-    // Remote socket tax. TCP over UDS at one round per frame is a ratio
-    // of two runs of one protocol on one host, not cycles saved, so it
-    // binds on smoke artifacts too; and wider frames must mean strictly
-    // fewer of them (deterministic framing).
+    // Remote socket tax. TCP over UDS is a ratio of two runs of one
+    // protocol on one host, not cycles saved, so it binds on smoke
+    // artifacts too.
     Schema {
         tag: "e20_remote",
         scalars: &[
@@ -596,12 +588,8 @@ static SCHEMAS: [Schema; 5] = [
         fields: &[
             ("transport", OneOf(&["uds", "tcp"])),
             ("spawn", OneOf(&["threads", "processes"])),
-        ],
-        rows: &[
-            ("rounds_per_frame", Pos),
             ("wall_s", Pos),
             ("updates_per_sec", Pos),
-            ("speedup_vs_sync", Pos),
             ("vs_local", Pos),
             ("frames_sent", Pos),
             ("frames_received", Pos),
@@ -609,8 +597,6 @@ static SCHEMAS: [Schema; 5] = [
             ("bytes_received", Pos),
         ],
         include_from: Some("gate_combo"),
-        rows_cover: Some(("rounds_per_frame", &[1.0, 4.0, 16.0])),
-        rows_falling: Some("frames_sent"),
         ..BASE
     },
 ];
@@ -695,29 +681,10 @@ fn walk_table(doc: &Json, t: &Schema) -> Result<(), String> {
         if t.rows.is_empty() {
             continue;
         }
-        let rows = non_empty(entry, "rows").map_err(at)?;
-        let mut prev = f64::INFINITY;
-        for (j, row) in rows.iter().enumerate() {
+        for (j, row) in non_empty(entry, "rows").map_err(at)?.iter().enumerate() {
             let at = |e: String| format!("{}[{i}].rows[{j}]: {e}", t.table);
             for &f in t.rows {
                 check(row, f).map_err(at)?;
-            }
-            if let Some(field) = t.rows_falling {
-                let x = num(row, field);
-                if x >= prev {
-                    return Err(at(format!(
-                        "'{field}' must strictly fall from row to row (got {x} after {prev})"
-                    )));
-                }
-                prev = x;
-            }
-        }
-        if let Some((field, set)) = t.rows_cover {
-            let seen: Vec<f64> = rows.iter().map(|row| num(row, field)).collect();
-            if !(set.iter().all(|x| seen.contains(x)) && seen.iter().all(|x| set.contains(x))) {
-                return Err(at(format!(
-                    "'rows' must cover {field} {set:?} exactly, got {seen:?}"
-                )));
             }
         }
     }
@@ -987,16 +954,5 @@ mod tests {
         // The gated combo must actually be among the recorded combos.
         refused(&set(E20, "gate_combo", "\"tcp/fibers\""), "tcp/fibers");
         refused(&rename(E20, "threads", "fibers"), "fibers");
-    }
-
-    #[test]
-    fn e20_schema_enforces_the_frame_amortization_signature() {
-        // Wider frames must mean strictly fewer of them: a document where
-        // frames_sent fails to fall as rounds_per_frame rises is refused
-        // even if every throughput gate passes.
-        refused(&set(E20, "frames_sent", "2004"), "must strictly fall");
-        // And every combo must cover the full rpf sweep, in known widths.
-        refused(&set(E20, "rounds_per_frame", "4"), "16");
-        refused(&set(E20, "rounds_per_frame", "8"), "got [8.0");
     }
 }

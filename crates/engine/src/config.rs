@@ -23,7 +23,6 @@ use dsv_net::Time;
 /// | [`fleet_gc_bytes`](Self::fleet_gc_bytes) | `64 KiB` | Minimum per-shard arena garbage before the fleet compacts (fleet only) |
 /// | [`consolidate`](Self::consolidate) | `false` | Pre-aggregate same-site runs (RLE / sort-merge) before ingestion |
 /// | [`delta_rebase`](Self::delta_rebase) | `0` (off) | Delta checkpointing: fresh base snapshot every K chained deltas |
-/// | [`rounds_per_frame`](Self::rounds_per_frame) | `1` | Remote pipelining: rounds batched per wire frame (≤1 = synchronous ping-pong) |
 ///
 /// **Shards vs workers.** `shards` is the *logical* partitioning: how many
 /// tracker replicas the stream is split across. It is part of the engine's
@@ -50,7 +49,6 @@ pub struct EngineConfig {
     fleet_gc_bytes: usize,
     consolidate: bool,
     delta_rebase: u64,
-    rounds_per_frame: usize,
 }
 
 impl EngineConfig {
@@ -71,30 +69,7 @@ impl EngineConfig {
             fleet_gc_bytes: 64 * 1024,
             consolidate: false,
             delta_rebase: 0,
-            rounds_per_frame: 1,
         }
-    }
-
-    /// Rounds batched per wire frame on the remote path (default 1).
-    /// Values ≤ 1 keep the PR 6 synchronous ping-pong: the coordinator
-    /// ships one `Round` frame per worker and blocks on its report. For
-    /// `n > 1` the remote engine switches to pipelined ingestion: round
-    /// commands are staged into per-worker bounded send queues and a
-    /// writer thread per connection drains them into DSVR v3 `Rounds` envelopes carrying up
-    /// to `n` rounds per length-prefixed frame, so staging overlaps
-    /// socket writes and worker absorption. Purely an execution/transport
-    /// knob: workers still answer one `RoundReport` per round, and the
-    /// coordinator absorbs reports in round order, so estimates,
-    /// ε-audits, `CommStats`, and checkpoint images are bit-identical to
-    /// the in-process engine for **any** value. Two observable
-    /// differences: `WireStats` counts fewer, fatter frames, and
-    /// failover under pipelining always respawns the dead slot
-    /// (`Recovery::Reattach` degrades to `Respawn`) — see DESIGN.md §12.
-    /// Ignored everywhere outside the remote engine (`remote::RemoteEngine`,
-    /// behind the `remote` feature).
-    pub fn rounds_per_frame(mut self, n: usize) -> Self {
-        self.rounds_per_frame = n;
-        self
     }
 
     /// Delta checkpointing (default 0 = off): when `every > 0`, checkpoint
@@ -278,12 +253,6 @@ impl EngineConfig {
     /// checkpointing off).
     pub fn delta_rebase_period(&self) -> u64 {
         self.delta_rebase
-    }
-
-    /// Rounds batched per remote wire frame (≤1 = synchronous
-    /// one-round-per-frame ping-pong).
-    pub fn rounds_per_frame_value(&self) -> usize {
-        self.rounds_per_frame
     }
 
     pub(crate) fn validate(&self) -> Result<(), EngineError> {

@@ -29,7 +29,7 @@ pub const WIRE_MAGIC: [u8; 4] = *b"DSVR";
 /// decoders read exactly this version; any other is a typed
 /// [`CodecError::UnsupportedVersion`], surfaced before any shard state
 /// moves (`MIGRATION.md`, format policy).
-pub const WIRE_VERSION: u16 = 3;
+pub const WIRE_VERSION: u16 = 4;
 
 /// One shard's inputs for one round — the per-problem input payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,18 +56,8 @@ impl Inputs {
 
     fn encode(&self, enc: &mut Enc) {
         match self {
-            Inputs::Counts(v) => {
-                enc.u8(1);
-                enc.seq_i64(v);
-            }
-            Inputs::Items(v) => {
-                enc.u8(2);
-                enc.seq_len(v.len());
-                for &(item, delta) in v {
-                    enc.u64(item);
-                    enc.i64(delta);
-                }
-            }
+            Inputs::Counts(v) => encode_counts(enc, v),
+            Inputs::Items(v) => encode_items(enc, v),
         }
     }
 
@@ -89,6 +79,24 @@ impl Inputs {
                 tag: tag as u64,
             }),
         }
+    }
+}
+
+/// Write a counter-stream input run — the bytes of [`Inputs::Counts`],
+/// from a borrowed slice.
+pub(crate) fn encode_counts(enc: &mut Enc, deltas: &[i64]) {
+    enc.u8(1);
+    enc.seq_i64(deltas);
+}
+
+/// Write an item-stream input run — the bytes of [`Inputs::Items`], from
+/// a borrowed slice.
+pub(crate) fn encode_items(enc: &mut Enc, updates: &[(u64, i64)]) {
+    enc.u8(2);
+    enc.seq_len(updates.len());
+    for &(item, delta) in updates {
+        enc.u64(item);
+        enc.i64(delta);
     }
 }
 
@@ -156,20 +164,6 @@ impl StateEntry {
     }
 }
 
-/// One round's work inside a multi-round [`ToWorker::Rounds`] frame —
-/// the same `(round, delay, chunks)` triple a single-round
-/// [`ToWorker::Round`] carries, just batched.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundWork {
-    /// Round number (0-based within the current ingestion call).
-    pub round: u64,
-    /// Milliseconds to sleep before processing this round — 0 in
-    /// production; nonzero only under an injected delay fault.
-    pub delay_ms: u64,
-    /// The round's work, in feed order.
-    pub chunks: Vec<Chunk>,
-}
-
 /// Coordinator → worker messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ToWorker {
@@ -203,16 +197,6 @@ pub enum ToWorker {
         delay_ms: u64,
         /// The work, in feed order.
         chunks: Vec<Chunk>,
-    },
-    /// Process several rounds back to back — the DSVR v3 pipelined
-    /// envelope. The worker handles each entry exactly as it would a
-    /// [`ToWorker::Round`] frame, in order, sending one
-    /// [`ToCoord::RoundReport`] per entry as soon as that round is done
-    /// (so the coordinator can absorb round `r` while the worker is
-    /// already processing `r + 1`).
-    Rounds {
-        /// The batched rounds, ascending round number.
-        rounds: Vec<RoundWork>,
     },
     /// Snapshot the named shards and reply with a
     /// [`ToCoord::CheckpointReport`].
@@ -249,18 +233,10 @@ impl ToWorker {
                 delay_ms,
                 chunks,
             } => {
-                enc.u8(3);
-                enc.u64(*round);
-                enc.u64(*delay_ms);
-                encode_chunks(&mut enc, chunks);
-            }
-            ToWorker::Rounds { rounds } => {
-                enc.u8(6);
-                enc.seq_len(rounds.len());
-                for work in rounds {
-                    enc.u64(work.round);
-                    enc.u64(work.delay_ms);
-                    encode_chunks(&mut enc, &work.chunks);
+                round_header(&mut enc, *round, *delay_ms, chunks.len());
+                for chunk in chunks {
+                    chunk_header(&mut enc, chunk.sid, chunk.site);
+                    chunk.inputs.encode(&mut enc);
                 }
             }
             ToWorker::Checkpoint { shards } => {
@@ -302,20 +278,6 @@ impl ToWorker {
                     chunks: decode_chunks(&mut dec)?,
                 }
             }
-            6 => {
-                let n = dec.seq_len("batched rounds", 25)?;
-                let mut rounds = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let round = dec.u64()?;
-                    let delay_ms = dec.u64()?;
-                    rounds.push(RoundWork {
-                        round,
-                        delay_ms,
-                        chunks: decode_chunks(&mut dec)?,
-                    });
-                }
-                ToWorker::Rounds { rounds }
-            }
             4 => {
                 let n = dec.seq_len("checkpoint shards", 8)?;
                 let mut shards = Vec::with_capacity(n);
@@ -352,13 +314,24 @@ fn open_frame(bytes: &[u8]) -> Result<Dec<'_>, CodecError> {
     Ok(dec)
 }
 
-fn encode_chunks(enc: &mut Enc, chunks: &[Chunk]) {
-    enc.seq_len(chunks.len());
-    for chunk in chunks {
-        enc.usize(chunk.sid);
-        enc.usize(chunk.site);
-        chunk.inputs.encode(enc);
-    }
+/// Continue a [`ToWorker::Round`] frame after the envelope
+/// (`enc.magic(WIRE_MAGIC, WIRE_VERSION)`): tag, round, delay and chunk
+/// count. Exactly `chunks` × ([`chunk_header`] + an input run) must
+/// follow. This is how the coordinator writes round frames straight from
+/// the feed slices into one retained buffer; [`ToWorker::to_bytes`] goes
+/// through the same writers, so the two cannot drift.
+pub(crate) fn round_header(enc: &mut Enc, round: u64, delay_ms: u64, chunks: usize) {
+    enc.u8(3);
+    enc.u64(round);
+    enc.u64(delay_ms);
+    enc.seq_len(chunks);
+}
+
+/// Open one chunk of a round frame; its input run ([`encode_counts`] /
+/// [`encode_items`]) follows.
+pub(crate) fn chunk_header(enc: &mut Enc, sid: usize, site: usize) {
+    enc.usize(sid);
+    enc.usize(site);
 }
 
 fn decode_chunks(dec: &mut Dec) -> Result<Vec<Chunk>, CodecError> {
@@ -415,6 +388,15 @@ pub struct RoundEntry {
     pub sum: i64,
     /// Inputs consumed this round at this shard.
     pub len: u64,
+}
+
+/// Encoded payload length of a [`ToCoord::RoundReport`] carrying
+/// `entries` shard entries — what the coordinator sizes its send window
+/// by (each report it has not read yet sits in a socket buffer).
+pub(crate) const fn round_report_len(entries: usize) -> usize {
+    // envelope (magic + version), tag, round, entry count; then four
+    // 8-byte words per entry.
+    6 + 1 + 8 + 8 + 32 * entries
 }
 
 /// Worker → coordinator messages.
@@ -588,35 +570,6 @@ mod tests {
                     },
                 ],
             },
-            ToWorker::Rounds {
-                rounds: vec![
-                    RoundWork {
-                        round: 8,
-                        delay_ms: 0,
-                        chunks: vec![Chunk {
-                            sid: 1,
-                            site: 1,
-                            inputs: Inputs::Counts(vec![1, 1, -1]),
-                        }],
-                    },
-                    RoundWork {
-                        round: 9,
-                        delay_ms: 25,
-                        chunks: vec![
-                            Chunk {
-                                sid: 1,
-                                site: 1,
-                                inputs: Inputs::Counts(vec![-1]),
-                            },
-                            Chunk {
-                                sid: 3,
-                                site: 3,
-                                inputs: Inputs::Items(vec![(2, 1)]),
-                            },
-                        ],
-                    },
-                ],
-            },
             ToWorker::Checkpoint {
                 shards: vec![
                     StatePull {
@@ -680,6 +633,23 @@ mod tests {
     }
 
     #[test]
+    fn report_length_formula_matches_the_encoder() {
+        for entries in [0usize, 1, 7] {
+            let entry = RoundEntry {
+                sid: 3,
+                estimate: -9,
+                sum: 2,
+                len: 250,
+            };
+            let report = ToCoord::RoundReport {
+                round: 5,
+                reports: vec![entry; entries],
+            };
+            assert_eq!(report.to_bytes().len(), round_report_len(entries));
+        }
+    }
+
+    #[test]
     fn truncation_at_every_byte_is_a_typed_error() {
         let (to_worker, to_coord) = sample_messages();
         for msg in &to_worker {
@@ -699,8 +669,10 @@ mod tests {
     #[test]
     fn older_generations_are_refused() {
         // Every message shape, re-stamped with each retired version word
-        // (v1: untagged states and flag-less pulls; v2: no `Rounds`).
+        // (v1: untagged states and flag-less pulls; v2: before the
+        // `Rounds` envelope; v3: with it).
         let (to_worker, to_coord) = sample_messages();
+        assert_eq!(WIRE_VERSION, 4);
         for old in 1..WIRE_VERSION {
             let refused = CodecError::UnsupportedVersion {
                 found: old,

@@ -222,22 +222,6 @@ fn serve_conn(
             } => {
                 process_round(&mut conn, &mut trackers, round, delay_ms, &chunks)?;
             }
-            ToWorker::Rounds { rounds } => {
-                // The pipelined envelope: each batched round is absorbed
-                // exactly like a single-round frame, in order, and each
-                // answers with its own report as soon as it completes —
-                // so the coordinator can absorb early rounds while later
-                // ones are still being processed here.
-                for work in rounds {
-                    process_round(
-                        &mut conn,
-                        &mut trackers,
-                        work.round,
-                        work.delay_ms,
-                        &work.chunks,
-                    )?;
-                }
-            }
             ToWorker::Checkpoint { shards } => {
                 let mut states = Vec::with_capacity(shards.len());
                 for pull in shards {

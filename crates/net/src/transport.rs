@@ -274,7 +274,8 @@ impl Conn {
     /// [`Listener::accept`] share. A TCP stream gets `TCP_NODELAY` here:
     /// frames are written whole, so Nagle has nothing to coalesce and can
     /// only hold a small frame back until the previous one is ACKed —
-    /// which back-to-back frames on the pipelined path would wait for.
+    /// which back-to-back round frames (the remote engine's send window)
+    /// would wait for.
     fn new(stream: StreamImpl) -> Result<Self, TransportError> {
         if let StreamImpl::Tcp(s) = &stream {
             s.set_nodelay(true).map_err(|e| io_err("set nodelay", e))?;
@@ -382,36 +383,6 @@ impl Conn {
         self.stats.frames_received += 1;
         self.stats.bytes_received += 4 + len as u64;
         Ok(payload)
-    }
-
-    /// Clone the underlying socket into an independent handle over the
-    /// same connection (`dup(2)` semantics: shared kernel socket, so
-    /// timeouts and shutdown affect both, but each handle reads/writes
-    /// through its own descriptor).
-    ///
-    /// The clone starts with a **fresh** [`WireStats`] ledger and
-    /// inherits `max_frame`. This is the split a pipelined coordinator
-    /// needs — a writer thread streaming frames through the clone while
-    /// the owning thread keeps reading replies from the original; merge
-    /// the clone's stats back when the writer retires. Dropping a clone
-    /// closes only its descriptor, never the shared connection.
-    pub fn try_clone(&self) -> Result<Conn, TransportError> {
-        let stream = match &self.stream {
-            StreamImpl::Tcp(s) => s
-                .try_clone()
-                .map(StreamImpl::Tcp)
-                .map_err(|e| io_err("clone connection", e))?,
-            #[cfg(unix)]
-            StreamImpl::Unix(s) => s
-                .try_clone()
-                .map(StreamImpl::Unix)
-                .map_err(|e| io_err("clone connection", e))?,
-        };
-        Ok(Conn {
-            stream,
-            max_frame: self.max_frame,
-            stats: WireStats::new(),
-        })
     }
 
     /// Shut down both directions without consuming the connection — the
@@ -656,7 +627,6 @@ mod tests {
         let (server, client) = tcp_pair();
         assert!(nodelay(&server), "accepted side");
         assert!(nodelay(&client), "connecting side");
-        assert!(nodelay(&client.try_clone().unwrap()), "clones share it");
     }
 
     /// Small frames both ways is the pattern a prefix-then-payload write
@@ -753,30 +723,6 @@ mod tests {
                 kind: ErrorKind::WriteZero
             }
         );
-    }
-
-    #[test]
-    fn cloned_connections_share_the_socket_but_not_the_ledger() {
-        let (mut server, mut client) = tcp_pair();
-        let mut writer = client.try_clone().unwrap();
-        // Frames interleave from both handles onto one byte stream, in
-        // the order the sends happen.
-        writer.send(b"from the clone").unwrap();
-        client.send(b"from the original").unwrap();
-        assert_eq!(server.recv().unwrap(), b"from the clone");
-        assert_eq!(server.recv().unwrap(), b"from the original");
-        // Each handle keeps its own ledger; merging reconstructs the
-        // whole connection's traffic.
-        assert_eq!(writer.stats().frames_sent, 1);
-        assert_eq!(client.stats().frames_sent, 1);
-        let mut total = *client.stats();
-        total.merge(writer.stats());
-        assert_eq!(total.frames_sent, server.stats().frames_received);
-        assert_eq!(total.bytes_sent, server.stats().bytes_received);
-        // Dropping the clone leaves the original connection usable.
-        drop(writer);
-        client.send(b"still open").unwrap();
-        assert_eq!(server.recv().unwrap(), b"still open");
     }
 
     #[cfg(unix)]

@@ -654,87 +654,3 @@ fn fleet_delta_tables_survive_the_gauntlet() {
     assert!(FleetCheckpoint::from_bytes(&bytes).is_err());
     assert!(FleetDelta::from_bytes(&child.to_bytes()).is_err());
 }
-
-/// DSVR v3 `Rounds` envelopes (the pipelined multi-round frames) run the
-/// same gauntlet as every other wire surface: typed errors on every-byte
-/// truncation, no panics on every-byte corruption, and specific rejection
-/// of envelope-head flips, future versions, and trailing garbage.
-#[cfg(feature = "remote")]
-#[test]
-fn pipelined_rounds_envelopes_survive_the_gauntlet() {
-    use dsv::engine::remote::wire::{Chunk, Inputs, RoundWork, ToCoord, ToWorker};
-
-    let msg = ToWorker::Rounds {
-        rounds: vec![
-            RoundWork {
-                round: 12,
-                delay_ms: 0,
-                chunks: vec![
-                    Chunk {
-                        sid: 0,
-                        site: 0,
-                        inputs: Inputs::Counts(vec![1, -2, 3, 4]),
-                    },
-                    Chunk {
-                        sid: 3,
-                        site: 7,
-                        inputs: Inputs::Items(vec![(9, 1), (2, -1)]),
-                    },
-                ],
-            },
-            RoundWork {
-                round: 13,
-                delay_ms: 25,
-                chunks: vec![Chunk {
-                    sid: 1,
-                    site: 5,
-                    inputs: Inputs::Counts(vec![-1]),
-                }],
-            },
-        ],
-    };
-    let bytes = msg.to_bytes();
-    assert_eq!(ToWorker::from_bytes(&bytes).unwrap(), msg);
-
-    // Every-byte truncation is a typed error, never a panic.
-    for cut in 0..bytes.len() {
-        assert!(ToWorker::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
-    }
-    // Every-byte corruption must never panic (and must never decode as a
-    // coordinator-direction frame — the envelopes are direction-tagged).
-    for pos in 0..bytes.len() {
-        for flip in [0x01u8, 0x80, 0xff] {
-            let mut evil = bytes.clone();
-            evil[pos] ^= flip;
-            let _ = ToWorker::from_bytes(&evil);
-            assert!(ToCoord::from_bytes(&evil).is_err(), "pos {pos} flip {flip}");
-        }
-    }
-    // Envelope head flips (magic + version) are always rejected.
-    for pos in 0..6 {
-        let mut evil = bytes.clone();
-        evil[pos] ^= 0xA5;
-        assert!(
-            ToWorker::from_bytes(&evil).is_err(),
-            "envelope flip at byte {pos} was accepted"
-        );
-    }
-    // Version skew is specific: a future version is refused, and so is
-    // the retired v2 level — peers are always the same build, so the
-    // decoders read one generation.
-    for skew in [[0x7F, 0x01], [2, 0]] {
-        let mut skewed = bytes.clone();
-        skewed[4..6].copy_from_slice(&skew);
-        assert!(matches!(
-            ToWorker::from_bytes(&skewed),
-            Err(CodecError::UnsupportedVersion { .. })
-        ));
-    }
-    // Trailing garbage is measured exactly.
-    let mut trailing = bytes.clone();
-    trailing.extend_from_slice(&[6, 6, 6]);
-    assert!(matches!(
-        ToWorker::from_bytes(&trailing),
-        Err(CodecError::Trailing { left: 3 })
-    ));
-}

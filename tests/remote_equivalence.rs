@@ -241,89 +241,31 @@ fn thread_workers_match_process_workers_frame_for_frame() {
     assert_eq!(threads.checkpoint().unwrap(), procs.checkpoint().unwrap());
 }
 
-/// The pipelined remote path (`rounds_per_frame > 1`) holds the same
-/// bit-identity contract for every kind, at every frame width, over both
-/// socket families — batching rounds into multi-round `Rounds` frames is
-/// a transport detail, not a semantics change.
-fn pipelined_matrix(transport: RemoteTransport) {
-    let k = 4;
-    for rpf in [4usize, 16] {
-        for kind in TrackerKind::COUNTERS {
-            let k = if kind == TrackerKind::SingleSite {
-                1
-            } else {
-                k
-            };
-            let spec = counter_spec(kind, k);
-            let feeds = counter_feeds(kind, 6_000, k);
-            let slices: Vec<(usize, &[i64])> =
-                feeds.iter().map(|(s, v)| (*s, v.as_slice())).collect();
-            let label = format!("{} rpf={rpf} {transport:?}", kind.label());
-            let cfg = EngineConfig::new(k.min(4), 250)
-                .workers(2)
-                .rounds_per_frame(rpf);
-            let mut local = ShardedEngine::counters(spec, cfg).unwrap();
-            let local_report = local.run_parted(&slices).unwrap();
-            let mut remote = RemoteEngine::counters(spec, cfg, rcfg(transport)).unwrap();
-            let report = remote.run_parted(&slices).unwrap();
-            assert_fingerprints!(label, remote, report, local, local_report);
-            assert!(remote.events().is_empty(), "{label}: unexpected failover");
-        }
-        for kind in TrackerKind::FREQUENCIES {
-            let spec = item_spec(kind, k);
-            let feeds = item_feeds(6_000, k);
-            let slices: Vec<(usize, &[(u64, i64)])> =
-                feeds.iter().map(|(s, v)| (*s, v.as_slice())).collect();
-            let label = format!("{} rpf={rpf} {transport:?}", kind.label());
-            let cfg = EngineConfig::new(k, 250).workers(2).rounds_per_frame(rpf);
-            let mut local = ShardedEngine::items(spec, cfg).unwrap();
-            let local_report = local.run_parted(&slices).unwrap();
-            let mut remote = RemoteEngine::items(spec, cfg, rcfg(transport)).unwrap();
-            let report = remote.run_parted(&slices).unwrap();
-            assert_fingerprints!(label, remote, report, local, local_report);
-        }
-    }
-}
-
-#[cfg(unix)]
-#[test]
-fn every_kind_is_bit_identical_pipelined_over_uds_processes() {
-    pipelined_matrix(RemoteTransport::Uds);
-}
-
-#[test]
-fn every_kind_is_bit_identical_pipelined_over_tcp_processes() {
-    pipelined_matrix(RemoteTransport::Tcp);
-}
-
 #[test]
 fn killing_a_worker_mid_frame_stays_bit_identical() {
-    // A process kill while a multi-round frame is in flight: the staged
-    // rounds the dead worker never reported are re-exchanged by failover
-    // catch-up, and the run stays bit-identical to a fault-free sync-path
-    // (one-round-per-frame) remote — frame boundaries never leak into the
-    // state. The reference must be remote because `checkpoint_every`
-    // charges periodic wire commits the in-process engine never pays;
-    // the in-process engine still anchors the estimate itself.
+    // A process kill with the send window open (`checkpoint_every(4)`:
+    // rounds 4..8 go out together, the kills land at 5, 6 and 7): the
+    // rounds the dead worker was sent but never reported are re-sent to
+    // its replacement by the round loop, and the run stays bit-identical
+    // to a fault-free remote — the window never leaks into the state.
+    // The reference must be remote because `checkpoint_every` charges
+    // periodic wire commits the in-process engine never pays; the
+    // in-process engine still anchors the estimate itself.
     let kind = TrackerKind::Deterministic;
     let spec = counter_spec(kind, 4);
-    let cfg = EngineConfig::new(4, 250)
-        .workers(2)
-        .checkpoint_every(4)
-        .rounds_per_frame(4);
+    let cfg = EngineConfig::new(4, 250).workers(2).checkpoint_every(4);
     let feeds = counter_feeds(kind, 12_000, 4);
     let slices: Vec<(usize, &[i64])> = feeds.iter().map(|(s, v)| (*s, v.as_slice())).collect();
 
     let mut anchor = ShardedEngine::counters(spec, cfg).unwrap();
     let anchor_report = anchor.run_parted(&slices).unwrap();
-    let mut local =
-        RemoteEngine::counters(spec, cfg.rounds_per_frame(1), rcfg(RemoteTransport::Tcp)).unwrap();
+    let mut local = RemoteEngine::counters(spec, cfg, rcfg(RemoteTransport::Tcp)).unwrap();
     let local_report = local.run_parted(&slices).unwrap();
     assert_eq!(local_report.final_estimate, anchor_report.final_estimate);
     assert_eq!(local.estimate(), anchor.estimate());
 
     for round in [5u64, 6, 7] {
-        let label = format!("kill at staged round {round}");
+        let label = format!("kill at in-flight round {round}");
         let mut remote = RemoteEngine::counters(spec, cfg, rcfg(RemoteTransport::Tcp)).unwrap();
         remote.set_fault_plan(FaultPlan::new().inject(
             FaultPoint::MidRound(round),
@@ -333,11 +275,7 @@ fn killing_a_worker_mid_frame_stays_bit_identical() {
         let report = remote.run_parted(&slices).unwrap();
         assert!(!remote.events().is_empty(), "{label}: no failover");
         assert_eq!(remote.events()[0].worker, 1, "{label}");
-        assert_eq!(
-            remote.events()[0].recovered_to,
-            1,
-            "{label}: pipelined recovery must respawn"
-        );
+        assert_eq!(remote.events()[0].recovered_to, 1, "{label}");
         assert_eq!(
             report.final_estimate, local_report.final_estimate,
             "{label}"
