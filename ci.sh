@@ -2,8 +2,9 @@
 # Full local CI gate for the dsv workspace. Runs everything the tier-1
 # verify runs, plus formatting, lints, the full workspace test matrix,
 # bench/example compilation, bench smoke runs with JSON schema gates
-# (including the e17 overlap-speedup gate, the e18 fleet keys x
-# throughput gate, the e19 quiet-stream delta-shrink gate, and — in
+# (including the e16 parted-speedup gate, the e17 overlap-speedup gate,
+# the e18 fleet keys x throughput gate, the e19 quiet-stream
+# delta-shrink gate, and — in
 # remote-feature jobs — the e20 remote TCP/UDS parity gate and a
 # smoke run of the repository benchmark, benchmark/run.sh), the
 # 150-word cap on the top CHANGES.md entry, a Rust line count per crate
@@ -229,14 +230,14 @@ if [ "$rc" -ne 0 ] && [ "$rc" -ne 124 ]; then
     exit 1
 fi
 
-step "e16 throughput smoke + consolidation gate + BENCH json schema gate"
+step "e16 throughput smoke + parted gate + BENCH json schema gate"
 # Full e16 sweep in --smoke mode (400k updates) writing machine-readable
 # results, then the schema gate: non-empty stream/row tables, finite
-# positive throughput numbers. The binary itself enforces the
-# consolidation gate (S=8 monotone consolidated/parted >= 1.3x) on full
-# runs before writing any JSON; bench_schema re-enforces the recorded
-# gate on the committed BENCH_e16.json (full 10M run), so the artifact
-# can neither regress below the floor nor weaken it.
+# positive throughput numbers. The binary itself enforces the parted
+# gate (best S=8 monotone parted speedup over the sequential Driver
+# >= 5x) on full runs before writing any JSON; bench_schema re-enforces
+# the recorded gate on the committed BENCH_e16.json (full 10M run), so
+# the artifact can neither regress below the floor nor weaken it.
 e16_bin=$(bench_bin e16_throughput)
 [ -n "$e16_bin" ] || { echo "e16 bench binary not found"; exit 1; }
 mkdir -p target/ci
@@ -344,11 +345,17 @@ step "CHANGES.md top entry <= 150 words"
 words=$(grep -m1 '^- ' CHANGES.md | wc -w)
 [ "$words" -le 150 ] || { echo "top CHANGES.md entry is $words words (limit 150)"; exit 1; }
 
-step "loc (Rust lines per crate -> target/ci/loc.json)"
+step "loc (Rust lines per crate + EngineConfig fields -> target/ci/loc.json)"
 # "Net-negative" as a recorded number: lines of Rust per crate (the root
 # facade is src/ + tests/ + examples/), excluding the standalone
 # benchmark/ package, the vendored crates/compat/ stand-ins and target/.
+# Beside them, the engine's knob count: the fields of `pub struct
+# EngineConfig` (recorded, not gated).
 rust_lines() { find "$@" -name '*.rs' -print0 | xargs -0 cat | wc -l | tr -d ' '; }
+engine_config_fields=$(awk '/^pub struct EngineConfig \{/ { on = 1; next }
+    on && /^\}/ { exit }
+    on && /^    [a-z_]+:/ { n++ }
+    END { print n + 0 }' crates/engine/src/config.rs)
 {
     n=$(rust_lines src tests examples)
     total=$n
@@ -360,7 +367,7 @@ rust_lines() { find "$@" -name '*.rs' -print0 | xargs -0 cat | wc -l | tr -d ' '
         total=$((total + n))
         printf ', "dsv-%s": %s' "$crate" "$n"
     done
-    printf ', "total": %s}\n' "$total"
+    printf ', "total": %s, "engine_config_fields": %s}\n' "$total" "$engine_config_fields"
 } > target/ci/loc.json
 cat target/ci/loc.json
 

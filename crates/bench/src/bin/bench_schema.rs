@@ -9,7 +9,7 @@
 //! `experiment` tag names (`dsv_bench::validate_bench_doc`): non-empty
 //! stream/scenario/phase tables, finite positive throughput numbers, and
 //! the recorded acceptance gates re-enforced on the recorded numbers —
-//! `e16_throughput`'s consolidation speedup, `e17_pipeline`'s overlap
+//! `e16_throughput`'s S = 8 parted speedup, `e17_pipeline`'s overlap
 //! speedup on the slow-feed row, `e18_fleet`'s keys × throughput floor
 //! on full runs. Exits non-zero on the first failure, so a bench that
 //! crashed mid-run, emitted NaNs, silently produced an empty sweep, or

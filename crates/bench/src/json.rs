@@ -454,21 +454,21 @@ const COMMON: Fields = &[
 use Rule::{Above, Count, Eps, Floor, OneOf, Pos, Str};
 
 static SCHEMAS: [Schema; 5] = [
-    // Sharded throughput. The consolidation speedup is machine-speed, so
-    // only full runs are held to it.
+    // Sharded throughput. The parted speedup over the sequential Driver is
+    // machine-speed, so only full runs are held to it.
     Schema {
         tag: "e16_throughput",
         scalars: &[
             ("eps", Eps),
-            ("consolidate_gate", Floor(1.3, "the consolidation floor")),
-            ("consolidation_speedup", Pos),
+            ("parted_gate", Floor(5.0, "the S = 8 parted floor")),
+            ("parted_speedup", Pos),
         ],
-        gates: &[("consolidation_speedup", "consolidate_gate", When::FullRuns)],
+        gates: &[("parted_speedup", "parted_gate", When::FullRuns)],
         table: "streams",
         key: &["stream"],
         fields: &[("stream", Str), ("baseline_updates_per_sec", Pos)],
         rows: &[
-            ("mode", OneOf(&["routed", "parted", "consolidated"])),
+            ("mode", OneOf(&["routed", "parted"])),
             ("shards", Pos),
             ("batch", Pos),
             ("updates_per_sec", Pos),
@@ -841,15 +841,15 @@ mod tests {
     }
 
     #[test]
-    fn e16_schema_enforces_the_consolidation_gate_on_full_runs() {
+    fn e16_schema_enforces_the_parted_gate_on_full_runs() {
         // A smoke artifact may sit below the gate; a full run may not.
-        let below = set(E16, "consolidation_speedup", "1.1");
+        let below = set(E16, "parted_speedup", "4.2");
         refused(&below, "below the gate");
         assert_eq!(verdict(&set(&below, "smoke", "true")), Ok("e16_throughput"));
         // The artifact cannot weaken its own floor either.
-        refused(&set(&below, "consolidate_gate", "1.05"), "at least 1.3");
+        refused(&set(&below, "parted_gate", "4"), "at least 5");
         // And unknown modes stay rejected.
-        refused(&rename(E16, "consolidated", "turbo"), "turbo");
+        refused(&rename(E16, "parted", "turbo"), "turbo");
     }
 
     #[test]

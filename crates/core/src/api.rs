@@ -55,7 +55,7 @@ use crate::randomized::{RandCoord, RandSite};
 use crate::single_site::{SsCoord, SsSite};
 use dsv_net::{
     relative_error, relative_error_floored, CommStats, ConfigError, CoordinatorNode, ErrorProbe,
-    ItemUpdate, MergedEntry, RunReport, SiteId, SiteNode, StarSim, Time, Update,
+    ItemUpdate, RunReport, SiteId, SiteNode, StarSim, Time, Update,
 };
 use dsv_sketch::{CountMinMap, CounterMap, CrPrecisMap, ExactCounts, FreqSketch, IdentityMap};
 use std::marker::PhantomData;
@@ -311,9 +311,11 @@ pub trait Tracker<In: Copy = i64>: std::fmt::Debug {
     /// element (protocol state, estimates, and [`CommStats`] alike); the
     /// default does exactly that. The [`StarSim`] blanket impl overrides
     /// it with [`StarSim::step_batch`], which amortizes the per-update
-    /// simulator overhead and routes same-site runs through the hot
-    /// kinds' `absorb_quiet` fast paths — this is the ingestion path the
-    /// batched sharded engine (`dsv-engine`) drives.
+    /// simulator overhead and splits the batch into same-site runs for
+    /// [`update_run`](Self::update_run) — the one run seam, through the
+    /// hot kinds' `absorb_quiet` kernels. The sharded engine
+    /// (`dsv-engine`) drives this method for shards that own several
+    /// sites and `update_run` for the rest.
     fn update_batch(&mut self, batch: &[(SiteId, In)]) -> i64 {
         let mut est = self.estimate();
         for &(site, input) in batch {
@@ -333,37 +335,6 @@ pub trait Tracker<In: Copy = i64>: std::fmt::Debug {
             est = self.step(site, input);
         }
         est
-    }
-
-    /// Feed a same-site run given in run-length-encoded form: `segs` is
-    /// the exact compression of an input run into `(value, count)`
-    /// segments, in order. Bit-identical to
-    /// [`update_run`](Self::update_run) on the expanded run; the
-    /// [`StarSim`] blanket impl overrides it with `step_run_rle`, which
-    /// lets sites with closed-form quiet conditions absorb a whole
-    /// segment in O(1). This is the consolidated ingestion path of the
-    /// sharded engine's counter kinds.
-    fn update_run_rle(&mut self, site: SiteId, segs: &[(In, u32)]) -> i64 {
-        let mut est = self.estimate();
-        for &(v, c) in segs {
-            for _ in 0..c {
-                est = self.step(site, v);
-            }
-        }
-        est
-    }
-
-    /// Feed a same-site run together with its per-item consolidation:
-    /// `merged` holds one entry per distinct item of `raw`, sorted by
-    /// item, with net delta and raw-update count. Bit-identical to
-    /// [`update_run`](Self::update_run) on `raw` (the default ignores
-    /// `merged`); the [`StarSim`] blanket impl overrides it with
-    /// `step_run_merged`, which lets frequency sites absorb whole runs by
-    /// applying net deltas. This is the consolidated ingestion path of
-    /// the sharded engine's item kinds.
-    fn update_run_merged(&mut self, site: SiteId, raw: &[In], merged: &[MergedEntry]) -> i64 {
-        let _ = merged;
-        self.update_run(site, raw)
     }
 
     /// Current coordinator estimate `f̂(n)` (the tracked count, or
@@ -441,14 +412,6 @@ where
         StarSim::step_run(self, site, inputs)
     }
 
-    fn update_run_rle(&mut self, site: SiteId, segs: &[(S::In, u32)]) -> i64 {
-        StarSim::step_run_rle(self, site, segs)
-    }
-
-    fn update_run_merged(&mut self, site: SiteId, raw: &[S::In], merged: &[MergedEntry]) -> i64 {
-        StarSim::step_run_merged(self, site, raw, merged)
-    }
-
     fn estimate(&self) -> i64 {
         StarSim::estimate(self)
     }
@@ -504,14 +467,6 @@ impl<In: Copy, T: Tracker<In> + ?Sized> Tracker<In> for Box<T> {
 
     fn update_run(&mut self, site: SiteId, inputs: &[In]) -> i64 {
         (**self).update_run(site, inputs)
-    }
-
-    fn update_run_rle(&mut self, site: SiteId, segs: &[(In, u32)]) -> i64 {
-        (**self).update_run_rle(site, segs)
-    }
-
-    fn update_run_merged(&mut self, site: SiteId, raw: &[In], merged: &[MergedEntry]) -> i64 {
-        (**self).update_run_merged(site, raw, merged)
     }
 
     fn estimate(&self) -> i64 {

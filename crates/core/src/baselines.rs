@@ -210,22 +210,6 @@ impl SiteNode for CmySite {
         n
     }
 
-    fn absorb_quiet_run(&mut self, _t0: Time, v: i64, n: u64) -> u64 {
-        // Monotone closed form: a run of `n` copies of `v ≥ 0` stays quiet
-        // for exactly `(qmax − n_i) / v` steps. O(1) per RLE segment.
-        assert!(v >= 0, "CMY counter is insert-only (monotone streams)");
-        let qmax = self.quiet_qmax();
-        if self.n_i > qmax {
-            return 0;
-        }
-        if v == 0 {
-            return n;
-        }
-        let j = ((qmax - self.n_i) / v as u64).min(n);
-        self.n_i += j * v as u64;
-        j
-    }
-
     fn save_state(&self, enc: &mut Enc) -> bool {
         enc.u64(self.n_i);
         enc.u64(self.last);

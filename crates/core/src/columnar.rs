@@ -1,21 +1,16 @@
-//! Columnar quiet-prefix kernels shared by the `absorb_quiet` rewrites.
+//! The columnar quiet-prefix kernel shared by the `absorb_quiet` rewrites.
 //!
 //! Every counter-kind quiet condition in this crate is (or contains) a
 //! *band* check: a running sum must stay inside a fixed interval
-//! `[lo, hi]` for the update to be provably message-free. The helpers here
-//! evaluate that check over whole slices and whole `(value, count)` runs
-//! instead of one update at a time:
+//! `[lo, hi]` for the update to be provably message-free.
+//! [`in_band_prefix`] evaluates that check over a whole slice instead of
+//! one update at a time — chunked prefix sums with running min/max, so
+//! the in-band check compiles to straight-line arithmetic over 64-element
+//! chunks (autovectorizable) and only the chunk that leaves the band is
+//! rescanned scalar to find the exact stop index.
 //!
-//! * [`in_band_prefix`] — chunked prefix-sum with running min/max, so the
-//!   in-band check compiles to straight-line arithmetic over 64-element
-//!   chunks (autovectorizable) and only the chunk that leaves the band is
-//!   rescanned scalar to find the exact stop index;
-//! * [`run_in_band`] — the run-length special case: for a run of `n`
-//!   copies of `v` the partial sums are an arithmetic progression, so the
-//!   longest in-band prefix has a closed form and costs O(1).
-//!
-//! Both are *exact*: they absorb precisely the updates the per-update
-//! scalar loop would have absorbed, never more — which is what keeps the
+//! It is *exact*: it absorbs precisely the updates the per-update scalar
+//! loop would have absorbed, never more — which is what keeps the
 //! columnar path bit-identical to the oracle.
 
 /// Chunk width for the vector-friendly prefix scan. 64 × i64 = one page of
@@ -76,51 +71,6 @@ pub fn in_band_prefix(start: i64, deltas: &[i64], lo: i64, hi: i64) -> (usize, i
     (n, acc)
 }
 
-/// Longest prefix of a run of `n` copies of `v` whose running sum (seeded
-/// with `start`) stays inside `[lo, hi]` at every step, returned as
-/// `(len, final_sum)`.
-///
-/// The partial sums `start + i·v` are monotone in `i`, so the answer is a
-/// single division: O(1) per run segment regardless of `n`. All interior
-/// arithmetic is `i128`, so there is no overflow for any `i64` inputs.
-pub fn run_in_band(start: i64, v: i64, n: u64, lo: i64, hi: i64) -> (u64, i64) {
-    debug_assert!(lo <= hi);
-    if n == 0 {
-        return (0, start);
-    }
-    if v == 0 {
-        // Every step re-lands on `start`; quiet iff `start` is in band.
-        return if start >= lo && start <= hi {
-            (n, start)
-        } else {
-            (0, start)
-        };
-    }
-    let (start, v, lo, hi) = (start as i128, v as i128, lo as i128, hi as i128);
-    let j = if v > 0 {
-        if start + v > hi {
-            0
-        } else {
-            // Largest j with start + j·v ≤ hi (the minimum over the
-            // prefix is start + v ≥ lo is implied for j ≥ 1 only if
-            // start + v ≥ lo; check it explicitly).
-            if start + v < lo {
-                0
-            } else {
-                (((hi - start) / v) as u64).min(n)
-            }
-        }
-    } else {
-        // v < 0: sums decrease; the binding constraint is `lo`.
-        if start + v < lo || start + v > hi {
-            0
-        } else {
-            (((start - lo) / (-v)) as u64).min(n)
-        }
-    };
-    (j, (start + j as i128 * v) as i64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,8 +126,10 @@ mod tests {
 
     #[test]
     fn run_matches_expansion() {
+        // Constant runs: the monotone partial sums hit each band edge
+        // exactly, including one step short of i64's ends.
         for &(start, v, n, lo, hi) in &[
-            (0i64, 1i64, 100u64, -70i64, 70i64),
+            (0i64, 1i64, 100usize, -70i64, 70i64),
             (0, -1, 100, -70, 70),
             (5, 0, 42, -70, 70),
             (80, 0, 42, -70, 70),
@@ -189,19 +141,12 @@ mod tests {
             (i64::MAX - 5, 1, 3, i64::MIN, i64::MAX),
             (i64::MIN + 5, -1, 3, i64::MIN, i64::MAX),
         ] {
-            let expanded: Vec<i64> = std::iter::repeat_n(v, n as usize).collect();
-            let (sn, sacc) = scalar(start, &expanded, lo, hi);
-            let (rn, racc) = run_in_band(start, v, n, lo, hi);
-            assert_eq!((rn, racc), (sn as u64, sacc), "start={start} v={v} n={n}");
+            let run = vec![v; n];
+            assert_eq!(
+                in_band_prefix(start, &run, lo, hi),
+                scalar(start, &run, lo, hi),
+                "start={start} v={v} n={n}"
+            );
         }
-    }
-
-    #[test]
-    fn run_extremes_do_not_overflow() {
-        // Would overflow i64 intermediates without the i128 widening.
-        let (j, end) = run_in_band(0, i64::MAX, 3, i64::MIN, i64::MAX);
-        assert_eq!((j, end), (1, i64::MAX));
-        let (j, _) = run_in_band(i64::MAX, i64::MAX, 3, i64::MIN, i64::MAX);
-        assert_eq!(j, 0);
     }
 }

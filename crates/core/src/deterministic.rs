@@ -177,22 +177,6 @@ impl SiteNode for DetSite {
         n
     }
 
-    fn absorb_quiet_run(&mut self, _t0: Time, v: i64, n: u64) -> u64 {
-        // Same band as `absorb_quiet`, but for a run of identical deltas
-        // the longest quiet prefix is a closed form: O(1) per RLE segment.
-        let cap = self.blocks.until_fire().min(n);
-        if cap == 0 {
-            return 0;
-        }
-        let hi = self.quiet_qmax().min(i64::MAX as u64) as i64;
-        let start = self.delta;
-        let (j, acc) = crate::columnar::run_in_band(start, v, cap, -hi, hi);
-        self.blocks.absorb_run(j, acc - start);
-        self.d += acc - start;
-        self.delta = acc;
-        j
-    }
-
     fn save_state(&self, enc: &mut Enc) -> bool {
         self.blocks.save_state(enc);
         enc.i64(self.d);

@@ -34,9 +34,7 @@
 
 use crate::blocks::{check_sum, BlockConfig, BlockCoordinator, BlockSite};
 use dsv_net::codec::{restore_check, CodecError, Dec, Enc};
-use dsv_net::{
-    CoordOutbox, CoordinatorNode, MergedEntry, Outbox, SiteNode, StarSim, Time, WireSize,
-};
+use dsv_net::{CoordOutbox, CoordinatorNode, Outbox, SiteNode, StarSim, Time, WireSize};
 use dsv_sketch::{CountMinMap, CounterMap, CrPrecisMap, IdentityMap};
 
 /// Site → coordinator messages of the frequency tracker.
@@ -270,73 +268,6 @@ impl<M: CounterMap> SiteNode for FreqSite<M> {
         }
         self.blocks.absorb_run(n as u64, run_sum);
         self.f1_delta = f1_acc;
-        n
-    }
-
-    fn absorb_quiet_merged(
-        &mut self,
-        t0: Time,
-        raw: &[(u64, i64)],
-        merged: &[MergedEntry],
-    ) -> usize {
-        // All-or-nothing fast path over the consolidated entries: if a
-        // worst-case-excursion argument proves every raw update quiet *in
-        // any order* (and therefore in the actual order), apply the
-        // per-item net deltas once each — O(distinct items) instead of
-        // O(raw updates). Deltas are ±1, so each entry's `count` bounds
-        // how far its item can swing any counter it maps to, and the
-        // global ±1 split bounds the F1 excursion. Any doubt — r = 0
-        // (exact-zero conditions have no slack), block headroom, a bound
-        // reaching a threshold — falls back to the exact per-update scan.
-        let n = raw.len();
-        if n == 0 {
-            return 0;
-        }
-        if self.r == 0 || (self.blocks.until_fire() as usize) < n {
-            return self.absorb_quiet(t0, raw);
-        }
-        let f1_band = self.eps * (1u64 << self.r) as f64;
-        let thresh = counter_threshold(self.eps, self.r);
-        // Worst-case F1 prefix sums live in [f1_delta − minus, f1_delta + plus].
-        let plus: i64 = merged
-            .iter()
-            .map(|e| {
-                debug_assert!(e.net.unsigned_abs() <= e.count as u64 && e.count as u64 <= n as u64);
-                (e.count as i64 + e.net) / 2
-            })
-            .sum();
-        let minus = n as i64 - plus;
-        if (self.f1_delta + plus).unsigned_abs() as f64 >= f1_band
-            || (self.f1_delta - minus).unsigned_abs() as f64 >= f1_band
-        {
-            return self.absorb_quiet(t0, raw);
-        }
-        // Per-counter worst case: no counter can move by more than the
-        // whole run's n updates; check every touched counter's headroom
-        // before mutating anything (all-or-nothing).
-        for e in merged {
-            self.scratch.clear();
-            self.map.map(e.item, &mut self.scratch);
-            for &c in &self.scratch {
-                if (self.pending[c as usize].unsigned_abs() + n as u64) as f64 >= thresh {
-                    return self.absorb_quiet(t0, raw);
-                }
-            }
-        }
-        // Every raw update is provably quiet: apply the nets.
-        let mut run_sum = 0i64;
-        for e in merged {
-            self.scratch.clear();
-            self.map.map(e.item, &mut self.scratch);
-            for &c in &self.scratch {
-                self.totals[c as usize] += e.net;
-                self.pending[c as usize] += e.net;
-            }
-            self.f1_d += e.net;
-            run_sum += e.net;
-        }
-        self.blocks.absorb_run(n as u64, run_sum);
-        self.f1_delta += run_sum;
         n
     }
 

@@ -161,28 +161,6 @@ impl SiteNode for SsSite {
         }
     }
 
-    fn absorb_quiet_run(&mut self, _t0: Time, v: i64, n: u64) -> u64 {
-        match self.quiet_band() {
-            Some((lo, hi)) => {
-                let (j, acc) = crate::columnar::run_in_band(self.f, v, n, lo, hi);
-                self.f = acc;
-                j
-            }
-            None => {
-                let mut j = 0;
-                while j < n {
-                    let next = self.f + v;
-                    if !self.quiet(next) {
-                        break;
-                    }
-                    self.f = next;
-                    j += 1;
-                }
-                j
-            }
-        }
-    }
-
     fn save_state(&self, enc: &mut Enc) -> bool {
         enc.i64(self.f);
         enc.i64(self.fhat);
@@ -341,12 +319,7 @@ mod tests {
                     let n_c = cols.absorb_quiet(0, &deltas);
                     let n_s = scal.absorb_quiet_scalar(&deltas);
                     assert_eq!((n_c, cols.f), (n_s, scal.f), "eps={eps} fhat={fhat}");
-                    // Run form against the same oracle.
-                    let v = (rng() % 3) as i64 - 1;
-                    let n_c = cols.absorb_quiet_run(0, v, 64);
-                    let n_s = scal.absorb_quiet_scalar(&[v; 64]) as u64;
-                    assert_eq!((n_c, cols.f), (n_s, scal.f), "eps={eps} fhat={fhat} v={v}");
-                    if n_c < 64 {
+                    if n_c < deltas.len() {
                         // The next update would send: mirror the refresh so
                         // the walk keeps exploring instead of pinning.
                         cols.fhat = cols.f;

@@ -21,7 +21,6 @@ use dsv_net::Time;
 /// | [`checkpoint_every`](Self::checkpoint_every) | `0` (off) | Auto-checkpoint sink period, in batch boundaries |
 /// | [`fleet_cache`](Self::fleet_cache) | `1024` | Live per-key trackers cached per fleet shard (fleet only) |
 /// | [`fleet_gc_bytes`](Self::fleet_gc_bytes) | `64 KiB` | Minimum per-shard arena garbage before the fleet compacts (fleet only) |
-/// | [`consolidate`](Self::consolidate) | `false` | Pre-aggregate same-site runs (RLE / sort-merge) before ingestion |
 /// | [`delta_rebase`](Self::delta_rebase) | `0` (off) | Delta checkpointing: fresh base snapshot every K chained deltas |
 ///
 /// **Shards vs workers.** `shards` is the *logical* partitioning: how many
@@ -47,7 +46,6 @@ pub struct EngineConfig {
     checkpoint_every: u64,
     fleet_cache: Option<usize>,
     fleet_gc_bytes: usize,
-    consolidate: bool,
     delta_rebase: u64,
 }
 
@@ -67,7 +65,6 @@ impl EngineConfig {
             checkpoint_every: 0,
             fleet_cache: None,
             fleet_gc_bytes: 64 * 1024,
-            consolidate: false,
             delta_rebase: 0,
         }
     }
@@ -84,19 +81,6 @@ impl EngineConfig {
     /// move (and the `checkpoint_stats` words that charge them) shrink.
     pub fn delta_rebase(mut self, every: u64) -> Self {
         self.delta_rebase = every;
-        self
-    }
-
-    /// Pre-aggregate each same-site run before the shard's tracker sees
-    /// it (default off): counter runs are run-length encoded and absorbed
-    /// segment-at-a-time, item runs are sorted with duplicate items
-    /// merged — see [`crate::Consolidator`]. Purely an execution knob:
-    /// estimates, ε-audits, `CommStats`, and checkpoint bytes are
-    /// bit-identical with it on or off (held by
-    /// `tests/consolidation_equivalence.rs` for all ten kinds); it only
-    /// changes how fast a batch is chewed through.
-    pub fn consolidate(mut self, on: bool) -> Self {
-        self.consolidate = on;
         self
     }
 
@@ -242,11 +226,6 @@ impl EngineConfig {
     /// The fleet's per-shard arena garbage floor before compaction.
     pub fn fleet_gc_floor(&self) -> usize {
         self.fleet_gc_bytes
-    }
-
-    /// Whether same-site runs are consolidated before ingestion.
-    pub fn consolidate_enabled(&self) -> bool {
-        self.consolidate
     }
 
     /// The delta-checkpoint rebase period in chained deltas (0 = delta

@@ -1,46 +1,23 @@
-//! Batch consolidation: pre-aggregate a same-site run before the tracker
-//! sees it.
+//! Run-length encoding of a counter run — a measurement probe, not an
+//! ingestion path.
 //!
-//! Differential-dataflow's `consolidation.rs` sorts update batches and
-//! merges duplicates before operators run; the analogue here has one form
-//! per input family:
-//!
-//! * **counter runs** (`&[i64]`) are run-length encoded — the trackers'
-//!   quiet conditions are bands on a running sum, so a run of identical
-//!   deltas is absorbed in O(1) via
-//!   [`SiteNode::absorb_quiet_run`](dsv_net::SiteNode::absorb_quiet_run)
-//!   instead of one compare per ±1;
-//! * **item runs** (`&[(u64, i64)]`) are sorted and duplicate items merged
-//!   into [`MergedEntry`] nets, so a frequency site can absorb the whole
-//!   run by applying one net per distinct item via
-//!   [`SiteNode::absorb_quiet_merged`](dsv_net::SiteNode::absorb_quiet_merged).
-//!
-//! Both transforms are *exact*: the consolidated form is offered to the
-//! tracker alongside enough information to replay the raw run whenever a
-//! closed form can't prove quietness, so estimates, ε-audits, `CommStats`
-//! and checkpoint bytes stay bit-identical to unconsolidated ingestion
-//! (held by `tests/consolidation_equivalence.rs` for all ten kinds).
-//!
-//! Enabled per engine with [`EngineConfig::consolidate`](crate::EngineConfig::consolidate);
-//! each worker owns one [`Consolidator`] of reused scratch buffers.
+//! [`Consolidator::compress_runs`] is kept only because the repository
+//! benchmark binds to it: its `engine.consolidate.*` probe reports what
+//! RLE would cost per input and how many segments it would leave on each
+//! workload's real chunks (`benchmark/README.md`, "The surface it binds
+//! to"). The engine itself never consolidates — every run goes through
+//! `Tracker::update_run` and the sites' `absorb_quiet` kernels (DESIGN.md
+//! §10 records why the consolidated path was removed).
 
-use crate::partition::InputDelta;
-use dsv_core::api::Tracker;
-use dsv_net::{MergedEntry, SiteId};
-
-/// Reusable consolidation scratch: one per engine worker.
+/// Reusable RLE scratch.
 #[derive(Debug, Default)]
 pub struct Consolidator {
     /// RLE segments of a counter run.
     segs: Vec<(i64, u32)>,
-    /// Sort scratch for item runs.
-    pairs: Vec<(u64, i64)>,
-    /// Per-distinct-item merge of an item run.
-    merged: Vec<MergedEntry>,
 }
 
 impl Consolidator {
-    /// Fresh scratch with empty buffers.
+    /// Fresh scratch with an empty buffer.
     pub fn new() -> Self {
         Self::default()
     }
@@ -74,69 +51,6 @@ impl Consolidator {
         }
         &self.segs
     }
-
-    /// Sort-and-merge `run` into one [`MergedEntry`] per distinct item
-    /// (sorted by item, clearing previous contents). The raw run is left
-    /// untouched — sites that cannot absorb the merged form replay it.
-    pub fn merge_items(&mut self, run: &[(u64, i64)]) -> &[MergedEntry] {
-        self.pairs.clear();
-        self.pairs.extend_from_slice(run);
-        self.pairs.sort_unstable_by_key(|&(item, _)| item);
-        self.merged.clear();
-        for &(item, delta) in &self.pairs {
-            match self.merged.last_mut() {
-                Some(e) if e.item == item => {
-                    e.net += delta;
-                    e.count += 1;
-                }
-                _ => self.merged.push(MergedEntry {
-                    item,
-                    net: delta,
-                    count: 1,
-                }),
-            }
-        }
-        &self.merged
-    }
-}
-
-/// Input families that know their consolidated ingestion form. The
-/// engine's run paths call this instead of
-/// [`Tracker::update_run`](dsv_core::api::Tracker::update_run) when the
-/// [`consolidate`](crate::EngineConfig::consolidate) knob is on.
-pub trait ConsolidateInput: InputDelta {
-    /// Consolidate `run` in `scratch` and feed it to `tracker`,
-    /// bit-identically to `tracker.update_run(site, run)`.
-    fn update_consolidated<T: Tracker<Self> + ?Sized>(
-        tracker: &mut T,
-        site: SiteId,
-        run: &[Self],
-        scratch: &mut Consolidator,
-    ) -> i64;
-}
-
-impl ConsolidateInput for i64 {
-    fn update_consolidated<T: Tracker<Self> + ?Sized>(
-        tracker: &mut T,
-        site: SiteId,
-        run: &[Self],
-        scratch: &mut Consolidator,
-    ) -> i64 {
-        scratch.compress_runs(run);
-        tracker.update_run_rle(site, &scratch.segs)
-    }
-}
-
-impl ConsolidateInput for (u64, i64) {
-    fn update_consolidated<T: Tracker<Self> + ?Sized>(
-        tracker: &mut T,
-        site: SiteId,
-        run: &[Self],
-        scratch: &mut Consolidator,
-    ) -> i64 {
-        scratch.merge_items(run);
-        tracker.update_run_merged(site, run, &scratch.merged)
-    }
 }
 
 #[cfg(test)]
@@ -158,34 +72,5 @@ mod tests {
         // Alternating input degenerates to one segment per element.
         let alt: Vec<i64> = (0..67).map(|i| if i % 2 == 0 { 1 } else { -1 }).collect();
         assert_eq!(c.compress_runs(&alt).len(), 67);
-    }
-
-    #[test]
-    fn merge_sums_duplicates_sorted() {
-        let mut c = Consolidator::new();
-        let run = [(7u64, 1i64), (3, 1), (7, 1), (7, -1), (3, 1), (9, -1)];
-        let merged: Vec<_> = c.merge_items(&run).to_vec();
-        assert_eq!(
-            merged,
-            vec![
-                MergedEntry {
-                    item: 3,
-                    net: 2,
-                    count: 2
-                },
-                MergedEntry {
-                    item: 7,
-                    net: 1,
-                    count: 3
-                },
-                MergedEntry {
-                    item: 9,
-                    net: -1,
-                    count: 1
-                },
-            ]
-        );
-        let n: u32 = merged.iter().map(|e| e.count).sum();
-        assert_eq!(n as usize, run.len());
     }
 }

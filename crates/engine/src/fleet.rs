@@ -53,9 +53,8 @@ use dsv_core::codec::{kind_from_tag, kind_tag, CodecError, Dec, Enc, TrackerStat
 use dsv_net::{relative_error, CommStats, Fingerprint, IngestStats, SiteId, StateDelta, Time};
 
 use crate::config::{EngineConfig, EngineError};
-use crate::consolidate::{ConsolidateInput, Consolidator};
 use crate::ingest::{FleetFeed, Ring};
-use crate::partition::hash_item;
+use crate::partition::{hash_item, InputDelta};
 use crate::round::{validate_sites, worker_groups};
 
 /// Magic bytes opening a serialized [`FleetCheckpoint`].
@@ -283,14 +282,12 @@ struct ShardSlab<T, In> {
     run_buf: Vec<In>,
     site_buf: Vec<u32>,
     tup_buf: Vec<(SiteId, In)>,
-    /// Consolidation scratch for the uniform-site chain collapse.
-    cons: Consolidator,
 }
 
 impl<T, In> ShardSlab<T, In>
 where
     T: Tracker<In>,
-    In: ConsolidateInput,
+    In: InputDelta,
 {
     fn new(kind: TrackerKind, k: usize) -> Self {
         ShardSlab {
@@ -306,7 +303,6 @@ where
             run_buf: Vec::new(),
             site_buf: Vec::new(),
             tup_buf: Vec::new(),
-            cons: Consolidator::new(),
         }
     }
 
@@ -448,7 +444,6 @@ where
     /// Apply every staged chain at a batch boundary: group-by-key is the
     /// chain itself, and each key's run goes through the same
     /// `update_run` / `update_batch` fast paths as the sharded engine.
-    #[allow(clippy::too_many_arguments)]
     fn apply(
         &mut self,
         eps: f64,
@@ -457,7 +452,6 @@ where
         proto_stats: &CommStats,
         cap: usize,
         gc_floor: usize,
-        consolidate: bool,
     ) -> Result<ApplyOut, EngineError> {
         let mut out = ApplyOut::new();
         let touched = std::mem::take(&mut self.touched);
@@ -494,16 +488,7 @@ where
             let entry = &mut self.cache[ci];
             let before = entry.tracker.stats().clone();
             let est = if uniform {
-                if consolidate {
-                    In::update_consolidated(
-                        &mut entry.tracker,
-                        first as usize,
-                        &self.run_buf,
-                        &mut self.cons,
-                    )
-                } else {
-                    entry.tracker.update_run(first as usize, &self.run_buf)
-                }
+                entry.tracker.update_run(first as usize, &self.run_buf)
             } else {
                 entry.tracker.update_batch(&self.tup_buf)
             };
@@ -1272,7 +1257,7 @@ pub type ItemFleet = TrackerFleet<Box<dyn ItemTracker + Send>, (u64, i64)>;
 impl<T, In> TrackerFleet<T, In>
 where
     T: Tracker<In> + Send,
-    In: ConsolidateInput + Send,
+    In: InputDelta + Send,
 {
     /// Build a fleet whose keys each track with a tracker from `factory`.
     ///
@@ -1542,7 +1527,6 @@ where
         let eps = self.cfg.eps_value();
         let cap = self.cfg.fleet_cache_capacity();
         let gc_floor = self.cfg.fleet_gc_floor();
-        let consolidate = self.cfg.consolidate_enabled();
         let factory = Arc::clone(&self.factory);
         let proto = Arc::clone(&self.proto);
         let proto_stats = Arc::clone(&self.proto_stats);
@@ -1552,15 +1536,7 @@ where
             group
                 .into_iter()
                 .map(|(sid, shard)| {
-                    let out = shard.apply(
-                        eps,
-                        &*factory,
-                        &proto,
-                        &proto_stats,
-                        cap,
-                        gc_floor,
-                        consolidate,
-                    )?;
+                    let out = shard.apply(eps, &*factory, &proto, &proto_stats, cap, gc_floor)?;
                     Ok((sid, out))
                 })
                 .collect::<Result<Vec<(usize, ApplyOut)>, EngineError>>()

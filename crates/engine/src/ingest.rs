@@ -46,15 +46,12 @@
 //! available parks the producer while the worker waits on `i`. One
 //! producer thread per feed (the deployment shape) cannot deadlock.
 //!
-//! ## Consolidation
+//! ## Draining a round
 //!
-//! Feeds carry raw per-site inputs; batch consolidation
-//! ([`EngineConfig::consolidate`](crate::EngineConfig::consolidate)) is
-//! applied by the *consuming* worker after it drains a round — each
-//! worker owns a [`Consolidator`](crate::Consolidator) of reused scratch
-//! buffers — so the queue protocol, the [`FeedFrame`] word charges, and
-//! the boundary cut are byte-for-byte the same with the knob on or off,
-//! and producers never pay the sort/RLE cost on their threads.
+//! Feeds carry raw per-site inputs. The consuming worker hands each
+//! drained round, unchanged, to the shard tracker's `update_run` — the
+//! same run seam `run_parted` drives — so the queue adds transport and
+//! nothing else to the work a round costs.
 //!
 //! ## Async pushes
 //!

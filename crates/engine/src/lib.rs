@@ -87,7 +87,7 @@ mod sharded;
 
 pub use checkpoint::{EngineCheckpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use config::{EngineConfig, EngineError};
-pub use consolidate::{ConsolidateInput, Consolidator};
+pub use consolidate::Consolidator;
 pub use delta::{CheckpointStore, DeltaStats, STORE_MAGIC, STORE_VERSION};
 pub use fleet::{
     CounterFleet, FleetCheckpoint, FleetDelta, FleetMemory, FleetReport, ItemFleet, KeyAudit,

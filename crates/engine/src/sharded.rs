@@ -2,11 +2,10 @@
 
 use crate::checkpoint::EngineCheckpoint;
 use crate::config::{EngineConfig, EngineError};
-use crate::consolidate::{ConsolidateInput, Consolidator};
 use crate::delta::CheckpointStore;
 use crate::ingest::{Ring, RingConsumer, ShardFeed};
 use crate::merge::MergeCoordinator;
-use crate::partition::{hash_item, Partition, ShardRecord};
+use crate::partition::{hash_item, InputDelta, Partition, ShardRecord};
 use crate::report::EngineReport;
 use crate::round::{
     chunk_bounds, rounds_of, validate_feeds, validate_sites, worker_groups, Cut, Entry, RunAudit,
@@ -68,31 +67,19 @@ where
     Ok(())
 }
 
-/// Feed a same-site run to a shard replica, through the consolidation
-/// stage when the engine has one (`scratch` is `Some` iff
-/// [`EngineConfig::consolidate`] is on). Both paths are bit-identical;
-/// the consolidated one pre-aggregates the run (RLE for counter inputs,
-/// sort-merge for item inputs) so the tracker's closed-form absorb
-/// kernels see whole segments instead of every ±1. Returns the run's
-/// [`Entry`] fields: `(estimate after the run, Σδ, inputs consumed)`.
-fn ingest_run<T, In>(
-    tracker: &mut T,
-    site: SiteId,
-    run: &[In],
-    scratch: Option<&mut Consolidator>,
-) -> (i64, i64, u64)
+/// Feed a same-site run to a shard replica through
+/// [`Tracker::update_run`] — the one run seam, which drives the sites'
+/// `absorb_quiet` kernels. Returns the run's [`Entry`] fields:
+/// `(estimate after the run, Σδ, inputs consumed)`.
+fn ingest_run<T, In>(tracker: &mut T, site: SiteId, run: &[In]) -> (i64, i64, u64)
 where
     T: Tracker<In> + ?Sized,
-    In: ConsolidateInput,
+    In: InputDelta,
 {
     // Summed first on purpose: the streaming pass pulls the run into
     // cache for the tracker's branchier kernel.
     let sum = run.iter().map(|x| x.delta_of()).sum();
-    let estimate = match scratch {
-        Some(s) => In::update_consolidated(tracker, site, run, s),
-        None => tracker.update_run(site, run),
-    };
-    (estimate, sum, run.len() as u64)
+    (tracker.update_run(site, run), sum, run.len() as u64)
 }
 
 /// Route one batch into per-site run buffers (`shard == site`; valid
@@ -160,8 +147,7 @@ where
 
 /// What a [`ShardExec`] runs per work item against the item's shard
 /// replica: `(estimate after the item, Σδ of the item, inputs consumed)`.
-type ShardBody<'a, T, W> =
-    &'a (dyn Fn(&mut T, &W, Option<&mut Consolidator>) -> (i64, i64, u64) + Sync);
+type ShardBody<'a, T, W> = &'a (dyn Fn(&mut T, &W) -> (i64, i64, u64) + Sync);
 
 /// A call-scoped shard executor: runs the body once per dispatched work
 /// item and hands back `(entry, item)` pairs. With one worker the body
@@ -172,7 +158,6 @@ type ShardBody<'a, T, W> =
 enum ShardExec<'a, T, W> {
     Inline {
         shards: &'a mut [T],
-        scratch: Option<Consolidator>,
         body: ShardBody<'a, T, W>,
         done: VecDeque<(Entry, W)>,
     },
@@ -187,13 +172,8 @@ impl<T, W> ShardExec<'_, T, W> {
     /// Hand `work` to the worker owning shard `sid`.
     fn dispatch(&mut self, sid: usize, work: W) {
         match self {
-            ShardExec::Inline {
-                shards,
-                scratch,
-                body,
-                done,
-            } => {
-                let (est, sum, len) = body(&mut shards[sid], &work, scratch.as_mut());
+            ShardExec::Inline { shards, body, done } => {
+                let (est, sum, len) = body(&mut shards[sid], &work);
                 done.push_back(((sid, est, sum, len), work));
             }
             ShardExec::Threads {
@@ -237,11 +217,9 @@ fn with_shard_exec<T: Send, W: Send, R>(
     drive: impl FnOnce(&mut ShardExec<'_, T, W>) -> R,
 ) -> R {
     let workers = cfg.workers_count();
-    let consolidate = cfg.consolidate_enabled();
     if workers == 1 {
         return drive(&mut ShardExec::Inline {
             shards,
-            scratch: consolidate.then(Consolidator::new),
             body,
             done: VecDeque::new(),
         });
@@ -257,11 +235,8 @@ fn with_shard_exec<T: Send, W: Send, R>(
             let res_tx = res_tx.clone();
             work_txs.push(tx);
             scope.spawn(move || {
-                // Per-worker consolidation scratch, reused across rounds —
-                // no allocation in the steady state.
-                let mut scratch = consolidate.then(Consolidator::new);
                 while let Ok((slot, work)) = rx.recv() {
-                    let (est, sum, len) = body(&mut *group[slot], &work, scratch.as_mut());
+                    let (est, sum, len) = body(&mut *group[slot], &work);
                     let sid = slot * workers + w;
                     if res_tx.send(((sid, est, sum, len), work)).is_err() {
                         break;
@@ -570,7 +545,7 @@ where
     pub fn run<R>(&mut self, stream: &[R]) -> Result<EngineReport, EngineError>
     where
         R: ShardRecord<In = In>,
-        In: ConsolidateInput,
+        In: InputDelta,
     {
         let cfg = self.cfg;
         let mut audit = RunAudit::new(&cfg);
@@ -606,15 +581,14 @@ where
         let mut rr = (self.time % s_count as u64) as usize;
 
         let (shards, mut cut) = self.split(&mut audit);
-        let body =
-            |tracker: &mut T, work: &WorkBuf<In>, scratch: Option<&mut Consolidator>| match work {
-                WorkBuf::Batch(buf) => (
-                    tracker.update_batch(buf),
-                    buf.iter().map(|(_, x)| x.delta_of()).sum::<i64>(),
-                    buf.len() as u64,
-                ),
-                WorkBuf::Run(site, buf) => ingest_run(tracker, *site, buf, scratch),
-            };
+        let body = |tracker: &mut T, work: &WorkBuf<In>| match work {
+            WorkBuf::Batch(buf) => (
+                tracker.update_batch(buf),
+                buf.iter().map(|(_, x)| x.delta_of()).sum::<i64>(),
+                buf.len() as u64,
+            ),
+            WorkBuf::Run(site, buf) => ingest_run(tracker, *site, buf),
+        };
         // At most one work item per shard per batch.
         let bound = s_count.div_ceil(cfg.workers_count());
         with_shard_exec(shards, &cfg, bound, &body, |exec| {
@@ -684,7 +658,7 @@ where
     /// guarantee and the boundary audit are unchanged.
     pub fn run_parted(&mut self, feeds: &[(SiteId, &[In])]) -> Result<EngineReport, EngineError>
     where
-        In: ConsolidateInput + Sync,
+        In: InputDelta + Sync,
     {
         let cfg = self.cfg;
         let mut audit = RunAudit::new(&cfg);
@@ -697,11 +671,10 @@ where
         let (shards, mut cut) = self.split(&mut audit);
         // Work items are (feed, lo, hi) index tuples resolved against the
         // shared feed slices, so nothing is copied on this path.
-        let body =
-            |tracker: &mut T, &(feed, lo, hi): &(usize, usize, usize), scratch: Option<&mut _>| {
-                let (site, inputs) = feeds[feed];
-                ingest_run(tracker, site, &inputs[lo..hi], scratch)
-            };
+        let body = |tracker: &mut T, &(feed, lo, hi): &(usize, usize, usize)| {
+            let (site, inputs) = feeds[feed];
+            ingest_run(tracker, site, &inputs[lo..hi])
+        };
         with_shard_exec(shards, &cfg, feeds.len(), &body, |exec| {
             for round in 0..rounds_of(feeds, batch) {
                 // The source: slice every live feed's next chunk.
@@ -756,7 +729,7 @@ where
         feeder: F,
     ) -> Result<EngineReport, EngineError>
     where
-        In: ConsolidateInput + Send + Sync,
+        In: InputDelta + Send + Sync,
         F: FnOnce(Vec<ShardFeed<In>>),
     {
         let cfg = self.cfg;
@@ -817,11 +790,9 @@ where
         std::thread::scope(|scope| {
             let (res_tx, res_rx) = mpsc::channel::<CoordMsg>();
             let groups = worker_groups(shards.iter_mut(), w_count);
-            let consolidate = cfg.consolidate_enabled();
             for ((w, mut group), shard_feeds) in groups.into_iter().enumerate().zip(consumers) {
                 let res_tx = res_tx.clone();
                 scope.spawn(move || {
-                    let mut scratch = consolidate.then(Consolidator::new);
                     // The worker's shards with feeds, ascending sid.
                     let mut owned: Vec<OwnedShard<In>> = shard_feeds
                         .into_iter()
@@ -859,12 +830,8 @@ where
                                 }
                                 // One entry per chunk, in feed order: the
                                 // cut keeps the shard's last estimate.
-                                let (est, sum, len) = ingest_run(
-                                    &mut *group[shard.slot],
-                                    fs.consumer.site,
-                                    &fs.buf,
-                                    scratch.as_mut(),
-                                );
+                                let (est, sum, len) =
+                                    ingest_run(&mut *group[shard.slot], fs.consumer.site, &fs.buf);
                                 reports.push((shard.sid, est, sum, len));
                             }
                         }

@@ -42,7 +42,7 @@ pub use codec::{CodecError, Dec, Enc};
 pub use delta::{fingerprint, Fingerprint, StateDelta, DELTA_MAGIC, DELTA_SECTION, DELTA_VERSION};
 pub use ingest::{FeedFrame, IngestStats};
 pub use message::{MsgKind, MsgRecord, WireSize};
-pub use protocol::{CoordOutbox, CoordinatorNode, DownMsg, MergedEntry, Outbox, SiteNode};
+pub use protocol::{CoordOutbox, CoordinatorNode, DownMsg, Outbox, SiteNode};
 pub use runner::{
     relative_error, relative_error_floored, ConfigError, ErrorProbe, RunReport, TrackerRunner,
 };

@@ -118,25 +118,6 @@ impl<M> CoordOutbox<M> {
     }
 }
 
-/// One consolidated entry of an item-stream run: a distinct item, the net
-/// delta of all its raw updates, and how many raw updates it summarizes.
-///
-/// Produced by sort-and-merge consolidation of a `(item, ±1)` run (entries
-/// are sorted by `item`), consumed by
-/// [`SiteNode::absorb_quiet_merged`]. `count` bounds the worst-case
-/// excursion any counter touched by `item` can see while the run plays
-/// out, which is what lets a site absorb net deltas without replaying
-/// every raw update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MergedEntry {
-    /// The distinct item.
-    pub item: u64,
-    /// Net delta summed over all raw updates of this item.
-    pub net: i64,
-    /// Number of raw updates merged into this entry.
-    pub count: u32,
-}
-
 /// Per-site half of a distributed tracking protocol.
 pub trait SiteNode {
     /// Stream update payload: `i64` for counting problems (the increment
@@ -172,60 +153,6 @@ pub trait SiteNode {
     /// keeps every protocol on the exact per-update path.
     fn absorb_quiet(&mut self, _t0: Time, _inputs: &[Self::In]) -> usize {
         0
-    }
-
-    /// Run-length variant of [`absorb_quiet`](Self::absorb_quiet): absorb up
-    /// to `n` consecutive copies of the same input `v` and return how many
-    /// were absorbed. Consolidated ingestion compresses a same-site run into
-    /// `(value, count)` segments and drives each segment through this hook,
-    /// so protocols with closed-form quiet conditions (a band the running
-    /// sum must stay inside) can absorb a whole segment in O(1).
-    ///
-    /// The same exactness contract as `absorb_quiet` applies, and the two
-    /// must agree: absorbing `m ≤ n` copies here must leave the state
-    /// bit-identical to `absorb_quiet` over an `m`-long slice of `v`s.
-    /// Under-absorption is always safe — the simulator replays the next
-    /// copy through the per-update path and retries the remainder.
-    ///
-    /// The default expands the run into stack-buffered chunks and feeds
-    /// them to `absorb_quiet`, which is exact for every protocol (chunk
-    /// splitting cannot change what a quiet-prefix scan absorbs: thresholds
-    /// are constant between messages, so
-    /// `absorb_quiet(a ++ b) = absorb_quiet(a); absorb_quiet(b)` whenever
-    /// `a` is fully absorbed).
-    fn absorb_quiet_run(&mut self, t0: Time, v: Self::In, n: u64) -> u64 {
-        let mut done = 0u64;
-        while done < n {
-            let want = (n - done).min(64) as usize;
-            let buf = [v; 64];
-            let got = self.absorb_quiet(t0 + done, &buf[..want]) as u64;
-            done += got;
-            if (got as usize) < want {
-                break;
-            }
-        }
-        done
-    }
-
-    /// Merged-duplicates variant of [`absorb_quiet`](Self::absorb_quiet)
-    /// for item streams: `raw` is the original update run and `merged` is
-    /// its consolidation — one entry per distinct item, sorted by item,
-    /// carrying the net delta and the number of raw updates it summarizes.
-    ///
-    /// An override may absorb the **whole** run by applying per-item net
-    /// deltas when it can prove every raw update was quiet in order (a
-    /// worst-case excursion check suffices), and must otherwise fall back
-    /// to an exact path. Returning `m < raw.len()` means exactly the first
-    /// `m` raw updates were absorbed with bit-identical state effects; the
-    /// simulator replays the rest per-update. The default ignores `merged`
-    /// and defers to `absorb_quiet` on `raw`, which is always exact.
-    fn absorb_quiet_merged(
-        &mut self,
-        t0: Time,
-        raw: &[Self::In],
-        _merged: &[MergedEntry],
-    ) -> usize {
-        self.absorb_quiet(t0, raw)
     }
 
     /// Serialize this site's dynamic protocol state (drifts, counters,

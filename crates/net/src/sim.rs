@@ -255,61 +255,6 @@ where
         self.coord.estimate()
     }
 
-    /// Run-length-encoded variant of [`step_run`](Self::step_run): deliver
-    /// a same-site run given as `(value, count)` segments. Each segment is
-    /// driven through [`SiteNode::absorb_quiet_run`], with any un-absorbed
-    /// copy replayed on the ordinary per-update path — bit-identical to
-    /// `step_run` on the expanded slice (segment splitting cannot change a
-    /// quiet-prefix scan: thresholds are constant between messages).
-    pub fn step_run_rle(&mut self, site: SiteId, segs: &[(S::In, u32)]) -> i64 {
-        assert!(site < self.sites.len(), "site {site} out of range");
-        for &(v, c) in segs {
-            let mut left = c as u64;
-            while left > 0 {
-                let absorbed = self.sites[site].absorb_quiet_run(self.time, v, left);
-                debug_assert!(absorbed <= left, "absorb_quiet_run overran its segment");
-                self.time += absorbed as Time;
-                left -= absorbed;
-                if left > 0 {
-                    self.step_core(site, v);
-                    left -= 1;
-                }
-            }
-        }
-        self.coord.estimate()
-    }
-
-    /// Merged-duplicates variant of [`step_run`](Self::step_run) for item
-    /// streams: `raw` is the original run, `merged` its sorted per-item
-    /// consolidation. Offers the whole run to
-    /// [`SiteNode::absorb_quiet_merged`]; whatever is not absorbed falls
-    /// back to [`step_run`](Self::step_run) on the raw remainder, so the
-    /// result is bit-identical to `step_run(site, raw)`.
-    pub fn step_run_merged(
-        &mut self,
-        site: SiteId,
-        raw: &[S::In],
-        merged: &[crate::MergedEntry],
-    ) -> i64 {
-        assert!(site < self.sites.len(), "site {site} out of range");
-        let absorbed = self.sites[site].absorb_quiet_merged(self.time, raw, merged);
-        debug_assert!(
-            absorbed <= raw.len(),
-            "absorb_quiet_merged overran its input"
-        );
-        self.time += absorbed as Time;
-        if absorbed < raw.len() {
-            // Deliver the first loud update before any further absorb
-            // call: a partial absorb may have parked per-update state
-            // (e.g. sampling draws) that only `on_update` consumes.
-            self.step_core(site, raw[absorbed]);
-            if absorbed + 1 < raw.len() {
-                return self.step_run(site, &raw[absorbed + 1..]);
-            }
-        }
-        self.coord.estimate()
-    }
-
     /// The per-update protocol body shared by [`step`](Self::step) and
     /// [`step_batch`](Self::step_batch): deliver the update and run the
     /// network to quiescence, without reading the estimate.

@@ -72,10 +72,10 @@ pub mod prelude {
         RemoteError, RemoteTransport, SpawnMode,
     };
     pub use dsv_engine::{
-        Backpressure, CheckpointStore, ConsolidateInput, Consolidator, CounterEngine, CounterFleet,
-        DeltaStats, EngineCheckpoint, EngineConfig, EngineError, EngineReport, FeedError,
-        FleetCheckpoint, FleetDelta, FleetFeed, FleetMemory, FleetReport, InputDelta, ItemEngine,
-        ItemFleet, KeyAudit, Partition, ShardFeed, ShardRecord, ShardedEngine, TrackerFleet,
+        Backpressure, CheckpointStore, CounterEngine, CounterFleet, DeltaStats, EngineCheckpoint,
+        EngineConfig, EngineError, EngineReport, FeedError, FleetCheckpoint, FleetDelta, FleetFeed,
+        FleetMemory, FleetReport, InputDelta, ItemEngine, ItemFleet, KeyAudit, Partition,
+        ShardFeed, ShardRecord, ShardedEngine, TrackerFleet,
     };
     pub use dsv_gen::{
         assign_updates, prefix_values, AdversarialGen, DeltaGen, FlipFamilyGen, HashAssign,
@@ -84,7 +84,7 @@ pub mod prelude {
     };
     pub use dsv_net::{
         relative_error, relative_error_floored, CommStats, ConfigError, ErrorProbe, FeedFrame,
-        IngestStats, ItemUpdate, MergedEntry, RunReport, ShardReport, StarSim, StateDelta,
-        TrackerRunner, Update,
+        IngestStats, ItemUpdate, RunReport, ShardReport, StarSim, StateDelta, TrackerRunner,
+        Update,
     };
 }
