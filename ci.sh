@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local CI gate for the dsv workspace. Runs everything the tier-1
 # verify runs, plus formatting, lints, the full workspace test matrix,
-# bench/example compilation, bench smoke runs with JSON schema gates
+# bench/example compilation, the e05 paper-bound gate, bench smoke runs
+# with JSON schema gates
 # (including the e16 parted-speedup gate, the e17 overlap-speedup gate,
 # the e18 fleet keys x throughput gate, the e19 quiet-stream
 # delta-shrink gate, and — in
@@ -229,6 +230,16 @@ if [ "$rc" -ne 0 ] && [ "$rc" -ne 124 ]; then
     echo "bench smoke run failed with exit code $rc"
     exit 1
 fi
+
+step "e05 paper predicate (§3.3: zero violations, msgs <= message_bound)"
+# The first paper experiment that gates: the full e05 sweep (~0.2 s) exits
+# non-zero, naming the row, if any row has an eps violation or sends more
+# messages than DeterministicTracker::message_bound(k, eps, v). Every
+# equivalence suite compares the code with itself; this compares it with
+# the paper.
+e05_bin=$(bench_bin e05_deterministic)
+[ -n "$e05_bin" ] || { echo "e05 bench binary not found"; exit 1; }
+"$e05_bin" > /dev/null
 
 step "e16 throughput smoke + parted gate + BENCH json schema gate"
 # Full e16 sweep in --smoke mode (400k updates) writing machine-readable

@@ -1,5 +1,9 @@
 //! E5 — §3.3 deterministic tracker: the ε-guarantee holds at **every**
 //! timestep and total messages are `O((k/ε)·v(n))`.
+//!
+//! Both are enforced: the binary exits non-zero, naming every failing
+//! row, if any row has a violation or sends more messages than
+//! `DeterministicTracker::message_bound(k, ε, v)`.
 
 use dsv_bench::table::f;
 use dsv_bench::{banner, Table};
@@ -53,6 +57,8 @@ fn main() {
         "msgs/bound",
         "msgs/n",
     ]);
+    let mut failures = Vec::new();
+    let mut worst = 0f64;
     for k in [1usize, 4, 16] {
         for eps in [0.2f64, 0.05] {
             for (name, updates) in workloads(n, k) {
@@ -69,6 +75,14 @@ fn main() {
                     .expect("deterministic tracker accepts deletions");
                 let bound = DeterministicTracker::message_bound(k, eps, v);
                 let msgs = report.stats.total_messages();
+                worst = worst.max(msgs as f64 / bound);
+                if report.violations > 0 || msgs as f64 > bound {
+                    failures.push(format!(
+                        "{name}, k = {k}, eps = {eps}: {} violations, {msgs} messages, bound {}",
+                        report.violations,
+                        f(bound)
+                    ));
+                }
                 t.row(vec![
                     name.to_string(),
                     k.to_string(),
@@ -92,4 +106,17 @@ fn main() {
          cost; msgs/n << 1 on low-variability streams shows the win over the\n\
          naive Theta(n) baseline, degrading gracefully as v grows."
     );
+
+    println!(
+        "\ncheck (violations = 0, msgs <= bound): {} of {} rows fail, worst msgs/bound {}",
+        failures.len(),
+        t.len(),
+        f(worst)
+    );
+    if !failures.is_empty() {
+        for row in &failures {
+            eprintln!("E5 FAILED: {row}");
+        }
+        std::process::exit(1);
+    }
 }

@@ -2,6 +2,7 @@
 //! update, including all protocol work the update triggers).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use dsv_core::api::Tracker;
 use dsv_core::deterministic::DeterministicTracker;
 use dsv_core::randomized::RandomizedTracker;
 use dsv_core::variability::VariabilityMeter;
@@ -48,6 +49,42 @@ fn bench_trackers(c: &mut Criterion) {
             |mut sim| {
                 for (i, &d) in deltas.iter().enumerate() {
                     black_box(sim.step(i % k, d));
+                }
+                sim
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    // The per-message path: every site walks a fair ±1 walk reflected
+    // into [56, 72], fed through `update_run` in site-affine chunks the
+    // way `run_parted` feeds a shard. That is ~515 messages per 1,000
+    // updates, the benchmark's `loud-parted` rate (533).
+    let feeds: Vec<Vec<i64>> = (0..k as u64)
+        .map(|site| {
+            let mut coin = WalkGen::fair(100 + site);
+            let mut x = 0i64;
+            (0..(n / k) as i64)
+                .map(|t| {
+                    let d = match coin.next_delta() {
+                        _ if t < 64 => 1,
+                        d if (56..=72).contains(&(x + d)) => d,
+                        d => -d,
+                    };
+                    x += d;
+                    d
+                })
+                .collect()
+        })
+        .collect();
+    g.bench_function("deterministic_k8_loud_run", |b| {
+        b.iter_batched(
+            || DeterministicTracker::sim(k, eps),
+            |mut sim| {
+                for at in (0..n / k).step_by(512) {
+                    for (site, feed) in feeds.iter().enumerate() {
+                        let chunk = &feed[at..(at + 512).min(feed.len())];
+                        black_box(Tracker::update_run(&mut sim, site, chunk));
+                    }
                 }
                 sim
             },

@@ -17,15 +17,84 @@ use crate::codec::{CodecError, Dec, Enc};
 use crate::message::WireSize;
 use crate::{SiteId, Time};
 
+/// Messages an outbox holds before it touches the heap. The simulator
+/// builds a fresh outbox for every activation — the site's update, every
+/// coordinator round, every site on every broadcast — and the most one
+/// activation sends here is three (`FreqSite` / `RFreqSite::on_update`:
+/// Count, F1Drift, Delta or Sample) when an item maps to one counter.
+/// Four covers that with a slot to spare. Sketch-backed updates whose
+/// rows fire together and block-start heavy-counter reports spill, which
+/// is rare and correct.
+const INLINE: usize = 4;
+
+/// Insertion-ordered buffer behind both outboxes: the first [`INLINE`]
+/// messages live in `head`, later ones in `spill`, which allocates only
+/// when it is reached.
+struct Queue<M> {
+    head: [Option<M>; INLINE],
+    /// Occupied prefix of `head`.
+    len: usize,
+    spill: Vec<M>,
+}
+
+impl<M> Default for Queue<M> {
+    fn default() -> Self {
+        Queue {
+            // Not `[const { None }; INLINE]`: that builds the array in a
+            // temporary and copies it into every fresh outbox, which gave
+            // back about half of this type's gain on the loud path.
+            head: Default::default(),
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+}
+
+impl<M> Queue<M> {
+    fn push(&mut self, msg: M) {
+        if self.len < INLINE {
+            self.head[self.len] = Some(msg);
+            self.len += 1;
+        } else {
+            self.spill.push(msg);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len + self.spill.len()
+    }
+
+    /// Yield every message in insertion order — `head` first, then the
+    /// spill — leaving the queue empty and reusable.
+    fn drain(&mut self) -> impl Iterator<Item = M> + '_ {
+        let len = std::mem::take(&mut self.len);
+        let mut head = self.head[..len].iter_mut();
+        let mut spill = self.spill.drain(..);
+        std::iter::from_fn(move || match head.next() {
+            Some(slot) => slot.take(),
+            None => spill.next(),
+        })
+    }
+}
+
+impl<M: std::fmt::Debug> std::fmt::Debug for Queue<M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let head = self.head[..self.len].iter().flatten();
+        f.debug_list().entries(head.chain(&self.spill)).finish()
+    }
+}
+
 /// Buffer of site→coordinator messages produced during one activation.
 #[derive(Debug)]
 pub struct Outbox<M> {
-    msgs: Vec<M>,
+    msgs: Queue<M>,
 }
 
 impl<M> Default for Outbox<M> {
     fn default() -> Self {
-        Outbox { msgs: Vec::new() }
+        Outbox {
+            msgs: Queue::default(),
+        }
     }
 }
 
@@ -47,12 +116,12 @@ impl<M> Outbox<M> {
 
     /// Whether no messages are queued.
     pub fn is_empty(&self) -> bool {
-        self.msgs.is_empty()
+        self.msgs.len() == 0
     }
 
     /// Drain all queued messages.
     pub fn drain(&mut self) -> impl Iterator<Item = M> + '_ {
-        self.msgs.drain(..)
+        self.msgs.drain()
     }
 }
 
@@ -72,12 +141,14 @@ pub enum DownMsg<M> {
 /// Buffer of coordinator→site messages produced during one activation.
 #[derive(Debug)]
 pub struct CoordOutbox<M> {
-    msgs: Vec<DownMsg<M>>,
+    msgs: Queue<DownMsg<M>>,
 }
 
 impl<M> Default for CoordOutbox<M> {
     fn default() -> Self {
-        CoordOutbox { msgs: Vec::new() }
+        CoordOutbox {
+            msgs: Queue::default(),
+        }
     }
 }
 
@@ -109,12 +180,12 @@ impl<M> CoordOutbox<M> {
 
     /// Whether no operations are queued.
     pub fn is_empty(&self) -> bool {
-        self.msgs.is_empty()
+        self.msgs.len() == 0
     }
 
     /// Drain all queued operations.
     pub fn drain(&mut self) -> impl Iterator<Item = DownMsg<M>> + '_ {
-        self.msgs.drain(..)
+        self.msgs.drain()
     }
 }
 
@@ -244,5 +315,62 @@ mod tests {
                 DownMsg::Request(30)
             ]
         );
+    }
+
+    /// Message counts on both sides of the inline/spill boundary.
+    const SIZES: [usize; 4] = [0, INLINE - 1, INLINE, INLINE + 3];
+
+    #[test]
+    fn outbox_keeps_order_across_the_spill_boundary() {
+        let mut ob: Outbox<String> = Outbox::new();
+        for round in 0..2 {
+            for n in SIZES {
+                let want: Vec<String> = (0..n).map(|i| format!("{round}.{i}")).collect();
+                for (i, msg) in want.iter().enumerate() {
+                    assert_eq!(ob.len(), i);
+                    ob.send(msg.clone());
+                }
+                assert_eq!((ob.len(), ob.is_empty()), (n, n == 0));
+                assert_eq!(format!("{ob:?}"), format!("Outbox {{ msgs: {want:?} }}"));
+                // Drain, then reuse the same outbox for the next size.
+                assert_eq!(ob.drain().collect::<Vec<_>>(), want);
+                assert!(ob.is_empty());
+            }
+        }
+        // A drain dropped half way still empties the outbox.
+        for i in 0..INLINE + 3 {
+            ob.send(i.to_string());
+        }
+        assert_eq!(ob.drain().next().as_deref(), Some("0"));
+        assert_eq!(ob.len(), 0);
+        ob.send("again".into());
+        assert_eq!(ob.drain().collect::<Vec<_>>(), ["again"]);
+    }
+
+    #[test]
+    fn coord_outbox_keeps_order_across_the_spill_boundary() {
+        let mut ob: CoordOutbox<u64> = CoordOutbox::new();
+        for round in 0..2u64 {
+            for n in SIZES {
+                let want: Vec<DownMsg<u64>> = (0..n as u64)
+                    .map(|i| match i % 3 {
+                        0 => DownMsg::Unicast(i as SiteId, round),
+                        1 => DownMsg::Broadcast(i + round),
+                        _ => DownMsg::Request(i * round),
+                    })
+                    .collect();
+                for (i, op) in want.iter().enumerate() {
+                    assert_eq!(ob.len(), i);
+                    match op.clone() {
+                        DownMsg::Unicast(site, m) => ob.unicast(site, m),
+                        DownMsg::Broadcast(m) => ob.broadcast(m),
+                        DownMsg::Request(m) => ob.request(m),
+                    }
+                }
+                assert_eq!((ob.len(), ob.is_empty()), (n, n == 0));
+                assert_eq!(ob.drain().collect::<Vec<_>>(), want);
+                assert!(ob.is_empty());
+            }
+        }
     }
 }

@@ -32,7 +32,10 @@ where
     transcript: Option<Vec<MsgRecord>>,
     time: Time,
     max_rounds: usize,
-    // Reused buffers to keep the hot loop allocation-free.
+    // Round buffers, reused across timesteps. With the outboxes' inline
+    // slots (`protocol::INLINE`) the per-message path allocates nothing
+    // once these have grown; only an outbox spill (a burst wider than the
+    // inline slots) or an enabled transcript does.
     pending_up: Vec<(SiteId, S::Up, MsgKind)>,
     next_up: Vec<(SiteId, S::Up, MsgKind)>,
 }
@@ -559,6 +562,112 @@ mod tests {
         assert_eq!(b.coordinator().ups, a.coordinator().ups);
         // One message per 4 local updates: each site sees 250 → 62 sends.
         assert_eq!(b.stats().total_messages(), 2 * (250 / 4));
+    }
+
+    /// Burst protocol: every update makes its site send `BURST` messages
+    /// and the coordinator answers the last of them with `BURST`
+    /// operations, so both outboxes run past their inline slots. Payload
+    /// lengths number the messages, so the transcript's word counts spell
+    /// out the delivery order.
+    const BURST: usize = 6;
+    struct BurstSite {
+        seen: Vec<usize>,
+    }
+    struct BurstCoord {
+        log: Vec<(SiteId, usize)>,
+    }
+    impl SiteNode for BurstSite {
+        type In = i64;
+        type Up = Vec<u64>;
+        type Down = Vec<u64>;
+        fn on_update(&mut self, _t: Time, _d: i64, out: &mut Outbox<Vec<u64>>) {
+            for j in 0..BURST {
+                out.send(vec![0; j]);
+            }
+        }
+        fn on_down(&mut self, _t: Time, m: &Vec<u64>, req: bool, out: &mut Outbox<Vec<u64>>) {
+            self.seen.push(m.len());
+            if req {
+                out.send(vec![0; BURST + m.len()]);
+            }
+        }
+    }
+    impl CoordinatorNode for BurstCoord {
+        type Up = Vec<u64>;
+        type Down = Vec<u64>;
+        fn on_up(&mut self, _t: Time, site: SiteId, m: Vec<u64>, out: &mut CoordOutbox<Vec<u64>>) {
+            self.log.push((site, m.len()));
+            if m.len() == BURST - 1 {
+                for j in 0..BURST {
+                    match j % 3 {
+                        0 => out.unicast(site, vec![0; j]),
+                        1 => out.broadcast(vec![0; j]),
+                        _ => out.request(vec![0; j]),
+                    }
+                }
+            }
+        }
+        fn estimate(&self) -> i64 {
+            self.log.len() as i64
+        }
+    }
+
+    #[test]
+    fn bursts_past_the_inline_slots_keep_their_send_order() {
+        let k = 3;
+        let make = || {
+            let mut sim = StarSim::with_k(
+                k,
+                |_| BurstSite { seen: Vec::new() },
+                BurstCoord { log: Vec::new() },
+            );
+            sim.enable_transcript();
+            sim
+        };
+        let batch: Vec<(SiteId, i64)> = [0, 0, 2, 1, 1, 1].map(|s| (s, 1)).to_vec();
+        let mut looped = make();
+        for &(s, d) in &batch {
+            looped.step(s, d);
+        }
+        let mut batched = make();
+        batched.step_batch(&batch);
+
+        // Per update: the site's burst, the coordinator's burst, then
+        // every site's reply to each request, request by request.
+        let mut want = Vec::new();
+        let mut log = Vec::new();
+        for (i, &(s, _)) in batch.iter().enumerate() {
+            let time = i as Time + 1;
+            let rec = |kind, site, words| MsgRecord {
+                time,
+                kind,
+                site,
+                words,
+            };
+            want.extend((0..BURST).map(|j| rec(MsgKind::Up, s, 1 + j)));
+            log.extend((0..BURST).map(|j| (s, j)));
+            want.extend((0..BURST).map(|j| match j % 3 {
+                0 => rec(MsgKind::Unicast, s, 1 + j),
+                1 => rec(MsgKind::Broadcast, ALL_SITES, 1 + j),
+                _ => rec(MsgKind::Request, ALL_SITES, 1 + j),
+            }));
+            for j in (0..BURST).filter(|j| j % 3 == 2) {
+                want.extend((0..k).map(|sid| rec(MsgKind::Reply, sid, 1 + BURST + j)));
+                log.extend((0..k).map(|sid| (sid, BURST + j)));
+            }
+        }
+        assert_eq!(looped.transcript(), Some(&want[..]));
+        assert_eq!(looped.coordinator().log, log);
+        assert_eq!(batched.transcript(), looped.transcript());
+        assert_eq!(batched.coordinator().log, log);
+        assert_eq!(batched.stats(), looped.stats());
+        for (a, b) in batched.sites().iter().zip(looped.sites()) {
+            assert_eq!(a.seen, b.seen);
+        }
+        // Site 0 gets its own updates' unicasts, then only the fan-outs.
+        let (own, other) = (&[0, 1, 2, 3, 4, 5][..], &[1, 2, 4, 5][..]);
+        let seen = [own, own, other, other, other, other].concat();
+        assert_eq!(batched.sites()[0].seen, seen);
     }
 
     /// A protocol that ping-pongs forever must be caught by the round cap.
