@@ -9,7 +9,8 @@
 # remote-feature jobs — the e20 remote TCP/UDS parity gate and a
 # smoke run of the repository benchmark, benchmark/run.sh), the
 # 150-word cap on the top CHANGES.md entry, a Rust line count per crate
-# (target/ci/loc.json), and rustdoc. Fails fast on
+# (target/ci/loc.json) with a ratchet on the EngineConfig field count,
+# and rustdoc. Fails fast on
 # the first broken step, and prints a per-step wall-clock summary at the
 # end (also emitted to $GITHUB_STEP_SUMMARY under Actions) so gate-time
 # regressions are visible in PRs.
@@ -356,12 +357,13 @@ step "CHANGES.md top entry <= 150 words"
 words=$(grep -m1 '^- ' CHANGES.md | wc -w)
 [ "$words" -le 150 ] || { echo "top CHANGES.md entry is $words words (limit 150)"; exit 1; }
 
-step "loc (Rust lines per crate + EngineConfig fields -> target/ci/loc.json)"
+step "loc (Rust lines per crate + EngineConfig fields -> target/ci/loc.json; fields <= 8)"
 # "Net-negative" as a recorded number: lines of Rust per crate (the root
 # facade is src/ + tests/ + examples/), excluding the standalone
 # benchmark/ package, the vendored crates/compat/ stand-ins and target/.
 # Beside them, the engine's knob count: the fields of `pub struct
-# EngineConfig` (recorded, not gated).
+# EngineConfig`, a ratchet: the step fails above MAX_ENGINE_CONFIG_FIELDS,
+# so a new knob has to retire an old one.
 rust_lines() { find "$@" -name '*.rs' -print0 | xargs -0 cat | wc -l | tr -d ' '; }
 engine_config_fields=$(awk '/^pub struct EngineConfig \{/ { on = 1; next }
     on && /^\}/ { exit }
@@ -381,6 +383,11 @@ engine_config_fields=$(awk '/^pub struct EngineConfig \{/ { on = 1; next }
     printf ', "total": %s, "engine_config_fields": %s}\n' "$total" "$engine_config_fields"
 } > target/ci/loc.json
 cat target/ci/loc.json
+MAX_ENGINE_CONFIG_FIELDS=8
+[ "$engine_config_fields" -le "$MAX_ENGINE_CONFIG_FIELDS" ] || {
+    echo "EngineConfig has $engine_config_fields fields (ratchet: $MAX_ENGINE_CONFIG_FIELDS)"
+    exit 1
+}
 
 step "cargo doc --no-deps --workspace (warning-free)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}

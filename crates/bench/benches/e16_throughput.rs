@@ -64,7 +64,7 @@ struct Row {
 /// Central-router ingestion: the engine receives the globally interleaved
 /// stream and routes it to shards itself.
 fn routed_row(updates: &[Update], shards: usize, batch: usize, baseline: f64) -> Row {
-    let cfg = EngineConfig::new(shards, batch).eps(EPS).probe_every(0);
+    let cfg = EngineConfig::new(shards, batch).eps(EPS);
     let mut engine = ShardedEngine::counters(spec(), cfg).expect("valid config");
     let report = engine.run(updates).expect("stream fits kind");
     let ups = report.updates_per_sec();
@@ -84,7 +84,7 @@ fn routed_row(updates: &[Update], shards: usize, batch: usize, baseline: f64) ->
 /// the shard workers. Feed construction is outside the timed region, the
 /// same way the baseline's `Vec<Update>` construction is.
 fn parted_row(feeds: &[(usize, &[i64])], shards: usize, batch: usize, baseline: f64) -> Row {
-    let cfg = EngineConfig::new(shards, batch).eps(EPS).probe_every(0);
+    let cfg = EngineConfig::new(shards, batch).eps(EPS);
     let mut engine = ShardedEngine::counters(spec(), cfg).expect("valid config");
     let report = engine.run_parted(feeds).expect("stream fits kind");
     let ups = report.updates_per_sec();

@@ -62,7 +62,7 @@ fn spec() -> TrackerSpec {
 }
 
 fn cfg(batch: usize) -> EngineConfig {
-    EngineConfig::new(SHARDS, batch).eps(EPS).probe_every(0)
+    EngineConfig::new(SHARDS, batch).eps(EPS)
 }
 
 /// What a mode run leaves behind, compared across modes and reported.

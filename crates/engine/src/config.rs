@@ -1,6 +1,5 @@
 //! Engine configuration and errors.
 
-use crate::ingest::Backpressure;
 use crate::Partition;
 use dsv_core::api::{BuildError, RunError};
 use dsv_net::codec::CodecError;
@@ -14,14 +13,15 @@ use dsv_net::Time;
 /// | `batch`   | —       | Updates per ingestion batch (reconciliation period) |
 /// | [`partition`](Self::partition) | [`Partition::SiteAffine`] | Stream → shard routing |
 /// | [`eps`](Self::eps) | `0.1` | Relative error audited at batch boundaries |
-/// | [`probe_every`](Self::probe_every) | `1` | Record an error probe every N boundaries (0 = never) |
 /// | [`workers`](Self::workers) | `= shards` | Worker threads executing the shard replicas |
-/// | [`backpressure`](Self::backpressure) | [`Backpressure::Block`] | Full-queue policy for pipelined feeds |
-/// | [`queue_capacity`](Self::queue_capacity) | `2 × batch` | Bounded capacity of each pipelined feed queue, in inputs |
 /// | [`checkpoint_every`](Self::checkpoint_every) | `0` (off) | Auto-checkpoint sink period, in batch boundaries |
 /// | [`fleet_cache`](Self::fleet_cache) | `1024` | Live per-key trackers cached per fleet shard (fleet only) |
-/// | [`fleet_gc_bytes`](Self::fleet_gc_bytes) | `64 KiB` | Minimum per-shard arena garbage before the fleet compacts (fleet only) |
 /// | [`delta_rebase`](Self::delta_rebase) | `0` (off) | Delta checkpointing: fresh base snapshot every K chained deltas |
+///
+/// Fixed by rule rather than configured: every boundary records an error
+/// probe, a pipelined feed queue holds `2 × batch` inputs and a full one
+/// blocks `push` (see [`crate::ingest`]), and a fleet shard compacts its
+/// arena once garbage passes 64 KiB and the live bytes.
 ///
 /// **Shards vs workers.** `shards` is the *logical* partitioning: how many
 /// tracker replicas the stream is split across. It is part of the engine's
@@ -39,13 +39,9 @@ pub struct EngineConfig {
     batch: usize,
     partition: Partition,
     eps: f64,
-    probe_every: u64,
     workers: usize,
-    backpressure: Backpressure,
-    queue_capacity: Option<usize>,
     checkpoint_every: u64,
     fleet_cache: Option<usize>,
-    fleet_gc_bytes: usize,
     delta_rebase: u64,
 }
 
@@ -58,13 +54,9 @@ impl EngineConfig {
             batch,
             partition: Partition::SiteAffine,
             eps: 0.1,
-            probe_every: 1,
             workers: 0,
-            backpressure: Backpressure::Block,
-            queue_capacity: None,
             checkpoint_every: 0,
             fleet_cache: None,
-            fleet_gc_bytes: 64 * 1024,
             delta_rebase: 0,
         }
     }
@@ -97,17 +89,6 @@ impl EngineConfig {
         self
     }
 
-    /// Minimum dead bytes in a fleet shard's state arena before it is
-    /// compacted (default 64 KiB). Freezing a key appends its fresh
-    /// record and strands the old one; a shard compacts when garbage
-    /// exceeds both this floor and the live bytes. Another pure execution
-    /// knob — compaction moves bytes, never changes them. Ignored by
-    /// [`crate::ShardedEngine`].
-    pub fn fleet_gc_bytes(mut self, bytes: usize) -> Self {
-        self.fleet_gc_bytes = bytes;
-        self
-    }
-
     /// Auto-checkpoint each shard every `every` batch boundaries (default
     /// 0 = never). The remote engine uses this as its durability sink:
     /// shard state captured every N boundaries bounds how much stream a
@@ -116,23 +97,6 @@ impl EngineConfig {
     /// tracker/merge equivalence.
     pub fn checkpoint_every(mut self, every: u64) -> Self {
         self.checkpoint_every = every;
-        self
-    }
-
-    /// Full-queue policy for pipelined feed pushes (default
-    /// [`Backpressure::Block`]); see
-    /// [`crate::ShardedEngine::run_pipelined`].
-    pub fn backpressure(mut self, policy: Backpressure) -> Self {
-        self.backpressure = policy;
-        self
-    }
-
-    /// Bounded capacity of each pipelined feed queue, in inputs (default
-    /// `2 × batch`, so a feed can stage the next round while the worker
-    /// drains the current one). Zero is rejected by validation — a
-    /// zero-capacity queue can never carry an input.
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = Some(capacity);
         self
     }
 
@@ -156,13 +120,6 @@ impl EngineConfig {
     /// Relative error audited at batch boundaries (default 0.1).
     pub fn eps(mut self, eps: f64) -> Self {
         self.eps = eps;
-        self
-    }
-
-    /// Record an [`dsv_net::ErrorProbe`] every `every` batch boundaries
-    /// (default 1 = every boundary; 0 = never — use for throughput runs).
-    pub fn probe_every(mut self, every: u64) -> Self {
-        self.probe_every = every;
         self
     }
 
@@ -196,22 +153,6 @@ impl EngineConfig {
         self.eps
     }
 
-    /// The probe period (0 = never).
-    pub fn probe_period(&self) -> u64 {
-        self.probe_every
-    }
-
-    /// The full-queue policy for pipelined feeds.
-    pub fn backpressure_policy(&self) -> Backpressure {
-        self.backpressure
-    }
-
-    /// The pipelined feed queue capacity in inputs (`2 × batch` unless
-    /// overridden).
-    pub fn queue_capacity_value(&self) -> usize {
-        self.queue_capacity.unwrap_or(2 * self.batch)
-    }
-
     /// The auto-checkpoint period in batch boundaries (0 = never).
     pub fn checkpoint_period(&self) -> u64 {
         self.checkpoint_every
@@ -221,11 +162,6 @@ impl EngineConfig {
     /// overridden).
     pub fn fleet_cache_capacity(&self) -> usize {
         self.fleet_cache.unwrap_or(1024)
-    }
-
-    /// The fleet's per-shard arena garbage floor before compaction.
-    pub fn fleet_gc_floor(&self) -> usize {
-        self.fleet_gc_bytes
     }
 
     /// The delta-checkpoint rebase period in chained deltas (0 = delta
@@ -243,9 +179,6 @@ impl EngineConfig {
         }
         if !(self.eps > 0.0 && self.eps < 1.0) {
             return Err(EngineError::InvalidEps { eps: self.eps });
-        }
-        if self.queue_capacity == Some(0) {
-            return Err(EngineError::ZeroQueueCapacity);
         }
         if self.fleet_cache == Some(0) {
             return Err(EngineError::ZeroFleetCache);
@@ -292,9 +225,6 @@ pub enum EngineError {
     },
     /// [`crate::ShardedEngine::rescale`] needs at least one worker.
     ZeroWorkers,
-    /// A pipelined feed queue must hold at least one input
-    /// ([`EngineConfig::queue_capacity`] was 0).
-    ZeroQueueCapacity,
     /// A tracker fleet needs room for at least one live tracker per
     /// shard ([`EngineConfig::fleet_cache`] was 0).
     ZeroFleetCache,
@@ -335,9 +265,6 @@ impl std::fmt::Display for EngineError {
                 "checkpoint mismatch: {what} is {found} in the checkpoint but {expected} in the engine"
             ),
             EngineError::ZeroWorkers => write!(fm, "need at least one worker"),
-            EngineError::ZeroQueueCapacity => {
-                write!(fm, "pipelined feed queues need capacity for at least one input")
-            }
             EngineError::ZeroFleetCache => {
                 write!(fm, "a fleet needs room for at least one live tracker per shard")
             }
@@ -392,14 +319,8 @@ mod tests {
             ));
         }
         assert!(EngineConfig::new(8, 65_536).eps(0.05).validate().is_ok());
-        assert_eq!(
-            EngineConfig::new(2, 10).queue_capacity(0).validate(),
-            Err(EngineError::ZeroQueueCapacity)
-        );
-        assert!(EngineConfig::new(2, 10)
-            .queue_capacity(1)
-            .validate()
-            .is_ok());
+        // The smallest valid batch gives the smallest feed queue, 2.
+        assert!(EngineConfig::new(2, 1).validate().is_ok());
         assert_eq!(
             EngineConfig::new(2, 10).fleet_cache(0).validate(),
             Err(EngineError::ZeroFleetCache)
@@ -411,20 +332,8 @@ mod tests {
     fn fleet_knobs_have_documented_defaults() {
         let cfg = EngineConfig::new(4, 1_000);
         assert_eq!(cfg.fleet_cache_capacity(), 1024);
-        assert_eq!(cfg.fleet_gc_floor(), 64 * 1024);
-        let cfg = cfg.fleet_cache(16).fleet_gc_bytes(1 << 20);
+        let cfg = cfg.fleet_cache(16);
         assert_eq!(cfg.fleet_cache_capacity(), 16);
-        assert_eq!(cfg.fleet_gc_floor(), 1 << 20);
-    }
-
-    #[test]
-    fn queue_capacity_defaults_to_double_buffering() {
-        let cfg = EngineConfig::new(4, 1_000);
-        assert_eq!(cfg.queue_capacity_value(), 2_000);
-        assert_eq!(cfg.backpressure_policy(), Backpressure::Block);
-        let cfg = cfg.queue_capacity(64).backpressure(Backpressure::Yield);
-        assert_eq!(cfg.queue_capacity_value(), 64);
-        assert_eq!(cfg.backpressure_policy(), Backpressure::Yield);
     }
 
     #[test]

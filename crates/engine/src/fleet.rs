@@ -50,12 +50,11 @@ use std::time::{Duration, Instant};
 
 use dsv_core::api::{BuildError, ItemTracker, RunError, Tracker, TrackerKind, TrackerSpec};
 use dsv_core::codec::{kind_from_tag, kind_tag, CodecError, Dec, Enc, TrackerState};
-use dsv_net::{relative_error, CommStats, Fingerprint, IngestStats, SiteId, StateDelta, Time};
+use dsv_net::{relative_error, CommStats, Fingerprint, SiteId, StateDelta, Time};
 
 use crate::config::{EngineConfig, EngineError};
-use crate::ingest::{FleetFeed, Ring};
 use crate::partition::{hash_item, InputDelta};
-use crate::round::{validate_sites, worker_groups};
+use crate::round::worker_groups;
 
 /// Magic bytes opening a serialized [`FleetCheckpoint`].
 pub const FLEET_MAGIC: [u8; 4] = *b"DSVF";
@@ -102,6 +101,11 @@ fn open_table<'a>(
         }),
     }
 }
+
+/// Arena garbage a shard tolerates before it compacts, whatever its live
+/// bytes, so a shard with few live keys does not recopy its arena every
+/// few freezes.
+const GC_FLOOR: usize = 64 * 1024;
 
 /// Niche marker for "no slot / no cache entry / no staged successor".
 const NONE_U32: u32 = u32::MAX;
@@ -451,7 +455,6 @@ where
         proto: &TrackerState,
         proto_stats: &CommStats,
         cap: usize,
-        gc_floor: usize,
     ) -> Result<ApplyOut, EngineError> {
         let mut out = ApplyOut::new();
         let touched = std::mem::take(&mut self.touched);
@@ -516,16 +519,16 @@ where
         self.staged.clear();
         self.touched = touched;
         self.touched.clear();
-        self.maybe_compact(gc_floor);
+        self.maybe_compact();
         Ok(out)
     }
 
-    /// Reclaim arena garbage once it exceeds both the live bytes and the
-    /// configured floor ([`EngineConfig::fleet_gc_bytes`]): one ordered
-    /// copy of every referenced payload, amortized O(1) per freeze.
-    fn maybe_compact(&mut self, gc_floor: usize) {
+    /// Reclaim arena garbage once it exceeds both the live bytes and
+    /// [`GC_FLOOR`]: one ordered copy of every referenced payload,
+    /// amortized O(1) per freeze.
+    fn maybe_compact(&mut self) {
         let live = self.arena.len() - self.garbage;
-        if self.garbage <= gc_floor || self.garbage <= live {
+        if self.garbage <= GC_FLOOR || self.garbage <= live {
             return;
         }
         let mut fresh = Vec::with_capacity(live);
@@ -655,8 +658,6 @@ pub struct FleetReport {
     pub max_rel_err: f64,
     /// Cumulative in-protocol traffic, summed over every key's tracker.
     pub tracker_stats: CommStats,
-    /// Cumulative pipelined-ingestion ledger (empty for synchronous runs).
-    pub ingest_stats: IngestStats,
     /// Wall-clock time of this run.
     pub elapsed: Duration,
 }
@@ -1218,9 +1219,9 @@ struct Mark {
 
 /// A multi-tenant fleet of keyed trackers: every key gets the exact
 /// per-function behavior of a standalone tracker built from the same
-/// spec, and the fleet serves updates, queries, audits, checkpoints, and
-/// pipelined ingestion over all of them at once. See the module docs for
-/// the slab/batching design.
+/// spec, and the fleet serves updates, queries, audits, and checkpoints
+/// over all of them at once. See the module docs for the slab/batching
+/// design.
 pub struct TrackerFleet<T, In: Copy> {
     cfg: EngineConfig,
     factory: Arc<dyn Fn() -> Result<T, BuildError> + Send + Sync>,
@@ -1238,7 +1239,6 @@ pub struct TrackerFleet<T, In: Copy> {
     shards: Vec<ShardSlab<T, In>>,
     /// Fleet-wide Σ_key boundary estimates.
     agg_estimate: i64,
-    ingest_stats: IngestStats,
     staged_total: usize,
     /// Last staged key's routing, so bursty streams skip the shard hash
     /// and index probe. Never stale: a key's shard is pure in `(key, S)`
@@ -1299,7 +1299,6 @@ where
             deletions_ok: kind.supports_deletions(),
             shards,
             agg_estimate: 0,
-            ingest_stats: IngestStats::new(),
             staged_total: 0,
             memo_key: 0,
             memo_shard: 0,
@@ -1456,11 +1455,6 @@ where
         &self.head.tracker_stats
     }
 
-    /// Cumulative pipelined-ingestion ledger.
-    pub fn ingest_stats(&self) -> &IngestStats {
-        &self.ingest_stats
-    }
-
     /// The logical shard owning `key` — a pure function of the key and
     /// the shard count, stable across workers, rescaling, and resume.
     pub fn shard_of(&self, key: u64) -> usize {
@@ -1526,7 +1520,6 @@ where
         let workers = self.cfg.workers_count().min(self.shards.len()).max(1);
         let eps = self.cfg.eps_value();
         let cap = self.cfg.fleet_cache_capacity();
-        let gc_floor = self.cfg.fleet_gc_floor();
         let factory = Arc::clone(&self.factory);
         let proto = Arc::clone(&self.proto);
         let proto_stats = Arc::clone(&self.proto_stats);
@@ -1536,7 +1529,7 @@ where
             group
                 .into_iter()
                 .map(|(sid, shard)| {
-                    let out = shard.apply(eps, &*factory, &proto, &proto_stats, cap, gc_floor)?;
+                    let out = shard.apply(eps, &*factory, &proto, &proto_stats, cap)?;
                     Ok((sid, out))
                 })
                 .collect::<Result<Vec<(usize, ApplyOut)>, EngineError>>()
@@ -1693,93 +1686,6 @@ where
         FleetDelta::between(parent, &child)
     }
 
-    /// Run with pipelined keyed ingestion: one bounded queue per feed,
-    /// the feeder closure producing `(key, input)` pushes on the caller
-    /// thread while a driver drains feeds in index order, one batch-sized
-    /// round per feed per cycle (so the boundary schedule is a pure
-    /// function of the pushed sequences — bit-identical to [`Self::run`] for a
-    /// single feed). `sites[i]` is the site feed `i`'s traffic arrives
-    /// at. Dropping or closing every handle ends the run; handles are
-    /// force-closed after the feeder returns.
-    pub fn run_pipelined<F>(
-        &mut self,
-        sites: &[SiteId],
-        feeder: F,
-    ) -> Result<FleetReport, EngineError>
-    where
-        F: FnOnce(Vec<FleetFeed<In>>),
-    {
-        let started = Instant::now();
-        validate_sites(sites, self.head.k, self.head.kind, self.head.time)?;
-        let mark = self.mark();
-        let batch = self.cfg.batch_size();
-        let queue_cap = self.cfg.queue_capacity_value();
-        let policy = self.cfg.backpressure_policy();
-        let deletions_ok = self.deletions_ok;
-        let rings: Vec<Arc<Ring<(u64, In)>>> = sites
-            .iter()
-            .map(|_| Arc::new(Ring::new(queue_cap)))
-            .collect();
-        let handles: Vec<FleetFeed<In>> = rings
-            .iter()
-            .enumerate()
-            .map(|(i, ring)| FleetFeed::new(Arc::clone(ring), i, policy, deletions_ok))
-            .collect();
-        let fleet = &mut *self;
-        let outcome = std::thread::scope(|scope| {
-            let rings = &rings;
-            let driver = scope.spawn(move || -> Result<(), EngineError> {
-                let mut buf: Vec<(u64, In)> = Vec::with_capacity(batch);
-                let mut done = vec![false; rings.len()];
-                let drive = (|| -> Result<(), EngineError> {
-                    loop {
-                        let mut any = false;
-                        for fi in 0..rings.len() {
-                            if done[fi] {
-                                continue;
-                            }
-                            buf.clear();
-                            rings[fi].pop_round(&mut buf, batch);
-                            if buf.len() < batch {
-                                done[fi] = true;
-                            }
-                            if buf.is_empty() {
-                                continue;
-                            }
-                            any = true;
-                            let site = sites[fi];
-                            for &(key, input) in buf.iter() {
-                                fleet.update_at(key, site, input)?;
-                            }
-                        }
-                        if !any {
-                            return Ok(());
-                        }
-                    }
-                })();
-                let result = drive.and_then(|()| fleet.flush());
-                if result.is_err() {
-                    // Unblock any feeder still pushing before surfacing
-                    // the error.
-                    for ring in rings.iter() {
-                        ring.close();
-                    }
-                }
-                result
-            });
-            feeder(handles);
-            for ring in rings.iter() {
-                ring.close();
-            }
-            driver.join().expect("fleet pipeline driver panicked")
-        });
-        for ring in &rings {
-            ring.drain_stats(&mut self.ingest_stats);
-        }
-        outcome?;
-        Ok(self.finish_report(mark, started))
-    }
-
     fn mark(&self) -> Mark {
         Mark {
             time: self.head.time,
@@ -1803,7 +1709,6 @@ where
             aggregate_violations: self.head.agg_violations - mark.agg_violations,
             max_rel_err: self.head.max_err,
             tracker_stats: self.head.tracker_stats.clone(),
-            ingest_stats: self.ingest_stats.clone(),
             elapsed: started.elapsed(),
         }
     }
@@ -2190,30 +2095,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_single_feed_matches_synchronous_run() {
-        let stream: Vec<(u64, i64)> = (0..500u64).map(|t| (t % 29, 1 + (t as i64 % 3))).collect();
-        let mut sync = CounterFleet::counters(spec(), cfg()).unwrap();
-        sync.run(&stream).unwrap();
-        let sync_ckpt = sync.checkpoint().unwrap().to_bytes();
-
-        let mut piped = CounterFleet::counters(spec(), cfg()).unwrap();
-        let report = piped
-            .run_pipelined(&[0], |mut feeds| {
-                let mut feed = feeds.pop().unwrap();
-                for &(key, input) in &stream {
-                    feed.push(key, input).unwrap();
-                }
-            })
-            .unwrap();
-        assert_eq!(piped.checkpoint().unwrap().to_bytes(), sync_ckpt);
-        assert_eq!(report.n, 500);
-        assert_eq!(report.ingest_stats.items, 500);
-        // Keyed counter deltas are two words each on the wire.
-        assert_eq!(report.ingest_stats.words, 1000);
-        assert_eq!(report.ingest_stats.dropped, 0);
-    }
-
-    #[test]
     fn checkpoint_codec_rejects_corruption() {
         let mut fleet = CounterFleet::counters(spec(), cfg()).unwrap();
         for t in 0..64u64 {
@@ -2334,28 +2215,54 @@ mod tests {
 
     #[test]
     fn memory_accounts_slabs_and_gc_compacts() {
-        let mut fleet =
-            CounterFleet::counters(spec(), cfg().fleet_cache(1).fleet_gc_bytes(64)).unwrap();
+        // A one-entry cache strands a frozen record on nearly every touch.
+        // Grow the stream until some shard's garbage has crossed the floor
+        // and been reset: garbage only ever shrinks by compacting.
+        let mut fleet = CounterFleet::counters(spec(), cfg().fleet_cache(1)).unwrap();
+        let mut last = vec![0usize; fleet.shards.len()];
+        // Whether a boundary ever left more garbage than live bytes: the
+        // live-bytes rule alone would have compacted there.
+        let mut floor_held = false;
+        let mut compacted = false;
         let mut state = 7u64;
-        for _ in 0..4000 {
+        for _ in 0..200_000 {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             fleet.update((state >> 40) % 200, 1).unwrap();
+            for (shard, last) in fleet.shards.iter().zip(&mut last) {
+                let live = shard.arena.len() - shard.garbage;
+                assert!(
+                    shard.garbage <= GC_FLOOR || shard.garbage <= live,
+                    "garbage {} left uncompacted over {live} live bytes",
+                    shard.garbage
+                );
+                if shard.garbage < *last {
+                    // Compaction keeps exactly the referenced payloads.
+                    let referenced: usize = shard
+                        .slots
+                        .iter()
+                        .filter(|slot| slot.len != FRESH)
+                        .map(|slot| slot.len as usize)
+                        .sum();
+                    assert_eq!(shard.garbage, 0);
+                    assert_eq!(shard.arena.len(), referenced);
+                    compacted = true;
+                }
+                floor_held |= shard.garbage > live;
+                *last = shard.garbage;
+            }
+            if compacted {
+                break;
+            }
         }
+        assert!(compacted, "no shard compacted");
+        assert!(floor_held, "the floor never held a compaction back");
         fleet.flush().unwrap();
         let mem = fleet.memory();
         assert_eq!(mem.keys, fleet.len() as u64);
         assert!(mem.arena_bytes > 0);
         assert!(mem.total_bytes() > 0);
         assert_eq!(mem.staged_inputs, 0);
-        // With a one-entry cache and a 64-byte floor, eviction churn must
-        // have compacted: garbage stays bounded by live bytes + floor.
-        assert!(
-            mem.arena_garbage <= mem.arena_bytes,
-            "garbage {} exceeds arena {}",
-            mem.arena_garbage,
-            mem.arena_bytes
-        );
     }
 }

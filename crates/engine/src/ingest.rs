@@ -23,28 +23,26 @@
 //! measurements. Because close and push serialize on the lock, an input
 //! is never acknowledged behind a close.
 //!
-//! ## Backpressure
+//! ## Full queues
 //!
-//! A bounded queue must decide what a producer does when it is full —
-//! that is the [`Backpressure`] policy in
-//! [`EngineConfig`](crate::EngineConfig): park until the worker drains
-//! ([`Backpressure::Block`], the default), spin-yield
-//! ([`Backpressure::Yield`]), or surface a typed [`FeedError::Full`]
-//! ([`Backpressure::Error`]) so the caller can shed load. Stalls, waits,
-//! and queue occupancy are charged to the engine's
-//! [`IngestStats`] ledger; the traffic itself is
-//! accounted as [`FeedFrame`]s in the model's word
-//! currency.
+//! On a full queue, [`ShardFeed::push`] and [`ShardFeed::push_batch`]
+//! park until the worker drains space, so a feed that outruns its shard
+//! is slowed to the shard's pace; [`ShardFeed::try_push`] fails fast with
+//! [`FeedError::Full`] so the caller can shed or reroute load; the async
+//! pushes await space. Stalls, waits, and queue occupancy are charged to
+//! the engine's [`IngestStats`] ledger; the traffic itself is accounted
+//! as [`FeedFrame`]s in the model's word currency.
 //!
 //! ## Ordering discipline
 //!
-//! With [`Backpressure::Block`], a single thread feeding several handles
-//! must interleave its pushes (round-robin chunks no larger than the
-//! queue capacity) or it can deadlock against the round-ordered consumer:
-//! the worker drains a shard's feeds in feed order, so filling feed `j`'s
-//! queue to the brim before feed `i < j` of the same shard has its round
-//! available parks the producer while the worker waits on `i`. One
-//! producer thread per feed (the deployment shape) cannot deadlock.
+//! Every queue holds `2 × batch` inputs: a feed can stage the next round
+//! while the worker drains the current one. A single thread feeding
+//! several handles must interleave its pushes (round-robin chunks no
+//! larger than the capacity) or it can deadlock against the round-ordered
+//! consumer: the worker drains a shard's feeds in feed order, so filling
+//! feed `j`'s queue to the brim before feed `i < j` of the same shard has
+//! its round available parks the producer while the worker waits on `i`.
+//! One producer thread per feed (the deployment shape) cannot deadlock.
 //!
 //! ## Draining a round
 //!
@@ -69,33 +67,14 @@ use std::pin::Pin;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::task::{Context, Poll, Waker};
 
-/// What a [`ShardFeed`] push does when its bounded queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backpressure {
-    /// Park the producer until the worker drains space (the default).
-    /// Applies backpressure end-to-end: a feed outrunning its shard is
-    /// slowed to the shard's pace.
-    #[default]
-    Block,
-    /// Spin with [`std::thread::yield_now`] until space frees up. Lower
-    /// wakeup latency than [`Backpressure::Block`] at the cost of burning
-    /// the producer's core while stalled.
-    Yield,
-    /// Fail fast: return [`FeedError::Full`] with the input not enqueued,
-    /// letting the producer shed or reroute load.
-    Error,
-}
-
 /// A typed feeder-side failure. `pushed` is always the number of inputs
 /// of the failing call that *were* enqueued before the error (0 for
 /// single pushes): those inputs are in flight and will be consumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeedError {
-    /// The queue is full and the policy is [`Backpressure::Error`].
-    Full {
-        /// Inputs of this call enqueued before the queue filled.
-        pushed: usize,
-    },
+    /// [`ShardFeed::try_push`] found the queue full; the input was not
+    /// enqueued.
+    Full,
     /// The feed was closed (by [`ShardFeed::close`] or by the engine
     /// tearing down the run); the input was not enqueued.
     Closed {
@@ -116,9 +95,7 @@ pub enum FeedError {
 impl std::fmt::Display for FeedError {
     fn fmt(&self, fm: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FeedError::Full { pushed } => {
-                write!(fm, "queue full after {pushed} inputs (policy = Error)")
-            }
+            FeedError::Full => write!(fm, "queue full"),
             FeedError::Closed { pushed } => {
                 write!(fm, "feed closed after {pushed} inputs")
             }
@@ -146,7 +123,7 @@ struct Shared<T> {
 
 impl<T> Shared<T> {
     /// Count the frame of a push call that is over (completed, or cut
-    /// short by a close or a full queue) after landing `pushed` inputs,
+    /// short by a close) after landing `pushed` inputs,
     /// and sample occupancy: resident items once the frame has landed —
     /// the queue depth a new arrival would see behind it. A call that
     /// landed nothing is no frame.
@@ -169,8 +146,8 @@ impl<T> Shared<T> {
     }
 }
 
-/// The bounded SPSC queue. One producer (a [`ShardFeed`] or [`FleetFeed`])
-/// and one consumer (the owning worker's [`RingConsumer`]) — the
+/// The bounded SPSC queue. One producer (a [`ShardFeed`]) and one
+/// consumer (the owning worker's [`RingConsumer`]) — the
 /// discipline is enforced by handle ownership, not checked at runtime.
 ///
 /// A monitor: all state is in [`Shared`] behind `shared`, a producer out
@@ -319,22 +296,122 @@ struct Progress {
     stalled: bool,
 }
 
-/// The producer end of one ring: the whole push protocol, written once
-/// under [`ShardFeed`] (plain inputs) and [`FleetFeed`] (keyed inputs —
-/// a plain input one word wider). Single producer by ownership.
+/// The producer handle for one feed of a pipelined run: push inputs for
+/// one site into its shard's bounded queue.
+///
+/// Handed to the feeder closure by
+/// [`crate::ShardedEngine::run_pipelined`]; one handle per feed, single
+/// producer by ownership (`push` takes `&mut self`, the type is not
+/// `Clone`). Dropping the handle closes the feed; [`close`](Self::close)
+/// does so explicitly and pushing afterwards is a typed
+/// [`FeedError::Closed`].
 #[derive(Debug)]
-struct Producer<T: Copy> {
-    ring: Arc<Ring<T>>,
+pub struct ShardFeed<In: Copy> {
+    ring: Arc<Ring<In>>,
     feed: usize,
-    policy: Backpressure,
+    site: SiteId,
+    shard: usize,
     deletions_ok: bool,
 }
 
-impl<T: InputDelta> Producer<T> {
+impl<In: InputDelta> ShardFeed<In> {
+    pub(crate) fn new(
+        ring: Arc<Ring<In>>,
+        feed: usize,
+        site: SiteId,
+        shard: usize,
+        deletions_ok: bool,
+    ) -> Self {
+        ShardFeed {
+            ring,
+            feed,
+            site,
+            shard,
+            deletions_ok,
+        }
+    }
+
+    /// The site this feed's inputs belong to.
+    pub fn site(&self) -> SiteId {
+        self.site
+    }
+
+    /// The logical shard (`site mod S`) this feed's queue belongs to.
+    pub fn shard(&self) -> usize {
+        self.shard
+    }
+
+    /// The queue's capacity in inputs: `2 × batch`.
+    pub fn capacity(&self) -> usize {
+        self.ring.cap
+    }
+
+    /// Inputs currently resident in the queue (racy snapshot).
+    pub fn occupancy(&self) -> u64 {
+        self.ring.occupancy()
+    }
+
+    /// Push one input, parking while the queue is full.
+    pub fn push(&mut self, x: In) -> Result<(), FeedError> {
+        self.push_batch(&[x])
+    }
+
+    /// Push one input without ever waiting: [`FeedError::Full`] if the
+    /// queue has no space right now.
+    pub fn try_push(&mut self, x: In) -> Result<(), FeedError> {
+        let xs = [x];
+        let mut st = self.begin(&xs)?;
+        self.offer(&mut st, &xs, &mut Progress::default())
+            .unwrap_or(Err(FeedError::Full))
+    }
+
+    /// Push a chunk of inputs in order, parking whenever the queue fills
+    /// mid-chunk. On an error, `pushed` inputs of this call were enqueued
+    /// (and will be consumed); the rest were not.
+    pub fn push_batch(&mut self, xs: &[In]) -> Result<(), FeedError> {
+        let mut st = self.begin(xs)?;
+        let mut call = Progress::default();
+        loop {
+            if let Some(done) = self.offer(&mut st, xs, &mut call) {
+                return done;
+            }
+            st.stall(&mut call);
+            st = Ring::wait(&self.ring.not_full, st);
+        }
+    }
+
+    /// Async push: resolves once the input is enqueued, awaiting
+    /// capacity instead of blocking the thread.
+    pub fn push_async(&mut self, x: In) -> AsyncPush<'_, In> {
+        AsyncPush {
+            feed: self,
+            x,
+            call: Progress::default(),
+        }
+    }
+
+    /// Async chunk push; see [`push_async`](Self::push_async). The
+    /// chunk is enqueued in order, possibly across several polls.
+    pub fn push_batch_async<'a>(&'a mut self, xs: &'a [In]) -> AsyncPushBatch<'a, In> {
+        AsyncPushBatch {
+            feed: self,
+            xs,
+            call: Progress::default(),
+        }
+    }
+
+    /// Close the feed: the worker drains what was pushed, finishes the
+    /// feed's final (possibly partial) round, and stops expecting data.
+    /// Idempotent; also performed on drop. Pushing after a close is a
+    /// typed [`FeedError::Closed`].
+    pub fn close(&mut self) {
+        self.ring.close();
+    }
+
     /// Open a push call: validate the whole chunk (before taking the
     /// lock), then check the feed is open. A closed feed outranks a
     /// rejected deletion.
-    fn begin(&self, xs: &[T]) -> Result<MutexGuard<'_, Shared<T>>, FeedError> {
+    fn begin(&self, xs: &[In]) -> Result<MutexGuard<'_, Shared<In>>, FeedError> {
         let deletion = if self.deletions_ok {
             None
         } else {
@@ -358,8 +435,8 @@ impl<T: InputDelta> Producer<T> {
     /// while inputs are left and the queue is full.
     fn offer(
         &self,
-        st: &mut Shared<T>,
-        xs: &[T],
+        st: &mut Shared<In>,
+        xs: &[In],
         call: &mut Progress,
     ) -> Option<Result<(), FeedError>> {
         if st.closed {
@@ -372,7 +449,7 @@ impl<T: InputDelta> Producer<T> {
         let n = rest.len().min(self.ring.cap - st.queue.len());
         if n > 0 {
             st.queue.extend(&rest[..n]);
-            let frame = FeedFrame::for_chunk(self.feed, n, T::WORDS);
+            let frame = FeedFrame::for_chunk(self.feed, n, In::WORDS);
             st.stats.items += frame.items as u64;
             st.stats.words += frame.words as u64;
             call.pushed += n;
@@ -385,42 +462,6 @@ impl<T: InputDelta> Producer<T> {
         Some(Ok(()))
     }
 
-    fn try_push(&mut self, x: T) -> Result<(), FeedError> {
-        let xs = [x];
-        let mut st = self.begin(&xs)?;
-        self.offer(&mut st, &xs, &mut Progress::default())
-            .unwrap_or(Err(FeedError::Full { pushed: 0 }))
-    }
-
-    fn push_batch(&mut self, xs: &[T]) -> Result<(), FeedError> {
-        let ring = &*self.ring;
-        let mut st = self.begin(xs)?;
-        let mut call = Progress::default();
-        loop {
-            if let Some(done) = self.offer(&mut st, xs, &mut call) {
-                return done;
-            }
-            st = match self.policy {
-                Backpressure::Error => {
-                    st.end_frame(call.pushed);
-                    return Err(FeedError::Full {
-                        pushed: call.pushed,
-                    });
-                }
-                Backpressure::Yield => {
-                    st.stall(&mut call);
-                    drop(st);
-                    std::thread::yield_now();
-                    ring.lock()
-                }
-                Backpressure::Block => {
-                    st.stall(&mut call);
-                    Ring::wait(&ring.not_full, st)
-                }
-            };
-        }
-    }
-
     /// One poll of an async push. Ledger semantics match the sync calls:
     /// inputs are charged as they land (across polls), the frame when the
     /// call is over, and a call that ever suspends is one push stall.
@@ -430,7 +471,7 @@ impl<T: InputDelta> Producer<T> {
     fn poll_push(
         &mut self,
         cx: &mut Context<'_>,
-        xs: &[T],
+        xs: &[In],
         call: &mut Progress,
     ) -> Poll<Result<(), FeedError>> {
         let mut st = if call.pushed == 0 {
@@ -452,193 +493,9 @@ impl<T: InputDelta> Producer<T> {
     }
 }
 
-impl<T: Copy> Drop for Producer<T> {
+impl<In: Copy> Drop for ShardFeed<In> {
     fn drop(&mut self) {
         self.ring.close();
-    }
-}
-
-/// The producer handle for one feed of a pipelined run: push inputs for
-/// one site into its shard's bounded queue.
-///
-/// Handed to the feeder closure by
-/// [`crate::ShardedEngine::run_pipelined`]; one handle per feed, single
-/// producer by ownership (`push` takes `&mut self`, the type is not
-/// `Clone`). Dropping the handle closes the feed; [`close`](Self::close)
-/// does so explicitly and pushing afterwards is a typed
-/// [`FeedError::Closed`].
-#[derive(Debug)]
-pub struct ShardFeed<In: Copy> {
-    tx: Producer<In>,
-    site: SiteId,
-    shard: usize,
-}
-
-impl<In: InputDelta> ShardFeed<In> {
-    pub(crate) fn new(
-        ring: Arc<Ring<In>>,
-        feed: usize,
-        site: SiteId,
-        shard: usize,
-        policy: Backpressure,
-        deletions_ok: bool,
-    ) -> Self {
-        ShardFeed {
-            tx: Producer {
-                ring,
-                feed,
-                policy,
-                deletions_ok,
-            },
-            site,
-            shard,
-        }
-    }
-
-    /// The site this feed's inputs belong to.
-    pub fn site(&self) -> SiteId {
-        self.site
-    }
-
-    /// The logical shard (`site mod S`) this feed's queue belongs to.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// The queue's capacity in inputs.
-    pub fn capacity(&self) -> usize {
-        self.tx.ring.cap
-    }
-
-    /// Inputs currently resident in the queue (racy snapshot).
-    pub fn occupancy(&self) -> u64 {
-        self.tx.ring.occupancy()
-    }
-
-    /// Push one input, honoring the configured [`Backpressure`] policy
-    /// when the queue is full.
-    pub fn push(&mut self, x: In) -> Result<(), FeedError> {
-        self.tx.push_batch(&[x])
-    }
-
-    /// Push one input without ever waiting, regardless of policy:
-    /// [`FeedError::Full`] if the queue has no space right now.
-    pub fn try_push(&mut self, x: In) -> Result<(), FeedError> {
-        self.tx.try_push(x)
-    }
-
-    /// Push a chunk of inputs in order, honoring the configured
-    /// [`Backpressure`] policy whenever the queue fills mid-chunk. On an
-    /// error, `pushed` inputs of this call were enqueued (and will be
-    /// consumed); the rest were not.
-    pub fn push_batch(&mut self, xs: &[In]) -> Result<(), FeedError> {
-        self.tx.push_batch(xs)
-    }
-
-    /// Async push: resolves once the input is enqueued, awaiting
-    /// capacity instead of blocking the thread. (The sync
-    /// [`Backpressure`] policy does not apply — awaiting *is* the
-    /// backpressure.)
-    pub fn push_async(&mut self, x: In) -> AsyncPush<'_, In> {
-        AsyncPush {
-            tx: &mut self.tx,
-            x,
-            call: Progress::default(),
-        }
-    }
-
-    /// Async chunk push; see [`push_async`](Self::push_async). The
-    /// chunk is enqueued in order, possibly across several polls.
-    pub fn push_batch_async<'a>(&'a mut self, xs: &'a [In]) -> AsyncPushBatch<'a, In> {
-        AsyncPushBatch {
-            tx: &mut self.tx,
-            xs,
-            call: Progress::default(),
-        }
-    }
-
-    /// Close the feed: the worker drains what was pushed, finishes the
-    /// feed's final (possibly partial) round, and stops expecting data.
-    /// Idempotent; also performed on drop. Pushing after a close is a
-    /// typed [`FeedError::Closed`].
-    pub fn close(&mut self) {
-        self.tx.ring.close();
-    }
-}
-
-/// The producer handle for one feed of a pipelined **fleet** run: push
-/// `(key, input)` deltas into a bounded queue drained by the fleet
-/// driver ([`crate::TrackerFleet::run_pipelined`]).
-///
-/// Same discipline as [`ShardFeed`]: one handle per feed, single
-/// producer by ownership (not `Clone`), dropping closes, and the
-/// configured [`Backpressure`] policy applies when the queue fills.
-/// Unlike a [`ShardFeed`], a fleet feed is not tied to a site or shard —
-/// the key routes each delta to its shard on the consumer side, which is
-/// why the traffic is charged as *keyed* frames (every input ships its
-/// routing key as one extra word — [`FeedFrame::for_keyed_chunk`], here
-/// the `(key, input)` pair's own [`InputDelta::WORDS`]) to the fleet's
-/// [`IngestStats`] ledger.
-#[derive(Debug)]
-pub struct FleetFeed<In: Copy> {
-    tx: Producer<(u64, In)>,
-}
-
-impl<In: InputDelta> FleetFeed<In> {
-    pub(crate) fn new(
-        ring: Arc<Ring<(u64, In)>>,
-        feed: usize,
-        policy: Backpressure,
-        deletions_ok: bool,
-    ) -> Self {
-        FleetFeed {
-            tx: Producer {
-                ring,
-                feed,
-                policy,
-                deletions_ok,
-            },
-        }
-    }
-
-    /// This feed's index among the run's feeds (drain order).
-    pub fn feed(&self) -> usize {
-        self.tx.feed
-    }
-
-    /// The queue's capacity in keyed inputs.
-    pub fn capacity(&self) -> usize {
-        self.tx.ring.cap
-    }
-
-    /// Keyed inputs currently resident in the queue (racy snapshot).
-    pub fn occupancy(&self) -> u64 {
-        self.tx.ring.occupancy()
-    }
-
-    /// Push one keyed delta, honoring the configured [`Backpressure`]
-    /// policy when the queue is full.
-    pub fn push(&mut self, key: u64, input: In) -> Result<(), FeedError> {
-        self.tx.push_batch(&[(key, input)])
-    }
-
-    /// Push one keyed delta without ever waiting, regardless of policy:
-    /// [`FeedError::Full`] if the queue has no space right now.
-    pub fn try_push(&mut self, key: u64, input: In) -> Result<(), FeedError> {
-        self.tx.try_push((key, input))
-    }
-
-    /// Push a chunk of keyed deltas in order; identical contract to
-    /// [`ShardFeed::push_batch`] (validated before transport, `pushed`
-    /// counts the landed prefix on error).
-    pub fn push_batch(&mut self, xs: &[(u64, In)]) -> Result<(), FeedError> {
-        self.tx.push_batch(xs)
-    }
-
-    /// Close the feed: the fleet drains what was pushed and stops
-    /// expecting data. Idempotent; also performed on drop.
-    pub fn close(&mut self) {
-        self.tx.ring.close();
     }
 }
 
@@ -646,7 +503,7 @@ impl<In: InputDelta> FleetFeed<In> {
 #[derive(Debug)]
 #[must_use = "futures do nothing unless polled"]
 pub struct AsyncPush<'a, In: Copy> {
-    tx: &'a mut Producer<In>,
+    feed: &'a mut ShardFeed<In>,
     x: In,
     call: Progress,
 }
@@ -655,13 +512,13 @@ pub struct AsyncPush<'a, In: Copy> {
 #[derive(Debug)]
 #[must_use = "futures do nothing unless polled"]
 pub struct AsyncPushBatch<'a, In: Copy> {
-    tx: &'a mut Producer<In>,
+    feed: &'a mut ShardFeed<In>,
     xs: &'a [In],
     call: Progress,
 }
 
 // The futures hold no self-references (the input is plain `Copy` data and
-// the producer a normal `&mut`), so they are always Unpin even when `In`
+// the feed a normal `&mut`), so they are always Unpin even when `In`
 // itself is not.
 impl<In: Copy> Unpin for AsyncPush<'_, In> {}
 impl<In: Copy> Unpin for AsyncPushBatch<'_, In> {}
@@ -670,7 +527,7 @@ impl<In: InputDelta> Future for AsyncPush<'_, In> {
     type Output = Result<(), FeedError>;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        this.tx.poll_push(cx, &[this.x], &mut this.call)
+        this.feed.poll_push(cx, &[this.x], &mut this.call)
     }
 }
 
@@ -678,7 +535,7 @@ impl<In: InputDelta> Future for AsyncPushBatch<'_, In> {
     type Output = Result<(), FeedError>;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        this.tx.poll_push(cx, this.xs, &mut this.call)
+        this.feed.poll_push(cx, this.xs, &mut this.call)
     }
 }
 
@@ -689,15 +546,26 @@ mod tests {
     use std::task::Wake;
     use std::time::Duration;
 
-    fn feed_pair(cap: usize, policy: Backpressure) -> (ShardFeed<i64>, RingConsumer<i64>) {
+    fn feed_pair(cap: usize) -> (ShardFeed<i64>, RingConsumer<i64>) {
         let ring = Arc::new(Ring::new(cap));
-        let feed = ShardFeed::new(Arc::clone(&ring), 0, 0, 0, policy, true);
+        let feed = ShardFeed::new(Arc::clone(&ring), 0, 0, 0, true);
         (feed, RingConsumer { ring, site: 0 })
+    }
+
+    /// The caller-side spin a producer that must not park writes:
+    /// `try_push`, yielding while the queue is full.
+    fn push_yielding(feed: &mut ShardFeed<i64>, x: i64) -> Result<(), FeedError> {
+        loop {
+            match feed.try_push(x) {
+                Err(FeedError::Full) => std::thread::yield_now(),
+                done => return done,
+            }
+        }
     }
 
     #[test]
     fn ring_roundtrips_in_order_across_wraparound() {
-        let (mut feed, cons) = feed_pair(7, Backpressure::Error);
+        let (mut feed, cons) = feed_pair(7);
         let mut out = Vec::new();
         let mut expect = Vec::new();
         for chunk in 0..40 {
@@ -712,22 +580,32 @@ mod tests {
 
     #[test]
     fn error_policy_reports_full_with_partial_progress() {
-        let (mut feed, cons) = feed_pair(4, Backpressure::Error);
-        assert_eq!(
-            feed.push_batch(&[1, 2, 3, 4, 5, 6]),
-            Err(FeedError::Full { pushed: 4 })
-        );
-        assert_eq!(feed.try_push(9), Err(FeedError::Full { pushed: 0 }));
+        // Fail-fast is the caller's policy: push what the queue admits,
+        // and `try_push` reports Full, with nothing enqueued, past that.
+        let (mut feed, cons) = feed_pair(4);
+        let xs = [1i64, 2, 3, 4, 5, 6];
+        let room = feed.capacity() - feed.occupancy() as usize;
+        assert_eq!(feed.push_batch(&xs[..room]), Ok(()));
+        assert_eq!(feed.try_push(xs[room]), Err(FeedError::Full));
+        assert_eq!(feed.try_push(9), Err(FeedError::Full));
+        assert_eq!(feed.occupancy(), 4);
         let mut out = Vec::new();
         cons.pop_round(&mut out, 2);
         assert_eq!(out, vec![1, 2]);
         // Space again: the remainder can be re-offered by the caller.
-        assert_eq!(feed.push_batch(&[5, 6]), Ok(()));
+        assert_eq!(feed.try_push(5), Ok(()));
+        assert_eq!(feed.push_batch(&[6]), Ok(()));
+        cons.pop_round(&mut out, 6);
+        assert_eq!(out, xs);
+        // A refused input is neither a frame nor a stall.
+        let mut stats = IngestStats::new();
+        cons.ring.drain_stats(&mut stats);
+        assert_eq!((stats.frames, stats.items, stats.push_stalls), (3, 6, 0));
     }
 
     #[test]
     fn push_after_close_is_a_typed_error() {
-        let (mut feed, cons) = feed_pair(4, Backpressure::Block);
+        let (mut feed, cons) = feed_pair(4);
         feed.push(42).unwrap();
         feed.close();
         feed.close(); // idempotent
@@ -744,8 +622,7 @@ mod tests {
     #[test]
     fn deletions_are_rejected_for_insert_only_feeds() {
         let ring = Arc::new(Ring::new(8));
-        let mut feed: ShardFeed<i64> =
-            ShardFeed::new(Arc::clone(&ring), 0, 0, 0, Backpressure::Block, false);
+        let mut feed: ShardFeed<i64> = ShardFeed::new(Arc::clone(&ring), 0, 0, 0, false);
         assert_eq!(
             feed.push_batch(&[1, 1, -1, 1]),
             Err(FeedError::DeletionUnsupported { at: 2 })
@@ -757,13 +634,12 @@ mod tests {
 
     #[test]
     fn closing_mid_chunk_charges_the_enqueued_prefix() {
-        // A Block-policy producer parked mid-chunk when the ring is
-        // force-closed (engine teardown) reports Closed with the landed
-        // prefix — and that prefix is charged to the ledger exactly like
-        // the Error-policy partial, since consumed inputs and charged
-        // inputs must agree. Nothing drained them here, so teardown
-        // surfaces them as dropped.
-        let (mut feed, cons) = feed_pair(4, Backpressure::Block);
+        // A producer parked mid-chunk when the ring is force-closed
+        // (engine teardown) reports Closed with the landed prefix — and
+        // that prefix is charged to the ledger, since consumed inputs and
+        // charged inputs must agree. Nothing drained them here, so
+        // teardown surfaces them as dropped.
+        let (mut feed, cons) = feed_pair(4);
         std::thread::scope(|scope| {
             let ring = Arc::clone(&cons.ring);
             scope.spawn(move || {
@@ -783,7 +659,7 @@ mod tests {
 
     #[test]
     fn block_policy_hands_off_across_threads() {
-        let (mut feed, cons) = feed_pair(8, Backpressure::Block);
+        let (mut feed, cons) = feed_pair(8);
         let n = 10_000i64;
         std::thread::scope(|scope| {
             scope.spawn(move || {
@@ -800,49 +676,25 @@ mod tests {
         });
     }
 
+    /// A producer that yields instead of parking hands off just the same.
     #[test]
     fn yield_policy_hands_off_across_threads() {
-        let (mut feed, cons) = feed_pair(3, Backpressure::Yield);
+        let (mut feed, cons) = feed_pair(3);
         std::thread::scope(|scope| {
             scope.spawn(move || {
-                feed.push_batch(&(0..500).collect::<Vec<i64>>()).unwrap();
+                for x in 0..500 {
+                    push_yielding(&mut feed, x).unwrap();
+                }
             });
             let mut out = Vec::new();
             cons.pop_round(&mut out, 500);
-            assert_eq!(out.len(), 500);
+            assert!(out.iter().copied().eq(0..500));
         });
     }
 
     #[test]
-    fn fleet_feed_charges_keyed_frames_and_validates_deletions() {
-        let ring: Arc<Ring<(u64, i64)>> = Arc::new(Ring::new(16));
-        let mut feed = FleetFeed::new(Arc::clone(&ring), 3, Backpressure::Error, false);
-        assert_eq!(feed.feed(), 3);
-        assert_eq!(feed.capacity(), 16);
-        feed.push(7, 1).unwrap();
-        feed.push_batch(&[(7, 2), (9, 1)]).unwrap();
-        assert_eq!(
-            feed.push_batch(&[(1, 1), (2, -1)]),
-            Err(FeedError::DeletionUnsupported { at: 1 })
-        );
-        assert_eq!(feed.occupancy(), 3);
-        let mut out = Vec::new();
-        ring.pop_round(&mut out, 3);
-        assert_eq!(out, vec![(7, 1), (7, 2), (9, 1)]);
-        let mut stats = IngestStats::new();
-        ring.drain_stats(&mut stats);
-        assert_eq!(stats.frames, 2);
-        assert_eq!(stats.items, 3);
-        // Keyed counter deltas are two words each: key + delta.
-        assert_eq!(stats.words, 6);
-        feed.close();
-        assert_eq!(feed.push(1, 1), Err(FeedError::Closed { pushed: 0 }));
-        assert_eq!(feed.try_push(1, 1), Err(FeedError::Closed { pushed: 0 }));
-    }
-
-    #[test]
     fn ledger_counters_reach_the_engine_ledger() {
-        let (mut feed, cons) = feed_pair(16, Backpressure::Error);
+        let (mut feed, cons) = feed_pair(16);
         feed.push_batch(&[1, 2, 3]).unwrap();
         feed.push(4).unwrap();
         let mut out = Vec::new();
@@ -870,7 +722,7 @@ mod tests {
                 .expect("no voluntary_ctxt_switches line");
             line.trim().parse().unwrap()
         }
-        let (mut feed, cons) = feed_pair(4, Backpressure::Block);
+        let (mut feed, cons) = feed_pair(4);
         std::thread::scope(|scope| {
             let consumer = scope.spawn(move || {
                 let before = voluntary_switches();
@@ -889,19 +741,14 @@ mod tests {
         });
     }
 
-    /// Close and push serialize on the lock: whatever `push_batch`
-    /// acknowledges (`Ok`, or `pushed` in an error) is popped or counted
-    /// as dropped, and a call that starts after `close()` has returned
-    /// acknowledges nothing.
+    /// Close and push serialize on the lock: whatever `push_batch` or
+    /// `try_push` acknowledges (`Ok`, or `pushed` in an error) is popped
+    /// or counted as dropped, and a call that starts after `close()` has
+    /// returned acknowledges nothing.
     #[test]
     fn a_close_racing_pushes_never_loses_or_invents_an_input() {
         for i in 0..10_000usize {
-            let policy = [
-                Backpressure::Block,
-                Backpressure::Yield,
-                Backpressure::Error,
-            ][i % 3];
-            let (mut feed, cons) = feed_pair(8, policy);
+            let (mut feed, cons) = feed_pair(8);
             let close_returned = AtomicBool::new(false);
             let mut out = Vec::new();
             let acked = std::thread::scope(|scope| {
@@ -910,9 +757,16 @@ mod tests {
                     loop {
                         let late = close_returned.load(Ordering::SeqCst);
                         let xs: Vec<i64> = (acked as i64..acked as i64 + 5).collect();
-                        let (landed, over) = match feed.push_batch(&xs) {
-                            Ok(()) => (xs.len(), false),
-                            Err(FeedError::Full { pushed }) => (pushed, false),
+                        // Odd iterations fail fast instead of parking.
+                        let pushed = if i % 2 == 0 {
+                            feed.push_batch(&xs)
+                        } else {
+                            feed.try_push(xs[0])
+                        };
+                        let (landed, over) = match pushed {
+                            Ok(()) if i % 2 == 0 => (xs.len(), false),
+                            Ok(()) => (1, false),
+                            Err(FeedError::Full) => (0, false),
                             Err(FeedError::Closed { pushed }) => (pushed, true),
                             Err(e) => panic!("unexpected feed error: {e}"),
                         };
@@ -940,12 +794,13 @@ mod tests {
         }
     }
 
-    /// The tightest queue there is: every input is its own handoff.
+    /// The tightest queue there is: every input is its own handoff, for a
+    /// producer that parks and for one that yields.
     #[test]
     fn capacity_one_preserves_order_under_block_and_yield() {
-        for policy in [Backpressure::Block, Backpressure::Yield] {
+        for yielding in [false, true] {
             let n = 100_000i64;
-            let (mut feed, cons) = feed_pair(1, policy);
+            let (mut feed, cons) = feed_pair(1);
             std::thread::scope(|scope| {
                 scope.spawn(move || {
                     let xs: Vec<i64> = (0..n).collect();
@@ -954,16 +809,22 @@ mod tests {
                         feed.push(x).unwrap();
                     }
                     for chunk in chunks.chunks(4_999) {
-                        feed.push_batch(chunk).unwrap();
+                        if yielding {
+                            for &x in chunk {
+                                push_yielding(&mut feed, x).unwrap();
+                            }
+                        } else {
+                            feed.push_batch(chunk).unwrap();
+                        }
                     }
                 });
                 let mut out = Vec::new();
                 cons.pop_round(&mut out, n as usize + 1);
-                assert!(out.iter().copied().eq(0..n), "{policy:?}");
+                assert!(out.iter().copied().eq(0..n), "yielding = {yielding}");
             });
             let mut stats = IngestStats::new();
             cons.ring.drain_stats(&mut stats);
-            assert_eq!(stats.items, n as u64, "{policy:?}");
+            assert_eq!(stats.items, n as u64, "yielding = {yielding}");
             assert_eq!(stats.high_water, 1);
             assert_eq!(stats.dropped, 0);
         }
@@ -984,7 +845,7 @@ mod tests {
         let mut cx = Context::from_waker(&waker);
         let woken = || wakes.0.load(Ordering::SeqCst);
 
-        let (mut feed, cons) = feed_pair(2, Backpressure::Block);
+        let (mut feed, cons) = feed_pair(2);
         let xs = [1i64, 2, 3, 4, 5];
         let mut fut = feed.push_batch_async(&xs);
         assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());

@@ -39,18 +39,18 @@
 //! [`ShardedEngine::run`] (central router over a timed stream),
 //! [`ShardedEngine::run_parted`] (pre-parted per-site feeds, one
 //! synchronized round at a time), and [`ShardedEngine::run_pipelined`]
-//! (per-feed bounded queues — see the [`ingest`] types [`ShardFeed`] /
-//! [`Backpressure`] — where feeding, shard execution, and coordinator
-//! reconciliation all overlap while keeping estimates and ledgers
-//! bit-identical to `run_parted`). The feed handles also offer
-//! runtime-agnostic [`ShardFeed::push_async`] futures.
+//! (per-feed bounded queues — see the [`ingest`] handle [`ShardFeed`] —
+//! where feeding, shard execution, and coordinator reconciliation all
+//! overlap while keeping estimates and ledgers bit-identical to
+//! `run_parted`). The feed handles also offer runtime-agnostic
+//! [`ShardFeed::push_async`] futures.
 //!
 //! For multi-tenant workloads — millions of independent `(tenant,
 //! metric)` functions rather than one big one — the [`fleet`] module's
 //! [`TrackerFleet`] serves keyed trackers out of per-shard state slabs
 //! with the same boundary discipline, per-key ε-audits, fleet-wide
-//! queries ([`TrackerFleet::top_k`]), keyed pipelined ingestion
-//! ([`FleetFeed`]), and a versioned [`FleetCheckpoint`].
+//! queries ([`TrackerFleet::top_k`]), and a versioned
+//! [`FleetCheckpoint`].
 //!
 //! ```
 //! use dsv_core::api::{TrackerKind, TrackerSpec};
@@ -93,7 +93,7 @@ pub use fleet::{
     CounterFleet, FleetCheckpoint, FleetDelta, FleetMemory, FleetReport, ItemFleet, KeyAudit,
     TrackerFleet, FLEET_MAGIC, FLEET_VERSION,
 };
-pub use ingest::{AsyncPush, AsyncPushBatch, Backpressure, FeedError, FleetFeed, ShardFeed};
+pub use ingest::{AsyncPush, AsyncPushBatch, FeedError, ShardFeed};
 pub use partition::{InputDelta, Partition, ShardRecord};
 pub use report::EngineReport;
 pub use sharded::{CounterEngine, ItemEngine, ShardedEngine};

@@ -46,8 +46,8 @@ pub(crate) fn hash_item(item: u64) -> u64 {
 /// The ground-truth increment a raw tracker input contributes to the
 /// audited scalar — `delta` itself for counter inputs, the signed count
 /// for item inputs, and the carried input's for anything keyed (an item
-/// input `(item, delta)` is a counter input with a one-word key in front;
-/// a fleet input `(key, input)` likewise). The parted ingestion path
+/// input `(item, delta)` is a counter input with a one-word key in front).
+/// The parted ingestion path
 /// ([`crate::ShardedEngine::run_parted`]) receives bare inputs instead of
 /// timed records, and audits through this.
 pub trait InputDelta: Copy {

@@ -35,7 +35,7 @@ pub struct EngineReport {
     ///
     /// [`run_pipelined`]: crate::ShardedEngine::run_pipelined
     pub ingest_stats: IngestStats,
-    /// Sampled boundary trajectory (per `EngineConfig::probe_every`).
+    /// Boundary trajectory: one probe per batch boundary of this run.
     pub probes: Vec<ErrorProbe>,
     /// Wall-clock time spent inside `run`.
     pub elapsed: Duration,

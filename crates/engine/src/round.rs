@@ -48,7 +48,7 @@ pub(crate) fn validate_feeds<'a, In: InputDelta + 'a>(
 }
 
 /// [`validate_feeds`] for a mode that only knows its sites up front (the
-/// pipelined paths validate inputs at the push boundary): empty feeds.
+/// pipelined path validates inputs at the push boundary): empty feeds.
 pub(crate) fn validate_sites(
     sites: &[SiteId],
     k: usize,
@@ -89,7 +89,6 @@ pub(crate) fn worker_groups<X>(shards: impl IntoIterator<Item = X>, workers: usi
 /// Run-local audit accumulator and wall clock (one per ingestion call).
 pub(crate) struct RunAudit {
     eps: f64,
-    probe_every: u64,
     started: Instant,
     batches: u64,
     violations: u64,
@@ -101,7 +100,6 @@ impl RunAudit {
     pub(crate) fn new(cfg: &EngineConfig) -> Self {
         RunAudit {
             eps: cfg.eps_value(),
-            probe_every: cfg.probe_period(),
             started: Instant::now(),
             batches: 0,
             violations: 0,
@@ -121,14 +119,12 @@ impl RunAudit {
         if err > self.eps * (1.0 + 1e-12) {
             self.violations += 1;
         }
-        if self.probe_every > 0 && self.batches.is_multiple_of(self.probe_every) {
-            self.probes.push(ErrorProbe {
-                time,
-                f,
-                fhat,
-                rel_err: err,
-            });
-        }
+        self.probes.push(ErrorProbe {
+            time,
+            f,
+            fhat,
+            rel_err: err,
+        });
     }
 
     /// Assemble the run's report from the audit and the engine's state
@@ -313,7 +309,7 @@ mod tests {
         );
         let kind = TrackerKind::Deterministic;
         assert_eq!(validate_feeds([(1, bad)], 2, kind, 0), Ok(()));
-        // Sites only: the shape the pipelined paths validate up front.
+        // Sites only: the shape the pipelined path validates up front.
         assert_eq!(validate_sites(&[0, 1], 2, kind, 0), Ok(()));
         assert!(validate_sites(&[0, 5], 2, kind, 0).is_err());
     }

@@ -718,11 +718,11 @@ where
     /// pushed before the offending one are already in flight and will be
     /// consumed.
     ///
-    /// Backpressure ([`EngineConfig::backpressure`]) bounds each queue at
-    /// [`EngineConfig::queue_capacity`] inputs; a feed that outruns its
-    /// shard stalls (or errors) at the push boundary, and a feed that
-    /// lags only stalls the shard it feeds — every other worker keeps
-    /// absorbing, which is the overlap the `e17_pipeline` bench gates.
+    /// Each queue holds `2 × batch` inputs; a feed that outruns its shard
+    /// parks at the push boundary ([`ShardFeed::try_push`] fails fast
+    /// instead), and a feed that lags only stalls the shard it feeds —
+    /// every other worker keeps absorbing, which is the overlap the
+    /// `e17_pipeline` bench gates.
     pub fn run_pipelined<F>(
         &mut self,
         sites: &[SiteId],
@@ -745,7 +745,7 @@ where
         // ShardFeed handles, consumer ends go to the owning workers.
         let rings: Vec<Arc<Ring<In>>> = sites
             .iter()
-            .map(|_| Arc::new(Ring::new(cfg.queue_capacity_value())))
+            .map(|_| Arc::new(Ring::new(2 * batch)))
             .collect();
         let mut handles = Vec::with_capacity(sites.len());
         // Worker w owns shards s ≡ w (mod W); within a shard, feeds keep
@@ -759,7 +759,6 @@ where
                 feed,
                 site,
                 shard,
-                cfg.backpressure_policy(),
                 deletions_ok,
             ));
             consumers[shard % w_count]
@@ -1259,10 +1258,10 @@ mod tests {
     fn pipelined_single_feeder_thread_with_blocking_backpressure() {
         // One thread round-robining chunks across all handles, chunks no
         // larger than the queue capacity: the documented safe schedule
-        // for a single Block-policy producer.
+        // for a single parking producer.
         let n_per_site = 5_000usize;
         let feeds: Vec<Vec<i64>> = (0..3).map(|_| vec![1i64; n_per_site]).collect();
-        let cfg = EngineConfig::new(3, 256).queue_capacity(128);
+        let cfg = EngineConfig::new(3, 256);
         let mut parted = ShardedEngine::counters(det_spec(3), cfg).unwrap();
         let slices: Vec<(usize, &[i64])> = feeds
             .iter()
@@ -1274,6 +1273,8 @@ mod tests {
         let mut piped = ShardedEngine::counters(det_spec(3), cfg).unwrap();
         let report = piped
             .run_pipelined(&[0, 1, 2], |mut handles| {
+                // Every queue double-buffers a round.
+                assert!(handles.iter().all(|h| h.capacity() == 2 * 256));
                 let mut at = [0usize; 3];
                 loop {
                     let mut progressed = false;
@@ -1296,7 +1297,7 @@ mod tests {
         assert_eq!(piped.merge_stats(), parted.merge_stats());
         // Every input went through the bounded transport (whether any
         // push stalled is consumer-pace-dependent; the guaranteed-stall
-        // case lives in tests/pipeline_equivalence.rs with a 1-slot
+        // case lives in tests/pipeline_equivalence.rs with a 2-slot
         // queue, where no chunk can ever land in one shot).
         assert_eq!(report.ingest_stats.items, 3 * n_per_site as u64);
         assert_eq!(report.ingest_stats.dropped, 0);
@@ -1312,9 +1313,10 @@ mod tests {
         ));
         assert_eq!(engine.time(), 0);
 
-        let err = ShardedEngine::counters(det_spec(2), EngineConfig::new(2, 16).queue_capacity(0))
-            .unwrap_err();
-        assert_eq!(err, EngineError::ZeroQueueCapacity);
+        // A queue holds 2 × batch inputs, so only a zero batch could give
+        // a zero-capacity queue, and validation refuses it.
+        let err = ShardedEngine::counters(det_spec(2), EngineConfig::new(2, 0)).unwrap_err();
+        assert_eq!(err, EngineError::ZeroBatch);
     }
 
     #[test]
@@ -1342,13 +1344,14 @@ mod tests {
     }
 
     #[test]
-    fn probe_period_zero_disables_probes() {
+    fn every_boundary_records_its_probe() {
         let updates = MonotoneGen::ones().updates(5_000, RoundRobin::new(2));
-        let mut engine =
-            ShardedEngine::counters(det_spec(2), EngineConfig::new(2, 500).probe_every(0)).unwrap();
+        let mut engine = ShardedEngine::counters(det_spec(2), EngineConfig::new(2, 500)).unwrap();
         let report = engine.run(&updates).unwrap();
-        assert!(report.probes.is_empty());
         assert_eq!(report.batches, 10);
+        let times: Vec<u64> = report.probes.iter().map(|p| p.time).collect();
+        assert_eq!(times, (1..=10).map(|b| b * 500).collect::<Vec<u64>>());
+        assert!(report.probes.iter().all(|p| p.f == p.time as i64));
         assert!(report.updates_per_sec() > 0.0);
     }
 }

@@ -43,16 +43,6 @@ impl FeedFrame {
             words: items * words_per_item,
         }
     }
-
-    /// The frame for a *keyed* chunk: `items` inputs of `words_per_item`
-    /// words each, where every input additionally ships its routing key
-    /// as one extra word. This is the multi-tenant fleet's ingestion
-    /// currency — a keyed delta is `(key, input)` on the wire, and the
-    /// key is payload (the receiver needs it to route within the shard),
-    /// unlike the un-charged `feed` address.
-    pub fn for_keyed_chunk(feed: usize, items: usize, words_per_item: usize) -> Self {
-        FeedFrame::for_chunk(feed, items, words_per_item + 1)
-    }
 }
 
 impl WireSize for FeedFrame {
@@ -91,7 +81,7 @@ pub struct IngestStats {
     /// Highest queue occupancy observed at any sample.
     pub high_water: u64,
     /// Inputs still resident in a queue when its run tore down: the
-    /// consumer stopped before draining them (a fleet run that errored
+    /// consumer stopped before draining them (a run that errored
     /// mid-stream). A push is never acknowledged behind a close, so runs
     /// that finish always drain to zero.
     pub dropped: u64,
@@ -151,16 +141,6 @@ mod tests {
         assert_eq!(FeedFrame::for_chunk(0, 100, 1).words(), 100);
         assert_eq!(FeedFrame::for_chunk(3, 100, 2).words(), 200);
         assert_eq!(FeedFrame::for_chunk(3, 0, 2).words(), 0);
-    }
-
-    #[test]
-    fn keyed_frames_charge_one_extra_word_per_input() {
-        // A keyed counter delta is (key, i64): two words on the wire.
-        assert_eq!(FeedFrame::for_keyed_chunk(0, 100, 1).words(), 200);
-        // A keyed item delta is (key, (item, i64)): three words.
-        assert_eq!(FeedFrame::for_keyed_chunk(2, 100, 2).words(), 300);
-        assert_eq!(FeedFrame::for_keyed_chunk(2, 0, 2).words(), 0);
-        assert_eq!(FeedFrame::for_keyed_chunk(7, 5, 1).items, 5);
     }
 
     #[test]

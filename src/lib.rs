@@ -72,10 +72,10 @@ pub mod prelude {
         RemoteError, RemoteTransport, SpawnMode,
     };
     pub use dsv_engine::{
-        Backpressure, CheckpointStore, CounterEngine, CounterFleet, DeltaStats, EngineCheckpoint,
-        EngineConfig, EngineError, EngineReport, FeedError, FleetCheckpoint, FleetDelta, FleetFeed,
-        FleetMemory, FleetReport, InputDelta, ItemEngine, ItemFleet, KeyAudit, Partition,
-        ShardFeed, ShardRecord, ShardedEngine, TrackerFleet,
+        CheckpointStore, CounterEngine, CounterFleet, DeltaStats, EngineCheckpoint, EngineConfig,
+        EngineError, EngineReport, FeedError, FleetCheckpoint, FleetDelta, FleetMemory,
+        FleetReport, InputDelta, ItemEngine, ItemFleet, KeyAudit, Partition, ShardFeed,
+        ShardRecord, ShardedEngine, TrackerFleet,
     };
     pub use dsv_gen::{
         assign_updates, prefix_values, AdversarialGen, DeltaGen, FlipFamilyGen, HashAssign,

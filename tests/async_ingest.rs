@@ -49,7 +49,8 @@ fn async_pushes_match_the_sync_pipelined_path_bit_for_bit() {
         })
         .collect();
     let sites: Vec<usize> = (0..k).collect();
-    let cfg = EngineConfig::new(k, 256).queue_capacity(64);
+    // Batch 32: 64-slot queues that the 37-input chunks overrun.
+    let cfg = EngineConfig::new(k, 32);
 
     let mut sync_engine = ShardedEngine::counters(spec(k), cfg).unwrap();
     sync_engine

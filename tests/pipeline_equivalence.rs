@@ -4,8 +4,8 @@
 //! per-shard replica states, and `CommStats` ledgers (tracker and merge
 //! alike) to `run_parted` over the same per-site feeds: the boundary cut
 //! is the same, only the execution overlaps. Plus the backpressure edge
-//! cases: feeds closed mid-batch, typed push-after-close errors,
-//! zero-capacity rejection, and Error-policy load shedding.
+//! cases: feeds closed mid-batch, typed push-after-close errors, the
+//! tightest queue, and fail-fast load shedding through `try_push`.
 
 use dsv::net::{ItemUpdate, Update};
 use dsv::prelude::*;
@@ -255,16 +255,16 @@ fn feeds_closed_mid_batch_match_parted_partial_rounds() {
 
 #[test]
 fn error_policy_sheds_load_with_typed_errors_and_retries_converge() {
-    // Under Backpressure::Error a full queue surfaces FeedError::Full
-    // with the enqueued prefix; a producer that re-offers the remainder
-    // converges to the same bit-identical result.
+    // A producer that must never park sheds with `try_push`: a full queue
+    // surfaces FeedError::Full with nothing enqueued, the producer hops to
+    // the other feed, and re-offering converges to the same bit-identical
+    // result. One shard owns both feeds and drains feed 0 first, so feed
+    // 1, offered first, fills to capacity and must report Full.
     let spec = TrackerSpec::new(TrackerKind::Deterministic)
         .k(2)
         .eps(0.1)
         .deletions(true);
-    let cfg = EngineConfig::new(2, 64)
-        .queue_capacity(32)
-        .backpressure(Backpressure::Error);
+    let cfg = EngineConfig::new(1, 64);
     let feeds: Vec<Vec<i64>> = vec![vec![1; 2_000], vec![-1; 1_500]];
     let slices: Vec<(usize, &[i64])> = feeds
         .iter()
@@ -277,42 +277,34 @@ fn error_policy_sheds_load_with_typed_errors_and_retries_converge() {
     let mut piped = ShardedEngine::counters(spec, cfg).unwrap();
     let mut full_errors = 0u64;
     let report = piped
-        .run_pipelined(&[0, 1], |handles| {
-            std::thread::scope(|s| {
-                let errs: Vec<u64> = handles
-                    .into_iter()
-                    .zip(&feeds)
-                    .map(|(mut handle, data)| {
-                        s.spawn(move || {
-                            let mut errs = 0u64;
-                            let mut at = 0usize;
-                            while at < data.len() {
-                                match handle.push_batch(&data[at..]) {
-                                    Ok(()) => at = data.len(),
-                                    Err(FeedError::Full { pushed }) => {
-                                        errs += 1;
-                                        at += pushed;
-                                        std::thread::yield_now();
-                                    }
-                                    Err(e) => panic!("unexpected feed error: {e}"),
-                                }
-                            }
-                            errs
-                        })
-                    })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|h| h.join().unwrap())
-                    .collect();
-                full_errors = errs.iter().sum();
-            });
+        .run_pipelined(&[0, 1], |mut handles| {
+            assert!(handles.iter().all(|h| h.capacity() == 128));
+            let mut at = [0usize; 2];
+            let mut i = 1;
+            while at.iter().zip(&feeds).any(|(&a, data)| a < data.len()) {
+                while at[i] < feeds[i].len() {
+                    match handles[i].try_push(feeds[i][at[i]]) {
+                        Ok(()) => at[i] += 1,
+                        Err(FeedError::Full) => {
+                            full_errors += 1;
+                            break;
+                        }
+                        Err(e) => panic!("unexpected feed error: {e}"),
+                    }
+                }
+                if at[i] == feeds[i].len() {
+                    handles[i].close();
+                }
+                i = 1 - i;
+                std::thread::yield_now();
+            }
         })
         .unwrap();
     assert_eq!(fingerprint(&piped), fingerprint(&parted));
-    // 3.5k inputs through 32-slot queues: the policy must have fired.
-    assert!(full_errors > 0, "Error policy never reported Full");
-    assert!(report.ingest_stats.high_water <= 32);
+    assert!(full_errors > 0, "try_push never reported Full");
+    assert!(report.ingest_stats.high_water <= 128);
     assert_eq!(report.ingest_stats.items, 3_500);
+    assert_eq!(report.ingest_stats.frames, 3_500);
 }
 
 #[test]
@@ -382,9 +374,7 @@ proptest! {
             .k(k)
             .eps(0.3)
             .deletions(true);
-        // Capacity covers any feed whole, so the single-threaded random
-        // schedule can never block against the round-ordered consumers.
-        let cfg = EngineConfig::new(shards, batch).eps(0.3).queue_capacity(n + 1);
+        let cfg = EngineConfig::new(shards, batch).eps(0.3);
 
         let mut parted = ShardedEngine::counters(spec, cfg).unwrap();
         let parted_report = parted.run_parted(&slices).unwrap();
@@ -393,7 +383,18 @@ proptest! {
         let mut sched = seed ^ 0xface;
         let report = piped
             .run_pipelined(&sites, |mut handles| {
+                // A single thread must never park on a queue the
+                // round-ordered worker is not draining: push only what a
+                // queue admits (occupancy only falls under us), hop to
+                // another feed otherwise, and close a feed once it is
+                // exhausted so the worker can move past it. Some feed the
+                // worker waits on always holds under a round, so has room.
                 let mut at = vec![0usize; k];
+                for (i, h) in handles.iter_mut().enumerate() {
+                    if feeds[i].is_empty() {
+                        h.close();
+                    }
+                }
                 loop {
                     let open: Vec<usize> =
                         (0..k).filter(|&i| at[i] < feeds[i].len()).collect();
@@ -401,13 +402,23 @@ proptest! {
                     else {
                         break;
                     };
-                    let take = (lcg(&mut sched) as usize % 7 + 1).min(feeds[i].len() - at[i]);
+                    let room = handles[i].capacity() - handles[i].occupancy() as usize;
+                    if room == 0 {
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    let take = (lcg(&mut sched) as usize % 7 + 1)
+                        .min(feeds[i].len() - at[i])
+                        .min(room);
                     if take == 1 && lcg(&mut sched).is_multiple_of(2) {
                         handles[i].push(feeds[i][at[i]]).unwrap();
                     } else {
                         handles[i].push_batch(&feeds[i][at[i]..at[i] + take]).unwrap();
                     }
                     at[i] += take;
+                    if at[i] == feeds[i].len() {
+                        handles[i].close();
+                    }
                 }
             })
             .unwrap();
@@ -423,31 +434,28 @@ proptest! {
 }
 
 #[test]
-fn zero_capacity_queues_are_rejected_at_config_validation() {
+fn the_tightest_queue_stalls_every_chunk_push() {
+    // Batch 1 gives the smallest queue there is: 2 inputs.
     let spec = TrackerSpec::new(TrackerKind::Deterministic).k(2).eps(0.1);
-    let err =
-        ShardedEngine::counters(spec, EngineConfig::new(2, 16).queue_capacity(0)).unwrap_err();
-    assert_eq!(err, EngineError::ZeroQueueCapacity);
-    assert!(err.to_string().contains("capacity"));
-    // Any positive capacity is fine, even 1 (it just maximizes stalls).
-    let mut one =
-        ShardedEngine::counters(spec, EngineConfig::new(2, 8).queue_capacity(1).eps(0.1)).unwrap();
-    let report = one
+    let mut tight = ShardedEngine::counters(spec, EngineConfig::new(2, 1).eps(0.1)).unwrap();
+    let report = tight
         .run_pipelined(&[0, 1], |handles| {
             std::thread::scope(|s| {
                 for mut handle in handles {
+                    assert_eq!(handle.capacity(), 2);
                     s.spawn(move || handle.push_batch(&[1i64; 100]).unwrap());
                 }
             });
         })
         .unwrap();
     assert_eq!(report.final_f, 200);
-    assert!(report.ingest_stats.high_water <= 1);
-    // A 100-input chunk can never land in one shot through a 1-slot
-    // queue, so the Block policy is *guaranteed* to have stalled.
-    assert!(
-        report.ingest_stats.push_stalls >= 2,
-        "1-slot queues must stall every chunk push: {:?}",
+    assert_eq!(report.batches, 100);
+    assert!(report.ingest_stats.high_water <= 2);
+    // A 100-input chunk can never land in one shot through a 2-slot
+    // queue, so each of the two pushes is *guaranteed* to have stalled.
+    assert_eq!(
+        report.ingest_stats.push_stalls, 2,
+        "2-slot queues must stall every chunk push: {:?}",
         report.ingest_stats
     );
 }
