@@ -15,6 +15,7 @@ use dsv_core::codec::{Dec, Enc, TrackerState};
 use dsv_net::{CommStats, IngestStats, MsgKind, SiteId, StateFrame, Time, WireSize};
 use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -149,12 +150,16 @@ where
 /// replica: `(estimate after the item, Σδ of the item, inputs consumed)`.
 type ShardBody<'a, T, W> = &'a (dyn Fn(&mut T, &W) -> (i64, i64, u64) + Sync);
 
-/// A call-scoped shard executor: runs the body once per dispatched work
-/// item and hands back `(entry, item)` pairs. With one worker the body
-/// runs on the calling thread at dispatch; with more, worker `w` owns the
-/// replicas of [`worker_groups`]' group `w` and serves them from a
-/// bounded channel — so a shard's items complete in dispatch order
-/// either way, and worker count never shows in what comes back.
+/// Routed [`ShardedEngine::run`]'s call-scoped shard executor: runs the
+/// body once per dispatched work item and hands back `(entry, item)`
+/// pairs. With one worker the body runs on the calling thread at
+/// dispatch; with more, worker `w` owns the replicas of
+/// [`worker_groups`]' group `w` and serves them from a bounded channel —
+/// so a shard's items complete in dispatch order either way, and worker
+/// count never shows in what comes back. Routing happens on the calling
+/// thread batch by batch, so every round is a fork-join here;
+/// [`ShardedEngine::run_parted`] has its inputs up front and runs
+/// [`PartedWorker`]s instead.
 enum ShardExec<'a, T, W> {
     Inline {
         shards: &'a mut [T],
@@ -251,6 +256,55 @@ fn with_shard_exec<T: Send, W: Send, R>(
             outstanding: 0,
         })
     })
+}
+
+/// Rounds a [`PartedWorker`] runs back to back before the cut closes
+/// them. Bounds what a call holds in flight to `WINDOW` entries per feed,
+/// however many rounds the call spans; at 64, a batch-1 call still runs
+/// ~15× faster than with a barrier every round (`DESIGN.md` §5).
+const WINDOW: usize = 64;
+
+/// One worker of [`ShardedEngine::run_parted`]: its replicas that have
+/// feeds, in ascending shard order, each with its feed indices in feed
+/// order, and the entries of the window it last ran.
+struct PartedWorker<'t, T> {
+    shards: Vec<(usize, &'t mut T, Vec<usize>)>,
+    /// One entry per chunk ingested, round after round.
+    entries: Vec<Entry>,
+    /// Round `r` of the window is `entries[ends[r]..ends[r + 1]]`.
+    ends: Vec<usize>,
+}
+
+impl<T> PartedWorker<'_, T> {
+    /// Run `rounds` of `feeds`, each round over every owned shard in
+    /// ascending order and each shard's feeds in feed order — the order a
+    /// replica consumes its chunks in, whatever the worker count.
+    fn run_window<In>(&mut self, feeds: &[(SiteId, &[In])], batch: usize, rounds: Range<usize>)
+    where
+        T: Tracker<In>,
+        In: InputDelta,
+    {
+        self.entries.clear();
+        self.ends.clear();
+        self.ends.push(0);
+        for round in rounds {
+            for (sid, tracker, owned) in &mut self.shards {
+                for &feed in owned.iter() {
+                    let (site, inputs) = feeds[feed];
+                    if let Some((lo, hi)) = chunk_bounds(inputs.len(), batch, round) {
+                        let (est, sum, len) = ingest_run(&mut **tracker, site, &inputs[lo..hi]);
+                        self.entries.push((*sid, est, sum, len));
+                    }
+                }
+            }
+            self.ends.push(self.entries.len());
+        }
+    }
+
+    /// Round `r`'s entries from the last window.
+    fn round(&self, r: usize) -> &[Entry] {
+        &self.entries[self.ends[r]..self.ends[r + 1]]
+    }
 }
 
 /// One feed drained by a pipelined worker: its queue's consumer end, a
@@ -652,6 +706,14 @@ where
     /// [`Tracker::update_run`] path, and the engine reconciles and audits
     /// at every round boundary exactly as [`run`](Self::run) does.
     ///
+    /// The workers do not meet at round boundaries. Nothing flows from
+    /// the coordinator back to a replica within a call, so each worker
+    /// runs up to 64 rounds back to back, and the cut then closes them in
+    /// round order over the entries every worker recorded. Estimates,
+    /// ledgers and checkpoints are those of a round-by-round run at any
+    /// worker count. A panic on a worker thread is re-raised here once
+    /// the window's other workers finish, before any of its rounds close.
+    ///
     /// Cross-site interleaving is not defined by a global clock here — it
     /// never is on a distributed ingest path — so estimates can differ
     /// from a particular sequential interleaving, while every per-shard
@@ -668,24 +730,59 @@ where
         validate_feeds(feeds.iter().copied(), self.shards[0].k(), kind, self.time)?;
 
         let total: usize = feeds.iter().map(|(_, inputs)| inputs.len()).sum();
+        let rounds = rounds_of(feeds, batch);
+        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); s_count];
+        for (feed, &(site, _)) in feeds.iter().enumerate() {
+            by_shard[site % s_count].push(feed);
+        }
         let (shards, mut cut) = self.split(&mut audit);
-        // Work items are (feed, lo, hi) index tuples resolved against the
-        // shared feed slices, so nothing is copied on this path.
-        let body = |tracker: &mut T, &(feed, lo, hi): &(usize, usize, usize)| {
-            let (site, inputs) = feeds[feed];
-            ingest_run(tracker, site, &inputs[lo..hi])
-        };
-        with_shard_exec(shards, &cfg, feeds.len(), &body, |exec| {
-            for round in 0..rounds_of(feeds, batch) {
-                // The source: slice every live feed's next chunk.
-                for (feed, &(site, inputs)) in feeds.iter().enumerate() {
-                    if let Some((lo, hi)) = chunk_bounds(inputs.len(), batch, round) {
-                        exec.dispatch(site % s_count, (feed, lo, hi));
-                    }
-                }
-                cut.close(std::iter::from_fn(|| exec.next_done()).map(|(entry, _)| entry));
+        // Only shards with feeds have work, and a worker owning none of
+        // them is not spawned.
+        let mut workers: Vec<PartedWorker<'_, T>> = worker_groups(
+            shards.iter_mut().zip(by_shard).enumerate(),
+            cfg.workers_count(),
+        )
+        .into_iter()
+        .map(|group| {
+            let shards: Vec<_> = group
+                .into_iter()
+                .filter(|(_, (_, owned))| !owned.is_empty())
+                .map(|(sid, (tracker, owned))| (sid, tracker, owned))
+                .collect();
+            let feeds_owned: usize = shards.iter().map(|(_, _, owned)| owned.len()).sum();
+            let held = WINDOW.min(rounds);
+            PartedWorker {
+                shards,
+                entries: Vec::with_capacity(feeds_owned * held),
+                ends: Vec::with_capacity(held + 1),
             }
-        });
+        })
+        .filter(|w| !w.shards.is_empty())
+        .collect();
+
+        for start in (0..rounds).step_by(WINDOW) {
+            let window = start..rounds.min(start + WINDOW);
+            if let Some((first, rest)) = workers.split_first_mut() {
+                std::thread::scope(|scope| {
+                    let spawned: Vec<_> = rest
+                        .iter_mut()
+                        .map(|w| {
+                            let window = window.clone();
+                            scope.spawn(move || w.run_window(feeds, batch, window))
+                        })
+                        .collect();
+                    first.run_window(feeds, batch, window.clone());
+                    for handle in spawned {
+                        if let Err(panic) = handle.join() {
+                            std::panic::resume_unwind(panic);
+                        }
+                    }
+                });
+            }
+            for r in 0..window.len() {
+                cut.close(workers.iter().flat_map(|w| w.round(r).iter().copied()));
+            }
+        }
 
         Ok(self.finish_report(total as u64, audit))
     }

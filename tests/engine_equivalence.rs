@@ -206,6 +206,199 @@ fn item_engine_by_item_partition_keeps_per_item_guarantee() {
     }
 }
 
+/// More rounds than `run_parted` runs between two cuts (64), so one call
+/// spans a full window and part of a second.
+const PAST_WINDOW: usize = 71;
+
+/// Parted feeds at `batch`, with S = 4 shards in mind: uneven lengths
+/// (the longest runs `PAST_WINDOW` rounds), two feeds on site 1, an empty
+/// feed, and sites 0 and 4 sharing shard 0.
+fn parted_feeds(kind: TrackerKind, batch: usize) -> Vec<(usize, Vec<i64>)> {
+    let shape = [
+        (0, PAST_WINDOW * batch),
+        (1, 13 * batch + 5),
+        (2, 0),
+        (3, 40 * batch - 1),
+        (1, (PAST_WINDOW - 5) * batch + 1),
+        (4, 2 * batch + 1),
+    ];
+    shape
+        .iter()
+        .zip(0u64..)
+        .map(|(&(site, len), seed)| {
+            let updates = if kind.supports_deletions() {
+                WalkGen::biased(40 + seed, 0.2).updates(len as u64, SingleSite::solo())
+            } else {
+                MonotoneGen::jumps(40 + seed, 3).updates(len as u64, SingleSite::solo())
+            };
+            (site, updates.iter().map(|u| u.delta).collect())
+        })
+        .collect()
+}
+
+/// Everything a caller can observe of a parted engine after its calls,
+/// with the reports of several calls folded into one.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    n: u64,
+    batches: u64,
+    probes: Vec<ErrorProbe>,
+    violations: u64,
+    max_err: f64,
+    final_f: i64,
+    final_estimate: i64,
+    shard_estimates: Vec<i64>,
+    tracker_stats: CommStats,
+    merge_stats: CommStats,
+    checkpoint: Vec<u8>,
+}
+
+/// Drive `feeds` through `run_parted` in one call, or as one call per
+/// round when `per_round`.
+fn observe_parted(
+    spec: TrackerSpec,
+    cfg: EngineConfig,
+    feeds: &[(usize, Vec<i64>)],
+    per_round: bool,
+) -> Observed {
+    let batch = cfg.batch_size();
+    let mut engine = ShardedEngine::counters(spec, cfg).unwrap();
+    let calls: Vec<Vec<(usize, &[i64])>> = if per_round {
+        let rounds = feeds.iter().map(|(_, v)| v.len().div_ceil(batch)).max();
+        (0..rounds.unwrap_or(0))
+            .map(|r| {
+                feeds
+                    .iter()
+                    .map(|(site, v)| {
+                        let lo = (r * batch).min(v.len());
+                        (*site, &v[lo..(lo + batch).min(v.len())])
+                    })
+                    .collect()
+            })
+            .collect()
+    } else {
+        vec![feeds.iter().map(|(s, v)| (*s, v.as_slice())).collect()]
+    };
+    let mut seen = Observed {
+        n: 0,
+        batches: 0,
+        probes: Vec::new(),
+        violations: 0,
+        max_err: 0.0,
+        final_f: 0,
+        final_estimate: 0,
+        shard_estimates: Vec::new(),
+        tracker_stats: CommStats::new(),
+        merge_stats: CommStats::new(),
+        checkpoint: Vec::new(),
+    };
+    for call in &calls {
+        let report = engine.run_parted(call).unwrap();
+        seen.n += report.n;
+        seen.batches += report.batches;
+        seen.probes.extend(report.probes);
+        seen.violations += report.boundary_violations;
+        seen.max_err = seen.max_err.max(report.max_boundary_rel_err);
+        seen.final_f = report.final_f;
+        seen.final_estimate = report.final_estimate;
+    }
+    seen.shard_estimates = engine.shard_estimates();
+    seen.tracker_stats = engine.tracker_stats();
+    seen.merge_stats = engine.merge_stats().clone();
+    seen.checkpoint = engine.checkpoint().unwrap().to_bytes();
+    seen
+}
+
+#[test]
+fn parted_ingest_is_bit_identical_at_every_worker_count() {
+    let eps = 0.1;
+    for kind in [TrackerKind::Deterministic, TrackerKind::HyzMonotone] {
+        let spec = TrackerSpec::new(kind).k(5).eps(eps).seed(31);
+        for batch in [1usize, 7, 4_096] {
+            let feeds = parted_feeds(kind, batch);
+            let cfg = EngineConfig::new(4, batch).eps(eps);
+            let reference = observe_parted(spec, cfg.workers(1), &feeds, false);
+            assert_eq!(reference.batches, PAST_WINDOW as u64);
+            assert_eq!(reference.probes.len(), PAST_WINDOW);
+            for workers in [1usize, 2, 3, 4, 8] {
+                for per_round in [false, true] {
+                    let seen = observe_parted(spec, cfg.workers(workers), &feeds, per_round);
+                    assert!(
+                        seen == reference,
+                        "{} batch {batch} W={workers} per_round={per_round}",
+                        kind.label()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A replica that panics on its `panic_at`-th `update_run`.
+#[derive(Debug)]
+struct Flaky {
+    inner: Box<dyn Tracker + Send>,
+    runs: usize,
+    panic_at: Option<usize>,
+}
+
+impl Tracker for Flaky {
+    fn step(&mut self, site: usize, input: i64) -> i64 {
+        self.inner.step(site, input)
+    }
+
+    fn update_run(&mut self, site: usize, inputs: &[i64]) -> i64 {
+        self.runs += 1;
+        if Some(self.runs) == self.panic_at {
+            panic!("flaky replica gave out");
+        }
+        self.inner.update_run(site, inputs)
+    }
+
+    fn estimate(&self) -> i64 {
+        self.inner.estimate()
+    }
+
+    fn stats(&self) -> &CommStats {
+        self.inner.stats()
+    }
+
+    fn kind(&self) -> TrackerKind {
+        self.inner.kind()
+    }
+
+    fn k(&self) -> usize {
+        self.inner.k()
+    }
+}
+
+#[test]
+fn a_panic_on_a_parted_worker_reaches_the_caller_between_rounds() {
+    // S = W = 2: shard 1 runs on the spawned worker. One chunk per
+    // round, so its 70th `update_run` is round 69, inside the second
+    // window; the first window's 64 rounds are closed by then.
+    let spec = TrackerSpec::new(TrackerKind::Deterministic).k(2).eps(0.1);
+    let mut engine = ShardedEngine::with_factory(EngineConfig::new(2, 1).workers(2), |s| {
+        spec.shard(s).build().map(|inner| Flaky {
+            inner,
+            runs: 0,
+            panic_at: (s == 1).then_some(70),
+        })
+    })
+    .unwrap();
+    let ones = vec![1i64; 200];
+    let feeds = [(0, ones.as_slice()), (1, ones.as_slice())];
+    let caught =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run_parted(&feeds)));
+    let payload = caught.expect_err("the replica's panic must reach the caller");
+    assert_eq!(
+        payload.downcast_ref::<&str>(),
+        Some(&"flaky replica gave out")
+    );
+    // Whole rounds only: the first window, both feeds.
+    assert_eq!(engine.time(), 2 * 64);
+}
+
 #[test]
 fn engine_rejects_what_the_driver_rejects() {
     let spec = TrackerSpec::new(TrackerKind::CmyMonotone).k(2).eps(0.1);
