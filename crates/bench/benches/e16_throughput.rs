@@ -244,12 +244,14 @@ fn main() {
     println!("\nwrote {out}");
 
     println!(
-        "\nreading: 'routed' feeds the engine the globally interleaved stream\n\
-         (its central router pays one extra read+scatter pass over every\n\
-         update — on this box that pass alone costs more than the absorb\n\
-         kernels); 'parted' ingests per-site feeds the way a deployed system\n\
-         receives them (no router exists), zero-copy into the absorb_quiet\n\
-         kernels, which is where the >= 5x gate lives.\n\
+        "\nreading: 'routed' feeds the engine the globally interleaved stream:\n\
+         the calling thread reads and scatters every update into per-shard\n\
+         buffers, a window of up to 64 batches (2^20 inputs) at a time, and\n\
+         the window then runs on the same workers as 'parted'. That serial\n\
+         scatter pass is what keeps routed below parted. 'parted' ingests\n\
+         per-site feeds the way a deployed system receives them (no router\n\
+         exists), zero-copy into the absorb_quiet kernels, which is where\n\
+         the >= 5x gate lives.\n\
          Boundary violations on the fair walk are expected: near f = 0 the\n\
          merged bound eps*sum|f_s| exceeds eps*|f| (DESIGN 5)."
     );

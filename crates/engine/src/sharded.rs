@@ -13,7 +13,7 @@ use crate::round::{
 use dsv_core::api::{ItemTracker, RunError, Tracker, TrackerKind, TrackerSpec};
 use dsv_core::codec::{Dec, Enc, TrackerState};
 use dsv_net::{CommStats, IngestStats, MsgKind, SiteId, StateFrame, Time, WireSize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::mpsc;
@@ -27,29 +27,15 @@ pub type CounterEngine = ShardedEngine<Box<dyn Tracker + Send>>;
 /// [`ShardedEngine::items`] from any of the four frequency kinds.
 pub type ItemEngine = ShardedEngine<Box<dyn ItemTracker + Send>, (u64, i64)>;
 
-/// A unit of work shipped to a shard worker, carrying its buffer so
-/// allocations are recycled batch to batch.
-enum WorkBuf<In> {
-    /// Mixed-site sub-batch, in arrival order (general layout).
-    Batch(Vec<(SiteId, In)>),
-    /// All updates at one site (site-affine layout with at most one site
-    /// per shard) — drives the zero-copy `update_run` path.
-    Run(SiteId, Vec<In>),
-}
-
 /// Per-record validation shared by both routing layouts: rejects what
 /// the sequential `Driver` rejects.
 #[inline]
-fn check_record<R, In>(
+fn check_record<R: ShardRecord>(
     rec: &R,
     k: usize,
     kind: TrackerKind,
     deletions_ok: bool,
-) -> Result<(), EngineError>
-where
-    R: ShardRecord<In = In>,
-    In: Copy,
-{
+) -> Result<(), EngineError> {
     if rec.site() >= k {
         return Err(RunError::SiteOutOfRange {
             site: rec.site(),
@@ -83,219 +69,67 @@ where
     (tracker.update_run(site, run), sum, run.len() as u64)
 }
 
-/// Route one batch into per-site run buffers (`shard == site`; valid
-/// whenever every shard owns at most one site).
-fn fill_runs<R, In>(
-    batch: &[R],
-    k: usize,
-    kind: TrackerKind,
-    deletions_ok: bool,
-    bufs: &mut [Vec<In>],
-) -> Result<(), EngineError>
-where
-    R: ShardRecord<In = In>,
-    In: Copy,
-{
-    for rec in batch {
-        check_record(rec, k, kind, deletions_ok)?;
-        bufs[rec.site()].push(rec.input());
-    }
-    Ok(())
-}
-
-/// Route one batch into per-shard mixed-site buffers (general layout).
-/// `lut` maps sites to shards for [`Partition::SiteAffine`] (computed
-/// once, so the hot loop carries no division); `rr` is the rotating
-/// cursor for [`Partition::RoundRobin`].
-#[allow(clippy::too_many_arguments)]
-fn fill_tuples<R, In>(
-    batch: &[R],
-    k: usize,
-    kind: TrackerKind,
-    deletions_ok: bool,
-    s_count: usize,
-    partition: Partition,
-    lut: &[u32],
-    rr: &mut usize,
-    bufs: &mut [Vec<(SiteId, In)>],
-) -> Result<(), EngineError>
-where
-    R: ShardRecord<In = In>,
-    In: Copy,
-{
-    for rec in batch {
-        check_record(rec, k, kind, deletions_ok)?;
-        let site = rec.site();
-        let shard = match partition {
-            Partition::SiteAffine => lut[site] as usize,
-            Partition::RoundRobin => {
-                let s = *rr;
-                *rr += 1;
-                if *rr == s_count {
-                    *rr = 0;
-                }
-                s
-            }
-            Partition::ByItem => match rec.item_key() {
-                Some(item) => (hash_item(item) % s_count as u64) as usize,
-                None => return Err(EngineError::MissingItemKey { time: rec.time() }),
-            },
-        };
-        bufs[shard].push((site, rec.input()));
-    }
-    Ok(())
-}
-
-/// What a [`ShardExec`] runs per work item against the item's shard
-/// replica: `(estimate after the item, Σδ of the item, inputs consumed)`.
-type ShardBody<'a, T, W> = &'a (dyn Fn(&mut T, &W) -> (i64, i64, u64) + Sync);
-
-/// Routed [`ShardedEngine::run`]'s call-scoped shard executor: runs the
-/// body once per dispatched work item and hands back `(entry, item)`
-/// pairs. With one worker the body runs on the calling thread at
-/// dispatch; with more, worker `w` owns the replicas of
-/// [`worker_groups`]' group `w` and serves them from a bounded channel —
-/// so a shard's items complete in dispatch order either way, and worker
-/// count never shows in what comes back. Routing happens on the calling
-/// thread batch by batch, so every round is a fork-join here;
-/// [`ShardedEngine::run_parted`] has its inputs up front and runs
-/// [`PartedWorker`]s instead.
-enum ShardExec<'a, T, W> {
-    Inline {
-        shards: &'a mut [T],
-        body: ShardBody<'a, T, W>,
-        done: VecDeque<(Entry, W)>,
-    },
-    Threads {
-        work_txs: Vec<mpsc::SyncSender<(usize, W)>>,
-        res_rx: mpsc::Receiver<(Entry, W)>,
-        outstanding: usize,
-    },
-}
-
-impl<T, W> ShardExec<'_, T, W> {
-    /// Hand `work` to the worker owning shard `sid`.
-    fn dispatch(&mut self, sid: usize, work: W) {
-        match self {
-            ShardExec::Inline { shards, body, done } => {
-                let (est, sum, len) = body(&mut shards[sid], &work);
-                done.push_back(((sid, est, sum, len), work));
-            }
-            ShardExec::Threads {
-                work_txs,
-                outstanding,
-                ..
-            } => {
-                let workers = work_txs.len();
-                work_txs[sid % workers]
-                    .send((sid / workers, work))
-                    .expect("shard worker died");
-                *outstanding += 1;
-            }
-        }
-    }
-
-    /// The next finished item, blocking on the workers; `None` once
-    /// everything dispatched has been handed back.
-    fn next_done(&mut self) -> Option<(Entry, W)> {
-        match self {
-            ShardExec::Inline { done, .. } => done.pop_front(),
-            ShardExec::Threads {
-                res_rx,
-                outstanding,
-                ..
-            } => {
-                *outstanding = outstanding.checked_sub(1)?;
-                Some(res_rx.recv().expect("shard worker died"))
-            }
-        }
-    }
-}
-
-/// Run `drive` with a [`ShardExec`] over `shards`. `bound` is the most
-/// items one worker can be handed per round, so dispatch never blocks.
-fn with_shard_exec<T: Send, W: Send, R>(
-    shards: &mut [T],
-    cfg: &EngineConfig,
-    bound: usize,
-    body: ShardBody<'_, T, W>,
-    drive: impl FnOnce(&mut ShardExec<'_, T, W>) -> R,
-) -> R {
-    let workers = cfg.workers_count();
-    if workers == 1 {
-        return drive(&mut ShardExec::Inline {
-            shards,
-            body,
-            done: VecDeque::new(),
-        });
-    }
-    std::thread::scope(|scope| {
-        let (res_tx, res_rx) = mpsc::channel();
-        let mut work_txs = Vec::with_capacity(workers);
-        for (w, mut group) in worker_groups(shards.iter_mut(), workers)
-            .into_iter()
-            .enumerate()
-        {
-            let (tx, rx) = mpsc::sync_channel::<(usize, W)>(bound.max(1));
-            let res_tx = res_tx.clone();
-            work_txs.push(tx);
-            scope.spawn(move || {
-                while let Ok((slot, work)) = rx.recv() {
-                    let (est, sum, len) = body(&mut *group[slot], &work);
-                    let sid = slot * workers + w;
-                    if res_tx.send(((sid, est, sum, len), work)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(res_tx);
-        drive(&mut ShardExec::Threads {
-            work_txs,
-            res_rx,
-            outstanding: 0,
-        })
-    })
-}
-
-/// Rounds a [`PartedWorker`] runs back to back before the cut closes
-/// them. Bounds what a call holds in flight to `WINDOW` entries per feed,
-/// however many rounds the call spans; at 64, a batch-1 call still runs
-/// ~15× faster than with a barrier every round (`DESIGN.md` §5).
+/// Rounds a [`Worker`] runs back to back before the cut closes them.
+/// Bounds what a call holds in flight to `WINDOW` entries per feed or
+/// shard, however many rounds the call spans; at 64, a batch-1 call still
+/// runs ~15× faster than with a barrier every round (`DESIGN.md` §5).
 const WINDOW: usize = 64;
 
-/// One worker of [`ShardedEngine::run_parted`]: its replicas that have
-/// feeds, in ascending shard order, each with its feed indices in feed
-/// order, and the entries of the window it last ran.
-struct PartedWorker<'t, T> {
-    shards: Vec<(usize, &'t mut T, Vec<usize>)>,
-    /// One entry per chunk ingested, round after round.
+/// Inputs routed [`ShardedEngine::run`] copies into one window at most: a
+/// window closes after [`WINDOW`] rounds or once it holds this many
+/// inputs, and always holds at least one round (exactly one when a lone
+/// worker has the work: nothing is spawned to amortize). Capped so a
+/// window of large batches is not copied whole before it runs (16 MiB of
+/// counter tuples at 2²⁰), and large enough that W − 1 threads are
+/// spawned once per ~10⁶ inputs, not once per large round (`DESIGN.md`
+/// §5).
+const ROUTED_INPUTS: usize = 1 << 20;
+
+/// One worker of a window: its group's replicas that have work, in
+/// ascending shard order, and the entries of the window it last ran.
+struct Worker<'t, T> {
+    shards: Vec<(usize, &'t mut T)>,
+    /// One entry per piece of work, round after round.
     entries: Vec<Entry>,
     /// Round `r` of the window is `entries[ends[r]..ends[r + 1]]`.
     ends: Vec<usize>,
 }
 
-impl<T> PartedWorker<'_, T> {
-    /// Run `rounds` of `feeds`, each round over every owned shard in
-    /// ascending order and each shard's feeds in feed order — the order a
-    /// replica consumes its chunks in, whatever the worker count.
-    fn run_window<In>(&mut self, feeds: &[(SiteId, &[In])], batch: usize, rounds: Range<usize>)
+impl<'t, T> Worker<'t, T> {
+    /// The workers of [`worker_groups`]' map over `shards`, each keeping
+    /// only the shards `has_work` picks. A worker left with none is
+    /// dropped, so it is never spawned.
+    fn for_groups(
+        shards: &'t mut [T],
+        workers: usize,
+        has_work: impl Fn(usize) -> bool,
+    ) -> Vec<Self> {
+        worker_groups(shards.iter_mut().enumerate(), workers)
+            .into_iter()
+            .map(|group| Worker {
+                shards: group
+                    .into_iter()
+                    .filter(|(sid, _)| has_work(*sid))
+                    .collect(),
+                entries: Vec::new(),
+                ends: Vec::new(),
+            })
+            .filter(|w| !w.shards.is_empty())
+            .collect()
+    }
+
+    /// Run `rounds`, each over every owned shard in ascending order — the
+    /// order a replica sees its work in, whatever the worker count.
+    fn run<F>(&mut self, rounds: Range<usize>, work: &F)
     where
-        T: Tracker<In>,
-        In: InputDelta,
+        F: Fn(usize, &mut T, usize, &mut Vec<Entry>),
     {
         self.entries.clear();
         self.ends.clear();
         self.ends.push(0);
         for round in rounds {
-            for (sid, tracker, owned) in &mut self.shards {
-                for &feed in owned.iter() {
-                    let (site, inputs) = feeds[feed];
-                    if let Some((lo, hi)) = chunk_bounds(inputs.len(), batch, round) {
-                        let (est, sum, len) = ingest_run(&mut **tracker, site, &inputs[lo..hi]);
-                        self.entries.push((*sid, est, sum, len));
-                    }
-                }
+            for (sid, tracker) in &mut self.shards {
+                work(*sid, &mut **tracker, round, &mut self.entries);
             }
             self.ends.push(self.entries.len());
         }
@@ -304,6 +138,122 @@ impl<T> PartedWorker<'_, T> {
     /// Round `r`'s entries from the last window.
     fn round(&self, r: usize) -> &[Entry] {
         &self.entries[self.ends[r]..self.ends[r + 1]]
+    }
+}
+
+/// The one in-memory executor: run the window `rounds` on `workers` — the
+/// calling thread works the first, scoped threads the others (none for a
+/// lone worker) — then close its rounds in order.
+/// `work(sid, replica, round, out)` appends the shard's entries for
+/// `round`. A worker's panic is re-raised here after the join, before any
+/// of the window's rounds close; an empty window spawns nothing.
+fn run_window<T, F>(
+    workers: &mut [Worker<'_, T>],
+    rounds: Range<usize>,
+    work: &F,
+    cut: &mut Cut<'_>,
+) where
+    T: Send,
+    F: Fn(usize, &mut T, usize, &mut Vec<Entry>) + Sync,
+{
+    if rounds.is_empty() {
+        return;
+    }
+    let n = rounds.len();
+    match workers {
+        [] => {}
+        [only] => only.run(rounds, work),
+        [first, rest @ ..] => std::thread::scope(|scope| {
+            let spawned: Vec<_> = rest
+                .iter_mut()
+                .map(|w| {
+                    let rounds = rounds.clone();
+                    scope.spawn(move || w.run(rounds, work))
+                })
+                .collect();
+            first.run(rounds, work);
+            for handle in spawned {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        }),
+    }
+    for r in 0..n {
+        cut.close(workers.iter().flat_map(|w| w.round(r).iter().copied()));
+    }
+}
+
+/// Routed [`ShardedEngine::run`]'s source: on the calling thread, batch
+/// by batch, `place` validates each record and names its buffer (one per
+/// shard with work) and what goes in; each buffer keeps a per-round end
+/// offset. Every window then goes to [`run_window`], where `ingest` runs
+/// a shard's slice of a round. On a bad record the batches before it
+/// still run and close.
+fn run_routed<T, R, X>(
+    shards: &mut [T],
+    cfg: &EngineConfig,
+    cut: &mut Cut<'_>,
+    stream: &[R],
+    n_bufs: usize,
+    mut place: impl FnMut(&R) -> Result<(usize, X), EngineError>,
+    ingest: impl Fn(usize, &mut T, &[X]) -> (i64, i64, u64) + Sync,
+) -> Result<(), EngineError>
+where
+    T: Send,
+    X: Sync,
+{
+    let mut workers = Worker::for_groups(shards, cfg.workers_count(), |sid| sid < n_bufs);
+    // A window amortizes spawning; a lone worker spawns nothing, and runs
+    // each batch while it is still in cache.
+    let max_rounds = if workers.len() > 1 { WINDOW } else { 1 };
+    let mut bufs: Vec<Vec<X>> = (0..n_bufs).map(|_| Vec::new()).collect();
+    // Buffer `b`'s round `r` is `bufs[b][ends[b][r]..ends[b][r + 1]]`.
+    let mut ends: Vec<Vec<usize>> = vec![vec![0]; n_bufs];
+    let mut batches = stream.chunks(cfg.batch_size());
+    loop {
+        let (mut rounds, mut held, mut failed) = (0, 0, None);
+        while rounds < max_rounds && held < ROUTED_INPUTS {
+            let Some(batch) = batches.next() else { break };
+            let routed = batch.iter().try_for_each(|rec| {
+                let (b, x) = place(rec)?;
+                bufs[b].push(x);
+                Ok(())
+            });
+            if let Err(err) = routed {
+                // What the bad batch routed before the bad record lies past
+                // every `ends` offset, so it never runs.
+                failed = Some(err);
+                break;
+            }
+            for (buf, ends) in bufs.iter().zip(&mut ends) {
+                ends.push(buf.len());
+            }
+            rounds += 1;
+            held += batch.len();
+        }
+        run_window(
+            &mut workers,
+            0..rounds,
+            &|sid, tracker: &mut T, round, out: &mut Vec<Entry>| {
+                let (lo, hi) = (ends[sid][round], ends[sid][round + 1]);
+                if lo < hi {
+                    let (est, sum, len) = ingest(sid, tracker, &bufs[sid][lo..hi]);
+                    out.push((sid, est, sum, len));
+                }
+            },
+            cut,
+        );
+        if let Some(err) = failed {
+            return Err(err);
+        }
+        if rounds == 0 {
+            return Ok(());
+        }
+        for (buf, ends) in bufs.iter_mut().zip(&mut ends) {
+            buf.clear();
+            ends.truncate(1);
+        }
     }
 }
 
@@ -588,18 +538,24 @@ where
     }
 
     /// Ingest `stream` in batches, reconciling and auditing at every
-    /// batch boundary. With more than one worker, each batch's per-shard
-    /// sub-batches execute on worker threads that live for this call:
-    /// they are spawned when it starts and joined before it returns
-    /// (`with_shard_exec`), not kept between calls.
+    /// batch boundary. The calling thread validates and routes the stream
+    /// batch by batch into per-shard buffers; every window of up to 64
+    /// batches (fewer once it holds 2²⁰ inputs, one when a single worker
+    /// has the work) then runs on the same executor as
+    /// [`run_parted`](Self::run_parted), whose workers live for the
+    /// window and do not meet between its rounds. Estimates,
+    /// ledgers and checkpoints are those of a batch-by-batch run at any
+    /// worker count, and a panic on a worker thread is re-raised here
+    /// before any of its window's batches close.
     ///
     /// Streams the sequential `Driver` rejects (out-of-range sites,
     /// deletions into insert-only kinds) return the same typed errors
-    /// here, detected before the offending batch is dispatched.
+    /// here. Every batch before the offending one has run and closed by
+    /// then; nothing of that batch or after it has.
     pub fn run<R>(&mut self, stream: &[R]) -> Result<EngineReport, EngineError>
     where
         R: ShardRecord<In = In>,
-        In: InputDelta,
+        In: InputDelta + Sync,
     {
         let cfg = self.cfg;
         let mut audit = RunAudit::new(&cfg);
@@ -608,91 +564,61 @@ where
         let k = self.shards[0].k();
         let deletions_ok = kind.supports_deletions();
         let partition = cfg.partition_policy();
+        // The rotating round-robin cursor, phase-continuous across calls.
+        let mut rr = (self.time % s_count as u64) as usize;
+        let check = |rec: &R| check_record(rec, k, kind, deletions_ok);
+        let (shards, mut cut) = self.split(&mut audit);
 
         // Layout choice: when site-affine routing gives every shard at
         // most one site (`shard == site`), per-site run buffers feed the
         // zero-copy `update_run` path; otherwise mixed-site tuple buffers
         // feed `update_batch`.
-        let use_runs = partition == Partition::SiteAffine && k <= s_count;
-        let mut run_bufs: Vec<Vec<In>> = if use_runs {
-            (0..k).map(|_| Vec::new()).collect()
+        let routed = if partition == Partition::SiteAffine && k <= s_count {
+            run_routed(
+                shards,
+                &cfg,
+                &mut cut,
+                stream,
+                k,
+                |rec| check(rec).map(|()| (rec.site(), rec.input())),
+                |site, tracker: &mut T, run: &[In]| ingest_run(tracker, site, run),
+            )
         } else {
-            Vec::new()
-        };
-        let mut tup_bufs: Vec<Vec<(SiteId, In)>> = if use_runs {
-            Vec::new()
-        } else {
-            (0..s_count).map(|_| Vec::new()).collect()
-        };
-        // Site → shard map for the affine tuple path (no division in the
-        // hot loop) and the rotating round-robin cursor, phase-continuous
-        // across `run` calls.
-        let lut: Vec<u32> = if !use_runs && partition == Partition::SiteAffine {
-            (0..k).map(|site| (site % s_count) as u32).collect()
-        } else {
-            Vec::new()
-        };
-        let mut rr = (self.time % s_count as u64) as usize;
-
-        let (shards, mut cut) = self.split(&mut audit);
-        let body = |tracker: &mut T, work: &WorkBuf<In>| match work {
-            WorkBuf::Batch(buf) => (
-                tracker.update_batch(buf),
-                buf.iter().map(|(_, x)| x.delta_of()).sum::<i64>(),
-                buf.len() as u64,
-            ),
-            WorkBuf::Run(site, buf) => ingest_run(tracker, *site, buf),
-        };
-        // At most one work item per shard per batch.
-        let bound = s_count.div_ceil(cfg.workers_count());
-        with_shard_exec(shards, &cfg, bound, &body, |exec| {
-            for batch in stream.chunks(cfg.batch_size()) {
-                // The source: route the batch, one work item per shard
-                // that received updates, carrying its (recycled) buffer.
-                if use_runs {
-                    fill_runs(batch, k, kind, deletions_ok, &mut run_bufs)?;
-                    for (site, buf) in run_bufs.iter_mut().enumerate() {
-                        if !buf.is_empty() {
-                            exec.dispatch(site, WorkBuf::Run(site, std::mem::take(buf)));
+            // Site → shard map for the affine tuple path (no division in
+            // the hot loop).
+            let lut: Vec<usize> = (0..k).map(|site| site % s_count).collect();
+            run_routed(
+                shards,
+                &cfg,
+                &mut cut,
+                stream,
+                s_count,
+                |rec| {
+                    check(rec)?;
+                    let shard = match partition {
+                        Partition::SiteAffine => lut[rec.site()],
+                        Partition::RoundRobin => {
+                            let s = rr;
+                            rr = if rr + 1 == s_count { 0 } else { rr + 1 };
+                            s
                         }
-                    }
-                } else {
-                    fill_tuples(
-                        batch,
-                        k,
-                        kind,
-                        deletions_ok,
-                        s_count,
-                        partition,
-                        &lut,
-                        &mut rr,
-                        &mut tup_bufs,
-                    )?;
-                    for (sid, buf) in tup_bufs.iter_mut().enumerate() {
-                        if !buf.is_empty() {
-                            exec.dispatch(sid, WorkBuf::Batch(std::mem::take(buf)));
-                        }
-                    }
-                }
-                cut.close(
-                    std::iter::from_fn(|| exec.next_done()).map(|(entry, work)| {
-                        match work {
-                            WorkBuf::Run(_, mut buf) => {
-                                buf.clear();
-                                run_bufs[entry.0] = buf;
-                            }
-                            WorkBuf::Batch(mut buf) => {
-                                buf.clear();
-                                tup_bufs[entry.0] = buf;
-                            }
-                        }
-                        entry
-                    }),
-                );
-            }
-            Ok::<(), EngineError>(())
-        })?;
-
+                        Partition::ByItem => match rec.item_key() {
+                            Some(item) => (hash_item(item) % s_count as u64) as usize,
+                            None => return Err(EngineError::MissingItemKey { time: rec.time() }),
+                        },
+                    };
+                    Ok((shard, (rec.site(), rec.input())))
+                },
+                |_, tracker: &mut T, buf: &[(SiteId, In)]| {
+                    (
+                        tracker.update_batch(buf),
+                        buf.iter().map(|(_, x)| x.delta_of()).sum(),
+                        buf.len() as u64,
+                    )
+                },
+            )
+        };
+        routed?;
         Ok(self.finish_report(stream.len() as u64, audit))
     }
 
@@ -736,52 +662,27 @@ where
             by_shard[site % s_count].push(feed);
         }
         let (shards, mut cut) = self.split(&mut audit);
-        // Only shards with feeds have work, and a worker owning none of
-        // them is not spawned.
-        let mut workers: Vec<PartedWorker<'_, T>> = worker_groups(
-            shards.iter_mut().zip(by_shard).enumerate(),
-            cfg.workers_count(),
-        )
-        .into_iter()
-        .map(|group| {
-            let shards: Vec<_> = group
-                .into_iter()
-                .filter(|(_, (_, owned))| !owned.is_empty())
-                .map(|(sid, (tracker, owned))| (sid, tracker, owned))
-                .collect();
-            let feeds_owned: usize = shards.iter().map(|(_, _, owned)| owned.len()).sum();
-            let held = WINDOW.min(rounds);
-            PartedWorker {
-                shards,
-                entries: Vec::with_capacity(feeds_owned * held),
-                ends: Vec::with_capacity(held + 1),
+        // Only shards with feeds have work.
+        let mut workers =
+            Worker::for_groups(shards, cfg.workers_count(), |sid| !by_shard[sid].is_empty());
+        // A shard's round: one `update_run` per chunk, its feeds in feed
+        // order.
+        let work = |sid: usize, tracker: &mut T, round: usize, out: &mut Vec<Entry>| {
+            for &feed in &by_shard[sid] {
+                let (site, inputs) = feeds[feed];
+                if let Some((lo, hi)) = chunk_bounds(inputs.len(), batch, round) {
+                    let (est, sum, len) = ingest_run(tracker, site, &inputs[lo..hi]);
+                    out.push((sid, est, sum, len));
+                }
             }
-        })
-        .filter(|w| !w.shards.is_empty())
-        .collect();
-
+        };
         for start in (0..rounds).step_by(WINDOW) {
-            let window = start..rounds.min(start + WINDOW);
-            if let Some((first, rest)) = workers.split_first_mut() {
-                std::thread::scope(|scope| {
-                    let spawned: Vec<_> = rest
-                        .iter_mut()
-                        .map(|w| {
-                            let window = window.clone();
-                            scope.spawn(move || w.run_window(feeds, batch, window))
-                        })
-                        .collect();
-                    first.run_window(feeds, batch, window.clone());
-                    for handle in spawned {
-                        if let Err(panic) = handle.join() {
-                            std::panic::resume_unwind(panic);
-                        }
-                    }
-                });
-            }
-            for r in 0..window.len() {
-                cut.close(workers.iter().flat_map(|w| w.round(r).iter().copied()));
-            }
+            run_window(
+                &mut workers,
+                start..rounds.min(start + WINDOW),
+                &work,
+                &mut cut,
+            );
         }
 
         Ok(self.finish_report(total as u64, audit))

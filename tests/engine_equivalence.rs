@@ -236,9 +236,9 @@ fn parted_feeds(kind: TrackerKind, batch: usize) -> Vec<(usize, Vec<i64>)> {
         .collect()
 }
 
-/// Everything a caller can observe of a parted engine after its calls,
-/// with the reports of several calls folded into one.
-#[derive(Debug, PartialEq)]
+/// Everything a caller can observe of an engine after its calls, with the
+/// reports of several calls folded into one.
+#[derive(Debug, Default, PartialEq)]
 struct Observed {
     n: u64,
     batches: u64,
@@ -251,6 +251,32 @@ struct Observed {
     tracker_stats: CommStats,
     merge_stats: CommStats,
     checkpoint: Vec<u8>,
+}
+
+impl Observed {
+    /// Fold in one call's report.
+    fn add(&mut self, report: EngineReport) {
+        self.n += report.n;
+        self.batches += report.batches;
+        self.probes.extend(report.probes);
+        self.violations += report.boundary_violations;
+        self.max_err = self.max_err.max(report.max_boundary_rel_err);
+        self.final_f = report.final_f;
+        self.final_estimate = report.final_estimate;
+    }
+
+    /// Read the engine's state after the last call.
+    fn finish<T, In>(mut self, engine: &mut ShardedEngine<T, In>) -> Self
+    where
+        T: Tracker<In> + Send,
+        In: Copy + Send,
+    {
+        self.shard_estimates = engine.shard_estimates();
+        self.tracker_stats = engine.tracker_stats();
+        self.merge_stats = engine.merge_stats().clone();
+        self.checkpoint = engine.checkpoint().unwrap().to_bytes();
+        self
+    }
 }
 
 /// Drive `feeds` through `run_parted` in one call, or as one call per
@@ -279,34 +305,11 @@ fn observe_parted(
     } else {
         vec![feeds.iter().map(|(s, v)| (*s, v.as_slice())).collect()]
     };
-    let mut seen = Observed {
-        n: 0,
-        batches: 0,
-        probes: Vec::new(),
-        violations: 0,
-        max_err: 0.0,
-        final_f: 0,
-        final_estimate: 0,
-        shard_estimates: Vec::new(),
-        tracker_stats: CommStats::new(),
-        merge_stats: CommStats::new(),
-        checkpoint: Vec::new(),
-    };
+    let mut seen = Observed::default();
     for call in &calls {
-        let report = engine.run_parted(call).unwrap();
-        seen.n += report.n;
-        seen.batches += report.batches;
-        seen.probes.extend(report.probes);
-        seen.violations += report.boundary_violations;
-        seen.max_err = seen.max_err.max(report.max_boundary_rel_err);
-        seen.final_f = report.final_f;
-        seen.final_estimate = report.final_estimate;
+        seen.add(engine.run_parted(call).unwrap());
     }
-    seen.shard_estimates = engine.shard_estimates();
-    seen.tracker_stats = engine.tracker_stats();
-    seen.merge_stats = engine.merge_stats().clone();
-    seen.checkpoint = engine.checkpoint().unwrap().to_bytes();
-    seen
+    seen.finish(&mut engine)
 }
 
 #[test]
@@ -397,6 +400,265 @@ fn a_panic_on_a_parted_worker_reaches_the_caller_between_rounds() {
     );
     // Whole rounds only: the first window, both feeds.
     assert_eq!(engine.time(), 2 * 64);
+}
+
+#[test]
+fn a_panic_on_a_routed_worker_reaches_the_caller() {
+    // S = W = 2, batch 1, sites alternating: shard 1 runs every other
+    // round on the spawned worker, so its 40th `update_run` lands inside
+    // the second 64-round window. The call runs on its own thread so a
+    // hang fails the test instead of wedging the suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let spec = TrackerSpec::new(TrackerKind::Deterministic).k(2).eps(0.1);
+        let mut engine = ShardedEngine::with_factory(EngineConfig::new(2, 1).workers(2), |s| {
+            spec.shard(s).build().map(|inner| Flaky {
+                inner,
+                runs: 0,
+                panic_at: (s == 1).then_some(40),
+            })
+        })
+        .unwrap();
+        let updates = MonotoneGen::ones().updates(400, RoundRobin::new(2));
+        let caught =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run(&updates)));
+        let payload = caught
+            .err()
+            .and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+        tx.send((payload, engine.time())).unwrap();
+    });
+    let (payload, time) = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("routed run never returned after a worker panicked");
+    assert_eq!(payload.as_deref(), Some("flaky replica gave out"));
+    // Whole windows only: the first one closed, the second did not.
+    assert_eq!(time, 64);
+}
+
+/// Drive `updates` through routed `run` in one call, or when
+/// `short_calls` in calls of 1, 3, 70 and 2 batches in turn.
+fn observe_routed<T, In, R>(
+    mut engine: ShardedEngine<T, In>,
+    updates: &[R],
+    short_calls: bool,
+) -> Observed
+where
+    T: Tracker<In> + Send,
+    In: InputDelta + Send + Sync,
+    R: ShardRecord<In = In>,
+{
+    let batch = engine.config().batch_size();
+    let mut seen = Observed::default();
+    if short_calls {
+        let mut at = 0;
+        for batches in [1, 3, 70, 2].into_iter().cycle() {
+            if at == updates.len() {
+                break;
+            }
+            let hi = (at + batches * batch).min(updates.len());
+            seen.add(engine.run(&updates[at..hi]).unwrap());
+            at = hi;
+        }
+    } else {
+        seen.add(engine.run(updates).unwrap());
+    }
+    seen.finish(&mut engine)
+}
+
+#[test]
+fn routed_ingest_is_bit_identical_at_every_worker_count() {
+    let eps = 0.1;
+    let kind = TrackerKind::Deterministic;
+    // S = 8: site-affine with k ≤ S routes into per-site runs, with k > S
+    // and round-robin into per-shard tuples.
+    for (k, partition) in [
+        (5, Partition::SiteAffine),
+        (11, Partition::SiteAffine),
+        (3, Partition::RoundRobin),
+    ] {
+        let spec = TrackerSpec::new(kind).k(k).eps(eps).seed(31);
+        // Past 2²⁰ inputs, the most a routed window holds: batch 4096
+        // closes windows at 64 rounds, batch 2¹⁷ + 1 at 8.
+        let long = counter_stream(kind, (1 << 20) + 3 * 4_096 + 5, k);
+        for batch in [1usize, 7, 4_096, (1 << 17) + 1] {
+            let short;
+            let updates = if batch < 4_096 {
+                short = counter_stream(kind, (PAST_WINDOW * batch + 3) as u64, k);
+                &short
+            } else {
+                &long
+            };
+            let cfg = EngineConfig::new(8, batch).eps(eps).partition(partition);
+            let observe = |workers: usize, short_calls: bool| {
+                let engine = ShardedEngine::counters(spec, cfg.workers(workers)).unwrap();
+                observe_routed(engine, updates, short_calls)
+            };
+            let reference = observe(1, false);
+            assert_eq!(reference.batches, updates.len().div_ceil(batch) as u64);
+            for workers in [1usize, 2, 3, 4, 8] {
+                for short_calls in [false, true] {
+                    assert!(
+                        observe(workers, short_calls) == reference,
+                        "k {k} {partition:?} batch {batch} W={workers} short_calls={short_calls}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn routed_item_ingest_by_item_is_bit_identical_at_every_worker_count() {
+    let eps = 0.1;
+    let spec = TrackerSpec::new(TrackerKind::ExactFreq)
+        .k(4)
+        .eps(eps)
+        .universe(256);
+    let batch = 7;
+    let updates = ItemStreamGen::new(5, 256, 1.1, 0.2, 1)
+        .updates((PAST_WINDOW * batch + 3) as u64, RoundRobin::new(4));
+    let cfg = EngineConfig::new(4, batch)
+        .eps(eps)
+        .partition(Partition::ByItem);
+    let observe = |workers: usize, short_calls: bool| {
+        let engine = ShardedEngine::items(spec, cfg.workers(workers)).unwrap();
+        observe_routed(engine, &updates, short_calls)
+    };
+    let reference = observe(1, false);
+    assert_eq!(reference.batches, PAST_WINDOW as u64 + 1);
+    for workers in [1usize, 3] {
+        for short_calls in [false, true] {
+            assert!(
+                observe(workers, short_calls) == reference,
+                "W={workers} short_calls={short_calls}"
+            );
+        }
+    }
+}
+
+/// An item record whose key can be missing, for a `MissingItemKey`
+/// mid-stream.
+#[derive(Clone, Copy)]
+struct MaybeKeyed(ItemUpdate, bool);
+
+impl StreamRecord for MaybeKeyed {
+    type In = (u64, i64);
+
+    fn time(&self) -> u64 {
+        self.0.time()
+    }
+
+    fn site(&self) -> usize {
+        self.0.site()
+    }
+
+    fn input(&self) -> (u64, i64) {
+        self.0.input()
+    }
+
+    fn delta(&self) -> i64 {
+        self.0.delta()
+    }
+}
+
+impl ShardRecord for MaybeKeyed {
+    fn item_key(&self) -> Option<u64> {
+        self.1.then_some(self.0.item)
+    }
+}
+
+/// What an engine holds between calls: time, estimate, and everything
+/// [`Observed::finish`] reads.
+fn engine_state<T, In>(mut engine: ShardedEngine<T, In>) -> (u64, i64, Observed)
+where
+    T: Tracker<In> + Send,
+    In: Copy + Send,
+{
+    let (time, estimate) = (engine.time(), engine.estimate());
+    (time, estimate, Observed::default().finish(&mut engine))
+}
+
+/// Run `stream`, whose batch `j` holds a bad record, and check the error
+/// and that the engine equals one that ran only the batches before `j`.
+fn assert_error_prefix<T, In, R>(
+    make: impl Fn() -> ShardedEngine<T, In>,
+    stream: &[R],
+    j: usize,
+    expect: impl Fn(&EngineError) -> bool,
+) where
+    T: Tracker<In> + Send,
+    In: InputDelta + Send + Sync,
+    R: ShardRecord<In = In>,
+{
+    let mut failed = make();
+    let batch = failed.config().batch_size();
+    let err = failed.run(stream).unwrap_err();
+    assert!(expect(&err), "batch {j}: unexpected {err:?}");
+    let mut prefix = make();
+    prefix.run(&stream[..j * batch]).unwrap();
+    assert!(
+        engine_state(failed) == engine_state(prefix),
+        "batch {j}: {err:?} left more than the batches before it"
+    );
+}
+
+#[test]
+fn a_bad_record_leaves_exactly_the_batches_before_it() {
+    let batch = 3;
+    // Batch 5 is inside the first 64-round window, batch 100 past it; the
+    // bad record sits second in its batch, after one that routes fine.
+    for j in [5usize, 100] {
+        let at = j * batch + 1;
+        for workers in [1usize, 3] {
+            // k = 4 routes into per-site runs, k = 6 into tuples.
+            for k in [4usize, 6] {
+                let cfg = EngineConfig::new(4, batch).workers(workers);
+                let spec = TrackerSpec::new(TrackerKind::Deterministic).k(k).eps(0.1);
+                let mut stream = counter_stream(TrackerKind::Deterministic, 400, k);
+                stream[at].site = k + 3;
+                assert_error_prefix(
+                    || ShardedEngine::counters(spec, cfg).unwrap(),
+                    &stream,
+                    j,
+                    |e| matches!(e, EngineError::Run(RunError::SiteOutOfRange { .. })),
+                );
+
+                let spec = TrackerSpec::new(TrackerKind::CmyMonotone).k(k).eps(0.1);
+                let mut stream = counter_stream(TrackerKind::CmyMonotone, 400, k);
+                stream[at].delta = -1;
+                assert_error_prefix(
+                    || ShardedEngine::counters(spec, cfg).unwrap(),
+                    &stream,
+                    j,
+                    |e| matches!(e, EngineError::Run(RunError::DeletionUnsupported { .. })),
+                );
+            }
+
+            let spec = TrackerSpec::new(TrackerKind::ExactFreq)
+                .k(4)
+                .eps(0.1)
+                .universe(64);
+            let cfg = EngineConfig::new(4, batch)
+                .workers(workers)
+                .partition(Partition::ByItem);
+            let mut stream: Vec<MaybeKeyed> = ItemStreamGen::new(9, 64, 1.1, 0.2, 1)
+                .updates(400, RoundRobin::new(4))
+                .into_iter()
+                .map(|u| MaybeKeyed(u, true))
+                .collect();
+            stream[at].1 = false;
+            assert_error_prefix(
+                || ShardedEngine::items(spec, cfg).unwrap(),
+                &stream,
+                j,
+                |e| {
+                    *e == EngineError::MissingItemKey {
+                        time: at as u64 + 1,
+                    }
+                },
+            );
+        }
+    }
 }
 
 #[test]
