@@ -125,7 +125,7 @@ fn run_sync(feeds: &[Vec<i64>], batch: usize, delays: &[Duration]) -> ModeOutcom
 
 /// The pipelined model: one producer thread per feed pushing round
 /// chunks (sleeping its own delay per chunk), workers draining their own
-/// queues, coordinator reconciling concurrently.
+/// queues, the engine reconciling once per window of rounds.
 fn run_pipelined(feeds: &[Vec<i64>], batch: usize, delays: &[Duration]) -> ModeOutcome {
     let mut engine = ShardedEngine::counters(spec(), cfg(batch)).expect("valid config");
     let sites: Vec<usize> = (0..feeds.len()).collect();
@@ -197,8 +197,8 @@ fn main() {
 
     banner(
         "E17 — pipelined ingestion overlap",
-        "run_pipelined overlaps feed production with shard absorption and \
-         coordinator merging: a slow feed no longer stalls fast shards, with \
+        "run_pipelined overlaps feed production with shard absorption: a \
+         slow feed no longer stalls fast shards, with \
          estimates and ledgers bit-identical to the synchronized rounds",
     );
     println!(
@@ -354,7 +354,7 @@ fn main() {
          times, the slow site stalling every shard) before any round may run.\n\
          'pipelined' gives each feed a bounded queue: sites produce\n\
          concurrently, workers absorb each chunk as it arrives, and the\n\
-         coordinator merges the previous boundary meanwhile, so wall-clock\n\
+         engine reconciles once per window of rounds, so wall-clock\n\
          approaches max(slowest site's production, compute). Production\n\
          concurrency is sleep-dominated, so the win survives a 1-CPU host.\n\
          The uniform row shows the queues' transport overhead when there is\n\

@@ -54,7 +54,7 @@ use dsv_net::{relative_error, CommStats, Fingerprint, SiteId, StateDelta, Time};
 
 use crate::config::{EngineConfig, EngineError};
 use crate::partition::{hash_item, InputDelta};
-use crate::round::worker_groups;
+use crate::round::{fork_join, worker_groups};
 
 /// Magic bytes opening a serialized [`FleetCheckpoint`].
 pub const FLEET_MAGIC: [u8; 4] = *b"DSVF";
@@ -1523,9 +1523,13 @@ where
         let factory = Arc::clone(&self.factory);
         let proto = Arc::clone(&self.proto);
         let proto_stats = Arc::clone(&self.proto_stats);
-        // Worker w applies the touched shards of its group s ≡ w (mod W);
-        // a lone worker is the calling thread.
-        let apply_group = |group: Vec<(usize, &mut ShardSlab<T, In>)>| {
+        // Worker w applies the touched shards of its group s ≡ w (mod W).
+        let mut groups = worker_groups(self.shards.iter_mut().enumerate(), workers);
+        for group in &mut groups {
+            group.retain(|(_, shard)| !shard.touched.is_empty());
+        }
+        groups.retain(|group| !group.is_empty());
+        let results = fork_join(groups, |group| {
             group
                 .into_iter()
                 .map(|(sid, shard)| {
@@ -1533,27 +1537,7 @@ where
                     Ok((sid, out))
                 })
                 .collect::<Result<Vec<(usize, ApplyOut)>, EngineError>>()
-        };
-        let mut groups = worker_groups(self.shards.iter_mut().enumerate(), workers);
-        for group in &mut groups {
-            group.retain(|(_, shard)| !shard.touched.is_empty());
-        }
-        groups.retain(|group| !group.is_empty());
-        let results: Vec<_> = if workers == 1 {
-            groups.into_iter().map(apply_group).collect()
-        } else {
-            let apply_group = &apply_group;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .into_iter()
-                    .map(|group| scope.spawn(move || apply_group(group)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fleet worker panicked"))
-                    .collect()
-            })
-        };
+        });
         let mut outs: Vec<(usize, ApplyOut)> = Vec::new();
         for r in results {
             outs.extend(r?);

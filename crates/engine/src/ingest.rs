@@ -6,9 +6,14 @@
 //! single-producer / single-consumer queue**; the producer side is a
 //! [`ShardFeed`] handle the feeder code pushes into, the consumer side is
 //! drained by the owning shard worker inside
-//! [`crate::ShardedEngine::run_pipelined`]. A feed that lags only stalls
-//! the shard it feeds; every other worker keeps absorbing, and the
-//! coordinator reconciles completed boundaries concurrently.
+//! [`crate::ShardedEngine::run_pipelined`], on the window executor
+//! `run_parted` runs on: each worker drains up to 64 rounds of its feeds
+//! back to back, and the engine then reconciles those rounds, once per
+//! window. A feed that lags only stalls the worker draining it; every
+//! other worker keeps absorbing to the end of the window, so a fast feed
+//! leads a slow one by at most 64 rounds (plus its queue). A worker that
+//! panics closes every queue of the call, so no producer parks on it for
+//! good.
 //!
 //! ## The queue
 //!
@@ -42,7 +47,11 @@
 //! consumer: the worker drains a shard's feeds in feed order, so filling
 //! feed `j`'s queue to the brim before feed `i < j` of the same shard has
 //! its round available parks the producer while the worker waits on `i`.
-//! One producer thread per feed (the deployment shape) cannot deadlock.
+//! For the same reason a single thread must not push one feed more than a
+//! window (64 rounds) and a queue ahead of another that a worker still
+//! waits on: the ahead feed's worker has stopped draining at the window's
+//! end. One producer thread per feed (the deployment shape) cannot
+//! deadlock.
 //!
 //! ## Draining a round
 //!
@@ -147,7 +156,7 @@ impl<T> Shared<T> {
 }
 
 /// The bounded SPSC queue. One producer (a [`ShardFeed`]) and one
-/// consumer (the owning worker's [`RingConsumer`]) — the
+/// consumer (the owning worker's [`FeedState`]) — the
 /// discipline is enforced by handle ownership, not checked at runtime.
 ///
 /// A monitor: all state is in [`Shared`] behind `shared`, a producer out
@@ -273,16 +282,54 @@ impl<T: Copy> std::fmt::Debug for Ring<T> {
     }
 }
 
-/// The consumer end of one feed's ring, owned by the worker that drives
-/// the feed's shard.
-pub(crate) struct RingConsumer<T: Copy> {
-    pub(crate) ring: Arc<Ring<T>>,
-    pub(crate) site: SiteId,
+/// One feed of a pipelined call as its shard's worker drains it: the
+/// consumer end of the feed's ring, the site its inputs belong to, a
+/// recycled round buffer, and whether the feed has delivered its final
+/// (short or empty) round.
+pub(crate) struct FeedState<T: Copy> {
+    ring: Arc<Ring<T>>,
+    site: SiteId,
+    buf: Vec<T>,
+    done: bool,
 }
 
-impl<T: Copy> RingConsumer<T> {
-    pub(crate) fn pop_round(&self, out: &mut Vec<T>, want: usize) {
-        self.ring.pop_round(out, want);
+impl<T: Copy> FeedState<T> {
+    pub(crate) fn new(ring: Arc<Ring<T>>, site: SiteId) -> Self {
+        FeedState {
+            ring,
+            site,
+            buf: Vec::new(),
+            done: false,
+        }
+    }
+
+    /// The feed's next round: its site and `batch` inputs, fewer only in
+    /// its final round, and `None` once that has been delivered. Waits
+    /// until the producer delivers the round or closes the feed, so a
+    /// lagging feed stalls only the worker draining it. The buffer is
+    /// reserved here, on that worker's thread.
+    pub(crate) fn next_round(&mut self, batch: usize) -> Option<(SiteId, &[T])> {
+        if self.done {
+            return None;
+        }
+        self.buf.clear();
+        self.buf.reserve(batch);
+        self.ring.pop_round(&mut self.buf, batch);
+        self.done = self.buf.len() < batch;
+        (!self.buf.is_empty()).then_some((self.site, &self.buf))
+    }
+}
+
+/// Closes every ring of a pipelined call when dropped, so that no party
+/// to the call — feeder, driver or worker — can be left parked on a peer
+/// that has gone away, by returning or by unwinding.
+pub(crate) struct CloseRings<'a, T: Copy>(pub(crate) &'a [Arc<Ring<T>>]);
+
+impl<T: Copy> Drop for CloseRings<'_, T> {
+    fn drop(&mut self) {
+        for ring in self.0 {
+            ring.close();
+        }
     }
 }
 
@@ -546,10 +593,10 @@ mod tests {
     use std::task::Wake;
     use std::time::Duration;
 
-    fn feed_pair(cap: usize) -> (ShardFeed<i64>, RingConsumer<i64>) {
+    fn feed_pair(cap: usize) -> (ShardFeed<i64>, Arc<Ring<i64>>) {
         let ring = Arc::new(Ring::new(cap));
         let feed = ShardFeed::new(Arc::clone(&ring), 0, 0, 0, true);
-        (feed, RingConsumer { ring, site: 0 })
+        (feed, ring)
     }
 
     /// The caller-side spin a producer that must not park writes:
@@ -565,7 +612,7 @@ mod tests {
 
     #[test]
     fn ring_roundtrips_in_order_across_wraparound() {
-        let (mut feed, cons) = feed_pair(7);
+        let (mut feed, ring) = feed_pair(7);
         let mut out = Vec::new();
         let mut expect = Vec::new();
         for chunk in 0..40 {
@@ -573,16 +620,34 @@ mod tests {
             feed.push_batch(&xs).unwrap();
             expect.extend_from_slice(&xs);
             let want = out.len() + 5;
-            cons.pop_round(&mut out, want);
+            ring.pop_round(&mut out, want);
         }
         assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn a_feed_state_delivers_whole_rounds_then_its_final_one_once() {
+        for (len, rounds) in [(5usize, vec![2, 2, 1]), (4, vec![2, 2]), (0, vec![])] {
+            let (mut feed, ring) = feed_pair(8);
+            let xs: Vec<i64> = (0..len as i64).collect();
+            feed.push_batch(&xs).unwrap();
+            feed.close();
+            let mut state = FeedState::new(ring, 3);
+            let mut got = Vec::new();
+            while let Some((site, round)) = state.next_round(2) {
+                assert_eq!(site, 3);
+                got.push(round.len());
+            }
+            assert_eq!(got, rounds, "{len} inputs");
+            assert_eq!(state.next_round(2), None, "done stays done");
+        }
     }
 
     #[test]
     fn error_policy_reports_full_with_partial_progress() {
         // Fail-fast is the caller's policy: push what the queue admits,
         // and `try_push` reports Full, with nothing enqueued, past that.
-        let (mut feed, cons) = feed_pair(4);
+        let (mut feed, ring) = feed_pair(4);
         let xs = [1i64, 2, 3, 4, 5, 6];
         let room = feed.capacity() - feed.occupancy() as usize;
         assert_eq!(feed.push_batch(&xs[..room]), Ok(()));
@@ -590,22 +655,22 @@ mod tests {
         assert_eq!(feed.try_push(9), Err(FeedError::Full));
         assert_eq!(feed.occupancy(), 4);
         let mut out = Vec::new();
-        cons.pop_round(&mut out, 2);
+        ring.pop_round(&mut out, 2);
         assert_eq!(out, vec![1, 2]);
         // Space again: the remainder can be re-offered by the caller.
         assert_eq!(feed.try_push(5), Ok(()));
         assert_eq!(feed.push_batch(&[6]), Ok(()));
-        cons.pop_round(&mut out, 6);
+        ring.pop_round(&mut out, 6);
         assert_eq!(out, xs);
         // A refused input is neither a frame nor a stall.
         let mut stats = IngestStats::new();
-        cons.ring.drain_stats(&mut stats);
+        ring.drain_stats(&mut stats);
         assert_eq!((stats.frames, stats.items, stats.push_stalls), (3, 6, 0));
     }
 
     #[test]
     fn push_after_close_is_a_typed_error() {
-        let (mut feed, cons) = feed_pair(4);
+        let (mut feed, ring) = feed_pair(4);
         feed.push(42).unwrap();
         feed.close();
         feed.close(); // idempotent
@@ -615,7 +680,7 @@ mod tests {
             Err(FeedError::Closed { pushed: 0 })
         );
         let mut out = Vec::new();
-        cons.pop_round(&mut out, 10);
+        ring.pop_round(&mut out, 10);
         assert_eq!(out, vec![42], "data pushed before the close is drained");
     }
 
@@ -639,9 +704,9 @@ mod tests {
         // that prefix is charged to the ledger, since consumed inputs and
         // charged inputs must agree. Nothing drained them here, so
         // teardown surfaces them as dropped.
-        let (mut feed, cons) = feed_pair(4);
+        let (mut feed, ring) = feed_pair(4);
         std::thread::scope(|scope| {
-            let ring = Arc::clone(&cons.ring);
+            let ring = Arc::clone(&ring);
             scope.spawn(move || {
                 std::thread::sleep(Duration::from_millis(20));
                 ring.close();
@@ -650,7 +715,7 @@ mod tests {
             assert_eq!(err, FeedError::Closed { pushed: 4 });
         });
         let mut stats = IngestStats::new();
-        cons.ring.drain_stats(&mut stats);
+        ring.drain_stats(&mut stats);
         assert_eq!(stats.items, 4);
         assert_eq!(stats.frames, 1);
         assert_eq!(stats.push_stalls, 1);
@@ -659,7 +724,7 @@ mod tests {
 
     #[test]
     fn block_policy_hands_off_across_threads() {
-        let (mut feed, cons) = feed_pair(8);
+        let (mut feed, ring) = feed_pair(8);
         let n = 10_000i64;
         std::thread::scope(|scope| {
             scope.spawn(move || {
@@ -669,17 +734,17 @@ mod tests {
                 // Drop closes.
             });
             let mut out = Vec::new();
-            cons.pop_round(&mut out, n as usize + 5);
+            ring.pop_round(&mut out, n as usize + 5);
             assert_eq!(out.len(), n as usize);
             assert!(out.iter().copied().eq(0..n));
-            assert!(cons.ring.is_closed());
+            assert!(ring.is_closed());
         });
     }
 
     /// A producer that yields instead of parking hands off just the same.
     #[test]
     fn yield_policy_hands_off_across_threads() {
-        let (mut feed, cons) = feed_pair(3);
+        let (mut feed, ring) = feed_pair(3);
         std::thread::scope(|scope| {
             scope.spawn(move || {
                 for x in 0..500 {
@@ -687,20 +752,20 @@ mod tests {
                 }
             });
             let mut out = Vec::new();
-            cons.pop_round(&mut out, 500);
+            ring.pop_round(&mut out, 500);
             assert!(out.iter().copied().eq(0..500));
         });
     }
 
     #[test]
     fn ledger_counters_reach_the_engine_ledger() {
-        let (mut feed, cons) = feed_pair(16);
+        let (mut feed, ring) = feed_pair(16);
         feed.push_batch(&[1, 2, 3]).unwrap();
         feed.push(4).unwrap();
         let mut out = Vec::new();
-        cons.pop_round(&mut out, 4);
+        ring.pop_round(&mut out, 4);
         let mut stats = IngestStats::new();
-        cons.ring.drain_stats(&mut stats);
+        ring.drain_stats(&mut stats);
         assert_eq!(stats.frames, 2);
         assert_eq!(stats.items, 4);
         assert_eq!(stats.words, 4); // i64 inputs: one word each
@@ -722,12 +787,12 @@ mod tests {
                 .expect("no voluntary_ctxt_switches line");
             line.trim().parse().unwrap()
         }
-        let (mut feed, cons) = feed_pair(4);
+        let (mut feed, ring) = feed_pair(4);
         std::thread::scope(|scope| {
             let consumer = scope.spawn(move || {
                 let before = voluntary_switches();
                 let mut out = Vec::new();
-                cons.pop_round(&mut out, 1);
+                ring.pop_round(&mut out, 1);
                 (out, voluntary_switches() - before)
             });
             std::thread::sleep(Duration::from_millis(300));
@@ -748,7 +813,7 @@ mod tests {
     #[test]
     fn a_close_racing_pushes_never_loses_or_invents_an_input() {
         for i in 0..10_000usize {
-            let (mut feed, cons) = feed_pair(8);
+            let (mut feed, ring) = feed_pair(8);
             let close_returned = AtomicBool::new(false);
             let mut out = Vec::new();
             let acked = std::thread::scope(|scope| {
@@ -780,16 +845,16 @@ mod tests {
                         }
                     }
                 });
-                cons.pop_round(&mut out, i % 7);
-                cons.ring.close();
+                ring.pop_round(&mut out, i % 7);
+                ring.close();
                 close_returned.store(true, Ordering::SeqCst);
                 producer.join().unwrap()
             });
             let mut stats = IngestStats::new();
-            cons.ring.drain_stats(&mut stats);
+            ring.drain_stats(&mut stats);
             assert_eq!(stats.items, acked as u64);
             assert_eq!(out.len() as u64 + stats.dropped, acked as u64);
-            cons.pop_round(&mut out, usize::MAX);
+            ring.pop_round(&mut out, usize::MAX);
             assert!(out.iter().copied().eq(0..acked as i64), "iteration {i}");
         }
     }
@@ -800,7 +865,7 @@ mod tests {
     fn capacity_one_preserves_order_under_block_and_yield() {
         for yielding in [false, true] {
             let n = 100_000i64;
-            let (mut feed, cons) = feed_pair(1);
+            let (mut feed, ring) = feed_pair(1);
             std::thread::scope(|scope| {
                 scope.spawn(move || {
                     let xs: Vec<i64> = (0..n).collect();
@@ -819,11 +884,11 @@ mod tests {
                     }
                 });
                 let mut out = Vec::new();
-                cons.pop_round(&mut out, n as usize + 1);
+                ring.pop_round(&mut out, n as usize + 1);
                 assert!(out.iter().copied().eq(0..n), "yielding = {yielding}");
             });
             let mut stats = IngestStats::new();
-            cons.ring.drain_stats(&mut stats);
+            ring.drain_stats(&mut stats);
             assert_eq!(stats.items, n as u64, "yielding = {yielding}");
             assert_eq!(stats.high_water, 1);
             assert_eq!(stats.dropped, 0);
@@ -845,24 +910,24 @@ mod tests {
         let mut cx = Context::from_waker(&waker);
         let woken = || wakes.0.load(Ordering::SeqCst);
 
-        let (mut feed, cons) = feed_pair(2);
+        let (mut feed, ring) = feed_pair(2);
         let xs = [1i64, 2, 3, 4, 5];
         let mut fut = feed.push_batch_async(&xs);
         assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
         assert_eq!(woken(), 0);
         let mut out = Vec::new();
-        cons.pop_round(&mut out, 1);
+        ring.pop_round(&mut out, 1);
         assert_eq!(woken(), 1, "a pop wakes the pending producer");
         assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
         assert_eq!(woken(), 1);
-        cons.ring.close();
+        ring.close();
         assert_eq!(woken(), 2, "a close wakes the pending producer");
         assert_eq!(
             Pin::new(&mut fut).poll(&mut cx),
             Poll::Ready(Err(FeedError::Closed { pushed: 3 }))
         );
         let mut stats = IngestStats::new();
-        cons.ring.drain_stats(&mut stats);
+        ring.drain_stats(&mut stats);
         assert_eq!((stats.items, stats.frames, stats.push_stalls), (3, 1, 1));
         assert_eq!(stats.dropped, 2);
     }

@@ -40,9 +40,11 @@
 //! [`ShardedEngine::run_parted`] (pre-parted per-site feeds, one
 //! synchronized round at a time), and [`ShardedEngine::run_pipelined`]
 //! (per-feed bounded queues — see the [`ingest`] handle [`ShardFeed`] —
-//! where feeding, shard execution, and coordinator reconciliation all
-//! overlap while keeping estimates and ledgers bit-identical to
-//! `run_parted`). The feed handles also offer runtime-agnostic
+//! where feeding overlaps shard execution, the workers drain up to 64
+//! rounds before the engine reconciles them once per window, and a fast
+//! feed leads a slow one by at most those 64 rounds, while estimates and
+//! ledgers stay bit-identical to `run_parted`). All three run on one
+//! window executor. The feed handles also offer runtime-agnostic
 //! [`ShardFeed::push_async`] futures.
 //!
 //! For multi-tenant workloads — millions of independent `(tenant,

@@ -4,6 +4,7 @@
 //! schedules shard work its own way, but all of them must agree on what a
 //! *round* is and on what happens when one ends. This module owns that
 //! agreement: feed validation, the chunking rule, the shard → worker map,
+//! the fork-join every in-memory executor and the fleet's boundary run on,
 //! the [`Cut`] that closes a round (fold Σδ and lengths → absorb each
 //! shard's end-of-round estimate in ascending shard order → ε-audit), and
 //! the one [`EngineReport`] constructor. Bit-identity between modes holds
@@ -84,6 +85,46 @@ pub(crate) fn worker_groups<X>(shards: impl IntoIterator<Item = X>, workers: usi
         groups[sid % workers].push(shard);
     }
     groups
+}
+
+/// The one fork-join: `work` each group — the first on the calling
+/// thread, the others on scoped threads (none for a lone group) — and
+/// return the results in group order. A panic in any group is re-raised
+/// with its own payload once every group has been joined.
+pub(crate) fn fork_join<X, R>(
+    groups: impl IntoIterator<Item = X>,
+    work: impl Fn(X) -> R + Sync,
+) -> Vec<R>
+where
+    X: Send,
+    R: Send,
+{
+    let mut groups = groups.into_iter();
+    let Some(first) = groups.next() else {
+        return Vec::new();
+    };
+    let mut rest = groups.peekable();
+    if rest.peek().is_none() {
+        return vec![work(first)];
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = rest.map(|x| scope.spawn(move || work(x))).collect();
+        let mut out = vec![work(first)];
+        let mut panicked = None;
+        for handle in spawned {
+            match handle.join() {
+                Ok(r) => out.push(r),
+                Err(payload) => {
+                    panicked.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
+        }
+        out
+    })
 }
 
 /// Run-local audit accumulator and wall clock (one per ingestion call).
@@ -312,6 +353,24 @@ mod tests {
         // Sites only: the shape the pipelined path validates up front.
         assert_eq!(validate_sites(&[0, 1], 2, kind, 0), Ok(()));
         assert!(validate_sites(&[0, 5], 2, kind, 0).is_err());
+    }
+
+    #[test]
+    fn fork_join_keeps_group_order_and_the_panic_payload() {
+        assert_eq!(fork_join(0..4, |g| g * 10), vec![0, 10, 20, 30]);
+        assert_eq!(fork_join(std::iter::empty::<u8>(), |g| g), vec![]);
+        for bad in [0, 2] {
+            let caught = std::panic::catch_unwind(|| {
+                fork_join(0..3, |g| {
+                    if g == bad {
+                        panic!("group gave out");
+                    }
+                    g
+                })
+            });
+            let payload = caught.expect_err("the group's panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"group gave out"));
+        }
     }
 
     #[test]

@@ -3,20 +3,19 @@
 use crate::checkpoint::EngineCheckpoint;
 use crate::config::{EngineConfig, EngineError};
 use crate::delta::CheckpointStore;
-use crate::ingest::{Ring, RingConsumer, ShardFeed};
+use crate::ingest::{CloseRings, FeedState, Ring, ShardFeed};
 use crate::merge::MergeCoordinator;
 use crate::partition::{hash_item, InputDelta, Partition, ShardRecord};
 use crate::report::EngineReport;
 use crate::round::{
-    chunk_bounds, rounds_of, validate_feeds, validate_sites, worker_groups, Cut, Entry, RunAudit,
+    chunk_bounds, fork_join, rounds_of, validate_feeds, validate_sites, worker_groups, Cut, Entry,
+    RunAudit,
 };
 use dsv_core::api::{ItemTracker, RunError, Tracker, TrackerKind, TrackerSpec};
 use dsv_core::codec::{Dec, Enc, TrackerState};
 use dsv_net::{CommStats, IngestStats, MsgKind, SiteId, StateFrame, Time, WireSize};
-use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::ops::Range;
-use std::sync::mpsc;
 use std::sync::Arc;
 
 /// The counting-problem engine: shard replicas built by
@@ -71,7 +70,8 @@ where
 
 /// Rounds a [`Worker`] runs back to back before the cut closes them.
 /// Bounds what a call holds in flight to `WINDOW` entries per feed or
-/// shard, however many rounds the call spans; at 64, a batch-1 call still
+/// shard, however many rounds the call spans, and how many rounds a
+/// pipelined feed can lead another by; at 64, a batch-1 call still
 /// runs ~15× faster than with a barrier every round (`DESIGN.md` §5).
 const WINDOW: usize = 64;
 
@@ -85,7 +85,8 @@ const WINDOW: usize = 64;
 /// §5).
 const ROUTED_INPUTS: usize = 1 << 20;
 
-/// One worker of a window: its group's replicas that have work, in
+/// One worker of a window: its group's shards that have work (replicas,
+/// or for the pipelined source replicas zipped with their feeds), in
 /// ascending shard order, and the entries of the window it last ran.
 struct Worker<'t, T> {
     shards: Vec<(usize, &'t mut T)>,
@@ -141,47 +142,40 @@ impl<'t, T> Worker<'t, T> {
     }
 }
 
-/// The one in-memory executor: run the window `rounds` on `workers` — the
-/// calling thread works the first, scoped threads the others (none for a
-/// lone worker) — then close its rounds in order.
+/// The one in-memory executor: run the window `rounds` on `workers` through
+/// [`fork_join`], then close its rounds in order, stopping at the first
+/// round without entries. Returns the rounds closed.
 /// `work(sid, replica, round, out)` appends the shard's entries for
 /// `round`. A worker's panic is re-raised here after the join, before any
-/// of the window's rounds close; an empty window spawns nothing.
+/// of the window's rounds close; an empty window spawns nothing. Every
+/// round of a `run` or `run_parted` window has entries; a pipelined window
+/// runs out of them once every feed is done.
 fn run_window<T, F>(
     workers: &mut [Worker<'_, T>],
     rounds: Range<usize>,
     work: &F,
     cut: &mut Cut<'_>,
-) where
+) -> usize
+where
     T: Send,
     F: Fn(usize, &mut T, usize, &mut Vec<Entry>) + Sync,
 {
-    if rounds.is_empty() {
-        return;
-    }
     let n = rounds.len();
-    match workers {
-        [] => {}
-        [only] => only.run(rounds, work),
-        [first, rest @ ..] => std::thread::scope(|scope| {
-            let spawned: Vec<_> = rest
-                .iter_mut()
-                .map(|w| {
-                    let rounds = rounds.clone();
-                    scope.spawn(move || w.run(rounds, work))
-                })
-                .collect();
-            first.run(rounds, work);
-            for handle in spawned {
-                if let Err(panic) = handle.join() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
-        }),
+    if n == 0 {
+        return 0;
     }
+    fork_join(workers.iter_mut(), |w| w.run(rounds.clone(), work));
     for r in 0..n {
-        cut.close(workers.iter().flat_map(|w| w.round(r).iter().copied()));
+        let mut entries = workers
+            .iter()
+            .flat_map(|w| w.round(r).iter().copied())
+            .peekable();
+        if entries.peek().is_none() {
+            return r;
+        }
+        cut.close(entries);
     }
+    n
 }
 
 /// Routed [`ShardedEngine::run`]'s source: on the calling thread, batch
@@ -255,23 +249,6 @@ where
             ends.truncate(1);
         }
     }
-}
-
-/// One feed drained by a pipelined worker: its queue's consumer end, a
-/// recycled round buffer, and whether the feed has delivered its final
-/// (short or empty) round.
-struct FeedState<In: Copy> {
-    consumer: RingConsumer<In>,
-    buf: Vec<In>,
-    done: bool,
-}
-
-/// One logical shard owned by a pipelined worker: its slot within the
-/// worker's replica group, its shard id, and its feeds in feed order.
-struct OwnedShard<In: Copy> {
-    slot: usize,
-    sid: usize,
-    feeds: Vec<FeedState<In>>,
 }
 
 /// A batched, sharded runner over `S` tracker replicas.
@@ -688,20 +665,27 @@ where
         Ok(self.finish_report(total as u64, audit))
     }
 
-    /// Ingest through the pipelined path: per-feed bounded queues,
-    /// produced by the `feeder` closure and drained by the shard workers,
-    /// with the coordinator reconciling each completed boundary while the
-    /// workers already absorb the next one.
+    /// Ingest through the pipelined path: per-feed bounded queues, filled
+    /// by the `feeder` closure on the calling thread while the shard
+    /// workers drain them on the executor [`run_parted`](Self::run_parted)
+    /// runs on.
     ///
     /// `sites[i]` names the site feed `i` carries (several feeds may name
     /// the same site, exactly like [`run_parted`](Self::run_parted)); the
     /// feeder closure receives one [`ShardFeed`] handle per feed, in the
-    /// same order, and runs on the calling thread concurrently with the
-    /// workers. Push inputs from it directly, or move the handles into
+    /// same order. Push inputs from it directly, or move the handles into
     /// producer threads/tasks of your own — the run finishes when every
     /// handle is closed (dropping closes) and every queue is drained.
     /// Handles stashed beyond the closure are force-closed when it
     /// returns, so the run always terminates.
+    ///
+    /// One driver thread runs windows of up to 64 rounds: each worker
+    /// drains its shards' feeds round after round, and once every worker
+    /// has finished the window, the cut reconciles and audits its rounds,
+    /// once per window. A lagging feed stalls only the worker draining it;
+    /// the others run on to the end of the window, so a fast feed leads a
+    /// slow one by at most 64 rounds (plus its queue). The call ends at the
+    /// first round in which no feed delivers an input.
     ///
     /// **Equivalence contract:** for the same per-site input sequences
     /// and configuration, estimates, per-shard replica states, and the
@@ -718,9 +702,10 @@ where
     ///
     /// Each queue holds `2 × batch` inputs; a feed that outruns its shard
     /// parks at the push boundary ([`ShardFeed::try_push`] fails fast
-    /// instead), and a feed that lags only stalls the shard it feeds —
-    /// every other worker keeps absorbing, which is the overlap the
-    /// `e17_pipeline` bench gates.
+    /// instead). A panic on a worker closes every feed, so pushes fail
+    /// with [`crate::FeedError::Closed`], and is re-raised here with its
+    /// own payload once the feeder returns, before any of its window's
+    /// rounds close.
     pub fn run_pipelined<F>(
         &mut self,
         sites: &[SiteId],
@@ -733,177 +718,64 @@ where
         let cfg = self.cfg;
         let mut audit = RunAudit::new(&cfg);
         let s_count = cfg.shards_count();
-        let w_count = cfg.workers_count();
-        let kind = self.shards[0].kind();
-        let deletions_ok = kind.supports_deletions();
         let batch = cfg.batch_size();
+        let kind = self.shards[0].kind();
         validate_sites(sites, self.shards[0].k(), kind, self.time)?;
 
-        // One bounded SPSC ring per feed; producer ends become the
-        // ShardFeed handles, consumer ends go to the owning workers.
+        // One bounded SPSC ring per feed: the producer end is the feed's
+        // handle, the consumer end joins its shard's feeds in feed order
+        // (the order run_parted runs them in).
         let rings: Vec<Arc<Ring<In>>> = sites
             .iter()
             .map(|_| Arc::new(Ring::new(2 * batch)))
             .collect();
+        let deletions_ok = kind.supports_deletions();
         let mut handles = Vec::with_capacity(sites.len());
-        // Worker w owns shards s ≡ w (mod W); within a shard, feeds keep
-        // their index order (the order run_parted processes them in).
-        let mut consumers: Vec<BTreeMap<usize, Vec<RingConsumer<In>>>> =
-            (0..w_count).map(|_| BTreeMap::new()).collect();
+        let mut feeds: Vec<Vec<FeedState<In>>> = (0..s_count).map(|_| Vec::new()).collect();
         for (feed, (&site, ring)) in sites.iter().zip(&rings).enumerate() {
             let shard = site % s_count;
-            handles.push(ShardFeed::new(
-                Arc::clone(ring),
-                feed,
-                site,
-                shard,
-                deletions_ok,
-            ));
-            consumers[shard % w_count]
-                .entry(shard)
-                .or_default()
-                .push(RingConsumer {
-                    ring: Arc::clone(ring),
-                    site,
-                });
+            feeds[shard].push(FeedState::new(Arc::clone(ring), site));
+            let ring = Arc::clone(ring);
+            handles.push(ShardFeed::new(ring, feed, site, shard, deletions_ok));
         }
+        let has_feeds: Vec<bool> = feeds.iter().map(|f| !f.is_empty()).collect();
 
         let time_before = self.time;
         let (shards, mut cut) = self.split(&mut audit);
-
-        /// A worker's end-of-round message: one entry per chunk it
-        /// ingested this round.
-        enum CoordMsg {
-            Round {
-                worker: usize,
-                round: u64,
-                reports: Vec<Entry>,
-            },
-            Done {
-                worker: usize,
-            },
-        }
-
-        std::thread::scope(|scope| {
-            let (res_tx, res_rx) = mpsc::channel::<CoordMsg>();
-            let groups = worker_groups(shards.iter_mut(), w_count);
-            for ((w, mut group), shard_feeds) in groups.into_iter().enumerate().zip(consumers) {
-                let res_tx = res_tx.clone();
-                scope.spawn(move || {
-                    // The worker's shards with feeds, ascending sid.
-                    let mut owned: Vec<OwnedShard<In>> = shard_feeds
-                        .into_iter()
-                        .map(|(sid, feeds)| OwnedShard {
-                            slot: sid / w_count,
-                            sid,
-                            feeds: feeds
-                                .into_iter()
-                                .map(|consumer| FeedState {
-                                    consumer,
-                                    buf: Vec::with_capacity(batch),
-                                    done: false,
-                                })
-                                .collect(),
-                        })
-                        .collect();
-                    let mut round = 0u64;
-                    loop {
-                        let mut reports = Vec::new();
-                        for shard in owned.iter_mut() {
-                            for fs in shard.feeds.iter_mut() {
-                                if fs.done {
-                                    continue;
-                                }
-                                fs.buf.clear();
-                                // Blocks until the feed delivers this
-                                // round's inputs or closes — a lagging
-                                // feed stalls only this worker.
-                                fs.consumer.pop_round(&mut fs.buf, batch);
-                                if fs.buf.len() < batch {
-                                    fs.done = true;
-                                }
-                                if fs.buf.is_empty() {
-                                    continue;
-                                }
-                                // One entry per chunk, in feed order: the
-                                // cut keeps the shard's last estimate.
-                                let (est, sum, len) =
-                                    ingest_run(&mut *group[shard.slot], fs.consumer.site, &fs.buf);
-                                reports.push((shard.sid, est, sum, len));
-                            }
-                        }
-                        // Feed rounds are contiguous from 0, so the first
-                        // all-empty round means every owned feed is done.
-                        if reports.is_empty() {
-                            let _ = res_tx.send(CoordMsg::Done { worker: w });
-                            break;
-                        }
-                        if res_tx
-                            .send(CoordMsg::Round {
-                                worker: w,
-                                round,
-                                reports,
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
-                        round += 1;
-                    }
-                });
-            }
-            drop(res_tx);
-
-            // The coordinator: runs on its own scoped thread so merging
-            // boundary r overlaps the workers' ingestion of r+1.
-            let coordinator = scope.spawn(move || {
-                // next_watermark[w]: lowest round worker w might still
-                // report (MAX once done). Worker messages arrive in round
-                // order per worker, so a round below every watermark is
-                // complete and can be closed.
-                let mut next_watermark = vec![0u64; w_count];
-                let mut pending: BTreeMap<u64, Vec<Entry>> = BTreeMap::new();
-                let mut next_round = 0u64;
-                for msg in res_rx {
-                    match msg {
-                        CoordMsg::Round {
-                            worker,
-                            round,
-                            reports,
-                        } => {
-                            pending.entry(round).or_default().extend(reports);
-                            next_watermark[worker] = round + 1;
-                        }
-                        CoordMsg::Done { worker } => {
-                            next_watermark[worker] = u64::MAX;
-                        }
-                    }
-                    let ready = next_watermark.iter().copied().min().unwrap_or(u64::MAX);
-                    while next_round < ready {
-                        let Some(reports) = pending.remove(&next_round) else {
-                            // Rounds are dense: no entry means every
-                            // produced round is already closed.
-                            break;
-                        };
-                        cut.close(reports);
-                        next_round += 1;
+        let mut piped: Vec<_> = shards.iter_mut().zip(feeds).collect();
+        let mut workers = Worker::for_groups(&mut piped, cfg.workers_count(), |sid| has_feeds[sid]);
+        // A shard's round: one `update_run` per feed that delivers, in feed
+        // order. A worker that unwinds closes every ring on its way out, so
+        // neither the feeder nor another worker waits on it forever.
+        let work =
+            |sid, (tracker, feeds): &mut (&mut T, Vec<FeedState<In>>), _, out: &mut Vec<_>| {
+                let unwinding = CloseRings(&rings);
+                for feed in feeds {
+                    if let Some((site, inputs)) = feed.next_round(batch) {
+                        let (est, sum, len) = ingest_run(&mut **tracker, site, inputs);
+                        out.push((sid, est, sum, len));
                     }
                 }
+                std::mem::forget(unwinding);
+            };
+        std::thread::scope(|scope| {
+            let driver = scope.spawn(|| {
+                let _close = CloseRings(&rings);
+                while run_window(&mut workers, 0..WINDOW, &work, &mut cut) == WINDOW {}
             });
-
+            // Every ring closes once the feeder returns or unwinds, so a
+            // stashed or leaked handle cannot keep the driver waiting.
+            let close = CloseRings(&rings);
             feeder(handles);
-            // The feeder has returned: force-close every ring so stashed
-            // or leaked handles cannot wedge the workers.
-            for ring in &rings {
-                ring.close();
+            drop(close);
+            if let Err(panic) = driver.join() {
+                std::panic::resume_unwind(panic);
             }
-            coordinator.join().expect("engine coordinator panicked")
         });
 
         for ring in &rings {
             ring.drain_stats(&mut self.ingest_stats);
         }
-
         Ok(self.finish_report(self.time - time_before, audit))
     }
 

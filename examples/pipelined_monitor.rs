@@ -11,8 +11,8 @@
 //! deterministic tracker through `ShardedEngine::run_pipelined`: every
 //! router gets a bounded feed queue (`ShardFeed`), one deliberately lags
 //! (it sleeps between chunk pushes), and the engine's workers drain
-//! their own queues while the coordinator reconciles completed batch
-//! boundaries concurrently.
+//! their own queues, up to 64 rounds ahead of the laggy one, while the
+//! engine reconciles each completed window of batch boundaries.
 //!
 //! Two things are demonstrated and asserted:
 //!
@@ -161,8 +161,9 @@ fn main() {
     println!(
         "\nreading: each router's queue feeds its own shard worker, so the\n\
          laggy router only delays its own shard's rounds; the other workers\n\
-         absorbed their whole feeds early and the coordinator reconciled\n\
-         every completed boundary meanwhile. The estimates and both\n\
+         absorbed their whole feeds early ({rounds} rounds, inside one 64-round\n\
+         window) and the engine reconciled the window once the laggy\n\
+         router's rounds were in. The estimates and both\n\
          CommStats ledgers are asserted bit-identical to run_parted —\n\
          pipelining changes when work happens, never what is computed."
     );

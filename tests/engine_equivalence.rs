@@ -337,6 +337,79 @@ fn parted_ingest_is_bit_identical_at_every_worker_count() {
     }
 }
 
+/// Drive `feeds` through `run_pipelined` in one call, one producer
+/// thread per feed pushing ragged chunks.
+fn observe_pipelined(
+    spec: TrackerSpec,
+    cfg: EngineConfig,
+    feeds: &[(usize, Vec<i64>)],
+) -> Observed {
+    let mut engine = ShardedEngine::counters(spec, cfg).unwrap();
+    let sites: Vec<usize> = feeds.iter().map(|(site, _)| *site).collect();
+    let report = engine
+        .run_pipelined(&sites, |handles| {
+            std::thread::scope(|scope| {
+                for (mut handle, (_, inputs)) in handles.into_iter().zip(feeds) {
+                    scope.spawn(move || {
+                        for chunk in inputs.chunks(5) {
+                            handle.push_batch(chunk).unwrap();
+                        }
+                    });
+                }
+            });
+        })
+        .unwrap();
+    let mut seen = Observed::default();
+    seen.add(report);
+    seen.finish(&mut engine)
+}
+
+#[test]
+fn pipelined_ingest_matches_parted_on_both_sides_of_every_window_edge() {
+    // The longest feed ends one round before, on, or one round after the
+    // first and second window edges (64 and 128 rounds); the other feeds
+    // end at the shorter of those rounds, some mid-batch, beside a short
+    // feed and an empty one. Sites 0 and 4 share shard 0 and site 1 has
+    // two feeds. A closed empty round or a window off-by-one shows in
+    // `batches`, the probes, the ledgers or the checkpoint bytes.
+    let ends = [63usize, 64, 65, 128, 129];
+    let spec = TrackerSpec::new(TrackerKind::Deterministic)
+        .k(6)
+        .eps(0.1)
+        .seed(17)
+        .deletions(true);
+    for longest in ends {
+        for batch in [1usize, 3] {
+            let mut shape: Vec<(usize, usize)> = ends
+                .iter()
+                .filter(|&&rounds| rounds <= longest)
+                .zip([0, 4, 1, 2, 3])
+                .map(|(&rounds, site)| (site, rounds * batch - rounds % batch))
+                .collect();
+            shape.extend([(1, 2 * batch - 1), (5, 0)]);
+            let feeds: Vec<(usize, Vec<i64>)> = shape
+                .iter()
+                .zip(0u64..)
+                .map(|(&(site, len), seed)| {
+                    let updates =
+                        WalkGen::biased(70 + seed, 0.2).updates(len as u64, SingleSite::solo());
+                    (site, updates.iter().map(|u| u.delta).collect())
+                })
+                .collect();
+            let cfg = EngineConfig::new(4, batch).eps(0.1);
+            let reference = observe_parted(spec, cfg, &feeds, false);
+            assert_eq!(reference.batches, longest as u64);
+            for workers in [1usize, 2, 3, 4, 8] {
+                let seen = observe_pipelined(spec, cfg.workers(workers), &feeds);
+                assert!(
+                    seen == reference,
+                    "longest {longest} batch {batch} W={workers}"
+                );
+            }
+        }
+    }
+}
+
 /// A replica that panics on its `panic_at`-th `update_run`.
 #[derive(Debug)]
 struct Flaky {
@@ -372,6 +445,14 @@ impl Tracker for Flaky {
 
     fn k(&self) -> usize {
         self.inner.k()
+    }
+
+    fn snapshot(&self) -> Result<TrackerState, CodecError> {
+        self.inner.snapshot()
+    }
+
+    fn restore(&mut self, state: &TrackerState) -> Result<(), CodecError> {
+        self.inner.restore(state)
     }
 }
 
@@ -433,6 +514,80 @@ fn a_panic_on_a_routed_worker_reaches_the_caller() {
     assert_eq!(payload.as_deref(), Some("flaky replica gave out"));
     // Whole windows only: the first one closed, the second did not.
     assert_eq!(time, 64);
+}
+
+#[test]
+fn a_panic_on_a_pipelined_worker_reaches_the_caller() {
+    // S = W = 2, batch 1, one feeder pushing round-robin rounds: shard 1
+    // drains its feed on the spawned worker, one `update_run` a round, so
+    // its 70th lands inside the second 64-round window. The feeder stops
+    // at its first refused push. The call runs on its own thread so a
+    // hang fails the test instead of wedging the suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let spec = TrackerSpec::new(TrackerKind::Deterministic).k(2).eps(0.1);
+        let mut engine = ShardedEngine::with_factory(EngineConfig::new(2, 1).workers(2), |s| {
+            spec.shard(s).build().map(|inner| Flaky {
+                inner,
+                runs: 0,
+                panic_at: (s == 1).then_some(70),
+            })
+        })
+        .unwrap();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.run_pipelined(&[0, 1], |mut handles| {
+                for _ in 0..200 {
+                    for handle in &mut handles {
+                        if handle.push(1).is_err() {
+                            return;
+                        }
+                    }
+                }
+            })
+        }));
+        let payload = caught
+            .err()
+            .and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+        tx.send((payload, engine.time())).unwrap();
+    });
+    let (payload, time) = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("pipelined run never returned after a worker panicked");
+    assert_eq!(payload.as_deref(), Some("flaky replica gave out"));
+    // Whole windows only: the first one closed, the second did not.
+    assert_eq!(time, 2 * 64);
+}
+
+#[test]
+fn a_panic_in_a_fleet_flush_reaches_the_caller_with_its_payload() {
+    // S = W = 2, and every key's replica gives out on its second
+    // `update_run`. The first boundary applies one key on each shard; the
+    // second applies shard 1's key again beside a fresh key on shard 0,
+    // so the panic is raised on the spawned worker.
+    let spec = TrackerSpec::new(TrackerKind::Deterministic).k(1).eps(0.1);
+    let mut fleet = TrackerFleet::with_factory(EngineConfig::new(2, 1_000).workers(2), move || {
+        spec.build().map(|inner| Flaky {
+            inner,
+            runs: 0,
+            panic_at: Some(2),
+        })
+    })
+    .unwrap();
+    let shard_of = |key: u64| fleet.shard_of(key);
+    let mut shard0 = (0u64..).filter(|&key| shard_of(key) == 0);
+    let (a, c) = (shard0.next().unwrap(), shard0.next().unwrap());
+    let b = (0u64..).find(|&key| shard_of(key) == 1).unwrap();
+    fleet.update(a, 1).unwrap();
+    fleet.update(b, 1).unwrap();
+    fleet.flush().unwrap();
+    fleet.update(b, 1).unwrap();
+    fleet.update(c, 1).unwrap();
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fleet.flush()));
+    let payload = caught.expect_err("the replica's panic must reach the caller");
+    assert_eq!(
+        payload.downcast_ref::<&str>(),
+        Some(&"flaky replica gave out")
+    );
 }
 
 /// Drive `updates` through routed `run` in one call, or when
