@@ -49,58 +49,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dsv_core::api::{BuildError, ItemTracker, RunError, Tracker, TrackerKind, TrackerSpec};
-use dsv_core::codec::{kind_from_tag, kind_tag, CodecError, Dec, Enc, TrackerState};
-use dsv_net::{relative_error, CommStats, Fingerprint, SiteId, StateDelta, Time};
+use dsv_core::codec::{kind_tag, TrackerState};
+use dsv_net::{relative_error, CommStats, SiteId, Time};
 
 use crate::config::{EngineConfig, EngineError};
+pub use crate::fleet_codec::{FleetCheckpoint, FleetDelta, FLEET_MAGIC, FLEET_VERSION};
+use crate::fleet_codec::{FleetHeader, SlotRecord};
 use crate::partition::{hash_item, InputDelta};
 use crate::round::{fork_join, worker_groups};
-
-/// Magic bytes opening a serialized [`FleetCheckpoint`].
-pub const FLEET_MAGIC: [u8; 4] = *b"DSVF";
-
-/// Current fleet-checkpoint format version. Bump on **any** layout
-/// change (and see `MIGRATION.md`); nested tracker payloads carry their
-/// own `DSVT` version independently. A shard-table variant tag follows
-/// the version: `TABLE_FULL` for the full table, `TABLE_DELTA` for a
-/// parent-anchored [`FleetDelta`] table. Decoders read exactly this
-/// version (`MIGRATION.md`, format policy). Slot spans hold **bare**
-/// tracker payloads, so this moves with
-/// `dsv_core::codec::STATE_VERSION`: version 3 is state version 2.
-pub const FLEET_VERSION: u16 = 3;
-
-/// `DSVF` shard-table variant: every slot record in full.
-const TABLE_FULL: u8 = 1;
-
-/// `DSVF` shard-table variant: delta-chain table — slot ops diffed
-/// against a parent checkpoint, decoded by [`FleetDelta::from_bytes`].
-const TABLE_DELTA: u8 = 2;
-
-/// Open a `DSVF` payload that must hold table variant `want`: the magic,
-/// exactly [`FLEET_VERSION`], then the variant tag. The other known
-/// variant is refused as `wrong_variant`.
-fn open_table<'a>(
-    bytes: &'a [u8],
-    want: u8,
-    wrong_variant: &'static str,
-) -> Result<Dec<'a>, CodecError> {
-    let mut dec = Dec::new(bytes);
-    if dec.magic(FLEET_MAGIC, FLEET_VERSION)? != FLEET_VERSION {
-        return Err(CodecError::BadValue {
-            what: "fleet format version (only the current generation is read)",
-        });
-    }
-    match dec.u8()? {
-        tag if tag == want => Ok(dec),
-        TABLE_FULL | TABLE_DELTA => Err(CodecError::BadValue {
-            what: wrong_variant,
-        }),
-        tag => Err(CodecError::BadTag {
-            what: "fleet table variant",
-            tag: tag as u64,
-        }),
-    }
-}
 
 /// Arena garbage a shard tolerates before it compacts, whatever its live
 /// bytes, so a shard with few live keys does not recopy its arena every
@@ -674,541 +630,6 @@ impl FleetReport {
     }
 }
 
-/// One slot's checkpointed record: identity, audited scalars, and the
-/// state payload (kind and site count live once in the header).
-#[derive(Debug, Clone, PartialEq)]
-struct SlotRecord {
-    key: u64,
-    f: i64,
-    updates: u64,
-    violations: u64,
-    estimate: i64,
-    state: Vec<u8>,
-}
-
-impl SlotRecord {
-    fn encode(&self, enc: &mut Enc) {
-        enc.u64(self.key);
-        enc.i64(self.f);
-        enc.u64(self.updates);
-        enc.u64(self.violations);
-        enc.i64(self.estimate);
-        enc.blob(&self.state);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let rec = SlotRecord {
-            key: dec.u64()?,
-            f: dec.i64()?,
-            updates: dec.u64()?,
-            violations: dec.u64()?,
-            estimate: dec.i64()?,
-            state: dec.blob()?.to_vec(),
-        };
-        if rec.state.is_empty() {
-            return Err(CodecError::BadValue {
-                what: "fleet slot state",
-            });
-        }
-        Ok(rec)
-    }
-}
-
-/// What every `DSVF` table says about the fleet before its shard table:
-/// the build's identity, the fleet scalars, and the aggregate ledger.
-#[derive(Debug, Clone, PartialEq)]
-struct FleetHeader {
-    kind: TrackerKind,
-    k: usize,
-    time: Time,
-    f: i64,
-    boundaries: u64,
-    key_violations: u64,
-    agg_violations: u64,
-    max_err: f64,
-    tracker_stats: CommStats,
-}
-
-impl FleetHeader {
-    /// Encode the header and the length of the shard table it precedes.
-    fn encode(&self, enc: &mut Enc, n_shards: usize) {
-        enc.u8(kind_tag(self.kind));
-        enc.usize(self.k);
-        enc.u64(self.time);
-        enc.i64(self.f);
-        enc.u64(self.boundaries);
-        enc.u64(self.key_violations);
-        enc.u64(self.agg_violations);
-        enc.f64(self.max_err);
-        self.tracker_stats.encode(enc);
-        enc.seq_len(n_shards);
-    }
-
-    /// Decode and validate the header, and the (non-zero) length of the
-    /// shard table that follows it.
-    fn decode(dec: &mut Dec<'_>) -> Result<(Self, usize), CodecError> {
-        let tag = dec.u8()?;
-        let kind = kind_from_tag(tag).ok_or(CodecError::BadTag {
-            what: "fleet tracker kind",
-            tag: tag as u64,
-        })?;
-        let k = dec.usize()?;
-        if k == 0 {
-            return Err(CodecError::BadValue {
-                what: "fleet site count",
-            });
-        }
-        let time = dec.u64()?;
-        let f = dec.i64()?;
-        let boundaries = dec.u64()?;
-        let key_violations = dec.u64()?;
-        let agg_violations = dec.u64()?;
-        let max_err = dec.f64()?;
-        if max_err.is_nan() || max_err < 0.0 {
-            return Err(CodecError::BadValue {
-                what: "fleet max relative error",
-            });
-        }
-        let tracker_stats = CommStats::decode(dec)?;
-        let n_shards = dec.seq_len("fleet shards", 8)?;
-        if n_shards == 0 {
-            return Err(CodecError::BadValue {
-                what: "fleet shard count",
-            });
-        }
-        let head = FleetHeader {
-            kind,
-            k,
-            time,
-            f,
-            boundaries,
-            key_violations,
-            agg_violations,
-            max_err,
-            tracker_stats,
-        };
-        Ok((head, n_shards))
-    }
-}
-
-/// A versioned snapshot of a whole fleet (`b"DSVF"`, currently
-/// [`FLEET_VERSION`]): fleet scalars, the aggregate ledger, and one
-/// compact record per key. Taking one cuts a batch boundary first (staged
-/// updates are applied, so a checkpoint is always a boundary state).
-///
-/// The wire form is produced by [`to_bytes`](Self::to_bytes) and read by
-/// [`from_bytes`](Self::from_bytes); truncated, corrupted, version-skewed
-/// or internally inconsistent payloads decode to typed [`CodecError`]s,
-/// never panics (held by `tests/codec_robustness.rs`). Checkpoint bytes
-/// are bit-identical across worker counts *and* cache capacities.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetCheckpoint {
-    head: FleetHeader,
-    shards: Vec<Vec<SlotRecord>>,
-}
-
-impl FleetCheckpoint {
-    /// The checkpointed tracker kind.
-    pub fn kind(&self) -> TrackerKind {
-        self.head.kind
-    }
-
-    /// Sites per keyed tracker.
-    pub fn k(&self) -> usize {
-        self.head.k
-    }
-
-    /// Logical shard count (must match the resuming config).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Live keys captured.
-    pub fn keys(&self) -> usize {
-        self.shards.iter().map(Vec::len).sum()
-    }
-
-    /// Updates applied when the checkpoint was cut.
-    pub fn time(&self) -> Time {
-        self.head.time
-    }
-
-    /// Fleet-wide ground truth at the checkpoint.
-    pub fn f(&self) -> i64 {
-        self.head.f
-    }
-
-    /// Write the versioned wire form (full shard table) through `enc`,
-    /// handing it to `piece` after every slot record and once at the end,
-    /// so a caller that only folds over the image can drain the encoder
-    /// as it goes. The pieces, in order, are the image.
-    fn encode_pieces(&self, enc: &mut Enc, mut piece: impl FnMut(&mut Enc)) {
-        enc.magic(FLEET_MAGIC, FLEET_VERSION);
-        enc.u8(TABLE_FULL);
-        self.head.encode(enc, self.shards.len());
-        for records in &self.shards {
-            enc.seq_len(records.len());
-            for rec in records {
-                rec.encode(enc);
-                piece(enc);
-            }
-        }
-        piece(enc);
-    }
-
-    /// Serialize to the versioned wire form (full shard table).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
-        self.encode_pieces(&mut enc, |_| {});
-        enc.into_bytes()
-    }
-
-    /// `fingerprint(&self.to_bytes())` without building the image: the
-    /// wire form streams through one record-sized buffer into the fold.
-    fn wire_fingerprint(&self) -> u64 {
-        let mut fold = Fingerprint::new();
-        self.encode_pieces(&mut Enc::new(), |enc| {
-            fold.update(enc.as_bytes());
-            enc.clear();
-        });
-        fold.finish()
-    }
-
-    /// Decode the versioned wire form, requiring exact consumption and
-    /// internal consistency (shard and state shapes, update accounting).
-    /// A delta table is a typed error directing the caller to
-    /// [`FleetDelta::from_bytes`], since it cannot stand alone.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut dec = open_table(
-            bytes,
-            TABLE_FULL,
-            "fleet table variant (delta tables decode with FleetDelta)",
-        )?;
-        let (head, n_shards) = FleetHeader::decode(&mut dec)?;
-        let mut shards = Vec::with_capacity(n_shards);
-        let mut total_updates: u64 = 0;
-        for _ in 0..n_shards {
-            let n_slots = dec.seq_len("fleet slots", 48)?;
-            let mut records = Vec::with_capacity(n_slots);
-            for _ in 0..n_slots {
-                let rec = SlotRecord::decode(&mut dec)?;
-                total_updates = total_updates.saturating_add(rec.updates);
-                records.push(rec);
-            }
-            shards.push(records);
-        }
-        dec.finish()?;
-        // Every applied update belongs to exactly one key, so the
-        // per-key counts must re-sum to the fleet clock.
-        if total_updates != head.time {
-            return Err(CodecError::Mismatch {
-                what: "fleet per-key update total vs time",
-                expected: head.time,
-                found: total_updates,
-            });
-        }
-        Ok(FleetCheckpoint { head, shards })
-    }
-}
-
-/// One slot's contribution to a [`FleetDelta`], positionally aligned
-/// against the parent checkpoint's slot table. Slots are append-only per
-/// shard, so a parent's records are always a positional prefix of its
-/// child's — ops never need to carry reordering information.
-#[derive(Debug, Clone, PartialEq)]
-enum SlotOp {
-    /// The record (key, scalars, and state bytes) is unchanged.
-    Same,
-    /// Same key; fresh scalars and a [`StateDelta`] over the state bytes.
-    Delta {
-        f: i64,
-        updates: u64,
-        violations: u64,
-        estimate: i64,
-        state: StateDelta,
-    },
-    /// A key appended since the parent, recorded in full.
-    Full(SlotRecord),
-}
-
-/// A fleet checkpoint encoded as a diff against a **parent**
-/// [`FleetCheckpoint`] — the `DSVF` delta-chain shard-table variant.
-///
-/// Build one with [`TrackerFleet::checkpoint_delta`] (or
-/// [`FleetDelta::between`] two explicit checkpoints); reconstruct the
-/// child, bit-identically, with [`apply`](Self::apply) against the same
-/// parent. The parent is pinned by the FNV-1a fingerprint of its full
-/// wire form, so applying against the wrong parent — or a tampered one —
-/// is a typed [`CodecError::Mismatch`], never silent corruption. Fleet
-/// slot slabs are append-only per shard, so the parent's records are a
-/// positional prefix of the child's: unchanged slots cost one tag byte,
-/// touched slots a section-aware [`StateDelta`], and only keys that
-/// first applied an update since the parent ship in full.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetDelta {
-    parent_time: Time,
-    parent_hash: u64,
-    /// The child's header.
-    head: FleetHeader,
-    shards: Vec<Vec<SlotOp>>,
-}
-
-impl FleetDelta {
-    /// Diff `child` against `parent`. Both must come from the same fleet
-    /// lineage: same kind, site count, and shard count, with the
-    /// parent's slot table a positional key-prefix of the child's and
-    /// the fleet clock advanced — anything else is a typed
-    /// [`EngineError::CheckpointMismatch`].
-    pub fn between(parent: &FleetCheckpoint, child: &FleetCheckpoint) -> Result<Self, EngineError> {
-        if child.head.kind != parent.head.kind {
-            return Err(EngineError::CheckpointMismatch {
-                what: "tracker kind tag",
-                expected: kind_tag(parent.head.kind) as u64,
-                found: kind_tag(child.head.kind) as u64,
-            });
-        }
-        if child.head.k != parent.head.k {
-            return Err(EngineError::CheckpointMismatch {
-                what: "site count",
-                expected: parent.head.k as u64,
-                found: child.head.k as u64,
-            });
-        }
-        if child.shards.len() != parent.shards.len() {
-            return Err(EngineError::CheckpointMismatch {
-                what: "logical shard count",
-                expected: parent.shards.len() as u64,
-                found: child.shards.len() as u64,
-            });
-        }
-        if child.head.time < parent.head.time {
-            return Err(EngineError::CheckpointMismatch {
-                what: "monotone fleet clock",
-                expected: parent.head.time,
-                found: child.head.time,
-            });
-        }
-        let mut shards = Vec::with_capacity(child.shards.len());
-        for (ps, cs) in parent.shards.iter().zip(&child.shards) {
-            if cs.len() < ps.len() {
-                return Err(EngineError::CheckpointMismatch {
-                    what: "fleet slot prefix length",
-                    expected: ps.len() as u64,
-                    found: cs.len() as u64,
-                });
-            }
-            let mut ops = Vec::with_capacity(cs.len());
-            for (pr, cr) in ps.iter().zip(cs) {
-                if cr.key != pr.key {
-                    return Err(EngineError::CheckpointMismatch {
-                        what: "fleet slot key prefix",
-                        expected: pr.key,
-                        found: cr.key,
-                    });
-                }
-                if cr == pr {
-                    ops.push(SlotOp::Same);
-                } else {
-                    ops.push(SlotOp::Delta {
-                        f: cr.f,
-                        updates: cr.updates,
-                        violations: cr.violations,
-                        estimate: cr.estimate,
-                        state: StateDelta::diff(&pr.state, &cr.state),
-                    });
-                }
-            }
-            for cr in &cs[ps.len()..] {
-                ops.push(SlotOp::Full(cr.clone()));
-            }
-            shards.push(ops);
-        }
-        Ok(FleetDelta {
-            parent_time: parent.head.time,
-            parent_hash: parent.wire_fingerprint(),
-            head: child.head.clone(),
-            shards,
-        })
-    }
-
-    /// Reconstruct the child checkpoint this delta was diffed from,
-    /// bit-identical to the original. `parent` must be the exact
-    /// checkpoint the delta was built against (pinned by fingerprint);
-    /// a wrong or tampered parent, a cross-wired state delta, or a
-    /// shape mismatch is a typed [`CodecError`].
-    pub fn apply(&self, parent: &FleetCheckpoint) -> Result<FleetCheckpoint, CodecError> {
-        let found = parent.wire_fingerprint();
-        if found != self.parent_hash {
-            return Err(CodecError::Mismatch {
-                what: "fleet delta parent fingerprint",
-                expected: self.parent_hash,
-                found,
-            });
-        }
-        if self.shards.len() != parent.shards.len() {
-            return Err(CodecError::Mismatch {
-                what: "fleet delta shard count",
-                expected: parent.shards.len() as u64,
-                found: self.shards.len() as u64,
-            });
-        }
-        let mut shards = Vec::with_capacity(self.shards.len());
-        let mut total_updates: u64 = 0;
-        for (ops, ps) in self.shards.iter().zip(&parent.shards) {
-            let aligned = ops
-                .iter()
-                .take_while(|op| !matches!(op, SlotOp::Full(_)))
-                .count();
-            if aligned != ps.len() {
-                return Err(CodecError::Mismatch {
-                    what: "fleet delta aligned ops vs parent slots",
-                    expected: ps.len() as u64,
-                    found: aligned as u64,
-                });
-            }
-            let mut records = Vec::with_capacity(ops.len());
-            for (i, op) in ops.iter().enumerate() {
-                let rec = match op {
-                    SlotOp::Same => ps[i].clone(),
-                    SlotOp::Delta {
-                        f,
-                        updates,
-                        violations,
-                        estimate,
-                        state,
-                    } => SlotRecord {
-                        key: ps[i].key,
-                        f: *f,
-                        updates: *updates,
-                        violations: *violations,
-                        estimate: *estimate,
-                        state: state.apply(&ps[i].state)?,
-                    },
-                    SlotOp::Full(rec) => rec.clone(),
-                };
-                total_updates = total_updates.saturating_add(rec.updates);
-                records.push(rec);
-            }
-            shards.push(records);
-        }
-        if total_updates != self.head.time {
-            return Err(CodecError::Mismatch {
-                what: "fleet per-key update total vs time",
-                expected: self.head.time,
-                found: total_updates,
-            });
-        }
-        Ok(FleetCheckpoint {
-            head: self.head.clone(),
-            shards,
-        })
-    }
-
-    /// Fleet clock of the parent this delta chains from.
-    pub fn parent_time(&self) -> Time {
-        self.parent_time
-    }
-
-    /// Fleet clock of the child this delta reconstructs.
-    pub fn time(&self) -> Time {
-        self.head.time
-    }
-
-    /// Serialize to the versioned wire form (`DSVF`, delta table).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
-        enc.magic(FLEET_MAGIC, FLEET_VERSION);
-        enc.u8(TABLE_DELTA);
-        enc.u64(self.parent_time);
-        enc.u64(self.parent_hash);
-        self.head.encode(&mut enc, self.shards.len());
-        for ops in &self.shards {
-            enc.seq_len(ops.len());
-            for op in ops {
-                match op {
-                    SlotOp::Same => enc.u8(0),
-                    SlotOp::Delta {
-                        f,
-                        updates,
-                        violations,
-                        estimate,
-                        state,
-                    } => {
-                        enc.u8(1);
-                        enc.i64(*f);
-                        enc.u64(*updates);
-                        enc.u64(*violations);
-                        enc.i64(*estimate);
-                        state.encode(&mut enc);
-                    }
-                    SlotOp::Full(rec) => {
-                        enc.u8(2);
-                        rec.encode(&mut enc);
-                    }
-                }
-            }
-        }
-        enc.into_bytes()
-    }
-
-    /// Decode the versioned wire form, requiring exact consumption, the
-    /// delta table variant, and per-shard op order (full records only
-    /// after the aligned prefix). Truncated, corrupted, or version-skewed
-    /// payloads decode to typed [`CodecError`]s, never panics.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut dec = open_table(
-            bytes,
-            TABLE_DELTA,
-            "fleet table variant (full tables decode with FleetCheckpoint)",
-        )?;
-        let parent_time = dec.u64()?;
-        let parent_hash = dec.u64()?;
-        let (head, n_shards) = FleetHeader::decode(&mut dec)?;
-        let mut shards = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            let n_ops = dec.seq_len("fleet delta ops", 1)?;
-            let mut ops = Vec::with_capacity(n_ops);
-            let mut appending = false;
-            for _ in 0..n_ops {
-                let op = match dec.u8()? {
-                    0 => SlotOp::Same,
-                    1 => SlotOp::Delta {
-                        f: dec.i64()?,
-                        updates: dec.u64()?,
-                        violations: dec.u64()?,
-                        estimate: dec.i64()?,
-                        state: StateDelta::decode(&mut dec)?,
-                    },
-                    2 => {
-                        appending = true;
-                        SlotOp::Full(SlotRecord::decode(&mut dec)?)
-                    }
-                    tag => {
-                        return Err(CodecError::BadTag {
-                            what: "fleet delta slot op",
-                            tag: tag as u64,
-                        })
-                    }
-                };
-                if appending && !matches!(op, SlotOp::Full(_)) {
-                    return Err(CodecError::BadValue {
-                        what: "fleet delta op order (aligned op after appended record)",
-                    });
-                }
-                ops.push(op);
-            }
-            shards.push(ops);
-        }
-        dec.finish()?;
-        Ok(FleetDelta {
-            parent_time,
-            parent_hash,
-            head,
-            shards,
-        })
-    }
-}
-
 /// Scalars snapshotted at run start so reports cover just the run.
 struct Mark {
     time: Time,
@@ -1659,7 +1080,7 @@ where
     /// (normally this fleet's previous checkpoint): cuts a boundary like
     /// [`checkpoint`](Self::checkpoint), then diffs the slot table so
     /// untouched keys cost one byte, touched keys a section-aware
-    /// [`StateDelta`], and only newly applied keys ship in full.
+    /// [`StateDelta`](dsv_net::StateDelta), and only newly applied keys ship in full.
     /// `delta.apply(&parent)` reconstructs the full checkpoint
     /// bit-identically.
     pub fn checkpoint_delta(
@@ -1754,6 +1175,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsv_core::codec::CodecError;
 
     fn spec() -> TrackerSpec {
         TrackerSpec::new(TrackerKind::Deterministic).eps(0.1)

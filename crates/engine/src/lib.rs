@@ -78,6 +78,7 @@ mod config;
 mod consolidate;
 pub mod delta;
 pub mod fleet;
+mod fleet_codec;
 pub mod ingest;
 mod merge;
 mod partition;
