@@ -54,7 +54,7 @@ use dsv_net::{relative_error, CommStats, SiteId, Time};
 
 use crate::config::{EngineConfig, EngineError};
 pub use crate::fleet_codec::{FleetCheckpoint, FleetDelta, FLEET_MAGIC, FLEET_VERSION};
-use crate::fleet_codec::{FleetHeader, SlotRecord};
+use crate::fleet_codec::{FleetHeader, ShardTable, SlotRow};
 use crate::partition::{hash_item, InputDelta};
 use crate::round::{fork_join, worker_groups};
 
@@ -500,36 +500,50 @@ where
         self.garbage = 0;
     }
 
-    /// Serialize every slot for a checkpoint. Cached trackers snapshot in
-    /// place (without eviction), frozen slots reuse their arena bytes, so
-    /// the records are independent of cache capacity and worker count.
-    fn records(&self, proto: &TrackerState) -> Result<Vec<SlotRecord>, EngineError> {
-        let mut out = Vec::with_capacity(self.slots.len());
+    /// Snapshot every slot into a flat checkpoint table. Cached trackers
+    /// snapshot in place (without eviction) straight into the table's
+    /// arena, frozen slots copy their arena spans, so the table is
+    /// independent of cache capacity and worker count. The arena is
+    /// reserved once: a cached state is sized as the fresh prototype's,
+    /// whose shape a key's state keeps.
+    fn table(&self, proto: &TrackerState) -> Result<ShardTable, EngineError> {
+        let reserve = self
+            .slots
+            .iter()
+            .map(|slot| match slot.len {
+                FRESH => proto.payload().len(),
+                len => len as usize,
+            })
+            .sum();
+        let mut table = ShardTable {
+            rows: Vec::with_capacity(self.slots.len()),
+            arena: Vec::with_capacity(reserve),
+        };
         for slot in &self.slots {
-            let state = if slot.cached != NONE_U32 {
-                // A key's state keeps the fresh prototype's shape, so its
-                // length sizes the record's one allocation.
-                let mut state = Vec::with_capacity(proto.payload().len());
+            let off = table.arena.len();
+            if slot.cached != NONE_U32 {
                 self.cache[slot.cached as usize]
                     .tracker
-                    .snapshot_into(&mut state)
+                    .snapshot_into(&mut table.arena)
                     .map_err(EngineError::Codec)?;
-                state
             } else if slot.len != FRESH {
-                self.arena[slot.off..slot.off + slot.len as usize].to_vec()
+                table
+                    .arena
+                    .extend_from_slice(&self.arena[slot.off..slot.off + slot.len as usize]);
             } else {
-                proto.payload().to_vec()
-            };
-            out.push(SlotRecord {
+                table.arena.extend_from_slice(proto.payload());
+            }
+            table.rows.push(SlotRow {
                 key: slot.key,
                 f: slot.f,
                 updates: slot.updates,
                 violations: slot.violations,
                 estimate: slot.estimate,
-                state,
+                len: table.arena.len() - off,
             });
         }
-        Ok(out)
+        table.arena.shrink_to_fit();
+        Ok(table)
     }
 
     fn memory_into(&self, mem: &mut FleetMemory) {
@@ -763,17 +777,17 @@ where
             });
         }
         let n_shards = fleet.shards.len() as u64;
-        for (s, records) in ckpt.shards.iter().enumerate() {
+        for (s, table) in ckpt.shards.iter().enumerate() {
             // Size the slab once, from what the checkpoint holds, instead
-            // of doubling slots, arena and index while inserting.
+            // of doubling slots and index while inserting; the arena is
+            // the table's, copied whole.
             let shard = &mut fleet.shards[s];
-            shard.slots.reserve(records.len());
-            shard
-                .arena
-                .reserve(records.iter().map(|rec| rec.state.len()).sum());
-            shard.index = KeyIndex::with_capacity(records.len());
-            for rec in records {
-                let route = hash_item(rec.key) % n_shards;
+            shard.slots.reserve(table.rows.len());
+            shard.arena = table.arena.clone();
+            shard.index = KeyIndex::with_capacity(table.rows.len());
+            let mut off = 0;
+            for row in &table.rows {
+                let route = hash_item(row.key) % n_shards;
                 if route != s as u64 {
                     return Err(EngineError::CheckpointMismatch {
                         what: "key → shard routing",
@@ -781,7 +795,7 @@ where
                         found: route,
                     });
                 }
-                if shard.index.get(rec.key).is_some() {
+                if shard.index.get(row.key).is_some() {
                     return Err(EngineError::CheckpointMismatch {
                         what: "unique fleet keys per shard",
                         expected: 1,
@@ -790,20 +804,20 @@ where
                 }
                 let sid = shard.slots.len() as u32;
                 shard.slots.push(Slot {
-                    key: rec.key,
-                    off: shard.arena.len(),
-                    len: rec.state.len() as u32,
+                    key: row.key,
+                    off,
+                    len: row.len as u32,
                     cached: NONE_U32,
                     head: NONE_U32,
                     tail: NONE_U32,
-                    estimate: rec.estimate,
-                    f: rec.f,
-                    updates: rec.updates,
-                    violations: rec.violations,
+                    estimate: row.estimate,
+                    f: row.f,
+                    updates: row.updates,
+                    violations: row.violations,
                 });
-                shard.arena.extend_from_slice(&rec.state);
-                shard.index.insert(rec.key, sid);
-                fleet.agg_estimate += rec.estimate;
+                off += row.len;
+                shard.index.insert(row.key, sid);
+                fleet.agg_estimate += row.estimate;
             }
         }
         fleet.head = ckpt.head.clone();
@@ -1068,7 +1082,7 @@ where
         self.flush()?;
         let mut shards = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
-            shards.push(shard.records(&self.proto)?);
+            shards.push(shard.table(&self.proto)?);
         }
         Ok(FleetCheckpoint {
             head: self.head.clone(),
@@ -1175,6 +1189,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet_codec::WireFold;
     use dsv_core::codec::CodecError;
 
     fn spec() -> TrackerSpec {
@@ -1307,11 +1322,13 @@ mod tests {
 
     #[test]
     fn streamed_parent_fingerprint_equals_the_hash_of_the_image() {
+        let fold = |bytes: &[u8]| {
+            let mut fold = WireFold::new();
+            fold.update(bytes);
+            fold.finish()
+        };
         let check = |ckpt: &FleetCheckpoint| {
-            assert_eq!(
-                ckpt.wire_fingerprint(),
-                dsv_net::fingerprint(&ckpt.to_bytes())
-            );
+            assert_eq!(ckpt.wire_fingerprint(), fold(&ckpt.to_bytes()));
         };
         // No key at all; then keys in one shard only (the rest empty).
         let mut fleet = CounterFleet::counters(spec(), cfg()).unwrap();
@@ -1323,14 +1340,17 @@ mod tests {
             }
         }
         let parent = fleet.checkpoint().unwrap();
-        assert_eq!(parent.shards.iter().filter(|s| !s.is_empty()).count(), 1);
+        assert_eq!(
+            parent.shards.iter().filter(|s| !s.rows.is_empty()).count(),
+            1
+        );
         check(&parent);
         // Every shard populated, and the image `apply` rebuilds.
         for t in 0..500u64 {
             fleet.update(t % 61, 1).unwrap();
         }
         let delta = fleet.checkpoint_delta(&parent).unwrap();
-        assert_eq!(delta.parent_hash, dsv_net::fingerprint(&parent.to_bytes()));
+        assert_eq!(delta.parent_hash, fold(&parent.to_bytes()));
         check(&delta.apply(&parent).unwrap());
     }
 
@@ -1602,21 +1622,26 @@ mod tests {
             Err(CodecError::BadValue { .. })
         ));
         // The v2 wire form: today's layout around slot payloads that
-        // still carried the block log (`DSVT` v1), so only the version
-        // word tells — and it is enough, for both table variants.
+        // still carried the block log (`DSVT` v1); the v3 wire form:
+        // today's layout with the delta's parent pinned by FNV-1a. Only
+        // the version word tells — and it is enough, for both table
+        // variants.
         let parent = fleet.checkpoint().unwrap();
         fleet.update(3, 1).unwrap();
-        let restamp = |mut bytes: Vec<u8>| {
-            bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
-            bytes
-        };
+        let delta = fleet.checkpoint_delta(&parent).unwrap();
         let refused = Some(CodecError::BadValue {
             what: "fleet format version (only the current generation is read)",
         });
-        let full = restamp(parent.to_bytes());
-        assert_eq!(FleetCheckpoint::from_bytes(&full).err(), refused);
-        let delta = restamp(fleet.checkpoint_delta(&parent).unwrap().to_bytes());
-        assert_eq!(FleetDelta::from_bytes(&delta).err(), refused);
+        for version in [2u16, 3] {
+            let restamp = |mut bytes: Vec<u8>| {
+                bytes[4..6].copy_from_slice(&version.to_le_bytes());
+                bytes
+            };
+            let full = restamp(parent.to_bytes());
+            assert_eq!(FleetCheckpoint::from_bytes(&full).err(), refused);
+            let delta = restamp(delta.to_bytes());
+            assert_eq!(FleetDelta::from_bytes(&delta).err(), refused);
+        }
     }
 
     #[test]

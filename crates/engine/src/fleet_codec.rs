@@ -2,10 +2,15 @@
 //! [`FleetCheckpoint`] (every key in full) and of a [`FleetDelta`] (a
 //! checkpoint diffed against a parent one), both written and read here.
 //! [`crate::fleet::TrackerFleet`] takes and resumes from them.
+//!
+//! A checkpoint is held the way the fleet's slab holds it: per shard,
+//! one table of slot scalars and one arena with every slot's state
+//! packed in slot order. Taking, comparing, encoding and rebuilding one
+//! therefore moves whole slices and allocates nothing per key.
 
 use dsv_core::api::TrackerKind;
 use dsv_core::codec::{kind_from_tag, kind_tag, CodecError, Dec, Enc};
-use dsv_net::{CommStats, Fingerprint, StateDelta, Time};
+use dsv_net::{CommStats, StateDelta, Time};
 
 use crate::config::EngineError;
 
@@ -19,8 +24,10 @@ pub const FLEET_MAGIC: [u8; 4] = *b"DSVF";
 /// parent-anchored [`FleetDelta`] table. Decoders read exactly this
 /// version (`MIGRATION.md`, format policy). Slot spans hold **bare**
 /// tracker payloads, so this moves with
-/// `dsv_core::codec::STATE_VERSION`: version 3 is state version 2.
-pub const FLEET_VERSION: u16 = 3;
+/// `dsv_core::codec::STATE_VERSION`: version 4 is state version 2, with
+/// a delta's parent pinned by a private 64-bit word fold instead of
+/// FNV-1a.
+pub const FLEET_VERSION: u16 = 4;
 
 /// `DSVF` shard-table variant: every slot record in full.
 const TABLE_FULL: u8 = 1;
@@ -55,43 +62,211 @@ fn open_table<'a>(
     }
 }
 
-/// One slot's checkpointed record: identity, audited scalars, and the
-/// state payload (kind and site count live once in the header).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SlotRecord {
+/// Wire bytes of a slot record before its state: five scalars and the
+/// state blob's length prefix.
+const ROW_BYTES: usize = 48;
+
+/// The multiplier of [`WireFold`]'s word step (odd, so the step is a
+/// bijection of the running value), and the value it starts from.
+const FOLD_K: u64 = 0x9E37_79B9_7F4A_7C15;
+const FOLD_SEED: u64 = 0x243F_6A88_85A3_08D3;
+
+/// A 64-bit fold over a byte stream, eight bytes per multiply: the pin a
+/// [`FleetDelta`] records for its parent's full wire form. Fed piece by
+/// piece in order, it equals the fold of the whole image (a partial word
+/// carries across pieces), so the parent is pinned without building its
+/// image. Each step is a bijection of the running value, so two images
+/// of one length that differ in a single word always fold apart; the
+/// total length is folded in at the end, and a final mix spreads every
+/// bit over the result.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WireFold {
+    h: u64,
+    /// The first `fill` bytes of an unfinished word, little-endian, the
+    /// bits above them zero: what the next piece completes.
+    carry: u64,
+    fill: usize,
+    len: u64,
+}
+
+impl WireFold {
+    pub(crate) fn new() -> Self {
+        WireFold {
+            h: FOLD_SEED,
+            carry: 0,
+            fill: 0,
+            len: 0,
+        }
+    }
+
+    fn step(h: u64, word: u64) -> u64 {
+        (h.rotate_left(23) ^ word).wrapping_mul(FOLD_K)
+    }
+
+    /// Fold the next `bytes` of the stream in. A piece that starts
+    /// mid-word is read word by word all the same, each word shifted
+    /// into place behind the carried bytes.
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        let shift = 8 * self.fill as u32;
+        let mut words = bytes.chunks_exact(8);
+        let mut h = self.h;
+        if shift == 0 {
+            for word in &mut words {
+                h = Self::step(h, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+            }
+        } else {
+            for word in &mut words {
+                let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+                h = Self::step(h, self.carry | word << shift);
+                self.carry = word >> (64 - shift);
+            }
+        }
+        let rest = words.remainder();
+        let mut last = [0; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        let last = u64::from_le_bytes(last);
+        self.fill += rest.len();
+        if self.fill >= 8 {
+            h = Self::step(h, self.carry | last << shift);
+            self.carry = last >> (64 - shift);
+            self.fill -= 8;
+        } else {
+            self.carry |= last << shift;
+        }
+        self.h = h;
+    }
+
+    /// The pin of everything fed so far.
+    pub(crate) fn finish(self) -> u64 {
+        let mut h = self.h;
+        if self.fill > 0 {
+            h = Self::step(h, self.carry);
+        }
+        h = Self::step(h, self.len);
+        h ^= h >> 30;
+        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h ^= h >> 27;
+        h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
+        h ^ (h >> 31)
+    }
+}
+
+/// One slot's checkpointed scalars: identity, audited scalars, and the
+/// length of its state payload, which is the slot's span of its shard
+/// table's arena (kind and site count live once in the header).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SlotRow {
     pub(crate) key: u64,
     pub(crate) f: i64,
     pub(crate) updates: u64,
     pub(crate) violations: u64,
     pub(crate) estimate: i64,
-    pub(crate) state: Vec<u8>,
+    pub(crate) len: usize,
 }
 
-impl SlotRecord {
-    fn encode(&self, enc: &mut Enc) {
-        enc.u64(self.key);
-        enc.i64(self.f);
-        enc.u64(self.updates);
-        enc.u64(self.violations);
-        enc.i64(self.estimate);
-        enc.blob(&self.state);
+impl SlotRow {
+    /// The scalars in wire order.
+    fn scalars(&self) -> [u64; 5] {
+        [
+            self.key,
+            self.f as u64,
+            self.updates,
+            self.violations,
+            self.estimate as u64,
+        ]
     }
 
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let rec = SlotRecord {
-            key: dec.u64()?,
-            f: dec.i64()?,
-            updates: dec.u64()?,
-            violations: dec.u64()?,
-            estimate: dec.i64()?,
-            state: dec.blob()?.to_vec(),
-        };
-        if rec.state.is_empty() {
+    /// The record's wire bytes up to its state: the scalars, then the
+    /// state blob's length prefix.
+    fn wire_head(&self) -> [u8; ROW_BYTES] {
+        let mut out = [0; ROW_BYTES];
+        let words = self.scalars().into_iter().chain([self.len as u64]);
+        for (slot, word) in out.chunks_exact_mut(8).zip(words) {
+            slot.copy_from_slice(&word.to_le_bytes());
+        }
+        out
+    }
+
+    /// Write the whole record: the scalars, then `state` as a blob.
+    fn encode(&self, enc: &mut Enc, state: &[u8]) {
+        for word in self.scalars() {
+            enc.u64(word);
+        }
+        enc.blob(state);
+    }
+
+    /// Read one record: the row, and its state bytes in place.
+    fn decode<'a>(dec: &mut Dec<'a>) -> Result<(Self, &'a [u8]), CodecError> {
+        let key = dec.u64()?;
+        let f = dec.i64()?;
+        let updates = dec.u64()?;
+        let violations = dec.u64()?;
+        let estimate = dec.i64()?;
+        let state = dec.blob()?;
+        if state.is_empty() {
             return Err(CodecError::BadValue {
                 what: "fleet slot state",
             });
         }
-        Ok(rec)
+        let row = SlotRow {
+            key,
+            f,
+            updates,
+            violations,
+            estimate,
+            len: state.len(),
+        };
+        Ok((row, state))
+    }
+}
+
+/// One shard's slots, flat: a row per slot in slot order, and their
+/// states packed into one arena in the same order, without gaps. The
+/// layout is canonical, so equal tables are equal wire bytes.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct ShardTable {
+    pub(crate) rows: Vec<SlotRow>,
+    pub(crate) arena: Vec<u8>,
+}
+
+impl ShardTable {
+    /// Bytes of this table on the wire: its slot count and records.
+    fn wire_len(&self) -> usize {
+        8 + self.rows.len() * ROW_BYTES + self.arena.len()
+    }
+
+    /// Every slot with its state bytes, in slot order.
+    fn slots(&self) -> impl Iterator<Item = (&SlotRow, &[u8])> {
+        let mut off = 0;
+        self.rows.iter().map(move |row| {
+            off += row.len;
+            (row, &self.arena[off - row.len..off])
+        })
+    }
+
+    /// Hand the table's wire form to `piece`, in order: the slot count,
+    /// then each record's head and its state bytes.
+    fn pieces(&self, piece: &mut impl FnMut(&[u8])) {
+        piece(&(self.rows.len() as u64).to_le_bytes());
+        for (row, state) in self.slots() {
+            piece(&row.wire_head());
+            piece(state);
+        }
+    }
+
+    /// [`slots`](Self::slots), folding the table's wire form into `pin`
+    /// as they are visited, so a caller that reads every slot anyway
+    /// pins the table in the same pass.
+    fn pinned_slots<'a>(
+        &'a self,
+        pin: &'a mut WireFold,
+    ) -> impl Iterator<Item = (&'a SlotRow, &'a [u8])> {
+        pin.update(&(self.rows.len() as u64).to_le_bytes());
+        self.slots().inspect(move |(row, state)| {
+            pin.update(&row.wire_head());
+            pin.update(state);
+        })
     }
 }
 
@@ -172,20 +347,42 @@ impl FleetHeader {
     }
 }
 
+/// Every applied update belongs to exactly one key, so the per-key
+/// counts must re-sum to the fleet clock.
+fn check_update_total<'a>(
+    head: &FleetHeader,
+    tables: impl Iterator<Item = &'a ShardTable>,
+) -> Result<(), CodecError> {
+    let total = tables
+        .flat_map(|table| &table.rows)
+        .fold(0u64, |sum, row| sum.saturating_add(row.updates));
+    if total != head.time {
+        return Err(CodecError::Mismatch {
+            what: "fleet per-key update total vs time",
+            expected: head.time,
+            found: total,
+        });
+    }
+    Ok(())
+}
+
 /// A versioned snapshot of a whole fleet (`b"DSVF"`, currently
 /// [`FLEET_VERSION`]): fleet scalars, the aggregate ledger, and one
-/// compact record per key. Taking one cuts a batch boundary first (staged
-/// updates are applied, so a checkpoint is always a boundary state).
+/// compact record per key, held per shard as a flat table of slot
+/// scalars beside one arena of states. Taking one cuts a batch boundary
+/// first (staged updates are applied, so a checkpoint is always a
+/// boundary state).
 ///
 /// The wire form is produced by [`to_bytes`](Self::to_bytes) and read by
 /// [`from_bytes`](Self::from_bytes); truncated, corrupted, version-skewed
 /// or internally inconsistent payloads decode to typed [`CodecError`]s,
 /// never panics (held by `tests/codec_robustness.rs`). Checkpoint bytes
-/// are bit-identical across worker counts *and* cache capacities.
+/// are bit-identical across worker counts *and* cache capacities, and
+/// two checkpoints are `==` exactly when their bytes are.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetCheckpoint {
     pub(crate) head: FleetHeader,
-    pub(crate) shards: Vec<Vec<SlotRecord>>,
+    pub(crate) shards: Vec<ShardTable>,
 }
 
 impl FleetCheckpoint {
@@ -206,7 +403,7 @@ impl FleetCheckpoint {
 
     /// Live keys captured.
     pub fn keys(&self) -> usize {
-        self.shards.iter().map(Vec::len).sum()
+        self.shards.iter().map(|table| table.rows.len()).sum()
     }
 
     /// Updates applied when the checkpoint was cut.
@@ -219,39 +416,33 @@ impl FleetCheckpoint {
         self.head.f
     }
 
-    /// Write the versioned wire form (full shard table) through `enc`,
-    /// handing it to `piece` after every slot record and once at the end,
-    /// so a caller that only folds over the image can drain the encoder
-    /// as it goes. The pieces, in order, are the image.
-    fn encode_pieces(&self, enc: &mut Enc, mut piece: impl FnMut(&mut Enc)) {
+    /// The wire form up to the shard tables: envelope and header.
+    fn head_bytes(&self) -> Vec<u8> {
+        let mut enc = Enc::new();
         enc.magic(FLEET_MAGIC, FLEET_VERSION);
         enc.u8(TABLE_FULL);
-        self.head.encode(enc, self.shards.len());
-        for records in &self.shards {
-            enc.seq_len(records.len());
-            for rec in records {
-                rec.encode(enc);
-                piece(enc);
-            }
-        }
-        piece(enc);
+        self.head.encode(&mut enc, self.shards.len());
+        enc.into_bytes()
     }
 
     /// Serialize to the versioned wire form (full shard table).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
-        self.encode_pieces(&mut enc, |_| {});
-        enc.into_bytes()
+        let mut out = self.head_bytes();
+        out.reserve_exact(self.shards.iter().map(ShardTable::wire_len).sum());
+        for table in &self.shards {
+            table.pieces(&mut |bytes| out.extend_from_slice(bytes));
+        }
+        out
     }
 
-    /// `fingerprint(&self.to_bytes())` without building the image: the
-    /// wire form streams through one record-sized buffer into the fold.
+    /// The [`WireFold`] of [`to_bytes`](Self::to_bytes), fed straight
+    /// from the tables: the image is never built.
     pub(crate) fn wire_fingerprint(&self) -> u64 {
-        let mut fold = Fingerprint::new();
-        self.encode_pieces(&mut Enc::new(), |enc| {
-            fold.update(enc.as_bytes());
-            enc.clear();
-        });
+        let mut fold = WireFold::new();
+        fold.update(&self.head_bytes());
+        for table in &self.shards {
+            table.pieces(&mut |bytes| fold.update(bytes));
+        }
         fold.finish()
     }
 
@@ -267,49 +458,57 @@ impl FleetCheckpoint {
         )?;
         let (head, n_shards) = FleetHeader::decode(&mut dec)?;
         let mut shards = Vec::with_capacity(n_shards);
-        let mut total_updates: u64 = 0;
         for _ in 0..n_shards {
-            let n_slots = dec.seq_len("fleet slots", 48)?;
-            let mut records = Vec::with_capacity(n_slots);
+            let n_slots = dec.seq_len("fleet slots", ROW_BYTES)?;
+            // Read the rows first, so the arena is sized once, exactly;
+            // then copy each state out of the records just read.
+            let start = bytes.len() - dec.remaining();
+            let mut rows = Vec::with_capacity(n_slots);
             for _ in 0..n_slots {
-                let rec = SlotRecord::decode(&mut dec)?;
-                total_updates = total_updates.saturating_add(rec.updates);
-                records.push(rec);
+                rows.push(SlotRow::decode(&mut dec)?.0);
             }
-            shards.push(records);
+            let end = bytes.len() - dec.remaining();
+            let mut arena = Vec::with_capacity(end - start - n_slots * ROW_BYTES);
+            let mut at = start;
+            for row in &rows {
+                at += ROW_BYTES;
+                arena.extend_from_slice(&bytes[at..at + row.len]);
+                at += row.len;
+            }
+            shards.push(ShardTable { rows, arena });
         }
         dec.finish()?;
-        // Every applied update belongs to exactly one key, so the
-        // per-key counts must re-sum to the fleet clock.
-        if total_updates != head.time {
-            return Err(CodecError::Mismatch {
-                what: "fleet per-key update total vs time",
-                expected: head.time,
-                found: total_updates,
-            });
-        }
+        check_update_total(&head, shards.iter())?;
         Ok(FleetCheckpoint { head, shards })
     }
 }
 
-/// One slot's contribution to a [`FleetDelta`], positionally aligned
-/// against the parent checkpoint's slot table. Slots are append-only per
-/// shard, so a parent's records are always a positional prefix of its
-/// child's — ops never need to carry reordering information.
+/// An aligned slot that changed since the parent: its fresh scalars and
+/// a [`StateDelta`] over its state bytes.
 #[derive(Debug, Clone, PartialEq)]
-enum SlotOp {
-    /// The record (key, scalars, and state bytes) is unchanged.
-    Same,
-    /// Same key; fresh scalars and a [`StateDelta`] over the state bytes.
-    Delta {
-        f: i64,
-        updates: u64,
-        violations: u64,
-        estimate: i64,
-        state: StateDelta,
-    },
-    /// A key appended since the parent, recorded in full.
-    Full(SlotRecord),
+struct SlotDelta {
+    /// Position in the shard's slot table.
+    at: usize,
+    f: i64,
+    updates: u64,
+    violations: u64,
+    estimate: i64,
+    state: StateDelta,
+}
+
+/// One shard of a [`FleetDelta`], positionally aligned against the
+/// parent's table. Slots are append-only per shard, so a parent's rows
+/// are always a key-prefix of its child's — the delta never needs to
+/// carry reordering information.
+#[derive(Debug, Clone, PartialEq)]
+struct DeltaShard {
+    /// The parent's slot count: the child's first `aligned` slots.
+    aligned: usize,
+    /// The aligned slots that changed, by ascending position; every
+    /// other aligned slot is the parent's unchanged.
+    changed: Vec<SlotDelta>,
+    /// Keys appended since the parent, in full.
+    appended: ShardTable,
 }
 
 /// A fleet checkpoint encoded as a diff against a **parent**
@@ -318,10 +517,10 @@ enum SlotOp {
 /// Build one with [`TrackerFleet::checkpoint_delta`](crate::fleet::TrackerFleet::checkpoint_delta) (or
 /// [`FleetDelta::between`] two explicit checkpoints); reconstruct the
 /// child, bit-identically, with [`apply`](Self::apply) against the same
-/// parent. The parent is pinned by the FNV-1a fingerprint of its full
-/// wire form, so applying against the wrong parent — or a tampered one —
-/// is a typed [`CodecError::Mismatch`], never silent corruption. Fleet
-/// slot slabs are append-only per shard, so the parent's records are a
+/// parent. The parent is pinned by a 64-bit word fold over its full wire
+/// form, so applying against the wrong parent — or a tampered one — is
+/// a typed [`CodecError::Mismatch`], never silent corruption. Fleet slot
+/// slabs are append-only per shard, so the parent's records are a
 /// positional prefix of the child's: unchanged slots cost one tag byte,
 /// touched slots a section-aware [`StateDelta`], and only keys that
 /// first applied an update since the parent ship in full.
@@ -331,7 +530,7 @@ pub struct FleetDelta {
     pub(crate) parent_hash: u64,
     /// The child's header.
     head: FleetHeader,
-    shards: Vec<Vec<SlotOp>>,
+    shards: Vec<DeltaShard>,
 }
 
 impl FleetDelta {
@@ -369,17 +568,24 @@ impl FleetDelta {
                 found: child.head.time,
             });
         }
+        // The parent is pinned in the pass that compares it, so its
+        // states are read from memory once.
+        let mut pin = WireFold::new();
+        pin.update(&parent.head_bytes());
         let mut shards = Vec::with_capacity(child.shards.len());
-        for (ps, cs) in parent.shards.iter().zip(&child.shards) {
-            if cs.len() < ps.len() {
+        for (pt, ct) in parent.shards.iter().zip(&child.shards) {
+            let aligned = pt.rows.len();
+            if ct.rows.len() < aligned {
                 return Err(EngineError::CheckpointMismatch {
                     what: "fleet slot prefix length",
-                    expected: ps.len() as u64,
-                    found: cs.len() as u64,
+                    expected: aligned as u64,
+                    found: ct.rows.len() as u64,
                 });
             }
-            let mut ops = Vec::with_capacity(cs.len());
-            for (pr, cr) in ps.iter().zip(cs) {
+            let mut changed = Vec::new();
+            let mut appended_at = 0;
+            let pairs = pt.pinned_slots(&mut pin).zip(ct.slots());
+            for (at, ((pr, ps), (cr, cs))) in pairs.enumerate() {
                 if cr.key != pr.key {
                     return Err(EngineError::CheckpointMismatch {
                         what: "fleet slot key prefix",
@@ -387,26 +593,30 @@ impl FleetDelta {
                         found: cr.key,
                     });
                 }
-                if cr == pr {
-                    ops.push(SlotOp::Same);
-                } else {
-                    ops.push(SlotOp::Delta {
+                if cr != pr || cs != ps {
+                    changed.push(SlotDelta {
+                        at,
                         f: cr.f,
                         updates: cr.updates,
                         violations: cr.violations,
                         estimate: cr.estimate,
-                        state: StateDelta::diff(&pr.state, &cr.state),
+                        state: StateDelta::diff(ps, cs),
                     });
                 }
+                appended_at += cr.len;
             }
-            for cr in &cs[ps.len()..] {
-                ops.push(SlotOp::Full(cr.clone()));
-            }
-            shards.push(ops);
+            shards.push(DeltaShard {
+                aligned,
+                changed,
+                appended: ShardTable {
+                    rows: ct.rows[aligned..].to_vec(),
+                    arena: ct.arena[appended_at..].to_vec(),
+                },
+            });
         }
         Ok(FleetDelta {
             parent_time: parent.head.time,
-            parent_hash: parent.wire_fingerprint(),
+            parent_hash: pin.finish(),
             head: child.head.clone(),
             shards,
         })
@@ -418,7 +628,14 @@ impl FleetDelta {
     /// a wrong or tampered parent, a cross-wired state delta, or a
     /// shape mismatch is a typed [`CodecError`].
     pub fn apply(&self, parent: &FleetCheckpoint) -> Result<FleetCheckpoint, CodecError> {
-        let found = parent.wire_fingerprint();
+        let mut pin = WireFold::new();
+        let child = self.rebuild(parent, &mut pin);
+        // The parent is pinned in the pass that copies it. A wrong parent
+        // is reported as one, whichever check it tripped first.
+        let found = match child {
+            Ok(_) => pin.finish(),
+            Err(_) => parent.wire_fingerprint(),
+        };
         if found != self.parent_hash {
             return Err(CodecError::Mismatch {
                 what: "fleet delta parent fingerprint",
@@ -426,6 +643,16 @@ impl FleetDelta {
                 found,
             });
         }
+        child
+    }
+
+    /// The child, rebuilt from `parent`'s tables, folding `parent`'s wire
+    /// form into `pin` on the way: one arena per shard, sized exactly.
+    fn rebuild(
+        &self,
+        parent: &FleetCheckpoint,
+        pin: &mut WireFold,
+    ) -> Result<FleetCheckpoint, CodecError> {
         if self.shards.len() != parent.shards.len() {
             return Err(CodecError::Mismatch {
                 what: "fleet delta shard count",
@@ -433,52 +660,47 @@ impl FleetDelta {
                 found: self.shards.len() as u64,
             });
         }
+        pin.update(&parent.head_bytes());
         let mut shards = Vec::with_capacity(self.shards.len());
-        let mut total_updates: u64 = 0;
-        for (ops, ps) in self.shards.iter().zip(&parent.shards) {
-            let aligned = ops
-                .iter()
-                .take_while(|op| !matches!(op, SlotOp::Full(_)))
-                .count();
-            if aligned != ps.len() {
+        for (ds, pt) in self.shards.iter().zip(&parent.shards) {
+            if ds.aligned != pt.rows.len() {
                 return Err(CodecError::Mismatch {
                     what: "fleet delta aligned ops vs parent slots",
-                    expected: ps.len() as u64,
-                    found: aligned as u64,
+                    expected: pt.rows.len() as u64,
+                    found: ds.aligned as u64,
                 });
             }
-            let mut records = Vec::with_capacity(ops.len());
-            for (i, op) in ops.iter().enumerate() {
-                let rec = match op {
-                    SlotOp::Same => ps[i].clone(),
-                    SlotOp::Delta {
-                        f,
-                        updates,
-                        violations,
-                        estimate,
-                        state,
-                    } => SlotRecord {
-                        key: ps[i].key,
-                        f: *f,
-                        updates: *updates,
-                        violations: *violations,
-                        estimate: *estimate,
-                        state: state.apply(&ps[i].state)?,
-                    },
-                    SlotOp::Full(rec) => rec.clone(),
-                };
-                total_updates = total_updates.saturating_add(rec.updates);
-                records.push(rec);
+            // The parent's arena, with every changed state resized to its
+            // delta's result, then the appended states.
+            let mut arena_len = pt.arena.len() + ds.appended.arena.len();
+            for op in &ds.changed {
+                arena_len = arena_len - pt.rows[op.at].len + op.state.new_len() as usize;
             }
-            shards.push(records);
+            let mut rows = Vec::with_capacity(ds.aligned + ds.appended.rows.len());
+            let mut arena = Vec::with_capacity(arena_len);
+            let mut changed = ds.changed.iter().peekable();
+            for (at, (row, state)) in pt.pinned_slots(pin).enumerate() {
+                let Some(op) = changed.next_if(|op| op.at == at) else {
+                    rows.push(*row);
+                    arena.extend_from_slice(state);
+                    continue;
+                };
+                let state = op.state.apply(state)?;
+                rows.push(SlotRow {
+                    key: row.key,
+                    f: op.f,
+                    updates: op.updates,
+                    violations: op.violations,
+                    estimate: op.estimate,
+                    len: state.len(),
+                });
+                arena.extend_from_slice(&state);
+            }
+            rows.extend_from_slice(&ds.appended.rows);
+            arena.extend_from_slice(&ds.appended.arena);
+            shards.push(ShardTable { rows, arena });
         }
-        if total_updates != self.head.time {
-            return Err(CodecError::Mismatch {
-                what: "fleet per-key update total vs time",
-                expected: self.head.time,
-                found: total_updates,
-            });
-        }
+        check_update_total(&self.head, shards.iter())?;
         Ok(FleetCheckpoint {
             head: self.head.clone(),
             shards,
@@ -495,7 +717,10 @@ impl FleetDelta {
         self.head.time
     }
 
-    /// Serialize to the versioned wire form (`DSVF`, delta table).
+    /// Serialize to the versioned wire form (`DSVF`, delta table): per
+    /// shard, one op per child slot — tag 0 for an unchanged aligned
+    /// slot, 1 and its scalars and state delta for a changed one, 2 and
+    /// the full record for an appended key.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut enc = Enc::new();
         enc.magic(FLEET_MAGIC, FLEET_VERSION);
@@ -503,30 +728,27 @@ impl FleetDelta {
         enc.u64(self.parent_time);
         enc.u64(self.parent_hash);
         self.head.encode(&mut enc, self.shards.len());
-        for ops in &self.shards {
-            enc.seq_len(ops.len());
-            for op in ops {
-                match op {
-                    SlotOp::Same => enc.u8(0),
-                    SlotOp::Delta {
-                        f,
-                        updates,
-                        violations,
-                        estimate,
-                        state,
-                    } => {
-                        enc.u8(1);
-                        enc.i64(*f);
-                        enc.u64(*updates);
-                        enc.u64(*violations);
-                        enc.i64(*estimate);
-                        state.encode(&mut enc);
-                    }
-                    SlotOp::Full(rec) => {
-                        enc.u8(2);
-                        rec.encode(&mut enc);
-                    }
+        for ds in &self.shards {
+            enc.seq_len(ds.aligned + ds.appended.rows.len());
+            let mut at = 0;
+            for op in &ds.changed {
+                for _ in at..op.at {
+                    enc.u8(0);
                 }
+                enc.u8(1);
+                enc.i64(op.f);
+                enc.u64(op.updates);
+                enc.u64(op.violations);
+                enc.i64(op.estimate);
+                op.state.encode(&mut enc);
+                at = op.at + 1;
+            }
+            for _ in at..ds.aligned {
+                enc.u8(0);
+            }
+            for (row, state) in ds.appended.slots() {
+                enc.u8(2);
+                row.encode(&mut enc, state);
             }
         }
         enc.into_bytes()
@@ -548,21 +770,27 @@ impl FleetDelta {
         let mut shards = Vec::with_capacity(n_shards);
         for _ in 0..n_shards {
             let n_ops = dec.seq_len("fleet delta ops", 1)?;
-            let mut ops = Vec::with_capacity(n_ops);
-            let mut appending = false;
+            let mut ds = DeltaShard {
+                aligned: 0,
+                changed: Vec::new(),
+                appended: ShardTable::default(),
+            };
             for _ in 0..n_ops {
-                let op = match dec.u8()? {
-                    0 => SlotOp::Same,
-                    1 => SlotOp::Delta {
+                let tag = dec.u8()?;
+                match tag {
+                    0 => {}
+                    1 => ds.changed.push(SlotDelta {
+                        at: ds.aligned,
                         f: dec.i64()?,
                         updates: dec.u64()?,
                         violations: dec.u64()?,
                         estimate: dec.i64()?,
                         state: StateDelta::decode(&mut dec)?,
-                    },
+                    }),
                     2 => {
-                        appending = true;
-                        SlotOp::Full(SlotRecord::decode(&mut dec)?)
+                        let (row, state) = SlotRow::decode(&mut dec)?;
+                        ds.appended.rows.push(row);
+                        ds.appended.arena.extend_from_slice(state);
                     }
                     tag => {
                         return Err(CodecError::BadTag {
@@ -570,15 +798,17 @@ impl FleetDelta {
                             tag: tag as u64,
                         })
                     }
-                };
-                if appending && !matches!(op, SlotOp::Full(_)) {
-                    return Err(CodecError::BadValue {
-                        what: "fleet delta op order (aligned op after appended record)",
-                    });
                 }
-                ops.push(op);
+                if tag != 2 {
+                    if !ds.appended.rows.is_empty() {
+                        return Err(CodecError::BadValue {
+                            what: "fleet delta op order (aligned op after appended record)",
+                        });
+                    }
+                    ds.aligned += 1;
+                }
             }
-            shards.push(ops);
+            shards.push(ds);
         }
         dec.finish()?;
         Ok(FleetDelta {
@@ -587,5 +817,135 @@ impl FleetDelta {
             head,
             shards,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::EngineConfig;
+    use crate::fleet::CounterFleet;
+    use dsv_core::api::TrackerSpec;
+
+    fn fold(bytes: &[u8]) -> u64 {
+        let mut fold = WireFold::new();
+        fold.update(bytes);
+        fold.finish()
+    }
+
+    /// `len` bytes of an arbitrary image.
+    fn image(len: usize) -> Vec<u8> {
+        let mut state = 0x5EED_u64;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
+    fn fleet() -> CounterFleet {
+        let spec = TrackerSpec::new(TrackerKind::Deterministic).eps(0.1);
+        CounterFleet::counters(spec, EngineConfig::new(4, 8).eps(0.1)).unwrap()
+    }
+
+    #[test]
+    fn the_pin_is_the_same_at_every_split_point() {
+        let img = image(1029);
+        let whole = fold(&img);
+        for cut in 0..=img.len() {
+            let mut fold = WireFold::new();
+            fold.update(&img[..cut]);
+            fold.update(&img[cut..]);
+            assert_eq!(fold.finish(), whole, "split at {cut}");
+        }
+        // Many short pieces, each leaving a partial word to the next.
+        for width in [1, 3, 7, 9, 48] {
+            let mut fold = WireFold::new();
+            for piece in img.chunks(width) {
+                fold.update(piece);
+            }
+            assert_eq!(fold.finish(), whole, "pieces of {width}");
+        }
+    }
+
+    #[test]
+    fn appending_a_zero_byte_changes_the_pin() {
+        for len in [0, 1, 7, 8, 9, 1024] {
+            let img = image(len);
+            let mut longer = img.clone();
+            longer.push(0);
+            assert_ne!(fold(&img), fold(&longer), "{len} bytes");
+        }
+    }
+
+    #[test]
+    fn the_empty_image_has_a_fixed_pin() {
+        assert_eq!(fold(&[]), 0x3463_0F3F_F819_1DA6);
+    }
+
+    #[test]
+    fn every_flipped_parent_byte_is_a_fingerprint_mismatch() {
+        let mut fleet = fleet();
+        for t in 0..120u64 {
+            fleet.update(t % 7, 1 + (t as i64 % 3)).unwrap();
+        }
+        let parent = fleet.checkpoint().unwrap();
+        for t in 0..40u64 {
+            fleet.update(t % 3, 2).unwrap();
+            fleet.update(50 + t % 2, 1).unwrap();
+        }
+        let delta = fleet.checkpoint_delta(&parent).unwrap();
+        let bytes = parent.to_bytes();
+        let mut decoded = 0;
+        for i in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[i] ^= 0xA5;
+            let Ok(impostor) = FleetCheckpoint::from_bytes(&flipped) else {
+                continue;
+            };
+            decoded += 1;
+            assert!(
+                matches!(
+                    delta.apply(&impostor),
+                    Err(CodecError::Mismatch {
+                        what: "fleet delta parent fingerprint",
+                        ..
+                    })
+                ),
+                "a parent flipped at byte {i} was not refused by its pin"
+            );
+        }
+        assert!(decoded * 2 > bytes.len(), "only {decoded} flips decoded");
+    }
+
+    #[test]
+    fn a_delta_against_an_older_ancestor_rebuilds_the_checkpoint() {
+        let mut fleet = fleet();
+        for t in 0..200u64 {
+            fleet.update(t % 11, 1).unwrap();
+        }
+        let grandparent = fleet.checkpoint().unwrap();
+        // Two boundaries with a checkpoint between them: keys touched
+        // only before it, keys touched only after it, new keys in both.
+        for t in 0..40u64 {
+            fleet.update(t % 3, 2).unwrap();
+            fleet.update(100 + t % 2, 1).unwrap();
+        }
+        let parent = fleet.checkpoint().unwrap();
+        for t in 0..40u64 {
+            fleet.update(5 + t % 3, -1).unwrap();
+            fleet.update(200 + t % 2, 1).unwrap();
+        }
+        let delta = fleet.checkpoint_delta(&grandparent).unwrap();
+        let child = fleet.checkpoint().unwrap();
+        assert_ne!(parent, child);
+        assert_eq!(delta.parent_time(), grandparent.time());
+        assert_eq!(
+            delta.apply(&grandparent).unwrap().to_bytes(),
+            child.to_bytes()
+        );
     }
 }
