@@ -79,7 +79,7 @@ const FOLD_SEED: u64 = 0x243F_6A88_85A3_08D3;
 /// of one length that differ in a single word always fold apart; the
 /// total length is folded in at the end, and a final mix spreads every
 /// bit over the result.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub(crate) struct WireFold {
     h: u64,
     /// The first `fill` bytes of an unfinished word, little-endian, the
@@ -349,11 +349,9 @@ impl FleetHeader {
 
 /// Every applied update belongs to exactly one key, so the per-key
 /// counts must re-sum to the fleet clock.
-fn check_update_total<'a>(
-    head: &FleetHeader,
-    tables: impl Iterator<Item = &'a ShardTable>,
-) -> Result<(), CodecError> {
+fn check_update_total(head: &FleetHeader, tables: &[ShardTable]) -> Result<(), CodecError> {
     let total = tables
+        .iter()
         .flat_map(|table| &table.rows)
         .fold(0u64, |sum, row| sum.saturating_add(row.updates));
     if total != head.time {
@@ -478,7 +476,7 @@ impl FleetCheckpoint {
             shards.push(ShardTable { rows, arena });
         }
         dec.finish()?;
-        check_update_total(&head, shards.iter())?;
+        check_update_total(&head, &shards)?;
         Ok(FleetCheckpoint { head, shards })
     }
 }
@@ -700,7 +698,7 @@ impl FleetDelta {
             arena.extend_from_slice(&ds.appended.arena);
             shards.push(ShardTable { rows, arena });
         }
-        check_update_total(&self.head, shards.iter())?;
+        check_update_total(&self.head, &shards)?;
         Ok(FleetCheckpoint {
             head: self.head.clone(),
             shards,
