@@ -160,7 +160,7 @@ cargo clippy --workspace --all-targets ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}
 step "cargo test --workspace -q (superset of the tier-1 'cargo test -q')"
 cargo test --workspace -q ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}
 
-step "cargo test --release: codec_robustness + state_bounded + fleet_equivalence + state_roundtrip + delta_checkpoint + engine_equivalence + engine_checkpoint + pipeline_equivalence (the restore gauntlet, the O(k) state check, the snapshot seam, delta chains and the windowed executor, optimized)"
+step "cargo test --release: codec_robustness + state_bounded + fleet_equivalence + state_roundtrip + delta_checkpoint + fleet_delta + engine_equivalence + engine_checkpoint + pipeline_equivalence (the restore gauntlet, the O(k) state check, the snapshot seam, delta chains and the windowed executor, optimized)"
 # Both profiles are needed. The restore-then-continue gauntlet's
 # `assert!` panics reproduce only when a restored tracker is stepped and
 # survive into release; its shift and add overflows panic only in debug
@@ -171,14 +171,16 @@ step "cargo test --release: codec_robustness + state_bounded + fleet_equivalence
 # so its equivalence matrix and the seam's round-trip suite run here too.
 # Fleet delta chains (delta_checkpoint) run here as well: a fleet
 # checkpoint is flat per-shard tables copied as whole slices and its
-# delta pins the parent with a word-wide fold, both optimized code.
+# delta pins the parent with a word-wide fold, both optimized code; and
+# fleet_delta, whose dirty walk pins the parent on a worker of its own
+# beside the shard walkers, so the pin and the walk overlap.
 # All three in-memory modes (run, run_parted, run_pipelined) share one
 # executor whose workers run whole windows of rounds without meeting, and
 # their threads only interleave at scale once optimized, so the engine's
 # worker-count matrices run here as well, with engine_checkpoint (routed
 # run and rescale at several worker counts) and pipeline_equivalence (the
 # pipelined workers drain their feeds on that executor).
-cargo test -q --release -p dsv ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"} --test codec_robustness --test state_bounded --test fleet_equivalence --test state_roundtrip --test delta_checkpoint --test engine_equivalence --test engine_checkpoint --test pipeline_equivalence
+cargo test -q --release -p dsv ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"} --test codec_robustness --test state_bounded --test fleet_equivalence --test state_roundtrip --test delta_checkpoint --test fleet_delta --test engine_equivalence --test engine_checkpoint --test pipeline_equivalence
 
 step "cargo build --release --examples"
 cargo build --release --examples ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}

@@ -45,6 +45,7 @@
 //! coordinator estimate: queries between boundaries report the last cut,
 //! and [`flush`](TrackerFleet::flush) forces one.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -53,8 +54,8 @@ use dsv_core::codec::{kind_tag, TrackerState};
 use dsv_net::{relative_error, CommStats, SiteId, Time};
 
 use crate::config::{EngineConfig, EngineError};
+use crate::fleet_codec::{DeltaShard, FleetHeader, ShardTable, SlotDelta, SlotRow};
 pub use crate::fleet_codec::{FleetCheckpoint, FleetDelta, FLEET_MAGIC, FLEET_VERSION};
-use crate::fleet_codec::{FleetHeader, ShardTable, SlotRow};
 use crate::partition::{hash_item, InputDelta};
 use crate::round::{fork_join, worker_groups};
 
@@ -69,6 +70,12 @@ const NONE_U32: u32 = u32::MAX;
 /// Arena-length sentinel: this slot has no frozen bytes (brand new, or
 /// its live tracker owns the state).
 const FRESH: u32 = u32::MAX;
+
+/// The next fleet's lineage: process-unique and never 0, which marks a
+/// checkpoint no fleet in this process vouches for (a decoded one).
+/// Taken with a `Relaxed` `fetch_add`: the value publishes no other data,
+/// and the read-modify-write alone makes it unique.
+static NEXT_LINEAGE: AtomicU64 = AtomicU64::new(1);
 
 /// Open-addressed key → slot index (linear probing, power-of-two
 /// capacity, load kept ≤ 1/2). `SipHash` through a std map is the wrong
@@ -179,6 +186,20 @@ struct Slot {
     f: i64,
     updates: u64,
     violations: u64,
+}
+
+impl Slot {
+    /// The slot's checkpoint row, its state `len` bytes long.
+    fn row(&self, len: usize) -> SlotRow {
+        SlotRow {
+            key: self.key,
+            f: self.f,
+            updates: self.updates,
+            violations: self.violations,
+            estimate: self.estimate,
+            len,
+        }
+    }
 }
 
 /// One staged keyed update: a link in its slot's arrival-order chain.
@@ -500,15 +521,36 @@ where
         self.garbage = 0;
     }
 
-    /// Snapshot every slot into a flat checkpoint table. Cached trackers
-    /// snapshot in place (without eviction) straight into the table's
-    /// arena, frozen slots copy their arena spans, so the table is
-    /// independent of cache capacity and worker count. The arena is
-    /// reserved once: a cached state is sized as the fresh prototype's,
-    /// whose shape a key's state keeps.
-    fn table(&self, proto: &TrackerState) -> Result<ShardTable, EngineError> {
-        let reserve = self
-            .slots
+    /// Append `slot`'s state to `out`: a cached tracker snapshots in
+    /// place (without eviction), a frozen slot copies its arena span, a
+    /// never-applied one the fresh prototype's. The bytes are therefore
+    /// independent of cache capacity and worker count.
+    fn state_into(
+        &self,
+        slot: &Slot,
+        proto: &TrackerState,
+        out: &mut Vec<u8>,
+    ) -> Result<(), EngineError> {
+        if slot.cached != NONE_U32 {
+            self.cache[slot.cached as usize]
+                .tracker
+                .snapshot_into(out)
+                .map_err(EngineError::Codec)
+        } else if slot.len != FRESH {
+            out.extend_from_slice(&self.arena[slot.off..slot.off + slot.len as usize]);
+            Ok(())
+        } else {
+            out.extend_from_slice(proto.payload());
+            Ok(())
+        }
+    }
+
+    /// Snapshot the slots from position `from` on into a flat checkpoint
+    /// table. The arena is reserved once: a cached state is sized as the
+    /// fresh prototype's, whose shape a key's state keeps.
+    fn table(&self, from: usize, proto: &TrackerState) -> Result<ShardTable, EngineError> {
+        let slots = &self.slots[from..];
+        let reserve = slots
             .iter()
             .map(|slot| match slot.len {
                 FRESH => proto.payload().len(),
@@ -516,34 +558,45 @@ where
             })
             .sum();
         let mut table = ShardTable {
-            rows: Vec::with_capacity(self.slots.len()),
+            rows: Vec::with_capacity(slots.len()),
             arena: Vec::with_capacity(reserve),
         };
-        for slot in &self.slots {
+        for slot in slots {
             let off = table.arena.len();
-            if slot.cached != NONE_U32 {
-                self.cache[slot.cached as usize]
-                    .tracker
-                    .snapshot_into(&mut table.arena)
-                    .map_err(EngineError::Codec)?;
-            } else if slot.len != FRESH {
-                table
-                    .arena
-                    .extend_from_slice(&self.arena[slot.off..slot.off + slot.len as usize]);
-            } else {
-                table.arena.extend_from_slice(proto.payload());
-            }
-            table.rows.push(SlotRow {
-                key: slot.key,
-                f: slot.f,
-                updates: slot.updates,
-                violations: slot.violations,
-                estimate: slot.estimate,
-                len: table.arena.len() - off,
-            });
+            self.state_into(slot, proto, &mut table.arena)?;
+            table.rows.push(slot.row(table.arena.len() - off));
         }
         table.arena.shrink_to_fit();
         Ok(table)
+    }
+
+    /// This shard as a [`DeltaShard`] against `parent`, the same shard in
+    /// a checkpoint this fleet descends from. Slots only append, so the
+    /// parent's rows are this shard's first slots; a slot changed since
+    /// then iff it applied a run since then, and every run adds at least
+    /// one update, so only slots whose update count moved are snapshotted
+    /// and diffed. Slots past the parent's are copied whole.
+    fn delta_against(
+        &self,
+        parent: &ShardTable,
+        proto: &TrackerState,
+    ) -> Result<DeltaShard, EngineError> {
+        let mut changed = Vec::new();
+        let mut state = Vec::new();
+        for (at, ((row, before), slot)) in parent.slots().zip(&self.slots).enumerate() {
+            debug_assert_eq!(row.key, slot.key, "an ancestor's slots are a key prefix");
+            if slot.updates == row.updates {
+                continue;
+            }
+            state.clear();
+            self.state_into(slot, proto, &mut state)?;
+            changed.push(SlotDelta::new(at, &slot.row(state.len()), before, &state));
+        }
+        Ok(DeltaShard {
+            aligned: parent.rows.len(),
+            changed,
+            appended: self.table(parent.rows.len(), proto)?,
+        })
     }
 
     fn memory_into(&self, mem: &mut FleetMemory) {
@@ -670,6 +723,11 @@ pub struct TrackerFleet<T, In: Copy> {
     /// fleet clock; staged updates not included), `f` is the fleet-wide
     /// ground truth Σ_key f_key.
     head: FleetHeader,
+    /// This fleet's stamp on its checkpoints (from [`NEXT_LINEAGE`]).
+    lineage: u64,
+    /// The lineage and clock of the checkpoint this fleet resumed from
+    /// (lineage 0 for a fleet built fresh).
+    origin: (u64, Time),
     deletions_ok: bool,
     shards: Vec<ShardSlab<T, In>>,
     /// Fleet-wide Σ_key boundary estimates.
@@ -731,6 +789,8 @@ where
                 max_err: 0.0,
                 tracker_stats: CommStats::new(),
             },
+            lineage: NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed),
+            origin: (0, 0),
             deletions_ok: kind.supports_deletions(),
             shards,
             agg_estimate: 0,
@@ -821,6 +881,7 @@ where
             }
         }
         fleet.head = ckpt.head.clone();
+        fleet.origin = (ckpt.lineage, ckpt.head.time);
         Ok(fleet)
     }
 
@@ -1082,11 +1143,12 @@ where
         self.flush()?;
         let mut shards = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
-            shards.push(shard.table(&self.proto)?);
+            shards.push(shard.table(0, &self.proto)?);
         }
         Ok(FleetCheckpoint {
             head: self.head.clone(),
             shards,
+            lineage: self.lineage,
         })
     }
 
@@ -1097,12 +1159,81 @@ where
     /// [`StateDelta`](dsv_net::StateDelta), and only newly applied keys ship in full.
     /// `delta.apply(&parent)` reconstructs the full checkpoint
     /// bit-identically.
+    ///
+    /// A `parent` this fleet descends from — one it took (or a clone of
+    /// one, or one a delta it built rebuilt), or one taken by the fleet
+    /// it resumed from no later than the checkpoint it resumed from — is
+    /// diffed straight from the slab: only keys whose update count moved
+    /// are snapshotted, and the parent is pinned beside the walk on a
+    /// worker of its own. Any other parent (a decoded one included) is
+    /// diffed in full by [`FleetDelta::between`] against a fresh
+    /// [`checkpoint`](Self::checkpoint). The delta is the same either way.
     pub fn checkpoint_delta(
         &mut self,
         parent: &FleetCheckpoint,
     ) -> Result<FleetDelta, EngineError> {
+        self.flush()?;
+        if self.descends_from(parent) {
+            return self.dirty_delta(parent);
+        }
         let child = self.checkpoint()?;
-        FleetDelta::between(parent, &child)
+        Ok(FleetDelta {
+            lineage: self.lineage,
+            ..FleetDelta::between(parent, &child)?
+        })
+    }
+
+    /// True when `parent` is a state this fleet passed through: a fleet's
+    /// clock only moves when a boundary applies updates, so a lineage and
+    /// a clock name one state, and a resumed fleet passed through its
+    /// origin's states up to the one it resumed from.
+    pub(crate) fn descends_from(&self, parent: &FleetCheckpoint) -> bool {
+        let (origin, resumed_at) = self.origin;
+        parent.lineage != 0
+            && (parent.lineage == self.lineage
+                || (parent.lineage == origin && parent.head.time <= resumed_at))
+    }
+
+    /// [`checkpoint_delta`](Self::checkpoint_delta) against an ancestor,
+    /// at a boundary: W − 1 workers walk the shards (`iter_mut`, as the
+    /// trackers are `Send` but not `Sync`) while one more pins the
+    /// parent; with one worker the calling thread does both.
+    fn dirty_delta(&mut self, parent: &FleetCheckpoint) -> Result<FleetDelta, EngineError> {
+        let workers = self.cfg.workers_count().max(1);
+        let walkers = (workers - 1).clamp(1, self.shards.len());
+        let proto = &*self.proto;
+        let jobs = worker_groups(self.shards.iter_mut().enumerate(), walkers)
+            .into_iter()
+            .map(Some)
+            .chain([None]);
+        let work = |job: Option<Vec<(usize, &mut ShardSlab<T, In>)>>| match job {
+            None => Ok((Some(parent.wire_fingerprint()), Vec::new())),
+            Some(group) => group
+                .into_iter()
+                .map(|(s, shard)| Ok((s, shard.delta_against(&parent.shards[s], proto)?)))
+                .collect::<Result<Vec<_>, EngineError>>()
+                .map(|walked| (None, walked)),
+        };
+        let done: Vec<_> = if workers == 1 {
+            jobs.map(work).collect()
+        } else {
+            fork_join(jobs, work)
+        };
+        let mut pin = 0;
+        let mut shards = Vec::with_capacity(parent.shards.len());
+        for job in done {
+            let (pinned, walked) = job?;
+            pin = pinned.unwrap_or(pin);
+            shards.extend(walked);
+        }
+        shards.sort_unstable_by_key(|&(s, _)| s);
+        Ok(FleetDelta {
+            parent_time: parent.head.time,
+            parent_hash: pin,
+            head: self.head.clone(),
+            shards: shards.into_iter().map(|(_, shard)| shard).collect(),
+            lineage: self.lineage,
+        })
     }
 
     fn mark(&self) -> Mark {
@@ -1198,6 +1329,69 @@ mod tests {
 
     fn cfg() -> EngineConfig {
         EngineConfig::new(4, 8).eps(0.1)
+    }
+
+    #[test]
+    fn a_fleet_trusts_exactly_the_states_it_passed_through() {
+        let play = |fleet: &mut CounterFleet, delta: i64| {
+            for t in 0..64u64 {
+                fleet.update(t % 13, delta).unwrap();
+            }
+        };
+        let mut fleet = CounterFleet::counters(spec(), cfg()).unwrap();
+        play(&mut fleet, 1);
+        let first = fleet.checkpoint().unwrap();
+        play(&mut fleet, 1);
+        let mine = fleet.checkpoint().unwrap();
+        let link = fleet
+            .checkpoint_delta(&first)
+            .unwrap()
+            .apply(&first)
+            .unwrap();
+        assert_eq!(link, mine);
+        for trusted in [&first, &mine, &mine.clone(), &link] {
+            assert!(fleet.descends_from(trusted));
+        }
+        let decoded = FleetCheckpoint::from_bytes(&mine.to_bytes()).unwrap();
+        let unstamped = FleetDelta::between(&first, &mine)
+            .unwrap()
+            .apply(&first)
+            .unwrap();
+        let mut twin = CounterFleet::counters(spec(), cfg()).unwrap();
+        play(&mut twin, 1);
+        let theirs = twin.checkpoint().unwrap();
+        for untrusted in [&decoded, &unstamped, &theirs] {
+            assert!(!fleet.descends_from(untrusted));
+        }
+        // A delta the fleet built against a parent it does not trust
+        // still rebuilds one of its own states.
+        let rebuilt = fleet
+            .checkpoint_delta(&decoded)
+            .unwrap()
+            .apply(&decoded)
+            .unwrap();
+        assert!(fleet.descends_from(&rebuilt));
+
+        // Resumed: its origin's states up to the resume point, and its own.
+        let mut resumed = CounterFleet::resume(spec(), cfg(), &mine).unwrap();
+        play(&mut fleet, 1);
+        play(&mut resumed, 2);
+        let later = fleet.checkpoint().unwrap();
+        let own = resumed.checkpoint().unwrap();
+        for trusted in [&first, &mine, &link, &own] {
+            assert!(resumed.descends_from(trusted));
+        }
+        for untrusted in [&later, &decoded, &theirs] {
+            assert!(!resumed.descends_from(untrusted));
+        }
+        assert!(!fleet.descends_from(&own));
+        // Resumed from bytes: nothing before the resume point is trusted,
+        // decoded or not.
+        let from_bytes = CounterFleet::resume(spec(), cfg(), &decoded).unwrap();
+        let decoded_first = FleetCheckpoint::from_bytes(&first.to_bytes()).unwrap();
+        for untrusted in [&first, &decoded_first, &decoded] {
+            assert!(!from_bytes.descends_from(untrusted));
+        }
     }
 
     #[test]

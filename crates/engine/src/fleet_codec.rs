@@ -237,7 +237,7 @@ impl ShardTable {
     }
 
     /// Every slot with its state bytes, in slot order.
-    fn slots(&self) -> impl Iterator<Item = (&SlotRow, &[u8])> {
+    pub(crate) fn slots(&self) -> impl Iterator<Item = (&SlotRow, &[u8])> {
         let mut off = 0;
         self.rows.iter().map(move |row| {
             off += row.len;
@@ -377,10 +377,21 @@ fn check_update_total(head: &FleetHeader, tables: &[ShardTable]) -> Result<(), C
 /// never panics (held by `tests/codec_robustness.rs`). Checkpoint bytes
 /// are bit-identical across worker counts *and* cache capacities, and
 /// two checkpoints are `==` exactly when their bytes are.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FleetCheckpoint {
     pub(crate) head: FleetHeader,
     pub(crate) shards: Vec<ShardTable>,
+    /// The fleet that took this checkpoint, in memory only: what lets
+    /// [`TrackerFleet::checkpoint_delta`](crate::fleet::TrackerFleet::checkpoint_delta)
+    /// trust it as an ancestor. 0 (a decoded checkpoint) is never
+    /// trusted, and it takes no part in `==`.
+    pub(crate) lineage: u64,
+}
+
+impl PartialEq for FleetCheckpoint {
+    fn eq(&self, other: &Self) -> bool {
+        self.head == other.head && self.shards == other.shards
+    }
 }
 
 impl FleetCheckpoint {
@@ -477,14 +488,18 @@ impl FleetCheckpoint {
         }
         dec.finish()?;
         check_update_total(&head, &shards)?;
-        Ok(FleetCheckpoint { head, shards })
+        Ok(FleetCheckpoint {
+            head,
+            shards,
+            lineage: 0,
+        })
     }
 }
 
 /// An aligned slot that changed since the parent: its fresh scalars and
 /// a [`StateDelta`] over its state bytes.
 #[derive(Debug, Clone, PartialEq)]
-struct SlotDelta {
+pub(crate) struct SlotDelta {
     /// Position in the shard's slot table.
     at: usize,
     f: i64,
@@ -494,19 +509,47 @@ struct SlotDelta {
     state: StateDelta,
 }
 
+impl SlotDelta {
+    /// Slot `at`, now `row` over `state`, diffed against its parent
+    /// state `before`.
+    pub(crate) fn new(at: usize, row: &SlotRow, before: &[u8], state: &[u8]) -> Self {
+        SlotDelta {
+            at,
+            f: row.f,
+            updates: row.updates,
+            violations: row.violations,
+            estimate: row.estimate,
+            state: StateDelta::diff(before, state),
+        }
+    }
+}
+
 /// One shard of a [`FleetDelta`], positionally aligned against the
 /// parent's table. Slots are append-only per shard, so a parent's rows
 /// are always a key-prefix of its child's — the delta never needs to
 /// carry reordering information.
 #[derive(Debug, Clone, PartialEq)]
-struct DeltaShard {
+pub(crate) struct DeltaShard {
     /// The parent's slot count: the child's first `aligned` slots.
-    aligned: usize,
+    pub(crate) aligned: usize,
     /// The aligned slots that changed, by ascending position; every
     /// other aligned slot is the parent's unchanged.
-    changed: Vec<SlotDelta>,
+    pub(crate) changed: Vec<SlotDelta>,
     /// Keys appended since the parent, in full.
-    appended: ShardTable,
+    pub(crate) appended: ShardTable,
+}
+
+impl DeltaShard {
+    /// Bytes of this shard on the wire: its op count, a tag per slot,
+    /// each changed slot's scalars and state delta, each appended record.
+    fn wire_len(&self) -> usize {
+        let changed: usize = self
+            .changed
+            .iter()
+            .map(|op| 32 + op.state.encoded_len())
+            .sum();
+        self.aligned + changed + self.appended.rows.len() + self.appended.wire_len()
+    }
 }
 
 /// A fleet checkpoint encoded as a diff against a **parent**
@@ -522,13 +565,26 @@ struct DeltaShard {
 /// positional prefix of the child's: unchanged slots cost one tag byte,
 /// touched slots a section-aware [`StateDelta`], and only keys that
 /// first applied an update since the parent ship in full.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FleetDelta {
-    parent_time: Time,
+    pub(crate) parent_time: Time,
     pub(crate) parent_hash: u64,
     /// The child's header.
-    head: FleetHeader,
-    shards: Vec<DeltaShard>,
+    pub(crate) head: FleetHeader,
+    pub(crate) shards: Vec<DeltaShard>,
+    /// The fleet whose checkpoint this delta rebuilds, stamped on what
+    /// [`apply`](Self::apply) returns; in memory only, like
+    /// [`FleetCheckpoint`]'s, and 0 unless a fleet built the delta.
+    pub(crate) lineage: u64,
+}
+
+impl PartialEq for FleetDelta {
+    fn eq(&self, other: &Self) -> bool {
+        self.parent_time == other.parent_time
+            && self.parent_hash == other.parent_hash
+            && self.head == other.head
+            && self.shards == other.shards
+    }
 }
 
 impl FleetDelta {
@@ -537,6 +593,14 @@ impl FleetDelta {
     /// parent's slot table a positional key-prefix of the child's and
     /// the fleet clock advanced — anything else is a typed
     /// [`EngineError::CheckpointMismatch`].
+    ///
+    /// Every aligned slot's row and state are compared, so this is right
+    /// for any pair of checkpoints. It is what
+    /// [`TrackerFleet::checkpoint_delta`](crate::fleet::TrackerFleet::checkpoint_delta)
+    /// runs for a parent the fleet cannot vouch for (a decoded one,
+    /// another fleet's, or its origin's from after the resume point);
+    /// against its own ancestors the fleet builds the same bytes from
+    /// the keys it changed alone.
     pub fn between(parent: &FleetCheckpoint, child: &FleetCheckpoint) -> Result<Self, EngineError> {
         if child.head.kind != parent.head.kind {
             return Err(EngineError::CheckpointMismatch {
@@ -592,14 +656,7 @@ impl FleetDelta {
                     });
                 }
                 if cr != pr || cs != ps {
-                    changed.push(SlotDelta {
-                        at,
-                        f: cr.f,
-                        updates: cr.updates,
-                        violations: cr.violations,
-                        estimate: cr.estimate,
-                        state: StateDelta::diff(ps, cs),
-                    });
+                    changed.push(SlotDelta::new(at, cr, ps, cs));
                 }
                 appended_at += cr.len;
             }
@@ -617,6 +674,7 @@ impl FleetDelta {
             parent_hash: pin.finish(),
             head: child.head.clone(),
             shards,
+            lineage: 0,
         })
     }
 
@@ -624,7 +682,10 @@ impl FleetDelta {
     /// bit-identical to the original. `parent` must be the exact
     /// checkpoint the delta was built against (pinned by fingerprint);
     /// a wrong or tampered parent, a cross-wired state delta, or a
-    /// shape mismatch is a typed [`CodecError`].
+    /// shape mismatch is a typed [`CodecError`]. The child of a delta a
+    /// fleet built is that fleet's own state, so the fleet takes it back
+    /// as an ancestor: a chain `prev = delta.apply(&prev)` stays on the
+    /// dirty path.
     pub fn apply(&self, parent: &FleetCheckpoint) -> Result<FleetCheckpoint, CodecError> {
         let mut pin = WireFold::new();
         let child = self.rebuild(parent, &mut pin);
@@ -702,6 +763,7 @@ impl FleetDelta {
         Ok(FleetCheckpoint {
             head: self.head.clone(),
             shards,
+            lineage: self.lineage,
         })
     }
 
@@ -720,12 +782,24 @@ impl FleetDelta {
     /// slot, 1 and its scalars and state delta for a changed one, 2 and
     /// the full record for an appended key.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
+        // Size the output once: the shard tables exactly, the header (a
+        // few hundred bytes) on top.
+        let tables: usize = self.shards.iter().map(DeltaShard::wire_len).sum();
+        let mut out = Vec::with_capacity(tables + 512);
+        Enc::append_to(&mut out, |enc| {
+            self.encode(enc);
+            Ok(())
+        })
+        .expect("encoding a delta cannot fail");
+        out
+    }
+
+    fn encode(&self, enc: &mut Enc) {
         enc.magic(FLEET_MAGIC, FLEET_VERSION);
         enc.u8(TABLE_DELTA);
         enc.u64(self.parent_time);
         enc.u64(self.parent_hash);
-        self.head.encode(&mut enc, self.shards.len());
+        self.head.encode(enc, self.shards.len());
         for ds in &self.shards {
             enc.seq_len(ds.aligned + ds.appended.rows.len());
             let mut at = 0;
@@ -738,7 +812,7 @@ impl FleetDelta {
                 enc.u64(op.updates);
                 enc.u64(op.violations);
                 enc.i64(op.estimate);
-                op.state.encode(&mut enc);
+                op.state.encode(enc);
                 at = op.at + 1;
             }
             for _ in at..ds.aligned {
@@ -746,10 +820,9 @@ impl FleetDelta {
             }
             for (row, state) in ds.appended.slots() {
                 enc.u8(2);
-                row.encode(&mut enc, state);
+                row.encode(enc, state);
             }
         }
-        enc.into_bytes()
     }
 
     /// Decode the versioned wire form, requiring exact consumption, the
@@ -814,6 +887,7 @@ impl FleetDelta {
             parent_hash,
             head,
             shards,
+            lineage: 0,
         })
     }
 }
@@ -919,8 +993,8 @@ mod tests {
         assert!(decoded * 2 > bytes.len(), "only {decoded} flips decoded");
     }
 
-    #[test]
-    fn a_delta_against_an_older_ancestor_rebuilds_the_checkpoint() {
+    /// A fleet two checkpointed generations on from its grandparent.
+    fn two_generations_on() -> (CounterFleet, FleetCheckpoint) {
         let mut fleet = fleet();
         for t in 0..200u64 {
             fleet.update(t % 11, 1).unwrap();
@@ -937,13 +1011,36 @@ mod tests {
             fleet.update(5 + t % 3, -1).unwrap();
             fleet.update(200 + t % 2, 1).unwrap();
         }
+        assert_ne!(parent, fleet.checkpoint().unwrap());
+        (fleet, grandparent)
+    }
+
+    #[test]
+    fn a_delta_against_an_older_ancestor_rebuilds_the_checkpoint() {
+        let (mut fleet, grandparent) = two_generations_on();
+        // The dirty walk, which must still see every key changed since.
+        assert!(fleet.descends_from(&grandparent));
         let delta = fleet.checkpoint_delta(&grandparent).unwrap();
         let child = fleet.checkpoint().unwrap();
-        assert_ne!(parent, child);
         assert_eq!(delta.parent_time(), grandparent.time());
         assert_eq!(
             delta.apply(&grandparent).unwrap().to_bytes(),
             child.to_bytes()
         );
+    }
+
+    #[test]
+    fn a_delta_against_a_decoded_grandparent_takes_the_full_compare() {
+        let (mut fleet, grandparent) = two_generations_on();
+        let decoded = FleetCheckpoint::from_bytes(&grandparent.to_bytes()).unwrap();
+        assert_eq!(decoded, grandparent);
+        assert!(!fleet.descends_from(&decoded));
+        let delta = fleet.checkpoint_delta(&decoded).unwrap();
+        let child = fleet.checkpoint().unwrap();
+        assert_eq!(
+            delta.to_bytes(),
+            fleet.checkpoint_delta(&grandparent).unwrap().to_bytes()
+        );
+        assert_eq!(delta.apply(&decoded).unwrap().to_bytes(), child.to_bytes());
     }
 }

@@ -88,6 +88,21 @@ impl Default for Fingerprint {
     }
 }
 
+/// [`fingerprint`] of `a` and of `b` at once: the two FNV-1a chains
+/// step in one loop, so each one's multiply latency hides the other's.
+fn fingerprint_pair(a: &[u8], b: &[u8]) -> (u64, u64) {
+    let n = a.len().min(b.len());
+    let (mut ha, mut hb) = (FNV_OFFSET, FNV_OFFSET);
+    for (&x, &y) in a[..n].iter().zip(&b[..n]) {
+        ha = (ha ^ x as u64).wrapping_mul(FNV_PRIME);
+        hb = (hb ^ y as u64).wrapping_mul(FNV_PRIME);
+    }
+    let (mut fa, mut fb) = (Fingerprint(ha), Fingerprint(hb));
+    fa.update(&a[n..]);
+    fb.update(&b[n..]);
+    (fa.finish(), fb.finish())
+}
+
 /// One section's fate in a delta.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum SectionOp {
@@ -186,36 +201,34 @@ impl StateDelta {
     /// shorter). Identical inputs yield an [identity](Self::is_identity)
     /// delta.
     pub fn diff(base: &[u8], new: &[u8]) -> Self {
-        let sections = section_count(new.len() as u64) as usize;
-        let mut ops = Vec::with_capacity(sections);
-        let mut xor = Vec::with_capacity(DELTA_SECTION);
-        for s in 0..sections {
+        let mut ops = Vec::with_capacity(section_count(new.len() as u64) as usize);
+        let mut xor = [0; DELTA_SECTION];
+        let mut rle = Vec::with_capacity(2 * DELTA_SECTION);
+        for (s, section) in new.chunks(DELTA_SECTION).enumerate() {
             let lo = s * DELTA_SECTION;
-            let hi = (lo + DELTA_SECTION).min(new.len());
-            let section = &new[lo..hi];
-            let base_part = &base[lo.min(base.len())..hi.min(base.len())];
-            let same = section.len() == base_part.len() && section == base_part
-                || base_part.len() < section.len()
-                    && section[..base_part.len()] == *base_part
-                    && section[base_part.len()..].iter().all(|&b| b == 0);
-            if same {
+            let base_part = &base[lo.min(base.len())..(lo + section.len()).min(base.len())];
+            // Past the base's end, the base reads as zeros.
+            let (head, tail) = section.split_at(base_part.len());
+            if head == base_part && tail.iter().all(|&b| b == 0) {
                 ops.push(SectionOp::Same);
                 continue;
             }
-            xor.clear();
-            for (i, &b) in section.iter().enumerate() {
-                let base_b = base_part.get(i).copied().unwrap_or(0);
-                xor.push(b ^ base_b);
+            let xor = &mut xor[..section.len()];
+            for ((x, &n), &b) in xor.iter_mut().zip(head).zip(base_part) {
+                *x = n ^ b;
             }
-            let mut rle = Vec::new();
-            rle_encode(&xor, &mut rle);
-            ops.push(SectionOp::Diff(rle));
+            xor[head.len()..].copy_from_slice(tail);
+            // Encode into one scratch buffer; the op keeps an exact copy.
+            rle.clear();
+            rle_encode(xor, &mut rle);
+            ops.push(SectionOp::Diff(rle.clone()));
         }
+        let (base_hash, new_hash) = fingerprint_pair(base, new);
         StateDelta {
             base_len: base.len() as u64,
-            base_hash: fingerprint(base),
+            base_hash,
             new_len: new.len() as u64,
-            new_hash: fingerprint(new),
+            new_hash,
             ops,
         }
     }
