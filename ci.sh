@@ -160,7 +160,7 @@ cargo clippy --workspace --all-targets ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}
 step "cargo test --workspace -q (superset of the tier-1 'cargo test -q')"
 cargo test --workspace -q ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}
 
-step "cargo test --release: codec_robustness + state_bounded + fleet_equivalence + state_roundtrip + delta_checkpoint + fleet_delta + engine_equivalence + engine_checkpoint + pipeline_equivalence (the restore gauntlet, the O(k) state check, the snapshot seam, delta chains and the windowed executor, optimized)"
+step "cargo test --release: codec_robustness + state_bounded + fleet_equivalence + state_roundtrip + delta_checkpoint + fleet_delta + engine_equivalence + engine_checkpoint + pipeline_equivalence (+ remote_equivalence with remote) (the restore gauntlet, the O(k) state check, the snapshot seam, delta chains and the windowed executor, optimized)"
 # Both profiles are needed. The restore-then-continue gauntlet's
 # `assert!` panics reproduce only when a restored tracker is stepped and
 # survive into release; its shift and add overflows panic only in debug
@@ -180,7 +180,16 @@ step "cargo test --release: codec_robustness + state_bounded + fleet_equivalence
 # worker-count matrices run here as well, with engine_checkpoint (routed
 # run and rescale at several worker counts) and pipeline_equivalence (the
 # pipelined workers drain their feeds on that executor).
-cargo test -q --release -p dsv ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"} --test codec_robustness --test state_bounded --test fleet_equivalence --test state_roundtrip --test delta_checkpoint --test fleet_delta --test engine_equivalence --test engine_checkpoint --test pipeline_equivalence
+# With `remote` on, remote_equivalence runs here too: the remote engine
+# pumps every worker's connection from one thread, interleaving round
+# sends with report reads, and only optimized code is fast enough for
+# the two to actually interleave.
+RELEASE_TESTS=(--test codec_robustness --test state_bounded --test fleet_equivalence --test state_roundtrip --test delta_checkpoint --test fleet_delta --test engine_equivalence --test engine_checkpoint --test pipeline_equivalence)
+case " ${DSV_FEATURES:-} " in *remote*)
+    RELEASE_TESTS+=(--test remote_equivalence)
+    ;;
+esac
+cargo test -q --release -p dsv ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"} "${RELEASE_TESTS[@]}"
 
 step "cargo build --release --examples"
 cargo build --release --examples ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}

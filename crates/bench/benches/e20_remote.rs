@@ -4,10 +4,10 @@
 //! worker deployments (in-process threads, separate `dsv-shard-server`
 //! processes).
 //!
-//! There is one remote round loop and nothing to tune on it: the
-//! coordinator keeps a computed window of rounds on the wire past the
-//! one it is absorbing (DESIGN.md §8), so every combo is one row — what
-//! a default deployment gets.
+//! There is one remote path and nothing to tune on it: the coordinator
+//! pumps each worker up to a computed number of rounds past the report
+//! it reads next (DESIGN.md §8), so every combo is one row — what a
+//! default deployment gets.
 //!
 //! Every timed run is audited first: estimates, ground truth, batch
 //! counts, `CommStats` ledgers, per-shard replica estimates, and the
@@ -334,9 +334,9 @@ fn main() {
 
     println!(
         "\nreading: every engine round is one Round frame per worker and one\n\
-         report back; the coordinator keeps a computed window of rounds on\n\
-         the wire, so a worker is handed round r + 1 while round r's report\n\
-         is read and reconciled. 'vs local' prices what remains of the\n\
+         report back; the coordinator pumps each worker up to 16 rounds past\n\
+         the report it reads next, so a worker is handed later rounds while\n\
+         an earlier report is read. 'vs local' prices what remains of the\n\
          socket tax — the floor is serialization plus one memcpy per side,\n\
          not zero."
     );

@@ -14,9 +14,9 @@ use dsv_net::Time;
 /// | [`partition`](Self::partition) | [`Partition::SiteAffine`] | Stream → shard routing |
 /// | [`eps`](Self::eps) | `0.1` | Relative error audited at batch boundaries |
 /// | [`workers`](Self::workers) | `= shards` | Worker threads executing the shard replicas |
-/// | [`checkpoint_every`](Self::checkpoint_every) | `0` (off) | Auto-checkpoint sink period, in batch boundaries |
+/// | [`checkpoint_every`](Self::checkpoint_every) | `0` (off) | Remote commit period, in batch boundaries (remote engine only) |
 /// | [`fleet_cache`](Self::fleet_cache) | `1024` | Live per-key trackers cached per fleet shard (fleet only) |
-/// | [`delta_rebase`](Self::delta_rebase) | `0` (off) | Delta checkpointing: fresh base snapshot every K chained deltas |
+/// | [`delta_rebase`](Self::delta_rebase) | `0` (never) | A [`crate::CheckpointStore`]'s rebase period: fresh base every K chained deltas |
 ///
 /// Fixed by rule rather than configured: every boundary records an error
 /// probe, a pipelined feed queue holds `2 × batch` inputs and a full one
@@ -61,16 +61,14 @@ impl EngineConfig {
         }
     }
 
-    /// Delta checkpointing (default 0 = off): when `every > 0`, checkpoint
-    /// sinks built on [`crate::CheckpointStore`] record each boundary as a
-    /// chain of [`dsv_net::StateDelta`] links against the previous
-    /// snapshot, forcing a fresh full base every `every` deltas (so
-    /// reconstructing any retained boundary replays at most `every`
-    /// links), and the remote engine ships `DSVD` deltas instead of full
-    /// snapshots on its `Checkpoint` pulls. Purely a checkpoint-transport
-    /// knob: materialized checkpoints, estimates, and the tracker/merge
-    /// ledgers are bit-identical with it on or off — only the bytes that
-    /// move (and the `checkpoint_stats` words that charge them) shrink.
+    /// The rebase period a [`crate::CheckpointStore`] is built with
+    /// (`CheckpointStore::new(cfg.delta_rebase_period())`; default 0): the
+    /// store records every boundary as a chain of [`dsv_net::StateDelta`]
+    /// links against the previous one and takes a fresh full base after
+    /// every `every` links, so materializing a retained boundary replays
+    /// at most `every` of them; 0 chains deltas without ever rebasing.
+    /// No engine reads it: estimates, ledgers and checkpoints are the
+    /// same for every value.
     pub fn delta_rebase(mut self, every: u64) -> Self {
         self.delta_rebase = every;
         self
@@ -89,10 +87,11 @@ impl EngineConfig {
         self
     }
 
-    /// Auto-checkpoint each shard every `every` batch boundaries (default
-    /// 0 = never). The remote engine uses this as its durability sink:
-    /// shard state captured every N boundaries bounds how much stream a
-    /// failover has to replay. Checkpoint traffic is charged to the
+    /// Commit a checkpoint of every dirty shard every `every` batch
+    /// boundaries (default 0 = only at the end of each call). Read only by
+    /// the remote engine, as its durability sink: the committed cut bounds
+    /// how much stream a failover replays. Ignored by
+    /// [`crate::ShardedEngine`]. Checkpoint traffic is charged to the
     /// separate `checkpoint_stats` ledger, so the period never perturbs
     /// tracker/merge equivalence.
     pub fn checkpoint_every(mut self, every: u64) -> Self {
@@ -164,8 +163,8 @@ impl EngineConfig {
         self.fleet_cache.unwrap_or(1024)
     }
 
-    /// The delta-checkpoint rebase period in chained deltas (0 = delta
-    /// checkpointing off).
+    /// The [`crate::CheckpointStore`] rebase period in chained deltas
+    /// (0 = never rebase).
     pub fn delta_rebase_period(&self) -> u64 {
         self.delta_rebase
     }

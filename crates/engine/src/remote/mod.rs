@@ -5,68 +5,55 @@
 //! [`crate::ShardedEngine`] from separate shard workers — OS processes
 //! running the `dsv-shard-server` binary, or in-process threads — behind
 //! the `dsv-net` length-prefixed transport (version-tagged handshake,
-//! per-connection timeouts, bounded retry-with-backoff connects). The
-//! coordinator drives workers exactly like `run_parted` drives feeds:
-//! rounds of `batch` inputs per feed, ground truth folded and shard
-//! estimates absorbed at every round boundary, the same ε-audit at the
-//! same cut.
+//! per-connection timeouts, bounded retry-with-backoff connects), in the
+//! rounds `run_parted` runs, closed by the same cut.
 //!
 //! **Equivalence.** A remote run is *bit-identical* to the in-process
-//! [`crate::ShardedEngine::run_parted`] over the same feeds: same
-//! estimates, same per-shard replica states, same tracker and merge
-//! [`CommStats`] ledgers. The transport's own costs live on separate
-//! ledgers ([`RemoteEngine::wire_stats`], `checkpoint_stats`), so moving
-//! shards off-process never perturbs the guarantee the facade's
-//! `tests/remote_equivalence.rs` holds the engine to.
+//! [`crate::ShardedEngine::run_parted`] over the same feeds — estimates,
+//! replica states, tracker and merge [`CommStats`] ledgers — because its
+//! windows close on the same step. The transport's own costs live on
+//! separate ledgers ([`RemoteEngine::wire_stats`], `checkpoint_stats`).
 //!
-//! **The send window.** The round loop keeps a computed window of
-//! rounds on the wire past the one it is absorbing — one `Round` frame
-//! per worker per round, never across a commit — so a worker is handed
-//! round `r + 1` while round `r`'s report is read and reconciled. Reports
-//! are absorbed in round order, so nothing the equivalence contract
-//! covers can tell. DESIGN.md §8 has the rule and its reasons.
+//! **Windows.** A call walks windows of up to 64 rounds that never cross
+//! a commit. The calling thread pumps every worker's connection — one
+//! `Round` frame per worker per round, up to 16 rounds past the report it
+//! reads next — and the reports fill the per-worker buffers the window's
+//! close step cuts in round order (DESIGN.md §8).
 //!
-//! **Failover.** [`EngineConfig::checkpoint_every`] turns on the
-//! durability sink: every `N` boundaries the coordinator pulls each
-//! *dirty* shard's [`TrackerState`] over the wire and commits a
-//! consistent cut. When a worker dies — detected as a read/write timeout
-//! or EOF on its connection — the coordinator respawns the slot (or
-//! reattaches its shards to a live worker, [`Recovery`]), restores the
-//! lost shards from the last committed cut, and **replays** the rounds
-//! since that cut from the feeds it still holds: round chunks are a pure
-//! function of `(feeds, batch, round)`, so no replay buffer exists.
-//! Replayed reports are discarded — those rounds were already absorbed —
-//! which is what keeps the merge ledger, and therefore the whole run,
-//! bit-identical to an undisturbed one.
-//!
-//! **Fault injection.** [`FaultPlan`] makes the failure paths a
-//! first-class test API: delay, sever, or kill a specific worker at a
-//! chosen round, boundary, or checkpoint write. Faults fire once;
-//! `tests/failover_injection.rs` sweeps the matrix.
+//! **Failover.** [`EngineConfig::checkpoint_every`] sets how often the
+//! coordinator commits a cut of every *dirty* shard's [`TrackerState`];
+//! every call also ends with one. A worker that dies (a timeout or EOF
+//! on its connection) is respawned, or its shards reattached to a live
+//! worker ([`Recovery`]); its shards restart from the committed cut and
+//! run again from the feeds, which the coordinator still holds: the
+//! rounds closed since the cut with their reports discarded, then the
+//! open window. [`FaultPlan`] injects delays, severs and kills at a
+//! chosen round, boundary or checkpoint; `tests/failover_injection.rs`
+//! sweeps the matrix.
 
 pub mod wire;
 pub mod worker;
 
 use crate::checkpoint::EngineCheckpoint;
 use crate::config::{EngineConfig, EngineError};
-use crate::merge::MergeCoordinator;
 use crate::partition::InputDelta;
 use crate::report::EngineReport;
-use crate::round::{chunk_bounds, rounds_of, validate_feeds, Cut, Entry, RunAudit};
-use dsv_core::api::{Problem, RunError, TrackerKind, TrackerSpec};
+use crate::round::{chunk_bounds, rounds_of, validate_feeds, Books, Rounds, RunAudit, WINDOW};
+use dsv_core::api::{Problem, ResumeError, RunError, TrackerKind, TrackerSpec};
 use dsv_core::codec::{CodecError, Enc, TrackerState};
 use dsv_net::transport::{
     parse_hello, Conn, Endpoint, Listener, Role, TransportError, WireStats, DEFAULT_MAX_FRAME,
 };
-use dsv_net::{CommStats, IngestStats, MsgKind, SiteId, StateFrame, Time, WireSize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use dsv_net::{CommStats, IngestStats, SiteId, Time};
+use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use wire::{ShardInit, StateEntry, StatePull, ToCoord, ToWorker, WIRE_MAGIC, WIRE_VERSION};
+use wire::{ShardInit, ToCoord, ToWorker, WIRE_MAGIC, WIRE_VERSION};
 
 /// How the coordinator rendezvouses with its shard workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,9 +161,8 @@ pub enum FaultPoint {
     /// After the coordinator sends round `r`'s chunks, before it reads
     /// the report.
     MidRound(u64),
-    /// After round `r` is absorbed and audited (before any auto
-    /// checkpoint at that boundary, so the sink can be what detects the
-    /// death).
+    /// Once the window holding round `r` has closed (before any commit
+    /// at its end, so the sink can be what detects the death).
     AtBoundary(u64),
     /// After the checkpoint request at the auto-checkpoint of boundary
     /// `r` is sent, before its reply is read.
@@ -229,7 +215,7 @@ impl FaultPlan {
         let at = self
             .faults
             .iter()
-            .position(|&(p, w, _)| p == point && w == worker)?;
+            .position(|&(p, w, _)| (p, w) == (point, worker))?;
         Some(self.faults.remove(at).2)
     }
 }
@@ -239,14 +225,15 @@ impl FaultPlan {
 pub struct FailoverEvent {
     /// The worker slot that died.
     pub worker: usize,
-    /// Rounds fully absorbed when the death was detected.
+    /// Rounds closed when the death was detected: a window's first round
+    /// for a death found while the window is on the wire.
     pub round: u64,
     /// Spawn generation of the recovered owner after recovery.
     pub generation: u64,
     /// The worker slot owning the shards after recovery (== `worker`
     /// for a respawn).
     pub recovered_to: usize,
-    /// Rounds replayed from the last committed checkpoint.
+    /// Rounds closed since the last commit, replayed to the recovered.
     pub replayed_rounds: u64,
 }
 
@@ -365,64 +352,35 @@ impl RemoteInput for (u64, i64) {
     }
 }
 
-/// Most rounds on the wire at once, the one being absorbed included: the
-/// first few rounds of look-ahead buy the overlap (DESIGN.md §8).
-const MAX_WINDOW: u64 = 16;
-
-/// Budget, per worker, for round reports sent but not yet read. They sit
-/// in the worker → coordinator socket buffer; a worker blocked writing
-/// one stops reading rounds while the coordinator blocks writing it the
-/// next — a wedge only `io_timeout` breaks. 4 KiB is one page: the floor
-/// Linux lets a TCP socket buffer shrink to (`tcp_rmem[0]`) and a
-/// fiftieth of the default Unix-socket buffer, so it always fits.
+/// Budget, per connection, for round reports sent but not yet read: a
+/// worker blocked writing one into a full socket buffer stops reading
+/// while the coordinator blocks writing it the next round. 4 KiB is one
+/// page, the floor Linux lets a TCP buffer shrink to (`tcp_rmem[0]`).
 const UNREAD_REPORT_BYTES: usize = 4096;
 
-/// One `run_parted` call's progress and everything it has on the wire.
-#[derive(Default)]
-struct Flight {
-    /// Rounds fully absorbed this call.
-    done: u64,
-    /// How many of those the last committed checkpoint covers —
-    /// `committed..done` is the replay window on failover.
-    committed: u64,
-    /// Per shard: the next round to send it.
-    sent: Vec<u64>,
-    /// Per worker: the reports it owes, in send order — the round and the
-    /// shard of every chunk in the frame.
-    owed: Vec<VecDeque<(u64, Vec<usize>)>>,
-    /// Report entries received for rounds not closed yet, per round.
-    parked: BTreeMap<u64, BTreeMap<usize, Entry>>,
-    /// `MidRound` kills and severs taken when their round was sent,
-    /// waiting for it to become the round being read.
-    armed: Vec<(u64, usize, FaultKind)>,
+/// The pump's bound: how many rounds a connection running `feeds` (its
+/// reports carry an entry per shard, so at most one per feed) may be sent
+/// past the report it reads next, that round included. At most 16: the
+/// first few rounds of look-ahead buy the overlap (DESIGN.md §8).
+fn lead(feeds: usize) -> u64 {
+    // The transport's 4-byte length prefix rides with every report.
+    let report = 4 + wire::round_report_len(feeds);
+    16.min((UNREAD_REPORT_BYTES / report) as u64).max(1)
 }
 
-impl Flight {
-    fn new(s_count: usize, w_count: usize) -> Self {
-        Flight {
-            sent: vec![0; s_count],
-            owed: vec![VecDeque::new(); w_count],
-            ..Flight::default()
-        }
-    }
-
-    /// Worker `dead` is gone and `shards` restart from the committed cut:
-    /// the reports it owed died with its socket, and what the shards had
-    /// reported past round `done` is dropped, so the loop's next pass
-    /// re-sends those rounds to the replacement and uses its reports.
-    fn rewind(&mut self, dead: usize, shards: &BTreeSet<usize>) {
-        self.owed[dead].clear();
-        for &sid in shards {
-            self.sent[sid] = self.done;
-            for entries in self.parked.values_mut() {
-                entries.remove(&sid);
-            }
-        }
-    }
+/// One worker's share of a window: the feeds it runs (ascending indices),
+/// its send and read cursors, and the entries its reports carried.
+struct Part {
+    w: usize,
+    feeds: Vec<usize>,
+    sent: u64,
+    read: u64,
+    out: Rounds,
 }
 
 /// One worker slot: its live connection (None once dead), the OS child
 /// or thread backing it, and its spawn generation.
+#[derive(Default)]
 struct Slot {
     conn: Option<Conn>,
     child: Option<Child>,
@@ -443,13 +401,11 @@ impl Slot {
 /// workers living behind sockets.
 ///
 /// Build with [`counters`](Self::counters) or [`items`](Self::items);
-/// drive with [`run_parted`](Self::run_parted) (repeatedly — the engine
-/// is incremental, like its in-process counterpart). A mandatory
-/// checkpoint is committed at the end of every run, so between calls the
-/// coordinator holds a complete consistent image of every shard — which
-/// is what [`checkpoint`](Self::checkpoint) assembles, what failover in a
-/// later call restores from, and what the report's tracker ledger is
-/// computed from (by resuming the states locally).
+/// drive with [`run_parted`](Self::run_parted), repeatedly: the engine is
+/// incremental. Every run ends with a commit, so between calls the
+/// coordinator holds a consistent image of every shard: what
+/// [`checkpoint`](Self::checkpoint) assembles, what a later failover
+/// restores from, and what the tracker ledger is resumed from.
 pub struct RemoteEngine<In: RemoteInput> {
     spec: TrackerSpec,
     kind: TrackerKind,
@@ -460,31 +416,14 @@ pub struct RemoteEngine<In: RemoteInput> {
     workers: Vec<Slot>,
     /// sid → owning worker slot (starts `sid % W`; reattach rewrites it).
     owner: Vec<usize>,
-    coord: MergeCoordinator,
-    ckpt_stats: CommStats,
+    /// The cut's books; a shard's captured state is its committed one.
+    books: Books,
     wire: WireStats,
-    time: Time,
-    f: i64,
-    /// Per-shard state at the last committed checkpoint cut.
-    ckpt_states: Vec<Option<TrackerState>>,
-    /// Per-shard delta base: the last snapshot each worker shipped (or
-    /// was restored from), advanced on receipt — deliberately separate
-    /// from the committed `ckpt_states`, because a worker advances its
-    /// own base the moment it replies, whether or not the surrounding
-    /// checkpoint round commits.
-    wire_base: Vec<Option<TrackerState>>,
-    /// Delta links received per shard since its last full pull — the
-    /// rebase counter driving [`EngineConfig::delta_rebase`] over the
-    /// wire (the coordinator requests a full state every K-th pull).
-    links_since_base: Vec<u64>,
-    /// Inputs absorbed per shard since that cut (the dirty-shard skip,
-    /// and exactly what a failover replay re-applies).
-    dirty: Vec<u64>,
     faults: FaultPlan,
     events: Vec<FailoverEvent>,
     failovers: u32,
     graveyard: Vec<JoinHandle<()>>,
-    /// The one buffer every round frame is encoded into (round loop and
+    /// The one buffer every round frame is encoded into (windows and
     /// failover replay alike), kept across rounds and calls.
     frame: Enc,
     _in: PhantomData<fn(In) -> In>,
@@ -498,10 +437,7 @@ impl RemoteEngine<i64> {
         cfg: EngineConfig,
         rcfg: RemoteConfig,
     ) -> Result<Self, RemoteError> {
-        let probe = spec
-            .shard(0)
-            .build()
-            .map_err(|e| RemoteError::Engine(EngineError::Build(e)))?;
+        let probe = spec.shard(0).build().map_err(EngineError::Build)?;
         Self::new(spec, cfg, rcfg, probe.kind(), probe.k())
     }
 }
@@ -515,10 +451,7 @@ impl RemoteEngine<(u64, i64)> {
         rcfg: RemoteConfig,
     ) -> Result<Self, RemoteError> {
         use dsv_core::api::Tracker;
-        let probe = spec
-            .shard(0)
-            .build_item()
-            .map_err(|e| RemoteError::Engine(EngineError::Build(e)))?;
+        let probe = spec.shard(0).build_item().map_err(EngineError::Build)?;
         Self::new(spec, cfg, rcfg, probe.kind(), probe.k())
     }
 }
@@ -532,8 +465,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
         k: usize,
     ) -> Result<Self, RemoteError> {
         cfg.validate().map_err(RemoteError::Engine)?;
-        let s_count = cfg.shards_count();
-        let w_count = cfg.workers_count();
+        let (s_count, w_count) = (cfg.shards_count(), cfg.workers_count());
         let listener = Listener::bind(&rcfg.transport.endpoint()).map_err(RemoteError::Bind)?;
         let mut engine = RemoteEngine {
             spec,
@@ -544,15 +476,8 @@ impl<In: RemoteInput> RemoteEngine<In> {
             listener,
             workers: Vec::new(),
             owner: (0..s_count).map(|sid| sid % w_count).collect(),
-            coord: MergeCoordinator::new(s_count),
-            ckpt_stats: CommStats::new(),
+            books: Books::new(s_count),
             wire: WireStats::new(),
-            time: 0,
-            f: 0,
-            ckpt_states: vec![None; s_count],
-            wire_base: vec![None; s_count],
-            links_since_base: vec![0; s_count],
-            dirty: vec![0; s_count],
             faults: FaultPlan::new(),
             events: Vec::new(),
             failovers: 0,
@@ -561,21 +486,17 @@ impl<In: RemoteInput> RemoteEngine<In> {
             _in: PhantomData,
         };
         for w in 0..w_count {
-            engine.workers.push(Slot {
-                conn: None,
-                child: None,
-                thread: None,
-                generation: 0,
-            });
+            engine.workers.push(Slot::default());
             engine.spawn_worker(w, 0)?;
             let shards = (0..s_count)
                 .filter(|&sid| engine.owner[sid] == w)
                 .map(|sid| ShardInit { sid, state: None })
                 .collect();
+            let spec = engine.spec;
             engine.install(
                 w,
                 ToWorker::Assign {
-                    spec: engine.spec,
+                    spec,
                     s_count,
                     shards,
                 },
@@ -596,35 +517,33 @@ impl<In: RemoteInput> RemoteEngine<In> {
 
     /// Updates consumed so far (across all runs).
     pub fn time(&self) -> Time {
-        self.time
+        self.books.time()
     }
 
     /// The coordinator-side global estimate `f̂ = Σ_s f̂_s`.
     pub fn estimate(&self) -> i64 {
-        self.coord.estimate()
+        self.books.estimate()
     }
 
     /// Engine-level shard → coordinator reconciliation traffic —
     /// bit-identical to the in-process engine's over the same feeds.
     pub fn merge_stats(&self) -> &CommStats {
-        self.coord.stats()
+        self.books.merge_stats()
     }
 
     /// Snapshot traffic pulled over the wire by checkpoint commits, one
-    /// [`StateFrame`] per dirty shard — the same ledger rule as
+    /// [`dsv_net::StateFrame`] per dirty shard — the same ledger rule as
     /// [`crate::ShardedEngine::checkpoint`].
     pub fn checkpoint_stats(&self) -> &CommStats {
-        &self.ckpt_stats
+        self.books.checkpoint_stats()
     }
 
     /// Measured socket traffic (frames and bytes both ways), summed over
     /// live and dead connections.
     pub fn wire_stats(&self) -> WireStats {
         let mut total = self.wire;
-        for slot in &self.workers {
-            if let Some(conn) = &slot.conn {
-                total.merge(conn.stats());
-            }
+        for conn in self.workers.iter().filter_map(|slot| slot.conn.as_ref()) {
+            total.merge(conn.stats());
         }
         total
     }
@@ -660,27 +579,9 @@ impl<In: RemoteInput> RemoteEngine<In> {
     /// interchangeable with one taken by the in-process engine at the
     /// same boundary (that is the failover-equivalence contract).
     pub fn checkpoint(&mut self) -> Result<EngineCheckpoint, RemoteError> {
-        // Between runs nothing is dirty (every run ends with a commit),
-        // so this only reaches for the wire on a never-run engine.
-        if !self.stale_shards().is_empty() {
-            let mut flight = Flight::new(self.cfg.shards_count(), self.workers.len());
-            self.sync_checkpoint(&[], None, &mut flight)?;
-        }
-        let states = self
-            .ckpt_states
-            .iter()
-            .map(|s| s.clone().expect("checkpoint commit fills every shard"))
-            .collect();
-        let mut merge = Enc::new();
-        self.coord.save_state(&mut merge);
-        Ok(EngineCheckpoint::new(
-            self.kind,
-            self.k,
-            self.time,
-            self.f,
-            merge.into_bytes(),
-            states,
-        ))
+        // Every run ends with a commit: only a never-run engine pulls.
+        self.sync_checkpoint(&[], None, 0..0)?;
+        Ok(self.books.checkpoint(self.kind, self.k))
     }
 
     /// Ingest pre-parted per-site feeds through the shard workers —
@@ -691,451 +592,297 @@ impl<In: RemoteInput> RemoteEngine<In> {
     /// every recovery is recorded in [`events`](Self::events).
     pub fn run_parted(&mut self, feeds: &[(SiteId, &[In])]) -> Result<EngineReport, RemoteError> {
         let mut audit = RunAudit::new(&self.cfg);
-        validate_feeds(feeds.iter().copied(), self.k, self.kind, self.time)?;
+        validate_feeds(feeds.iter().copied(), self.k, self.kind, self.time())?;
 
         let total: usize = feeds.iter().map(|(_, inputs)| inputs.len()).sum();
-        let s_count = self.cfg.shards_count();
-        let batch = self.cfg.batch_size();
-        let rounds = rounds_of(feeds, batch) as u64;
+        let rounds = rounds_of(feeds, self.cfg.batch_size()) as u64;
         let period = self.cfg.checkpoint_period();
-        let mut flight = Flight::new(s_count, self.workers.len());
-
-        while flight.done < rounds {
-            // Send every shard the rounds it has not been sent yet, up to
-            // the window's end: one frame per worker per round.
-            let commit_at = match flight.done.checked_div(period) {
-                Some(q) => ((q + 1) * period).min(rounds),
-                None => rounds,
-            };
-            let send_to = flight.done + self.window(commit_at - flight.done);
-            let first = flight.sent.iter().copied().min().unwrap_or(send_to);
-            let mut failed: BTreeSet<usize> = BTreeSet::new();
-            for round in first..send_to {
-                for w in 0..self.workers.len() {
-                    if failed.contains(&w) {
-                        continue;
-                    }
-                    let chunks = chunks_of(feeds, s_count, batch, round, |sid| {
-                        self.owner[sid] == w && flight.sent[sid] <= round
-                    });
-                    let shards: Vec<usize> = chunks.clone().map(|(sid, ..)| sid).collect();
-                    if shards.is_empty() {
-                        continue;
-                    }
-                    let fault = self.faults.take(FaultPoint::MidRound(round), w);
-                    let delay_ms = match fault {
-                        Some(FaultKind::Delay { ms }) => ms,
-                        _ => 0,
-                    };
-                    encode_round(&mut self.frame, round, delay_ms, chunks);
-                    if self.workers[w].send(self.frame.as_bytes()).is_err() {
-                        failed.insert(w);
-                        continue;
-                    }
-                    flight.owed[w].push_back((round, shards));
-                    // A `MidRound(r)` kill lands while round `r` is the one
-                    // being read: now, or once it is — not when it was sent.
-                    if let Some(kind @ (FaultKind::Kill | FaultKind::Sever)) = fault {
-                        if round == flight.done {
-                            self.disrupt(w, kind);
-                        } else {
-                            flight.armed.push((round, w, kind));
-                        }
-                    }
-                }
-            }
-            // (A failed worker's shards are rewound by its failover; a
-            // reattach can shrink the window under rounds already sent.)
-            for next in &mut flight.sent {
-                *next = send_to.max(*next);
-            }
-            let done = flight.done;
-            for &(_, w, kind) in flight.armed.iter().filter(|a| a.0 == done) {
-                self.disrupt(w, kind);
-            }
-            flight.armed.retain(|a| a.0 != done);
-            // Read round `done`'s reports; on a dead worker, drain what the
-            // live ones still owe (it parks) so recovery finds them quiet.
-            for through in [flight.done, u64::MAX] {
-                for w in 0..self.workers.len() {
-                    if !failed.contains(&w) && !self.read_reports(w, through, &mut flight)? {
-                        failed.insert(w);
-                    }
-                }
-                if failed.is_empty() {
-                    break;
-                }
-            }
-            if !failed.is_empty() {
-                for w in failed {
-                    self.failover(w, feeds, &mut flight)?;
-                }
-                continue;
-            }
-
-            let entries = flight.parked.remove(&flight.done).unwrap_or_default();
-            let (time, f, dirty) = (&mut self.time, &mut self.f, &mut self.dirty);
-            Cut::new(time, f, dirty, &mut self.coord, &mut audit).close(entries.into_values());
-            flight.done += 1;
-            for w in 0..self.workers.len() {
-                if let Some(kind) = self.faults.take(FaultPoint::AtBoundary(flight.done - 1), w) {
+        // Rounds of this call the last commit covers, and rounds closed.
+        let (mut committed, mut done) = (0, 0);
+        while done < rounds {
+            let commit_at = done
+                .checked_div(period)
+                .map_or(rounds, |q| (q + 1) * period);
+            let end = commit_at.min(rounds).min(done + WINDOW as u64);
+            let parts = self.parts(feeds, (0..feeds.len()).collect(), done);
+            let parts = self.pump(feeds, done..end, committed, parts)?;
+            let bufs = parts.iter().map(|p| &p.out);
+            self.books
+                .cut(&mut audit)
+                .close_window(bufs, (end - done) as usize);
+            let w_count = self.workers.len();
+            for (r, w) in (done..end).flat_map(|r| (0..w_count).map(move |w| (r, w))) {
+                if let Some(kind) = self.faults.take(FaultPoint::AtBoundary(r), w) {
                     self.disrupt(w, kind);
                 }
             }
-            if period > 0 && flight.done.is_multiple_of(period) {
-                self.sync_checkpoint(feeds, Some(flight.done - 1), &mut flight)?;
+            if end == commit_at && period > 0 {
+                self.sync_checkpoint(feeds, Some(end - 1), committed..end)?;
+                committed = end;
             }
+            done = end;
         }
         // Mandatory end-of-run commit: later calls (and their failovers)
         // never need this call's feeds again, and the report's tracker
         // ledger comes from these states.
-        self.sync_checkpoint(feeds, None, &mut flight)?;
+        self.sync_checkpoint(feeds, None, committed..done)?;
 
         let (_, tracker_stats) = self.resume_final()?;
-        Ok(audit.report(
-            &self.cfg,
-            total as u64,
-            self.f,
-            &self.coord,
-            tracker_stats,
-            IngestStats::new(),
-        ))
+        let (cfg, n) = (&self.cfg, total as u64);
+        Ok(audit.report(cfg, n, &self.books, tracker_stats, IngestStats::new()))
     }
 
-    /// How many rounds may be on the wire, the one being absorbed
-    /// included, with `left` to go before the next commit or the end of
-    /// the call (either must find the wire empty).
-    fn window(&self, left: u64) -> u64 {
-        let mut shards = vec![0usize; self.workers.len()];
-        for &w in &self.owner {
-            shards[w] += 1;
+    /// The feeds `which` selects (ascending), one part per worker owning
+    /// their shards, each to run from round `from`.
+    fn parts(&self, feeds: &[(SiteId, &[In])], which: Vec<usize>, from: u64) -> Vec<Part> {
+        let mut parts: BTreeMap<usize, Part> = BTreeMap::new();
+        for feed in which {
+            let w = self.owner[feeds[feed].0 % self.owner.len()];
+            let part = parts.entry(w).or_insert_with(|| Part {
+                w,
+                feeds: Vec::new(),
+                sent: from,
+                read: from,
+                out: Rounds::default(),
+            });
+            part.feeds.push(feed);
         }
-        let busiest = shards.into_iter().max().unwrap_or(0);
-        // The transport's 4-byte length prefix rides with every report.
-        let report = 4 + wire::round_report_len(busiest);
-        MAX_WINDOW
-            .min(left)
-            .min((UNREAD_REPORT_BYTES / report) as u64)
-            .max(1)
+        parts.into_values().collect()
     }
 
-    /// Read the reports worker `w` owes for rounds `..= through`, in the
-    /// order they were sent, parking their entries per round. `false`
-    /// when its connection failed instead.
-    fn read_reports(
+    /// Pump `parts` from this thread, a step per live part per pass,
+    /// until each holds every round of `window`. A worker found dead is
+    /// failed over once the live parts are done, and every part it took
+    /// down is pumped again from `committed` on the shards' new owners:
+    /// the rounds before the window are replayed, their reports dropped.
+    fn pump(
         &mut self,
-        w: usize,
-        through: u64,
-        flight: &mut Flight,
-    ) -> Result<bool, RemoteError> {
-        while let Some((round, shards)) = flight.owed[w].front() {
-            if *round > through {
-                break;
-            }
-            match self.recv_coord(w) {
-                Ok(ToCoord::RoundReport { round: r, reports }) if r == *round => {
-                    let entries = flight.parked.entry(r).or_default();
-                    for e in reports {
-                        entries.insert(e.sid, (e.sid, e.estimate, e.sum, e.len));
+        feeds: &[(SiteId, &[In])],
+        window: Range<u64>,
+        committed: u64,
+        mut parts: Vec<Part>,
+    ) -> Result<Vec<Part>, RemoteError> {
+        let mut fresh = 0;
+        loop {
+            let mut dead = BTreeSet::new();
+            let mut busy = true;
+            while busy {
+                busy = false;
+                for part in &mut parts[fresh..] {
+                    if part.read == window.end || dead.contains(&part.w) {
+                        continue;
                     }
-                    // A live worker must report every shard it was sent —
-                    // resending to it would double-apply.
-                    if shards.iter().any(|sid| !entries.contains_key(sid)) {
-                        return Err(RemoteError::Protocol {
-                            worker: w,
-                            what: "round report missing a dispatched shard",
-                        });
+                    busy = true;
+                    match self.step(feeds, &window, part) {
+                        Err(RemoteError::Transport { worker, .. }) => {
+                            dead.insert(worker);
+                        }
+                        other => other?,
                     }
                 }
-                Ok(_) => {
-                    return Err(RemoteError::Protocol {
-                        worker: w,
-                        what: "unexpected reply to a round",
-                    })
-                }
-                Err(RemoteError::Transport { .. }) => return Ok(false),
-                Err(e) => return Err(e),
             }
-            flight.owed[w].pop_front();
+            if dead.is_empty() {
+                return Ok(parts);
+            }
+            let lost = self.fail_over(feeds, dead, committed..window.start)?;
+            parts.retain(|p| lost.binary_search(&p.feeds[0]).is_err());
+            fresh = parts.len();
+            let moved = self.parts(feeds, lost, committed);
+            parts.extend(moved);
         }
-        Ok(true)
     }
 
-    /// Shards whose committed state is behind their replica: dirty since
-    /// the last commit, or never captured.
-    fn stale_shards(&self) -> Vec<usize> {
-        (0..self.cfg.shards_count())
-            .filter(|&sid| self.dirty[sid] > 0 || self.ckpt_states[sid].is_none())
-            .collect()
+    /// Take the report of the next round `part` has on the wire, if any (a
+    /// round it was sent nothing in passes empty; one before the window is
+    /// a replay), then send it every round its lead allows before the
+    /// window's end. Reading before sending keeps every worker busy.
+    fn step(
+        &mut self,
+        feeds: &[(SiteId, &[In])],
+        window: &Range<u64>,
+        part: &mut Part,
+    ) -> Result<(), RemoteError> {
+        let (w, s_count, batch) = (part.w, self.cfg.shards_count(), self.cfg.batch_size());
+        if part.read < part.sent {
+            let round = part.read;
+            part.read += 1;
+            let sent = chunks_of(feeds, &part.feeds, s_count, batch, round);
+            if sent.clone().next().is_some() {
+                let reply = self.recv_coord(w)?;
+                take_report(w, round, sent, reply, &mut part.out)?;
+            }
+            // A replayed round was closed already: its entries go.
+            if round < window.start {
+                part.out.clear();
+            } else {
+                part.out.end_round();
+            }
+        }
+        while part.sent < window.end.min(part.read + lead(part.feeds.len())) {
+            let round = part.sent;
+            part.sent += 1;
+            let chunks = chunks_of(feeds, &part.feeds, s_count, batch, round);
+            if chunks.clone().next().is_none() {
+                continue;
+            }
+            let fault = self.faults.take(FaultPoint::MidRound(round), w);
+            let delay_ms = match fault {
+                Some(FaultKind::Delay { ms }) => ms,
+                _ => 0,
+            };
+            encode_round(&mut self.frame, round, delay_ms, chunks);
+            self.workers[w]
+                .send(self.frame.as_bytes())
+                .map_err(|err| RemoteError::Transport { worker: w, err })?;
+            if let Some(kind @ (FaultKind::Kill | FaultKind::Sever)) = fault {
+                self.disrupt(w, kind);
+            }
+        }
+        Ok(())
     }
 
     /// Commit a checkpoint cut at the current boundary: pull the state of
-    /// every dirty (or never-captured) shard, and only when **all** of
-    /// them arrived commit states + ledger charge atomically. Worker
-    /// deaths restart the request loop after failover — snapshots are
-    /// read-only, so re-requesting is always safe.
+    /// every stale shard, and only once **all** of them arrived capture
+    /// them together. A dead worker is failed over, the rounds closed
+    /// since the last commit (`replay`) are replayed, and the pull is
+    /// retried — snapshots are read-only, so re-requesting is safe.
     fn sync_checkpoint(
         &mut self,
         feeds: &[(SiteId, &[In])],
         fault_boundary: Option<u64>,
-        flight: &mut Flight,
+        replay: Range<u64>,
     ) -> Result<(), RemoteError> {
-        let need = self.stale_shards();
-        if need.is_empty() {
-            flight.committed = flight.done;
-            return Ok(());
-        }
         loop {
-            let mut per_worker: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-            for &sid in &need {
-                per_worker.entry(self.owner[sid]).or_default().push(sid);
+            let mut asked: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+            for sid in (0..self.owner.len()).filter(|&sid| self.books.stale(sid)) {
+                asked.entry(self.owner[sid]).or_default().push(sid);
             }
-            let mut staged: BTreeMap<usize, (TrackerState, usize)> = BTreeMap::new();
-            let mut failed: BTreeSet<usize> = BTreeSet::new();
-            let mut sent: Vec<usize> = Vec::new();
-            let rebase = self.cfg.delta_rebase_period();
-            for (w, sids) in per_worker {
-                // Delta pulls are strictly opt-in (`delta_rebase(K)` with
-                // K > 0) and only when both sides hold the same base;
-                // every K-th pull goes back to a full state.
-                let pulls: Vec<StatePull> = sids
-                    .iter()
-                    .map(|&sid| StatePull {
-                        sid,
-                        want_delta: rebase > 0
-                            && self.wire_base[sid].is_some()
-                            && self.links_since_base[sid] < rebase,
-                    })
-                    .collect();
-                match self.workers[w].send(&ToWorker::Checkpoint { shards: pulls }.to_bytes()) {
-                    Ok(()) => sent.push(w),
-                    Err(_) => {
-                        failed.insert(w);
-                    }
+            let mut dead = BTreeSet::new();
+            for (&w, sids) in &asked {
+                let shards = sids.clone();
+                if self.workers[w]
+                    .send(&ToWorker::Checkpoint { shards }.to_bytes())
+                    .is_err()
+                {
+                    dead.insert(w);
                 }
-                if let Some(boundary) = fault_boundary {
-                    if let Some(kind) = self.faults.take(FaultPoint::DuringCheckpoint(boundary), w)
-                    {
-                        self.disrupt(w, kind);
-                    }
+                let at = fault_boundary.map(FaultPoint::DuringCheckpoint);
+                if let Some(kind) = at.and_then(|at| self.faults.take(at, w)) {
+                    self.disrupt(w, kind);
                 }
             }
-            for w in sent {
+            let mut staged = Vec::new();
+            for (&w, sids) in &asked {
+                if dead.contains(&w) {
+                    continue;
+                }
                 match self.recv_coord(w) {
-                    Ok(ToCoord::CheckpointReport { states }) => {
-                        for (sid, entry) in states {
-                            if sid >= self.wire_base.len() {
-                                return Err(RemoteError::Protocol {
-                                    worker: w,
-                                    what: "checkpoint entry for an unknown shard",
-                                });
-                            }
-                            // Resolve to a full state and advance the
-                            // delta base *on receipt*: the worker already
-                            // advanced its own base when it replied, so
-                            // the two must move together even if this
-                            // round's commit is aborted by another
-                            // worker's death.
-                            let (state, wire_len) = match entry {
-                                StateEntry::Full(state) => {
-                                    if state.kind() != self.kind || state.k() != self.k {
-                                        return Err(RemoteError::Protocol {
-                                            worker: w,
-                                            what: "checkpoint state contradicts the engine spec",
-                                        });
-                                    }
-                                    self.links_since_base[sid] = 0;
-                                    let len = state.payload().len();
-                                    (state, len)
-                                }
-                                StateEntry::Delta(delta) => {
-                                    let Some(base) = self.wire_base[sid].as_ref() else {
-                                        return Err(RemoteError::Protocol {
-                                            worker: w,
-                                            what: "delta checkpoint entry without a shared base",
-                                        });
-                                    };
-                                    let len = delta.encoded_len();
-                                    let payload = delta
-                                        .apply(base.payload())
-                                        .map_err(|err| RemoteError::Decode { worker: w, err })?;
-                                    self.links_since_base[sid] += 1;
-                                    (TrackerState::new(self.kind, base.k(), payload), len)
-                                }
-                            };
-                            self.wire_base[sid] = Some(state.clone());
-                            staged.insert(sid, (state, wire_len));
-                        }
-                    }
-                    Ok(_) => {
-                        return Err(RemoteError::Protocol {
-                            worker: w,
-                            what: "unexpected reply to a checkpoint request",
-                        })
-                    }
+                    Ok(reply) => staged.extend(take_states(w, sids, self.kind, self.k, reply)?),
                     Err(RemoteError::Transport { .. }) => {
-                        failed.insert(w);
+                        dead.insert(w);
                     }
                     Err(e) => return Err(e),
                 }
             }
-            if failed.is_empty() {
-                for &sid in &need {
-                    let Some((state, wire_len)) = staged.remove(&sid) else {
-                        return Err(RemoteError::Protocol {
-                            worker: self.owner[sid],
-                            what: "checkpoint reply missing a requested shard",
-                        });
-                    };
-                    // Charge what was actually shipped: the full payload
-                    // for a full pull, the encoded delta for a delta pull
-                    // — one ledger message per shard either way, so the
-                    // message counts stay comparable across modes (and
-                    // agree with the wire's frame counts; see
-                    // tests/delta_checkpoint.rs).
-                    let frame = StateFrame::for_payload(sid, wire_len);
-                    self.ckpt_stats.charge(MsgKind::Up, frame.words());
-                    self.ckpt_states[sid] = Some(state);
-                    self.dirty[sid] = 0;
+            if dead.is_empty() {
+                for (sid, state) in staged {
+                    self.books.capture(sid, state);
                 }
-                flight.committed = flight.done;
                 return Ok(());
             }
-            for w in failed {
-                self.failover(w, feeds, flight)?;
-            }
+            let lost = self.fail_over(feeds, dead, replay.clone())?;
+            let parts = self.parts(feeds, lost, replay.start);
+            self.pump(feeds, replay.end..replay.end, replay.start, parts)?;
         }
     }
 
-    /// Recover from the death of worker `dead`: tear the slot down,
-    /// restore its shards from the last committed checkpoint cut
-    /// (respawn into the slot, or reattach onto a live worker), and
-    /// replay rounds `committed..done` from the feeds — discarding the
-    /// reports, since those rounds are already absorbed. Rounds past
-    /// `done` are not replayed here: the recovered shards' send cursors
-    /// are rewound, so the round loop re-sends them and uses the reports.
-    /// Live workers must owe nothing — a reattach reads its ack off one.
-    fn failover(
+    /// Fail the `dead` over: bury them all (so none is reattached to), then
+    /// restore each one's shards from the committed cut — respawned, or
+    /// reattached to a live worker that owes nothing (its ack is read) —
+    /// and record the event (the caller replays `replay`). A reattach
+    /// target that dies too is recovered in turn. Returns the feeds whose
+    /// shards lost their replicas, ascending: they run again from the cut.
+    fn fail_over(
         &mut self,
-        dead: usize,
         feeds: &[(SiteId, &[In])],
-        flight: &mut Flight,
-    ) -> Result<(), RemoteError> {
-        let s_count = self.cfg.shards_count();
-        let batch = self.cfg.batch_size();
-        let mut dead = dead;
-        'recover: loop {
-            self.failovers += 1;
-            if self.failovers > self.rcfg.max_failovers {
-                return Err(RemoteError::FailoverExhausted { worker: dead });
-            }
-            if let Some(conn) = self.workers[dead].conn.take() {
-                self.wire.merge(conn.stats());
-                conn.shutdown();
-            }
-            if let Some(mut child) = self.workers[dead].child.take() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            if let Some(handle) = self.workers[dead].thread.take() {
-                self.graveyard.push(handle);
-            }
-            let owned: BTreeSet<usize> = (0..s_count)
-                .filter(|&sid| self.owner[sid] == dead)
-                .collect();
-            flight.rewind(dead, &owned);
-            let inits: Vec<ShardInit> = owned
-                .iter()
-                .map(|&sid| ShardInit {
-                    sid,
-                    state: self.ckpt_states[sid].clone(),
-                })
-                .collect();
-            // The replacement restores from the committed cut, which
-            // resets its delta bases to those states — mirror that here,
-            // symmetrically, before any further checkpoint pull.
-            for &sid in &owned {
-                self.wire_base[sid] = self.ckpt_states[sid].clone();
-                self.links_since_base[sid] = 0;
-            }
-            let reattach_to = match self.rcfg.recovery {
-                Recovery::Respawn => None,
-                Recovery::Reattach => {
-                    (0..self.workers.len()).find(|&w| w != dead && self.workers[w].conn.is_some())
+        dead: BTreeSet<usize>,
+        replay: Range<u64>,
+    ) -> Result<Vec<usize>, RemoteError> {
+        let (s_count, owners) = (self.owner.len(), self.owner.clone());
+        dead.iter().for_each(|&w| self.bury(w));
+        let mut down = BTreeSet::new();
+        for mut dead in dead {
+            let dest = loop {
+                self.failovers += 1;
+                if self.failovers > self.rcfg.max_failovers {
+                    return Err(RemoteError::FailoverExhausted { worker: dead });
                 }
-            };
-            let dest = match reattach_to {
-                Some(dest) => match self.install(dest, ToWorker::Attach { shards: inits }) {
-                    Ok(()) => {
-                        for &sid in &owned {
-                            self.owner[sid] = dest;
+                self.bury(dead);
+                down.insert(dead);
+                let owned: Vec<usize> = (0..s_count)
+                    .filter(|&sid| self.owner[sid] == dead)
+                    .collect();
+                let states = owned
+                    .iter()
+                    .map(|&sid| (sid, self.books.captured(sid).cloned()));
+                let shards = states
+                    .map(|(sid, state)| ShardInit { sid, state })
+                    .collect();
+                let live = (0..self.workers.len()).find(|&w| self.workers[w].conn.is_some());
+                match live.filter(|_| self.rcfg.recovery == Recovery::Reattach) {
+                    Some(dest) => match self.install(dest, ToWorker::Attach { shards }) {
+                        Ok(()) => {
+                            owned.iter().for_each(|&sid| self.owner[sid] = dest);
+                            break dest;
                         }
-                        dest
+                        // The target died too: recover it. The shards stay
+                        // on the dead slot and surface again at its next send.
+                        Err(RemoteError::Transport { .. }) => dead = dest,
+                        Err(e) => return Err(e),
+                    },
+                    None => {
+                        let generation = self.workers[dead].generation + 1;
+                        self.spawn_worker(dead, generation)?;
+                        let spec = self.spec;
+                        self.install(
+                            dead,
+                            ToWorker::Assign {
+                                spec,
+                                s_count,
+                                shards,
+                            },
+                        )?;
+                        break dead;
                     }
-                    Err(RemoteError::Transport { .. }) => {
-                        // The reattach target died too; recover it (the
-                        // original shards stay mapped to the dead slot and
-                        // surface again at the caller's next send).
-                        dead = dest;
-                        continue 'recover;
-                    }
-                    Err(e) => return Err(e),
-                },
-                None => {
-                    let generation = self.workers[dead].generation + 1;
-                    self.spawn_worker(dead, generation)?;
-                    self.install(
-                        dead,
-                        ToWorker::Assign {
-                            spec: self.spec,
-                            s_count,
-                            shards: inits,
-                        },
-                    )?;
-                    dead
                 }
             };
-            // Replay the window since the committed cut, restricted to
-            // the recovered shards (a reattach target's own shards are
-            // live and must not see the rounds twice).
-            let mut replayed = 0u64;
-            for replay_round in flight.committed..flight.done {
-                let chunks = chunks_of(feeds, s_count, batch, replay_round, |sid| {
-                    owned.contains(&sid)
-                });
-                if chunks.clone().next().is_none() {
-                    continue;
-                }
-                encode_round(&mut self.frame, replay_round, 0, chunks);
-                let sent = self.workers[dest].send(self.frame.as_bytes());
-                match sent
-                    .map_err(|err| RemoteError::Transport { worker: dest, err })
-                    .and_then(|()| self.recv_coord(dest))
-                {
-                    // Already absorbed at the original boundary: discard,
-                    // so the merge ledger never sees the replay.
-                    Ok(ToCoord::RoundReport { .. }) => replayed += 1,
-                    Ok(_) => {
-                        return Err(RemoteError::Protocol {
-                            worker: dest,
-                            what: "unexpected reply to a replayed round",
-                        })
-                    }
-                    Err(RemoteError::Transport { .. }) => {
-                        dead = dest;
-                        continue 'recover;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
             self.events.push(FailoverEvent {
                 worker: dead,
-                round: flight.done,
+                round: replay.end,
                 generation: self.workers[dest].generation,
                 recovered_to: dest,
-                replayed_rounds: replayed,
+                replayed_rounds: replay.end - replay.start,
             });
-            return Ok(());
+        }
+        let lost = (0..feeds.len()).filter(|&i| down.contains(&owners[feeds[i].0 % s_count]));
+        Ok(lost.collect())
+    }
+
+    /// Tear slot `w` down: close its connection (its traffic stays on the
+    /// wire ledger), reap its process, and keep its thread for the final
+    /// join.
+    fn bury(&mut self, w: usize) {
+        let slot = &mut self.workers[w];
+        if let Some(conn) = slot.conn.take() {
+            self.wire.merge(conn.stats());
+            conn.shutdown();
+        }
+        if let Some(mut child) = slot.child.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        if let Some(handle) = slot.thread.take() {
+            self.graveyard.push(handle);
         }
     }
 
@@ -1196,48 +943,32 @@ impl<In: RemoteInput> RemoteEngine<In> {
         self.workers[w]
             .send(&msg.to_bytes())
             .map_err(|err| RemoteError::Transport { worker: w, err })?;
+        let what = "unexpected reply to an assignment";
         match self.recv_coord(w)? {
             ToCoord::AssignAck { error } if error.is_empty() => Ok(()),
-            ToCoord::AssignAck { error } => Err(RemoteError::WorkerRejected {
-                worker: w,
-                msg: error,
-            }),
-            _ => Err(RemoteError::Protocol {
-                worker: w,
-                what: "unexpected reply to an assignment",
-            }),
+            ToCoord::AssignAck { error: msg } => {
+                Err(RemoteError::WorkerRejected { worker: w, msg })
+            }
+            _ => Err(RemoteError::Protocol { worker: w, what }),
         }
     }
 
     fn recv_coord(&mut self, w: usize) -> Result<ToCoord, RemoteError> {
-        let conn = self.workers[w]
-            .conn
-            .as_mut()
-            .ok_or(RemoteError::Transport {
-                worker: w,
-                err: TransportError::Closed { op: "recv" },
-            })?;
+        let conn = self.workers[w].conn.as_mut();
         let frame = conn
-            .recv()
-            .map_err(|err| RemoteError::Transport { worker: w, err })?;
+            .ok_or(TransportError::Closed { op: "recv" })
+            .and_then(Conn::recv);
+        let frame = frame.map_err(|err| RemoteError::Transport { worker: w, err })?;
         ToCoord::from_bytes(&frame).map_err(|err| RemoteError::Decode { worker: w, err })
     }
 
     /// Apply an injected disruption to worker `w` (see [`FaultKind`]).
     fn disrupt(&mut self, w: usize, kind: FaultKind) {
-        match kind {
-            FaultKind::Kill => {
-                if let Some(child) = &mut self.workers[w].child {
-                    let _ = child.kill();
-                } else if let Some(conn) = &self.workers[w].conn {
-                    conn.shutdown();
-                }
-            }
-            FaultKind::Sever | FaultKind::Delay { .. } => {
-                if let Some(conn) = &self.workers[w].conn {
-                    conn.shutdown();
-                }
-            }
+        let slot = &mut self.workers[w];
+        match (kind, &mut slot.child, &slot.conn) {
+            (FaultKind::Kill, Some(child), _) => drop(child.kill()),
+            (_, _, Some(conn)) => conn.shutdown(),
+            _ => {}
         }
     }
 
@@ -1246,29 +977,29 @@ impl<In: RemoteInput> RemoteEngine<In> {
     /// the state the in-process engine reads off its replicas directly.
     fn resume_final(&self) -> Result<(Vec<i64>, CommStats), RemoteError> {
         use dsv_core::api::Tracker;
-        let mut estimates = Vec::with_capacity(self.ckpt_states.len());
+        let mut estimates = Vec::with_capacity(self.owner.len());
         let mut stats = CommStats::new();
-        for (sid, state) in self.ckpt_states.iter().enumerate() {
-            let state = state.as_ref().ok_or(RemoteError::Protocol {
-                worker: self.owner[sid],
-                what: "no committed state for a shard",
+        for sid in 0..self.owner.len() {
+            let (worker, what) = (self.owner[sid], "no committed state for a shard");
+            let state = self
+                .books
+                .captured(sid)
+                .ok_or(RemoteError::Protocol { worker, what })?;
+            let spec = self.spec.shard(sid);
+            let resumed = match self.kind.problem() {
+                Problem::Counting => spec
+                    .resume(state)
+                    .map(|t| (t.estimate(), t.stats().clone())),
+                Problem::Frequencies => spec
+                    .resume_item(state)
+                    .map(|t| (t.estimate(), t.stats().clone())),
+            };
+            let (estimate, shard_stats) = resumed.map_err(|e| match e {
+                ResumeError::Build(e) => EngineError::Build(e),
+                ResumeError::Codec(e) => EngineError::Codec(e),
             })?;
-            let map_build = |e| RemoteError::Engine(EngineError::Build(e));
-            let map_codec = |e| RemoteError::Engine(EngineError::Codec(e));
-            match self.kind.problem() {
-                Problem::Counting => {
-                    let mut t = self.spec.shard(sid).build().map_err(map_build)?;
-                    t.restore(state).map_err(map_codec)?;
-                    estimates.push(t.estimate());
-                    stats.merge(t.stats());
-                }
-                Problem::Frequencies => {
-                    let mut t = self.spec.shard(sid).build_item().map_err(map_build)?;
-                    t.restore(state).map_err(map_codec)?;
-                    estimates.push(t.estimate());
-                    stats.merge(t.stats());
-                }
-            }
+            estimates.push(estimate);
+            stats.merge(&shard_stats);
         }
         Ok((estimates, stats))
     }
@@ -1277,21 +1008,11 @@ impl<In: RemoteInput> RemoteEngine<In> {
 impl<In: RemoteInput> Drop for RemoteEngine<In> {
     fn drop(&mut self) {
         let finish = ToWorker::Finish.to_bytes();
-        for slot in &mut self.workers {
-            if let Some(conn) = &mut slot.conn {
-                let _ = conn.send(&finish);
-            }
+        for w in 0..self.workers.len() {
             // Closing the socket reaps even a worker that never decodes
             // the Finish (its next read observes the close).
-            if let Some(conn) = slot.conn.take() {
-                conn.shutdown();
-            }
-            if let Some(mut child) = slot.child.take() {
-                let _ = child.wait();
-            }
-            if let Some(handle) = slot.thread.take() {
-                let _ = handle.join();
-            }
+            let _ = self.workers[w].send(&finish);
+            self.bury(w);
         }
         for handle in self.graveyard.drain(..) {
             let _ = handle.join();
@@ -1299,20 +1020,19 @@ impl<In: RemoteInput> Drop for RemoteEngine<In> {
     }
 }
 
-/// Round `round`'s chunks for the shards `wanted` selects, in feed order
-/// — `(shard, site, inputs)`, borrowed from the feeds: the one slicing
-/// the round loop and failover replay both ship.
+/// Round `round`'s chunks of the feeds `mine` (indices into `feeds`), in
+/// feed order: `(shard, site, inputs)`, borrowed from the feeds.
 fn chunks_of<'a, In>(
     feeds: &'a [(SiteId, &'a [In])],
+    mine: &'a [usize],
     s_count: usize,
     batch: usize,
     round: u64,
-    wanted: impl Fn(usize) -> bool + Clone + 'a,
 ) -> impl Iterator<Item = (usize, SiteId, &'a [In])> + Clone + 'a {
-    feeds.iter().filter_map(move |&(site, inputs)| {
-        let sid = site % s_count;
-        let (lo, hi) = chunk_bounds(inputs.len(), batch, round as usize).filter(|_| wanted(sid))?;
-        Some((sid, site, &inputs[lo..hi]))
+    mine.iter().filter_map(move |&feed| {
+        let (site, inputs) = feeds[feed];
+        let (lo, hi) = chunk_bounds(inputs.len(), batch, round as usize)?;
+        Some((site % s_count, site, &inputs[lo..hi]))
     })
 }
 
@@ -1332,6 +1052,70 @@ fn encode_round<'a, In: RemoteInput + 'a>(
         wire::chunk_header(enc, sid, site);
         In::encode(inputs, enc);
     }
+}
+
+/// Take worker `w`'s reply to round `round` into `out`, given the chunks
+/// it was `sent`: the entries must name each shard sent to it this round
+/// exactly once, with the length sent — a decodable but hostile report
+/// never reaches the cut.
+fn take_report<'a, In: 'a>(
+    w: usize,
+    round: u64,
+    sent: impl Iterator<Item = (usize, SiteId, &'a [In])>,
+    reply: ToCoord,
+    out: &mut Rounds,
+) -> Result<(), RemoteError> {
+    let refuse = |what| Err(RemoteError::Protocol { worker: w, what });
+    let reports = match reply {
+        ToCoord::RoundReport { round: r, reports } if r == round => reports,
+        _ => return refuse("unexpected reply to a round"),
+    };
+    let mut owed: BTreeMap<usize, u64> = BTreeMap::new();
+    for (sid, _, inputs) in sent {
+        *owed.entry(sid).or_default() += inputs.len() as u64;
+    }
+    for e in &reports {
+        match owed.remove(&e.sid) {
+            None => return refuse("round report names a shard not sent to it, or twice"),
+            Some(len) if len != e.len => return refuse("round report length is not what was sent"),
+            Some(_) => {}
+        }
+    }
+    if !owed.is_empty() {
+        return refuse("round report missing a dispatched shard");
+    }
+    for e in reports {
+        out.push((e.sid, e.estimate, e.sum, e.len));
+    }
+    Ok(())
+}
+
+/// Worker `w`'s reply to a pull of the shards `asked`: each named exactly
+/// once, each state of the engine's kind and `k`.
+fn take_states(
+    w: usize,
+    asked: &[usize],
+    kind: TrackerKind,
+    k: usize,
+    reply: ToCoord,
+) -> Result<Vec<(usize, TrackerState)>, RemoteError> {
+    let refuse = |what| Err(RemoteError::Protocol { worker: w, what });
+    let ToCoord::CheckpointReport { states } = reply else {
+        return refuse("unexpected reply to a checkpoint request");
+    };
+    let mut owed: BTreeSet<usize> = asked.iter().copied().collect();
+    for (sid, state) in &states {
+        if !owed.remove(sid) {
+            return refuse("checkpoint reply names a shard not asked of it, or twice");
+        }
+        if state.kind() != kind || state.k() != k {
+            return refuse("checkpoint state contradicts the engine spec");
+        }
+    }
+    if !owed.is_empty() {
+        return refuse("checkpoint reply missing a requested shard");
+    }
+    Ok(states)
 }
 
 #[cfg(test)]
@@ -1412,11 +1196,10 @@ mod tests {
 
     #[test]
     fn reattach_holds_with_rounds_in_flight() {
-        // No boundary inside the call, so the window is at its widest
-        // when the sever lands: whatever worker 0 already reported past
-        // the round being read parks, worker 1's shards are rewound, and
-        // worker 0 adopts them — per the policy — and is re-sent their
-        // rounds by the loop's next pass.
+        // No boundary inside the call, so worker 1 is sent rounds well
+        // past the one being read when the sever lands: worker 0 finishes
+        // the window, adopts worker 1's shards — per the policy — and is
+        // re-sent their part of it.
         let feeds = walk_feeds(4, 12_000);
         let cfg = EngineConfig::new(4, 250);
 
@@ -1428,10 +1211,7 @@ mod tests {
             ..fast_rcfg()
         };
         let mut remote = RemoteEngine::counters(det_spec(4), cfg, rcfg).unwrap();
-        assert!(
-            remote.window(12) >= 3,
-            "the fault must find rounds in flight"
-        );
+        assert!(lead(2) >= 7, "the fault must find rounds in flight");
         remote.set_fault_plan(sever(6, 1));
         let report = remote.run_parted(&slices(&feeds)).unwrap();
 
@@ -1441,7 +1221,7 @@ mod tests {
         assert_same_run(&mut remote, &report, &mut local, &local_report);
     }
 
-    /// The shape a constant window wedges on: 512 shards a worker make a
+    /// The shape a constant lead wedges on: 512 shards a worker make a
     /// round report 16 KiB, sixteen of them unread fill a Unix socket,
     /// and the coordinator blocks writing a 1 MiB round to a worker that
     /// is blocked writing a report. One failed timeout (no failover
@@ -1466,7 +1246,7 @@ mod tests {
                 ..RemoteConfig::default()
             };
             let mut remote = RemoteEngine::counters(det_spec(k), cfg, rcfg).unwrap();
-            assert_eq!(remote.window(40), 1, "16 KiB reports leave no look-ahead");
+            assert_eq!(lead(k / 2), 1, "16 KiB reports leave no look-ahead");
             let report = remote.run_parted(&slices(&feeds)).unwrap();
             assert!(remote.events().is_empty(), "{transport:?}");
             assert_same_run(&mut remote, &report, &mut local, &local_report);
@@ -1536,56 +1316,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_checkpoint_pulls_stay_bit_identical_and_cheaper() {
-        let feeds = walk_feeds(4, 16_000);
-        let full_cfg = EngineConfig::new(4, 250).checkpoint_every(4);
-        let delta_cfg = full_cfg.delta_rebase(3);
-
-        let mut local = ShardedEngine::counters(det_spec(4), full_cfg).unwrap();
-        let local_report = local.run_parted(&slices(&feeds)).unwrap();
-
-        let mut full = RemoteEngine::counters(det_spec(4), full_cfg, fast_rcfg()).unwrap();
-        full.run_parted(&slices(&feeds)).unwrap();
-
-        let mut delta = RemoteEngine::counters(det_spec(4), delta_cfg, fast_rcfg()).unwrap();
-        let report = delta.run_parted(&slices(&feeds)).unwrap();
-
-        // Delta pulls are an encoding change only: every observable result
-        // matches the full-snapshot engine and the in-process engine.
-        assert_same_run(&mut delta, &report, &mut local, &local_report);
-        assert_eq!(delta.checkpoint().unwrap(), full.checkpoint().unwrap());
-
-        // Both modes ship one state frame per shard per sync, so the ledgers
-        // agree on message counts; the delta ledger carries fewer words.
-        let (d, f) = (delta.checkpoint_stats(), full.checkpoint_stats());
-        assert_eq!(d.total_messages(), f.total_messages());
-        assert!(
-            d.total_words() < f.total_words(),
-            "delta words {} vs full words {}",
-            d.total_words(),
-            f.total_words()
-        );
-    }
-
-    #[test]
-    fn delta_mode_failover_resyncs_wire_bases() {
-        let feeds = walk_feeds(4, 12_000);
-        let cfg = EngineConfig::new(4, 250)
-            .checkpoint_every(4)
-            .delta_rebase(3);
-
-        let mut local = ShardedEngine::counters(det_spec(4), cfg).unwrap();
-        let local_report = local.run_parted(&slices(&feeds)).unwrap();
-
-        let mut remote = RemoteEngine::counters(det_spec(4), cfg, fast_rcfg()).unwrap();
-        remote.set_fault_plan(sever(6, 1));
-        let report = remote.run_parted(&slices(&feeds)).unwrap();
-
-        assert_eq!(remote.events().len(), 1);
-        assert_same_run(&mut remote, &report, &mut local, &local_report);
-    }
-
-    #[test]
     fn severed_worker_fails_over_and_stays_bit_identical() {
         let feeds = walk_feeds(4, 12_000);
         let cfg = EngineConfig::new(4, 250).checkpoint_every(4);
@@ -1610,12 +1340,11 @@ mod tests {
                 if recovery == Recovery::Respawn { 1 } else { 0 }
             );
             // Checkpoint at boundary 4 bounds the replay to what was
-            // absorbed past it: rounds 4..6 when the sever beats round
-            // 6's report, 4..7 when that report was already queued, and
-            // 4..8 when round 7's (same window) was too and the
-            // boundary-8 commit is what finds the worker gone (DESIGN.md
-            // §8; tests/failover_injection.rs pins the two sides).
-            assert!((6..=8).contains(&event.round), "{event:?}");
+            // closed past it: nothing when the window 4..8 finds the
+            // worker gone, rounds 4..8 when the boundary-8 commit is what
+            // finds it (DESIGN.md §8; tests/failover_injection.rs pins
+            // the two sides).
+            assert!((4..=8).contains(&event.round), "{event:?}");
             assert_eq!(event.replayed_rounds, event.round - 4);
             assert_same_run(&mut remote, &report, &mut local, &local_report);
         }
@@ -1692,5 +1421,113 @@ mod tests {
             err,
             RemoteError::Engine(EngineError::Run(RunError::DeletionUnsupported { .. }))
         ));
+    }
+
+    /// Faults on a window's first and last round and during a commit,
+    /// with and without mid-call commits: windows of 64 rounds start at
+    /// 0, 64, 128, 192 without them and at 0, 64, 100, 164 with a commit
+    /// every 100 boundaries.
+    #[test]
+    fn faults_at_window_and_commit_edges_stay_bit_identical() {
+        let feeds = walk_feeds(4, 4 * 200 * 25);
+        for every in [0, 100] {
+            let cfg = EngineConfig::new(4, 25).workers(2).checkpoint_every(every);
+            let mut local = ShardedEngine::counters(det_spec(4), cfg).unwrap();
+            let local_report = local.run_parted(&slices(&feeds)).unwrap();
+            assert_eq!(local_report.batches, 200);
+            for recovery in [Recovery::Respawn, Recovery::Reattach] {
+                // Severs are seen at once; a slow host must not add deaths.
+                let rcfg = RemoteConfig {
+                    recovery,
+                    io_timeout: Duration::from_secs(10),
+                    ..RemoteConfig::default()
+                };
+                let mut remote = RemoteEngine::counters(det_spec(4), cfg, rcfg).unwrap();
+                remote.set_fault_plan(
+                    FaultPlan::new()
+                        .inject(FaultPoint::MidRound(63), 0, FaultKind::Sever)
+                        .inject(FaultPoint::MidRound(64), 1, FaultKind::Sever)
+                        .inject(FaultPoint::DuringCheckpoint(99), 1, FaultKind::Sever),
+                );
+                let report = remote.run_parted(&slices(&feeds)).unwrap();
+                let label = format!("every {every}, {recovery:?}");
+                // Both severs fire. A sever on a window's last round races
+                // the reports already queued, so its death may surface in
+                // the next window, beside the other; a reattach can then
+                // leave worker 1 nothing to pull at boundary 99 (and
+                // without mid-call commits there is no such pull).
+                assert!(remote.events().len() >= 2, "{label}");
+                assert!(remote.faults.pending() <= 1, "{label}");
+                assert_same_run(&mut remote, &report, &mut local, &local_report);
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_reports_are_protocol_errors() {
+        let run: &[i64] = &[1, -1, 1];
+        // Worker 1 holds shards 1 and 3 of 4; shard 3 has two feeds.
+        let feeds: Vec<(usize, &[i64])> = vec![(1, run), (3, run), (3, run)];
+        let round = |reports: &[(usize, u64)]| ToCoord::RoundReport {
+            round: 0,
+            reports: reports
+                .iter()
+                .map(|&(sid, len)| wire::RoundEntry {
+                    sid,
+                    estimate: 1,
+                    sum: 1,
+                    len,
+                })
+                .collect(),
+        };
+        let take = |reply| {
+            let mut out = Rounds::default();
+            out.clear();
+            take_report(
+                1,
+                0,
+                chunks_of(&feeds, &[0, 1, 2], 4, 8, 0),
+                reply,
+                &mut out,
+            )
+        };
+        assert!(take(round(&[(1, 3), (3, 6)])).is_ok());
+        for hostile in [
+            &[(1, 3), (3, 6), (9, 1)][..], // past the shard count
+            &[(1, 3), (2, 6)],             // another worker's shard
+            &[(1, 3), (3, 3)],             // a length not sent
+            &[(1, 3), (1, 3), (3, 6)],     // a shard twice
+            &[(3, 6)],                     // a shard missing
+        ] {
+            let err = take(round(hostile)).unwrap_err();
+            assert!(
+                matches!(err, RemoteError::Protocol { worker: 1, .. }),
+                "{hostile:?}"
+            );
+        }
+        let stale = ToCoord::RoundReport {
+            round: 1,
+            reports: Vec::new(),
+        };
+        assert!(matches!(take(stale), Err(RemoteError::Protocol { .. })));
+
+        let kind = TrackerKind::Deterministic;
+        let state = || TrackerState::new(kind, 2, vec![1; 8]);
+        let states = |sids: &[usize]| ToCoord::CheckpointReport {
+            states: sids.iter().map(|&sid| (sid, state())).collect(),
+        };
+        let take = |reply| take_states(1, &[1, 3], kind, 2, reply);
+        assert_eq!(take(states(&[3, 1])).unwrap().len(), 2);
+        for hostile in [&[1, 3, 2][..], &[1, 99], &[1, 1], &[3]] {
+            let err = take(states(hostile)).unwrap_err();
+            assert!(
+                matches!(err, RemoteError::Protocol { worker: 1, .. }),
+                "{hostile:?}"
+            );
+        }
+        let alien = ToCoord::CheckpointReport {
+            states: vec![(1, state()), (3, TrackerState::new(kind, 5, vec![]))],
+        };
+        assert!(matches!(take(alien), Err(RemoteError::Protocol { .. })));
     }
 }

@@ -2,24 +2,18 @@
 //!
 //! Every protocol message is one transport frame (see
 //! `dsv_net::transport`): a versioned envelope (magic [`WIRE_MAGIC`] +
-//! `u16` [`WIRE_VERSION`]), a `u8` message tag, then the fields, all
-//! encoded with the workspace codec (`dsv_net::codec`). Decoding is
-//! panic-free and exact — truncation, corruption, unknown tags, and
-//! trailing bytes are typed [`CodecError`]s — and the corruption gauntlet
-//! in `tests/failover_injection.rs` drives every byte of every message
-//! shape through the decoder to hold it to that.
-//!
-//! The payloads reuse the already wire-sized model types: round chunks
-//! are the per-site runs `run_parted` dispatches, checkpoint states are
-//! the same versioned `TrackerState` envelopes the in-process seam
-//! serializes, and boundary reports carry exactly the `(shard, estimate,
-//! Σδ, length)` tuples the in-process merge path reconciles — which is
-//! why a remote run can be bit-identical to the in-process one.
+//! `u16` [`WIRE_VERSION`]), a `u8` message tag, then the fields, all in
+//! the workspace codec (`dsv_net::codec`). Decoding is panic-free and
+//! exact — truncation, corruption, unknown tags and trailing bytes are
+//! typed [`CodecError`]s; `tests/failover_injection.rs` drives every byte
+//! of every message shape through the decoder. Round chunks are the
+//! per-site runs `run_parted` dispatches, states the versioned
+//! `TrackerState` envelopes, and reports the `(shard, estimate, Σδ,
+//! length)` tuples the in-process cut closes.
 
 use dsv_core::api::TrackerSpec;
 use dsv_core::codec::TrackerState;
 use dsv_net::codec::{CodecError, Dec, Enc};
-use dsv_net::StateDelta;
 
 /// Magic bytes opening every remote-protocol message.
 pub const WIRE_MAGIC: [u8; 4] = *b"DSVR";
@@ -29,7 +23,7 @@ pub const WIRE_MAGIC: [u8; 4] = *b"DSVR";
 /// decoders read exactly this version; any other is a typed
 /// [`CodecError::UnsupportedVersion`], surfaced before any shard state
 /// moves (`MIGRATION.md`, format policy).
-pub const WIRE_VERSION: u16 = 4;
+pub const WIRE_VERSION: u16 = 5;
 
 /// One shard's inputs for one round — the per-problem input payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,13 +60,8 @@ impl Inputs {
             1 => Ok(Inputs::Counts(dec.seq_i64("count inputs")?)),
             2 => {
                 let n = dec.seq_len("item inputs", 16)?;
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let item = dec.u64()?;
-                    let delta = dec.i64()?;
-                    v.push((item, delta));
-                }
-                Ok(Inputs::Items(v))
+                let items = (0..n).map(|_| Ok((dec.u64()?, dec.i64()?)));
+                Ok(Inputs::Items(items.collect::<Result<_, CodecError>>()?))
             }
             tag => Err(CodecError::BadTag {
                 what: "input payload",
@@ -125,45 +114,6 @@ pub struct ShardInit {
     pub state: Option<TrackerState>,
 }
 
-/// One shard's checkpoint pull request: which shard to snapshot, and
-/// whether a [`StateDelta`] against the worker's last-shipped snapshot is
-/// acceptable in place of the full state. The coordinator only sets
-/// `want_delta` when delta checkpointing is on
-/// ([`crate::EngineConfig::delta_rebase`]) and both sides hold the same
-/// base; a worker without a base replies in full regardless.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StatePull {
-    /// The logical shard to snapshot.
-    pub sid: usize,
-    /// Whether a delta against the last-shipped snapshot is acceptable.
-    pub want_delta: bool,
-}
-
-/// One shard's state in a [`ToCoord::CheckpointReport`]: the full
-/// snapshot, or a delta against the last snapshot this worker shipped
-/// (or was restored from) for that shard.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StateEntry {
-    /// The complete versioned snapshot.
-    Full(TrackerState),
-    /// A section-aware diff against the worker's previous shipped
-    /// snapshot payload; the coordinator applies it to its own copy of
-    /// that base (fingerprint-checked on both ends of the apply).
-    Delta(StateDelta),
-}
-
-impl StateEntry {
-    /// Bytes of state payload this entry ships (what the checkpoint
-    /// ledger charges): the snapshot payload for a full entry, the
-    /// encoded delta for a delta entry.
-    pub fn wire_len(&self) -> usize {
-        match self {
-            StateEntry::Full(state) => state.payload().len(),
-            StateEntry::Delta(delta) => delta.encoded_len(),
-        }
-    }
-}
-
 /// Coordinator → worker messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ToWorker {
@@ -201,8 +151,8 @@ pub enum ToWorker {
     /// Snapshot the named shards and reply with a
     /// [`ToCoord::CheckpointReport`].
     Checkpoint {
-        /// The (dirty) shards to snapshot, each with its pull shape.
-        shards: Vec<StatePull>,
+        /// The (dirty) shards to snapshot, ascending.
+        shards: Vec<usize>,
     },
     /// Shut down cleanly.
     Finish,
@@ -242,9 +192,8 @@ impl ToWorker {
             ToWorker::Checkpoint { shards } => {
                 enc.u8(4);
                 enc.seq_len(shards.len());
-                for pull in shards {
-                    enc.usize(pull.sid);
-                    enc.bool(pull.want_delta);
+                for &sid in shards {
+                    enc.usize(sid);
                 }
             }
             ToWorker::Finish => enc.u8(5),
@@ -280,12 +229,7 @@ impl ToWorker {
             }
             4 => {
                 let n = dec.seq_len("checkpoint shards", 8)?;
-                let mut shards = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let sid = dec.usize()?;
-                    let want_delta = dec.bool()?;
-                    shards.push(StatePull { sid, want_delta });
-                }
+                let shards = (0..n).map(|_| dec.usize()).collect::<Result<_, _>>()?;
                 ToWorker::Checkpoint { shards }
             }
             5 => ToWorker::Finish,
@@ -304,22 +248,17 @@ impl ToWorker {
 /// Open a frame: the magic, then exactly [`WIRE_VERSION`].
 fn open_frame(bytes: &[u8]) -> Result<Dec<'_>, CodecError> {
     let mut dec = Dec::new(bytes);
-    let found = dec.magic(WIRE_MAGIC, WIRE_VERSION)?;
-    if found != WIRE_VERSION {
-        return Err(CodecError::UnsupportedVersion {
-            found,
-            supported: WIRE_VERSION,
-        });
+    let (found, supported) = (dec.magic(WIRE_MAGIC, WIRE_VERSION)?, WIRE_VERSION);
+    if found != supported {
+        return Err(CodecError::UnsupportedVersion { found, supported });
     }
     Ok(dec)
 }
 
-/// Continue a [`ToWorker::Round`] frame after the envelope
-/// (`enc.magic(WIRE_MAGIC, WIRE_VERSION)`): tag, round, delay and chunk
-/// count. Exactly `chunks` × ([`chunk_header`] + an input run) must
-/// follow. This is how the coordinator writes round frames straight from
-/// the feed slices into one retained buffer; [`ToWorker::to_bytes`] goes
-/// through the same writers, so the two cannot drift.
+/// Continue a [`ToWorker::Round`] frame after the envelope: tag, round,
+/// delay and chunk count; `chunks` × ([`chunk_header`] + an input run)
+/// follow. The coordinator writes round frames straight from the feed
+/// slices this way, and [`ToWorker::to_bytes`] through the same writers.
 pub(crate) fn round_header(enc: &mut Enc, round: u64, delay_ms: u64, chunks: usize) {
     enc.u8(3);
     enc.u64(round);
@@ -336,14 +275,16 @@ pub(crate) fn chunk_header(enc: &mut Enc, sid: usize, site: usize) {
 
 fn decode_chunks(dec: &mut Dec) -> Result<Vec<Chunk>, CodecError> {
     let n = dec.seq_len("round chunks", 17)?;
-    let mut chunks = Vec::with_capacity(n);
-    for _ in 0..n {
-        let sid = dec.usize()?;
-        let site = dec.usize()?;
-        let inputs = Inputs::decode(dec)?;
-        chunks.push(Chunk { sid, site, inputs });
-    }
-    Ok(chunks)
+    (0..n)
+        .map(|_| {
+            let (sid, site) = (dec.usize()?, dec.usize()?);
+            Ok(Chunk {
+                sid,
+                site,
+                inputs: Inputs::decode(dec)?,
+            })
+        })
+        .collect()
 }
 
 fn encode_shard_inits(enc: &mut Enc, shards: &[ShardInit]) {
@@ -362,17 +303,16 @@ fn encode_shard_inits(enc: &mut Enc, shards: &[ShardInit]) {
 
 fn decode_shard_inits(dec: &mut Dec) -> Result<Vec<ShardInit>, CodecError> {
     let n = dec.seq_len("assigned shards", 9)?;
-    let mut shards = Vec::with_capacity(n);
-    for _ in 0..n {
-        let sid = dec.usize()?;
-        let state = if dec.bool()? {
-            Some(TrackerState::from_bytes(dec.blob()?)?)
-        } else {
-            None
-        };
-        shards.push(ShardInit { sid, state });
-    }
-    Ok(shards)
+    (0..n)
+        .map(|_| {
+            let sid = dec.usize()?;
+            let state = match dec.bool()? {
+                true => Some(TrackerState::from_bytes(dec.blob()?)?),
+                false => None,
+            };
+            Ok(ShardInit { sid, state })
+        })
+        .collect()
 }
 
 /// One shard's end-of-round report: the tuple the in-process merge path
@@ -391,7 +331,7 @@ pub struct RoundEntry {
 }
 
 /// Encoded payload length of a [`ToCoord::RoundReport`] carrying
-/// `entries` shard entries — what the coordinator sizes its send window
+/// `entries` shard entries — what the coordinator bounds each send lead
 /// by (each report it has not read yet sits in a socket buffer).
 pub(crate) const fn round_report_len(entries: usize) -> usize {
     // envelope (magic + version), tag, round, entry count; then four
@@ -418,8 +358,8 @@ pub enum ToCoord {
     },
     /// Reply to [`ToWorker::Checkpoint`].
     CheckpointReport {
-        /// The requested shards' states, full or delta per entry.
-        states: Vec<(usize, StateEntry)>,
+        /// The requested shards' whole states.
+        states: Vec<(usize, TrackerState)>,
     },
 }
 
@@ -447,18 +387,9 @@ impl ToCoord {
             ToCoord::CheckpointReport { states } => {
                 enc.u8(3);
                 enc.seq_len(states.len());
-                for (sid, entry) in states {
+                for (sid, state) in states {
                     enc.usize(*sid);
-                    match entry {
-                        StateEntry::Full(state) => {
-                            enc.u8(1);
-                            enc.blob(&state.to_bytes());
-                        }
-                        StateEntry::Delta(delta) => {
-                            enc.u8(2);
-                            delta.encode(&mut enc);
-                        }
-                    }
+                    enc.blob(&state.to_bytes());
                 }
             }
         }
@@ -492,22 +423,11 @@ impl ToCoord {
             }
             3 => {
                 let n = dec.seq_len("checkpoint states", 9)?;
-                let mut states = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let sid = dec.usize()?;
-                    let entry = match dec.u8()? {
-                        1 => StateEntry::Full(TrackerState::from_bytes(dec.blob()?)?),
-                        2 => StateEntry::Delta(StateDelta::decode(&mut dec)?),
-                        tag => {
-                            return Err(CodecError::BadTag {
-                                what: "checkpoint state entry",
-                                tag: tag as u64,
-                            })
-                        }
-                    };
-                    states.push((sid, entry));
+                let states =
+                    (0..n).map(|_| Ok((dec.usize()?, TrackerState::from_bytes(dec.blob()?)?)));
+                ToCoord::CheckpointReport {
+                    states: states.collect::<Result<_, CodecError>>()?,
                 }
-                ToCoord::CheckpointReport { states }
             }
             tag => {
                 return Err(CodecError::BadTag {
@@ -570,18 +490,7 @@ mod tests {
                     },
                 ],
             },
-            ToWorker::Checkpoint {
-                shards: vec![
-                    StatePull {
-                        sid: 0,
-                        want_delta: false,
-                    },
-                    StatePull {
-                        sid: 2,
-                        want_delta: true,
-                    },
-                ],
-            },
+            ToWorker::Checkpoint { shards: vec![0, 2] },
             ToWorker::Finish,
         ];
         let to_coord = vec![
@@ -610,10 +519,10 @@ mod tests {
             },
             ToCoord::CheckpointReport {
                 states: vec![
-                    (2, StateEntry::Full(state.clone())),
+                    (2, state.clone()),
                     (
                         3,
-                        StateEntry::Delta(StateDelta::diff(state.payload(), &[7; 40])),
+                        TrackerState::new(TrackerKind::Randomized, 3, vec![7; 40]),
                     ),
                 ],
             },
@@ -670,9 +579,9 @@ mod tests {
     fn older_generations_are_refused() {
         // Every message shape, re-stamped with each retired version word
         // (v1: untagged states and flag-less pulls; v2: before the
-        // `Rounds` envelope; v3: with it).
+        // `Rounds` envelope; v3: with it; v4: delta-or-full state pulls).
         let (to_worker, to_coord) = sample_messages();
-        assert_eq!(WIRE_VERSION, 4);
+        assert_eq!(WIRE_VERSION, 5);
         for old in 1..WIRE_VERSION {
             let refused = CodecError::UnsupportedVersion {
                 found: old,

@@ -1,20 +1,16 @@
 //! The shard-worker side: connect to the coordinator, install replicas,
 //! process rounds, serve checkpoint snapshots.
 //!
-//! The same serve loop backs both deployment shapes — a thread inside the
-//! coordinator process (tests, single-machine runs) and a separate OS
-//! process entered through [`shard_server_main`] (the `dsv-shard-server`
-//! binary). Either way the worker is a pure protocol server: all of its
-//! configuration (spec, shard set, restore states) arrives in
-//! [`ToWorker::Assign`] messages, so a freshly spawned replacement is
-//! indistinguishable from the process it replaces once assigned and
-//! replayed.
+//! One serve loop backs a thread inside the coordinator process and a
+//! separate OS process entered through [`shard_server_main`] (the
+//! `dsv-shard-server` binary). The worker is a pure protocol server: its
+//! spec, shard set and restore states all arrive in [`ToWorker::Assign`]
+//! messages, so a replacement, once assigned and replayed, is
+//! indistinguishable from the process it replaces.
 
-use super::wire::{Chunk, Inputs, RoundEntry, ShardInit, StateEntry, ToCoord, ToWorker};
-use dsv_core::api::{ItemTracker, Problem, Tracker, TrackerSpec};
-use dsv_core::codec::TrackerState;
+use super::wire::{Chunk, Inputs, RoundEntry, ShardInit, ToCoord, ToWorker};
+use dsv_core::api::{ItemTracker, Problem, ResumeError, Tracker, TrackerSpec};
 use dsv_net::transport::{hello_bytes, Conn, Endpoint, Role, TransportError};
-use dsv_net::StateDelta;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -51,37 +47,23 @@ impl From<TransportError> for WorkerError {
 }
 
 /// Build (or restore) the replica for `init` under `spec`'s problem.
-fn make_tracker(spec: &TrackerSpec, init: &ShardInit) -> Result<AnyTracker, String> {
-    let shard_spec = spec.shard(init.sid);
-    match (spec.kind().problem(), &init.state) {
-        (Problem::Counting, None) => shard_spec
-            .build()
-            .map(AnyTracker::Counter)
-            .map_err(|e| e.to_string()),
-        (Problem::Counting, Some(state)) => shard_spec
-            .resume(state)
-            .map(AnyTracker::Counter)
-            .map_err(|e| e.to_string()),
-        (Problem::Frequencies, None) => shard_spec
-            .build_item()
-            .map(AnyTracker::Item)
-            .map_err(|e| e.to_string()),
-        (Problem::Frequencies, Some(state)) => shard_spec
-            .resume_item(state)
-            .map(AnyTracker::Item)
-            .map_err(|e| e.to_string()),
-    }
+fn make_tracker(spec: &TrackerSpec, init: &ShardInit) -> Result<AnyTracker, ResumeError> {
+    let spec = spec.shard(init.sid);
+    let counting = spec.kind().problem() == Problem::Counting;
+    Ok(match &init.state {
+        None if counting => AnyTracker::Counter(spec.build()?),
+        Some(state) if counting => AnyTracker::Counter(spec.resume(state)?),
+        None => AnyTracker::Item(spec.build_item()?),
+        Some(state) => AnyTracker::Item(spec.resume_item(state)?),
+    })
 }
 
 /// Install `shards` into the replica map, replying with an
-/// [`ToCoord::AssignAck`] (empty error string on success). A restored
-/// shard's state becomes its delta base (the coordinator holds the same
-/// bytes); a fresh shard has no base until its first checkpoint pull.
+/// [`ToCoord::AssignAck`] (empty error string on success).
 fn install(
     conn: &mut Conn,
     spec: &Option<TrackerSpec>,
     trackers: &mut BTreeMap<usize, AnyTracker>,
-    bases: &mut BTreeMap<usize, TrackerState>,
     shards: &[ShardInit],
 ) -> Result<(), WorkerError> {
     let ack = match spec {
@@ -89,15 +71,8 @@ fn install(
         Some(spec) => shards
             .iter()
             .try_for_each(|init| {
-                trackers.insert(init.sid, make_tracker(spec, init)?);
-                match &init.state {
-                    Some(state) => {
-                        bases.insert(init.sid, state.clone());
-                    }
-                    None => {
-                        bases.remove(&init.sid);
-                    }
-                }
+                let tracker = make_tracker(spec, init).map_err(|e| e.to_string())?;
+                trackers.insert(init.sid, tracker);
                 Ok::<(), String>(())
             })
             .err()
@@ -120,14 +95,9 @@ pub fn serve(
     connect_retries: u32,
     connect_backoff: Duration,
 ) -> Result<(), WorkerError> {
-    match serve_conn(
-        ep,
-        worker,
-        generation,
-        idle_timeout,
-        connect_retries,
-        connect_backoff,
-    ) {
+    let mut conn = Conn::connect(ep, connect_retries, connect_backoff)?;
+    conn.set_io_timeout(Some(idle_timeout))?;
+    match serve_conn(&mut conn, worker, generation) {
         // The coordinator severed the link or went away (possibly while a
         // reply was in flight): exit quietly — a replacement worker will
         // be assigned from checkpoint.
@@ -180,23 +150,11 @@ fn process_round(
     Ok(())
 }
 
-fn serve_conn(
-    ep: &Endpoint,
-    worker: u64,
-    generation: u64,
-    idle_timeout: Duration,
-    connect_retries: u32,
-    connect_backoff: Duration,
-) -> Result<(), WorkerError> {
-    let mut conn = Conn::connect(ep, connect_retries, connect_backoff)?;
-    conn.set_io_timeout(Some(idle_timeout))?;
+fn serve_conn(conn: &mut Conn, worker: u64, generation: u64) -> Result<(), WorkerError> {
     conn.send(&hello_bytes(Role::Worker, worker, generation))?;
 
     let mut spec: Option<TrackerSpec> = None;
     let mut trackers: BTreeMap<usize, AnyTracker> = BTreeMap::new();
-    // Per-shard delta base: the snapshot last shipped to (or restored
-    // from) the coordinator, which holds the same bytes.
-    let mut bases: BTreeMap<usize, TrackerState> = BTreeMap::new();
     loop {
         let frame = conn.recv()?;
         let msg = ToWorker::from_bytes(&frame)
@@ -208,41 +166,31 @@ fn serve_conn(
                 shards,
             } => {
                 trackers.clear();
-                bases.clear();
                 spec = Some(new_spec);
-                install(&mut conn, &spec, &mut trackers, &mut bases, &shards)?;
+                install(conn, &spec, &mut trackers, &shards)?;
             }
             ToWorker::Attach { shards } => {
-                install(&mut conn, &spec, &mut trackers, &mut bases, &shards)?;
+                install(conn, &spec, &mut trackers, &shards)?;
             }
             ToWorker::Round {
                 round,
                 delay_ms,
                 chunks,
             } => {
-                process_round(&mut conn, &mut trackers, round, delay_ms, &chunks)?;
+                process_round(conn, &mut trackers, round, delay_ms, &chunks)?;
             }
             ToWorker::Checkpoint { shards } => {
                 let mut states = Vec::with_capacity(shards.len());
-                for pull in shards {
+                for sid in shards {
                     let tracker = trackers
-                        .get(&pull.sid)
+                        .get(&sid)
                         .ok_or(WorkerError::Protocol("checkpoint of unassigned shard"))?;
                     let state = match tracker {
                         AnyTracker::Counter(t) => t.snapshot(),
                         AnyTracker::Item(t) => t.snapshot(),
                     }
                     .map_err(|_| WorkerError::Protocol("shard state snapshot failed"))?;
-                    // Ship a delta when asked and a base exists; either
-                    // way this snapshot becomes the next base.
-                    let entry = match bases.get(&pull.sid) {
-                        Some(base) if pull.want_delta => {
-                            StateEntry::Delta(StateDelta::diff(base.payload(), state.payload()))
-                        }
-                        _ => StateEntry::Full(state.clone()),
-                    };
-                    bases.insert(pull.sid, state);
-                    states.push((pull.sid, entry));
+                    states.push((sid, state));
                 }
                 conn.send(&ToCoord::CheckpointReport { states }.to_bytes())?;
             }

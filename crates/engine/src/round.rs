@@ -5,18 +5,24 @@
 //! *round* is and on what happens when one ends. This module owns that
 //! agreement: feed validation, the chunking rule, the shard → worker map,
 //! the fork-join every in-memory executor and the fleet's boundary run on,
-//! the [`Cut`] that closes a round (fold Σδ and lengths → absorb each
-//! shard's end-of-round estimate in ascending shard order → ε-audit), and
-//! the one [`EngineReport`] constructor. Bit-identity between modes holds
+//! the [`Books`] each engine keeps of what a cut and a checkpoint touch,
+//! the [`Cut`] that closes a window's rounds from every worker's
+//! [`Rounds`] (fold Σδ and lengths → absorb each shard's end-of-round
+//! estimate in ascending shard order → ε-audit), and the one
+//! [`EngineReport`] constructor. Bit-identity between modes holds
 //! because they all end a round here, not because copies of this sequence
 //! are proven to agree (`DESIGN.md` §5).
 
+use crate::checkpoint::EngineCheckpoint;
 use crate::config::EngineConfig;
 use crate::merge::MergeCoordinator;
 use crate::partition::InputDelta;
 use crate::report::EngineReport;
 use dsv_core::api::{RunError, TrackerKind};
-use dsv_net::{relative_error, CommStats, ErrorProbe, IngestStats, SiteId, Time};
+use dsv_core::codec::{CodecError, Dec, Enc, TrackerState};
+use dsv_net::{
+    relative_error, CommStats, ErrorProbe, IngestStats, MsgKind, SiteId, StateFrame, Time, WireSize,
+};
 use std::time::Instant;
 
 /// One shard's contribution to a round: `(shard, estimate after the
@@ -127,6 +133,53 @@ where
     })
 }
 
+/// Rounds one window holds at most before the cut closes them, in every
+/// mode. Bounds what a call holds in flight to `WINDOW` entries per feed
+/// or shard, however many rounds the call spans, and how many rounds a
+/// pipelined feed can lead another by; at 64, a batch-1 call still runs
+/// ~15× faster than with a barrier every round (`DESIGN.md` §5).
+pub(crate) const WINDOW: usize = 64;
+
+/// The entries one worker recorded over a window, round after round:
+/// round `r` is `entries[ends[r]..ends[r + 1]]`. An in-memory worker
+/// fills it by running its shards; a remote one from its reports.
+pub(crate) struct Rounds {
+    entries: Vec<Entry>,
+    ends: Vec<usize>,
+}
+
+impl Default for Rounds {
+    fn default() -> Self {
+        Rounds {
+            entries: Vec::new(),
+            ends: vec![0],
+        }
+    }
+}
+
+impl Rounds {
+    /// Start a new window.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+        self.ends.clear();
+        self.ends.push(0);
+    }
+
+    /// Record one piece of the current round's work.
+    pub(crate) fn push(&mut self, entry: Entry) {
+        self.entries.push(entry);
+    }
+
+    /// End the current round.
+    pub(crate) fn end_round(&mut self) {
+        self.ends.push(self.entries.len());
+    }
+
+    fn round(&self, r: usize) -> &[Entry] {
+        &self.entries[self.ends[r]..self.ends[r + 1]]
+    }
+}
+
 /// Run-local audit accumulator and wall clock (one per ingestion call).
 pub(crate) struct RunAudit {
     eps: f64,
@@ -168,14 +221,13 @@ impl RunAudit {
         });
     }
 
-    /// Assemble the run's report from the audit and the engine's state
+    /// Assemble the run's report from the audit and the engine's books
     /// after the last cut.
     pub(crate) fn report(
         self,
         cfg: &EngineConfig,
         n: u64,
-        f: i64,
-        coord: &MergeCoordinator,
+        books: &Books,
         tracker_stats: CommStats,
         ingest_stats: IngestStats,
     ) -> EngineReport {
@@ -185,12 +237,12 @@ impl RunAudit {
             shards: cfg.shards_count(),
             workers: cfg.workers_count(),
             batch_size: cfg.batch_size(),
-            final_f: f,
-            final_estimate: coord.estimate(),
+            final_f: books.f,
+            final_estimate: books.coord.estimate(),
             boundary_violations: self.violations,
             max_boundary_rel_err: self.max_err,
             tracker_stats,
-            merge_stats: coord.stats().clone(),
+            merge_stats: books.coord.stats().clone(),
             ingest_stats,
             probes: self.probes,
             elapsed: self.started.elapsed(),
@@ -198,37 +250,143 @@ impl RunAudit {
     }
 }
 
-/// The engine state a round boundary touches, borrowed for as long as
-/// the caller's scheduling allows (a whole call in-process, one round at
-/// a time over sockets).
+/// What a round boundary and a checkpoint touch, owned once by each
+/// engine: consumed time, ground truth, the merge coordinator, and per
+/// shard the inputs it consumed since its last capture and that capture.
+#[derive(Debug)]
+pub(crate) struct Books {
+    time: Time,
+    f: i64,
+    coord: MergeCoordinator,
+    /// Inputs consumed per shard since its state was last captured.
+    /// Tracker state is a pure function of the inputs a replica has
+    /// consumed, so a zero counter proves the captured state current —
+    /// the dirty-shard skip that keeps a periodic checkpoint from
+    /// reserializing (and re-charging) quiet shards. Counting inputs
+    /// rather than watching the ledger is deliberate: trackers mutate
+    /// state (round counters, samplers) without sending messages.
+    dirty: Vec<u64>,
+    /// Each shard's state at its last capture (`None` until captured).
+    captured: Vec<Option<TrackerState>>,
+    /// Snapshot traffic: one [`StateFrame`] per capture. Separate from
+    /// the tracker and merge ledgers so checkpointing never perturbs the
+    /// ledgers the equivalence guarantees are stated over.
+    ckpt_stats: CommStats,
+}
+
+impl Books {
+    pub(crate) fn new(shards: usize) -> Self {
+        Books {
+            time: 0,
+            f: 0,
+            coord: MergeCoordinator::new(shards),
+            dirty: vec![0; shards],
+            captured: vec![None; shards],
+            ckpt_stats: CommStats::new(),
+        }
+    }
+
+    /// The books a checkpoint holds; no shard counts as captured yet.
+    pub(crate) fn resume(ckpt: &EngineCheckpoint) -> Result<Self, CodecError> {
+        let mut books = Books::new(ckpt.shards());
+        let mut dec = Dec::new(ckpt.merge());
+        books.coord.load_state(&mut dec)?;
+        dec.finish()?;
+        books.time = ckpt.time();
+        books.f = ckpt.f();
+        Ok(books)
+    }
+
+    pub(crate) fn time(&self) -> Time {
+        self.time
+    }
+
+    pub(crate) fn estimate(&self) -> i64 {
+        self.coord.estimate()
+    }
+
+    pub(crate) fn merge_stats(&self) -> &CommStats {
+        self.coord.stats()
+    }
+
+    pub(crate) fn checkpoint_stats(&self) -> &CommStats {
+        &self.ckpt_stats
+    }
+
+    /// The cut over these books for one ingestion call.
+    pub(crate) fn cut<'a>(&'a mut self, audit: &'a mut RunAudit) -> Cut<'a> {
+        let finals = vec![None; self.dirty.len()];
+        Cut {
+            books: self,
+            audit,
+            finals,
+        }
+    }
+
+    /// Whether shard `sid`'s captured state is behind its replica: it
+    /// consumed inputs since, or was never captured.
+    pub(crate) fn stale(&self, sid: usize) -> bool {
+        self.dirty[sid] > 0 || self.captured[sid].is_none()
+    }
+
+    /// Shard `sid`'s last captured state.
+    #[cfg(feature = "remote")]
+    pub(crate) fn captured(&self, sid: usize) -> Option<&TrackerState> {
+        self.captured[sid].as_ref()
+    }
+
+    /// Record `state` as shard `sid`'s current state, charging the one
+    /// [`StateFrame`] that ships it to the checkpoint ledger.
+    pub(crate) fn capture(&mut self, sid: usize, state: TrackerState) {
+        let frame = StateFrame::for_payload(sid, state.payload().len());
+        self.ckpt_stats.charge(MsgKind::Up, frame.words());
+        self.captured[sid] = Some(state);
+        self.dirty[sid] = 0;
+    }
+
+    /// The engine as a restorable checkpoint. Every shard must be
+    /// captured and current.
+    pub(crate) fn checkpoint(&self, kind: TrackerKind, k: usize) -> EngineCheckpoint {
+        let states = self
+            .captured
+            .iter()
+            .map(|s| s.clone().expect("every shard captured before assembly"))
+            .collect();
+        let mut merge = Enc::new();
+        self.coord.save_state(&mut merge);
+        EngineCheckpoint::new(kind, k, self.time, self.f, merge.into_bytes(), states)
+    }
+}
+
+/// The books a round boundary moves, borrowed for one ingestion call.
 pub(crate) struct Cut<'a> {
-    time: &'a mut Time,
-    f: &'a mut i64,
-    /// Inputs consumed per shard since its last checkpoint capture.
-    dirty: &'a mut [u64],
-    coord: &'a mut MergeCoordinator,
+    books: &'a mut Books,
     audit: &'a mut RunAudit,
     /// Scratch: each shard's last estimate within the round being closed.
     finals: Vec<Option<i64>>,
 }
 
-impl<'a> Cut<'a> {
-    pub(crate) fn new(
-        time: &'a mut Time,
-        f: &'a mut i64,
-        dirty: &'a mut [u64],
-        coord: &'a mut MergeCoordinator,
-        audit: &'a mut RunAudit,
-    ) -> Self {
-        let finals = vec![None; dirty.len()];
-        Cut {
-            time,
-            f,
-            dirty,
-            coord,
-            audit,
-            finals,
+impl Cut<'_> {
+    /// Close a window's `n` rounds in order, each over every buffer's
+    /// entries for it, stopping at the first round none has entries for
+    /// (a pipelined window runs out once every feed is done). Returns the
+    /// rounds closed. Every mode ends its rounds here.
+    pub(crate) fn close_window<'r>(
+        &mut self,
+        bufs: impl Iterator<Item = &'r Rounds> + Clone,
+        n: usize,
+    ) -> usize {
+        for r in 0..n {
+            let mut entries = bufs
+                .clone()
+                .flat_map(|b| b.round(r).iter().copied())
+                .peekable();
+            if entries.peek().is_none() {
+                return r;
+            }
+            self.close(entries);
         }
+        n
     }
 
     /// Close one round. `entries` may interleave shards in any order; a
@@ -237,20 +395,21 @@ impl<'a> Cut<'a> {
     /// one, in ascending shard order, is what keeps the merge ledger
     /// independent of worker count and arrival order; shards without
     /// entries are covered by the coordinator's cached last report.
-    pub(crate) fn close(&mut self, entries: impl IntoIterator<Item = Entry>) {
+    fn close(&mut self, entries: impl IntoIterator<Item = Entry>) {
+        let books = &mut *self.books;
         for (sid, est, sum, len) in entries {
-            *self.f += sum;
-            *self.time += len;
-            self.dirty[sid] += len;
+            books.f += sum;
+            books.time += len;
+            books.dirty[sid] += len;
             self.finals[sid] = Some(est);
         }
         for (sid, est) in self.finals.iter_mut().enumerate() {
             if let Some(est) = est.take() {
-                self.coord.absorb(sid, est);
+                books.coord.absorb(sid, est);
             }
         }
         self.audit
-            .boundary(*self.time, *self.f, self.coord.estimate());
+            .boundary(books.time, books.f, books.coord.estimate());
     }
 }
 
@@ -260,22 +419,20 @@ mod tests {
 
     /// Everything a cut can move, after closing `rounds` on fresh state.
     fn outcome(rounds: &[Vec<Entry>]) -> (Time, i64, Vec<u64>, i64, CommStats, Vec<ErrorProbe>) {
-        let (mut time, mut f, mut dirty) = (0, 0, vec![0u64; 4]);
-        let mut coord = MergeCoordinator::new(4);
+        let mut books = Books::new(4);
         let mut audit = RunAudit::new(&EngineConfig::new(4, 8));
-        let mut cut = Cut::new(&mut time, &mut f, &mut dirty, &mut coord, &mut audit);
+        let mut cut = books.cut(&mut audit);
         for entries in rounds {
             cut.close(entries.iter().copied());
         }
         assert_eq!(audit.batches, rounds.len() as u64);
-        let probes = audit.probes;
         (
-            time,
-            f,
-            dirty,
-            coord.estimate(),
-            coord.stats().clone(),
-            probes,
+            books.time,
+            books.f,
+            books.dirty,
+            books.coord.estimate(),
+            books.coord.stats().clone(),
+            audit.probes,
         )
     }
 

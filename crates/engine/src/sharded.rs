@@ -4,16 +4,14 @@ use crate::checkpoint::EngineCheckpoint;
 use crate::config::{EngineConfig, EngineError};
 use crate::delta::CheckpointStore;
 use crate::ingest::{CloseRings, FeedState, Ring, ShardFeed};
-use crate::merge::MergeCoordinator;
 use crate::partition::{hash_item, InputDelta, Partition, ShardRecord};
 use crate::report::EngineReport;
 use crate::round::{
-    chunk_bounds, fork_join, rounds_of, validate_feeds, validate_sites, worker_groups, Cut, Entry,
-    RunAudit,
+    chunk_bounds, fork_join, rounds_of, validate_feeds, validate_sites, worker_groups, Books, Cut,
+    Rounds, RunAudit, WINDOW,
 };
 use dsv_core::api::{ItemTracker, RunError, Tracker, TrackerKind, TrackerSpec};
-use dsv_core::codec::{Dec, Enc, TrackerState};
-use dsv_net::{CommStats, IngestStats, MsgKind, SiteId, StateFrame, Time, WireSize};
+use dsv_net::{CommStats, IngestStats, SiteId, Time};
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::Arc;
@@ -68,13 +66,6 @@ where
     (tracker.update_run(site, run), sum, run.len() as u64)
 }
 
-/// Rounds a [`Worker`] runs back to back before the cut closes them.
-/// Bounds what a call holds in flight to `WINDOW` entries per feed or
-/// shard, however many rounds the call spans, and how many rounds a
-/// pipelined feed can lead another by; at 64, a batch-1 call still
-/// runs ~15× faster than with a barrier every round (`DESIGN.md` §5).
-const WINDOW: usize = 64;
-
 /// Inputs routed [`ShardedEngine::run`] copies into one window at most: a
 /// window closes after [`WINDOW`] rounds or once it holds this many
 /// inputs, and always holds at least one round (exactly one when a lone
@@ -90,10 +81,7 @@ const ROUTED_INPUTS: usize = 1 << 20;
 /// ascending shard order, and the entries of the window it last ran.
 struct Worker<'t, T> {
     shards: Vec<(usize, &'t mut T)>,
-    /// One entry per piece of work, round after round.
-    entries: Vec<Entry>,
-    /// Round `r` of the window is `entries[ends[r]..ends[r + 1]]`.
-    ends: Vec<usize>,
+    out: Rounds,
 }
 
 impl<'t, T> Worker<'t, T> {
@@ -112,8 +100,7 @@ impl<'t, T> Worker<'t, T> {
                     .into_iter()
                     .filter(|(sid, _)| has_work(*sid))
                     .collect(),
-                entries: Vec::new(),
-                ends: Vec::new(),
+                out: Rounds::default(),
             })
             .filter(|w| !w.shards.is_empty())
             .collect()
@@ -123,33 +110,24 @@ impl<'t, T> Worker<'t, T> {
     /// order a replica sees its work in, whatever the worker count.
     fn run<F>(&mut self, rounds: Range<usize>, work: &F)
     where
-        F: Fn(usize, &mut T, usize, &mut Vec<Entry>),
+        F: Fn(usize, &mut T, usize, &mut Rounds),
     {
-        self.entries.clear();
-        self.ends.clear();
-        self.ends.push(0);
+        self.out.clear();
         for round in rounds {
             for (sid, tracker) in &mut self.shards {
-                work(*sid, &mut **tracker, round, &mut self.entries);
+                work(*sid, &mut **tracker, round, &mut self.out);
             }
-            self.ends.push(self.entries.len());
+            self.out.end_round();
         }
-    }
-
-    /// Round `r`'s entries from the last window.
-    fn round(&self, r: usize) -> &[Entry] {
-        &self.entries[self.ends[r]..self.ends[r + 1]]
     }
 }
 
 /// The one in-memory executor: run the window `rounds` on `workers` through
-/// [`fork_join`], then close its rounds in order, stopping at the first
-/// round without entries. Returns the rounds closed.
-/// `work(sid, replica, round, out)` appends the shard's entries for
-/// `round`. A worker's panic is re-raised here after the join, before any
-/// of the window's rounds close; an empty window spawns nothing. Every
-/// round of a `run` or `run_parted` window has entries; a pipelined window
-/// runs out of them once every feed is done.
+/// [`fork_join`], then let the cut close them ([`Cut::close_window`]).
+/// Returns the rounds closed. `work(sid, replica, round, out)` records the
+/// shard's entries for `round`. A worker's panic is re-raised here after
+/// the join, before any of the window's rounds close; an empty window
+/// spawns nothing.
 fn run_window<T, F>(
     workers: &mut [Worker<'_, T>],
     rounds: Range<usize>,
@@ -158,24 +136,14 @@ fn run_window<T, F>(
 ) -> usize
 where
     T: Send,
-    F: Fn(usize, &mut T, usize, &mut Vec<Entry>) + Sync,
+    F: Fn(usize, &mut T, usize, &mut Rounds) + Sync,
 {
     let n = rounds.len();
     if n == 0 {
         return 0;
     }
     fork_join(workers.iter_mut(), |w| w.run(rounds.clone(), work));
-    for r in 0..n {
-        let mut entries = workers
-            .iter()
-            .flat_map(|w| w.round(r).iter().copied())
-            .peekable();
-        if entries.peek().is_none() {
-            return r;
-        }
-        cut.close(entries);
-    }
-    n
+    cut.close_window(workers.iter().map(|w| &w.out), n)
 }
 
 /// Routed [`ShardedEngine::run`]'s source: on the calling thread, batch
@@ -229,7 +197,7 @@ where
         run_window(
             &mut workers,
             0..rounds,
-            &|sid, tracker: &mut T, round, out: &mut Vec<Entry>| {
+            &|sid, tracker: &mut T, round, out: &mut Rounds| {
                 let (lo, hi) = (ends[sid][round], ends[sid][round + 1]);
                 if lo < hi {
                     let (est, sum, len) = ingest(sid, tracker, &bufs[sid][lo..hi]);
@@ -274,32 +242,12 @@ where
 pub struct ShardedEngine<T, In: Copy = i64> {
     shards: Vec<T>,
     cfg: EngineConfig,
-    coord: MergeCoordinator,
-    /// Snapshot traffic ([`StateFrame`]s), charged per checkpoint.
-    /// Separate from the tracker and merge ledgers so checkpointing never
-    /// perturbs the ledgers the resume-equivalence guarantee covers.
-    ckpt_stats: CommStats,
+    books: Books,
     /// Pipelined-ingestion ledger ([`dsv_net::FeedFrame`] traffic, stalls,
     /// occupancy), accumulated by [`run_pipelined`](Self::run_pipelined).
-    /// Separate from the other ledgers for the same reason as
-    /// `ckpt_stats`: the transport must not perturb the ledgers the
-    /// pipelined-equivalence guarantee is stated over.
+    /// Separate from the other ledgers so the transport never perturbs
+    /// the ledgers the pipelined-equivalence guarantee is stated over.
     ingest_stats: IngestStats,
-    /// Inputs dispatched to each shard since its state was last captured
-    /// by [`checkpoint`](Self::checkpoint). Tracker state is a pure
-    /// function of the inputs a replica has consumed, so a zero counter
-    /// proves the shard's snapshot is unchanged — the dirty-shard skip
-    /// that keeps a periodic checkpoint sink from reserializing (and
-    /// re-charging) quiet shards every period. Counting *inputs* rather
-    /// than watching the quiet ledger is deliberate: trackers mutate
-    /// internal state (round counters, samplers) without sending
-    /// messages, so "ledger unchanged" would under-approximate dirtiness.
-    shard_inputs: Vec<u64>,
-    /// Each shard's serialized state as of its last checkpoint capture
-    /// (`None` until first captured). Reused verbatim for clean shards.
-    ckpt_cache: Vec<Option<TrackerState>>,
-    time: Time,
-    f: i64,
     _in: PhantomData<fn(In) -> In>,
 }
 
@@ -332,15 +280,10 @@ where
             "shard replicas must agree on kind and site count"
         );
         Ok(ShardedEngine {
-            coord: MergeCoordinator::new(cfg.shards_count()),
+            books: Books::new(cfg.shards_count()),
             shards,
-            ckpt_stats: CommStats::new(),
             ingest_stats: IngestStats::new(),
-            shard_inputs: vec![0; cfg.shards_count()],
-            ckpt_cache: vec![None; cfg.shards_count()],
             cfg,
-            time: 0,
-            f: 0,
             _in: PhantomData,
         })
     }
@@ -380,11 +323,7 @@ where
         for (tracker, state) in engine.shards.iter_mut().zip(ckpt.states()) {
             tracker.restore(state)?;
         }
-        let mut dec = Dec::new(ckpt.merge());
-        engine.coord.load_state(&mut dec)?;
-        dec.finish()?;
-        engine.time = ckpt.time();
-        engine.f = ckpt.f();
+        engine.books = Books::resume(ckpt)?;
         Ok(engine)
     }
 
@@ -400,12 +339,12 @@ where
 
     /// Updates consumed so far (across all `run` calls).
     pub fn time(&self) -> Time {
-        self.time
+        self.books.time()
     }
 
     /// The coordinator-side global estimate `f̂ = Σ_s f̂_s`.
     pub fn estimate(&self) -> i64 {
-        self.coord.estimate()
+        self.books.estimate()
     }
 
     /// Current per-shard local estimates (diagnostics).
@@ -424,13 +363,14 @@ where
 
     /// Engine-level shard → coordinator reconciliation traffic.
     pub fn merge_stats(&self) -> &CommStats {
-        self.coord.stats()
+        self.books.merge_stats()
     }
 
     /// Snapshot traffic charged by [`checkpoint`](Self::checkpoint) calls
-    /// on this engine (one [`StateFrame`] per shard per checkpoint).
+    /// on this engine (one [`dsv_net::StateFrame`] per dirty shard per
+    /// checkpoint).
     pub fn checkpoint_stats(&self) -> &CommStats {
-        &self.ckpt_stats
+        self.books.checkpoint_stats()
     }
 
     /// Pipelined-ingestion traffic, stalls, and queue occupancy charged
@@ -449,38 +389,19 @@ where
     /// audit run), which is what makes the cut safe — see `DESIGN.md` §6.
     /// Shipping the state off the workers is charged to the dedicated
     /// [`checkpoint_stats`](Self::checkpoint_stats) ledger as one
-    /// [`StateFrame`] per **dirty** shard: a shard that has consumed no
+    /// [`dsv_net::StateFrame`] per **dirty** shard: a shard that has consumed no
     /// inputs since its last capture is provably unchanged, so its cached
     /// serialized state is reused verbatim and nothing is charged — which
     /// is what keeps a periodic auto-checkpoint sink
     /// ([`EngineConfig::checkpoint_every`]) from paying full
     /// serialization cost per boundary on skewed streams.
     pub fn checkpoint(&mut self) -> Result<EngineCheckpoint, EngineError> {
-        let mut states = Vec::with_capacity(self.shards.len());
         for (sid, tracker) in self.shards.iter().enumerate() {
-            if self.shard_inputs[sid] == 0 {
-                if let Some(cached) = &self.ckpt_cache[sid] {
-                    states.push(cached.clone());
-                    continue;
-                }
+            if self.books.stale(sid) {
+                self.books.capture(sid, tracker.snapshot()?);
             }
-            let state = tracker.snapshot()?;
-            let frame = StateFrame::for_payload(sid, state.payload().len());
-            self.ckpt_stats.charge(MsgKind::Up, frame.words());
-            self.ckpt_cache[sid] = Some(state.clone());
-            self.shard_inputs[sid] = 0;
-            states.push(state);
         }
-        let mut merge = Enc::new();
-        self.coord.save_state(&mut merge);
-        Ok(EngineCheckpoint::new(
-            self.kind(),
-            self.shards[0].k(),
-            self.time,
-            self.f,
-            merge.into_bytes(),
-            states,
-        ))
+        Ok(self.books.checkpoint(self.kind(), self.shards[0].k()))
     }
 
     /// Capture a checkpoint (see [`checkpoint`](Self::checkpoint)) and
@@ -489,10 +410,11 @@ where
     /// clean-shard skip composes with delta encoding: a shard that
     /// consumed no inputs reuses its cached snapshot verbatim, so the
     /// store diffs two identical payloads and records a few-byte
-    /// [identity link](dsv_net::StateDelta::is_identity). Pair with a
-    /// store built as
-    /// `CheckpointStore::new(cfg.delta_rebase_period())` to honor the
-    /// engine's [`EngineConfig::delta_rebase`] setting.
+    /// [identity link](dsv_net::StateDelta::is_identity). The store
+    /// chains every boundary as deltas; its rebase period is the one it
+    /// was built with — `CheckpointStore::new(cfg.delta_rebase_period())`
+    /// takes [`EngineConfig::delta_rebase`]'s, where the default 0 chains
+    /// deltas without ever taking a fresh base.
     pub fn checkpoint_into(&mut self, store: &mut CheckpointStore) -> Result<Time, EngineError> {
         let ckpt = self.checkpoint()?;
         let time = ckpt.time();
@@ -542,7 +464,7 @@ where
         let deletions_ok = kind.supports_deletions();
         let partition = cfg.partition_policy();
         // The rotating round-robin cursor, phase-continuous across calls.
-        let mut rr = (self.time % s_count as u64) as usize;
+        let mut rr = (self.time() % s_count as u64) as usize;
         let check = |rec: &R| check_record(rec, k, kind, deletions_ok);
         let (shards, mut cut) = self.split(&mut audit);
 
@@ -630,7 +552,7 @@ where
         let s_count = cfg.shards_count();
         let batch = cfg.batch_size();
         let kind = self.shards[0].kind();
-        validate_feeds(feeds.iter().copied(), self.shards[0].k(), kind, self.time)?;
+        validate_feeds(feeds.iter().copied(), self.shards[0].k(), kind, self.time())?;
 
         let total: usize = feeds.iter().map(|(_, inputs)| inputs.len()).sum();
         let rounds = rounds_of(feeds, batch);
@@ -644,7 +566,7 @@ where
             Worker::for_groups(shards, cfg.workers_count(), |sid| !by_shard[sid].is_empty());
         // A shard's round: one `update_run` per chunk, its feeds in feed
         // order.
-        let work = |sid: usize, tracker: &mut T, round: usize, out: &mut Vec<Entry>| {
+        let work = |sid: usize, tracker: &mut T, round: usize, out: &mut Rounds| {
             for &feed in &by_shard[sid] {
                 let (site, inputs) = feeds[feed];
                 if let Some((lo, hi)) = chunk_bounds(inputs.len(), batch, round) {
@@ -720,7 +642,7 @@ where
         let s_count = cfg.shards_count();
         let batch = cfg.batch_size();
         let kind = self.shards[0].kind();
-        validate_sites(sites, self.shards[0].k(), kind, self.time)?;
+        validate_sites(sites, self.shards[0].k(), kind, self.time())?;
 
         // One bounded SPSC ring per feed: the producer end is the feed's
         // handle, the consumer end joins its shard's feeds in feed order
@@ -740,7 +662,7 @@ where
         }
         let has_feeds: Vec<bool> = feeds.iter().map(|f| !f.is_empty()).collect();
 
-        let time_before = self.time;
+        let time_before = self.time();
         let (shards, mut cut) = self.split(&mut audit);
         let mut piped: Vec<_> = shards.iter_mut().zip(feeds).collect();
         let mut workers = Worker::for_groups(&mut piped, cfg.workers_count(), |sid| has_feeds[sid]);
@@ -748,7 +670,7 @@ where
         // order. A worker that unwinds closes every ring on its way out, so
         // neither the feeder nor another worker waits on it forever.
         let work =
-            |sid, (tracker, feeds): &mut (&mut T, Vec<FeedState<In>>), _, out: &mut Vec<_>| {
+            |sid, (tracker, feeds): &mut (&mut T, Vec<FeedState<In>>), _, out: &mut Rounds| {
                 let unwinding = CloseRings(&rings);
                 for feed in feeds {
                     if let Some((site, inputs)) = feed.next_round(batch) {
@@ -776,20 +698,13 @@ where
         for ring in &rings {
             ring.drain_stats(&mut self.ingest_stats);
         }
-        Ok(self.finish_report(self.time - time_before, audit))
+        Ok(self.finish_report(self.time() - time_before, audit))
     }
 
     /// Split the engine for an ingestion call: the replicas for the shard
     /// workers, and the boundary cut over everything a round moves.
     fn split<'a>(&'a mut self, audit: &'a mut RunAudit) -> (&'a mut [T], Cut<'a>) {
-        let cut = Cut::new(
-            &mut self.time,
-            &mut self.f,
-            &mut self.shard_inputs,
-            &mut self.coord,
-            audit,
-        );
-        (&mut self.shards, cut)
+        (&mut self.shards, self.books.cut(audit))
     }
 
     /// Assemble the report shared by the ingestion paths (all execution
@@ -798,8 +713,7 @@ where
         audit.report(
             &self.cfg,
             n,
-            self.f,
-            &self.coord,
+            &self.books,
             self.tracker_stats(),
             self.ingest_stats.clone(),
         )

@@ -316,9 +316,8 @@ mod remote {
 
     #[test]
     fn remote_boundaries_feed_the_store_and_resume_bit_identically() {
-        // A remote engine in delta-pull mode is still a full-fidelity
-        // checkpoint source: record each segment's checkpoint into a
-        // store, kill everything but the store bytes, and a local engine
+        // A remote engine is a full-fidelity checkpoint source for a
+        // delta store: record each segment's checkpoint into a store, kill everything but the store bytes, and a local engine
         // resumed from a mid-chain boundary converges to the remote
         // engine's exact final image.
         let k = 4;
@@ -368,48 +367,31 @@ mod remote {
         // in agreement. With one shard per worker, every synced state is
         // exactly one CheckpointReport frame, so the extra frames a
         // syncing run receives over a non-syncing baseline must equal
-        // the extra messages its checkpoint ledger records — in full
-        // and in delta mode alike.
+        // the extra messages its checkpoint ledger records.
         let k = 2;
         let data = feeds(93, k, 16_000);
         let spec = TrackerSpec::new(TrackerKind::Deterministic)
             .k(k)
             .eps(0.1)
             .deletions(true);
-        let mut full_bytes_received = None;
-        for rebase in [0u64, 2] {
-            let quiet_cfg = EngineConfig::new(k, 500).delta_rebase(rebase);
-            let sync_cfg = quiet_cfg.checkpoint_every(4);
+        let quiet_cfg = EngineConfig::new(k, 500);
+        let sync_cfg = quiet_cfg.checkpoint_every(4);
 
-            let mut baseline = RemoteEngine::counters(spec, quiet_cfg, rcfg()).unwrap();
-            baseline.run_parted(&part(&data, 0..8_000)).unwrap();
-            let base_frames = baseline.wire_stats().frames_received;
-            let base_msgs = baseline.checkpoint_stats().total_messages();
+        let mut baseline = RemoteEngine::counters(spec, quiet_cfg, rcfg()).unwrap();
+        baseline.run_parted(&part(&data, 0..8_000)).unwrap();
+        let base_frames = baseline.wire_stats().frames_received;
+        let base_msgs = baseline.checkpoint_stats().total_messages();
 
-            let mut synced = RemoteEngine::counters(spec, sync_cfg, rcfg()).unwrap();
-            synced.run_parted(&part(&data, 0..8_000)).unwrap();
-            let frames = synced.wire_stats().frames_received;
-            let msgs = synced.checkpoint_stats().total_messages();
+        let mut synced = RemoteEngine::counters(spec, sync_cfg, rcfg()).unwrap();
+        synced.run_parted(&part(&data, 0..8_000)).unwrap();
+        let frames = synced.wire_stats().frames_received;
+        let msgs = synced.checkpoint_stats().total_messages();
 
-            assert!(msgs > base_msgs, "rebase {rebase}: no mid-run syncs ran");
-            assert_eq!(
-                frames - base_frames,
-                msgs - base_msgs,
-                "rebase {rebase}: checkpoint frames and ledger messages disagree"
-            );
-
-            // Same sync schedule either way; delta mode moves fewer bytes.
-            let received = synced.wire_stats().bytes_received;
-            match full_bytes_received {
-                None => full_bytes_received = Some((msgs, received)),
-                Some((full_msgs, full_received)) => {
-                    assert_eq!(msgs, full_msgs, "modes disagree on ledger messages");
-                    assert!(
-                        received < full_received,
-                        "delta pulls received {received} bytes, full pulls {full_received}"
-                    );
-                }
-            }
-        }
+        assert!(msgs > base_msgs, "no mid-run syncs ran");
+        assert_eq!(
+            frames - base_frames,
+            msgs - base_msgs,
+            "checkpoint frames and ledger messages disagree"
+        );
     }
 }
