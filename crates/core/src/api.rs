@@ -292,7 +292,7 @@ pub trait KnownKind {
 /// `In` is the per-update input: `i64` (the delta) for the counting
 /// problem, `(u64, i64)` (item, ±1) for the frequency problem. The
 /// methods are the whole contract shared by every algorithm in the paper:
-/// feed updates (one at a time or in batches), read `f̂(n)`, audit,
+/// feed updates (one at a time or in same-site runs), read `f̂(n)`, audit,
 /// charge messages.
 ///
 /// Every [`StarSim`] whose protocol pair implements [`KnownKind`] gets
@@ -304,31 +304,18 @@ pub trait Tracker<In: Copy = i64>: std::fmt::Debug {
     /// estimate after the network quiesces.
     fn step(&mut self, site: SiteId, input: In) -> i64;
 
-    /// Feed a batch of updates — `(site, input)` pairs in arrival order —
-    /// and return the coordinator's estimate after the whole batch.
+    /// Feed a run of updates that all arrive at `site`, in order, and
+    /// return the coordinator's estimate after the run. In the paper's
+    /// star model every update arrives at one site, so a mixed-site batch
+    /// is a sequence of such runs.
     ///
     /// Must be bit-identical to calling [`step`](Self::step) once per
-    /// element (protocol state, estimates, and [`CommStats`] alike); the
+    /// input (protocol state, estimates, and [`CommStats`] alike); the
     /// default does exactly that. The [`StarSim`] blanket impl overrides
-    /// it with [`StarSim::step_batch`], which amortizes the per-update
-    /// simulator overhead and splits the batch into same-site runs for
-    /// [`update_run`](Self::update_run) — the one run seam, through the
-    /// hot kinds' `absorb_quiet` kernels. The sharded engine
-    /// (`dsv-engine`) drives this method for shards that own several
-    /// sites and `update_run` for the rest.
-    fn update_batch(&mut self, batch: &[(SiteId, In)]) -> i64 {
-        let mut est = self.estimate();
-        for &(site, input) in batch {
-            est = self.step(site, input);
-        }
-        est
-    }
-
-    /// Feed a run of updates that all arrive at `site`, in order — the
-    /// zero-copy special case of [`update_batch`](Self::update_batch) a
-    /// site-affine sharded engine produces. Same bit-identity contract;
-    /// the [`StarSim`] blanket impl overrides it with
-    /// [`StarSim::step_run`].
+    /// it with [`StarSim::step_run`], which offers the run to the site's
+    /// `absorb_quiet` kernel and reads the estimate once. Every batched
+    /// path — the sharded engine's modes, its remote workers and the
+    /// keyed fleet — ingests through this one seam.
     fn update_run(&mut self, site: SiteId, inputs: &[In]) -> i64 {
         let mut est = self.estimate();
         for &input in inputs {
@@ -404,10 +391,6 @@ where
         StarSim::step(self, site, input)
     }
 
-    fn update_batch(&mut self, batch: &[(SiteId, S::In)]) -> i64 {
-        StarSim::step_batch(self, batch)
-    }
-
     fn update_run(&mut self, site: SiteId, inputs: &[S::In]) -> i64 {
         StarSim::step_run(self, site, inputs)
     }
@@ -459,10 +442,6 @@ where
 impl<In: Copy, T: Tracker<In> + ?Sized> Tracker<In> for Box<T> {
     fn step(&mut self, site: SiteId, input: In) -> i64 {
         (**self).step(site, input)
-    }
-
-    fn update_batch(&mut self, batch: &[(SiteId, In)]) -> i64 {
-        (**self).update_batch(batch)
     }
 
     fn update_run(&mut self, site: SiteId, inputs: &[In]) -> i64 {
@@ -1156,10 +1135,10 @@ impl ItemRunReport {
 /// The unified runner: drives any [`Tracker`] over any stream and audits
 /// the paper's guarantee after **every** timestep.
 ///
-/// `Driver<i64>` (the default) replaces `dsv_net::TrackerRunner` for the
-/// counting problem; [`ItemDriver`] (= `Driver<(u64, i64)>`) runs the
-/// item-frequency problem — one [`RunReport`], one probe-sampling
-/// mechanism, one violation accounting for both.
+/// `Driver<i64>` (the default) runs the counting problem and
+/// [`ItemDriver`] (= `Driver<(u64, i64)>`) the item-frequency problem —
+/// one audit loop, one [`RunReport`], one probe-sampling mechanism, one
+/// violation accounting for both.
 ///
 /// **Audit floor.** By default the audit divides by `|f(t)|` exactly, with
 /// the `f = 0 ⇒ f̂ = 0` convention of [`relative_error`] — the strictest
@@ -1261,10 +1240,6 @@ impl<In: Copy> Driver<In> {
     /// Run `tracker` over `updates`, checking the guarantee after every
     /// step; `hook` observes each record after its audit (used by the
     /// item path to layer the per-item audit on the same loop).
-    ///
-    /// This is the **authoritative** audit loop; the low-level
-    /// `dsv_net::TrackerRunner::run` mirrors it for `In = i64` and must be
-    /// kept bit-identical (see the note there).
     fn run_with<T, R, F>(
         &self,
         tracker: &mut T,
@@ -1312,7 +1287,7 @@ impl<In: Copy> Driver<In> {
                 max_rel_err = err;
             }
             // Tiny slack so floating-point round-off of an exact bound is
-            // not counted as a violation (same convention as TrackerRunner).
+            // not counted as a violation.
             if err > self.eps * (1.0 + 1e-12) {
                 violations += 1;
             }
@@ -1407,6 +1382,8 @@ impl ItemDriver {
 mod tests {
     use super::*;
     use dsv_gen::{DeltaGen, ItemStreamGen, MonotoneGen, RoundRobin, WalkGen};
+    use dsv_net::{CoordOutbox, Outbox};
+    use proptest::prelude::*;
 
     fn counter_spec(kind: TrackerKind, k: usize) -> TrackerSpec {
         TrackerSpec::new(kind).k(k).eps(0.2).seed(7)
@@ -1605,32 +1582,108 @@ mod tests {
         assert!(matches!(err, BuildError::UnsupportedOption { .. }));
     }
 
+    /// An exact forwarding protocol: every update is one message, and the
+    /// coordinator's sum is the truth.
+    #[derive(Debug)]
+    struct FwdSite;
+    #[derive(Debug)]
+    struct SumCoord {
+        sum: i64,
+    }
+    /// A coordinator that never updates: its estimate is stuck at 0.
+    #[derive(Debug)]
+    struct DeafCoord;
+    impl SiteNode for FwdSite {
+        type In = i64;
+        type Up = i64;
+        type Down = ();
+        fn on_update(&mut self, _t: Time, d: i64, out: &mut Outbox<i64>) {
+            out.send(d);
+        }
+        fn on_down(&mut self, _t: Time, _m: &(), _r: bool, _o: &mut Outbox<i64>) {}
+    }
+    impl CoordinatorNode for SumCoord {
+        type Up = i64;
+        type Down = ();
+        fn on_up(&mut self, _t: Time, _s: SiteId, m: i64, _o: &mut CoordOutbox<()>) {
+            self.sum += m;
+        }
+        fn estimate(&self) -> i64 {
+            self.sum
+        }
+    }
+    impl CoordinatorNode for DeafCoord {
+        type Up = i64;
+        type Down = ();
+        fn on_up(&mut self, _t: Time, _s: SiteId, _m: i64, _o: &mut CoordOutbox<()>) {}
+        fn estimate(&self) -> i64 {
+            0
+        }
+    }
+    // Custom protocols opt in with one line each; both register as Naive.
+    impl KnownKind for StarSim<FwdSite, SumCoord> {
+        const KIND: TrackerKind = TrackerKind::Naive;
+    }
+    impl KnownKind for StarSim<FwdSite, DeafCoord> {
+        const KIND: TrackerKind = TrackerKind::Naive;
+    }
+
+    fn forwarding(k: usize) -> StarSim<FwdSite, SumCoord> {
+        StarSim::with_k(k, |_| FwdSite, SumCoord { sum: 0 })
+    }
+
     #[test]
-    fn driver_matches_tracker_runner_accounting() {
-        // The unified driver must reproduce TrackerRunner's report exactly
-        // on the same tracker and stream.
-        let updates = WalkGen::fair(5).updates(4_000, RoundRobin::new(3));
-        let mut a = crate::deterministic::DeterministicTracker::sim(3, 0.1);
-        let old = dsv_net::TrackerRunner::new(0.1)
-            .with_sampling(500)
-            .run(&mut a, &updates);
-        let mut b = counter_spec(TrackerKind::Deterministic, 3)
-            .eps(0.1)
-            .build()
-            .unwrap();
-        let new = Driver::new(0.1)
+    fn exact_tracker_never_violates() {
+        let updates: Vec<Update> = (1..=500u64)
+            .map(|t| Update::new(t, (t as usize * 7 + 3) % 4, if t % 2 == 0 { 1 } else { -1 }))
+            .collect();
+        let report = Driver::new(0.1)
             .unwrap()
-            .with_sampling(500)
-            .run(&mut b, &updates)
+            .with_sampling(100)
+            .run(&mut forwarding(4), &updates)
             .unwrap();
-        assert_eq!(new.n, old.n);
-        assert_eq!(new.final_f, old.final_f);
-        assert_eq!(new.final_estimate, old.final_estimate);
-        assert_eq!(new.max_rel_err, old.max_rel_err);
-        assert_eq!(new.violations, old.violations);
-        assert_eq!(new.estimate_changes, old.estimate_changes);
-        assert_eq!(new.stats, old.stats);
-        assert_eq!(new.probes, old.probes);
+        assert_eq!(report.n, 500);
+        assert_eq!(report.violations, 0);
+        assert_eq!(report.max_rel_err, 0.0);
+        assert_eq!(report.final_f, report.final_estimate);
+        assert_eq!(report.probes.len(), 5);
+        assert_eq!(report.stats.total_messages(), 500);
+        assert_eq!(report.violation_rate(), 0.0);
+    }
+
+    #[test]
+    fn stuck_tracker_is_flagged() {
+        // Monotone stream: f(t) = t, estimate stays 0 → violation at every t.
+        let updates: Vec<Update> = (1..=100).map(|t| Update::new(t, 0, 1)).collect();
+        let mut sim = StarSim::with_k(1, |_| FwdSite, DeafCoord);
+        let report = Driver::new(0.5).unwrap().run(&mut sim, &updates).unwrap();
+        assert_eq!(report.violations, 100);
+        assert!(report.max_rel_err >= 1.0);
+        assert_eq!(report.violation_rate(), 1.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The driver's violation counting is consistent with the
+        /// recorded max relative error.
+        #[test]
+        fn driver_report_consistency(
+            deltas in prop::collection::vec(prop_oneof![Just(1i64), Just(-1i64)], 1..300),
+            eps in 0.05f64..0.9,
+        ) {
+            let updates: Vec<Update> = deltas
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| Update::new((i + 1) as u64, 0, d))
+                .collect();
+            let report = Driver::new(eps).unwrap().run(&mut forwarding(1), &updates).unwrap();
+            // Exact tracker: no violations, no error, estimate == truth.
+            prop_assert_eq!(report.violations, 0);
+            prop_assert_eq!(report.max_rel_err, 0.0);
+            prop_assert_eq!(report.final_f, report.final_estimate);
+            prop_assert_eq!(report.n, updates.len() as u64);
+        }
     }
 
     #[test]
@@ -1783,37 +1836,8 @@ mod tests {
 
     #[test]
     fn custom_protocols_can_register_a_kind() {
-        // A user-defined exact protocol registered as Naive: the blanket
-        // impl turns its StarSim into a Tracker with no other code.
-        use dsv_net::{CoordOutbox, Outbox};
-        #[derive(Debug)]
-        struct FwdSite;
-        #[derive(Debug)]
-        struct SumCoord {
-            sum: i64,
-        }
-        impl SiteNode for FwdSite {
-            type In = i64;
-            type Up = i64;
-            type Down = ();
-            fn on_update(&mut self, _t: Time, d: i64, out: &mut Outbox<i64>) {
-                out.send(d);
-            }
-            fn on_down(&mut self, _t: Time, _m: &(), _r: bool, _o: &mut Outbox<i64>) {}
-        }
-        impl CoordinatorNode for SumCoord {
-            type Up = i64;
-            type Down = ();
-            fn on_up(&mut self, _t: Time, _s: SiteId, m: i64, _o: &mut CoordOutbox<()>) {
-                self.sum += m;
-            }
-            fn estimate(&self) -> i64 {
-                self.sum
-            }
-        }
-        impl KnownKind for StarSim<FwdSite, SumCoord> {
-            const KIND: TrackerKind = TrackerKind::Naive;
-        }
+        // The module's forwarding protocol is registered as Naive: the
+        // blanket impl turns its StarSim into a Tracker with no other code.
         let mut sim = StarSim::with_k(2, |_| FwdSite, SumCoord { sum: 0 });
         let updates: Vec<Update> = (1..=50).map(|t| Update::new(t, 0, 1)).collect();
         let report = Driver::new(0.5).unwrap().run(&mut sim, &updates).unwrap();

@@ -531,15 +531,15 @@ impl PeriodicSync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Driver;
     use dsv_gen::{DeltaGen, MonotoneGen, RoundRobin, WalkGen};
-    use dsv_net::TrackerRunner;
 
     #[test]
     fn naive_is_exact_with_n_messages() {
         let k = 4;
         let updates = WalkGen::fair(1).updates(10_000, RoundRobin::new(k));
         let mut sim = NaiveTracker::sim(k);
-        let report = TrackerRunner::new(0.1).run(&mut sim, &updates);
+        let report = Driver::new(0.1).unwrap().run(&mut sim, &updates).unwrap();
         assert_eq!(report.max_rel_err, 0.0);
         assert_eq!(report.stats.total_messages(), 10_000);
     }
@@ -551,7 +551,7 @@ mod tests {
         let n = 200_000u64;
         let updates = MonotoneGen::ones().updates(n, RoundRobin::new(k));
         let mut sim = CmyCounter::sim(k, eps);
-        let report = TrackerRunner::new(eps).run(&mut sim, &updates);
+        let report = Driver::new(eps).unwrap().run(&mut sim, &updates).unwrap();
         assert_eq!(report.violations, 0, "max err {}", report.max_rel_err);
         let bound = CmyCounter::message_bound(k, eps, n);
         assert!(
@@ -582,7 +582,7 @@ mod tests {
         for seed in 0..trials {
             let updates = MonotoneGen::ones().updates(n, RoundRobin::new(k));
             let mut sim = HyzCounter::sim(k, eps, 100 + seed);
-            let report = TrackerRunner::new(eps).run(&mut sim, &updates);
+            let report = Driver::new(eps).unwrap().run(&mut sim, &updates).unwrap();
             total_viol += report.violations;
             total_msgs += report.stats.total_messages();
         }

@@ -843,9 +843,10 @@ mod tests {
         let k = 2;
         let mut sim = StarSim::with_k(k, |_| BlockOnlySite::new(), BlockOnlyCoord::new(k));
         let mut trace = BlockTrace::attach(sim.coordinator().blocks());
-        // r = 0, k = 2: a block closes every two updates, so this batch
-        // closes two before the trace gets to look.
-        sim.step_batch(&[(0, 1), (1, 1), (0, 1), (1, 1)]);
+        // r = 0, k = 2: a block closes every two updates, so these two
+        // runs close two before the trace gets to look.
+        sim.step_run(0, &[1, 1]);
+        sim.step_run(1, &[1, 1]);
         assert_eq!(sim.coordinator().blocks().block_index(), 2);
         trace.observe(sim.time(), sim.coordinator().blocks());
     }

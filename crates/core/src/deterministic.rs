@@ -298,16 +298,16 @@ impl DeterministicTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Driver;
     use crate::variability::Variability;
     use dsv_gen::{
         AdversarialGen, DeltaGen, MonotoneGen, NearlyMonotoneGen, RandomAssign, RoundRobin, WalkGen,
     };
-    use dsv_net::TrackerRunner;
 
     fn audit(k: usize, eps: f64, updates: Vec<dsv_net::Update>) -> (dsv_net::RunReport, f64) {
         let v = Variability::of_stream(updates.iter().map(|u| u.delta));
         let mut sim = DeterministicTracker::sim(k, eps);
-        let report = TrackerRunner::new(eps).run(&mut sim, &updates);
+        let report = Driver::new(eps).unwrap().run(&mut sim, &updates).unwrap();
         (report, v)
     }
 

@@ -380,10 +380,10 @@ impl RandomizedTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Driver;
     use crate::blocks::BlockTrace;
     use crate::variability::Variability;
     use dsv_gen::{AdversarialGen, DeltaGen, MonotoneGen, RoundRobin, WalkGen};
-    use dsv_net::TrackerRunner;
 
     #[test]
     fn sampling_probability_formula() {
@@ -408,7 +408,7 @@ mod tests {
         for seed in 0..trials {
             let updates = WalkGen::fair(1_000 + seed).updates(n, RoundRobin::new(k));
             let mut sim = RandomizedTracker::sim(k, eps, 7_000 + seed);
-            let report = TrackerRunner::new(eps).run(&mut sim, &updates);
+            let report = Driver::new(eps).unwrap().run(&mut sim, &updates).unwrap();
             total_violation_steps += report.violations;
         }
         let avg_rate = total_violation_steps as f64 / (trials as f64 * n as f64);
@@ -424,7 +424,7 @@ mod tests {
         let k = 8;
         let updates = AdversarialGen::hover(2).updates(3_000, RoundRobin::new(k));
         let mut sim = RandomizedTracker::sim(k, 0.2, 1);
-        let report = TrackerRunner::new(0.2).run(&mut sim, &updates);
+        let report = Driver::new(0.2).unwrap().run(&mut sim, &updates).unwrap();
         assert_eq!(report.max_rel_err, 0.0);
     }
 
@@ -456,7 +456,7 @@ mod tests {
             let updates = WalkGen::fair(77).updates(40_000, RoundRobin::new(k));
             let v = Variability::of_stream(updates.iter().map(|u| u.delta));
             let mut sim = RandomizedTracker::sim(k, eps, 13);
-            let report = TrackerRunner::new(eps).run(&mut sim, &updates);
+            let report = Driver::new(eps).unwrap().run(&mut sim, &updates).unwrap();
             let bound = RandomizedTracker::message_bound(k, eps, v);
             assert!(
                 (report.stats.total_messages() as f64) <= bound,
@@ -479,8 +479,8 @@ mod tests {
         let updates = WalkGen::biased(5, 0.6).updates(200_000, RoundRobin::new(k));
         let mut det = crate::deterministic::DeterministicTracker::sim(k, eps);
         let mut rnd = RandomizedTracker::sim(k, eps, 99);
-        let det_report = TrackerRunner::new(eps).run(&mut det, &updates);
-        let rnd_report = TrackerRunner::new(eps).run(&mut rnd, &updates);
+        let det_report = Driver::new(eps).unwrap().run(&mut det, &updates).unwrap();
+        let rnd_report = Driver::new(eps).unwrap().run(&mut rnd, &updates).unwrap();
         assert!(
             (rnd_report.stats.total_messages() as f64) * 1.3
                 < det_report.stats.total_messages() as f64,
@@ -498,7 +498,7 @@ mod tests {
         let n = 100_000u64;
         let updates = MonotoneGen::ones().updates(n, RoundRobin::new(k));
         let mut sim = RandomizedTracker::sim(k, eps, 3);
-        let report = TrackerRunner::new(eps).run(&mut sim, &updates);
+        let report = Driver::new(eps).unwrap().run(&mut sim, &updates).unwrap();
         assert!(
             report.stats.total_messages() < n / 5,
             "{} messages",
@@ -512,7 +512,7 @@ mod tests {
         let updates = WalkGen::fair(2).updates(5_000, RoundRobin::new(k));
         let run = |seed| {
             let mut sim = RandomizedTracker::sim(k, 0.1, seed);
-            let report = TrackerRunner::new(0.1).run(&mut sim, &updates);
+            let report = Driver::new(0.1).unwrap().run(&mut sim, &updates).unwrap();
             (report.stats.total_messages(), report.final_estimate)
         };
         assert_eq!(run(42), run(42));
@@ -530,9 +530,17 @@ mod tests {
         let mut viol_paper = 0u64;
         for seed in 0..8u64 {
             let mut small = RandomizedTracker::sim_with_constant(0.3, k, eps, 100 + seed);
-            viol_small += TrackerRunner::new(eps).run(&mut small, &updates).violations;
+            viol_small += Driver::new(eps)
+                .unwrap()
+                .run(&mut small, &updates)
+                .unwrap()
+                .violations;
             let mut paper = RandomizedTracker::sim_with_constant(3.0, k, eps, 100 + seed);
-            viol_paper += TrackerRunner::new(eps).run(&mut paper, &updates).violations;
+            viol_paper += Driver::new(eps)
+                .unwrap()
+                .run(&mut paper, &updates)
+                .unwrap()
+                .violations;
         }
         assert!(
             viol_small > viol_paper,

@@ -229,15 +229,15 @@ impl SingleSiteTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Driver;
     use crate::variability::Variability;
     use dsv_gen::{AdversarialGen, DeltaGen, MonotoneGen, SingleSite as SoloAssign, WalkGen};
-    use dsv_net::TrackerRunner;
 
     fn run(eps: f64, deltas: Vec<i64>) -> (dsv_net::RunReport, f64) {
         let v = Variability::of_stream(deltas.iter().copied());
         let updates = dsv_gen::assign_updates(&deltas, SoloAssign::solo());
         let mut sim = SingleSiteTracker::sim(eps);
-        let report = TrackerRunner::new(eps).run(&mut sim, &updates);
+        let report = Driver::new(eps).unwrap().run(&mut sim, &updates).unwrap();
         (report, v)
     }
 

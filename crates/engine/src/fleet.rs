@@ -25,8 +25,8 @@
 //! * **Keyed batching** — updates stage in per-shard chains grouped by
 //!   key and apply at batch boundaries (every
 //!   [`crate::EngineConfig::new`] `batch` updates), each key receiving
-//!   its staged run through the same `update_run`/`update_batch` fast
-//!   paths the sharded engine uses. Batch segmentation never changes
+//!   its staged chain as same-site runs through `update_run`, the seam
+//!   the sharded engine feeds. Batch segmentation never changes
 //!   results (`tests/batch_proptests.rs` holds that for every kind), so
 //!   boundary-cut consistency survives keying.
 //! * **Fleet queries** — [`estimate`](TrackerFleet::estimate),
@@ -262,7 +262,6 @@ struct ShardSlab<T, In> {
     scratch: TrackerState,
     run_buf: Vec<In>,
     site_buf: Vec<u32>,
-    tup_buf: Vec<(SiteId, In)>,
 }
 
 impl<T, In> ShardSlab<T, In>
@@ -283,7 +282,6 @@ where
             scratch: TrackerState::new(kind, k, Vec::new()),
             run_buf: Vec::new(),
             site_buf: Vec::new(),
-            tup_buf: Vec::new(),
         }
     }
 
@@ -423,8 +421,8 @@ where
     }
 
     /// Apply every staged chain at a batch boundary: group-by-key is the
-    /// chain itself, and each key's run goes through the same
-    /// `update_run` / `update_batch` fast paths as the sharded engine.
+    /// chain itself, and each key's same-site runs go through
+    /// `update_run`, the seam the sharded engine feeds.
     fn apply(
         &mut self,
         eps: f64,
@@ -454,24 +452,18 @@ where
                 out.stats_delta.merge(proto_stats);
             }
             let ci = self.materialize(sid, factory, proto, cap)?;
-            let first = self.site_buf[0];
-            let uniform = self.site_buf.iter().all(|&s| s == first);
-            self.tup_buf.clear();
-            if !uniform {
-                self.tup_buf.extend(
-                    self.site_buf
-                        .iter()
-                        .zip(self.run_buf.iter())
-                        .map(|(&s, &x)| (s as usize, x)),
-                );
-            }
             let entry = &mut self.cache[ci];
             let before = entry.tracker.stats().clone();
-            let est = if uniform {
-                entry.tracker.update_run(first as usize, &self.run_buf)
-            } else {
-                entry.tracker.update_batch(&self.tup_buf)
-            };
+            // The chain in same-site runs (one for a k = 1 key).
+            let mut est = entry.tracker.estimate();
+            let mut start = 0;
+            for run in self.site_buf.chunk_by(|a, b| a == b) {
+                let end = start + run.len();
+                est = entry
+                    .tracker
+                    .update_run(run[0] as usize, &self.run_buf[start..end]);
+                start = end;
+            }
             out.stats_delta.merge(&entry.tracker.stats().since(&before));
             let slot = &mut self.slots[sid as usize];
             slot.f += delta;

@@ -14,9 +14,9 @@
 //! * [`ShardedEngine`] partitions an update stream across `S` shards
 //!   ([`Partition`]: site-affine or round-robin for counter streams,
 //!   item-hashed for item streams), drives one tracker replica per shard
-//!   on its own worker thread, and feeds each replica through the batched
-//!   [`Tracker::update_batch`](dsv_core::api::Tracker::update_batch) path
-//!   (which routes message-free runs through the hot kinds'
+//!   on its own worker thread, and feeds each replica its same-site runs
+//!   through [`Tracker::update_run`](dsv_core::api::Tracker::update_run)
+//!   (which routes message-free stretches through the hot kinds'
 //!   `absorb_quiet` kernels instead of the per-update simulator loop).
 //! * At every batch boundary the shards reconcile with a coordinator-side
 //!   **global estimate**: a shard whose local estimate changed sends one

@@ -592,7 +592,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
     /// every recovery is recorded in [`events`](Self::events).
     pub fn run_parted(&mut self, feeds: &[(SiteId, &[In])]) -> Result<EngineReport, RemoteError> {
         let mut audit = RunAudit::new(&self.cfg);
-        validate_feeds(feeds.iter().copied(), self.k, self.kind, self.time())?;
+        validate_feeds(feeds, self.k, self.kind, self.time(), self.cfg.batch_size())?;
 
         let total: usize = feeds.iter().map(|(_, inputs)| inputs.len()).sum();
         let rounds = rounds_of(feeds, self.cfg.batch_size()) as u64;

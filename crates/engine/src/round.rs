@@ -30,40 +30,52 @@ use std::time::Instant;
 pub(crate) type Entry = (usize, i64, i64, u64);
 
 /// Whole-feed validation, before anything runs: every feed's site in
-/// range, and no deletion into an insert-only kind.
-pub(crate) fn validate_feeds<'a, In: InputDelta + 'a>(
-    feeds: impl IntoIterator<Item = (SiteId, &'a [In])>,
+/// range, then no deletion into an insert-only kind. A rejected deletion
+/// reports the timestep the engine would consume it at: round-major, at
+/// `batch` inputs per feed per round, feeds in call order within a round
+/// (the earliest such timestep over all feeds).
+pub(crate) fn validate_feeds<In: InputDelta>(
+    feeds: &[(SiteId, &[In])],
     k: usize,
     kind: TrackerKind,
     time: Time,
+    batch: usize,
 ) -> Result<(), RunError> {
-    let deletions_ok = kind.supports_deletions();
-    for (site, inputs) in feeds {
-        if site >= k {
-            return Err(RunError::SiteOutOfRange { site, k, time });
-        }
-        if !deletions_ok {
-            if let Some(pos) = inputs.iter().position(|&x| x.delta_of() < 0) {
-                return Err(RunError::DeletionUnsupported {
-                    kind,
-                    time: time + pos as Time + 1,
-                });
-            }
-        }
+    validate_sites(feeds.iter().map(|&(site, _)| site), k, time)?;
+    if kind.supports_deletions() {
+        return Ok(());
     }
-    Ok(())
+    let first = feeds.iter().enumerate().filter_map(|(feed, (_, inputs))| {
+        let pos = inputs.iter().position(|&x| x.delta_of() < 0)?;
+        // Before it: every feed's rounds before its round, then the
+        // earlier feeds' chunks of its round.
+        let round_start = pos - pos % batch;
+        let before = feeds.iter().enumerate().map(|(other, (_, inputs))| {
+            let chunk = if other < feed { batch } else { 0 };
+            inputs.len().min(round_start.saturating_add(chunk))
+        });
+        Some(before.sum::<usize>() + pos % batch)
+    });
+    first.min().map_or(Ok(()), |before| {
+        Err(RunError::DeletionUnsupported {
+            kind,
+            time: time + before as Time + 1,
+        })
+    })
 }
 
-/// [`validate_feeds`] for a mode that only knows its sites up front (the
-/// pipelined path validates inputs at the push boundary): empty feeds.
+/// The site half of [`validate_feeds`], for a mode that only knows its
+/// sites up front (the pipelined path validates inputs at the push
+/// boundary).
 pub(crate) fn validate_sites(
-    sites: &[SiteId],
+    sites: impl IntoIterator<Item = SiteId>,
     k: usize,
-    kind: TrackerKind,
     time: Time,
 ) -> Result<(), RunError> {
-    let none: &[i64] = &[];
-    validate_feeds(sites.iter().map(|&site| (site, none)), k, kind, time)
+    match sites.into_iter().find(|&site| site >= k) {
+        Some(site) => Err(RunError::SiteOutOfRange { site, k, time }),
+        None => Ok(()),
+    }
 }
 
 /// The chunking rule: round `round`'s slice of a feed of `len` inputs, or
@@ -492,24 +504,45 @@ mod tests {
         let kind = TrackerKind::CmyMonotone;
         let ok: &[i64] = &[1, 1];
         let bad: &[i64] = &[1, 1, -1];
-        assert_eq!(validate_feeds([(0, ok), (1, ok)], 2, kind, 40), Ok(()));
+        assert_eq!(validate_feeds(&[(0, ok), (1, ok)], 2, kind, 40, 3), Ok(()));
         assert_eq!(
-            validate_feeds([(0, ok), (2, ok)], 2, kind, 40),
+            validate_feeds(&[(0, ok), (2, ok)], 2, kind, 40, 3),
             Err(RunError::SiteOutOfRange {
                 site: 2,
                 k: 2,
                 time: 40
             })
         );
+        // The −1 is the 5th input consumed, at batch 3 (one round) and at
+        // batch 2 (round 1, after both feeds' round 0) alike.
+        for batch in [2, 3, 64] {
+            assert_eq!(
+                validate_feeds(&[(0, ok), (1, bad)], 2, kind, 40, batch),
+                Err(RunError::DeletionUnsupported { kind, time: 45 }),
+                "batch {batch}"
+            );
+        }
+        // Past round 0, in a later feed: at batch 2, round 0 consumes
+        // 2 + 2 + 2 inputs, then round 1 feed 0's 2 before feed 2's −1,
+        // the 9th input (feed 1 is done).
+        let long: &[i64] = &[1, 1, 1, 1];
         assert_eq!(
-            validate_feeds([(0, ok), (1, bad)], 2, kind, 40),
-            Err(RunError::DeletionUnsupported { kind, time: 43 })
+            validate_feeds(&[(0, long), (1, ok), (1, bad)], 2, kind, 40, 2),
+            Err(RunError::DeletionUnsupported { kind, time: 49 })
+        );
+        // The earliest in consumption order wins, not the first feed's:
+        // feed 0's −1 is the 8th input (round 2), feed 1's the 7th
+        // (round 1).
+        let late: &[i64] = &[1, 1, 1, 1, -1];
+        assert_eq!(
+            validate_feeds(&[(0, late), (1, bad)], 2, kind, 0, 2),
+            Err(RunError::DeletionUnsupported { kind, time: 7 })
         );
         let kind = TrackerKind::Deterministic;
-        assert_eq!(validate_feeds([(1, bad)], 2, kind, 0), Ok(()));
+        assert_eq!(validate_feeds(&[(1, bad)], 2, kind, 0, 3), Ok(()));
         // Sites only: the shape the pipelined path validates up front.
-        assert_eq!(validate_sites(&[0, 1], 2, kind, 0), Ok(()));
-        assert!(validate_sites(&[0, 5], 2, kind, 0).is_err());
+        assert_eq!(validate_sites([0, 1], 2, 0), Ok(()));
+        assert!(validate_sites([0, 5], 2, 0).is_err());
     }
 
     #[test]

@@ -24,33 +24,6 @@ pub type CounterEngine = ShardedEngine<Box<dyn Tracker + Send>>;
 /// [`ShardedEngine::items`] from any of the four frequency kinds.
 pub type ItemEngine = ShardedEngine<Box<dyn ItemTracker + Send>, (u64, i64)>;
 
-/// Per-record validation shared by both routing layouts: rejects what
-/// the sequential `Driver` rejects.
-#[inline]
-fn check_record<R: ShardRecord>(
-    rec: &R,
-    k: usize,
-    kind: TrackerKind,
-    deletions_ok: bool,
-) -> Result<(), EngineError> {
-    if rec.site() >= k {
-        return Err(RunError::SiteOutOfRange {
-            site: rec.site(),
-            k,
-            time: rec.time(),
-        }
-        .into());
-    }
-    if rec.delta() < 0 && !deletions_ok {
-        return Err(RunError::DeletionUnsupported {
-            kind,
-            time: rec.time(),
-        }
-        .into());
-    }
-    Ok(())
-}
-
 /// Feed a same-site run to a shard replica through
 /// [`Tracker::update_run`] — the one run seam, which drives the sites'
 /// `absorb_quiet` kernels. Returns the run's [`Entry`] fields:
@@ -70,10 +43,10 @@ where
 /// window closes after [`WINDOW`] rounds or once it holds this many
 /// inputs, and always holds at least one round (exactly one when a lone
 /// worker has the work: nothing is spawned to amortize). Capped so a
-/// window of large batches is not copied whole before it runs (16 MiB of
-/// counter tuples at 2²⁰), and large enough that W − 1 threads are
-/// spawned once per ~10⁶ inputs, not once per large round (`DESIGN.md`
-/// §5).
+/// window of large batches is not copied whole before it runs (8 MiB of
+/// counter inputs at 2²⁰, plus runs), and large enough that W − 1
+/// threads are spawned once per ~10⁶ inputs, not once per large round
+/// (`DESIGN.md` §5).
 const ROUTED_INPUTS: usize = 1 << 20;
 
 /// One worker of a window: its group's shards that have work (replicas,
@@ -146,50 +119,91 @@ where
     cut.close_window(workers.iter().map(|w| &w.out), n)
 }
 
+/// One shard's share of a routed window: its inputs, their same-site runs
+/// as `(site, end)` offsets into them, and where each round's runs end
+/// (round `r` is `runs[rounds[r]..rounds[r + 1]]`).
+struct Routed<In> {
+    inputs: Vec<In>,
+    runs: Vec<(SiteId, usize)>,
+    rounds: Vec<usize>,
+}
+
+impl<In: InputDelta> Routed<In> {
+    /// Append `input` at `site` to the open round, extending the round's
+    /// last run when the site repeats.
+    fn push(&mut self, site: SiteId, input: In) {
+        self.inputs.push(input);
+        let open = self.runs.len() > self.rounds[self.rounds.len() - 1];
+        match self.runs.last_mut() {
+            Some(run) if open && run.0 == site => run.1 += 1,
+            _ => self.runs.push((site, self.inputs.len())),
+        }
+    }
+
+    /// Feed round `round`'s runs through [`ingest_run`], folded into one
+    /// entry's `(estimate, Σδ, inputs)`; `None` if the shard got nothing.
+    fn ingest<T>(&self, tracker: &mut T, round: usize) -> Option<(i64, i64, u64)>
+    where
+        T: Tracker<In> + ?Sized,
+    {
+        let (lo, hi) = (self.rounds[round], self.rounds[round + 1]);
+        let mut start = lo.checked_sub(1).map_or(0, |prev| self.runs[prev].1);
+        self.runs[lo..hi].iter().fold(None, |entry, &(site, end)| {
+            let (est, sum, len) = ingest_run(tracker, site, &self.inputs[start..end]);
+            start = end;
+            let (_, sums, lens) = entry.unwrap_or_default();
+            Some((est, sums + sum, lens + len))
+        })
+    }
+}
+
 /// Routed [`ShardedEngine::run`]'s source: on the calling thread, batch
-/// by batch, `place` validates each record and names its buffer (one per
-/// shard with work) and what goes in; each buffer keeps a per-round end
-/// offset. Every window then goes to [`run_window`], where `ingest` runs
-/// a shard's slice of a round. On a bad record the batches before it
-/// still run and close.
-fn run_routed<T, R, X>(
+/// by batch, `place` validates each record and names its shard, which
+/// gets the record's input at its site. Every window then goes to
+/// [`run_window`], where each shard's runs of a round go through
+/// [`ingest_run`]. Only shards `can_receive` picks get a worker. On a bad
+/// record the batches before it still run and close.
+fn run_routed<T, R, In>(
     shards: &mut [T],
     cfg: &EngineConfig,
     cut: &mut Cut<'_>,
     stream: &[R],
-    n_bufs: usize,
-    mut place: impl FnMut(&R) -> Result<(usize, X), EngineError>,
-    ingest: impl Fn(usize, &mut T, &[X]) -> (i64, i64, u64) + Sync,
+    can_receive: impl Fn(usize) -> bool,
+    mut place: impl FnMut(&R) -> Result<usize, EngineError>,
 ) -> Result<(), EngineError>
 where
-    T: Send,
-    X: Sync,
+    T: Tracker<In> + Send,
+    R: ShardRecord<In = In>,
+    In: InputDelta + Sync,
 {
-    let mut workers = Worker::for_groups(shards, cfg.workers_count(), |sid| sid < n_bufs);
+    let mut workers = Worker::for_groups(shards, cfg.workers_count(), can_receive);
     // A window amortizes spawning; a lone worker spawns nothing, and runs
     // each batch while it is still in cache.
     let max_rounds = if workers.len() > 1 { WINDOW } else { 1 };
-    let mut bufs: Vec<Vec<X>> = (0..n_bufs).map(|_| Vec::new()).collect();
-    // Buffer `b`'s round `r` is `bufs[b][ends[b][r]..ends[b][r + 1]]`.
-    let mut ends: Vec<Vec<usize>> = vec![vec![0]; n_bufs];
+    let mut bufs: Vec<Routed<In>> = (0..cfg.shards_count())
+        .map(|_| Routed {
+            inputs: Vec::new(),
+            runs: Vec::new(),
+            rounds: vec![0],
+        })
+        .collect();
     let mut batches = stream.chunks(cfg.batch_size());
     loop {
         let (mut rounds, mut held, mut failed) = (0, 0, None);
         while rounds < max_rounds && held < ROUTED_INPUTS {
             let Some(batch) = batches.next() else { break };
             let routed = batch.iter().try_for_each(|rec| {
-                let (b, x) = place(rec)?;
-                bufs[b].push(x);
+                bufs[place(rec)?].push(rec.site(), rec.input());
                 Ok(())
             });
             if let Err(err) = routed {
                 // What the bad batch routed before the bad record lies past
-                // every `ends` offset, so it never runs.
+                // every round's runs, so it never runs.
                 failed = Some(err);
                 break;
             }
-            for (buf, ends) in bufs.iter().zip(&mut ends) {
-                ends.push(buf.len());
+            for buf in &mut bufs {
+                buf.rounds.push(buf.runs.len());
             }
             rounds += 1;
             held += batch.len();
@@ -198,9 +212,7 @@ where
             &mut workers,
             0..rounds,
             &|sid, tracker: &mut T, round, out: &mut Rounds| {
-                let (lo, hi) = (ends[sid][round], ends[sid][round + 1]);
-                if lo < hi {
-                    let (est, sum, len) = ingest(sid, tracker, &bufs[sid][lo..hi]);
+                if let Some((est, sum, len)) = bufs[sid].ingest(tracker, round) {
                     out.push((sid, est, sum, len));
                 }
             },
@@ -212,9 +224,10 @@ where
         if rounds == 0 {
             return Ok(());
         }
-        for (buf, ends) in bufs.iter_mut().zip(&mut ends) {
-            buf.clear();
-            ends.truncate(1);
+        for buf in &mut bufs {
+            buf.inputs.clear();
+            buf.runs.clear();
+            buf.rounds.truncate(1);
         }
     }
 }
@@ -438,14 +451,15 @@ where
 
     /// Ingest `stream` in batches, reconciling and auditing at every
     /// batch boundary. The calling thread validates and routes the stream
-    /// batch by batch into per-shard buffers; every window of up to 64
-    /// batches (fewer once it holds 2²⁰ inputs, one when a single worker
-    /// has the work) then runs on the same executor as
+    /// batch by batch into per-shard buffers of same-site runs, which the
+    /// replicas ingest through [`Tracker::update_run`]. Every window of up
+    /// to 64 batches (fewer once it holds 2²⁰ inputs, one when a single
+    /// worker has the work) then runs on the same executor as
     /// [`run_parted`](Self::run_parted), whose workers live for the
-    /// window and do not meet between its rounds. Estimates,
-    /// ledgers and checkpoints are those of a batch-by-batch run at any
-    /// worker count, and a panic on a worker thread is re-raised here
-    /// before any of its window's batches close.
+    /// window and do not meet between its rounds. Estimates, ledgers and
+    /// checkpoints are those of a batch-by-batch run at any worker count,
+    /// and a panic on a worker thread is re-raised here before any of its
+    /// window's batches close.
     ///
     /// Streams the sequential `Driver` rejects (out-of-range sites,
     /// deletions into insert-only kinds) return the same typed errors
@@ -465,59 +479,40 @@ where
         let partition = cfg.partition_policy();
         // The rotating round-robin cursor, phase-continuous across calls.
         let mut rr = (self.time() % s_count as u64) as usize;
-        let check = |rec: &R| check_record(rec, k, kind, deletions_ok);
         let (shards, mut cut) = self.split(&mut audit);
 
-        // Layout choice: when site-affine routing gives every shard at
-        // most one site (`shard == site`), per-site run buffers feed the
-        // zero-copy `update_run` path; otherwise mixed-site tuple buffers
-        // feed `update_batch`.
-        let routed = if partition == Partition::SiteAffine && k <= s_count {
-            run_routed(
-                shards,
-                &cfg,
-                &mut cut,
-                stream,
-                k,
-                |rec| check(rec).map(|()| (rec.site(), rec.input())),
-                |site, tracker: &mut T, run: &[In]| ingest_run(tracker, site, run),
-            )
-        } else {
-            // Site → shard map for the affine tuple path (no division in
-            // the hot loop).
-            let lut: Vec<usize> = (0..k).map(|site| site % s_count).collect();
-            run_routed(
-                shards,
-                &cfg,
-                &mut cut,
-                stream,
-                s_count,
-                |rec| {
-                    check(rec)?;
-                    let shard = match partition {
-                        Partition::SiteAffine => lut[rec.site()],
-                        Partition::RoundRobin => {
-                            let s = rr;
-                            rr = if rr + 1 == s_count { 0 } else { rr + 1 };
-                            s
-                        }
-                        Partition::ByItem => match rec.item_key() {
-                            Some(item) => (hash_item(item) % s_count as u64) as usize,
-                            None => return Err(EngineError::MissingItemKey { time: rec.time() }),
-                        },
-                    };
-                    Ok((shard, (rec.site(), rec.input())))
-                },
-                |_, tracker: &mut T, buf: &[(SiteId, In)]| {
-                    (
-                        tracker.update_batch(buf),
-                        buf.iter().map(|(_, x)| x.delta_of()).sum(),
-                        buf.len() as u64,
-                    )
-                },
-            )
-        };
-        routed?;
+        // Under site affinity only shards `< k` own a site; any shard can
+        // receive under the other policies.
+        let affine = partition == Partition::SiteAffine;
+        run_routed(
+            shards,
+            &cfg,
+            &mut cut,
+            stream,
+            |sid| !affine || sid < k,
+            |rec: &R| {
+                // Reject what the sequential `Driver` rejects.
+                let (site, time) = (rec.site(), rec.time());
+                if site >= k {
+                    return Err(RunError::SiteOutOfRange { site, k, time }.into());
+                }
+                if rec.delta() < 0 && !deletions_ok {
+                    return Err(RunError::DeletionUnsupported { kind, time }.into());
+                }
+                Ok(match partition {
+                    Partition::SiteAffine => site % s_count,
+                    Partition::RoundRobin => {
+                        let s = rr;
+                        rr = if rr + 1 == s_count { 0 } else { rr + 1 };
+                        s
+                    }
+                    Partition::ByItem => match rec.item_key() {
+                        Some(item) => (hash_item(item) % s_count as u64) as usize,
+                        None => return Err(EngineError::MissingItemKey { time }),
+                    },
+                })
+            },
+        )?;
         Ok(self.finish_report(stream.len() as u64, audit))
     }
 
@@ -552,7 +547,7 @@ where
         let s_count = cfg.shards_count();
         let batch = cfg.batch_size();
         let kind = self.shards[0].kind();
-        validate_feeds(feeds.iter().copied(), self.shards[0].k(), kind, self.time())?;
+        validate_feeds(feeds, self.shards[0].k(), kind, self.time(), batch)?;
 
         let total: usize = feeds.iter().map(|(_, inputs)| inputs.len()).sum();
         let rounds = rounds_of(feeds, batch);
@@ -642,7 +637,7 @@ where
         let s_count = cfg.shards_count();
         let batch = cfg.batch_size();
         let kind = self.shards[0].kind();
-        validate_sites(sites, self.shards[0].k(), kind, self.time())?;
+        validate_sites(sites.iter().copied(), self.shards[0].k(), self.time())?;
 
         // One bounded SPSC ring per feed: the producer end is the feed's
         // handle, the consumer end joins its shard's feeds in feed order

@@ -43,9 +43,7 @@ pub use delta::{fingerprint, Fingerprint, StateDelta, DELTA_MAGIC, DELTA_SECTION
 pub use ingest::{FeedFrame, IngestStats};
 pub use message::{MsgKind, MsgRecord, WireSize};
 pub use protocol::{CoordOutbox, CoordinatorNode, DownMsg, Outbox, SiteNode};
-pub use runner::{
-    relative_error, relative_error_floored, ConfigError, ErrorProbe, RunReport, TrackerRunner,
-};
+pub use runner::{relative_error, relative_error_floored, ConfigError, ErrorProbe, RunReport};
 pub use shard::{ShardReport, StateFrame};
 pub use sim::StarSim;
 pub use stats::CommStats;

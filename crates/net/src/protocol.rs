@@ -208,7 +208,7 @@ pub trait SiteNode {
     /// emitted here are charged as [`crate::MsgKind::Reply`].
     fn on_down(&mut self, t: Time, msg: &Self::Down, is_request: bool, out: &mut Outbox<Self::Up>);
 
-    /// Bulk-ingestion fast path used by [`crate::sim::StarSim::step_batch`]:
+    /// Bulk-ingestion fast path used by [`crate::sim::StarSim::step_run`]:
     /// absorb the longest prefix of `inputs` — consecutive stream updates
     /// all arriving at **this** site at times `t0 + 1, t0 + 2, ...` — that
     /// provably emits **no** message, and return its length.

@@ -1,32 +1,31 @@
-//! Driving a tracker over a stream and auditing its guarantees.
+//! The audit vocabulary: what a run over a stream reports and how its
+//! error is measured.
 //!
-//! [`TrackerRunner`] feeds a sequence of [`Update`]s to a [`StarSim`],
-//! maintains the ground-truth `f(n)`, and checks the paper's correctness
-//! requirement after **every** timestep:
+//! `dsv-core`'s `api::Driver` is the one audit loop. It feeds a stream to
+//! a tracker, maintains the ground-truth `f(n)`, and checks the paper's
+//! correctness requirement after **every** timestep:
 //!
 //! * deterministic algorithms: `|f(n) − f̂(n)| ≤ ε·|f(n)|` must always hold
 //!   (with the convention that `f(n) = 0` requires `f̂(n) = 0`);
 //! * randomized algorithms: the same event must hold with probability ≥ 2/3
-//!   at each fixed `n`, so the runner reports the *fraction* of violated
+//!   at each fixed `n`, so the driver reports the *fraction* of violated
 //!   timesteps instead of failing.
 //!
-//! By default the audit uses [`relative_error`]'s exact-zero convention
-//! (no `q`-floor); [`relative_error_floored`] implements the paper's
-//! `max(|f|, q)` denominator for callers that want it. `TrackerRunner` is
-//! the low-level, `In = i64` engine for concrete simulators; the unified,
-//! object-safe front door over *all* trackers (counting and item-frequency
-//! alike, with the floor as a config knob) is `dsv-core`'s `api::Driver`.
+//! This module holds what that loop speaks: [`ConfigError`],
+//! [`relative_error`] (the exact-zero convention, the default audit),
+//! [`relative_error_floored`] (the paper's `max(|f|, q)` denominator),
+//! [`ErrorProbe`] and [`RunReport`]. They live here, below `dsv-core`, so
+//! the sharded engine's boundary audit uses the same ones.
 
-use crate::protocol::{CoordinatorNode, SiteNode};
-use crate::sim::StarSim;
 use crate::stats::CommStats;
-use crate::{Time, Update};
+use crate::Time;
 
-/// A runner/driver configuration that cannot be used.
+/// A driver configuration that cannot be used.
 ///
-/// Returned by the checked constructors ([`TrackerRunner::try_new`] and the
-/// higher-level driver in `dsv-core`) instead of panicking, so callers that
-/// assemble configurations from user input get a typed, displayable error.
+/// Returned by the checked constructors of `dsv-core`'s `api::Driver` (and
+/// the star-network constructors here) instead of panicking, so callers
+/// that assemble configurations from user input get a typed, displayable
+/// error.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
     /// The audited relative error must lie strictly inside `(0, 1)`.
@@ -131,109 +130,9 @@ impl RunReport {
     }
 }
 
-/// Feeds updates into a simulator and audits the ε-guarantee.
-#[derive(Debug)]
-pub struct TrackerRunner {
-    eps: f64,
-    sample_every: u64,
-}
-
-impl TrackerRunner {
-    /// Create a runner that audits against relative error `eps`.
-    ///
-    /// Panics if `eps` is outside `(0, 1)`; use [`TrackerRunner::try_new`]
-    /// for a typed error instead.
-    pub fn new(eps: f64) -> Self {
-        Self::try_new(eps).expect("eps must be in (0,1)")
-    }
-
-    /// Checked constructor: `eps` must lie strictly inside `(0, 1)`.
-    pub fn try_new(eps: f64) -> Result<Self, ConfigError> {
-        if !(eps > 0.0 && eps < 1.0) {
-            return Err(ConfigError::EpsOutOfRange { eps });
-        }
-        Ok(TrackerRunner {
-            eps,
-            sample_every: 0,
-        })
-    }
-
-    /// Also record a trajectory sample every `every` timesteps (0 = never).
-    pub fn with_sampling(mut self, every: u64) -> Self {
-        self.sample_every = every;
-        self
-    }
-
-    /// The audited ε.
-    pub fn eps(&self) -> f64 {
-        self.eps
-    }
-
-    /// Run `sim` over `updates`, checking the guarantee after every step.
-    ///
-    /// NOTE: `dsv-core::api::Driver::run_with` is the **authoritative**
-    /// copy of this audit loop (violation accounting, the `1e-12` slack,
-    /// probe sampling, estimate-change counting). This method must stay a
-    /// bit-identical mirror of it for `In = i64` — guarded by the
-    /// `driver_matches_tracker_runner_accounting` test in `dsv-core` and
-    /// `tests/api_equivalence.rs` in the facade. Change the Driver first,
-    /// then port the change here.
-    pub fn run<S, C>(&self, sim: &mut StarSim<S, C>, updates: &[Update]) -> RunReport
-    where
-        S: SiteNode<In = i64>,
-        C: CoordinatorNode<Up = S::Up, Down = S::Down>,
-    {
-        let mut f = 0i64;
-        let mut max_rel_err = 0.0f64;
-        let mut violations = 0u64;
-        let mut estimate_changes = 0u64;
-        let mut last_estimate = sim.estimate();
-        let mut probes = Vec::new();
-
-        for u in updates {
-            f += u.delta;
-            let fhat = sim.step(u.site, u.delta);
-            if fhat != last_estimate {
-                estimate_changes += 1;
-                last_estimate = fhat;
-            }
-            let err = relative_error(f, fhat);
-            if err > max_rel_err {
-                max_rel_err = err;
-            }
-            // Use a tiny slack for the ≤ comparison to avoid counting
-            // floating-point round-off as a violation of an exact bound.
-            if err > self.eps * (1.0 + 1e-12) {
-                violations += 1;
-            }
-            if self.sample_every > 0 && u.time % self.sample_every == 0 {
-                probes.push(ErrorProbe {
-                    time: u.time,
-                    f,
-                    fhat,
-                    rel_err: err,
-                });
-            }
-        }
-
-        RunReport {
-            n: updates.len() as u64,
-            final_f: f,
-            final_estimate: sim.estimate(),
-            max_rel_err,
-            violations,
-            estimate_changes,
-            stats: sim.stats().clone(),
-            probes,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{CoordOutbox, Outbox};
-    use crate::SiteId;
 
     #[test]
     fn relative_error_conventions() {
@@ -256,81 +155,16 @@ mod tests {
 
     #[test]
     fn runner_config_errors_are_typed() {
-        assert!(TrackerRunner::try_new(0.5).is_ok());
-        for eps in [0.0, 1.0, -0.1, 1.5, f64::NAN] {
-            let err = TrackerRunner::try_new(eps).unwrap_err();
-            assert!(matches!(err, ConfigError::EpsOutOfRange { .. }));
+        for err in [
+            ConfigError::EpsOutOfRange { eps: 1.5 },
+            ConfigError::FloorNotPositive { q: 0.0 },
+            ConfigError::ZeroSites,
+        ] {
             assert!(!err.to_string().is_empty());
         }
-    }
-
-    /// Exact forwarding protocol for runner auditing.
-    struct FwdSite;
-    struct FwdCoord {
-        sum: i64,
-    }
-    impl crate::protocol::SiteNode for FwdSite {
-        type In = i64;
-        type Up = i64;
-        type Down = ();
-        fn on_update(&mut self, _t: Time, d: i64, out: &mut Outbox<i64>) {
-            out.send(d);
-        }
-        fn on_down(&mut self, _t: Time, _m: &(), _r: bool, _o: &mut Outbox<i64>) {}
-    }
-    impl crate::protocol::CoordinatorNode for FwdCoord {
-        type Up = i64;
-        type Down = ();
-        fn on_up(&mut self, _t: Time, _s: SiteId, m: i64, _o: &mut CoordOutbox<()>) {
-            self.sum += m;
-        }
-        fn estimate(&self) -> i64 {
-            self.sum
-        }
-    }
-
-    fn walk_updates(n: u64, k: usize) -> Vec<Update> {
-        (1..=n)
-            .map(|t| Update::new(t, (t as usize * 7 + 3) % k, if t % 2 == 0 { 1 } else { -1 }))
-            .collect()
-    }
-
-    #[test]
-    fn exact_tracker_never_violates() {
-        let updates = walk_updates(500, 4);
-        let mut sim = StarSim::with_k(4, |_| FwdSite, FwdCoord { sum: 0 });
-        let report = TrackerRunner::new(0.1)
-            .with_sampling(100)
-            .run(&mut sim, &updates);
-        assert_eq!(report.n, 500);
-        assert_eq!(report.violations, 0);
-        assert_eq!(report.max_rel_err, 0.0);
-        assert_eq!(report.final_f, report.final_estimate);
-        assert_eq!(report.probes.len(), 5);
-        assert_eq!(report.stats.total_messages(), 500);
-        assert_eq!(report.violation_rate(), 0.0);
-    }
-
-    /// A coordinator that never updates (estimate stuck at 0) must rack up
-    /// violations once f departs from 0.
-    struct DeafCoord;
-    impl crate::protocol::CoordinatorNode for DeafCoord {
-        type Up = i64;
-        type Down = ();
-        fn on_up(&mut self, _t: Time, _s: SiteId, _m: i64, _o: &mut CoordOutbox<()>) {}
-        fn estimate(&self) -> i64 {
-            0
-        }
-    }
-
-    #[test]
-    fn stuck_tracker_is_flagged() {
-        // Monotone stream: f(t) = t, estimate stays 0 → violation at every t.
-        let updates: Vec<Update> = (1..=100).map(|t| Update::new(t, 0, 1)).collect();
-        let mut sim = StarSim::with_k(1, |_| FwdSite, DeafCoord);
-        let report = TrackerRunner::new(0.5).run(&mut sim, &updates);
-        assert_eq!(report.violations, 100);
-        assert!(report.max_rel_err >= 1.0);
-        assert_eq!(report.violation_rate(), 1.0);
+        assert_eq!(
+            ConfigError::EpsOutOfRange { eps: 1.5 }.to_string(),
+            "eps must be in (0, 1), got 1.5"
+        );
     }
 }

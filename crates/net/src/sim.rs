@@ -204,41 +204,17 @@ where
         self.coord.estimate()
     }
 
-    /// Feed a batch of stream updates — `(site, input)` pairs in arrival
-    /// order — and return the coordinator's estimate after the whole batch.
-    ///
-    /// Semantically identical to calling [`step`](Self::step) once per
-    /// element (bit-identical protocol state, [`CommStats`] ledger,
-    /// transcript, and simulated time), but amortizes the per-update
-    /// simulator overhead: the coordinator's estimate is read once at the
-    /// end, and runs of same-site updates are offered to the site's
-    /// [`SiteNode::absorb_quiet`] fast path, which lets hot protocols skip
-    /// the delivery machinery entirely for message-free stretches.
-    pub fn step_batch(&mut self, batch: &[(SiteId, S::In)]) -> i64 {
-        let mut run: Vec<S::In> = Vec::new();
-        let mut i = 0;
-        while i < batch.len() {
-            let site = batch[i].0;
-            assert!(site < self.sites.len(), "site {site} out of range");
-            let mut j = i + 1;
-            while j < batch.len() && batch[j].0 == site {
-                j += 1;
-            }
-            run.clear();
-            run.extend(batch[i..j].iter().map(|&(_, input)| input));
-            self.step_run(site, &run);
-            i = j;
-        }
-        self.coord.estimate()
-    }
-
     /// Feed a run of stream updates that all arrive at `site`, in order,
     /// and return the coordinator's estimate afterwards.
     ///
-    /// The zero-copy core of [`step_batch`](Self::step_batch) (same
-    /// bit-identity guarantee), exposed so callers that already hold
-    /// contiguous per-site inputs — the site-affine sharded engine — can
-    /// skip the run-splitting pass entirely.
+    /// Semantically identical to calling [`step`](Self::step) once per
+    /// input (bit-identical protocol state, [`CommStats`] ledger,
+    /// transcript, and simulated time), but amortizes the per-update
+    /// simulator overhead: the coordinator's estimate is read once at the
+    /// end, and the run is offered to the site's
+    /// [`SiteNode::absorb_quiet`] fast path, which lets hot protocols skip
+    /// the delivery machinery entirely for message-free stretches. A
+    /// mixed-site batch is a sequence of such runs.
     pub fn step_run(&mut self, site: SiteId, inputs: &[S::In]) -> i64 {
         assert!(site < self.sites.len(), "site {site} out of range");
         let mut done = 0;
@@ -259,7 +235,7 @@ where
     }
 
     /// The per-update protocol body shared by [`step`](Self::step) and
-    /// [`step_batch`](Self::step_batch): deliver the update and run the
+    /// [`step_run`](Self::step_run): deliver the update and run the
     /// network to quiescence, without reading the estimate.
     fn step_core(&mut self, site: SiteId, input: S::In) {
         self.time += 1;
@@ -400,6 +376,21 @@ mod tests {
         )
     }
 
+    /// Feed `batch` through [`StarSim::step_run`], one call per same-site
+    /// run, and return the last estimate.
+    fn step_runs<S, C>(sim: &mut StarSim<S, C>, batch: &[(SiteId, S::In)]) -> i64
+    where
+        S: SiteNode,
+        C: CoordinatorNode<Up = S::Up, Down = S::Down>,
+    {
+        let mut est = sim.estimate();
+        for run in batch.chunk_by(|a, b| a.0 == b.0) {
+            let inputs: Vec<S::In> = run.iter().map(|&(_, input)| input).collect();
+            est = sim.step_run(run[0].0, &inputs);
+        }
+        est
+    }
+
     #[test]
     fn echo_tracks_exactly() {
         let mut sim = echo_sim(4);
@@ -458,9 +449,10 @@ mod tests {
     }
 
     #[test]
-    fn step_batch_is_bit_identical_to_per_update_steps() {
+    fn step_run_is_bit_identical_to_per_update_steps() {
+        // Runs of 7 updates per site, rotating over 3 sites.
         let batch: Vec<(SiteId, i64)> = (0..200u64)
-            .map(|t| ((t % 3) as usize, if t % 5 == 0 { -1 } else { 1 }))
+            .map(|t| ((t / 7 % 3) as usize, if t % 5 == 0 { -1 } else { 1 }))
             .collect();
         let mut a = echo_sim(3);
         let mut last = 0;
@@ -474,22 +466,22 @@ mod tests {
         for &(s, d) in &batch {
             b.step(s, d);
         }
-        let est = c.step_batch(&batch);
+        let est = step_runs(&mut c, &batch);
         assert_eq!(est, last);
         assert_eq!(c.estimate(), a.estimate());
         assert_eq!(c.stats(), a.stats());
         assert_eq!(c.time(), a.time());
         assert_eq!(c.transcript(), b.transcript());
-        // An empty batch is a no-op returning the current estimate.
-        assert_eq!(c.step_batch(&[]), c.estimate());
+        // An empty run is a no-op returning the current estimate.
+        assert_eq!(c.step_run(0, &[]), c.estimate());
         assert_eq!(c.time(), a.time());
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn step_batch_rejects_bad_site() {
+    fn step_run_rejects_bad_site() {
         let mut sim = echo_sim(2);
-        sim.step_batch(&[(0, 1), (7, 1)]);
+        sim.step_run(7, &[1]);
     }
 
     /// A site with an `absorb_quiet` override: forwards its local sum on
@@ -555,7 +547,7 @@ mod tests {
             a.step(s, d);
         }
         let mut b = make();
-        let est = b.step_batch(&batch);
+        let est = step_runs(&mut b, &batch);
         assert_eq!(est, a.estimate());
         assert_eq!(b.stats(), a.stats());
         assert_eq!(b.time(), a.time());
@@ -630,7 +622,7 @@ mod tests {
             looped.step(s, d);
         }
         let mut batched = make();
-        batched.step_batch(&batch);
+        step_runs(&mut batched, &batch);
 
         // Per update: the site's burst, the coordinator's burst, then
         // every site's reply to each request, request by request.

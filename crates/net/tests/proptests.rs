@@ -1,9 +1,7 @@
 //! Property-based tests for the network substrate.
 
 use dsv_net::message::{bits_per_word, MsgKind};
-use dsv_net::{
-    CommStats, CoordOutbox, CoordinatorNode, Outbox, SiteNode, StarSim, Time, TrackerRunner, Update,
-};
+use dsv_net::{CommStats, CoordOutbox, CoordinatorNode, Outbox, SiteNode, StarSim, Time};
 use proptest::prelude::*;
 
 /// Exact forwarding protocol used as the reference semantics.
@@ -51,27 +49,6 @@ proptest! {
         prop_assert_eq!(sim.stats().total_messages(), deltas.len() as u64);
         prop_assert_eq!(sim.stats().upward_messages(), deltas.len() as u64);
         prop_assert_eq!(sim.time(), deltas.len() as u64);
-    }
-
-    /// The runner's violation counting is consistent with the recorded
-    /// max relative error.
-    #[test]
-    fn runner_report_consistency(
-        deltas in prop::collection::vec(prop_oneof![Just(1i64), Just(-1i64)], 1..300),
-        eps in 0.05f64..0.9,
-    ) {
-        let updates: Vec<Update> = deltas
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| Update::new((i + 1) as u64, 0, d))
-            .collect();
-        let mut sim = StarSim::with_k(1, |_| FwdSite, FwdCoord { sum: 0 });
-        let report = TrackerRunner::new(eps).run(&mut sim, &updates);
-        // Exact tracker: no violations, no error, estimate == truth.
-        prop_assert_eq!(report.violations, 0);
-        prop_assert_eq!(report.max_rel_err, 0.0);
-        prop_assert_eq!(report.final_f, report.final_estimate);
-        prop_assert_eq!(report.n, updates.len() as u64);
     }
 
     /// CommStats algebra: merge(a, since(b, a)) == b for prefix pairs, and

@@ -84,7 +84,6 @@ pub mod prelude {
     };
     pub use dsv_net::{
         relative_error, relative_error_floored, CommStats, ConfigError, ErrorProbe, FeedFrame,
-        IngestStats, ItemUpdate, RunReport, ShardReport, StarSim, StateDelta, TrackerRunner,
-        Update,
+        IngestStats, ItemUpdate, RunReport, ShardReport, StarSim, StateDelta, Update,
     };
 }

@@ -168,34 +168,31 @@ fn every_frequency_kind_is_bit_identical_on_item_streams() {
 }
 
 #[test]
-fn driver_report_is_bit_identical_to_tracker_runner() {
-    // The unified Driver and the low-level TrackerRunner must produce the
-    // same audit on the same tracker and stream.
+fn driver_reports_are_bit_identical_for_direct_and_spec_built_trackers() {
+    // The Driver's whole audit — violations, probes, estimate changes,
+    // ledger — over a directly constructed simulator equals its audit over
+    // the spec-built tracker on the same stream.
     let (k, eps) = (4usize, 0.1f64);
     for seed in SEEDS {
         let updates = WalkGen::fair(seed).updates(6_000, RoundRobin::new(k));
-        let mut a = RandomizedTracker::sim(k, eps, seed);
-        let old = TrackerRunner::new(eps)
-            .with_sampling(700)
-            .run(&mut a, &updates);
-        let mut b = TrackerSpec::new(TrackerKind::Randomized)
+        let driver = Driver::new(eps).unwrap().with_sampling(700);
+        let direct = driver
+            .run(&mut RandomizedTracker::sim(k, eps, seed), &updates)
+            .unwrap();
+        let mut spec_built = TrackerSpec::new(TrackerKind::Randomized)
             .k(k)
             .eps(eps)
             .seed(seed)
             .deletions(true)
             .build()
             .unwrap();
-        let new = Driver::new(eps)
-            .unwrap()
-            .with_sampling(700)
-            .run(&mut b, &updates)
-            .unwrap();
-        assert_eq!(new.final_f, old.final_f);
-        assert_eq!(new.final_estimate, old.final_estimate);
-        assert_eq!(new.max_rel_err, old.max_rel_err);
-        assert_eq!(new.violations, old.violations);
-        assert_eq!(new.estimate_changes, old.estimate_changes);
-        assert_eq!(new.stats, old.stats);
-        assert_eq!(new.probes, old.probes);
+        let audited = driver.run(&mut spec_built, &updates).unwrap();
+        assert_eq!(audited.final_f, direct.final_f);
+        assert_eq!(audited.final_estimate, direct.final_estimate);
+        assert_eq!(audited.max_rel_err, direct.max_rel_err);
+        assert_eq!(audited.violations, direct.violations);
+        assert_eq!(audited.estimate_changes, direct.estimate_changes);
+        assert_eq!(audited.stats, direct.stats);
+        assert_eq!(audited.probes, direct.probes);
     }
 }

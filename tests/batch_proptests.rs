@@ -1,7 +1,7 @@
-//! Property tests: the batched ingestion paths (`Tracker::update_batch`,
-//! `Tracker::update_run`) are bit-identical to the per-update `step`
-//! loop for **every** `TrackerKind`, on arbitrary streams, placements,
-//! and batch splits — including through the specialized `absorb_quiet`
+//! Property tests: the run seam (`Tracker::update_run`, fed same-site
+//! runs) is bit-identical to the per-update `step` loop for **every**
+//! `TrackerKind`, on arbitrary streams, placements, and batch splits —
+//! including through the specialized `absorb_quiet`
 //! kernels of the hot kinds, on pathological run shapes (long all-quiet
 //! stretches, sign crossings, duplicate-heavy item runs) included.
 
@@ -43,6 +43,27 @@ fn bursty_runs<T: Copy>(stream: &[T], k: usize, mut seed: u64, max: usize) -> Ve
         at += len;
     }
     runs
+}
+
+/// Feed `batch` in random chunks of 1..=`max` inputs (batch boundaries
+/// cut runs anywhere), each chunk one same-site run at a time through
+/// `update_run`. Returns the estimate after the last run.
+fn feed_chunked_runs<In: Copy>(
+    tracker: &mut (impl Tracker<In> + ?Sized),
+    batch: &[(usize, In)],
+    seed: u64,
+    max: usize,
+) -> i64 {
+    let mut last = tracker.estimate();
+    let mut at = 0;
+    for c in chunks(seed, batch.len(), max) {
+        for run in batch[at..at + c].chunk_by(|a, b| a.0 == b.0) {
+            let inputs: Vec<In> = run.iter().map(|&(_, input)| input).collect();
+            last = tracker.update_run(run[0].0, &inputs);
+        }
+        at += c;
+    }
+    last
 }
 
 /// `(item, delete?)` draws as a ±1 item stream: deletions only of items
@@ -133,10 +154,11 @@ fn item_runs_match(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `update_batch` over arbitrary chunkings equals the `step` loop for
-    /// all six counter kinds: same estimate, same message ledger.
+    /// Same-site runs of arbitrary chunkings of a mixed-site stream equal
+    /// the `step` loop for all six counter kinds: same estimate, same
+    /// message ledger.
     #[test]
-    fn update_batch_matches_step_loop_for_all_counter_kinds(
+    fn chunked_site_runs_match_step_loop_for_all_counter_kinds(
         deltas in prop::collection::vec(prop_oneof![Just(1i64), Just(-1i64), Just(2), Just(-3)], 1..600),
         k in 1usize..5,
         eps in 0.05f64..0.5,
@@ -161,12 +183,7 @@ proptest! {
             }
 
             let mut b = spec.build().unwrap();
-            let mut last_b = b.estimate();
-            let mut at = 0;
-            for c in chunks(seed ^ 0xbeef, batch.len(), 64) {
-                last_b = b.update_batch(&batch[at..at + c]);
-                at += c;
-            }
+            let last_b = feed_chunked_runs(&mut b, &batch, seed ^ 0xbeef, 64);
 
             prop_assert_eq!(last_b, last_a, "{} returned estimate", kind.label());
             prop_assert_eq!(b.estimate(), a.estimate(), "{} estimate", kind.label());
@@ -238,10 +255,10 @@ proptest! {
         }
     }
 
-    /// The batched path is bit-identical for all four frequency kinds,
-    /// including per-item estimates.
+    /// Same-site runs of arbitrary chunkings are bit-identical for all
+    /// four frequency kinds, including per-item estimates.
     #[test]
-    fn update_batch_matches_step_loop_for_all_frequency_kinds(
+    fn chunked_site_runs_match_step_loop_for_all_frequency_kinds(
         ops in prop::collection::vec((0u64..24, any::<bool>()), 1..400),
         k in 1usize..4,
         eps in 0.1f64..0.5,
@@ -259,11 +276,7 @@ proptest! {
                 a.step(s, input);
             }
             let mut b = spec.build_item().unwrap();
-            let mut at = 0;
-            for c in chunks(seed ^ 0xfeed, batch.len(), 48) {
-                b.update_batch(&batch[at..at + c]);
-                at += c;
-            }
+            feed_chunked_runs(&mut b, &batch, seed ^ 0xfeed, 48);
             prop_assert_eq!(b.estimate(), a.estimate(), "{} F1", kind.label());
             prop_assert_eq!(b.stats(), a.stats(), "{} stats", kind.label());
             for item in 0..24u64 {

@@ -691,6 +691,93 @@ fn routed_item_ingest_by_item_is_bit_identical_at_every_worker_count() {
     }
 }
 
+/// A walk placed in bursts of 1 to 8 updates, each at one pseudo-random
+/// site, so a shard that owns several sites sees same-site runs and site
+/// switches alike.
+fn bursty_stream(kind: TrackerKind, n: u64, k: usize) -> Vec<Update> {
+    let deltas = if kind.supports_deletions() {
+        WalkGen::biased(17, 0.2).deltas(n)
+    } else {
+        MonotoneGen::jumps(17, 3).deltas(n)
+    };
+    let (mut state, mut site, mut left) = (0x5EED_u64, 0, 0);
+    let mut draw = |m: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) % m) as usize
+    };
+    (1..)
+        .zip(deltas)
+        .map(|(t, delta)| {
+            if left == 0 {
+                site = draw(k as u64);
+                left = 1 + draw(8);
+            }
+            left -= 1;
+            Update::new(t, site, delta)
+        })
+        .collect()
+}
+
+#[test]
+fn routed_shards_equal_twins_fed_by_step() {
+    // Shards that own several sites (k > S site-affine; round-robin),
+    // over a call that crosses a window edge: every shard's estimate,
+    // ledger and snapshot bytes equal a `spec.shard(s)` twin that `step`s
+    // that shard's records in stream order. Batch 64 drifts the walk far
+    // enough from 0 that sites hold state, so a run credited to the
+    // wrong site shows.
+    let (shards, batch) = (4usize, 64usize);
+    for kind in [TrackerKind::Deterministic, TrackerKind::Randomized] {
+        for (k, partition) in [
+            (11, Partition::SiteAffine),
+            (2, Partition::RoundRobin),
+            (5, Partition::RoundRobin),
+        ] {
+            let spec = TrackerSpec::new(kind)
+                .k(k)
+                .eps(0.1)
+                .seed(23)
+                .deletions(kind.supports_deletions());
+            let updates = bursty_stream(kind, (PAST_WINDOW * batch + 3) as u64, k);
+            let mut twins: Vec<_> = (0..shards)
+                .map(|s| spec.shard(s).build().unwrap())
+                .collect();
+            for (i, u) in updates.iter().enumerate() {
+                let shard = match partition {
+                    Partition::SiteAffine => u.site % shards,
+                    _ => i % shards,
+                };
+                twins[shard].step(u.site, u.delta);
+            }
+            for workers in [1usize, 2, 3] {
+                let label = format!("{} k {k} {partition:?} W={workers}", kind.label());
+                let cfg = EngineConfig::new(shards, batch)
+                    .eps(0.1)
+                    .partition(partition)
+                    .workers(workers);
+                let mut engine = ShardedEngine::counters(spec, cfg).unwrap();
+                let report = engine.run(&updates).unwrap();
+                assert_eq!(report.batches, PAST_WINDOW as u64 + 1, "{label}");
+                let twin_estimates: Vec<i64> = twins.iter().map(|t| t.estimate()).collect();
+                assert_eq!(engine.shard_estimates(), twin_estimates, "{label}");
+                let ckpt = engine.checkpoint().unwrap();
+                for (s, (state, twin)) in ckpt.states().iter().zip(&twins).enumerate() {
+                    let mut replica = spec.shard(s).build().unwrap();
+                    replica.restore(state).unwrap();
+                    assert_eq!(replica.stats(), twin.stats(), "{label} shard {s}");
+                    assert_eq!(
+                        state.payload(),
+                        twin.snapshot().unwrap().payload(),
+                        "{label} shard {s}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// An item record whose key can be missing, for a `MissingItemKey`
 /// mid-stream.
 #[derive(Clone, Copy)]

@@ -10,7 +10,7 @@
 //!
 //! Every registry kind runs through [`TrackerSpec`] on a loud stream (a
 //! fair ±1 walk; an item stream that deletes nearly as often as it
-//! inserts) and a nearly-monotone one, fed with `update_batch` over
+//! inserts) and a nearly-monotone one, fed through `update_run` in
 //! same-site runs so both the quiet kernels and the per-message path run.
 //! Frequency streams are Zipf-skewed, so block starts send many heavy
 //! reports from one site at once. Pinned per row: every [`CommStats`]
@@ -257,17 +257,22 @@ const DETERMINISTIC_TRANSCRIPT: (usize, u64) = (15157, 0xbd63937c2fba4a4c);
 /// 0.1, 64)`.
 const EXACT_FREQ_TRANSCRIPT: (usize, u64) = (46694, 0xa2a1150c2b5ddebd);
 
-/// Assign `inputs` to sites in runs of 1 to 6 updates, so `update_batch`
-/// hands the run seam both singletons and real runs.
-fn batch<In: Copy>(inputs: &[In], k: usize) -> Vec<(usize, In)> {
-    let mut out = Vec::with_capacity(inputs.len());
-    let mut run = 0;
-    while out.len() < inputs.len() {
-        let end = (out.len() + 1 + run % 6).min(inputs.len());
-        out.extend(inputs[out.len()..end].iter().map(|&x| (run % k, x)));
+/// Feed `inputs` through `update_run` in same-site runs of 1 to 6
+/// updates, sites in rotation, so the run seam gets both singletons and
+/// real runs. Returns the last estimate.
+fn feed_runs<In: Copy>(
+    inputs: &[In],
+    k: usize,
+    mut update_run: impl FnMut(usize, &[In]) -> i64,
+) -> i64 {
+    let (mut at, mut run, mut estimate) = (0, 0, 0);
+    while at < inputs.len() {
+        let end = (at + 1 + run % 6).min(inputs.len());
+        estimate = update_run(run % k, &inputs[at..end]);
+        at = end;
         run += 1;
     }
-    out
+    estimate
 }
 
 /// The loud stream is a fair walk reflected inside `[200, 300]` after a
@@ -323,7 +328,8 @@ fn spec_for(kind: TrackerKind) -> TrackerSpec {
 }
 
 fn ledger_of<In: Copy>(tracker: &mut (impl Tracker<In> + ?Sized), inputs: &[In]) -> Ledger {
-    let estimate = tracker.update_batch(&batch(inputs, tracker.k()));
+    let k = tracker.k();
+    let estimate = feed_runs(inputs, k, |site, run| tracker.update_run(site, run));
     let stats = tracker.stats();
     Ledger {
         msgs: MsgKind::ALL.map(|kind| stats.messages_of(kind)),
@@ -391,12 +397,14 @@ fn transcript_print(transcript: &[MsgRecord]) -> (usize, u64) {
 fn transcripts_keep_their_order() {
     let mut det = DeterministicTracker::sim(K, 0.1);
     det.enable_transcript();
-    det.step_batch(&batch(&counter_stream(true, true), K));
+    feed_runs(&counter_stream(true, true), K, |site, run| {
+        det.step_run(site, run)
+    });
     let det_print = transcript_print(det.transcript().unwrap());
 
     let mut exact = ExactFreqTracker::sim(K, 0.1, UNIVERSE);
     exact.enable_transcript();
-    exact.step_batch(&batch(&item_stream(true), K));
+    feed_runs(&item_stream(true), K, |site, run| exact.step_run(site, run));
     let tr = exact.transcript().unwrap();
     // Block starts make one site report more heavy counters than an
     // outbox holds inline, so the spill path is on this transcript.

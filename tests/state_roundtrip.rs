@@ -32,6 +32,14 @@ fn counter_batch(seed: u64, n: usize, k: usize, deletions: bool) -> Vec<(usize, 
         .collect()
 }
 
+/// Feed `batch` through `update_run`, one call per same-site run.
+fn update_runs<In: Copy>(tracker: &mut (impl Tracker<In> + ?Sized), batch: &[(usize, In)]) {
+    for run in batch.chunk_by(|a, b| a.0 == b.0) {
+        let inputs: Vec<In> = run.iter().map(|&(_, input)| input).collect();
+        tracker.update_run(run[0].0, &inputs);
+    }
+}
+
 /// An item stream whose per-item counts never go negative.
 fn item_batch(seed: u64, n: usize, k: usize, universe: u64) -> Vec<(usize, (u64, i64))> {
     let mut s = seed;
@@ -182,7 +190,7 @@ fn frequency_kinds_roundtrip_and_resume_bit_identically() {
 
 #[test]
 fn snapshot_through_batched_ingestion_matches_per_update_snapshots() {
-    // The batched paths must leave the tracker in the same serializable
+    // The run seam must leave the tracker in the same serializable
     // state as per-update stepping — snapshots are the sharpest equality
     // oracle there is (they cover fields estimates don't reach).
     for kind in TrackerKind::COUNTERS {
@@ -198,7 +206,7 @@ fn snapshot_through_batched_ingestion_matches_per_update_snapshots() {
             stepped.step(site, delta);
         }
         let mut batched = spec.build().unwrap();
-        batched.update_batch(&batch);
+        update_runs(&mut batched, &batch);
         assert_eq!(
             batched.snapshot().unwrap().to_bytes(),
             stepped.snapshot().unwrap().to_bytes(),
@@ -214,7 +222,7 @@ fn snapshot_through_batched_ingestion_matches_per_update_snapshots() {
             stepped.step(site, input);
         }
         let mut batched = spec.build_item().unwrap();
-        batched.update_batch(&batch);
+        update_runs(&mut batched, &batch);
         assert_eq!(
             batched.snapshot().unwrap().to_bytes(),
             stepped.snapshot().unwrap().to_bytes(),
