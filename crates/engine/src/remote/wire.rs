@@ -23,7 +23,7 @@ pub const WIRE_MAGIC: [u8; 4] = *b"DSVR";
 /// decoders read exactly this version; any other is a typed
 /// [`CodecError::UnsupportedVersion`], surfaced before any shard state
 /// moves (`MIGRATION.md`, format policy).
-pub const WIRE_VERSION: u16 = 5;
+pub const WIRE_VERSION: u16 = 6;
 
 /// One shard's inputs for one round — the per-problem input payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,7 +103,7 @@ pub struct Chunk {
     pub inputs: Inputs,
 }
 
-/// A shard to (re)install on a worker: its id and the checkpoint state to
+/// A shard to install on a worker: its id and the checkpoint state to
 /// restore (`None` builds a fresh replica — a shard that has never been
 /// checkpointed).
 #[derive(Debug, Clone, PartialEq)]
@@ -118,21 +118,13 @@ pub struct ShardInit {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ToWorker {
     /// Install the worker's replica set: build (or restore) one tracker
-    /// per shard from `spec.shard(sid)`. Sent once after the handshake,
-    /// and again in full to a respawned replacement.
+    /// per shard from `spec.shard(sid)`. Sent once after the handshake of
+    /// every spawn, a respawned replacement's included.
     Assign {
         /// The coordinator's tracker spec (workers derive per-shard
         /// replicas via `TrackerSpec::shard`).
         spec: TrackerSpec,
-        /// Total logical shard count `S` (diagnostics / sanity).
-        s_count: usize,
-        /// The shards this worker must own, with restore states.
-        shards: Vec<ShardInit>,
-    },
-    /// Add shards to an already-assigned worker — the reattach path,
-    /// migrating a dead worker's shards onto a live one.
-    Attach {
-        /// The shards to add, with restore states.
+        /// The shards this worker hosts, with restore states.
         shards: Vec<ShardInit>,
     },
     /// Process one round of chunks (in the given order) and reply with a
@@ -164,19 +156,20 @@ impl ToWorker {
         let mut enc = Enc::new();
         enc.magic(WIRE_MAGIC, WIRE_VERSION);
         match self {
-            ToWorker::Assign {
-                spec,
-                s_count,
-                shards,
-            } => {
+            ToWorker::Assign { spec, shards } => {
                 enc.u8(1);
                 spec.encode(&mut enc);
-                enc.usize(*s_count);
-                encode_shard_inits(&mut enc, shards);
-            }
-            ToWorker::Attach { shards } => {
-                enc.u8(2);
-                encode_shard_inits(&mut enc, shards);
+                enc.seq_len(shards.len());
+                for init in shards {
+                    enc.usize(init.sid);
+                    match &init.state {
+                        Some(state) => {
+                            enc.bool(true);
+                            enc.blob(&state.to_bytes());
+                        }
+                        None => enc.bool(false),
+                    }
+                }
             }
             ToWorker::Round {
                 round,
@@ -207,17 +200,20 @@ impl ToWorker {
         let msg = match dec.u8()? {
             1 => {
                 let spec = TrackerSpec::decode(&mut dec)?;
-                let s_count = dec.usize()?;
-                let shards = decode_shard_inits(&mut dec)?;
+                let n = dec.seq_len("assigned shards", 9)?;
+                let shards = (0..n).map(|_| {
+                    let sid = dec.usize()?;
+                    let state = match dec.bool()? {
+                        true => Some(TrackerState::from_bytes(dec.blob()?)?),
+                        false => None,
+                    };
+                    Ok(ShardInit { sid, state })
+                });
                 ToWorker::Assign {
                     spec,
-                    s_count,
-                    shards,
+                    shards: shards.collect::<Result<_, CodecError>>()?,
                 }
             }
-            2 => ToWorker::Attach {
-                shards: decode_shard_inits(&mut dec)?,
-            },
             3 => {
                 let round = dec.u64()?;
                 let delay_ms = dec.u64()?;
@@ -287,34 +283,6 @@ fn decode_chunks(dec: &mut Dec) -> Result<Vec<Chunk>, CodecError> {
         .collect()
 }
 
-fn encode_shard_inits(enc: &mut Enc, shards: &[ShardInit]) {
-    enc.seq_len(shards.len());
-    for init in shards {
-        enc.usize(init.sid);
-        match &init.state {
-            Some(state) => {
-                enc.bool(true);
-                enc.blob(&state.to_bytes());
-            }
-            None => enc.bool(false),
-        }
-    }
-}
-
-fn decode_shard_inits(dec: &mut Dec) -> Result<Vec<ShardInit>, CodecError> {
-    let n = dec.seq_len("assigned shards", 9)?;
-    (0..n)
-        .map(|_| {
-            let sid = dec.usize()?;
-            let state = match dec.bool()? {
-                true => Some(TrackerState::from_bytes(dec.blob()?)?),
-                false => None,
-            };
-            Ok(ShardInit { sid, state })
-        })
-        .collect()
-}
-
 /// One shard's end-of-round report: the tuple the in-process merge path
 /// reconciles — end-of-round local estimate, the round's ground-truth
 /// increment, and the inputs consumed.
@@ -342,9 +310,8 @@ pub(crate) const fn round_report_len(entries: usize) -> usize {
 /// Worker → coordinator messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ToCoord {
-    /// Reply to [`ToWorker::Assign`] / [`ToWorker::Attach`]: empty
-    /// `error` on success, a human-readable build/restore failure
-    /// otherwise.
+    /// Reply to [`ToWorker::Assign`]: empty `error` on success, a
+    /// human-readable build/restore failure otherwise.
     AssignAck {
         /// Empty on success.
         error: String,
@@ -456,7 +423,6 @@ mod tests {
         let to_worker = vec![
             ToWorker::Assign {
                 spec,
-                s_count: 4,
                 shards: vec![
                     ShardInit {
                         sid: 0,
@@ -467,12 +433,6 @@ mod tests {
                         state: Some(state.clone()),
                     },
                 ],
-            },
-            ToWorker::Attach {
-                shards: vec![ShardInit {
-                    sid: 3,
-                    state: Some(state.clone()),
-                }],
             },
             ToWorker::Round {
                 round: 7,
@@ -579,9 +539,10 @@ mod tests {
     fn older_generations_are_refused() {
         // Every message shape, re-stamped with each retired version word
         // (v1: untagged states and flag-less pulls; v2: before the
-        // `Rounds` envelope; v3: with it; v4: delta-or-full state pulls).
+        // `Rounds` envelope; v3: with it; v4: delta-or-full state pulls;
+        // v5: `Attach` and the shard count in `Assign`).
         let (to_worker, to_coord) = sample_messages();
-        assert_eq!(WIRE_VERSION, 5);
+        assert_eq!(WIRE_VERSION, 6);
         for old in 1..WIRE_VERSION {
             let refused = CodecError::UnsupportedVersion {
                 found: old,

@@ -4,8 +4,8 @@
 //! One serve loop backs a thread inside the coordinator process and a
 //! separate OS process entered through [`shard_server_main`] (the
 //! `dsv-shard-server` binary). The worker is a pure protocol server: its
-//! spec, shard set and restore states all arrive in [`ToWorker::Assign`]
-//! messages, so a replacement, once assigned and replayed, is
+//! spec, shard set and restore states all arrive in one
+//! [`ToWorker::Assign`], so a replacement, once assigned and replayed, is
 //! indistinguishable from the process it replaces.
 
 use super::wire::{Chunk, Inputs, RoundEntry, ShardInit, ToCoord, ToWorker};
@@ -56,30 +56,6 @@ fn make_tracker(spec: &TrackerSpec, init: &ShardInit) -> Result<AnyTracker, Resu
         None => AnyTracker::Item(spec.build_item()?),
         Some(state) => AnyTracker::Item(spec.resume_item(state)?),
     })
-}
-
-/// Install `shards` into the replica map, replying with an
-/// [`ToCoord::AssignAck`] (empty error string on success).
-fn install(
-    conn: &mut Conn,
-    spec: &Option<TrackerSpec>,
-    trackers: &mut BTreeMap<usize, AnyTracker>,
-    shards: &[ShardInit],
-) -> Result<(), WorkerError> {
-    let ack = match spec {
-        None => "shards attached before any Assign".to_string(),
-        Some(spec) => shards
-            .iter()
-            .try_for_each(|init| {
-                let tracker = make_tracker(spec, init).map_err(|e| e.to_string())?;
-                trackers.insert(init.sid, tracker);
-                Ok::<(), String>(())
-            })
-            .err()
-            .unwrap_or_default(),
-    };
-    conn.send(&ToCoord::AssignAck { error: ack }.to_bytes())?;
-    Ok(())
 }
 
 /// Serve one coordinator connection until `Finish`, EOF, or idle timeout.
@@ -153,24 +129,21 @@ fn process_round(
 fn serve_conn(conn: &mut Conn, worker: u64, generation: u64) -> Result<(), WorkerError> {
     conn.send(&hello_bytes(Role::Worker, worker, generation))?;
 
-    let mut spec: Option<TrackerSpec> = None;
     let mut trackers: BTreeMap<usize, AnyTracker> = BTreeMap::new();
     loop {
         let frame = conn.recv()?;
         let msg = ToWorker::from_bytes(&frame)
             .map_err(|_| WorkerError::Protocol("undecodable coordinator frame"))?;
         match msg {
-            ToWorker::Assign {
-                spec: new_spec,
-                s_count: _,
-                shards,
-            } => {
+            ToWorker::Assign { spec, shards } => {
                 trackers.clear();
-                spec = Some(new_spec);
-                install(conn, &spec, &mut trackers, &shards)?;
-            }
-            ToWorker::Attach { shards } => {
-                install(conn, &spec, &mut trackers, &shards)?;
+                let built = shards.iter().try_for_each(|init| {
+                    let tracker = make_tracker(&spec, init).map_err(|e| e.to_string())?;
+                    trackers.insert(init.sid, tracker);
+                    Ok(())
+                });
+                let error = built.err().unwrap_or_default();
+                conn.send(&ToCoord::AssignAck { error }.to_bytes())?;
             }
             ToWorker::Round {
                 round,
@@ -253,9 +226,7 @@ fn parse_args(args: &[String]) -> Result<ParsedArgs, String> {
             "--worker" => worker = Some(parse_num(flag_value("--worker")?, "--worker")?),
             "--gen" => generation = Some(parse_num(flag_value("--gen")?, "--gen")?),
             "--timeout-ms" => timeout_ms = parse_num(flag_value("--timeout-ms")?, "--timeout-ms")?,
-            "--retries" => {
-                retries = parse_num::<u64>(flag_value("--retries")?, "--retries")? as u32
-            }
+            "--retries" => retries = parse_num(flag_value("--retries")?, "--retries")?,
             "--backoff-ms" => backoff_ms = parse_num(flag_value("--backoff-ms")?, "--backoff-ms")?,
             other if endpoint.is_none() && !other.starts_with("--") => {
                 endpoint =
@@ -310,6 +281,16 @@ mod tests {
         assert!(err(&["tcp:127.0.0.1:1", "--worker", "0"]).contains("missing --gen"));
         assert!(err(&["nope:addr", "--worker", "0", "--gen", "0"]).contains("bad endpoint"));
         assert!(err(&["tcp:a:1", "--worker", "x", "--gen", "0"]).contains("bad number"));
+        let too_many = [
+            "tcp:a:1",
+            "--worker",
+            "0",
+            "--gen",
+            "0",
+            "--retries",
+            "4294967297",
+        ];
+        assert!(err(&too_many).contains("--retries: bad number"));
         assert!(err(&["tcp:a:1", "--worker", "0", "--gen", "0", "--bogus"])
             .contains("unexpected argument"));
     }

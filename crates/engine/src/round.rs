@@ -341,6 +341,12 @@ impl Books {
         self.dirty[sid] > 0 || self.captured[sid].is_none()
     }
 
+    /// Inputs shard `sid` consumed since its last capture.
+    #[cfg(feature = "remote")]
+    pub(crate) fn dirty(&self, sid: usize) -> u64 {
+        self.dirty[sid]
+    }
+
     /// Shard `sid`'s last captured state.
     #[cfg(feature = "remote")]
     pub(crate) fn captured(&self, sid: usize) -> Option<&TrackerState> {

@@ -538,7 +538,7 @@ pub struct Hello {
     pub role: Role,
     /// Worker slot (0 for the coordinator side).
     pub worker: u64,
-    /// Spawn generation of the worker slot, so a reattaching replacement
+    /// Spawn generation of the worker slot, so a respawned replacement
     /// is distinguishable from the process it replaces (0 for the
     /// coordinator side).
     pub generation: u64,

@@ -96,9 +96,9 @@ fn main() {
 
     for e in remote.events() {
         println!(
-            "failover: worker {} died at round {}, recovered to slot {} \
+            "failover: worker {} died at round {}, respawned \
              (generation {}), {} rounds replayed from checkpoint",
-            e.worker, e.round, e.recovered_to, e.generation, e.replayed_rounds
+            e.worker, e.round, e.generation, e.replayed_rounds
         );
     }
     println!(

@@ -68,8 +68,8 @@ pub mod prelude {
     pub use dsv_core::variability::{Variability, VariabilityMeter};
     #[cfg(feature = "remote")]
     pub use dsv_engine::remote::{
-        FailoverEvent, FaultKind, FaultPlan, FaultPoint, Recovery, RemoteConfig, RemoteEngine,
-        RemoteError, RemoteTransport, SpawnMode,
+        FailoverEvent, FaultKind, FaultPlan, FaultPoint, RemoteConfig, RemoteEngine, RemoteError,
+        RemoteTransport, SpawnMode,
     };
     pub use dsv_engine::{
         CheckpointStore, CounterEngine, CounterFleet, DeltaStats, EngineCheckpoint, EngineConfig,

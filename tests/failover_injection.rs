@@ -105,8 +105,8 @@ fn assert_recovered(
 }
 
 /// Kill or sever a worker mid-batch, at a boundary, and during the
-/// checkpoint write, under both recovery policies — every combination
-/// recovers bit-identically from the last committed cut.
+/// checkpoint write — every combination respawns the slot and recovers
+/// bit-identically from the last committed cut.
 fn fault_matrix(transport: RemoteTransport) {
     // checkpoint_every(4) puts committed cuts at boundaries 4, 8, …;
     // round-8 faults therefore replay an interesting (non-empty) window.
@@ -124,30 +124,18 @@ fn fault_matrix(transport: RemoteTransport) {
     ];
     for point in points {
         for kind in [FaultKind::Kill, FaultKind::Sever] {
-            for recovery in [Recovery::Respawn, Recovery::Reattach] {
-                let label = format!("{point:?}/{kind:?}/{recovery:?}/{transport:?}");
-                let rcfg = RemoteConfig {
-                    recovery,
-                    ..proc_rcfg(transport)
-                };
-                let mut remote = RemoteEngine::counters(spec(4), cfg, rcfg).unwrap();
-                remote.set_fault_plan(FaultPlan::new().inject(point, 1, kind));
-                let report = remote.run_parted(&parts).unwrap();
-                assert!(
-                    !remote.events().is_empty(),
-                    "{label}: fault did not trigger a failover"
-                );
-                let event = remote.events()[0];
-                assert_eq!(event.worker, 1, "{label}");
-                match recovery {
-                    Recovery::Respawn => {
-                        assert_eq!(event.recovered_to, 1, "{label}");
-                        assert!(event.generation >= 1, "{label}");
-                    }
-                    Recovery::Reattach => assert_eq!(event.recovered_to, 0, "{label}"),
-                }
-                assert_recovered(&label, &mut remote, &report, &re);
-            }
+            let label = format!("{point:?}/{kind:?}/{transport:?}");
+            let mut remote = RemoteEngine::counters(spec(4), cfg, proc_rcfg(transport)).unwrap();
+            remote.set_fault_plan(FaultPlan::new().inject(point, 1, kind));
+            let report = remote.run_parted(&parts).unwrap();
+            assert!(
+                !remote.events().is_empty(),
+                "{label}: fault did not trigger a failover"
+            );
+            let event = remote.events()[0];
+            assert_eq!(event.worker, 1, "{label}");
+            assert!(event.generation >= 1, "{label}");
+            assert_recovered(&label, &mut remote, &report, &re);
         }
     }
 }
