@@ -9,8 +9,8 @@
 # remote-feature jobs — the e20 remote TCP/UDS parity gate and a
 # smoke run of the repository benchmark, benchmark/run.sh), the
 # 150-word cap on the top CHANGES.md entry, a Rust line count per crate
-# (target/ci/loc.json) with ratchets on the EngineConfig and RemoteConfig
-# field counts, and rustdoc. Fails fast on
+# (target/ci/loc.json, all lines and non-test lines) with ratchets on the
+# EngineConfig and RemoteConfig field counts, and rustdoc. Fails fast on
 # the first broken step, and prints a per-step wall-clock summary at the
 # end (also emitted to $GITHUB_STEP_SUMMARY under Actions) so gate-time
 # regressions are visible in PRs.
@@ -387,11 +387,19 @@ step "loc (Rust lines per crate + EngineConfig / RemoteConfig fields -> target/c
 # "Net-negative" as a recorded number: lines of Rust per crate (the root
 # facade is src/ + tests/ + examples/), excluding the standalone
 # benchmark/ package, the vendored crates/compat/ stand-ins and target/.
+# Under "nontest", the same per crate for non-test code only: every .rs
+# file outside a tests/ directory, counted up to its first top-level
+# `#[cfg(test)]` line (recorded, no ratchet).
 # Beside them, the knob counts: the fields of `pub struct EngineConfig`
 # and of `pub struct RemoteConfig`, ratchets: the step fails above
 # MAX_ENGINE_CONFIG_FIELDS / MAX_REMOTE_CONFIG_FIELDS, so a new knob has
 # to retire an old one.
 rust_lines() { find "$@" -name '*.rs' -print0 | xargs -0 cat | wc -l | tr -d ' '; }
+nontest_lines() {
+    find "$@" -name '*.rs' -not -path '*/tests/*' \
+        -exec awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }' {} + \
+        | awk '{ n += $1 } END { print n + 0 }'
+}
 struct_fields() {
     awk -v open="^pub struct $1 \\{" '$0 ~ open { on = 1; next }
         on && /^\}/ { exit }
@@ -402,17 +410,24 @@ engine_config_fields=$(struct_fields EngineConfig crates/engine/src/config.rs)
 remote_config_fields=$(struct_fields RemoteConfig crates/engine/src/remote/mod.rs)
 {
     n=$(rust_lines src tests examples)
+    m=$(nontest_lines src examples)
     total=$n
+    nontest_total=$m
+    nontest=$(printf '"dsv": %s' "$m")
     printf '{"dsv": %s' "$n"
     for dir in crates/*/; do
         crate=$(basename "$dir")
         [ "$crate" = compat ] && continue
         n=$(rust_lines "$dir")
+        m=$(nontest_lines "$dir")
         total=$((total + n))
+        nontest_total=$((nontest_total + m))
+        nontest="$nontest, $(printf '"dsv-%s": %s' "$crate" "$m")"
         printf ', "dsv-%s": %s' "$crate" "$n"
     done
-    printf ', "total": %s, "engine_config_fields": %s, "remote_config_fields": %s}\n' \
-        "$total" "$engine_config_fields" "$remote_config_fields"
+    printf ', "total": %s, "nontest": {%s, "total": %s}' "$total" "$nontest" "$nontest_total"
+    printf ', "engine_config_fields": %s, "remote_config_fields": %s}\n' \
+        "$engine_config_fields" "$remote_config_fields"
 } > target/ci/loc.json
 cat target/ci/loc.json
 MAX_ENGINE_CONFIG_FIELDS=8

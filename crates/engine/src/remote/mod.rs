@@ -227,6 +227,13 @@ pub enum RemoteError {
     /// A logical (in-process) engine error: bad config, rejected stream,
     /// codec failure.
     Engine(EngineError),
+    /// A [`RemoteConfig`] field is zero where no deployment can run:
+    /// `io_timeout`, `worker_idle_timeout`, `spawn_timeout` or
+    /// `max_frame`.
+    Config {
+        /// The field's name.
+        what: &'static str,
+    },
     /// Binding the coordinator's listener failed.
     Bind(TransportError),
     /// A worker process could not be spawned.
@@ -276,6 +283,9 @@ impl std::fmt::Display for RemoteError {
     fn fmt(&self, fm: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RemoteError::Engine(e) => write!(fm, "{e}"),
+            RemoteError::Config { what } => {
+                write!(fm, "remote config field {what} must be nonzero")
+            }
             RemoteError::Bind(e) => write!(fm, "binding the coordinator listener failed: {e}"),
             RemoteError::Spawn { worker, kind } => {
                 write!(fm, "spawning worker {worker} failed ({kind:?})")
@@ -343,7 +353,7 @@ impl RemoteInput for (u64, i64) {
 const UNREAD_REPORT_BYTES: usize = 4096;
 
 /// The pump's bound: how many rounds a connection running `feeds` (its
-/// reports carry an entry per shard, so at most one per feed) may be sent
+/// reports carry an entry per chunk, so at most one per feed) may be sent
 /// past the report it reads next, that round included. At most 16: the
 /// first few rounds of look-ahead buy the overlap (DESIGN.md §8).
 fn lead(feeds: usize) -> u64 {
@@ -405,7 +415,10 @@ pub struct RemoteEngine<In: RemoteInput> {
     faults: FaultPlan,
     events: Vec<FailoverEvent>,
     failovers: u32,
-    graveyard: Vec<JoinHandle<()>>,
+    /// Declared after `listener`, so the listener closes first when the
+    /// engine drops: a thread that missed its spawn deadline is refused,
+    /// not left waiting out its idle timeout on an unread connection.
+    graveyard: Graveyard,
     /// The one buffer every round frame is encoded into (windows and
     /// failover replay alike), kept across rounds and calls.
     frame: Enc,
@@ -448,6 +461,16 @@ impl<In: RemoteInput> RemoteEngine<In> {
         k: usize,
     ) -> Result<Self, RemoteError> {
         cfg.validate().map_err(RemoteError::Engine)?;
+        // A zero here would only surface as worker 0's transport failure.
+        let zero = [
+            ("io_timeout", rcfg.io_timeout.is_zero()),
+            ("worker_idle_timeout", rcfg.worker_idle_timeout.is_zero()),
+            ("spawn_timeout", rcfg.spawn_timeout.is_zero()),
+            ("max_frame", rcfg.max_frame == 0),
+        ];
+        if let Some(&(what, _)) = zero.iter().find(|(_, zero)| *zero) {
+            return Err(RemoteError::Config { what });
+        }
         let listener = Listener::bind(&rcfg.transport.endpoint()).map_err(RemoteError::Bind)?;
         let mut engine = RemoteEngine {
             spec,
@@ -462,7 +485,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
             faults: FaultPlan::new(),
             events: Vec::new(),
             failovers: 0,
-            graveyard: Vec::new(),
+            graveyard: Graveyard::default(),
             frame: Enc::new(),
             _in: PhantomData,
         };
@@ -812,7 +835,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
             let _ = child.wait();
         }
         if let Some(handle) = slot.thread.take() {
-            self.graveyard.push(handle);
+            self.graveyard.0.push(handle);
         }
     }
 
@@ -954,7 +977,18 @@ impl<In: RemoteInput> Drop for RemoteEngine<In> {
             let _ = self.workers[w].send(&finish);
             self.bury(w);
         }
-        for handle in self.graveyard.drain(..) {
+        // The fields drop next, in order: the listener, then the
+        // graveyard, which joins the threads.
+    }
+}
+
+/// The threads of buried worker slots, joined when dropped.
+#[derive(Default)]
+struct Graveyard(Vec<JoinHandle<()>>);
+
+impl Drop for Graveyard {
+    fn drop(&mut self) {
+        for handle in self.0.drain(..) {
             let _ = handle.join();
         }
     }
@@ -995,43 +1029,31 @@ fn encode_round<'a, In: RemoteInput + 'a>(
 }
 
 /// Take worker `w`'s reply to round `round` into `out`, given the chunks
-/// it was `sent`: the entries must name each shard sent to it this round
-/// exactly once, with the length sent — a decodable but hostile report
-/// never reaches the cut.
+/// it was `sent`: one `(estimate, Σδ)` per chunk, in order, so each entry's
+/// shard and length are the chunk's own.
 fn take_report<'a, In: 'a>(
     w: usize,
     round: u64,
-    sent: impl Iterator<Item = (usize, SiteId, &'a [In])>,
+    sent: impl Iterator<Item = (usize, SiteId, &'a [In])> + Clone,
     reply: ToCoord,
     out: &mut Rounds,
 ) -> Result<(), RemoteError> {
     let refuse = |what| Err(RemoteError::Protocol { worker: w, what });
-    let reports = match reply {
-        ToCoord::RoundReport { round: r, reports } if r == round => reports,
+    let entries = match reply {
+        ToCoord::RoundReport { round: r, entries } if r == round => entries,
         _ => return refuse("unexpected reply to a round"),
     };
-    let mut owed: BTreeMap<usize, u64> = BTreeMap::new();
-    for (sid, _, inputs) in sent {
-        *owed.entry(sid).or_default() += inputs.len() as u64;
+    if entries.len() != sent.clone().count() {
+        return refuse("round report entries are not one per chunk sent");
     }
-    for e in &reports {
-        match owed.remove(&e.sid) {
-            None => return refuse("round report names a shard not sent to it, or twice"),
-            Some(len) if len != e.len => return refuse("round report length is not what was sent"),
-            Some(_) => {}
-        }
-    }
-    if !owed.is_empty() {
-        return refuse("round report missing a dispatched shard");
-    }
-    for e in reports {
-        out.push((e.sid, e.estimate, e.sum, e.len));
+    for ((sid, _, inputs), (estimate, sum)) in sent.zip(entries) {
+        out.push((sid, estimate, sum, inputs.len() as u64));
     }
     Ok(())
 }
 
-/// Worker `w`'s reply to a pull of the shards `asked`: each named exactly
-/// once, each state of the engine's kind and `k`.
+/// Worker `w`'s reply to a pull of the shards `asked`: one state per
+/// shard, in the order asked, each of the engine's kind and `k`.
 fn take_states(
     w: usize,
     asked: &[usize],
@@ -1043,19 +1065,16 @@ fn take_states(
     let ToCoord::CheckpointReport { states } = reply else {
         return refuse("unexpected reply to a checkpoint request");
     };
-    let mut owed: BTreeSet<usize> = asked.iter().copied().collect();
-    for (sid, state) in &states {
-        if !owed.remove(sid) {
-            return refuse("checkpoint reply names a shard not asked of it, or twice");
-        }
-        if state.kind() != kind || state.k() != k {
-            return refuse("checkpoint state contradicts the engine spec");
-        }
+    if states.len() != asked.len() {
+        return refuse("checkpoint reply states are not one per shard asked");
     }
-    if !owed.is_empty() {
-        return refuse("checkpoint reply missing a requested shard");
+    if states
+        .iter()
+        .any(|state| state.kind() != kind || state.k() != k)
+    {
+        return refuse("checkpoint state contradicts the engine spec");
     }
-    Ok(states)
+    Ok(asked.iter().copied().zip(states).collect())
 }
 
 #[cfg(test)]
@@ -1158,6 +1177,76 @@ mod tests {
     }
 
     #[test]
+    fn shards_with_several_feeds_a_round_stay_bit_identical() {
+        // 8 sites on 3 shards, site 4 fed twice: each round sends a
+        // worker several chunks of one shard, and the sever makes the
+        // replacement replay them.
+        let mut feeds = walk_feeds(8, 8 * 1_200);
+        let again = feeds[3].1.iter().rev().take(900).copied().collect();
+        feeds.push((4, again));
+        for every in [0, 3] {
+            let cfg = EngineConfig::new(3, 100).workers(2).checkpoint_every(every);
+            let mut local = ShardedEngine::counters(det_spec(8), cfg).unwrap();
+            let local_report = local.run_parted(&slices(&feeds)).unwrap();
+
+            let mut remote = RemoteEngine::counters(det_spec(8), cfg, fast_rcfg()).unwrap();
+            remote.set_fault_plan(sever(5, 1));
+            let report = remote.run_parted(&slices(&feeds)).unwrap();
+            assert_eq!(remote.events().len(), 1, "every {every}");
+            assert_same_run(&mut remote, &report, &mut local, &local_report);
+        }
+    }
+
+    #[test]
+    fn a_worker_late_for_its_spawn_does_not_stall_teardown() {
+        // The thread misses the accept deadline; once the constructor
+        // fails it must be refused, not left waiting out its idle timeout
+        // on a connection nobody will read.
+        let mut transports = vec![RemoteTransport::Tcp];
+        #[cfg(unix)]
+        transports.push(RemoteTransport::Uds);
+        for transport in transports {
+            let rcfg = RemoteConfig {
+                transport,
+                spawn_timeout: Duration::from_micros(1),
+                ..RemoteConfig::default()
+            };
+            let started = std::time::Instant::now();
+            let err = RemoteEngine::counters(det_spec(2), EngineConfig::new(2, 100), rcfg);
+            let elapsed = started.elapsed();
+            assert!(matches!(err, Err(RemoteError::Transport { worker: 0, .. })));
+            let idle = RemoteConfig::default().worker_idle_timeout;
+            assert!(elapsed < idle / 3, "{transport:?}: {elapsed:?}");
+        }
+    }
+
+    #[test]
+    fn zero_valued_config_fields_are_named_not_blamed_on_a_worker() {
+        type Zeroing = fn(&mut RemoteConfig);
+        let zeroed: [(&str, Zeroing); 4] = [
+            ("io_timeout", |c| c.io_timeout = Duration::ZERO),
+            ("worker_idle_timeout", |c| {
+                c.worker_idle_timeout = Duration::ZERO
+            }),
+            ("spawn_timeout", |c| c.spawn_timeout = Duration::ZERO),
+            ("max_frame", |c| c.max_frame = 0),
+        ];
+        let cfg = EngineConfig::new(2, 100);
+        for (what, zero) in zeroed {
+            let mut rcfg = RemoteConfig::default();
+            zero(&mut rcfg);
+            let items = TrackerSpec::new(TrackerKind::ExactFreq)
+                .k(2)
+                .eps(0.1)
+                .universe(8);
+            let err = RemoteEngine::items(items, cfg, rcfg.clone()).err();
+            assert_eq!(err, Some(RemoteError::Config { what }));
+            let err = RemoteEngine::counters(det_spec(2), cfg, rcfg).err();
+            assert_eq!(err, Some(RemoteError::Config { what }));
+        }
+    }
+
+    #[test]
     fn never_run_engine_reads_as_fresh_replicas() {
         let cfg = EngineConfig::new(4, 100);
         let local = ShardedEngine::counters(det_spec(4), cfg).unwrap();
@@ -1187,19 +1276,21 @@ mod tests {
         assert_eq!(remote.tracker_stats(), Err(uncommitted));
     }
 
-    /// The shape a constant lead wedges on: 512 shards a worker make a
-    /// round report 16 KiB, sixteen of them unread fill a Unix socket,
-    /// and the coordinator blocks writing a 1 MiB round to a worker that
-    /// is blocked writing a report. One failed timeout (no failover
+    /// The shape a constant lead wedges on: two feeds a site, 1,024 a
+    /// worker, make a round report 16 KiB, sixteen of them unread fill
+    /// the socket, and the coordinator blocks writing a 2 MiB round to
+    /// a worker that is blocked writing a report. (A report carries an
+    /// entry per chunk, so feeds, not shards, set its size: one feed a
+    /// shard, 8 KiB reports, fit.) One failed timeout (no failover
     /// budget) fails the test; a slow debug build cannot.
     #[test]
     fn wide_reports_shrink_the_window_instead_of_wedging() {
         let k = 1024;
-        let feed: Vec<i64> = (0..40 * 256).map(|i| 1 - 2 * (i % 3 / 2)).collect();
-        let feeds: Vec<(usize, Vec<i64>)> = (0..k).map(|s| (s, feed.clone())).collect();
+        let feed: Vec<i64> = (0..20 * 256).map(|i| 1 - 2 * (i % 3 / 2)).collect();
+        let feeds: Vec<(usize, &[i64])> = (0..2 * k).map(|i| (i % k, &feed[..])).collect();
         let cfg = EngineConfig::new(k, 256).workers(2);
         let mut local = ShardedEngine::counters(det_spec(k), cfg).unwrap();
-        let local_report = local.run_parted(&slices(&feeds)).unwrap();
+        let local_report = local.run_parted(&feeds).unwrap();
 
         let mut transports = vec![RemoteTransport::Tcp];
         #[cfg(unix)]
@@ -1212,8 +1303,8 @@ mod tests {
                 ..RemoteConfig::default()
             };
             let mut remote = RemoteEngine::counters(det_spec(k), cfg, rcfg).unwrap();
-            assert_eq!(lead(k / 2), 1, "16 KiB reports leave no look-ahead");
-            let report = remote.run_parted(&slices(&feeds)).unwrap();
+            assert_eq!(lead(k), 1, "16 KiB reports leave no look-ahead");
+            let report = remote.run_parted(&feeds).unwrap();
             assert!(remote.events().is_empty(), "{transport:?}");
             assert_same_run(&mut remote, &report, &mut local, &local_report);
         }
@@ -1419,23 +1510,15 @@ mod tests {
     #[test]
     fn hostile_reports_are_protocol_errors() {
         let run: &[i64] = &[1, -1, 1];
-        // Worker 1 holds shards 1 and 3 of 4; shard 3 has two feeds.
+        // Worker 1 holds shards 1 and 3 of 4; shard 3 has two feeds, so
+        // round 0 sends it three chunks.
         let feeds: Vec<(usize, &[i64])> = vec![(1, run), (3, run), (3, run)];
-        let round = |reports: &[(usize, u64)]| ToCoord::RoundReport {
-            round: 0,
-            reports: reports
-                .iter()
-                .map(|&(sid, len)| wire::RoundEntry {
-                    sid,
-                    estimate: 1,
-                    sum: 1,
-                    len,
-                })
-                .collect(),
+        let round = |round, chunks| ToCoord::RoundReport {
+            round,
+            entries: vec![(1, 1); chunks],
         };
         let take = |reply| {
             let mut out = Rounds::default();
-            out.clear();
             take_report(
                 1,
                 0,
@@ -1444,43 +1527,40 @@ mod tests {
                 &mut out,
             )
         };
-        assert!(take(round(&[(1, 3), (3, 6)])).is_ok());
-        for hostile in [
-            &[(1, 3), (3, 6), (9, 1)][..], // past the shard count
-            &[(1, 3), (2, 6)],             // another worker's shard
-            &[(1, 3), (3, 3)],             // a length not sent
-            &[(1, 3), (1, 3), (3, 6)],     // a shard twice
-            &[(3, 6)],                     // a shard missing
-        ] {
-            let err = take(round(hostile)).unwrap_err();
+        assert!(take(round(0, 3)).is_ok());
+        let no = ToCoord::AssignAck {
+            error: String::new(),
+        };
+        // Too few, too many, another round's, another message.
+        for hostile in [round(0, 2), round(0, 4), round(1, 3), no.clone()] {
+            let err = take(hostile.clone()).unwrap_err();
             assert!(
                 matches!(err, RemoteError::Protocol { worker: 1, .. }),
                 "{hostile:?}"
             );
         }
-        let stale = ToCoord::RoundReport {
-            round: 1,
-            reports: Vec::new(),
-        };
-        assert!(matches!(take(stale), Err(RemoteError::Protocol { .. })));
 
         let kind = TrackerKind::Deterministic;
-        let state = || TrackerState::new(kind, 2, vec![1; 8]);
-        let states = |sids: &[usize]| ToCoord::CheckpointReport {
-            states: sids.iter().map(|&sid| (sid, state())).collect(),
-        };
+        let state = |kind, k| TrackerState::new(kind, k, vec![1; 8]);
+        let ok = state(kind, 2);
+        let states = |states: Vec<TrackerState>| ToCoord::CheckpointReport { states };
         let take = |reply| take_states(1, &[1, 3], kind, 2, reply);
-        assert_eq!(take(states(&[3, 1])).unwrap().len(), 2);
-        for hostile in [&[1, 3, 2][..], &[1, 99], &[1, 1], &[3]] {
-            let err = take(states(hostile)).unwrap_err();
+        let taken = take(states(vec![ok.clone(), ok.clone()])).unwrap();
+        assert_eq!(taken, vec![(1, ok.clone()), (3, ok.clone())]);
+        let alien_kind = state(TrackerKind::Randomized, 2);
+        // Too few, too many, a wrong kind, a wrong `k`, another message.
+        for hostile in [
+            states(vec![ok.clone()]),
+            states(vec![ok.clone(); 3]),
+            states(vec![ok.clone(), alien_kind]),
+            states(vec![state(kind, 5), ok.clone()]),
+            no,
+        ] {
+            let err = take(hostile.clone()).unwrap_err();
             assert!(
                 matches!(err, RemoteError::Protocol { worker: 1, .. }),
                 "{hostile:?}"
             );
         }
-        let alien = ToCoord::CheckpointReport {
-            states: vec![(1, state()), (3, TrackerState::new(kind, 5, vec![]))],
-        };
-        assert!(matches!(take(alien), Err(RemoteError::Protocol { .. })));
     }
 }

@@ -5,11 +5,13 @@
 //! `u16` [`WIRE_VERSION`]), a `u8` message tag, then the fields, all in
 //! the workspace codec (`dsv_net::codec`). Decoding is panic-free and
 //! exact — truncation, corruption, unknown tags and trailing bytes are
-//! typed [`CodecError`]s; `tests/failover_injection.rs` drives every byte
-//! of every message shape through the decoder. Round chunks are the
-//! per-site runs `run_parted` dispatches, states the versioned
-//! `TrackerState` envelopes, and reports the `(shard, estimate, Σδ,
-//! length)` tuples the in-process cut closes.
+//! typed [`CodecError`]s; the tests below cut every message shape at
+//! every byte and flip every byte of each. Round chunks are the per-site
+//! runs `run_parted` dispatches and states the versioned `TrackerState`
+//! envelopes. A reply answers what was sent, in the order it was sent:
+//! one `(estimate, Σδ)` per chunk of a round, one state per shard of a
+//! pull. The coordinator knows each chunk's shard and length, and pairs
+//! them with the reply into the entries the in-process cut closes.
 
 use dsv_core::api::TrackerSpec;
 use dsv_core::codec::TrackerState;
@@ -23,7 +25,7 @@ pub const WIRE_MAGIC: [u8; 4] = *b"DSVR";
 /// decoders read exactly this version; any other is a typed
 /// [`CodecError::UnsupportedVersion`], surfaced before any shard state
 /// moves (`MIGRATION.md`, format policy).
-pub const WIRE_VERSION: u16 = 6;
+pub const WIRE_VERSION: u16 = 7;
 
 /// One shard's inputs for one round — the per-problem input payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,8 +93,9 @@ pub(crate) fn encode_items(enc: &mut Enc, updates: &[(u64, i64)]) {
 
 /// One shard's work within a round: the contiguous input run of one feed,
 /// exactly as `run_parted` would dispatch it in-process. Chunks arrive in
-/// feed order, which is what keeps the last-report-per-shard rule (and so
-/// the merge ledger) identical to the in-process path.
+/// feed order and are answered in it, which is what keeps the
+/// last-entry-per-shard rule (and so the merge ledger) identical to the
+/// in-process path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Chunk {
     /// The logical shard the inputs belong to.
@@ -141,7 +144,7 @@ pub enum ToWorker {
         chunks: Vec<Chunk>,
     },
     /// Snapshot the named shards and reply with a
-    /// [`ToCoord::CheckpointReport`].
+    /// [`ToCoord::CheckpointReport`] of their states, in this order.
     Checkpoint {
         /// The (dirty) shards to snapshot, ascending.
         shards: Vec<usize>,
@@ -283,28 +286,13 @@ fn decode_chunks(dec: &mut Dec) -> Result<Vec<Chunk>, CodecError> {
         .collect()
 }
 
-/// One shard's end-of-round report: the tuple the in-process merge path
-/// reconciles — end-of-round local estimate, the round's ground-truth
-/// increment, and the inputs consumed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundEntry {
-    /// The reporting shard.
-    pub sid: usize,
-    /// Its local estimate after this round's chunks.
-    pub estimate: i64,
-    /// Sum of the round's deltas at this shard (ground truth).
-    pub sum: i64,
-    /// Inputs consumed this round at this shard.
-    pub len: u64,
-}
-
 /// Encoded payload length of a [`ToCoord::RoundReport`] carrying
-/// `entries` shard entries — what the coordinator bounds each send lead
+/// `entries` chunk entries — what the coordinator bounds each send lead
 /// by (each report it has not read yet sits in a socket buffer).
 pub(crate) const fn round_report_len(entries: usize) -> usize {
-    // envelope (magic + version), tag, round, entry count; then four
+    // envelope (magic + version), tag, round, entry count; then two
     // 8-byte words per entry.
-    6 + 1 + 8 + 8 + 32 * entries
+    6 + 1 + 8 + 8 + 16 * entries
 }
 
 /// Worker → coordinator messages.
@@ -320,13 +308,14 @@ pub enum ToCoord {
     RoundReport {
         /// Echo of the round number (protocol sanity).
         round: u64,
-        /// One entry per shard that received chunks, ascending sid.
-        reports: Vec<RoundEntry>,
+        /// Per chunk, in the order sent: its shard's estimate after the
+        /// chunk and the chunk's Σδ.
+        entries: Vec<(i64, i64)>,
     },
     /// Reply to [`ToWorker::Checkpoint`].
     CheckpointReport {
-        /// The requested shards' whole states.
-        states: Vec<(usize, TrackerState)>,
+        /// The requested shards' whole states, in the order requested.
+        states: Vec<TrackerState>,
     },
 }
 
@@ -340,22 +329,19 @@ impl ToCoord {
                 enc.u8(1);
                 enc.blob(error.as_bytes());
             }
-            ToCoord::RoundReport { round, reports } => {
+            ToCoord::RoundReport { round, entries } => {
                 enc.u8(2);
                 enc.u64(*round);
-                enc.seq_len(reports.len());
-                for r in reports {
-                    enc.usize(r.sid);
-                    enc.i64(r.estimate);
-                    enc.i64(r.sum);
-                    enc.u64(r.len);
+                enc.seq_len(entries.len());
+                for &(estimate, sum) in entries {
+                    enc.i64(estimate);
+                    enc.i64(sum);
                 }
             }
             ToCoord::CheckpointReport { states } => {
                 enc.u8(3);
                 enc.seq_len(states.len());
-                for (sid, state) in states {
-                    enc.usize(*sid);
+                for state in states {
                     enc.blob(&state.to_bytes());
                 }
             }
@@ -376,22 +362,16 @@ impl ToCoord {
             },
             2 => {
                 let round = dec.u64()?;
-                let n = dec.seq_len("round reports", 32)?;
-                let mut reports = Vec::with_capacity(n);
-                for _ in 0..n {
-                    reports.push(RoundEntry {
-                        sid: dec.usize()?,
-                        estimate: dec.i64()?,
-                        sum: dec.i64()?,
-                        len: dec.u64()?,
-                    });
+                let n = dec.seq_len("round report entries", 16)?;
+                let entries = (0..n).map(|_| Ok((dec.i64()?, dec.i64()?)));
+                ToCoord::RoundReport {
+                    round,
+                    entries: entries.collect::<Result<_, CodecError>>()?,
                 }
-                ToCoord::RoundReport { round, reports }
             }
             3 => {
-                let n = dec.seq_len("checkpoint states", 9)?;
-                let states =
-                    (0..n).map(|_| Ok((dec.usize()?, TrackerState::from_bytes(dec.blob()?)?)));
+                let n = dec.seq_len("checkpoint states", 8)?;
+                let states = (0..n).map(|_| TrackerState::from_bytes(dec.blob()?));
                 ToCoord::CheckpointReport {
                     states: states.collect::<Result<_, CodecError>>()?,
                 }
@@ -462,28 +442,12 @@ mod tests {
             },
             ToCoord::RoundReport {
                 round: 7,
-                reports: vec![
-                    RoundEntry {
-                        sid: 0,
-                        estimate: 1,
-                        sum: 1,
-                        len: 3,
-                    },
-                    RoundEntry {
-                        sid: 2,
-                        estimate: -4,
-                        sum: 0,
-                        len: 2,
-                    },
-                ],
+                entries: vec![(1, 1), (-4, 0)],
             },
             ToCoord::CheckpointReport {
                 states: vec![
-                    (2, state.clone()),
-                    (
-                        3,
-                        TrackerState::new(TrackerKind::Randomized, 3, vec![7; 40]),
-                    ),
+                    state.clone(),
+                    TrackerState::new(TrackerKind::Randomized, 3, vec![7; 40]),
                 ],
             },
         ];
@@ -503,18 +467,12 @@ mod tests {
 
     #[test]
     fn report_length_formula_matches_the_encoder() {
-        for entries in [0usize, 1, 7] {
-            let entry = RoundEntry {
-                sid: 3,
-                estimate: -9,
-                sum: 2,
-                len: 250,
-            };
+        for n in [0usize, 1, 7] {
             let report = ToCoord::RoundReport {
                 round: 5,
-                reports: vec![entry; entries],
+                entries: vec![(-9, 2); n],
             };
-            assert_eq!(report.to_bytes().len(), round_report_len(entries));
+            assert_eq!(report.to_bytes().len(), round_report_len(n));
         }
     }
 
@@ -536,13 +494,32 @@ mod tests {
     }
 
     #[test]
+    fn flipping_any_byte_never_panics() {
+        // A flipped byte may still decode (an input value, a round
+        // number); it must never panic, in either direction's decoder.
+        let (to_worker, to_coord) = sample_messages();
+        let frames = to_worker.iter().map(ToWorker::to_bytes);
+        for frame in frames.chain(to_coord.iter().map(ToCoord::to_bytes)) {
+            for pos in 0..frame.len() {
+                for flip in [0x01u8, 0x80, 0xff] {
+                    let mut bytes = frame.clone();
+                    bytes[pos] ^= flip;
+                    let _ = ToWorker::from_bytes(&bytes);
+                    let _ = ToCoord::from_bytes(&bytes);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn older_generations_are_refused() {
         // Every message shape, re-stamped with each retired version word
         // (v1: untagged states and flag-less pulls; v2: before the
         // `Rounds` envelope; v3: with it; v4: delta-or-full state pulls;
-        // v5: `Attach` and the shard count in `Assign`).
+        // v5: `Attach` and the shard count in `Assign`; v6: shard-keyed
+        // report entries and states).
         let (to_worker, to_coord) = sample_messages();
-        assert_eq!(WIRE_VERSION, 6);
+        assert_eq!(WIRE_VERSION, 7);
         for old in 1..WIRE_VERSION {
             let refused = CodecError::UnsupportedVersion {
                 found: old,

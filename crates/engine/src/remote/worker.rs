@@ -8,7 +8,8 @@
 //! [`ToWorker::Assign`], so a replacement, once assigned and replayed, is
 //! indistinguishable from the process it replaces.
 
-use super::wire::{Chunk, Inputs, RoundEntry, ShardInit, ToCoord, ToWorker};
+use super::wire::{Chunk, Inputs, ShardInit, ToCoord, ToWorker};
+use crate::round::ingest_run;
 use dsv_core::api::{ItemTracker, Problem, ResumeError, Tracker, TrackerSpec};
 use dsv_net::transport::{hello_bytes, Conn, Endpoint, Role, TransportError};
 use std::collections::BTreeMap;
@@ -82,10 +83,10 @@ pub fn serve(
     }
 }
 
-/// Apply one round of chunks to the replica map and send its
-/// [`ToCoord::RoundReport`]. Per-shard accumulation follows the
-/// `run_parted` rule: estimates overwrite (last chunk in feed order
-/// wins), sums and lengths add.
+/// Run one round's chunks in order, each through the in-process
+/// executor's [`ingest_run`], and send its [`ToCoord::RoundReport`]: the
+/// `(estimate, Σδ)` of every chunk, in that order. Folding a shard's
+/// several chunks is the coordinator's cut's job.
 fn process_round(
     conn: &mut Conn,
     trackers: &mut BTreeMap<usize, AnyTracker>,
@@ -96,33 +97,19 @@ fn process_round(
     if delay_ms > 0 {
         std::thread::sleep(Duration::from_millis(delay_ms));
     }
-    let mut acc: BTreeMap<usize, RoundEntry> = BTreeMap::new();
+    let mut entries = Vec::with_capacity(chunks.len());
     for chunk in chunks {
         let tracker = trackers
             .get_mut(&chunk.sid)
             .ok_or(WorkerError::Protocol("round chunk for unassigned shard"))?;
-        let (est, sum) = match (tracker, &chunk.inputs) {
-            (AnyTracker::Counter(t), Inputs::Counts(v)) => {
-                (t.update_run(chunk.site, v), v.iter().sum::<i64>())
-            }
-            (AnyTracker::Item(t), Inputs::Items(v)) => (
-                t.update_run(chunk.site, v),
-                v.iter().map(|&(_, d)| d).sum::<i64>(),
-            ),
+        let (estimate, sum, _) = match (tracker, &chunk.inputs) {
+            (AnyTracker::Counter(t), Inputs::Counts(v)) => ingest_run(&mut **t, chunk.site, v),
+            (AnyTracker::Item(t), Inputs::Items(v)) => ingest_run(&mut **t, chunk.site, v),
             _ => return Err(WorkerError::Protocol("input payload problem mismatch")),
         };
-        let entry = acc.entry(chunk.sid).or_insert(RoundEntry {
-            sid: chunk.sid,
-            estimate: est,
-            sum: 0,
-            len: 0,
-        });
-        entry.estimate = est;
-        entry.sum += sum;
-        entry.len += chunk.inputs.len() as u64;
+        entries.push((estimate, sum));
     }
-    let reports = acc.into_values().collect();
-    conn.send(&ToCoord::RoundReport { round, reports }.to_bytes())?;
+    conn.send(&ToCoord::RoundReport { round, entries }.to_bytes())?;
     Ok(())
 }
 
@@ -163,7 +150,7 @@ fn serve_conn(conn: &mut Conn, worker: u64, generation: u64) -> Result<(), Worke
                         AnyTracker::Item(t) => t.snapshot(),
                     }
                     .map_err(|_| WorkerError::Protocol("shard state snapshot failed"))?;
-                    states.push((sid, state));
+                    states.push(state);
                 }
                 conn.send(&ToCoord::CheckpointReport { states }.to_bytes())?;
             }
@@ -235,6 +222,9 @@ fn parse_args(args: &[String]) -> Result<ParsedArgs, String> {
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
+    if timeout_ms == 0 {
+        return Err("--timeout-ms must be positive".to_string());
+    }
     Ok((
         endpoint.ok_or("missing endpoint")?,
         worker.ok_or("missing --worker")?,
@@ -291,6 +281,16 @@ mod tests {
             "4294967297",
         ];
         assert!(err(&too_many).contains("--retries: bad number"));
+        let no_timeout = [
+            "tcp:a:1",
+            "--worker",
+            "0",
+            "--gen",
+            "0",
+            "--timeout-ms",
+            "0",
+        ];
+        assert!(err(&no_timeout).contains("--timeout-ms must be positive"));
         assert!(err(&["tcp:a:1", "--worker", "0", "--gen", "0", "--bogus"])
             .contains("unexpected argument"));
     }

@@ -18,7 +18,7 @@ use crate::config::EngineConfig;
 use crate::merge::MergeCoordinator;
 use crate::partition::InputDelta;
 use crate::report::EngineReport;
-use dsv_core::api::{RunError, TrackerKind};
+use dsv_core::api::{RunError, Tracker, TrackerKind};
 use dsv_core::codec::{CodecError, Dec, Enc, TrackerState};
 use dsv_net::{
     relative_error, CommStats, ErrorProbe, IngestStats, MsgKind, SiteId, StateFrame, Time, WireSize,
@@ -28,6 +28,22 @@ use std::time::Instant;
 /// One shard's contribution to a round: `(shard, estimate after the
 /// work, Σδ of the work, inputs consumed)`.
 pub(crate) type Entry = (usize, i64, i64, u64);
+
+/// Feed a same-site run to a shard replica through
+/// [`Tracker::update_run`] — the one run seam, which drives the sites'
+/// `absorb_quiet` kernels. Returns the run's [`Entry`] fields:
+/// `(estimate after the run, Σδ, inputs consumed)`. Every executor, a
+/// remote worker's included, runs its chunks through here.
+pub(crate) fn ingest_run<T, In>(tracker: &mut T, site: SiteId, run: &[In]) -> (i64, i64, u64)
+where
+    T: Tracker<In> + ?Sized,
+    In: InputDelta,
+{
+    // Summed first on purpose: the streaming pass pulls the run into
+    // cache for the tracker's branchier kernel.
+    let sum = run.iter().map(|x| x.delta_of()).sum();
+    (tracker.update_run(site, run), sum, run.len() as u64)
+}
 
 /// Whole-feed validation, before anything runs: every feed's site in
 /// range, then no deletion into an insert-only kind. A rejected deletion

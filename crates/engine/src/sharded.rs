@@ -7,8 +7,8 @@ use crate::ingest::{CloseRings, FeedState, Ring, ShardFeed};
 use crate::partition::{hash_item, InputDelta, Partition, ShardRecord};
 use crate::report::EngineReport;
 use crate::round::{
-    chunk_bounds, fork_join, rounds_of, validate_feeds, validate_sites, worker_groups, Books, Cut,
-    Rounds, RunAudit, WINDOW,
+    chunk_bounds, fork_join, ingest_run, rounds_of, validate_feeds, validate_sites, worker_groups,
+    Books, Cut, Rounds, RunAudit, WINDOW,
 };
 use dsv_core::api::{ItemTracker, RunError, Tracker, TrackerKind, TrackerSpec};
 use dsv_net::{CommStats, IngestStats, SiteId, Time};
@@ -23,21 +23,6 @@ pub type CounterEngine = ShardedEngine<Box<dyn Tracker + Send>>;
 /// The item-frequency engine: shard replicas built by
 /// [`ShardedEngine::items`] from any of the four frequency kinds.
 pub type ItemEngine = ShardedEngine<Box<dyn ItemTracker + Send>, (u64, i64)>;
-
-/// Feed a same-site run to a shard replica through
-/// [`Tracker::update_run`] — the one run seam, which drives the sites'
-/// `absorb_quiet` kernels. Returns the run's [`Entry`] fields:
-/// `(estimate after the run, Σδ, inputs consumed)`.
-fn ingest_run<T, In>(tracker: &mut T, site: SiteId, run: &[In]) -> (i64, i64, u64)
-where
-    T: Tracker<In> + ?Sized,
-    In: InputDelta,
-{
-    // Summed first on purpose: the streaming pass pulls the run into
-    // cache for the tracker's branchier kernel.
-    let sum = run.iter().map(|x| x.delta_of()).sum();
-    (tracker.update_run(site, run), sum, run.len() as u64)
-}
 
 /// Inputs routed [`ShardedEngine::run`] copies into one window at most: a
 /// window closes after [`WINDOW`] rounds or once it holds this many

@@ -318,7 +318,7 @@ fn corrupted_wire_frames_and_handshakes_never_panic() {
     .to_bytes();
     let report = ToCoord::RoundReport {
         round: 7,
-        reports: Vec::new(),
+        entries: vec![(2, 2)],
     }
     .to_bytes();
     for frame in [&round, &report] {
