@@ -5,8 +5,9 @@
 //! [`crate::ShardedEngine`] from separate shard workers — OS processes
 //! running the `dsv-shard-server` binary, or in-process threads — behind
 //! the `dsv-net` length-prefixed transport (version-tagged handshake,
-//! per-connection timeouts, bounded retry-with-backoff connects), in the
-//! rounds `run_parted` runs, closed by the same cut.
+//! coordinator-side timeouts, bounded retry-with-backoff connects), in the
+//! rounds `run_parted` runs, closed by the same cut. A worker lives as long
+//! as its connection: the coordinator ends one only by closing it.
 //!
 //! **Equivalence.** A remote run is *bit-identical* to the in-process
 //! [`crate::ShardedEngine::run_parted`] over the same feeds — estimates,
@@ -41,9 +42,7 @@ use crate::report::EngineReport;
 use crate::round::{chunk_bounds, rounds_of, validate_feeds, Books, Rounds, RunAudit, WINDOW};
 use dsv_core::api::{Problem, ResumeError, RunError, TrackerKind, TrackerSpec};
 use dsv_core::codec::{CodecError, Enc, TrackerState};
-use dsv_net::transport::{
-    parse_hello, Conn, Endpoint, Listener, Role, TransportError, WireStats, DEFAULT_MAX_FRAME,
-};
+use dsv_net::transport::{parse_hello, Conn, Endpoint, Listener, Role, TransportError, WireStats};
 use dsv_net::{CommStats, IngestStats, SiteId, Time};
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
@@ -107,19 +106,9 @@ pub struct RemoteConfig {
     /// failure detector. A worker that does not answer within this window
     /// is declared dead and failed over.
     pub io_timeout: Duration,
-    /// Worker-side read timeout. Generous by design: it only reaps
-    /// workers orphaned by a dead coordinator, and must comfortably
-    /// exceed any coordinator think-time between messages.
-    pub worker_idle_timeout: Duration,
     /// How long the coordinator waits for a spawned worker to connect
     /// and complete the handshake.
     pub spawn_timeout: Duration,
-    /// Connect retries a worker makes before giving up (linear backoff).
-    pub connect_retries: u32,
-    /// Base backoff between a worker's connect attempts.
-    pub connect_backoff: Duration,
-    /// Per-connection incoming-frame cap, in bytes.
-    pub max_frame: usize,
     /// Failovers tolerated over the engine's lifetime before the run is
     /// abandoned with [`RemoteError::FailoverExhausted`].
     pub max_failovers: u32,
@@ -131,11 +120,7 @@ impl Default for RemoteConfig {
             transport: RemoteTransport::Tcp,
             spawn: SpawnMode::Threads,
             io_timeout: Duration::from_secs(2),
-            worker_idle_timeout: Duration::from_secs(30),
             spawn_timeout: Duration::from_secs(10),
-            connect_retries: 20,
-            connect_backoff: Duration::from_millis(10),
-            max_frame: DEFAULT_MAX_FRAME,
             max_failovers: 8,
         }
     }
@@ -228,8 +213,7 @@ pub enum RemoteError {
     /// codec failure.
     Engine(EngineError),
     /// A [`RemoteConfig`] field is zero where no deployment can run:
-    /// `io_timeout`, `worker_idle_timeout`, `spawn_timeout` or
-    /// `max_frame`.
+    /// `io_timeout` or `spawn_timeout`.
     Config {
         /// The field's name.
         what: &'static str,
@@ -417,7 +401,7 @@ pub struct RemoteEngine<In: RemoteInput> {
     failovers: u32,
     /// Declared after `listener`, so the listener closes first when the
     /// engine drops: a thread that missed its spawn deadline is refused,
-    /// not left waiting out its idle timeout on an unread connection.
+    /// not left waiting on a connection nobody will accept.
     graveyard: Graveyard,
     /// The one buffer every round frame is encoded into (windows and
     /// failover replay alike), kept across rounds and calls.
@@ -464,9 +448,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
         // A zero here would only surface as worker 0's transport failure.
         let zero = [
             ("io_timeout", rcfg.io_timeout.is_zero()),
-            ("worker_idle_timeout", rcfg.worker_idle_timeout.is_zero()),
             ("spawn_timeout", rcfg.spawn_timeout.is_zero()),
-            ("max_frame", rcfg.max_frame == 0),
         ];
         if let Some(&(what, _)) = zero.iter().find(|(_, zero)| *zero) {
             return Err(RemoteError::Config { what });
@@ -821,9 +803,9 @@ impl<In: RemoteInput> RemoteEngine<In> {
         Ok(lost.collect())
     }
 
-    /// Tear slot `w` down: close its connection (its traffic stays on the
-    /// wire ledger), reap its process, and keep its thread for the final
-    /// join.
+    /// Tear slot `w` down: close its connection, which is what ends a
+    /// worker (its traffic stays on the wire ledger), reap its process,
+    /// and keep its thread for the final join.
     fn bury(&mut self, w: usize) {
         let slot = &mut self.workers[w];
         if let Some(conn) = slot.conn.take() {
@@ -843,14 +825,11 @@ impl<In: RemoteInput> RemoteEngine<In> {
     /// accept its connection, verify the handshake identity, and assign it
     /// its shards with their committed states (none before a first commit).
     fn spawn_worker(&mut self, w: usize, generation: u64) -> Result<(), RemoteError> {
-        let idle = self.rcfg.worker_idle_timeout;
-        let retries = self.rcfg.connect_retries;
-        let backoff = self.rcfg.connect_backoff;
         match self.rcfg.spawn.clone() {
             SpawnMode::Threads => {
                 let ep = self.listener.endpoint().clone();
                 let handle = std::thread::spawn(move || {
-                    let _ = worker::serve(&ep, w as u64, generation, idle, retries, backoff);
+                    let _ = worker::serve(&ep, w as u64, generation);
                 });
                 self.workers[w].thread = Some(handle);
             }
@@ -859,9 +838,6 @@ impl<In: RemoteInput> RemoteEngine<In> {
                     .arg(self.listener.endpoint().to_string())
                     .args(["--worker", &w.to_string()])
                     .args(["--gen", &generation.to_string()])
-                    .args(["--timeout-ms", &idle.as_millis().to_string()])
-                    .args(["--retries", &retries.to_string()])
-                    .args(["--backoff-ms", &backoff.as_millis().to_string()])
                     .stdin(Stdio::null())
                     .spawn()
                     .map_err(|e| RemoteError::Spawn {
@@ -876,7 +852,6 @@ impl<In: RemoteInput> RemoteEngine<In> {
             .listener
             .accept(Some(self.rcfg.spawn_timeout))
             .map_err(map_err)?;
-        conn.set_max_frame(self.rcfg.max_frame);
         conn.set_io_timeout(Some(self.rcfg.io_timeout))
             .map_err(map_err)?;
         let hello = parse_hello(&conn.recv().map_err(map_err)?).map_err(map_err)?;
@@ -970,11 +945,8 @@ impl<In: RemoteInput> RemoteEngine<In> {
 
 impl<In: RemoteInput> Drop for RemoteEngine<In> {
     fn drop(&mut self) {
-        let finish = ToWorker::Finish.to_bytes();
+        // Each worker's next read observes the close and it exits.
         for w in 0..self.workers.len() {
-            // Closing the socket reaps even a worker that never decodes
-            // the Finish (its next read observes the close).
-            let _ = self.workers[w].send(&finish);
             self.bury(w);
         }
         // The fields drop next, in order: the listener, then the
@@ -1200,8 +1172,8 @@ mod tests {
     #[test]
     fn a_worker_late_for_its_spawn_does_not_stall_teardown() {
         // The thread misses the accept deadline; once the constructor
-        // fails it must be refused, not left waiting out its idle timeout
-        // on a connection nobody will read.
+        // fails it must be refused, not left waiting on a connection
+        // nobody will read. Its connect retries take ~2.1 s at most.
         let mut transports = vec![RemoteTransport::Tcp];
         #[cfg(unix)]
         transports.push(RemoteTransport::Uds);
@@ -1215,21 +1187,19 @@ mod tests {
             let err = RemoteEngine::counters(det_spec(2), EngineConfig::new(2, 100), rcfg);
             let elapsed = started.elapsed();
             assert!(matches!(err, Err(RemoteError::Transport { worker: 0, .. })));
-            let idle = RemoteConfig::default().worker_idle_timeout;
-            assert!(elapsed < idle / 3, "{transport:?}: {elapsed:?}");
+            assert!(
+                elapsed < Duration::from_secs(5),
+                "{transport:?}: {elapsed:?}"
+            );
         }
     }
 
     #[test]
     fn zero_valued_config_fields_are_named_not_blamed_on_a_worker() {
         type Zeroing = fn(&mut RemoteConfig);
-        let zeroed: [(&str, Zeroing); 4] = [
+        let zeroed: [(&str, Zeroing); 2] = [
             ("io_timeout", |c| c.io_timeout = Duration::ZERO),
-            ("worker_idle_timeout", |c| {
-                c.worker_idle_timeout = Duration::ZERO
-            }),
             ("spawn_timeout", |c| c.spawn_timeout = Duration::ZERO),
-            ("max_frame", |c| c.max_frame = 0),
         ];
         let cfg = EngineConfig::new(2, 100);
         for (what, zero) in zeroed {
@@ -1243,6 +1213,41 @@ mod tests {
             assert_eq!(err, Some(RemoteError::Config { what }));
             let err = RemoteEngine::counters(det_spec(2), cfg, rcfg).err();
             assert_eq!(err, Some(RemoteError::Config { what }));
+        }
+    }
+
+    #[test]
+    fn an_idle_gap_costs_no_failover() {
+        // Two calls a gap of twice the failure detector apart: a worker
+        // has no timer of its own, so the quiet link between calls is no
+        // death.
+        let feeds = walk_feeds(4, 8_000);
+        let cfg = EngineConfig::new(4, 250).workers(2);
+        let half = |second: bool| -> Vec<(usize, &[i64])> {
+            let halves = feeds.iter().map(|(s, v)| (*s, v.split_at(v.len() / 2)));
+            halves
+                .map(|(s, (head, tail))| (s, if second { tail } else { head }))
+                .collect()
+        };
+        let mut transports = vec![RemoteTransport::Tcp];
+        #[cfg(unix)]
+        transports.push(RemoteTransport::Uds);
+        for transport in transports {
+            let rcfg = RemoteConfig {
+                transport,
+                io_timeout: Duration::from_millis(200),
+                ..RemoteConfig::default()
+            };
+            let gap = 2 * rcfg.io_timeout;
+            let mut local = ShardedEngine::counters(det_spec(4), cfg).unwrap();
+            let mut remote = RemoteEngine::counters(det_spec(4), cfg, rcfg).unwrap();
+            local.run_parted(&half(false)).unwrap();
+            remote.run_parted(&half(false)).unwrap();
+            std::thread::sleep(gap);
+            let local_report = local.run_parted(&half(true)).unwrap();
+            let report = remote.run_parted(&half(true)).unwrap();
+            assert!(remote.events().is_empty(), "{transport:?}");
+            assert_same_run(&mut remote, &report, &mut local, &local_report);
         }
     }
 

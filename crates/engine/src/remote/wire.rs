@@ -25,7 +25,7 @@ pub const WIRE_MAGIC: [u8; 4] = *b"DSVR";
 /// decoders read exactly this version; any other is a typed
 /// [`CodecError::UnsupportedVersion`], surfaced before any shard state
 /// moves (`MIGRATION.md`, format policy).
-pub const WIRE_VERSION: u16 = 7;
+pub const WIRE_VERSION: u16 = 8;
 
 /// One shard's inputs for one round — the per-problem input payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,8 +149,6 @@ pub enum ToWorker {
         /// The (dirty) shards to snapshot, ascending.
         shards: Vec<usize>,
     },
-    /// Shut down cleanly.
-    Finish,
 }
 
 impl ToWorker {
@@ -192,7 +190,6 @@ impl ToWorker {
                     enc.usize(sid);
                 }
             }
-            ToWorker::Finish => enc.u8(5),
         }
         enc.into_bytes()
     }
@@ -231,7 +228,6 @@ impl ToWorker {
                 let shards = (0..n).map(|_| dec.usize()).collect::<Result<_, _>>()?;
                 ToWorker::Checkpoint { shards }
             }
-            5 => ToWorker::Finish,
             tag => {
                 return Err(CodecError::BadTag {
                     what: "coordinator message",
@@ -431,7 +427,7 @@ mod tests {
                 ],
             },
             ToWorker::Checkpoint { shards: vec![0, 2] },
-            ToWorker::Finish,
+            ToWorker::Checkpoint { shards: vec![] },
         ];
         let to_coord = vec![
             ToCoord::AssignAck {
@@ -517,9 +513,9 @@ mod tests {
         // (v1: untagged states and flag-less pulls; v2: before the
         // `Rounds` envelope; v3: with it; v4: delta-or-full state pulls;
         // v5: `Attach` and the shard count in `Assign`; v6: shard-keyed
-        // report entries and states).
+        // report entries and states; v7: `Finish`).
         let (to_worker, to_coord) = sample_messages();
-        assert_eq!(WIRE_VERSION, 7);
+        assert_eq!(WIRE_VERSION, 8);
         for old in 1..WIRE_VERSION {
             let refused = CodecError::UnsupportedVersion {
                 found: old,
@@ -542,7 +538,7 @@ mod tests {
 
     #[test]
     fn envelope_and_tag_corruption_are_specific_errors() {
-        let bytes = ToWorker::Finish.to_bytes();
+        let bytes = ToWorker::Checkpoint { shards: vec![] }.to_bytes();
         let mut alien = bytes.clone();
         alien[0] = b'X';
         assert!(matches!(

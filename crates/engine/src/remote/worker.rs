@@ -6,7 +6,9 @@
 //! `dsv-shard-server` binary). The worker is a pure protocol server: its
 //! spec, shard set and restore states all arrive in one
 //! [`ToWorker::Assign`], so a replacement, once assigned and replayed, is
-//! indistinguishable from the process it replaces.
+//! indistinguishable from the process it replaces. It lives as long as its
+//! connection: it sets no timeout and exits when the coordinator closes
+//! the link, drops the engine or dies.
 
 use super::wire::{Chunk, Inputs, ShardInit, ToCoord, ToWorker};
 use crate::round::ingest_run;
@@ -14,6 +16,13 @@ use dsv_core::api::{ItemTracker, Problem, ResumeError, Tracker, TrackerSpec};
 use dsv_net::transport::{hello_bytes, Conn, Endpoint, Role, TransportError};
 use std::collections::BTreeMap;
 use std::time::Duration;
+
+/// Connect retries a worker makes before giving up; the waits grow
+/// linearly from [`CONNECT_BACKOFF`], ~2.1 s in all.
+const CONNECT_RETRIES: u32 = 20;
+
+/// The first wait between a worker's connect attempts.
+const CONNECT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// A worker-side replica of either problem family.
 enum AnyTracker {
@@ -23,8 +32,8 @@ enum AnyTracker {
 
 /// A worker that cannot serve, as a typed error (process exit path).
 #[derive(Debug)]
-pub enum WorkerError {
-    /// The transport failed (connect, frame I/O, timeout).
+pub(crate) enum WorkerError {
+    /// The transport failed (connect or frame I/O).
     Transport(TransportError),
     /// The coordinator sent something the protocol forbids.
     Protocol(&'static str),
@@ -59,23 +68,14 @@ fn make_tracker(spec: &TrackerSpec, init: &ShardInit) -> Result<AnyTracker, Resu
     })
 }
 
-/// Serve one coordinator connection until `Finish`, EOF, or idle timeout.
+/// Serve one coordinator connection until it closes.
 ///
 /// `worker` and `generation` identify this spawn in the transport
-/// handshake; `idle_timeout` bounds every read, so a worker orphaned by a
-/// dead coordinator exits instead of leaking.
-pub fn serve(
-    ep: &Endpoint,
-    worker: u64,
-    generation: u64,
-    idle_timeout: Duration,
-    connect_retries: u32,
-    connect_backoff: Duration,
-) -> Result<(), WorkerError> {
-    let mut conn = Conn::connect(ep, connect_retries, connect_backoff)?;
-    conn.set_io_timeout(Some(idle_timeout))?;
+/// handshake.
+pub(crate) fn serve(ep: &Endpoint, worker: u64, generation: u64) -> Result<(), WorkerError> {
+    let mut conn = Conn::connect(ep, CONNECT_RETRIES, CONNECT_BACKOFF)?;
     match serve_conn(&mut conn, worker, generation) {
-        // The coordinator severed the link or went away (possibly while a
+        // The coordinator closed the link or went away (possibly while a
         // reply was in flight): exit quietly — a replacement worker will
         // be assigned from checkpoint.
         Err(WorkerError::Transport(TransportError::Closed { .. })) => Ok(()),
@@ -154,54 +154,36 @@ fn serve_conn(conn: &mut Conn, worker: u64, generation: u64) -> Result<(), Worke
                 }
                 conn.send(&ToCoord::CheckpointReport { states }.to_bytes())?;
             }
-            ToWorker::Finish => return Ok(()),
         }
     }
 }
 
 /// Entry point for the `dsv-shard-server` binary. Parses
-/// `<endpoint> --worker N --gen N [--timeout-ms N] [--retries N]
-/// [--backoff-ms N]`, serves, and returns the process exit code (0 on a
-/// clean finish, 2 on usage errors, 1 on serve failures).
+/// `<endpoint> --worker N --gen N`, serves, and returns the process exit
+/// code (0 once the coordinator closes the link, 2 on usage errors, 1 on
+/// serve failures).
 pub fn shard_server_main() -> i32 {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse_args(&args) {
         Err(usage) => {
             eprintln!("dsv-shard-server: {usage}");
-            eprintln!(
-                "usage: dsv-shard-server <tcp:addr:port|unix:/path> --worker N --gen N \
-                 [--timeout-ms N] [--retries N] [--backoff-ms N]"
-            );
+            eprintln!("usage: dsv-shard-server <tcp:addr:port|unix:/path> --worker N --gen N");
             2
         }
-        Ok((ep, worker, generation, timeout_ms, retries, backoff_ms)) => {
-            match serve(
-                &ep,
-                worker,
-                generation,
-                Duration::from_millis(timeout_ms),
-                retries,
-                Duration::from_millis(backoff_ms),
-            ) {
-                Ok(()) => 0,
-                Err(e) => {
-                    eprintln!("dsv-shard-server (worker {worker}): {e}");
-                    1
-                }
+        Ok((ep, worker, generation)) => match serve(&ep, worker, generation) {
+            Ok(()) => 0,
+            Err(e) => {
+                eprintln!("dsv-shard-server (worker {worker}): {e}");
+                1
             }
-        }
+        },
     }
 }
 
-type ParsedArgs = (Endpoint, u64, u64, u64, u32, u64);
-
-fn parse_args(args: &[String]) -> Result<ParsedArgs, String> {
+fn parse_args(args: &[String]) -> Result<(Endpoint, u64, u64), String> {
     let mut endpoint = None;
     let mut worker = None;
     let mut generation = None;
-    let mut timeout_ms = 30_000u64;
-    let mut retries = 10u32;
-    let mut backoff_ms = 10u64;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut flag_value = |name: &str| {
@@ -212,9 +194,6 @@ fn parse_args(args: &[String]) -> Result<ParsedArgs, String> {
         match arg.as_str() {
             "--worker" => worker = Some(parse_num(flag_value("--worker")?, "--worker")?),
             "--gen" => generation = Some(parse_num(flag_value("--gen")?, "--gen")?),
-            "--timeout-ms" => timeout_ms = parse_num(flag_value("--timeout-ms")?, "--timeout-ms")?,
-            "--retries" => retries = parse_num(flag_value("--retries")?, "--retries")?,
-            "--backoff-ms" => backoff_ms = parse_num(flag_value("--backoff-ms")?, "--backoff-ms")?,
             other if endpoint.is_none() && !other.starts_with("--") => {
                 endpoint =
                     Some(Endpoint::parse(other).map_err(|_| format!("bad endpoint `{other}`"))?);
@@ -222,76 +201,65 @@ fn parse_args(args: &[String]) -> Result<ParsedArgs, String> {
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
-    if timeout_ms == 0 {
-        return Err("--timeout-ms must be positive".to_string());
-    }
     Ok((
         endpoint.ok_or("missing endpoint")?,
         worker.ok_or("missing --worker")?,
         generation.ok_or("missing --gen")?,
-        timeout_ms,
-        retries,
-        backoff_ms,
     ))
 }
 
-fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
+fn parse_num(s: &str, what: &str) -> Result<u64, String> {
     s.parse().map_err(|_| format!("{what}: bad number `{s}`"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsv_net::transport::{parse_hello, Listener};
 
     #[test]
     fn args_parse_and_reject() {
-        let ok = |args: &[&str]| {
-            parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
-        };
-        let (ep, w, g, t, r, b) = ok(&[
+        let args = |args: &[&str]| args.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let ok = parse_args(&args(&[
             "tcp:127.0.0.1:9000",
             "--worker",
             "3",
             "--gen",
             "2",
-            "--timeout-ms",
-            "500",
-            "--retries",
-            "4",
-            "--backoff-ms",
-            "7",
-        ]);
+        ]));
+        let (ep, w, g) = ok.unwrap();
         assert_eq!(ep, Endpoint::parse("tcp:127.0.0.1:9000").unwrap());
-        assert_eq!((w, g, t, r, b), (3, 2, 500, 4, 7));
+        assert_eq!((w, g), (3, 2));
 
-        let err = |args: &[&str]| {
-            parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap_err()
-        };
+        let err = |a: &[&str]| parse_args(&args(a)).unwrap_err();
         assert!(err(&[]).contains("missing endpoint"));
         assert!(err(&["tcp:127.0.0.1:1", "--worker", "0"]).contains("missing --gen"));
         assert!(err(&["nope:addr", "--worker", "0", "--gen", "0"]).contains("bad endpoint"));
         assert!(err(&["tcp:a:1", "--worker", "x", "--gen", "0"]).contains("bad number"));
-        let too_many = [
-            "tcp:a:1",
-            "--worker",
-            "0",
-            "--gen",
-            "0",
-            "--retries",
-            "4294967297",
-        ];
-        assert!(err(&too_many).contains("--retries: bad number"));
-        let no_timeout = [
-            "tcp:a:1",
-            "--worker",
-            "0",
-            "--gen",
-            "0",
-            "--timeout-ms",
-            "0",
-        ];
-        assert!(err(&no_timeout).contains("--timeout-ms must be positive"));
-        assert!(err(&["tcp:a:1", "--worker", "0", "--gen", "0", "--bogus"])
-            .contains("unexpected argument"));
+        assert!(err(&["tcp:a:1", "--worker", "0", "--gen"]).contains("--gen needs a value"));
+        // The worker has no tunables: the flags that once set them are
+        // usage errors like any other.
+        for gone in ["--timeout-ms", "--retries", "--backoff-ms", "--bogus"] {
+            let rejected = err(&["tcp:a:1", "--worker", "0", "--gen", "0", gone, "5"]);
+            assert!(
+                rejected.contains("unexpected argument"),
+                "{gone}: {rejected}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_worker_serves_until_its_connection_is_dropped() {
+        let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".to_string())).unwrap();
+        let ep = listener.endpoint().clone();
+        let worker = std::thread::spawn(move || serve(&ep, 4, 1));
+        let mut conn = listener.accept(Some(Duration::from_secs(5))).unwrap();
+        let hello = parse_hello(&conn.recv().unwrap()).unwrap();
+        assert_eq!(
+            (hello.role, hello.worker, hello.generation),
+            (Role::Worker, 4, 1)
+        );
+        drop(conn);
+        assert!(worker.join().unwrap().is_ok());
     }
 }

@@ -4,15 +4,16 @@
 //! failover drills):
 //!
 //! ```text
-//! dsv-shard-server <tcp:addr:port|unix:/path> --worker N --gen N \
-//!     [--timeout-ms N] [--retries N] [--backoff-ms N]
+//! dsv-shard-server <tcp:addr:port|unix:/path> --worker N --gen N
 //! ```
 //!
 //! The process connects back to the coordinator's endpoint with bounded
 //! retry, handshakes its `(worker, generation)` identity, then serves
-//! shard assignments, rounds, and checkpoint snapshots until told to
-//! finish (exit 0), the link closes (exit 0 — a replacement inherits the
-//! shards from checkpoint), or the protocol is violated (exit 1).
+//! shard assignments, rounds, and checkpoint snapshots for as long as the
+//! connection lives. It sets no timeout: it exits 0 once the coordinator
+//! closes the link, drops its engine or dies (a replacement inherits the
+//! shards from checkpoint), 1 if the protocol is violated, and 2 on any
+//! other argument.
 
 #![forbid(unsafe_code)]
 

@@ -9,7 +9,7 @@
 //! yield typed errors, never panics.
 
 use dsv::engine::remote::wire::{Chunk, Inputs, ToCoord, ToWorker};
-use dsv::net::transport::{hello_bytes, parse_hello, Role};
+use dsv::net::transport::{hello_bytes, parse_hello, Endpoint, Listener, Role};
 use dsv::prelude::*;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -283,6 +283,40 @@ fn repeated_deaths_and_an_exhausted_budget() {
         Err(RemoteError::FailoverExhausted { worker: 0 }) => {}
         other => panic!("expected FailoverExhausted, got {other:?}"),
     }
+}
+
+/// A worker process lives as long as its connection: once the
+/// coordinator drops it, the process sees EOF and exits cleanly. Nothing
+/// else reaps a worker, so a leak here is a process that never exits.
+#[test]
+fn a_dropped_connection_ends_the_worker_process() {
+    let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".to_string())).unwrap();
+    let mut child = std::process::Command::new(server_bin())
+        .arg(listener.endpoint().to_string())
+        .args(["--worker", "2", "--gen", "5"])
+        .spawn()
+        .unwrap();
+    let mut conn = listener.accept(Some(Duration::from_secs(10))).unwrap();
+    let hello = parse_hello(&conn.recv().unwrap()).unwrap();
+    assert_eq!(
+        (hello.role, hello.worker, hello.generation),
+        (Role::Worker, 2, 5)
+    );
+    drop(conn);
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        match child.try_wait().unwrap() {
+            Some(status) => break Some(status),
+            None if std::time::Instant::now() >= deadline => break None,
+            None => std::thread::sleep(Duration::from_millis(10)),
+        }
+    };
+    if status.is_none() {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
+    assert_eq!(status.and_then(|s| s.code()), Some(0), "{status:?}");
 }
 
 /// Every-byte corruption of the new wire surfaces: handshake frames and
