@@ -10,7 +10,8 @@
 # smoke run of the repository benchmark, benchmark/run.sh), the
 # 150-word cap on the top CHANGES.md entry, a Rust line count per crate
 # (target/ci/loc.json, all lines and non-test lines) with ratchets on the
-# EngineConfig and RemoteConfig field counts, and rustdoc. Fails fast on
+# EngineConfig and RemoteConfig field counts and the wire-format count,
+# and rustdoc. Fails fast on
 # the first broken step, and prints a per-step wall-clock summary at the
 # end (also emitted to $GITHUB_STEP_SUMMARY under Actions) so gate-time
 # regressions are visible in PRs.
@@ -383,7 +384,7 @@ step "CHANGES.md top entry <= 150 words"
 words=$(grep -m1 '^- ' CHANGES.md | wc -w)
 [ "$words" -le 150 ] || { echo "top CHANGES.md entry is $words words (limit 150)"; exit 1; }
 
-step "loc (Rust lines per crate + EngineConfig / RemoteConfig fields -> target/ci/loc.json; fields <= 8 / 5)"
+step "loc (Rust lines per crate + EngineConfig / RemoteConfig fields + wire formats -> target/ci/loc.json; <= 8 / 5 / 6)"
 # "Net-negative" as a recorded number: lines of Rust per crate (the root
 # facade is src/ + tests/ + examples/), excluding the standalone
 # benchmark/ package, the vendored crates/compat/ stand-ins and target/.
@@ -393,7 +394,9 @@ step "loc (Rust lines per crate + EngineConfig / RemoteConfig fields -> target/c
 # Beside them, the knob counts: the fields of `pub struct EngineConfig`
 # and of `pub struct RemoteConfig`, ratchets: the step fails above
 # MAX_ENGINE_CONFIG_FIELDS / MAX_REMOTE_CONFIG_FIELDS, so a new knob has
-# to retire an old one.
+# to retire an old one. And the wire formats: the `*_MAGIC: [u8; 4]`
+# constants under src/ and crates/, ratchet MAX_WIRE_FORMATS, so a new
+# envelope has to retire one too.
 rust_lines() { find "$@" -name '*.rs' -print0 | xargs -0 cat | wc -l | tr -d ' '; }
 nontest_lines() {
     find "$@" -name '*.rs' -not -path '*/tests/*' \
@@ -408,6 +411,7 @@ struct_fields() {
 }
 engine_config_fields=$(struct_fields EngineConfig crates/engine/src/config.rs)
 remote_config_fields=$(struct_fields RemoteConfig crates/engine/src/remote/mod.rs)
+wire_formats=$(grep -rhE --include='*.rs' '_MAGIC: \[u8; 4\]' src crates | wc -l | tr -d ' ')
 {
     n=$(rust_lines src tests examples)
     m=$(nontest_lines src examples)
@@ -426,8 +430,8 @@ remote_config_fields=$(struct_fields RemoteConfig crates/engine/src/remote/mod.r
         printf ', "dsv-%s": %s' "$crate" "$n"
     done
     printf ', "total": %s, "nontest": {%s, "total": %s}' "$total" "$nontest" "$nontest_total"
-    printf ', "engine_config_fields": %s, "remote_config_fields": %s}\n' \
-        "$engine_config_fields" "$remote_config_fields"
+    printf ', "engine_config_fields": %s, "remote_config_fields": %s, "wire_formats": %s}\n' \
+        "$engine_config_fields" "$remote_config_fields" "$wire_formats"
 } > target/ci/loc.json
 cat target/ci/loc.json
 MAX_ENGINE_CONFIG_FIELDS=8
@@ -438,6 +442,11 @@ MAX_ENGINE_CONFIG_FIELDS=8
 MAX_REMOTE_CONFIG_FIELDS=5
 [ "$remote_config_fields" -le "$MAX_REMOTE_CONFIG_FIELDS" ] || {
     echo "RemoteConfig has $remote_config_fields fields (ratchet: $MAX_REMOTE_CONFIG_FIELDS)"
+    exit 1
+}
+MAX_WIRE_FORMATS=6
+[ "$wire_formats" -le "$MAX_WIRE_FORMATS" ] || {
+    echo "$wire_formats wire formats (ratchet: $MAX_WIRE_FORMATS)"
     exit 1
 }
 

@@ -1,4 +1,4 @@
-//! Incremental checkpoint store: chained `DSVD` deltas over shard states.
+//! Incremental checkpoint store: chained section diffs over shard states.
 //!
 //! [`crate::ShardedEngine::checkpoint`] serializes every dirty shard in
 //! full at each boundary, even though the paper's protocols keep most
@@ -8,18 +8,20 @@
 //! logical shard it keeps a full **base** snapshot payload plus a bounded
 //! chain of [`StateDelta`] links, each the section-aware diff of the new
 //! snapshot bytes against the previous ones. A shard whose snapshot did
-//! not move contributes an [identity](StateDelta::is_identity) link a few
-//! bytes long — which is exactly what the engine's clean-shard skip
-//! produces, so the two optimizations compose.
+//! not move contributes an identity link — one tag byte per section
+//! after the result pin — which is exactly what the engine's clean-shard
+//! skip produces, so the two optimizations compose.
 //!
 //! **Chain and rebase invariants.** The first boundary is always a base.
 //! With [`rebase`](CheckpointStore::rebase_period) `K > 0` a fresh base
 //! is forced after every `K` chained deltas, so
 //! [`materialize`](CheckpointStore::materialize) replays at most `K`
-//! links; `K = 0` chains forever. Every link records the byte length and
-//! FNV-1a fingerprint of both its base and its result, checked at decode
-//! time (without applying) and again at apply time — a broken, reordered,
-//! or wrong-base link is a typed error, never silent corruption, and a
+//! links; `K = 0` chains forever. Every link pins the byte length and
+//! fingerprint of its result, and every result byte is built from the
+//! base byte at the same offset, so a broken, reordered, or wrong-base
+//! link rebuilds bytes that miss the pin: a typed error, never silent
+//! corruption. Decoding replays every chain once, so such a store is
+//! refused at [`from_bytes`](CheckpointStore::from_bytes), and a
 //! materialized boundary is **bit-identical** to the
 //! [`EngineCheckpoint`] that was recorded (held by
 //! `tests/delta_checkpoint.rs` for all ten kinds).
@@ -27,14 +29,15 @@
 //! Boundary metadata — time, ground-truth `f`, and the merge-coordinator
 //! blob — is tiny next to shard states and is stored in full per
 //! boundary. The store's own wire form (`b"DSVS"`, [`STORE_VERSION`])
-//! gets the same robustness treatment as every other envelope:
-//! truncation, corruption, version skew, and incoherent chains all
-//! decode to typed [`CodecError`]s (held by `tests/codec_robustness.rs`).
+//! owns the version of the diffs nested in it and gets the same
+//! robustness treatment as every other envelope: truncation,
+//! corruption, version skew, and incoherent chains all decode to typed
+//! [`CodecError`]s (held by `tests/codec_robustness.rs`).
 
 use dsv_core::api::TrackerKind;
 use dsv_core::codec::{kind_from_tag, kind_tag, TrackerState};
 use dsv_net::codec::{CodecError, Dec, Enc};
-use dsv_net::{fingerprint, StateDelta, Time};
+use dsv_net::{StateDelta, Time};
 
 use crate::checkpoint::EngineCheckpoint;
 use crate::config::EngineError;
@@ -43,11 +46,12 @@ use crate::config::EngineError;
 pub const STORE_MAGIC: [u8; 4] = *b"DSVS";
 
 /// Current checkpoint-store format version. Bump on **any** layout
-/// change (and see `MIGRATION.md`); nested deltas carry their own `DSVD`
-/// version independently. Base links hold **bare** tracker payloads
-/// (no `DSVT` envelope), so this moves with
-/// `dsv_core::codec::STATE_VERSION`: version 2 is state version 2.
-pub const STORE_VERSION: u16 = 2;
+/// change (and see `MIGRATION.md`), including one of the bare
+/// [`StateDelta`] encoding its delta links hold. Base links hold
+/// **bare** tracker payloads (no `DSVT` envelope), so this moves with
+/// `dsv_core::codec::STATE_VERSION`: version 3 is state version 2 with
+/// bare delta links.
+pub const STORE_VERSION: u16 = 3;
 
 /// One shard's contribution to one retained boundary.
 #[derive(Debug, Clone, PartialEq)]
@@ -214,18 +218,16 @@ impl CheckpointStore {
         let mut links = Vec::with_capacity(self.shards);
         for (s, state) in ckpt.states().iter().enumerate() {
             let payload = state.payload();
-            if fresh_base {
-                links.push(Link::Base(payload.to_vec()));
+            links.push(if fresh_base {
+                Link::Base(payload.to_vec())
             } else {
-                let delta = StateDelta::diff(&self.prev[s], payload);
-                if delta.is_identity() {
-                    self.stats.identity_links += 1;
-                }
-                links.push(Link::Delta(delta));
-            }
+                Link::Delta(StateDelta::diff(&self.prev[s], payload))
+            });
             if self.prev[s] != payload {
                 self.prev[s].clear();
                 self.prev[s].extend_from_slice(payload);
+            } else if !fresh_base {
+                self.stats.identity_links += 1;
             }
         }
         let boundary = Boundary {
@@ -317,13 +319,11 @@ impl CheckpointStore {
     }
 
     /// Decode the versioned wire form, requiring exact consumption and a
-    /// coherent chain: boundary times strictly increasing, every shard's
-    /// first link a base, and every delta link's recorded base
-    /// length/fingerprint equal to the previous link's result — so a
-    /// reordered or cross-wired chain is rejected *here*, before any
-    /// delta is applied. The surviving chains are then replayed once to
-    /// rebuild the diff bases, which also verifies every result
-    /// fingerprint.
+    /// coherent chain: boundary times strictly increasing and every
+    /// shard's first link a base. The chains are then replayed once to
+    /// rebuild the diff bases, which checks every link's result against
+    /// its pin — so a reordered or cross-wired chain is rejected *here*,
+    /// not at [`materialize`](Self::materialize).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut dec = Dec::new(bytes);
         let found = dec.magic(STORE_MAGIC, STORE_VERSION)?;
@@ -365,9 +365,8 @@ impl CheckpointStore {
             });
         }
         let mut boundaries = Vec::with_capacity(n);
-        // Per-shard (length, fingerprint) of the previous link's result —
-        // the chain-coherence check, no delta application needed.
-        let mut tip: Vec<Option<(u64, u64)>> = vec![None; shards];
+        // Which shards' chains have opened with a base.
+        let mut based = vec![false; shards];
         let mut last_time = 0u64;
         for bi in 0..n {
             let time = dec.u64()?;
@@ -382,37 +381,18 @@ impl CheckpointStore {
             let f = dec.i64()?;
             let merge = dec.blob()?.to_vec();
             let mut links = Vec::with_capacity(shards);
-            for shard_tip in tip.iter_mut() {
+            for based in based.iter_mut() {
                 match dec.u8()? {
                     1 => {
-                        let payload = dec.blob()?.to_vec();
-                        *shard_tip = Some((payload.len() as u64, fingerprint(&payload)));
-                        links.push(Link::Base(payload));
+                        *based = true;
+                        links.push(Link::Base(dec.blob()?.to_vec()));
                     }
-                    2 => {
-                        let delta = StateDelta::decode(&mut dec)?;
-                        let Some((len, hash)) = *shard_tip else {
-                            return Err(CodecError::BadValue {
-                                what: "store chain start (delta before any base)",
-                            });
-                        };
-                        if delta.base_len() != len {
-                            return Err(CodecError::Mismatch {
-                                what: "store chain link base length",
-                                expected: len,
-                                found: delta.base_len(),
-                            });
-                        }
-                        if delta.base_hash() != hash {
-                            return Err(CodecError::Mismatch {
-                                what: "store chain link base fingerprint",
-                                expected: hash,
-                                found: delta.base_hash(),
-                            });
-                        }
-                        *shard_tip = Some((delta.new_len(), delta.new_hash()));
-                        links.push(Link::Delta(delta));
+                    2 if !*based => {
+                        return Err(CodecError::BadValue {
+                            what: "store chain start (delta before any base)",
+                        })
                     }
+                    2 => links.push(Link::Delta(StateDelta::decode(&mut dec)?)),
                     tag => {
                         return Err(CodecError::BadTag {
                             what: "store chain link",
@@ -430,7 +410,7 @@ impl CheckpointStore {
         }
         dec.finish()?;
         // Rebuild the diff bases by replaying each shard's chain once
-        // (this also verifies every delta's result fingerprint), and
+        // (this also checks every link's result against its pin), and
         // recover how deep the current chain is for the rebase invariant.
         let mut prev = vec![Vec::new(); shards];
         for boundary in &boundaries {

@@ -1312,7 +1312,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet_codec::WireFold;
     use dsv_core::codec::CodecError;
 
     fn spec() -> TrackerSpec {
@@ -1508,13 +1507,11 @@ mod tests {
 
     #[test]
     fn streamed_parent_fingerprint_equals_the_hash_of_the_image() {
-        let fold = |bytes: &[u8]| {
-            let mut fold = WireFold::new();
-            fold.update(bytes);
-            fold.finish()
-        };
         let check = |ckpt: &FleetCheckpoint| {
-            assert_eq!(ckpt.wire_fingerprint(), fold(&ckpt.to_bytes()));
+            assert_eq!(
+                ckpt.wire_fingerprint(),
+                dsv_net::fingerprint(&ckpt.to_bytes())
+            );
         };
         // No key at all; then keys in one shard only (the rest empty).
         let mut fleet = CounterFleet::counters(spec(), cfg()).unwrap();
@@ -1536,7 +1533,7 @@ mod tests {
             fleet.update(t % 61, 1).unwrap();
         }
         let delta = fleet.checkpoint_delta(&parent).unwrap();
-        assert_eq!(delta.parent_hash, fold(&parent.to_bytes()));
+        assert_eq!(delta.parent_hash, dsv_net::fingerprint(&parent.to_bytes()));
         check(&delta.apply(&parent).unwrap());
     }
 
@@ -1809,16 +1806,17 @@ mod tests {
         ));
         // The v2 wire form: today's layout around slot payloads that
         // still carried the block log (`DSVT` v1); the v3 wire form:
-        // today's layout with the delta's parent pinned by FNV-1a. Only
-        // the version word tells — and it is enough, for both table
-        // variants.
+        // today's layout with the delta's parent pinned by FNV-1a; the
+        // v4 wire form: changed slots' state diffs in their own `DSVD`
+        // envelope with a base pin. Only the version word tells — and it
+        // is enough, for both table variants.
         let parent = fleet.checkpoint().unwrap();
         fleet.update(3, 1).unwrap();
         let delta = fleet.checkpoint_delta(&parent).unwrap();
         let refused = Some(CodecError::BadValue {
             what: "fleet format version (only the current generation is read)",
         });
-        for version in [2u16, 3] {
+        for version in [2u16, 3, 4] {
             let restamp = |mut bytes: Vec<u8>| {
                 bytes[4..6].copy_from_slice(&version.to_le_bytes());
                 bytes

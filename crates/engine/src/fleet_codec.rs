@@ -10,7 +10,7 @@
 
 use dsv_core::api::TrackerKind;
 use dsv_core::codec::{kind_from_tag, kind_tag, CodecError, Dec, Enc};
-use dsv_net::{CommStats, StateDelta, Time};
+use dsv_net::{CommStats, Fingerprint, StateDelta, Time};
 
 use crate::config::EngineError;
 
@@ -24,10 +24,10 @@ pub const FLEET_MAGIC: [u8; 4] = *b"DSVF";
 /// parent-anchored [`FleetDelta`] table. Decoders read exactly this
 /// version (`MIGRATION.md`, format policy). Slot spans hold **bare**
 /// tracker payloads, so this moves with
-/// `dsv_core::codec::STATE_VERSION`: version 4 is state version 2, with
-/// a delta's parent pinned by a private 64-bit word fold instead of
-/// FNV-1a.
-pub const FLEET_VERSION: u16 = 4;
+/// `dsv_core::codec::STATE_VERSION`: version 5 is state version 2, with
+/// a delta's parent pinned by [`dsv_net::fingerprint`] and each changed
+/// slot's [`StateDelta`] nested bare.
+pub const FLEET_VERSION: u16 = 5;
 
 /// `DSVF` shard-table variant: every slot record in full.
 const TABLE_FULL: u8 = 1;
@@ -65,92 +65,6 @@ fn open_table<'a>(
 /// Wire bytes of a slot record before its state: five scalars and the
 /// state blob's length prefix.
 const ROW_BYTES: usize = 48;
-
-/// The multiplier of [`WireFold`]'s word step (odd, so the step is a
-/// bijection of the running value), and the value it starts from.
-const FOLD_K: u64 = 0x9E37_79B9_7F4A_7C15;
-const FOLD_SEED: u64 = 0x243F_6A88_85A3_08D3;
-
-/// A 64-bit fold over a byte stream, eight bytes per multiply: the pin a
-/// [`FleetDelta`] records for its parent's full wire form. Fed piece by
-/// piece in order, it equals the fold of the whole image (a partial word
-/// carries across pieces), so the parent is pinned without building its
-/// image. Each step is a bijection of the running value, so two images
-/// of one length that differ in a single word always fold apart; the
-/// total length is folded in at the end, and a final mix spreads every
-/// bit over the result.
-#[derive(Debug)]
-pub(crate) struct WireFold {
-    h: u64,
-    /// The first `fill` bytes of an unfinished word, little-endian, the
-    /// bits above them zero: what the next piece completes.
-    carry: u64,
-    fill: usize,
-    len: u64,
-}
-
-impl WireFold {
-    pub(crate) fn new() -> Self {
-        WireFold {
-            h: FOLD_SEED,
-            carry: 0,
-            fill: 0,
-            len: 0,
-        }
-    }
-
-    fn step(h: u64, word: u64) -> u64 {
-        (h.rotate_left(23) ^ word).wrapping_mul(FOLD_K)
-    }
-
-    /// Fold the next `bytes` of the stream in. A piece that starts
-    /// mid-word is read word by word all the same, each word shifted
-    /// into place behind the carried bytes.
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
-        self.len += bytes.len() as u64;
-        let shift = 8 * self.fill as u32;
-        let mut words = bytes.chunks_exact(8);
-        let mut h = self.h;
-        if shift == 0 {
-            for word in &mut words {
-                h = Self::step(h, u64::from_le_bytes(word.try_into().expect("8 bytes")));
-            }
-        } else {
-            for word in &mut words {
-                let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
-                h = Self::step(h, self.carry | word << shift);
-                self.carry = word >> (64 - shift);
-            }
-        }
-        let rest = words.remainder();
-        let mut last = [0; 8];
-        last[..rest.len()].copy_from_slice(rest);
-        let last = u64::from_le_bytes(last);
-        self.fill += rest.len();
-        if self.fill >= 8 {
-            h = Self::step(h, self.carry | last << shift);
-            self.carry = last >> (64 - shift);
-            self.fill -= 8;
-        } else {
-            self.carry |= last << shift;
-        }
-        self.h = h;
-    }
-
-    /// The pin of everything fed so far.
-    pub(crate) fn finish(self) -> u64 {
-        let mut h = self.h;
-        if self.fill > 0 {
-            h = Self::step(h, self.carry);
-        }
-        h = Self::step(h, self.len);
-        h ^= h >> 30;
-        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h ^= h >> 27;
-        h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
-        h ^ (h >> 31)
-    }
-}
 
 /// One slot's checkpointed scalars: identity, audited scalars, and the
 /// length of its state payload, which is the slot's span of its shard
@@ -260,7 +174,7 @@ impl ShardTable {
     /// pins the table in the same pass.
     fn pinned_slots<'a>(
         &'a self,
-        pin: &'a mut WireFold,
+        pin: &'a mut Fingerprint,
     ) -> impl Iterator<Item = (&'a SlotRow, &'a [u8])> {
         pin.update(&(self.rows.len() as u64).to_le_bytes());
         self.slots().inspect(move |(row, state)| {
@@ -444,10 +358,10 @@ impl FleetCheckpoint {
         out
     }
 
-    /// The [`WireFold`] of [`to_bytes`](Self::to_bytes), fed straight
+    /// The [`Fingerprint`] of [`to_bytes`](Self::to_bytes), fed straight
     /// from the tables: the image is never built.
     pub(crate) fn wire_fingerprint(&self) -> u64 {
-        let mut fold = WireFold::new();
+        let mut fold = Fingerprint::new();
         fold.update(&self.head_bytes());
         for table in &self.shards {
             table.pieces(&mut |bytes| fold.update(bytes));
@@ -558,13 +472,13 @@ impl DeltaShard {
 /// Build one with [`TrackerFleet::checkpoint_delta`](crate::fleet::TrackerFleet::checkpoint_delta) (or
 /// [`FleetDelta::between`] two explicit checkpoints); reconstruct the
 /// child, bit-identically, with [`apply`](Self::apply) against the same
-/// parent. The parent is pinned by a 64-bit word fold over its full wire
-/// form, so applying against the wrong parent — or a tampered one — is
-/// a typed [`CodecError::Mismatch`], never silent corruption. Fleet slot
-/// slabs are append-only per shard, so the parent's records are a
-/// positional prefix of the child's: unchanged slots cost one tag byte,
-/// touched slots a section-aware [`StateDelta`], and only keys that
-/// first applied an update since the parent ship in full.
+/// parent. The parent is pinned by the [`dsv_net::fingerprint`] of its
+/// full wire form, so applying against the wrong parent — or a tampered
+/// one — is a typed [`CodecError::Mismatch`], never silent corruption.
+/// Fleet slot slabs are append-only per shard, so the parent's records
+/// are a positional prefix of the child's: unchanged slots cost one tag
+/// byte, touched slots a section-aware [`StateDelta`], and only keys
+/// that first applied an update since the parent ship in full.
 #[derive(Debug, Clone)]
 pub struct FleetDelta {
     pub(crate) parent_time: Time,
@@ -632,7 +546,7 @@ impl FleetDelta {
         }
         // The parent is pinned in the pass that compares it, so its
         // states are read from memory once.
-        let mut pin = WireFold::new();
+        let mut pin = Fingerprint::new();
         pin.update(&parent.head_bytes());
         let mut shards = Vec::with_capacity(child.shards.len());
         for (pt, ct) in parent.shards.iter().zip(&child.shards) {
@@ -687,7 +601,7 @@ impl FleetDelta {
     /// as an ancestor: a chain `prev = delta.apply(&prev)` stays on the
     /// dirty path.
     pub fn apply(&self, parent: &FleetCheckpoint) -> Result<FleetCheckpoint, CodecError> {
-        let mut pin = WireFold::new();
+        let mut pin = Fingerprint::new();
         let child = self.rebuild(parent, &mut pin);
         // The parent is pinned in the pass that copies it. A wrong parent
         // is reported as one, whichever check it tripped first.
@@ -710,7 +624,7 @@ impl FleetDelta {
     fn rebuild(
         &self,
         parent: &FleetCheckpoint,
-        pin: &mut WireFold,
+        pin: &mut Fingerprint,
     ) -> Result<FleetCheckpoint, CodecError> {
         if self.shards.len() != parent.shards.len() {
             return Err(CodecError::Mismatch {
@@ -899,63 +813,9 @@ mod tests {
     use crate::fleet::CounterFleet;
     use dsv_core::api::TrackerSpec;
 
-    fn fold(bytes: &[u8]) -> u64 {
-        let mut fold = WireFold::new();
-        fold.update(bytes);
-        fold.finish()
-    }
-
-    /// `len` bytes of an arbitrary image.
-    fn image(len: usize) -> Vec<u8> {
-        let mut state = 0x5EED_u64;
-        (0..len)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (state >> 56) as u8
-            })
-            .collect()
-    }
-
     fn fleet() -> CounterFleet {
         let spec = TrackerSpec::new(TrackerKind::Deterministic).eps(0.1);
         CounterFleet::counters(spec, EngineConfig::new(4, 8).eps(0.1)).unwrap()
-    }
-
-    #[test]
-    fn the_pin_is_the_same_at_every_split_point() {
-        let img = image(1029);
-        let whole = fold(&img);
-        for cut in 0..=img.len() {
-            let mut fold = WireFold::new();
-            fold.update(&img[..cut]);
-            fold.update(&img[cut..]);
-            assert_eq!(fold.finish(), whole, "split at {cut}");
-        }
-        // Many short pieces, each leaving a partial word to the next.
-        for width in [1, 3, 7, 9, 48] {
-            let mut fold = WireFold::new();
-            for piece in img.chunks(width) {
-                fold.update(piece);
-            }
-            assert_eq!(fold.finish(), whole, "pieces of {width}");
-        }
-    }
-
-    #[test]
-    fn appending_a_zero_byte_changes_the_pin() {
-        for len in [0, 1, 7, 8, 9, 1024] {
-            let img = image(len);
-            let mut longer = img.clone();
-            longer.push(0);
-            assert_ne!(fold(&img), fold(&longer), "{len} bytes");
-        }
-    }
-
-    #[test]
-    fn the_empty_image_has_a_fixed_pin() {
-        assert_eq!(fold(&[]), 0x3463_0F3F_F819_1DA6);
     }
 
     #[test]

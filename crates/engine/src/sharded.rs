@@ -407,11 +407,13 @@ where
     /// [`CheckpointStore`], returning the recorded boundary time. The
     /// clean-shard skip composes with delta encoding: a shard that
     /// consumed no inputs reuses its cached snapshot verbatim, so the
-    /// store diffs two identical payloads and records a few-byte
-    /// [identity link](dsv_net::StateDelta::is_identity). The store
-    /// chains every boundary as deltas; its rebase period is the one it
-    /// was built with — `CheckpointStore::new(cfg.delta_rebase_period())`
-    /// takes [`EngineConfig::delta_rebase`]'s, where the default 0 chains
+    /// store diffs two identical payloads and records an identity link:
+    /// its result pin and one tag byte per section (counted in
+    /// [`DeltaStats::identity_links`](crate::DeltaStats::identity_links)).
+    /// The store chains every boundary as deltas; its rebase period is
+    /// the one it was built with —
+    /// `CheckpointStore::new(cfg.delta_rebase_period())` takes
+    /// [`EngineConfig::delta_rebase`]'s, where the default 0 chains
     /// deltas without ever taking a fresh base.
     pub fn checkpoint_into(&mut self, store: &mut CheckpointStore) -> Result<Time, EngineError> {
         let ckpt = self.checkpoint()?;

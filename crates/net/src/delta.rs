@@ -1,4 +1,5 @@
-//! `DSVD` — section-aware binary deltas between state snapshots.
+//! Section diffs between state snapshots, and the one fold that pins
+//! checkpoint bytes.
 //!
 //! The checkpoint formats built on [`crate::codec`] serialize each shard's
 //! full `TrackerState` at every boundary, but the paper's protocols
@@ -8,77 +9,133 @@
 //! that moved: the new snapshot is cut into fixed
 //! [`DELTA_SECTION`]-byte sections, each section either references the
 //! base snapshot unchanged (`Same`) or carries its XOR against the
-//! base, zero-run-length encoded (`Diff`). A
-//! quiet shard whose snapshot bytes did not move at all encodes to an
-//! [identity](StateDelta::is_identity) delta a few bytes long.
+//! base, zero-run-length encoded (`Diff`). A quiet shard whose snapshot
+//! bytes did not move encodes to one tag byte per section.
 //!
 //! Deltas chain: `base → d₁ → d₂ → …`, each delta diffed against the
-//! *previous* snapshot. Every delta records the byte length and FNV-1a
-//! fingerprint of both its base and its result, so applying a delta to
-//! the wrong base (a broken or reordered chain link) is a typed
-//! [`CodecError::Mismatch`], never silent corruption — and a verified
-//! [`apply`](StateDelta::apply) is **bit-identical** by construction: it
-//! rebuilds the exact new snapshot bytes, or fails.
+//! *previous* snapshot. **A delta pins only its result**: it records the
+//! result's byte length and [`fingerprint`], nothing about its base.
+//! Every result byte is the base byte at the same offset, copied or
+//! XORed, so a wrong base (a broken or reordered chain link) rebuilds
+//! wrong bytes, and [`apply`](StateDelta::apply) refuses them with one
+//! check after the rebuild: a typed [`CodecError::Mismatch`], never
+//! silent corruption. A verified apply is **bit-identical** by
+//! construction: it rebuilds the exact new snapshot bytes, or fails.
 //!
-//! The wire form is a versioned envelope (`b"DSVD"`, [`DELTA_VERSION`])
-//! through the same [`Enc`]/[`Dec`] discipline as every other format in
-//! this crate: truncation, corruption, version skew, and inconsistent
+//! The encoding is bare — no magic, no version. A delta only ever
+//! travels nested in a format that owns both (`DSVS` store links,
+//! `DSVF` changed slots), through [`StateDelta::encode`] /
+//! [`StateDelta::decode`] and the same [`Enc`]/[`Dec`] discipline as
+//! every format in this crate: truncation, corruption and inconsistent
 //! shapes all decode to typed [`CodecError`]s; nothing panics, and a
 //! corrupted length cannot demand more than [`DELTA_SECTION`]× the
 //! payload's own size in allocation.
 
 use crate::codec::{CodecError, Dec, Enc};
 
-/// Magic bytes opening a serialized [`StateDelta`].
-pub const DELTA_MAGIC: [u8; 4] = *b"DSVD";
-
-/// Current delta format version. Bump on **any** layout change (and see
-/// `MIGRATION.md`).
-pub const DELTA_VERSION: u16 = 1;
-
 /// Section width of the diff, in bytes. Snapshot payloads are compared
 /// in fixed windows this wide; a window with any changed byte ships its
 /// XOR, an untouched window ships one tag byte.
 pub const DELTA_SECTION: usize = 64;
 
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The multiplier of [`Fingerprint`]'s word step (odd, so the step is a
+/// bijection of the running value), and the value it starts from.
+const FOLD_K: u64 = 0x9E37_79B9_7F4A_7C15;
+const FOLD_SEED: u64 = 0x243F_6A88_85A3_08D3;
 
-/// The 64-bit FNV-1a fingerprint of `bytes` — the chain-integrity hash
-/// [`StateDelta`] records for its base and its result.
+/// The [`Fingerprint`] of `bytes`: the pin a [`StateDelta`] records for
+/// its result and a `FleetDelta` for its parent's wire form.
 pub fn fingerprint(bytes: &[u8]) -> u64 {
     let mut fold = Fingerprint::new();
     fold.update(bytes);
     fold.finish()
 }
 
-/// [`fingerprint`] as an incremental fold: feeding an image piece by
-/// piece, in order, yields the fingerprint of the whole — so a large
-/// wire form can be pinned without being materialized.
+/// A 64-bit fold over a byte stream, eight bytes per multiply. Fed
+/// piece by piece in order, it equals the fold of the whole image (a
+/// partial word carries across pieces), so a large wire form is pinned
+/// without being built. Each step is a bijection of the running value,
+/// so two images of one length that differ in a single word always fold
+/// apart; the total length is folded in at the end, and a final mix
+/// spreads every bit over the result.
+///
+/// Its methods are `#[inline]`: the fleet codec feeds it per slot, in
+/// pieces of known size, from another crate.
 #[derive(Debug, Clone, Copy)]
-pub struct Fingerprint(u64);
+pub struct Fingerprint {
+    h: u64,
+    /// The first `fill` bytes of an unfinished word, little-endian, the
+    /// bits above them zero: what the next piece completes.
+    carry: u64,
+    fill: usize,
+    len: u64,
+}
 
 impl Fingerprint {
     /// The fold over no bytes yet.
+    #[inline]
     pub fn new() -> Self {
-        Fingerprint(FNV_OFFSET)
+        Fingerprint {
+            h: FOLD_SEED,
+            carry: 0,
+            fill: 0,
+            len: 0,
+        }
     }
 
-    /// Fold the next `bytes` of the image in.
+    #[inline]
+    fn step(h: u64, word: u64) -> u64 {
+        (h.rotate_left(23) ^ word).wrapping_mul(FOLD_K)
+    }
+
+    /// Fold the next `bytes` of the stream in. A piece that starts
+    /// mid-word is read word by word all the same, each word shifted
+    /// into place behind the carried bytes.
+    #[inline]
     pub fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
+        self.len += bytes.len() as u64;
+        let shift = 8 * self.fill as u32;
+        let mut words = bytes.chunks_exact(8);
+        let mut h = self.h;
+        if shift == 0 {
+            for word in &mut words {
+                h = Self::step(h, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+            }
+        } else {
+            for word in &mut words {
+                let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+                h = Self::step(h, self.carry | word << shift);
+                self.carry = word >> (64 - shift);
+            }
         }
-        self.0 = h;
+        let rest = words.remainder();
+        let mut last = [0; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        let last = u64::from_le_bytes(last);
+        self.fill += rest.len();
+        if self.fill >= 8 {
+            h = Self::step(h, self.carry | last << shift);
+            self.carry = last >> (64 - shift);
+            self.fill -= 8;
+        } else {
+            self.carry |= last << shift;
+        }
+        self.h = h;
     }
 
     /// The fingerprint of everything fed so far.
+    #[inline]
     pub fn finish(self) -> u64 {
-        self.0
+        let mut h = self.h;
+        if self.fill > 0 {
+            h = Self::step(h, self.carry);
+        }
+        h = Self::step(h, self.len);
+        h ^= h >> 30;
+        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h ^= h >> 27;
+        h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
+        h ^ (h >> 31)
     }
 }
 
@@ -86,21 +143,6 @@ impl Default for Fingerprint {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// [`fingerprint`] of `a` and of `b` at once: the two FNV-1a chains
-/// step in one loop, so each one's multiply latency hides the other's.
-fn fingerprint_pair(a: &[u8], b: &[u8]) -> (u64, u64) {
-    let n = a.len().min(b.len());
-    let (mut ha, mut hb) = (FNV_OFFSET, FNV_OFFSET);
-    for (&x, &y) in a[..n].iter().zip(&b[..n]) {
-        ha = (ha ^ x as u64).wrapping_mul(FNV_PRIME);
-        hb = (hb ^ y as u64).wrapping_mul(FNV_PRIME);
-    }
-    let (mut fa, mut fb) = (Fingerprint(ha), Fingerprint(hb));
-    fa.update(&a[n..]);
-    fb.update(&b[n..]);
-    (fa.finish(), fb.finish())
 }
 
 /// One section's fate in a delta.
@@ -117,15 +159,15 @@ enum SectionOp {
 /// A section-aware binary delta from one snapshot to the next.
 ///
 /// Produced by [`diff`](StateDelta::diff), applied by
-/// [`apply`](StateDelta::apply) (which verifies the base *and* the
-/// result against recorded lengths and fingerprints), serialized by
-/// [`to_bytes`](StateDelta::to_bytes) / [`from_bytes`](StateDelta::from_bytes).
+/// [`apply`](StateDelta::apply) (which verifies the result against the
+/// recorded length and fingerprint), written and read nested in a
+/// container format by [`encode`](StateDelta::encode) /
+/// [`decode`](StateDelta::decode).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateDelta {
-    base_len: u64,
-    base_hash: u64,
     new_len: u64,
     new_hash: u64,
+    /// One op per section of the result: `new_len.div_ceil(DELTA_SECTION)`.
     ops: Vec<SectionOp>,
 }
 
@@ -198,8 +240,7 @@ impl StateDelta {
     /// Diff `new` against `base`: one pass over `new` in
     /// [`DELTA_SECTION`]-byte windows, comparing each against the base's
     /// bytes at the same offsets (zero-extended where the base is
-    /// shorter). Identical inputs yield an [identity](Self::is_identity)
-    /// delta.
+    /// shorter). Identical inputs yield a delta of `Same` sections only.
     pub fn diff(base: &[u8], new: &[u8]) -> Self {
         let mut ops = Vec::with_capacity(section_count(new.len() as u64) as usize);
         let mut xor = [0; DELTA_SECTION];
@@ -223,38 +264,18 @@ impl StateDelta {
             rle_encode(xor, &mut rle);
             ops.push(SectionOp::Diff(rle.clone()));
         }
-        let (base_hash, new_hash) = fingerprint_pair(base, new);
         StateDelta {
-            base_len: base.len() as u64,
-            base_hash,
             new_len: new.len() as u64,
-            new_hash,
+            new_hash: fingerprint(new),
             ops,
         }
     }
 
     /// Apply this delta to `base`, reconstructing the exact new snapshot
-    /// bytes. The base is verified against the recorded length and
-    /// fingerprint **before** any work (a wrong or out-of-order base is a
-    /// typed [`CodecError::Mismatch`]), and the result is verified after
-    /// (a chain whose links were tampered with cannot produce silently
-    /// wrong bytes).
+    /// bytes. The rebuilt bytes are checked against the recorded
+    /// fingerprint: a wrong or out-of-order base, or a tampered delta,
+    /// is a typed [`CodecError::Mismatch`], never silently wrong bytes.
     pub fn apply(&self, base: &[u8]) -> Result<Vec<u8>, CodecError> {
-        if base.len() as u64 != self.base_len {
-            return Err(CodecError::Mismatch {
-                what: "delta base length",
-                expected: self.base_len,
-                found: base.len() as u64,
-            });
-        }
-        let found = fingerprint(base);
-        if found != self.base_hash {
-            return Err(CodecError::Mismatch {
-                what: "delta base fingerprint",
-                expected: self.base_hash,
-                found,
-            });
-        }
         let new_len = self.new_len as usize;
         let mut out = Vec::with_capacity(new_len);
         let mut xor = Vec::with_capacity(DELTA_SECTION);
@@ -297,29 +318,10 @@ impl StateDelta {
         self.new_hash
     }
 
-    /// Byte length of the base this delta applies to.
-    pub fn base_len(&self) -> u64 {
-        self.base_len
-    }
-
-    /// Fingerprint of the base this delta applies to.
-    pub fn base_hash(&self) -> u64 {
-        self.base_hash
-    }
-
-    /// True when the delta carries no change at all: the new snapshot is
-    /// byte-identical to the base (every section `Same`,
-    /// same length, same fingerprint) — the quiet-shard chain link.
-    pub fn is_identity(&self) -> bool {
-        self.base_len == self.new_len
-            && self.base_hash == self.new_hash
-            && self.ops.iter().all(|op| matches!(op, SectionOp::Same))
-    }
-
-    /// Exact length of [`to_bytes`](Self::to_bytes)' output, without
+    /// Exact number of bytes [`encode`](Self::encode) appends, without
     /// encoding — the bench's bytes-per-boundary accounting.
     pub fn encoded_len(&self) -> usize {
-        let mut n = 4 + 2 + 4 * 8 + 8; // envelope + header + section count
+        let mut n = 8 + 8; // result length + result fingerprint
         for op in &self.ops {
             n += match op {
                 SectionOp::Same => 1,
@@ -329,15 +331,11 @@ impl StateDelta {
         n
     }
 
-    /// Append the versioned wire form to an encoder (for embedding in a
-    /// larger payload; see [`to_bytes`](Self::to_bytes) for standalone use).
+    /// Append the bare encoding: the result's length and fingerprint,
+    /// then one op per section (their count follows from the length).
     pub fn encode(&self, enc: &mut Enc) {
-        enc.magic(DELTA_MAGIC, DELTA_VERSION);
-        enc.u64(self.base_len);
-        enc.u64(self.base_hash);
         enc.u64(self.new_len);
         enc.u64(self.new_hash);
-        enc.seq_len(self.ops.len());
         for op in &self.ops {
             match op {
                 SectionOp::Same => enc.u8(0),
@@ -352,27 +350,25 @@ impl StateDelta {
         }
     }
 
-    /// Decode one delta from a decoder positioned at its envelope,
-    /// validating the section count against the recorded new length and
-    /// every run group against its section. Pair with [`Dec::finish`]
-    /// when the delta is the whole payload ([`from_bytes`](Self::from_bytes)
-    /// does both).
+    /// Decode one delta from a decoder positioned at its encoding,
+    /// validating every run group against its section, so a decoded
+    /// delta can only fail [`apply`](Self::apply) on its result, never
+    /// on its own shape. Pair with [`Dec::finish`] when the delta is the
+    /// whole payload.
     pub fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        dec.magic(DELTA_MAGIC, DELTA_VERSION)?;
-        let base_len = dec.u64()?;
-        let base_hash = dec.u64()?;
         let new_len = dec.u64()?;
         let new_hash = dec.u64()?;
-        let n_ops = dec.seq_len("delta sections", 1)?;
-        if n_ops as u64 != section_count(new_len) {
-            return Err(CodecError::Mismatch {
-                what: "delta section count vs new length",
-                expected: section_count(new_len),
-                found: n_ops as u64,
+        // Every section costs at least its tag byte, so a length the rest
+        // of the payload cannot carry is corruption — refused before it
+        // sizes any allocation.
+        let n_ops = section_count(new_len);
+        if n_ops > dec.remaining() as u64 {
+            return Err(CodecError::BadLength {
+                what: "delta result length",
             });
         }
-        let mut ops = Vec::with_capacity(n_ops);
-        for s in 0..n_ops {
+        let mut ops = Vec::with_capacity(n_ops as usize);
+        for s in 0..n_ops as usize {
             match dec.u8()? {
                 0 => ops.push(SectionOp::Same),
                 1 => {
@@ -381,9 +377,6 @@ impl StateDelta {
                     for _ in 0..rle_len {
                         rle.push(dec.u8()?);
                     }
-                    // Validate the run groups now, so a decoded delta can
-                    // only fail `apply` on a wrong base, never on its own
-                    // shape.
                     let lo = s * DELTA_SECTION;
                     let hi = ((s + 1) * DELTA_SECTION).min(new_len as usize);
                     let mut scratch = Vec::with_capacity(hi - lo);
@@ -399,27 +392,10 @@ impl StateDelta {
             }
         }
         Ok(StateDelta {
-            base_len,
-            base_hash,
             new_len,
             new_hash,
             ops,
         })
-    }
-
-    /// Serialize to the versioned standalone wire form.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
-        self.encode(&mut enc);
-        enc.into_bytes()
-    }
-
-    /// Decode the standalone wire form, requiring exact consumption.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut dec = Dec::new(bytes);
-        let delta = Self::decode(&mut dec)?;
-        dec.finish()?;
-        Ok(delta)
     }
 }
 
@@ -427,13 +403,44 @@ impl StateDelta {
 mod tests {
     use super::*;
 
+    fn wire(delta: &StateDelta) -> Vec<u8> {
+        let mut enc = Enc::new();
+        delta.encode(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// Decode a whole payload as one delta, requiring exact consumption.
+    fn unwire(bytes: &[u8]) -> Result<StateDelta, CodecError> {
+        let mut dec = Dec::new(bytes);
+        let delta = StateDelta::decode(&mut dec)?;
+        dec.finish()?;
+        Ok(delta)
+    }
+
+    fn all_same(delta: &StateDelta) -> bool {
+        delta.ops.iter().all(|op| *op == SectionOp::Same)
+    }
+
+    /// `len` bytes of an arbitrary image.
+    fn image(len: usize) -> Vec<u8> {
+        let mut state = 0x5EED_u64;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
     fn apply_round_trip(base: &[u8], new: &[u8]) {
         let delta = StateDelta::diff(base, new);
         assert_eq!(delta.apply(base).unwrap(), new, "apply rebuilds new");
-        let rebuilt = StateDelta::from_bytes(&delta.to_bytes()).unwrap();
+        let rebuilt = unwire(&wire(&delta)).unwrap();
         assert_eq!(rebuilt, delta, "wire round trip");
         assert_eq!(rebuilt.apply(base).unwrap(), new, "decoded apply");
-        assert_eq!(delta.to_bytes().len(), delta.encoded_len());
+        assert_eq!(wire(&delta).len(), delta.encoded_len());
     }
 
     #[test]
@@ -467,16 +474,20 @@ mod tests {
     fn identity_deltas_are_tiny_and_flagged() {
         let base: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
         let delta = StateDelta::diff(&base, &base);
-        assert!(delta.is_identity());
-        // One byte per untouched 64-byte section plus a fixed header.
-        assert!(
-            delta.encoded_len() < base.len() / DELTA_SECTION + 64,
-            "identity delta of {} bytes for a {}-byte state",
+        assert!(all_same(&delta));
+        // One byte per untouched 64-byte section plus the result pin.
+        assert_eq!(
             delta.encoded_len(),
+            16 + base.len().div_ceil(DELTA_SECTION),
+            "identity delta for a {}-byte state",
             base.len()
         );
-        let changed = StateDelta::diff(&base, &base[..99_999]);
-        assert!(!changed.is_identity(), "length change is not identity");
+        assert_eq!(delta.apply(&base).unwrap(), base);
+        // A shorter result of the same bytes is all `Same` too: the pin,
+        // not the sections, says which state it is.
+        let shorter = StateDelta::diff(&base, &base[..99_999]);
+        assert!(all_same(&shorter));
+        assert_ne!(shorter, delta, "length change is not identity");
     }
 
     #[test]
@@ -485,7 +496,7 @@ mod tests {
         let mut new = base.clone();
         new[1000] = 42;
         let delta = StateDelta::diff(&base, &new);
-        assert!(!delta.is_identity());
+        assert!(!all_same(&delta));
         assert!(
             delta.encoded_len() < base.len() / DELTA_SECTION + 128,
             "one flipped byte must not re-ship the state ({} bytes)",
@@ -499,22 +510,17 @@ mod tests {
         let base = vec![1u8; 200];
         let new = vec![2u8; 200];
         let delta = StateDelta::diff(&base, &new);
-        // Wrong length.
-        assert!(matches!(
-            delta.apply(&base[..199]).unwrap_err(),
-            CodecError::Mismatch {
-                what: "delta base length",
-                ..
-            }
-        ));
-        // Right length, wrong bytes.
-        assert!(matches!(
-            delta.apply(&[7u8; 200]).unwrap_err(),
-            CodecError::Mismatch {
-                what: "delta base fingerprint",
-                ..
-            }
-        ));
+        // Wrong length, then right length with wrong bytes: either way
+        // the rebuilt bytes miss the result's pin.
+        for wrong in [&base[..199], &[7u8; 200][..]] {
+            assert!(matches!(
+                delta.apply(wrong).unwrap_err(),
+                CodecError::Mismatch {
+                    what: "delta result fingerprint",
+                    ..
+                }
+            ));
+        }
         // The right base applies.
         assert_eq!(delta.apply(&base).unwrap(), new);
     }
@@ -562,19 +568,16 @@ mod tests {
         let mut new = base.clone();
         new[5] = 0xFF;
         new.push(77);
-        let bytes = StateDelta::diff(&base, &new).to_bytes();
+        let bytes = wire(&StateDelta::diff(&base, &new));
         for cut in 0..bytes.len() {
-            assert!(
-                StateDelta::from_bytes(&bytes[..cut]).is_err(),
-                "cut at {cut}"
-            );
+            assert!(unwire(&bytes[..cut]).is_err(), "cut at {cut}");
         }
         for i in 0..bytes.len() {
             let mut dirty = bytes.clone();
             dirty[i] ^= 0xA5;
             // Must never panic; decoding may succeed, in which case apply
             // still cannot silently fabricate state.
-            if let Ok(delta) = StateDelta::from_bytes(&dirty) {
+            if let Ok(delta) = unwire(&dirty) {
                 if let Ok(out) = delta.apply(&base) {
                     assert_eq!(out, new, "byte {i}");
                 }
@@ -583,40 +586,68 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert_eq!(
-            StateDelta::from_bytes(&trailing).unwrap_err(),
+            unwire(&trailing).unwrap_err(),
             CodecError::Trailing { left: 1 }
         );
-        let mut skew = bytes;
-        skew[4] = (DELTA_VERSION + 1) as u8;
+        // A result length the payload cannot carry sizes nothing.
+        let mut huge = bytes;
+        huge[..8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert_eq!(
-            StateDelta::from_bytes(&skew).unwrap_err(),
-            CodecError::UnsupportedVersion {
-                found: DELTA_VERSION + 1,
-                supported: DELTA_VERSION
+            unwire(&huge).unwrap_err(),
+            CodecError::BadLength {
+                what: "delta result length"
             }
         );
     }
 
     #[test]
     fn fingerprint_is_stable_and_sensitive() {
-        assert_eq!(fingerprint(b""), FNV_OFFSET);
+        // The empty image's pin is fixed, so the fold cannot drift.
+        assert_eq!(fingerprint(b""), 0x3463_0F3F_F819_1DA6);
+        assert_eq!(Fingerprint::default().finish(), fingerprint(b""));
         assert_ne!(fingerprint(b"a"), fingerprint(b"b"));
         assert_ne!(fingerprint(b"ab"), fingerprint(b"ba"));
-        // The published FNV-1a test vector, so the fold cannot drift.
-        assert_eq!(fingerprint(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]
     fn fingerprint_fold_is_cut_invariant() {
-        let image: Vec<u8> = (0..1000u32).map(|i| (i * 31 + 7) as u8).collect();
-        let whole = fingerprint(&image);
-        for cut in [0, 1, 7, 500, 999, 1000] {
+        let img = image(1029);
+        let whole = fingerprint(&img);
+        for cut in 0..=img.len() {
             let mut fold = Fingerprint::new();
-            fold.update(&image[..cut]);
+            fold.update(&img[..cut]);
             fold.update(&[]);
-            fold.update(&image[cut..]);
-            assert_eq!(fold.finish(), whole, "cut at {cut}");
+            fold.update(&img[cut..]);
+            assert_eq!(fold.finish(), whole, "split at {cut}");
         }
-        assert_eq!(Fingerprint::default().finish(), fingerprint(b""));
+        // Many short pieces, each leaving a partial word to the next.
+        for width in [1, 3, 7, 9, 48] {
+            let mut fold = Fingerprint::new();
+            for piece in img.chunks(width) {
+                fold.update(piece);
+            }
+            assert_eq!(fold.finish(), whole, "pieces of {width}");
+        }
+    }
+
+    #[test]
+    fn appending_a_zero_byte_changes_the_pin() {
+        for len in [0, 1, 7, 8, 9, 1024] {
+            let img = image(len);
+            let mut longer = img.clone();
+            longer.push(0);
+            assert_ne!(fingerprint(&img), fingerprint(&longer), "{len} bytes");
+        }
+    }
+
+    #[test]
+    fn every_flipped_byte_changes_the_pin() {
+        let img = image(1029);
+        let whole = fingerprint(&img);
+        for i in 0..img.len() {
+            let mut flipped = img.clone();
+            flipped[i] ^= 0xA5;
+            assert_ne!(fingerprint(&flipped), whole, "byte {i}");
+        }
     }
 }

@@ -39,7 +39,7 @@ pub mod stats;
 pub mod transport;
 
 pub use codec::{CodecError, Dec, Enc};
-pub use delta::{fingerprint, Fingerprint, StateDelta, DELTA_MAGIC, DELTA_SECTION, DELTA_VERSION};
+pub use delta::{fingerprint, Fingerprint, StateDelta, DELTA_SECTION};
 pub use ingest::{FeedFrame, IngestStats};
 pub use message::{MsgKind, MsgRecord, WireSize};
 pub use protocol::{CoordOutbox, CoordinatorNode, DownMsg, Outbox, SiteNode};

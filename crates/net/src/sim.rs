@@ -12,7 +12,7 @@ use crate::protocol::{CoordOutbox, CoordinatorNode, DownMsg, Outbox, SiteNode};
 use crate::stats::CommStats;
 use crate::{SiteId, Time};
 
-/// Default cap on delivery rounds within one timestep. A correct protocol in
+/// Cap on delivery rounds within one timestep. A correct protocol in
 /// this codebase needs at most 3 rounds (update → report → request → reply →
 /// broadcast); hitting the cap indicates a protocol bug, so the simulator
 /// panics rather than looping forever.
@@ -31,7 +31,6 @@ where
     stats: CommStats,
     transcript: Option<Vec<MsgRecord>>,
     time: Time,
-    max_rounds: usize,
     // Round buffers, reused across timesteps. With the outboxes' inline
     // slots (`protocol::INLINE`) the per-message path allocates nothing
     // once these have grown; only an outbox spill (a burst wider than the
@@ -64,7 +63,6 @@ where
             stats: CommStats::new(),
             transcript: None,
             time: 0,
-            max_rounds: DEFAULT_MAX_ROUNDS,
             pending_up: Vec::new(),
             next_up: Vec::new(),
         })
@@ -112,12 +110,6 @@ where
     /// was called.
     pub fn transcript(&self) -> Option<&[MsgRecord]> {
         self.transcript.as_deref()
-    }
-
-    /// Override the per-timestep delivery round cap.
-    pub fn set_max_rounds(&mut self, rounds: usize) {
-        assert!(rounds >= 1);
-        self.max_rounds = rounds;
     }
 
     /// Current coordinator estimate `f̂`.
@@ -252,10 +244,9 @@ where
         while !self.pending_up.is_empty() {
             rounds += 1;
             assert!(
-                rounds <= self.max_rounds,
-                "protocol did not quiesce within {} rounds at t={t} — \
-                 likely a message loop between sites and coordinator",
-                self.max_rounds
+                rounds <= DEFAULT_MAX_ROUNDS,
+                "protocol did not quiesce within {DEFAULT_MAX_ROUNDS} rounds at t={t} — \
+                 likely a message loop between sites and coordinator"
             );
 
             // Deliver site → coordinator messages.

@@ -38,7 +38,7 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"DSVH";
 /// [`CodecError::UnsupportedVersion`] before any protocol traffic flows.
 pub const HANDSHAKE_VERSION: u16 = 1;
 
-/// Default per-connection frame size cap (64 MiB): far above any engine
+/// Per-connection frame size cap (64 MiB): far above any engine
 /// round or checkpoint this workspace produces, far below an allocation
 /// a corrupted length prefix could weaponize.
 pub const DEFAULT_MAX_FRAME: usize = 64 << 20;
@@ -256,16 +256,12 @@ fn write_frame(
 /// One framed, timeout-guarded connection (either side).
 pub struct Conn {
     stream: StreamImpl,
-    max_frame: usize,
     stats: WireStats,
 }
 
 impl std::fmt::Debug for Conn {
     fn fmt(&self, fm: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        fm.debug_struct("Conn")
-            .field("max_frame", &self.max_frame)
-            .field("stats", &self.stats)
-            .finish()
+        fm.debug_struct("Conn").field("stats", &self.stats).finish()
     }
 }
 
@@ -282,7 +278,6 @@ impl Conn {
         }
         Ok(Conn {
             stream,
-            max_frame: DEFAULT_MAX_FRAME,
             stats: WireStats::new(),
         })
     }
@@ -333,12 +328,6 @@ impl Conn {
         }
     }
 
-    /// Cap accepted incoming frames at `max` payload bytes (default
-    /// [`DEFAULT_MAX_FRAME`]).
-    pub fn set_max_frame(&mut self, max: usize) {
-        self.max_frame = max;
-    }
-
     /// Measured traffic on this connection so far.
     pub fn stats(&self) -> &WireStats {
         &self.stats
@@ -369,10 +358,10 @@ impl Conn {
             .read_exact(&mut head)
             .map_err(|e| io_err("recv frame header", e))?;
         let len = u32::from_le_bytes(head) as usize;
-        if len > self.max_frame {
+        if len > DEFAULT_MAX_FRAME {
             return Err(TransportError::FrameTooLarge {
                 len,
-                max: self.max_frame,
+                max: DEFAULT_MAX_FRAME,
             });
         }
         let mut payload = vec![0u8; len];
@@ -774,11 +763,17 @@ mod tests {
     #[test]
     fn oversized_frames_are_rejected_before_allocation() {
         let (mut server, mut client) = tcp_pair();
-        server.set_max_frame(8);
-        client.send(&[0u8; 64]).unwrap();
+        // A bare length prefix one past the cap: no payload follows, so
+        // only a check made before allocating can answer.
+        let len = DEFAULT_MAX_FRAME + 1;
+        let head = (len as u32).to_le_bytes();
+        client.stream.as_read_write().write_all(&head).unwrap();
         assert_eq!(
             server.recv().unwrap_err(),
-            TransportError::FrameTooLarge { len: 64, max: 8 }
+            TransportError::FrameTooLarge {
+                len,
+                max: DEFAULT_MAX_FRAME
+            }
         );
     }
 

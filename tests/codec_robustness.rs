@@ -375,10 +375,19 @@ fn fleet_checkpoints_survive_the_same_gauntlet() {
     assert!(!err.to_string().is_empty());
 }
 
+/// Decode a whole payload as one bare [`StateDelta`], requiring exact
+/// consumption.
+fn decode_delta(bytes: &[u8]) -> Result<StateDelta, CodecError> {
+    let mut dec = dsv::net::Dec::new(bytes);
+    let delta = StateDelta::decode(&mut dec)?;
+    dec.finish()?;
+    Ok(delta)
+}
+
 #[test]
 fn state_deltas_survive_the_gauntlet() {
-    // A DSVD delta between two warm snapshots of the same tracker: the
-    // base mid-stream, the target after more traffic.
+    // A bare section diff between two warm snapshots of the same
+    // tracker: the base mid-stream, the target after more traffic.
     let kind = TrackerKind::Deterministic;
     let spec = TrackerSpec::new(kind).k(3).eps(0.2).deletions(true);
     let mut tracker = spec.build().unwrap();
@@ -397,11 +406,14 @@ fn state_deltas_survive_the_gauntlet() {
 
     let delta = StateDelta::diff(&base, &target);
     assert_eq!(delta.apply(&base).unwrap(), target);
-    let bytes = delta.to_bytes();
+    let mut enc = dsv::net::Enc::new();
+    delta.encode(&mut enc);
+    let bytes = enc.into_bytes();
+    assert_eq!(decode_delta(&bytes).unwrap(), delta);
 
     // Every-byte truncation is a typed error, never a panic.
     for cut in 0..bytes.len() {
-        assert!(StateDelta::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+        assert!(decode_delta(&bytes[..cut]).is_err(), "cut {cut}");
     }
     // Every-byte corruption must not panic; if a flip happens to decode,
     // applying it must either fail typed or still land exactly on a
@@ -410,7 +422,7 @@ fn state_deltas_survive_the_gauntlet() {
     for i in 0..bytes.len() {
         let mut evil = bytes.clone();
         evil[i] ^= 0xA5;
-        if let Ok(d) = StateDelta::from_bytes(&evil) {
+        if let Ok(d) = decode_delta(&evil) {
             if let Ok(out) = d.apply(&base) {
                 assert_eq!(
                     dsv::net::fingerprint(&out),
@@ -420,32 +432,16 @@ fn state_deltas_survive_the_gauntlet() {
             }
         }
     }
-    // Envelope head flips (magic + version) are always rejected.
-    for i in 0..6 {
-        let mut evil = bytes.clone();
-        evil[i] ^= 0xA5;
-        assert!(
-            StateDelta::from_bytes(&evil).is_err(),
-            "delta envelope flip at byte {i} was accepted"
-        );
-    }
-    // Version skew and trailing garbage are the specific typed errors.
-    let mut future = bytes.clone();
-    future[4] = 0x7F;
-    future[5] = 0x01;
-    assert!(matches!(
-        StateDelta::from_bytes(&future),
-        Err(CodecError::UnsupportedVersion { .. })
-    ));
     let mut trailing = bytes.clone();
     trailing.extend_from_slice(&[0, 1]);
     assert!(matches!(
-        StateDelta::from_bytes(&trailing),
+        decode_delta(&trailing),
         Err(CodecError::Trailing { left: 2 })
     ));
 
     // Applying against the wrong base is a typed mismatch, both when the
-    // impostor differs in length and when it merely differs in content.
+    // impostor differs in length and when it merely differs in content:
+    // the rebuilt bytes miss the result's pin.
     let err = delta.apply(&target).unwrap_err();
     assert!(matches!(err, CodecError::Mismatch { .. }), "{err}");
     let mut impostor = base.clone();
@@ -453,7 +449,7 @@ fn state_deltas_survive_the_gauntlet() {
     assert!(matches!(
         delta.apply(&impostor),
         Err(CodecError::Mismatch {
-            what: "delta base fingerprint",
+            what: "delta result fingerprint",
             ..
         })
     ));
@@ -486,12 +482,20 @@ fn checkpoint_store_bytes_survive_the_gauntlet() {
     for cut in 0..bytes.len() {
         assert!(CheckpointStore::from_bytes(&bytes[..cut]).is_err(), "{cut}");
     }
-    // Every-byte corruption must not panic; the chain fingerprints catch
-    // nearly everything, scalar flips may decode — fine either way.
+    // Every-byte corruption must not panic. The decoder replays every
+    // chain against its result pins, so a flip that still decodes (a
+    // scalar, or base bytes no later link reads) leaves a store whose
+    // every boundary materializes.
     for i in 0..bytes.len() {
         let mut evil = bytes.clone();
         evil[i] ^= 0xA5;
-        let _ = CheckpointStore::from_bytes(&evil);
+        if let Ok(store) = CheckpointStore::from_bytes(&evil) {
+            for time in store.boundaries() {
+                if let Err(e) = store.materialize(time) {
+                    panic!("flip at {i}: decoded store cannot materialize t = {time}: {e}");
+                }
+            }
+        }
     }
     // Envelope head flips (magic, version, kind tag) are always rejected.
     for i in 0..7 {
@@ -510,17 +514,20 @@ fn checkpoint_store_bytes_survive_the_gauntlet() {
         CheckpointStore::from_bytes(&future),
         Err(CodecError::UnsupportedVersion { .. })
     ));
-    // `DSVS` v1 base links held bare `DSVT` v1 payloads: refused whole.
-    let mut v1 = bytes.clone();
-    v1[4] = 1;
-    v1[5] = 0;
-    assert_eq!(
-        CheckpointStore::from_bytes(&v1).err(),
-        Some(CodecError::UnsupportedVersion {
-            found: 1,
-            supported: 2
-        })
-    );
+    // `DSVS` v1 base links held bare `DSVT` v1 payloads, and v2 delta
+    // links opened with their own `DSVD` envelope and base pin: both
+    // refused whole.
+    for version in [1u16, 2] {
+        let mut old = bytes.clone();
+        old[4..6].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(
+            CheckpointStore::from_bytes(&old).err(),
+            Some(CodecError::UnsupportedVersion {
+                found: version,
+                supported: 3
+            })
+        );
+    }
     let mut trailing = bytes.clone();
     trailing.extend_from_slice(&[3]);
     assert!(matches!(
@@ -563,6 +570,39 @@ fn checkpoint_store_bytes_survive_the_gauntlet() {
         })
     ));
 
+    // Cross-wired links: shards 0 and 1 of record 2 trade their delta
+    // links. Both still decode, and each names only its result, so it is
+    // the replay that refuses them: shard 1's diff rebuilt on shard 0's
+    // base misses its pin. Record 2 is time, f, the merge blob, then per
+    // shard tag 2 + result length + pin + one op per 64-byte section.
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let link_end = |at: usize| {
+        assert_eq!(bytes[at], 2, "record 2 holds delta links");
+        let mut q = at + 17;
+        for _ in 0..word(at + 1).div_ceil(64) {
+            q += if bytes[q] == 0 {
+                1
+            } else {
+                2 + bytes[q + 1] as usize
+            };
+        }
+        q
+    };
+    let link0 = rec2 + 16 + 8 + word(rec2 + 16);
+    let (link1, link2) = (link_end(link0), link_end(link_end(link0)));
+    let mut crossed = bytes[..link0].to_vec();
+    crossed.extend_from_slice(&bytes[link1..link2]);
+    crossed.extend_from_slice(&bytes[link0..link1]);
+    crossed.extend_from_slice(&bytes[link2..]);
+    assert_eq!(crossed.len(), bytes.len());
+    assert!(matches!(
+        CheckpointStore::from_bytes(&crossed),
+        Err(CodecError::Mismatch {
+            what: "delta result fingerprint",
+            ..
+        })
+    ));
+
     // The untampered bytes still round-trip to a working store.
     let back = CheckpointStore::from_bytes(&bytes).unwrap();
     assert_eq!(back.boundaries(), vec![t1, t2]);
@@ -602,12 +642,19 @@ fn fleet_delta_tables_survive_the_gauntlet() {
     }
     // Every-byte corruption must not panic; a decoded impostor must not
     // apply cleanly onto the true parent unless it still names the
-    // parent's exact fingerprint and arrives at a self-consistent table.
+    // parent's exact fingerprint, every changed state lands on its pin,
+    // and the table is self-consistent: it round-trips as a checkpoint.
     for i in 0..bytes.len() {
         let mut evil = bytes.clone();
         evil[i] ^= 0xA5;
         if let Ok(d) = FleetDelta::from_bytes(&evil) {
-            let _ = d.apply(&parent);
+            if let Ok(rebuilt) = d.apply(&parent) {
+                assert_eq!(
+                    FleetCheckpoint::from_bytes(&rebuilt.to_bytes()).as_ref(),
+                    Ok(&rebuilt),
+                    "flip at {i}"
+                );
+            }
         }
     }
     // Envelope head flips (magic, version, table variant) are rejected.
@@ -634,6 +681,16 @@ fn fleet_delta_tables_survive_the_gauntlet() {
         FleetDelta::from_bytes(&v1),
         Err(CodecError::BadValue { .. } | CodecError::BadTag { .. })
     ));
+    // `DSVF` v4 nested each changed slot's diff in a `DSVD` envelope.
+    let mut v4 = bytes.clone();
+    v4[4] = 4;
+    v4[5] = 0;
+    assert_eq!(
+        FleetDelta::from_bytes(&v4).err(),
+        Some(CodecError::BadValue {
+            what: "fleet format version (only the current generation is read)"
+        })
+    );
     let mut trailing = bytes.clone();
     trailing.extend_from_slice(&[8, 8, 8]);
     assert!(matches!(
