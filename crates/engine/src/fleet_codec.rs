@@ -819,6 +819,32 @@ mod tests {
     }
 
     #[test]
+    fn the_pin_is_the_same_at_every_split_point() {
+        let mut fleet = fleet();
+        for t in 0..120u64 {
+            fleet.update(t % 7, 1 + (t as i64 % 3)).unwrap();
+        }
+        let checkpoint = fleet.checkpoint().unwrap();
+        let img = checkpoint.to_bytes();
+        // The pin fed from the tables is the fold of the built image.
+        let whole = checkpoint.wire_fingerprint();
+        assert_eq!(dsv_net::fingerprint(&img), whole);
+        for cut in 0..=img.len() {
+            let mut fold = Fingerprint::new();
+            fold.update(&img[..cut]);
+            fold.update(&img[cut..]);
+            assert_eq!(fold.finish(), whole, "split at {cut}");
+        }
+    }
+
+    #[test]
+    fn the_empty_image_has_a_fixed_pin() {
+        // Every recorded DSVF delta pins its parent with this fold, so
+        // the fold cannot drift.
+        assert_eq!(Fingerprint::new().finish(), 0x3463_0F3F_F819_1DA6);
+    }
+
+    #[test]
     fn every_flipped_parent_byte_is_a_fingerprint_mismatch() {
         let mut fleet = fleet();
         for t in 0..120u64 {
