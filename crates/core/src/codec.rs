@@ -139,6 +139,15 @@ impl TrackerState {
         enc.blob(&self.payload);
     }
 
+    /// Exact number of bytes [`encode`](Self::encode) appends, without
+    /// encoding: magic, version, kind tag, `k`, then the length-prefixed
+    /// payload. Hidden: it serves the engine's checkpoint byte
+    /// accounting, not callers.
+    #[doc(hidden)]
+    pub fn encoded_len(&self) -> usize {
+        4 + 2 + 1 + 8 + 8 + self.payload.len()
+    }
+
     /// Decode the versioned wire form, requiring the input to be consumed
     /// exactly.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
@@ -151,13 +160,7 @@ impl TrackerState {
     /// Decode one state from an in-progress decoder (the engine
     /// checkpoint's nested form).
     pub fn decode(dec: &mut Dec) -> Result<Self, CodecError> {
-        let found = dec.magic(STATE_MAGIC, STATE_VERSION)?;
-        if found != STATE_VERSION {
-            return Err(CodecError::UnsupportedVersion {
-                found,
-                supported: STATE_VERSION,
-            });
-        }
+        dec.magic(STATE_MAGIC, STATE_VERSION)?;
         let tag = dec.u8()?;
         let kind = kind_from_tag(tag).ok_or(CodecError::BadTag {
             what: "tracker kind",
@@ -194,6 +197,14 @@ mod tests {
         assert_eq!(back.kind(), TrackerKind::Randomized);
         assert_eq!(back.k(), 4);
         assert_eq!(back.payload(), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn encoded_len_is_the_wire_length() {
+        for payload in [vec![], vec![1, 2, 3], vec![7; 300]] {
+            let state = TrackerState::new(TrackerKind::Randomized, 4, payload);
+            assert_eq!(state.encoded_len(), state.to_bytes().len());
+        }
     }
 
     #[test]

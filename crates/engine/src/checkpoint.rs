@@ -102,6 +102,15 @@ impl EngineCheckpoint {
         &self.merge
     }
 
+    /// Exact length of [`to_bytes`](Self::to_bytes), without encoding:
+    /// the envelope head (magic, version, kind tag, `k`, time, `f`), the
+    /// merge blob and the state count, then each nested state as
+    /// [`TrackerState::encoded_len`] counts it.
+    pub(crate) fn encoded_len(&self) -> usize {
+        let states: usize = self.states.iter().map(TrackerState::encoded_len).sum();
+        4 + 2 + 1 + 8 + 8 + 8 + (8 + self.merge.len()) + 8 + states
+    }
+
     /// Serialize to the versioned wire form (what a deployment writes to
     /// stable storage).
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -199,6 +208,15 @@ mod tests {
         assert_eq!(back.shards(), 2);
         assert_eq!(back.time(), 1_000);
         assert_eq!(back.f(), -42);
+    }
+
+    #[test]
+    fn encoded_len_is_the_wire_length() {
+        let mut ckpt = sample();
+        assert_eq!(ckpt.encoded_len(), ckpt.to_bytes().len());
+        ckpt.merge.clear();
+        ckpt.states[0] = TrackerState::new(TrackerKind::Deterministic, 3, vec![]);
+        assert_eq!(ckpt.encoded_len(), ckpt.to_bytes().len());
     }
 
     #[test]

@@ -242,10 +242,8 @@ impl CheckpointStore {
         } else {
             self.since_base += 1;
         }
-        let mut scratch = Enc::new();
-        encode_boundary(&boundary, &mut scratch);
-        self.stats.delta_bytes += scratch.len() as u64;
-        self.stats.full_bytes += ckpt.to_bytes().len() as u64;
+        self.stats.delta_bytes += boundary.encoded_len() as u64;
+        self.stats.full_bytes += ckpt.encoded_len() as u64;
         self.stats.boundaries += 1;
         self.boundaries.push(boundary);
         Ok(())
@@ -326,13 +324,7 @@ impl CheckpointStore {
     /// not at [`materialize`](Self::materialize).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut dec = Dec::new(bytes);
-        let found = dec.magic(STORE_MAGIC, STORE_VERSION)?;
-        if found != STORE_VERSION {
-            return Err(CodecError::UnsupportedVersion {
-                found,
-                supported: STORE_VERSION,
-            });
-        }
+        dec.magic(STORE_MAGIC, STORE_VERSION)?;
         let tag = dec.u8()?;
         let k = dec.usize()?;
         let shards = dec.usize()?;
@@ -439,8 +431,8 @@ impl CheckpointStore {
     }
 }
 
-/// Encode one boundary record (shared by [`CheckpointStore::to_bytes`]
-/// and the per-record byte accounting).
+/// Encode one boundary record for [`CheckpointStore::to_bytes`];
+/// [`Boundary::encoded_len`] must match its output byte for byte.
 fn encode_boundary(boundary: &Boundary, enc: &mut Enc) {
     enc.u64(boundary.time);
     enc.i64(boundary.f);
@@ -456,6 +448,21 @@ fn encode_boundary(boundary: &Boundary, enc: &mut Enc) {
                 delta.encode(enc);
             }
         }
+    }
+}
+
+impl Boundary {
+    /// Exact length of [`encode_boundary`]'s output, without encoding.
+    fn encoded_len(&self) -> usize {
+        let links: usize = self
+            .links
+            .iter()
+            .map(|link| match link {
+                Link::Base(payload) => 1 + 8 + payload.len(),
+                Link::Delta(delta) => 1 + delta.encoded_len(),
+            })
+            .sum();
+        8 + 8 + (8 + self.merge.len()) + links
     }
 }
 
@@ -516,6 +523,44 @@ mod tests {
         assert_eq!(store.stats().bases, 2);
         assert_eq!(store.stats().boundaries, 4);
         assert!(store.stats().full_bytes > store.stats().delta_bytes);
+    }
+
+    #[test]
+    fn computed_lengths_are_the_encoded_lengths() {
+        // Rebase every 2: a base boundary, a delta boundary, then an
+        // identity boundary (nothing ran, a later time).
+        let mut engine = engine();
+        let mut store = CheckpointStore::new(2);
+        let mut ckpts = Vec::new();
+        for chunk in stream(2 * 1024, 4).chunks(1024) {
+            engine.run(chunk).unwrap();
+            ckpts.push(engine.checkpoint().unwrap());
+        }
+        let last = ckpts.last().unwrap();
+        ckpts.push(EngineCheckpoint::new(
+            last.kind(),
+            last.k(),
+            last.time() + 1,
+            last.f(),
+            last.merge().to_vec(),
+            last.states().to_vec(),
+        ));
+        for ckpt in &ckpts {
+            store.record(ckpt).unwrap();
+            assert_eq!(ckpt.encoded_len(), ckpt.to_bytes().len());
+            let boundary = store.boundaries.last().unwrap();
+            let mut enc = Enc::new();
+            encode_boundary(boundary, &mut enc);
+            assert_eq!(boundary.encoded_len(), enc.len());
+        }
+        let links = |i: usize| &store.boundaries[i].links;
+        assert!(links(0).iter().all(|l| matches!(l, Link::Base(_))));
+        assert!(links(1).iter().all(|l| matches!(l, Link::Delta(_))));
+        assert_eq!(
+            store.stats().identity_links,
+            3,
+            "the last boundary is quiet"
+        );
     }
 
     #[test]

@@ -22,11 +22,14 @@
 //!   *snapshots* it, so cache capacity is a pure execution knob: any
 //!   capacity ≥ 1 yields bit-identical estimates, ledgers, and
 //!   checkpoint bytes.
-//! * **Keyed batching** — updates stage in per-shard chains grouped by
-//!   key and apply at batch boundaries (every
-//!   [`crate::EngineConfig::new`] `batch` updates), each key receiving
-//!   its staged chain as same-site runs through `update_run`, the seam
-//!   the sharded engine feeds. Batch segmentation never changes
+//! * **Keyed batching** — updates stage as runs: a burst of updates to
+//!   one key at one site is one run, a span of the shard's flat input
+//!   buffer, and a key's runs chain in arrival order. A one-entry memo
+//!   keeps the open run, so the rest of a burst is a push and a length
+//!   bump. Runs apply at batch boundaries (every
+//!   [`crate::EngineConfig::new`] `batch` updates), each run of a key's
+//!   chain through one `update_run`, the seam the sharded engine feeds,
+//!   straight from the buffer. Batch segmentation never changes
 //!   results (`tests/batch_proptests.rs` holds that for every kind), so
 //!   boundary-cut consistency survives keying.
 //! * **Fleet queries** — [`estimate`](TrackerFleet::estimate),
@@ -177,7 +180,7 @@ struct Slot {
     len: u32,
     /// Cache entry owning this slot's live tracker (`NONE_U32` if frozen).
     cached: u32,
-    /// Staged-update chain (indices into the shard's staging buffer).
+    /// Staged-run chain (indices into the shard's `runs`).
     head: u32,
     tail: u32,
     /// Last boundary estimate `f̂(t)` for this key.
@@ -202,11 +205,22 @@ impl Slot {
     }
 }
 
-/// One staged keyed update: a link in its slot's arrival-order chain.
-struct Staged<In> {
+/// One staged burst: `len` consecutive updates of one key at one site,
+/// `inputs[start..start + len]` in the shard's staging buffer, and a link
+/// in its slot's arrival-order chain of runs.
+#[derive(Clone, Copy)]
+struct Run {
+    start: u32,
+    len: u32,
     site: u32,
-    input: In,
     next: u32,
+}
+
+impl Run {
+    /// Where the run's inputs sit in the shard's staging buffer.
+    fn span(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 /// A live tracker absorbing one slot's updates until evicted.
@@ -255,13 +269,13 @@ struct ShardSlab<T, In> {
     cache: Vec<CacheEntry<T>>,
     /// Clock hand for second-chance eviction.
     clock: usize,
-    staged: Vec<Staged<In>>,
+    /// Staged inputs in arrival order; each run owns a contiguous span.
+    inputs: Vec<In>,
+    runs: Vec<Run>,
     /// Slots with a non-empty staged chain, in first-touch order.
     touched: Vec<u32>,
     /// Scratch for rehydrating frozen payloads without allocating.
     scratch: TrackerState,
-    run_buf: Vec<In>,
-    site_buf: Vec<u32>,
 }
 
 impl<T, In> ShardSlab<T, In>
@@ -277,11 +291,10 @@ where
             garbage: 0,
             cache: Vec::new(),
             clock: 0,
-            staged: Vec::new(),
+            inputs: Vec::new(),
+            runs: Vec::new(),
             touched: Vec::new(),
             scratch: TrackerState::new(kind, k, Vec::new()),
-            run_buf: Vec::new(),
-            site_buf: Vec::new(),
         }
     }
 
@@ -307,31 +320,42 @@ where
         sid
     }
 
-    /// Stage one update in its slot's arrival-order chain; returns the
-    /// slot id so bursty callers can route follow-ups via
-    /// [`stage_at`](Self::stage_at) without re-probing the index.
-    fn stage(&mut self, key: u64, site: SiteId, input: In) -> u32 {
-        let sid = self.slot_for(key);
-        self.stage_at(sid, site, input);
-        sid
-    }
-
-    /// Stage one update for an already-resolved slot.
-    fn stage_at(&mut self, sid: u32, site: SiteId, input: In) {
-        let at = self.staged.len() as u32;
-        self.staged.push(Staged {
-            site: site as u32,
-            input,
+    /// Stage `input` as a new run at the tail of slot `sid`'s chain;
+    /// returns the run so the update's successors in the same burst can
+    /// [`extend_run`](Self::extend_run) it.
+    fn open_run(&mut self, sid: u32, site: u32, input: In) -> u32 {
+        let run = self.runs.len() as u32;
+        self.runs.push(Run {
+            start: self.inputs.len() as u32,
+            len: 1,
+            site,
             next: NONE_U32,
         });
+        self.inputs.push(input);
         let slot = &mut self.slots[sid as usize];
         if slot.head == NONE_U32 {
-            slot.head = at;
+            slot.head = run;
             self.touched.push(sid);
         } else {
-            self.staged[slot.tail as usize].next = at;
+            self.runs[slot.tail as usize].next = run;
         }
-        self.slots[sid as usize].tail = at;
+        slot.tail = run;
+        run
+    }
+
+    /// Stage `input` onto `run`, which must be the last run this shard
+    /// opened and the last one any update went to: its span then ends
+    /// where `inputs` does.
+    #[inline]
+    fn extend_run(&mut self, run: u32, input: In) {
+        let run = &mut self.runs[run as usize];
+        debug_assert_eq!(
+            run.span().end,
+            self.inputs.len(),
+            "an extended run is the shard's open run"
+        );
+        run.len += 1;
+        self.inputs.push(input);
     }
 
     /// Snapshot cache entry `ci`'s tracker onto the end of the arena
@@ -421,8 +445,10 @@ where
     }
 
     /// Apply every staged chain at a batch boundary: group-by-key is the
-    /// chain itself, and each key's same-site runs go through
-    /// `update_run`, the seam the sharded engine feeds.
+    /// chain itself, and each run goes through one `update_run`, the seam
+    /// the sharded engine feeds, straight from the staged slice. How a
+    /// key's updates split into runs never changes results (the
+    /// `update_run` segmentation contract).
     fn apply(
         &mut self,
         eps: f64,
@@ -434,17 +460,6 @@ where
         let mut out = ApplyOut::new();
         let touched = std::mem::take(&mut self.touched);
         for &sid in &touched {
-            self.run_buf.clear();
-            self.site_buf.clear();
-            let mut cursor = self.slots[sid as usize].head;
-            let mut delta = 0i64;
-            while cursor != NONE_U32 {
-                let st = &self.staged[cursor as usize];
-                delta += st.input.delta_of();
-                self.run_buf.push(st.input);
-                self.site_buf.push(st.site);
-                cursor = st.next;
-            }
             // A key's first-ever application charges the build-time
             // traffic its standalone twin would have on the ledger.
             if self.slots[sid as usize].len == FRESH && self.slots[sid as usize].cached == NONE_U32
@@ -454,22 +469,23 @@ where
             let ci = self.materialize(sid, factory, proto, cap)?;
             let entry = &mut self.cache[ci];
             let before = entry.tracker.stats().clone();
-            // The chain in same-site runs (one for a k = 1 key).
             let mut est = entry.tracker.estimate();
-            let mut start = 0;
-            for run in self.site_buf.chunk_by(|a, b| a == b) {
-                let end = start + run.len();
-                est = entry
-                    .tracker
-                    .update_run(run[0] as usize, &self.run_buf[start..end]);
-                start = end;
+            let (mut delta, mut applied) = (0i64, 0u64);
+            let mut cursor = self.slots[sid as usize].head;
+            while cursor != NONE_U32 {
+                let run = self.runs[cursor as usize];
+                let inputs = &self.inputs[run.span()];
+                delta += inputs.iter().map(|input| input.delta_of()).sum::<i64>();
+                applied += inputs.len() as u64;
+                est = entry.tracker.update_run(run.site as usize, inputs);
+                cursor = run.next;
             }
             out.stats_delta.merge(&entry.tracker.stats().since(&before));
             let slot = &mut self.slots[sid as usize];
             slot.f += delta;
-            slot.updates += self.run_buf.len() as u64;
+            slot.updates += applied;
             out.f_delta += delta;
-            out.updates += self.run_buf.len() as u64;
+            out.updates += applied;
             out.est_delta += est - slot.estimate;
             slot.estimate = est;
             slot.head = NONE_U32;
@@ -485,7 +501,8 @@ where
                 out.violations += 1;
             }
         }
-        self.staged.clear();
+        self.inputs.clear();
+        self.runs.clear();
         self.touched = touched;
         self.touched.clear();
         self.maybe_compact();
@@ -598,7 +615,7 @@ where
         mem.slot_bytes += (self.slots.capacity() * std::mem::size_of::<Slot>()) as u64;
         mem.index_bytes += self.index.bytes() as u64;
         mem.cached_trackers += self.cache.len() as u64;
-        mem.staged_inputs += self.staged.len() as u64;
+        mem.staged_inputs += self.inputs.len() as u64;
     }
 }
 
@@ -689,6 +706,19 @@ impl FleetReport {
     }
 }
 
+/// The last staged update's routing and open run, so the rest of a burst
+/// skips the shard hash, the index probe and the chain: a key's shard is
+/// pure in `(key, S)` and slot ids are append-only, and the run stays
+/// open until another update is staged anywhere or the batch flushes.
+#[derive(Clone, Copy)]
+struct Memo {
+    key: u64,
+    shard: u32,
+    slot: u32,
+    run: u32,
+    site: u32,
+}
+
 /// Scalars snapshotted at run start so reports cover just the run.
 struct Mark {
     time: Time,
@@ -725,12 +755,8 @@ pub struct TrackerFleet<T, In: Copy> {
     /// Fleet-wide Σ_key boundary estimates.
     agg_estimate: i64,
     staged_total: usize,
-    /// Last staged key's routing, so bursty streams skip the shard hash
-    /// and index probe. Never stale: a key's shard is pure in `(key, S)`
-    /// and slot ids are append-only. `memo_slot == NONE_U32` means empty.
-    memo_key: u64,
-    memo_shard: u32,
-    memo_slot: u32,
+    /// The open run of the last staged update; cleared at every flush.
+    memo: Option<Memo>,
 }
 
 /// A fleet of counter trackers (`i64` deltas per key).
@@ -787,9 +813,7 @@ where
             shards,
             agg_estimate: 0,
             staged_total: 0,
-            memo_key: 0,
-            memo_shard: 0,
-            memo_slot: NONE_U32,
+            memo: None,
         })
     }
 
@@ -959,42 +983,72 @@ where
     }
 
     /// Stage one update for `key` at site 0 (single-site convenience).
+    #[inline]
     pub fn update(&mut self, key: u64, input: In) -> Result<(), EngineError> {
         self.update_at(key, 0, input)
     }
 
     /// Stage one update for `key` arriving at `site`, cutting a batch
     /// boundary automatically once `cfg.batch` updates are staged.
+    #[inline]
     pub fn update_at(&mut self, key: u64, site: SiteId, input: In) -> Result<(), EngineError> {
-        if site >= self.head.k {
-            return Err(RunError::SiteOutOfRange {
-                site,
-                k: self.head.k,
-                time: self.head.time + self.staged_total as u64 + 1,
-            }
-            .into());
+        if site >= self.head.k || (!self.deletions_ok && input.delta_of() < 0) {
+            return Err(self.refusal(site));
         }
-        if !self.deletions_ok && input.delta_of() < 0 {
-            return Err(RunError::DeletionUnsupported {
-                kind: self.head.kind,
-                time: self.head.time + self.staged_total as u64 + 1,
+        match self.memo {
+            Some(memo) if memo.key == key && memo.site == site as u32 => {
+                self.shards[memo.shard as usize].extend_run(memo.run, input)
             }
-            .into());
-        }
-        if self.memo_slot != NONE_U32 && key == self.memo_key {
-            self.shards[self.memo_shard as usize].stage_at(self.memo_slot, site, input);
-        } else {
-            let s = self.shard_of(key);
-            let sid = self.shards[s].stage(key, site, input);
-            self.memo_key = key;
-            self.memo_shard = s as u32;
-            self.memo_slot = sid;
+            _ => self.stage_routed(key, site as u32, input),
         }
         self.staged_total += 1;
         if self.staged_total >= self.cfg.batch_size() {
             self.flush()?;
         }
         Ok(())
+    }
+
+    /// Why [`update_at`](Self::update_at) refuses an update at `site`: a
+    /// site out of range, else a deletion the kind does not support.
+    #[cold]
+    #[inline(never)]
+    fn refusal(&self, site: SiteId) -> EngineError {
+        let time = self.head.time + self.staged_total as u64 + 1;
+        if site >= self.head.k {
+            RunError::SiteOutOfRange {
+                site,
+                k: self.head.k,
+                time,
+            }
+        } else {
+            RunError::DeletionUnsupported {
+                kind: self.head.kind,
+                time,
+            }
+        }
+        .into()
+    }
+
+    /// Stage an update that opens a new run: route the key (the memo's
+    /// routing when the key is the last one staged, at another site),
+    /// create its slot on first sight, and remember the run.
+    #[inline(never)]
+    fn stage_routed(&mut self, key: u64, site: u32, input: In) {
+        let (shard, slot) = match self.memo {
+            Some(memo) if memo.key == key => (memo.shard, memo.slot),
+            _ => {
+                let s = self.shard_of(key);
+                (s as u32, self.shards[s].slot_for(key))
+            }
+        };
+        let run = self.shards[shard as usize].open_run(slot, site, input);
+        self.memo = Some(Memo {
+            key,
+            shard,
+            slot,
+            run,
+            site,
+        });
     }
 
     /// Cut a batch boundary now: apply every staged chain, audit every
@@ -1004,6 +1058,8 @@ where
         if self.staged_total == 0 {
             return Ok(());
         }
+        // The open run's span ends with this batch.
+        self.memo = None;
         let n = self.staged_total as u64;
         let workers = self.cfg.workers_count().min(self.shards.len()).max(1);
         let eps = self.cfg.eps_value();
@@ -1081,19 +1137,27 @@ where
 
     /// The `k` keys with the largest boundary estimates, descending, ties
     /// broken toward the smaller key. One heap pass over the slots —
-    /// `O(keys · log k)`, no per-key tracker is touched.
+    /// `O(keys · log k)` at worst, no per-key tracker is touched; once
+    /// the heap is full, a slot that does not beat its minimum costs one
+    /// compare.
     pub fn top_k(&self, k: usize) -> Vec<(u64, i64)> {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
         if k == 0 {
             return Vec::new();
         }
-        let mut heap: BinaryHeap<Reverse<(i64, Reverse<u64>)>> = BinaryHeap::with_capacity(k + 1);
+        let mut heap: BinaryHeap<Reverse<(i64, Reverse<u64>)>> =
+            BinaryHeap::with_capacity(k.min(self.len()));
         for shard in &self.shards {
             for slot in &shard.slots {
-                heap.push(Reverse((slot.estimate, Reverse(slot.key))));
-                if heap.len() > k {
-                    heap.pop();
+                let entry = (slot.estimate, Reverse(slot.key));
+                if heap.len() < k {
+                    heap.push(Reverse(entry));
+                } else if let Some(mut least) = heap.peek_mut() {
+                    // Keys are unique, so no entry ties the minimum.
+                    if entry > least.0 {
+                        *least = Reverse(entry);
+                    }
                 }
             }
         }
@@ -1652,6 +1716,67 @@ mod tests {
         assert!(top[0].1 >= top[1].1 && top[1].1 >= top[2].1);
         assert_eq!(fleet.top_k(0), Vec::new());
         assert_eq!(fleet.top_k(10).len(), 4);
+
+        // Many equal estimates: the early reject must keep the smaller
+        // keys, whatever order the shards hand the slots over in.
+        let mut flat = CounterFleet::counters(spec(), cfg()).unwrap();
+        for key in (0..200u64).rev() {
+            flat.update(key, if key % 50 == 7 { 9 } else { 3 }).unwrap();
+        }
+        flat.flush().unwrap();
+        let expect = |k: usize| {
+            let mut all: Vec<(u64, i64)> = (0..200u64)
+                .map(|key| (key, flat.estimate(key).unwrap()))
+                .collect();
+            all.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            all.truncate(k);
+            all
+        };
+        for k in [1, 3, 4, 5, 17, 199, 200, 201, 1000] {
+            assert_eq!(flat.top_k(k), expect(k), "k = {k}");
+        }
+        assert_eq!(flat.top_k(5)[..4], [(7, 9), (57, 9), (107, 9), (157, 9)]);
+        assert_eq!(flat.top_k(5)[4], (0, 3));
+        assert_eq!(flat.top_k(usize::MAX).len(), 200);
+    }
+
+    #[test]
+    fn a_burst_straddling_a_flush_opens_a_new_run() {
+        // The memo's open run belongs to its batch: a burst cut by an
+        // explicit flush stages its tail as a fresh run, touches the
+        // slot again, and applies in the next boundary.
+        let mut fleet = CounterFleet::counters(spec(), cfg()).unwrap();
+        let mut twin = spec().build().unwrap();
+        for round in 0..3 {
+            for _ in 0..3 {
+                fleet.update(42, 2).unwrap();
+                twin.step(0, 2);
+            }
+            fleet.flush().unwrap();
+            let shard = &fleet.shards[fleet.shard_of(42)];
+            assert!(shard.runs.is_empty() && shard.inputs.is_empty());
+            assert!(fleet.memo.is_none());
+            let audit = fleet.key_audit(42).unwrap();
+            assert_eq!(audit.updates, 3 * (round + 1));
+            assert_eq!(audit.estimate, twin.estimate());
+        }
+        // Two staged updates, a flush, then the batch of eight fills on
+        // the same burst: each boundary applies only its own span.
+        fleet.update(42, 1).unwrap();
+        fleet.update(42, 1).unwrap();
+        fleet.flush().unwrap();
+        for _ in 0..8 {
+            fleet.update(42, 1).unwrap();
+        }
+        assert_eq!(fleet.time(), 19);
+        assert_eq!(fleet.memory().staged_inputs, 0);
+        for _ in 0..10 {
+            twin.step(0, 1);
+        }
+        let audit = fleet.key_audit(42).unwrap();
+        assert_eq!((audit.f, audit.updates), (28, 19));
+        assert_eq!(audit.estimate, twin.estimate());
+        assert_eq!(fleet.comm_stats(), twin.stats());
     }
 
     #[test]
@@ -1802,7 +1927,7 @@ mod tests {
         v1[5] = 0;
         assert!(matches!(
             FleetCheckpoint::from_bytes(&v1),
-            Err(CodecError::BadValue { .. })
+            Err(CodecError::UnsupportedVersion { found: 1, .. })
         ));
         // The v2 wire form: today's layout around slot payloads that
         // still carried the block log (`DSVT` v1); the v3 wire form:
@@ -1813,10 +1938,11 @@ mod tests {
         let parent = fleet.checkpoint().unwrap();
         fleet.update(3, 1).unwrap();
         let delta = fleet.checkpoint_delta(&parent).unwrap();
-        let refused = Some(CodecError::BadValue {
-            what: "fleet format version (only the current generation is read)",
-        });
         for version in [2u16, 3, 4] {
+            let refused = Some(CodecError::UnsupportedVersion {
+                found: version,
+                supported: FLEET_VERSION,
+            });
             let restamp = |mut bytes: Vec<u8>| {
                 bytes[4..6].copy_from_slice(&version.to_le_bytes());
                 bytes

@@ -45,11 +45,7 @@ fn open_table<'a>(
     wrong_variant: &'static str,
 ) -> Result<Dec<'a>, CodecError> {
     let mut dec = Dec::new(bytes);
-    if dec.magic(FLEET_MAGIC, FLEET_VERSION)? != FLEET_VERSION {
-        return Err(CodecError::BadValue {
-            what: "fleet format version (only the current generation is read)",
-        });
-    }
+    dec.magic(FLEET_MAGIC, FLEET_VERSION)?;
     match dec.u8()? {
         tag if tag == want => Ok(dec),
         TABLE_FULL | TABLE_DELTA => Err(CodecError::BadValue {

@@ -243,10 +243,7 @@ impl ToWorker {
 /// Open a frame: the magic, then exactly [`WIRE_VERSION`].
 fn open_frame(bytes: &[u8]) -> Result<Dec<'_>, CodecError> {
     let mut dec = Dec::new(bytes);
-    let (found, supported) = (dec.magic(WIRE_MAGIC, WIRE_VERSION)?, WIRE_VERSION);
-    if found != supported {
-        return Err(CodecError::UnsupportedVersion { found, supported });
-    }
+    dec.magic(WIRE_MAGIC, WIRE_VERSION)?;
     Ok(dec)
 }
 

@@ -331,20 +331,20 @@ impl<'a> Dec<'a> {
     }
 
     /// Read and check a 4-byte magic plus a `u16` version; the version must
-    /// be in `1..=supported`.
-    pub fn magic(&mut self, expected: [u8; 4], supported: u16) -> Result<u16, CodecError> {
+    /// be exactly `supported`: every format reads one generation.
+    pub fn magic(&mut self, expected: [u8; 4], supported: u16) -> Result<(), CodecError> {
         let found: [u8; 4] = self.take(4)?.try_into().expect("took 4 bytes");
         if found != expected {
             return Err(CodecError::BadMagic { expected, found });
         }
         let version = self.u16()?;
-        if version == 0 || version > supported {
+        if version != supported {
             return Err(CodecError::UnsupportedVersion {
                 found: version,
                 supported,
             });
         }
-        Ok(version)
+        Ok(())
     }
 
     /// Read one byte.
@@ -553,7 +553,7 @@ mod tests {
         let bytes = enc.into_bytes();
 
         let mut dec = Dec::new(&bytes);
-        assert_eq!(dec.magic(*b"TEST", 3).unwrap(), 3);
+        dec.magic(*b"TEST", 3).unwrap();
         assert_eq!(dec.u8().unwrap(), 7);
         assert_eq!(dec.u16().unwrap(), 300);
         assert_eq!(dec.u32().unwrap(), 70_000);
@@ -630,6 +630,21 @@ mod tests {
                 supported: 1
             })
         ));
+    }
+
+    #[test]
+    fn magic_reads_exactly_one_generation() {
+        for (written, found) in [(2u16, 2u16), (0, 0), (4, 4)] {
+            let mut enc = Enc::new();
+            enc.magic(*b"TEST", written);
+            assert_eq!(
+                Dec::new(&enc.into_bytes()).magic(*b"TEST", 3),
+                Err(CodecError::UnsupportedVersion {
+                    found,
+                    supported: 3
+                })
+            );
+        }
     }
 
     #[test]

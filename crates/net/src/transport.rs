@@ -521,8 +521,6 @@ pub enum Role {
 /// A decoded handshake announcement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hello {
-    /// Negotiated handshake version (currently always [`HANDSHAKE_VERSION`]).
-    pub version: u16,
     /// The announcing side.
     pub role: Role,
     /// Worker slot (0 for the coordinator side).
@@ -550,7 +548,7 @@ pub fn hello_bytes(role: Role, worker: u64, generation: u64) -> Vec<u8> {
 /// skew, truncation, and trailing bytes are all typed errors.
 pub fn parse_hello(bytes: &[u8]) -> Result<Hello, TransportError> {
     let mut dec = Dec::new(bytes);
-    let version = dec.magic(HANDSHAKE_MAGIC, HANDSHAKE_VERSION)?;
+    dec.magic(HANDSHAKE_MAGIC, HANDSHAKE_VERSION)?;
     let role = match dec.u8()? {
         0 => Role::Coordinator,
         1 => Role::Worker,
@@ -566,7 +564,6 @@ pub fn parse_hello(bytes: &[u8]) -> Result<Hello, TransportError> {
     let generation = dec.u64()?;
     dec.finish()?;
     Ok(Hello {
-        version,
         role,
         worker,
         generation,
@@ -816,7 +813,6 @@ mod tests {
         assert_eq!(
             hello,
             Hello {
-                version: HANDSHAKE_VERSION,
                 role: Role::Worker,
                 worker: 3,
                 generation: 2

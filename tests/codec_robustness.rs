@@ -679,7 +679,7 @@ fn fleet_delta_tables_survive_the_gauntlet() {
     v1[5] = 0;
     assert!(matches!(
         FleetDelta::from_bytes(&v1),
-        Err(CodecError::BadValue { .. } | CodecError::BadTag { .. })
+        Err(CodecError::UnsupportedVersion { found: 1, .. })
     ));
     // `DSVF` v4 nested each changed slot's diff in a `DSVD` envelope.
     let mut v4 = bytes.clone();
@@ -687,8 +687,9 @@ fn fleet_delta_tables_survive_the_gauntlet() {
     v4[5] = 0;
     assert_eq!(
         FleetDelta::from_bytes(&v4).err(),
-        Some(CodecError::BadValue {
-            what: "fleet format version (only the current generation is read)"
+        Some(CodecError::UnsupportedVersion {
+            found: 4,
+            supported: dsv::engine::FLEET_VERSION
         })
     );
     let mut trailing = bytes.clone();

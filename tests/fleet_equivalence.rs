@@ -125,6 +125,101 @@ fn fleet_item_estimates_match_standalone_per_key_for_every_kind() {
     }
 }
 
+/// A bursty keyed stream of `(key, site, draw)`: bursts of 1–40 updates
+/// to one key, some switching site mid-burst, with single updates to
+/// random keys interleaved between them. `draw` feeds each kind's input.
+fn bursty_stream(seed: u64, keys: u64, k: usize, n: usize) -> Vec<(u64, usize, u64)> {
+    let mut s = seed;
+    let mut out = Vec::with_capacity(n + 40);
+    while out.len() < n {
+        if lcg(&mut s).is_multiple_of(4) {
+            out.push((
+                lcg(&mut s) % keys,
+                (lcg(&mut s) % k as u64) as usize,
+                lcg(&mut s),
+            ));
+            continue;
+        }
+        let key = lcg(&mut s) % keys;
+        let mut site = (lcg(&mut s) % k as u64) as usize;
+        for _ in 0..1 + lcg(&mut s) % 40 {
+            if lcg(&mut s).is_multiple_of(8) {
+                site = (lcg(&mut s) % k as u64) as usize;
+            }
+            out.push((key, site, lcg(&mut s)));
+        }
+    }
+    out
+}
+
+/// Bursts stage as runs: whether a batch cuts a burst, a burst switches
+/// site, or single updates interleave, every key matches its standalone
+/// twin in estimate, update count and ledger. Batch sizes 7 and 61 cut
+/// most bursts; 4096 holds the whole stream in one batch.
+#[test]
+fn bursty_streams_match_standalone_per_key_at_any_batch_size() {
+    let keys = 13u64;
+    for batch in [7, 61, 4096] {
+        let cfg = EngineConfig::new(4, batch).eps(0.2);
+        for kind in TrackerKind::COUNTERS {
+            let (spec, k) = fleet_spec(kind);
+            let mut fleet = CounterFleet::counters(spec, cfg).unwrap();
+            let mut twins: Vec<Box<dyn Tracker + Send>> =
+                (0..keys).map(|_| spec.build().unwrap()).collect();
+            let mut counts = vec![0u64; keys as usize];
+            for (key, site, draw) in bursty_stream(batch as u64, keys, k, 3_000) {
+                let delta = if kind.supports_deletions() && draw.is_multiple_of(5) {
+                    -1
+                } else {
+                    1 + (draw % 3) as i64
+                };
+                fleet.update_at(key, site, delta).unwrap();
+                twins[key as usize].step(site, delta);
+                counts[key as usize] += 1;
+            }
+            fleet.flush().unwrap();
+            let mut agg = CommStats::new();
+            for key in 0..keys {
+                let twin = &twins[key as usize];
+                let audit = fleet.key_audit(key).unwrap();
+                let what = format!("{} batch {batch} key {key}", kind.label());
+                assert_eq!(audit.estimate, twin.estimate(), "{what}: estimate");
+                assert_eq!(audit.updates, counts[key as usize], "{what}: updates");
+                agg.merge(twin.stats());
+            }
+            assert_eq!(fleet.comm_stats(), &agg, "{} batch {batch}", kind.label());
+        }
+        let kind = TrackerKind::FREQUENCIES[0];
+        let (spec, k) = fleet_spec(kind);
+        let mut fleet = ItemFleet::items(spec, cfg).unwrap();
+        let mut twins: Vec<Box<dyn ItemTracker + Send>> =
+            (0..keys).map(|_| spec.build_item().unwrap()).collect();
+        let mut counts = vec![0u64; keys as usize];
+        for (key, site, draw) in bursty_stream(batch as u64 + 1, keys, k, 3_000) {
+            fleet.update_at(key, site, (draw % 64, 1)).unwrap();
+            twins[key as usize].step(site, (draw % 64, 1));
+            counts[key as usize] += 1;
+        }
+        fleet.flush().unwrap();
+        let mut agg = CommStats::new();
+        for key in 0..keys {
+            let twin = &twins[key as usize];
+            let what = format!("{} batch {batch} key {key}", kind.label());
+            assert_eq!(fleet.estimate(key), Some(twin.estimate()), "{what}");
+            assert_eq!(fleet.key_audit(key).unwrap().updates, counts[key as usize]);
+            for item in [0u64, 9, 63] {
+                assert_eq!(
+                    fleet.estimate_item(key, item).unwrap(),
+                    twin.estimate_item(item),
+                    "{what} item {item}"
+                );
+            }
+            agg.merge(twin.stats());
+        }
+        assert_eq!(fleet.comm_stats(), &agg, "{} batch {batch}", kind.label());
+    }
+}
+
 /// Checkpoint → wire round-trip → resume onto different workers *and* a
 /// different cache capacity → continue: bit-identical estimates,
 /// ledgers, and next-checkpoint bytes, for all ten kinds.
