@@ -161,7 +161,7 @@ cargo clippy --workspace --all-targets ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}
 step "cargo test --workspace -q (superset of the tier-1 'cargo test -q')"
 cargo test --workspace -q ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}
 
-step "cargo test --release: codec_robustness + state_bounded + fleet_equivalence + state_roundtrip + delta_checkpoint + fleet_delta + engine_equivalence + engine_checkpoint + pipeline_equivalence + message_ledger_pinned + batch_proptests (+ remote_equivalence with remote) (the restore gauntlet, the O(k) state check, the snapshot seam, delta chains, the windowed executor and the run seam, optimized)"
+step "cargo test --release: codec_robustness + state_bounded + fleet_equivalence + state_roundtrip + delta_checkpoint + fleet_delta + engine_equivalence + engine_checkpoint + pipeline_equivalence + async_ingest + message_ledger_pinned + batch_proptests (+ remote_equivalence with remote) (the restore gauntlet, the O(k) state check, the snapshot seam, delta chains, the windowed executor and the run seam, optimized)"
 # Both profiles are needed. The restore-then-continue gauntlet's
 # `assert!` panics reproduce only when a restored tracker is stepped and
 # survive into release; its shift and add overflows panic only in debug
@@ -180,7 +180,9 @@ step "cargo test --release: codec_robustness + state_bounded + fleet_equivalence
 # their threads only interleave at scale once optimized, so the engine's
 # worker-count matrices run here as well, with engine_checkpoint (routed
 # run and rescale at several worker counts) and pipeline_equivalence (the
-# pipelined workers drain their feeds on that executor).
+# pipelined workers drain their feeds on that executor), and async_ingest:
+# async pushes land through the same round-cutting path as the blocking
+# ones, and only optimized code takes rounds fast enough to race them.
 # The run seam (`update_run` → `absorb_quiet`) is the one way every mode
 # and the fleet feed a tracker, so its pinned ledgers
 # (message_ledger_pinned) and chunking proptests (batch_proptests) run here
@@ -191,7 +193,7 @@ step "cargo test --release: codec_robustness + state_bounded + fleet_equivalence
 # pumps every worker's connection from one thread, interleaving round
 # sends with report reads, and only optimized code is fast enough for
 # the two to actually interleave.
-RELEASE_TESTS=(--test codec_robustness --test state_bounded --test fleet_equivalence --test state_roundtrip --test delta_checkpoint --test fleet_delta --test engine_equivalence --test engine_checkpoint --test pipeline_equivalence --test message_ledger_pinned --test batch_proptests)
+RELEASE_TESTS=(--test codec_robustness --test state_bounded --test fleet_equivalence --test state_roundtrip --test delta_checkpoint --test fleet_delta --test engine_equivalence --test engine_checkpoint --test pipeline_equivalence --test async_ingest --test message_ledger_pinned --test batch_proptests)
 case " ${DSV_FEATURES:-} " in *remote*)
     RELEASE_TESTS+=(--test remote_equivalence)
     ;;

@@ -13,7 +13,7 @@ use dsv_net::Time;
 /// | `batch`   | —       | Updates per ingestion batch (reconciliation period) |
 /// | [`partition`](Self::partition) | [`Partition::SiteAffine`] | Stream → shard routing |
 /// | [`eps`](Self::eps) | `0.1` | Relative error audited at batch boundaries |
-/// | [`workers`](Self::workers) | `= shards` | Worker threads executing the shard replicas |
+/// | [`workers`](Self::workers) | `min(shards, CPUs)` | Worker threads executing the shard replicas (`= shards` for `run_pipelined` and the remote engine's processes) |
 /// | [`checkpoint_every`](Self::checkpoint_every) | `0` (off) | Remote commit period, in batch boundaries (remote engine only) |
 /// | [`fleet_cache`](Self::fleet_cache) | `1024` | Live per-key trackers cached per fleet shard (fleet only) |
 /// | [`delta_rebase`](Self::delta_rebase) | `0` (never) | A [`crate::CheckpointStore`]'s rebase period: fresh base every K chained deltas |
@@ -100,8 +100,11 @@ impl EngineConfig {
     }
 
     /// Number of worker threads driving the shard replicas (default: one
-    /// per shard). Clamped to the shard count at execution time; `0`
-    /// restores the default rather than meaning "no workers" (the live
+    /// per shard, up to the host's available parallelism; `run_pipelined`,
+    /// whose workers park on their feeds, and the remote engine's
+    /// processes keep one per shard). Clamped to the shard count
+    /// at execution time; `0` restores the default rather than meaning
+    /// "no workers" (the live
     /// [`crate::ShardedEngine::rescale`], by contrast, rejects 0 with a
     /// typed error). See the struct docs for the shards-vs-workers
     /// distinction.
@@ -127,14 +130,24 @@ impl EngineConfig {
         self.shards
     }
 
-    /// Number of worker threads (`= shards` unless overridden, and never
-    /// more than the shard count).
+    /// Number of workers (`= shards` unless overridden, and never more
+    /// than the shard count): `run_pipelined`'s threads and the remote
+    /// engine's processes. The other in-process paths cap the default at
+    /// the host's parallelism
+    /// ([`EngineReport::workers`](crate::EngineReport::workers) reports
+    /// the threads that ran).
     pub fn workers_count(&self) -> usize {
         if self.workers == 0 {
             self.shards
         } else {
             self.workers.min(self.shards)
         }
+    }
+
+    /// Whether [`workers`](Self::workers) was set to a count (not left at,
+    /// or reset to, the default).
+    pub(crate) fn workers_given(&self) -> bool {
+        self.workers != 0
     }
 
     /// Updates per ingestion batch.

@@ -60,7 +60,7 @@ use crate::config::{EngineConfig, EngineError};
 use crate::fleet_codec::{DeltaShard, FleetHeader, ShardTable, SlotDelta, SlotRow};
 pub use crate::fleet_codec::{FleetCheckpoint, FleetDelta, FLEET_MAGIC, FLEET_VERSION};
 use crate::partition::{hash_item, InputDelta};
-use crate::round::{fork_join, worker_groups};
+use crate::round::{fork_join, threads, worker_groups};
 
 /// Arena garbage a shard tolerates before it compacts, whatever its live
 /// bytes, so a shard with few live keys does not recopy its arena every
@@ -674,7 +674,7 @@ pub struct FleetReport {
     pub live_keys: u64,
     /// Logical shards.
     pub shards: usize,
-    /// Workers used at boundaries.
+    /// Worker threads used at boundaries.
     pub workers: usize,
     /// Batch size (updates per boundary).
     pub batch: usize,
@@ -1061,7 +1061,7 @@ where
         // The open run's span ends with this batch.
         self.memo = None;
         let n = self.staged_total as u64;
-        let workers = self.cfg.workers_count().min(self.shards.len()).max(1);
+        let workers = threads(&self.cfg).min(self.shards.len()).max(1);
         let eps = self.cfg.eps_value();
         let cap = self.cfg.fleet_cache_capacity();
         let factory = Arc::clone(&self.factory);
@@ -1255,7 +1255,7 @@ where
     /// trackers are `Send` but not `Sync`) while one more pins the
     /// parent; with one worker the calling thread does both.
     fn dirty_delta(&mut self, parent: &FleetCheckpoint) -> Result<FleetDelta, EngineError> {
-        let workers = self.cfg.workers_count().max(1);
+        let workers = threads(&self.cfg).max(1);
         let walkers = (workers - 1).clamp(1, self.shards.len());
         let proto = &*self.proto;
         let jobs = worker_groups(self.shards.iter_mut().enumerate(), walkers)
@@ -1307,7 +1307,7 @@ where
             boundaries: self.head.boundaries - mark.boundaries,
             live_keys: self.len() as u64,
             shards: self.cfg.shards_count(),
-            workers: self.cfg.workers_count(),
+            workers: threads(&self.cfg),
             batch: self.cfg.batch_size(),
             final_f: self.head.f,
             final_estimate: self.agg_estimate,

@@ -17,21 +17,26 @@
 //!
 //! ## The queue
 //!
-//! The queue is a plain monitor on `std` primitives: a `VecDeque`, the
-//! closed flag, the ledger and the parked async producer's waker live
-//! under **one** mutex, every condition is checked and changed under it,
-//! and the two waits (producer on a full queue, consumer on an empty one)
-//! are untimed `Condvar` waits — an idle feed costs nothing. Transfers
-//! are chunk-grained (a push or a pop moves its whole chunk as two slice
-//! copies per lock acquisition), so with the engine's batch-sized chunks
-//! the lock is noise on the throughput path; DESIGN.md §7 has the
-//! measurements. Because close and push serialize on the lock, an input
-//! is never acknowledged behind a close.
+//! The queue is a plain monitor on `std` primitives: a `VecDeque` of
+//! rounds, the closed flag, the ledger and the parked async producer's
+//! waker live under **one** mutex, every condition is checked and changed
+//! under it, and the two waits (producer on a full queue, consumer on a
+//! round that has not landed) are untimed `Condvar` waits — an idle feed
+//! costs nothing. Each entry of the deque is one round's buffer: a push
+//! is cut at the feed's round boundaries (every `batch` inputs landed)
+//! and each piece is appended to the round it belongs to, so an input is
+//! copied once, from the producer's slice into its round's buffer. The
+//! worker takes a whole round (or, once the feed has closed, its final
+//! short one) by moving the buffer out under the lock and runs it in
+//! place; the buffer it ran before goes back as the spare the producer
+//! opens its next round in. DESIGN.md §7 has the measurements. Because
+//! close and push serialize on the lock, an input is never acknowledged
+//! behind a close.
 //!
 //! ## Full queues
 //!
 //! On a full queue, [`ShardFeed::push`] and [`ShardFeed::push_batch`]
-//! park until the worker drains space, so a feed that outruns its shard
+//! park until the worker takes a round, so a feed that outruns its shard
 //! is slowed to the shard's pace; [`ShardFeed::try_push`] fails fast with
 //! [`FeedError::Full`] so the caller can shed or reroute load; the async
 //! pushes await space. Stalls, waits, and queue occupancy are charged to
@@ -40,8 +45,8 @@
 //!
 //! ## Ordering discipline
 //!
-//! Every queue holds `2 × batch` inputs: a feed can stage the next round
-//! while the worker drains the current one. A single thread feeding
+//! Every queue holds `2 × batch` inputs: a feed can stage two rounds
+//! while the worker runs the one it took. A single thread feeding
 //! several handles must interleave its pushes (round-robin chunks no
 //! larger than the capacity) or it can deadlock against the round-ordered
 //! consumer: the worker drains a shard's feeds in feed order, so filling
@@ -56,7 +61,7 @@
 //! ## Draining a round
 //!
 //! Feeds carry raw per-site inputs. The consuming worker hands each
-//! drained round, unchanged, to the shard tracker's `update_run` — the
+//! round's buffer, unchanged, to the shard tracker's `update_run` — the
 //! same run seam `run_parted` drives — so the queue adds transport and
 //! nothing else to the work a round costs.
 //!
@@ -120,17 +125,51 @@ impl std::error::Error for FeedError {}
 
 /// Everything the two ends of a [`Ring`] share, under its one lock.
 struct Shared<T> {
-    queue: VecDeque<T>,
+    /// Landed rounds, oldest first: every entry holds exactly `batch`
+    /// inputs but the back one, which is the round still landing.
+    rounds: VecDeque<Vec<T>>,
+    /// An empty buffer the consumer handed back, where the producer opens
+    /// its next round.
+    spare: Option<Vec<T>>,
     closed: bool,
     /// The producer's waker while an async push is pending on a full
-    /// queue; taken (and woken) by the next pop or by the close.
+    /// queue; taken (and woken) by the next take or by the close.
     waker: Option<Waker>,
     /// The ring's ledger, `dropped` excepted ([`Ring::drain_stats`]
     /// reads it off the queue at teardown).
     stats: IngestStats,
 }
 
-impl<T> Shared<T> {
+impl<T: Copy> Shared<T> {
+    /// Inputs resident: landed and not yet taken.
+    fn len(&self) -> usize {
+        self.rounds.iter().map(Vec::len).sum()
+    }
+
+    /// Append `xs` at the back, cut at round boundaries: a piece extends
+    /// the back round while it is short of `batch`, and otherwise opens a
+    /// new round in the spare (or a fresh buffer). True if a round became
+    /// whole, which is all a waiting consumer can use.
+    fn land(&mut self, mut xs: &[T], batch: usize) -> bool {
+        let mut whole = false;
+        while !xs.is_empty() {
+            let back = match self.rounds.back_mut() {
+                Some(back) if back.len() < batch => back,
+                _ => {
+                    let buf = self.spare.take().unwrap_or_default();
+                    self.rounds.push_back(buf);
+                    self.rounds.back_mut().expect("just pushed")
+                }
+            };
+            let (piece, rest) = xs.split_at(xs.len().min(batch - back.len()));
+            back.reserve_exact(batch - back.len());
+            back.extend_from_slice(piece);
+            whole |= back.len() == batch;
+            xs = rest;
+        }
+        whole
+    }
+
     /// Count the frame of a push call that is over (completed, or cut
     /// short by a close) after landing `pushed` inputs,
     /// and sample occupancy: resident items once the frame has landed —
@@ -138,7 +177,7 @@ impl<T> Shared<T> {
     /// landed nothing is no frame.
     fn end_frame(&mut self, pushed: usize) {
         if pushed > 0 {
-            let occupancy = self.queue.len() as u64;
+            let occupancy = self.len() as u64;
             self.stats.frames += 1;
             self.stats.occupancy_sum += occupancy;
             self.stats.occupancy_samples += 1;
@@ -155,28 +194,31 @@ impl<T> Shared<T> {
     }
 }
 
-/// The bounded SPSC queue. One producer (a [`ShardFeed`]) and one
-/// consumer (the owning worker's [`FeedState`]) — the
-/// discipline is enforced by handle ownership, not checked at runtime.
+/// The bounded SPSC queue of one feed's rounds. One producer (a
+/// [`ShardFeed`]) and one consumer (the owning worker's [`FeedState`]) —
+/// the discipline is enforced by handle ownership, not checked at runtime.
 ///
 /// A monitor: all state is in [`Shared`] behind `shared`, a producer out
-/// of space waits on `not_full`, a consumer out of data on `not_empty`,
-/// and whoever changes the condition notifies while still holding the
-/// lock — so a wakeup cannot be lost and no wait needs a timeout.
+/// of space waits on `not_full`, a consumer short of a whole round on
+/// `not_empty`, and whoever changes the condition notifies while still
+/// holding the lock — so a wakeup cannot be lost and no wait needs a
+/// timeout.
 pub(crate) struct Ring<T: Copy> {
-    cap: usize,
+    batch: usize,
     shared: Mutex<Shared<T>>,
     not_full: Condvar,
     not_empty: Condvar,
 }
 
 impl<T: Copy> Ring<T> {
-    pub(crate) fn new(cap: usize) -> Self {
-        assert!(cap > 0, "ring capacity must be positive (validated)");
+    /// A ring of `batch`-input rounds holding up to two of them.
+    pub(crate) fn new(batch: usize) -> Self {
+        assert!(batch > 0, "ring batch must be positive (validated)");
         Ring {
-            cap,
+            batch,
             shared: Mutex::new(Shared {
-                queue: VecDeque::with_capacity(cap),
+                rounds: VecDeque::with_capacity(3),
+                spare: None,
                 closed: false,
                 waker: None,
                 stats: IngestStats::new(),
@@ -199,8 +241,13 @@ impl<T: Copy> Ring<T> {
         cv.wait(st).unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// The queue's capacity in inputs: two rounds.
+    fn cap(&self) -> usize {
+        2 * self.batch
+    }
+
     fn occupancy(&self) -> u64 {
-        self.lock().queue.len() as u64
+        self.lock().len() as u64
     }
 
     /// Close the queue (idempotent; producer side or engine teardown).
@@ -224,48 +271,51 @@ impl<T: Copy> Ring<T> {
         self.lock().closed
     }
 
-    /// Consumer-only: pop exactly `want` items into `out`, waiting for
-    /// the producer as needed; fewer only when the queue is closed and
-    /// drained (the feed's final partial round).
-    pub(crate) fn pop_round(&self, out: &mut Vec<T>, want: usize) {
+    /// Consumer-only: swap the next round into `round`, waiting until it
+    /// is whole or the feed has closed (then it may be short, or empty
+    /// once everything is taken). The buffer `round` held goes back as
+    /// the producer's spare.
+    fn take_round(&self, round: &mut Vec<T>) {
         let mut st = self.lock();
         let mut waited = false;
-        while out.len() < want {
-            if st.queue.is_empty() {
-                if st.closed {
-                    break;
-                }
-                if !waited {
-                    waited = true;
-                    st.stats.pop_waits += 1;
-                }
-                st = Self::wait(&self.not_empty, st);
-                continue;
+        while !st.closed && st.rounds.front().is_none_or(|r| r.len() < self.batch) {
+            if !waited {
+                waited = true;
+                st.stats.pop_waits += 1;
             }
-            let take = st.queue.len().min(want - out.len());
-            let (front, back) = st.queue.as_slices();
-            let first = take.min(front.len());
-            out.extend_from_slice(&front[..first]);
-            out.extend_from_slice(&back[..take - first]);
-            st.queue.drain(..take);
-            self.not_full.notify_one();
-            if let Some(waker) = st.waker.take() {
-                // Woken outside the lock: a waker may poll inline.
-                drop(st);
-                waker.wake();
-                st = self.lock();
+            st = Self::wait(&self.not_empty, st);
+        }
+        let mut ran = std::mem::replace(round, st.rounds.pop_front().unwrap_or_default());
+        if round.is_empty() {
+            return;
+        }
+        if st.spare.is_none() {
+            if ran.capacity() == 0 {
+                // The first take: map the spare in here, on the worker's
+                // thread, so the producer (the critical path) does not
+                // fault in a third buffer of its own.
+                ran.resize(self.batch, round[0]);
             }
+            ran.clear();
+            st.spare = Some(ran);
+        }
+        self.not_full.notify_one();
+        let waker = st.waker.take();
+        // Woken outside the lock: a waker may poll inline.
+        drop(st);
+        if let Some(waker) = waker {
+            waker.wake();
         }
     }
 
     /// Fold this ring's counters into an engine-level ledger (called
     /// after the run, once the workers have exited). Inputs still
-    /// resident — the consumer stopped before draining them — are
+    /// resident — the consumer stopped before taking them — are
     /// surfaced as `dropped` rather than silently vanishing.
     pub(crate) fn drain_stats(&self, into: &mut IngestStats) {
         let st = self.lock();
         into.merge(&IngestStats {
-            dropped: st.queue.len() as u64,
+            dropped: st.len() as u64,
             ..st.stats.clone()
         });
     }
@@ -275,21 +325,21 @@ impl<T: Copy> std::fmt::Debug for Ring<T> {
     fn fmt(&self, fm: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let st = self.lock();
         fm.debug_struct("Ring")
-            .field("cap", &self.cap)
-            .field("occupancy", &st.queue.len())
+            .field("cap", &self.cap())
+            .field("occupancy", &st.len())
             .field("closed", &st.closed)
             .finish()
     }
 }
 
 /// One feed of a pipelined call as its shard's worker drains it: the
-/// consumer end of the feed's ring, the site its inputs belong to, a
-/// recycled round buffer, and whether the feed has delivered its final
+/// consumer end of the feed's ring, the site its inputs belong to, the
+/// round it last took, and whether the feed has delivered its final
 /// (short or empty) round.
 pub(crate) struct FeedState<T: Copy> {
     ring: Arc<Ring<T>>,
     site: SiteId,
-    buf: Vec<T>,
+    round: Vec<T>,
     done: bool,
 }
 
@@ -298,25 +348,23 @@ impl<T: Copy> FeedState<T> {
         FeedState {
             ring,
             site,
-            buf: Vec::new(),
+            round: Vec::new(),
             done: false,
         }
     }
 
     /// The feed's next round: its site and `batch` inputs, fewer only in
     /// its final round, and `None` once that has been delivered. Waits
-    /// until the producer delivers the round or closes the feed, so a
-    /// lagging feed stalls only the worker draining it. The buffer is
-    /// reserved here, on that worker's thread.
-    pub(crate) fn next_round(&mut self, batch: usize) -> Option<(SiteId, &[T])> {
+    /// until the producer lands the whole round or closes the feed, so a
+    /// lagging feed stalls only the worker draining it. The slice is the
+    /// buffer the producer landed the round in.
+    pub(crate) fn next_round(&mut self) -> Option<(SiteId, &[T])> {
         if self.done {
             return None;
         }
-        self.buf.clear();
-        self.buf.reserve(batch);
-        self.ring.pop_round(&mut self.buf, batch);
-        self.done = self.buf.len() < batch;
-        (!self.buf.is_empty()).then_some((self.site, &self.buf))
+        self.ring.take_round(&mut self.round);
+        self.done = self.round.len() < self.ring.batch;
+        (!self.round.is_empty()).then_some((self.site, &self.round))
     }
 }
 
@@ -390,7 +438,7 @@ impl<In: InputDelta> ShardFeed<In> {
 
     /// The queue's capacity in inputs: `2 × batch`.
     pub fn capacity(&self) -> usize {
-        self.ring.cap
+        self.ring.cap()
     }
 
     /// Inputs currently resident in the queue (racy snapshot).
@@ -475,7 +523,7 @@ impl<In: InputDelta> ShardFeed<In> {
     }
 
     /// One step of a push call, under the lock: land as much of the rest
-    /// of `xs` as fits right now (two slice copies) and charge it. `Some`
+    /// of `xs` as fits right now, round by round, and charge it. `Some`
     /// once the call is over — everything landed, or the feed was closed
     /// under it (engine teardown; the landed prefix is consumed like any
     /// other inputs, so it is charged like any other inputs); `None`
@@ -493,14 +541,15 @@ impl<In: InputDelta> ShardFeed<In> {
             }));
         }
         let rest = &xs[call.pushed..];
-        let n = rest.len().min(self.ring.cap - st.queue.len());
+        let n = rest.len().min(self.ring.cap() - st.len());
         if n > 0 {
-            st.queue.extend(&rest[..n]);
+            if st.land(&rest[..n], self.ring.batch) {
+                self.ring.not_empty.notify_one();
+            }
             let frame = FeedFrame::for_chunk(self.feed, n, In::WORDS);
             st.stats.items += frame.items as u64;
             st.stats.words += frame.words as u64;
             call.pushed += n;
-            self.ring.not_empty.notify_one();
         }
         if call.pushed < xs.len() {
             return None;
@@ -512,9 +561,9 @@ impl<In: InputDelta> ShardFeed<In> {
     /// One poll of an async push. Ledger semantics match the sync calls:
     /// inputs are charged as they land (across polls), the frame when the
     /// call is over, and a call that ever suspends is one push stall.
-    /// The waker is registered under the same lock the consumer pops
-    /// under, so a pop cannot slip between the failed offer and the
-    /// registration.
+    /// The waker is registered under the same lock the consumer takes
+    /// rounds under, so a take cannot slip between the failed offer and
+    /// the registration.
     fn poll_push(
         &mut self,
         cx: &mut Context<'_>,
@@ -593,10 +642,28 @@ mod tests {
     use std::task::Wake;
     use std::time::Duration;
 
-    fn feed_pair(cap: usize) -> (ShardFeed<i64>, Arc<Ring<i64>>) {
-        let ring = Arc::new(Ring::new(cap));
+    /// A feed over a ring of `batch`-input rounds (capacity `2 × batch`),
+    /// and the ring.
+    fn feed_pair(batch: usize) -> (ShardFeed<i64>, Arc<Ring<i64>>) {
+        let ring = Arc::new(Ring::new(batch));
         let feed = ShardFeed::new(Arc::clone(&ring), 0, 0, 0, true);
         (feed, ring)
+    }
+
+    /// The consumer end of `ring`, as its shard's worker holds it.
+    fn consumer(ring: &Arc<Ring<i64>>) -> FeedState<i64> {
+        FeedState::new(Arc::clone(ring), 0)
+    }
+
+    /// Take up to `rounds` rounds (fewer once the feed has delivered its
+    /// final one), appending their inputs to `out`.
+    fn take(state: &mut FeedState<i64>, rounds: usize, out: &mut Vec<i64>) {
+        for _ in 0..rounds {
+            let Some((_, round)) = state.next_round() else {
+                return;
+            };
+            out.extend_from_slice(round);
+        }
     }
 
     /// The caller-side spin a producer that must not park writes:
@@ -612,42 +679,103 @@ mod tests {
 
     #[test]
     fn ring_roundtrips_in_order_across_wraparound() {
-        let (mut feed, ring) = feed_pair(7);
+        // Chunks of 4 into rounds of 3: chunks straddle rounds, and the
+        // round deque wraps many times over.
+        let (mut feed, ring) = feed_pair(3);
+        let mut state = consumer(&ring);
         let mut out = Vec::new();
         let mut expect = Vec::new();
         for chunk in 0..40 {
-            let xs: Vec<i64> = (0..5).map(|i| chunk * 100 + i).collect();
+            let xs: Vec<i64> = (0..4).map(|i| chunk * 100 + i).collect();
             feed.push_batch(&xs).unwrap();
             expect.extend_from_slice(&xs);
-            let want = out.len() + 5;
-            ring.pop_round(&mut out, want);
+            let whole = feed.occupancy() as usize / 3;
+            take(&mut state, whole, &mut out);
         }
+        feed.close();
+        take(&mut state, usize::MAX, &mut out);
         assert_eq!(out, expect);
     }
 
     #[test]
     fn a_feed_state_delivers_whole_rounds_then_its_final_one_once() {
-        for (len, rounds) in [(5usize, vec![2, 2, 1]), (4, vec![2, 2]), (0, vec![])] {
-            let (mut feed, ring) = feed_pair(8);
+        for (len, rounds) in [(5usize, vec![3, 2]), (6, vec![3, 3]), (0, vec![])] {
+            let (mut feed, ring) = feed_pair(3);
             let xs: Vec<i64> = (0..len as i64).collect();
             feed.push_batch(&xs).unwrap();
             feed.close();
             let mut state = FeedState::new(ring, 3);
             let mut got = Vec::new();
-            while let Some((site, round)) = state.next_round(2) {
+            while let Some((site, round)) = state.next_round() {
                 assert_eq!(site, 3);
                 got.push(round.len());
             }
             assert_eq!(got, rounds, "{len} inputs");
-            assert_eq!(state.next_round(2), None, "done stays done");
+            assert_eq!(state.next_round(), None, "done stays done");
         }
+    }
+
+    #[test]
+    fn a_push_straddling_a_round_boundary_is_delivered_as_two_whole_rounds() {
+        let (mut feed, ring) = feed_pair(4);
+        let mut state = consumer(&ring);
+        feed.push_batch(&[1, 2]).unwrap();
+        feed.push_batch(&[3, 4, 5, 6]).unwrap();
+        feed.push_batch(&[7, 8]).unwrap();
+        assert_eq!(ring.lock().rounds.len(), 2, "the middle push was cut");
+        assert_eq!(state.next_round(), Some((0, &[1i64, 2, 3, 4][..])));
+        assert_eq!(state.next_round(), Some((0, &[5i64, 6, 7, 8][..])));
+        feed.close();
+        assert_eq!(state.next_round(), None);
+    }
+
+    #[test]
+    fn single_pushes_coalesce_into_one_buffer_per_round() {
+        let (mut feed, ring) = feed_pair(4);
+        let mut state = consumer(&ring);
+        for x in 0..7 {
+            feed.push(x).unwrap();
+        }
+        let lens: Vec<usize> = ring.lock().rounds.iter().map(Vec::len).collect();
+        assert_eq!(lens, [4, 3]);
+        assert_eq!(state.next_round(), Some((0, &[0i64, 1, 2, 3][..])));
+        feed.push(7).unwrap();
+        let ran = state.next_round().unwrap().1.as_ptr();
+        // The next round lands in the spare the first take mapped; the one
+        // after it in the buffer the worker has run since.
+        feed.push_batch(&[8, 9, 10, 11]).unwrap();
+        assert_eq!(state.next_round(), Some((0, &[8i64, 9, 10, 11][..])));
+        feed.push(12).unwrap();
+        assert_eq!(ring.lock().rounds[0].as_ptr(), ran);
+    }
+
+    #[test]
+    fn inputs_landed_but_never_taken_show_as_dropped() {
+        // A whole round and a short one land; the worker takes the first
+        // and the run tears down: the untaken rest is dropped, not lost.
+        let (mut feed, ring) = feed_pair(4);
+        let mut state = consumer(&ring);
+        feed.push_batch(&[1, 2, 3, 4, 5, 6, 7]).unwrap();
+        assert_eq!(state.next_round().unwrap().1.len(), 4);
+        drop(feed);
+        let mut stats = IngestStats::new();
+        ring.drain_stats(&mut stats);
+        assert_eq!((stats.items, stats.dropped), (7, 3));
+        // Two whole rounds nobody took.
+        let (mut feed, ring) = feed_pair(4);
+        feed.push_batch(&[1; 8]).unwrap();
+        ring.close();
+        let mut stats = IngestStats::new();
+        ring.drain_stats(&mut stats);
+        assert_eq!((stats.items, stats.dropped), (8, 8));
     }
 
     #[test]
     fn error_policy_reports_full_with_partial_progress() {
         // Fail-fast is the caller's policy: push what the queue admits,
         // and `try_push` reports Full, with nothing enqueued, past that.
-        let (mut feed, ring) = feed_pair(4);
+        let (mut feed, ring) = feed_pair(2);
+        let mut state = consumer(&ring);
         let xs = [1i64, 2, 3, 4, 5, 6];
         let room = feed.capacity() - feed.occupancy() as usize;
         assert_eq!(feed.push_batch(&xs[..room]), Ok(()));
@@ -655,12 +783,12 @@ mod tests {
         assert_eq!(feed.try_push(9), Err(FeedError::Full));
         assert_eq!(feed.occupancy(), 4);
         let mut out = Vec::new();
-        ring.pop_round(&mut out, 2);
+        take(&mut state, 1, &mut out);
         assert_eq!(out, vec![1, 2]);
         // Space again: the remainder can be re-offered by the caller.
         assert_eq!(feed.try_push(5), Ok(()));
         assert_eq!(feed.push_batch(&[6]), Ok(()));
-        ring.pop_round(&mut out, 6);
+        take(&mut state, 2, &mut out);
         assert_eq!(out, xs);
         // A refused input is neither a frame nor a stall.
         let mut stats = IngestStats::new();
@@ -670,7 +798,7 @@ mod tests {
 
     #[test]
     fn push_after_close_is_a_typed_error() {
-        let (mut feed, ring) = feed_pair(4);
+        let (mut feed, ring) = feed_pair(2);
         feed.push(42).unwrap();
         feed.close();
         feed.close(); // idempotent
@@ -680,13 +808,13 @@ mod tests {
             Err(FeedError::Closed { pushed: 0 })
         );
         let mut out = Vec::new();
-        ring.pop_round(&mut out, 10);
+        take(&mut consumer(&ring), usize::MAX, &mut out);
         assert_eq!(out, vec![42], "data pushed before the close is drained");
     }
 
     #[test]
     fn deletions_are_rejected_for_insert_only_feeds() {
-        let ring = Arc::new(Ring::new(8));
+        let ring = Arc::new(Ring::new(4));
         let mut feed: ShardFeed<i64> = ShardFeed::new(Arc::clone(&ring), 0, 0, 0, false);
         assert_eq!(
             feed.push_batch(&[1, 1, -1, 1]),
@@ -704,7 +832,7 @@ mod tests {
         // that prefix is charged to the ledger, since consumed inputs and
         // charged inputs must agree. Nothing drained them here, so
         // teardown surfaces them as dropped.
-        let (mut feed, ring) = feed_pair(4);
+        let (mut feed, ring) = feed_pair(2);
         std::thread::scope(|scope| {
             let ring = Arc::clone(&ring);
             scope.spawn(move || {
@@ -724,7 +852,7 @@ mod tests {
 
     #[test]
     fn block_policy_hands_off_across_threads() {
-        let (mut feed, ring) = feed_pair(8);
+        let (mut feed, ring) = feed_pair(4);
         let n = 10_000i64;
         std::thread::scope(|scope| {
             scope.spawn(move || {
@@ -734,7 +862,7 @@ mod tests {
                 // Drop closes.
             });
             let mut out = Vec::new();
-            ring.pop_round(&mut out, n as usize + 5);
+            take(&mut consumer(&ring), usize::MAX, &mut out);
             assert_eq!(out.len(), n as usize);
             assert!(out.iter().copied().eq(0..n));
             assert!(ring.is_closed());
@@ -752,18 +880,20 @@ mod tests {
                 }
             });
             let mut out = Vec::new();
-            ring.pop_round(&mut out, 500);
+            take(&mut consumer(&ring), usize::MAX, &mut out);
             assert!(out.iter().copied().eq(0..500));
         });
     }
 
     #[test]
     fn ledger_counters_reach_the_engine_ledger() {
-        let (mut feed, ring) = feed_pair(16);
+        let (mut feed, ring) = feed_pair(8);
         feed.push_batch(&[1, 2, 3]).unwrap();
         feed.push(4).unwrap();
+        feed.close();
         let mut out = Vec::new();
-        ring.pop_round(&mut out, 4);
+        take(&mut consumer(&ring), usize::MAX, &mut out);
+        assert_eq!(out, [1, 2, 3, 4]);
         let mut stats = IngestStats::new();
         ring.drain_stats(&mut stats);
         assert_eq!(stats.frames, 2);
@@ -772,6 +902,7 @@ mod tests {
         assert_eq!(stats.occupancy_samples, 2);
         assert_eq!(stats.high_water, 4); // after the 4th input landed
         assert_eq!(stats.push_stalls, 0);
+        assert_eq!(stats.dropped, 0);
     }
 
     /// A parked consumer sleeps until it is notified: no timed wait, no
@@ -787,17 +918,17 @@ mod tests {
                 .expect("no voluntary_ctxt_switches line");
             line.trim().parse().unwrap()
         }
-        let (mut feed, ring) = feed_pair(4);
+        let (mut feed, ring) = feed_pair(1);
         std::thread::scope(|scope| {
-            let consumer = scope.spawn(move || {
+            let parked = scope.spawn(move || {
                 let before = voluntary_switches();
                 let mut out = Vec::new();
-                ring.pop_round(&mut out, 1);
+                take(&mut consumer(&ring), 1, &mut out);
                 (out, voluntary_switches() - before)
             });
             std::thread::sleep(Duration::from_millis(300));
             feed.push(7).unwrap();
-            let (out, switches) = consumer.join().unwrap();
+            let (out, switches) = parked.join().unwrap();
             assert_eq!(out, vec![7]);
             assert!(
                 switches < 50,
@@ -807,13 +938,14 @@ mod tests {
     }
 
     /// Close and push serialize on the lock: whatever `push_batch` or
-    /// `try_push` acknowledges (`Ok`, or `pushed` in an error) is popped
+    /// `try_push` acknowledges (`Ok`, or `pushed` in an error) is taken
     /// or counted as dropped, and a call that starts after `close()` has
     /// returned acknowledges nothing.
     #[test]
     fn a_close_racing_pushes_never_loses_or_invents_an_input() {
         for i in 0..10_000usize {
-            let (mut feed, ring) = feed_pair(8);
+            let (mut feed, ring) = feed_pair(4);
+            let mut state = consumer(&ring);
             let close_returned = AtomicBool::new(false);
             let mut out = Vec::new();
             let acked = std::thread::scope(|scope| {
@@ -845,7 +977,7 @@ mod tests {
                         }
                     }
                 });
-                ring.pop_round(&mut out, i % 7);
+                take(&mut state, i % 4, &mut out);
                 ring.close();
                 close_returned.store(true, Ordering::SeqCst);
                 producer.join().unwrap()
@@ -854,13 +986,13 @@ mod tests {
             ring.drain_stats(&mut stats);
             assert_eq!(stats.items, acked as u64);
             assert_eq!(out.len() as u64 + stats.dropped, acked as u64);
-            ring.pop_round(&mut out, usize::MAX);
+            take(&mut state, usize::MAX, &mut out);
             assert!(out.iter().copied().eq(0..acked as i64), "iteration {i}");
         }
     }
 
-    /// The tightest queue there is: every input is its own handoff, for a
-    /// producer that parks and for one that yields.
+    /// The tightest queue there is, rounds of one input: every input is
+    /// its own handoff, for a producer that parks and for one that yields.
     #[test]
     fn capacity_one_preserves_order_under_block_and_yield() {
         for yielding in [false, true] {
@@ -884,18 +1016,18 @@ mod tests {
                     }
                 });
                 let mut out = Vec::new();
-                ring.pop_round(&mut out, n as usize + 1);
+                take(&mut consumer(&ring), usize::MAX, &mut out);
                 assert!(out.iter().copied().eq(0..n), "yielding = {yielding}");
             });
             let mut stats = IngestStats::new();
             ring.drain_stats(&mut stats);
             assert_eq!(stats.items, n as u64, "yielding = {yielding}");
-            assert_eq!(stats.high_water, 1);
+            assert!(stats.high_water <= 2, "two rounds of one at most");
             assert_eq!(stats.dropped, 0);
         }
     }
 
-    /// A pending async push is woken by the consumer's pop and by the
+    /// A pending async push is woken by the consumer's take and by the
     /// close, with no executor in the picture: the waker only counts.
     #[test]
     fn a_pending_async_push_is_woken_by_a_pop_and_by_close() {
@@ -910,14 +1042,14 @@ mod tests {
         let mut cx = Context::from_waker(&waker);
         let woken = || wakes.0.load(Ordering::SeqCst);
 
-        let (mut feed, ring) = feed_pair(2);
+        let (mut feed, ring) = feed_pair(1);
+        let mut state = consumer(&ring);
         let xs = [1i64, 2, 3, 4, 5];
         let mut fut = feed.push_batch_async(&xs);
         assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
         assert_eq!(woken(), 0);
-        let mut out = Vec::new();
-        ring.pop_round(&mut out, 1);
-        assert_eq!(woken(), 1, "a pop wakes the pending producer");
+        assert_eq!(state.next_round(), Some((0, &[1i64][..])));
+        assert_eq!(woken(), 1, "a take wakes the pending producer");
         assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
         assert_eq!(woken(), 1);
         ring.close();

@@ -601,7 +601,15 @@ impl<In: RemoteInput> RemoteEngine<In> {
 
         let (_, tracker_stats) = self.resume_final()?;
         let (cfg, n) = (&self.cfg, total as u64);
-        Ok(audit.report(cfg, n, &self.books, tracker_stats, IngestStats::new()))
+        let workers = self.workers.len();
+        Ok(audit.report(
+            cfg,
+            workers,
+            n,
+            &self.books,
+            tracker_stats,
+            IngestStats::new(),
+        ))
     }
 
     /// The worker slot hosting site `site`'s shard (`site mod S`; a shard

@@ -23,6 +23,8 @@ use dsv_core::codec::{CodecError, Dec, Enc, TrackerState};
 use dsv_net::{
     relative_error, CommStats, ErrorProbe, IngestStats, MsgKind, SiteId, StateFrame, Time, WireSize,
 };
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// One shard's contribution to a round: `(shard, estimate after the
@@ -109,6 +111,24 @@ pub(crate) fn rounds_of<In>(feeds: &[(SiteId, &[In])], batch: usize) -> usize {
         .map(|(_, inputs)| inputs.len().div_ceil(batch))
         .max()
         .unwrap_or(0)
+}
+
+/// The threads an in-process fork-join runs `cfg`'s shards on: an explicit
+/// [`EngineConfig::workers`] as given (at most one per shard), and by
+/// default one per shard up to the host's parallelism, which is read once
+/// per process. More threads than CPUs only queue behind each other, and
+/// results never depend on the count. Pipelined workers and the remote
+/// engine's processes wait on their feeds and sockets, not on a CPU, so
+/// they take [`EngineConfig::workers_count`] instead.
+pub(crate) fn threads(cfg: &EngineConfig) -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    let count = cfg.workers_count();
+    if cfg.workers_given() {
+        return count;
+    }
+    let host =
+        *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
+    count.min(host)
 }
 
 /// The shard → worker map: worker `w` owns shards `s ≡ w (mod W)` as a
@@ -254,6 +274,7 @@ impl RunAudit {
     pub(crate) fn report(
         self,
         cfg: &EngineConfig,
+        workers: usize,
         n: u64,
         books: &Books,
         tracker_stats: CommStats,
@@ -263,7 +284,7 @@ impl RunAudit {
             n,
             batches: self.batches,
             shards: cfg.shards_count(),
-            workers: cfg.workers_count(),
+            workers,
             batch_size: cfg.batch_size(),
             final_f: books.f,
             final_estimate: books.coord.estimate(),

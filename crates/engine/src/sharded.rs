@@ -7,8 +7,8 @@ use crate::ingest::{CloseRings, FeedState, Ring, ShardFeed};
 use crate::partition::{hash_item, InputDelta, Partition, ShardRecord};
 use crate::report::EngineReport;
 use crate::round::{
-    chunk_bounds, fork_join, ingest_run, rounds_of, validate_feeds, validate_sites, worker_groups,
-    Books, Cut, Rounds, RunAudit, WINDOW,
+    chunk_bounds, fork_join, ingest_run, rounds_of, threads, validate_feeds, validate_sites,
+    worker_groups, Books, Cut, Rounds, RunAudit, WINDOW,
 };
 use dsv_core::api::{ItemTracker, RunError, Tracker, TrackerKind, TrackerSpec};
 use dsv_net::{CommStats, IngestStats, SiteId, Time};
@@ -161,7 +161,7 @@ where
     R: ShardRecord<In = In>,
     In: InputDelta + Sync,
 {
-    let mut workers = Worker::for_groups(shards, cfg.workers_count(), can_receive);
+    let mut workers = Worker::for_groups(shards, threads(cfg), can_receive);
     // A window amortizes spawning; a lone worker spawns nothing, and runs
     // each batch while it is still in cache.
     let max_rounds = if workers.len() > 1 { WINDOW } else { 1 };
@@ -500,7 +500,7 @@ where
                 })
             },
         )?;
-        Ok(self.finish_report(stream.len() as u64, audit))
+        Ok(self.finish_report(stream.len() as u64, threads(&self.cfg), audit))
     }
 
     /// Ingest pre-parted per-site feeds — the shape a deployed system
@@ -545,7 +545,7 @@ where
         let (shards, mut cut) = self.split(&mut audit);
         // Only shards with feeds have work.
         let mut workers =
-            Worker::for_groups(shards, cfg.workers_count(), |sid| !by_shard[sid].is_empty());
+            Worker::for_groups(shards, threads(&cfg), |sid| !by_shard[sid].is_empty());
         // A shard's round: one `update_run` per chunk, its feeds in feed
         // order.
         let work = |sid: usize, tracker: &mut T, round: usize, out: &mut Rounds| {
@@ -566,7 +566,7 @@ where
             );
         }
 
-        Ok(self.finish_report(total as u64, audit))
+        Ok(self.finish_report(total as u64, threads(&cfg), audit))
     }
 
     /// Ingest through the pipelined path: per-feed bounded queues, filled
@@ -629,10 +629,7 @@ where
         // One bounded SPSC ring per feed: the producer end is the feed's
         // handle, the consumer end joins its shard's feeds in feed order
         // (the order run_parted runs them in).
-        let rings: Vec<Arc<Ring<In>>> = sites
-            .iter()
-            .map(|_| Arc::new(Ring::new(2 * batch)))
-            .collect();
+        let rings: Vec<Arc<Ring<In>>> = sites.iter().map(|_| Arc::new(Ring::new(batch))).collect();
         let deletions_ok = kind.supports_deletions();
         let mut handles = Vec::with_capacity(sites.len());
         let mut feeds: Vec<Vec<FeedState<In>>> = (0..s_count).map(|_| Vec::new()).collect();
@@ -647,7 +644,10 @@ where
         let time_before = self.time();
         let (shards, mut cut) = self.split(&mut audit);
         let mut piped: Vec<_> = shards.iter_mut().zip(feeds).collect();
-        let mut workers = Worker::for_groups(&mut piped, cfg.workers_count(), |sid| has_feeds[sid]);
+        // A worker parks on its feeds, not on a CPU: by default one per
+        // shard, so a lagging feed stalls only its own shard's worker.
+        let count = cfg.workers_count();
+        let mut workers = Worker::for_groups(&mut piped, count, |sid| has_feeds[sid]);
         // A shard's round: one `update_run` per feed that delivers, in feed
         // order. A worker that unwinds closes every ring on its way out, so
         // neither the feeder nor another worker waits on it forever.
@@ -655,7 +655,7 @@ where
             |sid, (tracker, feeds): &mut (&mut T, Vec<FeedState<In>>), _, out: &mut Rounds| {
                 let unwinding = CloseRings(&rings);
                 for feed in feeds {
-                    if let Some((site, inputs)) = feed.next_round(batch) {
+                    if let Some((site, inputs)) = feed.next_round() {
                         let (est, sum, len) = ingest_run(&mut **tracker, site, inputs);
                         out.push((sid, est, sum, len));
                     }
@@ -680,7 +680,7 @@ where
         for ring in &rings {
             ring.drain_stats(&mut self.ingest_stats);
         }
-        Ok(self.finish_report(self.time() - time_before, audit))
+        Ok(self.finish_report(self.time() - time_before, count, audit))
     }
 
     /// Split the engine for an ingestion call: the replicas for the shard
@@ -691,9 +691,10 @@ where
 
     /// Assemble the report shared by the ingestion paths (all execution
     /// borrows have ended by the time this runs).
-    fn finish_report(&self, n: u64, audit: RunAudit) -> EngineReport {
+    fn finish_report(&self, n: u64, workers: usize, audit: RunAudit) -> EngineReport {
         audit.report(
             &self.cfg,
+            workers,
             n,
             &self.books,
             self.tracker_stats(),

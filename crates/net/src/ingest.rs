@@ -72,7 +72,7 @@ pub struct IngestStats {
     pub words: u64,
     /// Pushes that stalled on a full queue (once per stalled call).
     pub push_stalls: u64,
-    /// Round drains that waited on an empty queue.
+    /// Round takes that waited for their round to land.
     pub pop_waits: u64,
     /// Sum of sampled queue occupancies (resident inputs per frame push).
     pub occupancy_sum: u64,

@@ -457,6 +457,69 @@ impl Tracker for Flaky {
 }
 
 #[test]
+fn default_workers_are_bit_identical_to_one_worker_per_shard_at_s16() {
+    // Left at its default, `workers` runs S = 16 shards on at most one
+    // thread per CPU (one per shard when pipelined); `.workers(16)` runs
+    // one thread per shard. The answers are the same bit for bit, and
+    // each report names the threads that ran.
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let spec = TrackerSpec::new(TrackerKind::Deterministic)
+        .k(16)
+        .eps(0.1)
+        .seed(7);
+    let feeds: Vec<(usize, Vec<i64>)> = (0..16)
+        .map(|site| {
+            let updates = WalkGen::biased(90 + site as u64, 0.2).updates(700, SingleSite::solo());
+            (site, updates.iter().map(|u| u.delta).collect())
+        })
+        .collect();
+    let cfg = EngineConfig::new(16, 64).eps(0.1);
+    let twin = observe_parted(spec, cfg.workers(16), &feeds, false);
+    assert!(observe_parted(spec, cfg, &feeds, false) == twin);
+    assert!(observe_pipelined(spec, cfg, &feeds) == twin);
+    let slices: Vec<(usize, &[i64])> = feeds.iter().map(|(s, v)| (*s, v.as_slice())).collect();
+    for (cfg, threads) in [(cfg, host.min(16)), (cfg.workers(16), 16)] {
+        let mut engine = ShardedEngine::counters(spec, cfg).unwrap();
+        assert_eq!(engine.run_parted(&slices).unwrap().workers, threads);
+    }
+    // A pipelined worker parks on its feeds, so the default keeps one
+    // per shard there: a lagging feed stalls only its own shard.
+    let mut piped = ShardedEngine::counters(spec, cfg).unwrap();
+    let report = piped.run_pipelined(&[0], |_| {}).unwrap();
+    assert_eq!(report.workers, 16);
+
+    // The fleet: boundaries, a full checkpoint and a dirty-only delta.
+    let spec = TrackerSpec::new(TrackerKind::Deterministic)
+        .k(1)
+        .eps(0.1)
+        .deletions(true);
+    let stream: Vec<(u64, i64)> = (0..6_000u64)
+        .map(|i| (i * 7 % 500, if i % 5 == 4 { -1 } else { 1 }))
+        .collect();
+    let fleet_run = |cfg: EngineConfig| {
+        let mut fleet = CounterFleet::counters(spec, cfg).unwrap();
+        let report = fleet.run(&stream[..4_000]).unwrap();
+        let base = fleet.checkpoint().unwrap();
+        fleet.run(&stream[4_000..]).unwrap();
+        let delta = fleet.checkpoint_delta(&base).unwrap().to_bytes();
+        let audits: Vec<_> = (0..500).map(|key| fleet.key_audit(key)).collect();
+        let state = (
+            base.to_bytes(),
+            delta,
+            audits,
+            fleet.comm_stats().clone(),
+            fleet.checkpoint().unwrap().to_bytes(),
+        );
+        (state, report.workers)
+    };
+    let cfg = EngineConfig::new(16, 256).eps(0.1).fleet_cache(8);
+    let (twin, sixteen) = fleet_run(cfg.workers(16));
+    let (state, threads) = fleet_run(cfg);
+    assert!(state == twin, "default-worker fleet diverged from its twin");
+    assert_eq!((threads, sixteen), (host.min(16), 16));
+}
+
+#[test]
 fn a_panic_on_a_parted_worker_reaches_the_caller_between_rounds() {
     // S = W = 2: shard 1 runs on the spawned worker. One chunk per
     // round, so its 70th `update_run` is round 69, inside the second

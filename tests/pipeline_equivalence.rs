@@ -254,6 +254,76 @@ fn feeds_closed_mid_batch_match_parted_partial_rounds() {
 }
 
 #[test]
+fn chunks_around_the_round_length_are_bit_identical_to_parted() {
+    // Pushes of 1, batch − 1, batch, batch + 1 and 2·batch + 1 inputs in
+    // a per-feed random order: shorter than a round, exactly one, across
+    // one boundary and across two (past the queue's capacity, so the
+    // push parks mid-chunk). A ring cuts each push at its feed's round
+    // boundaries, so the rounds are run_parted's whatever the chunking.
+    let k = 4;
+    let spec = TrackerSpec::new(TrackerKind::Deterministic)
+        .k(k)
+        .eps(0.2)
+        .deletions(true);
+    let stream = counter_stream(31, 6_000, k, true);
+    let feeds = part_counters(&stream, k);
+    let slices: Vec<(usize, &[i64])> = feeds
+        .iter()
+        .enumerate()
+        .map(|(s, v)| (s, v.as_slice()))
+        .collect();
+    let sites: Vec<usize> = (0..k).collect();
+    for batch in [1usize, 2, 7, 64] {
+        let lens: Vec<usize> = [1, batch - 1, batch, batch + 1, 2 * batch + 1]
+            .into_iter()
+            .filter(|&len| len > 0)
+            .collect();
+        // Three shards: sites 0 and 3 are two feeds on shard 0.
+        let cfg = EngineConfig::new(3, batch).eps(0.2);
+        let mut parted = ShardedEngine::counters(spec, cfg).unwrap();
+        let parted_report = parted.run_parted(&slices).unwrap();
+        let want = fingerprint(&parted);
+        for workers in [3, 1] {
+            let mut piped = ShardedEngine::counters(spec, cfg.workers(workers)).unwrap();
+            let report = piped
+                .run_pipelined(&sites, |handles| {
+                    std::thread::scope(|s| {
+                        for (site, (mut handle, data)) in
+                            handles.into_iter().zip(&feeds).enumerate()
+                        {
+                            let lens = &lens;
+                            s.spawn(move || {
+                                let mut draw = 977 + site as u64;
+                                let mut at = 0;
+                                while at < data.len() {
+                                    let len = lens[lcg(&mut draw) as usize % lens.len()];
+                                    let chunk = &data[at..(at + len).min(data.len())];
+                                    if let [x] = chunk {
+                                        handle.push(*x).unwrap();
+                                    } else {
+                                        handle.push_batch(chunk).unwrap();
+                                    }
+                                    at += chunk.len();
+                                }
+                            });
+                        }
+                    });
+                })
+                .unwrap();
+            assert_eq!(
+                fingerprint(&piped),
+                want,
+                "batch {batch} W={workers} diverged from run_parted"
+            );
+            assert_eq!(report.n, parted_report.n, "batch {batch}");
+            assert_eq!(report.batches, parted_report.batches, "batch {batch}");
+            assert_eq!(report.ingest_stats.items, report.n, "batch {batch}");
+            assert_eq!(report.ingest_stats.dropped, 0, "batch {batch}");
+        }
+    }
+}
+
+#[test]
 fn error_policy_sheds_load_with_typed_errors_and_retries_converge() {
     // A producer that must never park sheds with `try_push`: a full queue
     // surfaces FeedError::Full with nothing enqueued, the producer hops to
