@@ -161,7 +161,7 @@ cargo clippy --workspace --all-targets ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}
 step "cargo test --workspace -q (superset of the tier-1 'cargo test -q')"
 cargo test --workspace -q ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"}
 
-step "cargo test --release: codec_robustness + state_bounded + fleet_equivalence + state_roundtrip + delta_checkpoint + fleet_delta + engine_equivalence + engine_checkpoint + pipeline_equivalence + async_ingest + message_ledger_pinned + batch_proptests (+ remote_equivalence with remote) (the restore gauntlet, the O(k) state check, the snapshot seam, delta chains, the windowed executor and the run seam, optimized)"
+step "cargo test --release: codec_robustness + state_bounded + fleet_equivalence + state_roundtrip + delta_checkpoint + fleet_delta + engine_equivalence + engine_checkpoint + pipeline_equivalence + async_ingest + message_ledger_pinned + batch_proptests (+ remote_equivalence and failover_injection with remote) (the restore gauntlet, the O(k) state check, the snapshot seam, delta chains, the windowed executor and the run seam, optimized)"
 # Both profiles are needed. The restore-then-continue gauntlet's
 # `assert!` panics reproduce only when a restored tracker is stepped and
 # survive into release; its shift and add overflows panic only in debug
@@ -192,10 +192,12 @@ step "cargo test --release: codec_robustness + state_bounded + fleet_equivalence
 # With `remote` on, remote_equivalence runs here too: the remote engine
 # pumps every worker's connection from one thread, interleaving round
 # sends with report reads, and only optimized code is fast enough for
-# the two to actually interleave.
+# the two to actually interleave. So does failover_injection: a commit
+# rides the window's last round frames, inside that pump, so its kill
+# and sever matrix must also land at release-build timing.
 RELEASE_TESTS=(--test codec_robustness --test state_bounded --test fleet_equivalence --test state_roundtrip --test delta_checkpoint --test fleet_delta --test engine_equivalence --test engine_checkpoint --test pipeline_equivalence --test async_ingest --test message_ledger_pinned --test batch_proptests)
 case " ${DSV_FEATURES:-} " in *remote*)
-    RELEASE_TESTS+=(--test remote_equivalence)
+    RELEASE_TESTS+=(--test remote_equivalence --test failover_injection)
     ;;
 esac
 cargo test -q --release -p dsv ${FEATURE_FLAGS[@]+"${FEATURE_FLAGS[@]}"} "${RELEASE_TESTS[@]}"

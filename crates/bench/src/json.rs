@@ -478,17 +478,27 @@ static SCHEMAS: [Schema; 5] = [
         ],
         ..BASE
     },
-    // Pipelined-ingestion overlap: the slow-feed scenario carries the gate.
+    // Pipelined-ingestion overlap: the slow-feed scenario carries the gate,
+    // the median of `timings` alternating runs of each mode.
     Schema {
         tag: "e17_pipeline",
         scalars: &[
             ("shards", Pos),
             ("batch", Pos),
             ("overlap_gate", Above(1.0, "else a no-op passes")),
+            (
+                "timings",
+                Floor(5.0, "timed runs of each mode per scenario"),
+            ),
         ],
         table: "scenarios",
         key: &["scenario"],
-        fields: &[("scenario", Str), ("overlap_speedup", Pos)],
+        fields: &[
+            ("scenario", Str),
+            ("overlap_speedup", Pos),
+            ("overlap_speedup_min", Pos),
+            ("overlap_speedup_max", Pos),
+        ],
         rows: &[
             ("mode", OneOf(&["sync", "pipelined"])),
             ("wall_ms", Pos),
@@ -890,6 +900,14 @@ mod tests {
         // Degenerate gate values are rejected.
         refused(&set(E17, "overlap_gate", "1"), "overlap_gate");
         refused(&rename(E17, "pipelined", "overlapped"), "mode");
+        // The gated speedup is a median of at least five timings, and
+        // its spread is on the record.
+        refused(&set(E17, "timings", "1"), "at least 5");
+        refused(
+            &rename(E17, "overlap_speedup_min", "overlap_floor"),
+            "overlap_speedup_min",
+        );
+        refused(&set(E17, "overlap_speedup_max", "0"), "overlap_speedup_max");
     }
 
     #[test]

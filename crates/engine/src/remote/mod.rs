@@ -23,12 +23,16 @@
 //!
 //! **Failover.** [`EngineConfig::checkpoint_every`] sets how often the
 //! coordinator commits a cut of every *dirty* shard's [`TrackerState`];
-//! every call also ends with one. A worker that dies (a timeout or EOF
-//! on its connection) is respawned in its slot: shard `s` always lives
-//! on worker `s mod W`. Its shards restart from the committed cut and run
-//! again from the feeds, which the coordinator still holds: the rounds
-//! closed since the cut with their reports discarded, then the open
-//! window. [`FaultPlan`] injects delays, severs and kills at a
+//! every call also ends with one. A commit rides the window's last
+//! frames: each worker snapshots its stale shards after that round's
+//! chunks and returns their states in its report (a worker with no chunk
+//! then is sent a round with none), and the coordinator captures them
+//! all together once the window closes. A worker that dies (a timeout
+//! or EOF on its connection) is respawned in its slot: shard `s` always
+//! lives on worker `s mod W`. Its shards restart from the committed cut
+//! and run again from the feeds, which the coordinator still holds: the
+//! rounds closed since the cut with their reports discarded, then the
+//! open window. [`FaultPlan`] injects delays, severs and kills at a
 //! chosen round, boundary or checkpoint; `tests/failover_injection.rs`
 //! sweeps the matrix.
 
@@ -44,7 +48,7 @@ use dsv_core::api::{Problem, ResumeError, RunError, TrackerKind, TrackerSpec};
 use dsv_core::codec::{CodecError, Enc, TrackerState};
 use dsv_net::transport::{parse_hello, Conn, Endpoint, Listener, Role, TransportError, WireStats};
 use dsv_net::{CommStats, IngestStats, SiteId, Time};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::path::PathBuf;
@@ -130,14 +134,19 @@ impl Default for RemoteConfig {
 /// one `run_parted` call).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPoint {
-    /// After the coordinator sends round `r`'s chunks, before it reads
-    /// the report.
+    /// As the coordinator sends round `r`'s frame, before it reads the
+    /// report: a `Kill` lands just before the frame is written, so the
+    /// worker never answers round `r` and the window finds the death; a
+    /// `Sever` lands just after, racing the reply.
     MidRound(u64),
-    /// Once the window holding round `r` has closed (before any commit
-    /// at its end, so the sink can be what detects the death).
+    /// Once the window holding round `r` has closed, before its commit
+    /// (if any) is captured: the worker's staged states go with it, so
+    /// the commit pulls them again in a round with no chunks, and that
+    /// frame finds the death; without a commit, the next window's does.
     AtBoundary(u64),
-    /// After the checkpoint request at the auto-checkpoint of boundary
-    /// `r` is sent, before its reply is read.
+    /// Once the frame that carries the periodic commit of boundary `r`
+    /// ([`EngineConfig::checkpoint_every`]) is written, before its report
+    /// is read: a death mid-commit is a death mid-round.
     DuringCheckpoint(u64),
 }
 
@@ -347,13 +356,39 @@ fn lead(feeds: usize) -> u64 {
 }
 
 /// One worker's share of a window: the feeds it runs (ascending indices),
-/// its send and read cursors, and the entries its reports carried.
+/// the shards its commit snapshots, its send and read cursors, and the
+/// entries and states its reports carried.
 struct Part {
     w: usize,
     feeds: Vec<usize>,
+    asked: Vec<usize>,
     sent: u64,
     read: u64,
     out: Rounds,
+    states: Vec<(usize, TrackerState)>,
+}
+
+impl Part {
+    /// The round this part is pumped up to (exclusive): the window's end,
+    /// or past the commit's round when it snapshots a shard.
+    fn stop(&self, window: &Range<u64>, commit: &Commit) -> u64 {
+        match self.asked.is_empty() {
+            true => window.end,
+            false => commit.at + 1,
+        }
+    }
+}
+
+/// A window's commit: per worker, the shards to snapshot on its frame of
+/// round `at` (every list empty when the window ends without one).
+struct Commit {
+    asked: Vec<Vec<usize>>,
+    /// The window's last round; 0 for a commit with no round (a never-run
+    /// engine's, or a call with no inputs).
+    at: u64,
+    /// `checkpoint_every`'s commit, the one
+    /// [`FaultPoint::DuringCheckpoint`] targets.
+    periodic: bool,
 }
 
 /// One worker slot: its live connection (None once dead), the OS child
@@ -551,8 +586,11 @@ impl<In: RemoteInput> RemoteEngine<In> {
     /// interchangeable with one taken by the in-process engine at the
     /// same boundary (that is the failover-equivalence contract).
     pub fn checkpoint(&mut self) -> Result<EngineCheckpoint, RemoteError> {
-        // Every run ends with a commit: only a never-run engine pulls.
-        self.sync_checkpoint(&[], None, 0..0)?;
+        // Every call ends with a commit, so only a never-run engine has
+        // stale shards: a call with no inputs commits them.
+        if (0..self.cfg.shards_count()).any(|sid| self.books.stale(sid)) {
+            self.run_parted(&[])?;
+        }
         Ok(self.books.checkpoint(self.kind, self.k))
     }
 
@@ -567,37 +605,58 @@ impl<In: RemoteInput> RemoteEngine<In> {
         validate_feeds(feeds, self.k, self.kind, self.time(), self.cfg.batch_size())?;
 
         let total: usize = feeds.iter().map(|(_, inputs)| inputs.len()).sum();
-        let rounds = rounds_of(feeds, self.cfg.batch_size()) as u64;
+        let (s_count, batch) = (self.cfg.shards_count(), self.cfg.batch_size());
+        let rounds = rounds_of(feeds, batch) as u64;
         let period = self.cfg.checkpoint_period();
         // Rounds of this call the last commit covers, and rounds closed.
-        let (mut committed, mut done) = (0, 0);
-        while done < rounds {
+        let (mut committed, mut done) = (0, 0u64);
+        loop {
             let commit_at = done
                 .checked_div(period)
                 .map_or(rounds, |q| (q + 1) * period);
             let end = commit_at.min(rounds).min(done + WINDOW as u64);
-            let parts = self.parts(feeds, (0..feeds.len()).collect(), done);
-            let parts = self.pump(feeds, done..end, committed, parts)?;
+            // A commit every `checkpoint_every` rounds, and one ending the
+            // call: later calls never need its feeds again, and the
+            // report's tracker ledger comes from those states.
+            let periodic = period > 0 && end == commit_at;
+            let commits = periodic || end == rounds;
+            let commit = self.commit(feeds, done..end, periodic, commits);
+            let parts = self.parts(feeds, 0..self.workers.len(), done, &commit);
+            let pumped = self.pump(feeds, done..end, committed, &commit, parts);
+            let mut parts = pumped.inspect_err(|_| {
+                // The replicas ran inputs no cut closed.
+                for (sid, ran) in window_runs(feeds, s_count, batch, done..end) {
+                    self.books.ran_uncut(sid, ran);
+                }
+            })?;
             let bufs = parts.iter().map(|p| &p.out);
             self.books
                 .cut(&mut audit)
                 .close_window(bufs, (end - done) as usize);
+            let mut struck = BTreeSet::new();
             let w_count = self.workers.len();
             for (r, w) in (done..end).flat_map(|r| (0..w_count).map(move |w| (r, w))) {
                 if let Some(kind) = self.faults.take(FaultPoint::AtBoundary(r), w) {
                     self.disrupt(w, kind);
+                    struck.insert(w);
                 }
             }
-            if end == commit_at && period > 0 {
-                self.sync_checkpoint(feeds, Some(end - 1), committed..end)?;
+            if commits {
+                // A struck worker's staged states went with it: pull them
+                // again, in rounds with no chunks, before capturing all.
+                parts.retain(|p| !struck.contains(&p.w));
+                let again = self.parts(&[], struck, commit.at, &commit);
+                parts.extend(self.pump(feeds, end..end, committed, &commit, again)?);
+                for (sid, state) in parts.into_iter().flat_map(|p| p.states) {
+                    self.books.capture(sid, state);
+                }
                 committed = end;
             }
             done = end;
+            if done == rounds {
+                break;
+            }
         }
-        // Mandatory end-of-run commit: later calls (and their failovers)
-        // never need this call's feeds again, and the report's tracker
-        // ledger comes from these states.
-        self.sync_checkpoint(feeds, None, committed..done)?;
 
         let (_, tracker_stats) = self.resume_final()?;
         let (cfg, n) = (&self.cfg, total as u64);
@@ -618,34 +677,71 @@ impl<In: RemoteInput> RemoteEngine<In> {
         site % self.cfg.shards_count() % self.workers.len()
     }
 
-    /// The feeds `which` selects (ascending), one part per worker hosting
-    /// their shards, each to run from round `from`.
-    fn parts(&self, feeds: &[(SiteId, &[In])], which: Vec<usize>, from: u64) -> Vec<Part> {
-        let mut parts: BTreeMap<usize, Part> = BTreeMap::new();
-        for feed in which {
-            let w = self.worker_of(feeds[feed].0);
-            let part = parts.entry(w).or_insert_with(|| Part {
+    /// The commit closing `window` (if `due`): per worker, ascending,
+    /// every shard stale now or running in the window.
+    fn commit(
+        &self,
+        feeds: &[(SiteId, &[In])],
+        window: Range<u64>,
+        periodic: bool,
+        due: bool,
+    ) -> Commit {
+        let (s_count, at) = (self.cfg.shards_count(), window.end.max(1) - 1);
+        let mut stale: Vec<bool> = (0..s_count)
+            .map(|sid| due && self.books.stale(sid))
+            .collect();
+        for (sid, _) in window_runs(feeds, s_count, self.cfg.batch_size(), window) {
+            stale[sid] = due;
+        }
+        let mut asked = vec![Vec::new(); self.workers.len()];
+        for sid in (0..s_count).filter(|&sid| stale[sid]) {
+            asked[self.worker_of(sid)].push(sid);
+        }
+        Commit {
+            asked,
+            at,
+            periodic,
+        }
+    }
+
+    /// One part per worker of `workers` that runs a feed of `feeds` or
+    /// snapshots a shard for `commit`, each to run from round `from`.
+    fn parts(
+        &self,
+        feeds: &[(SiteId, &[In])],
+        workers: impl IntoIterator<Item = usize>,
+        from: u64,
+        commit: &Commit,
+    ) -> Vec<Part> {
+        let part = |w| {
+            let mine = (0..feeds.len()).filter(|&i| self.worker_of(feeds[i].0) == w);
+            let feeds: Vec<usize> = mine.collect();
+            let asked = &commit.asked[w];
+            (!feeds.is_empty() || !asked.is_empty()).then(|| Part {
                 w,
-                feeds: Vec::new(),
+                feeds,
+                asked: asked.clone(),
                 sent: from,
                 read: from,
                 out: Rounds::default(),
-            });
-            part.feeds.push(feed);
-        }
-        parts.into_values().collect()
+                states: Vec::new(),
+            })
+        };
+        workers.into_iter().filter_map(part).collect()
     }
 
     /// Pump `parts` from this thread, a step per live part per pass,
-    /// until each holds every round of `window`. A worker found dead is
-    /// failed over once the live parts are done, and every part it took
-    /// down is pumped again from `committed` on its replacement: the
-    /// rounds before the window are replayed, their reports dropped.
+    /// until each holds every round of `window` (and its commit's
+    /// states). A worker found dead is failed over once the live parts
+    /// are done, and pumped again from `committed` on its replacement:
+    /// the rounds before the window are replayed, their reports dropped,
+    /// and its staged states with the dead part.
     fn pump(
         &mut self,
         feeds: &[(SiteId, &[In])],
         window: Range<u64>,
         committed: u64,
+        commit: &Commit,
         mut parts: Vec<Part>,
     ) -> Result<Vec<Part>, RemoteError> {
         let mut fresh = 0;
@@ -655,11 +751,11 @@ impl<In: RemoteInput> RemoteEngine<In> {
             while busy {
                 busy = false;
                 for part in &mut parts[fresh..] {
-                    if part.read == window.end || dead.contains(&part.w) {
+                    if part.read == part.stop(&window, commit) || dead.contains(&part.w) {
                         continue;
                     }
                     busy = true;
-                    match self.step(feeds, &window, part) {
+                    match self.step(feeds, &window, commit, part) {
                         Err(RemoteError::Transport { worker, .. }) => {
                             dead.insert(worker);
                         }
@@ -670,32 +766,37 @@ impl<In: RemoteInput> RemoteEngine<In> {
             if dead.is_empty() {
                 return Ok(parts);
             }
-            let lost = self.fail_over(feeds, dead, committed..window.start)?;
-            parts.retain(|p| lost.binary_search(&p.feeds[0]).is_err());
+            self.fail_over(&dead, committed..window.start)?;
+            parts.retain(|p| !dead.contains(&p.w));
             fresh = parts.len();
-            let moved = self.parts(feeds, lost, committed);
+            let moved = self.parts(feeds, dead, committed, commit);
             parts.extend(moved);
         }
     }
 
     /// Take the report of the next round `part` has on the wire, if any (a
     /// round it was sent nothing in passes empty; one before the window is
-    /// a replay), then send it every round its lead allows before the
-    /// window's end. Reading before sending keeps every worker busy.
+    /// a replay), then send it every round its lead allows before its
+    /// stop. Reading before sending keeps every worker busy.
     fn step(
         &mut self,
         feeds: &[(SiteId, &[In])],
         window: &Range<u64>,
+        commit: &Commit,
         part: &mut Part,
     ) -> Result<(), RemoteError> {
         let (w, s_count, batch) = (part.w, self.cfg.shards_count(), self.cfg.batch_size());
+        let stop = part.stop(window, commit);
         if part.read < part.sent {
             let round = part.read;
             part.read += 1;
             let sent = chunks_of(feeds, &part.feeds, s_count, batch, round);
-            if sent.clone().next().is_some() {
+            let asked: &[usize] = if round == commit.at { &part.asked } else { &[] };
+            if sent.clone().next().is_some() || !asked.is_empty() {
                 let reply = self.recv_coord(w)?;
-                take_report(w, round, sent, reply, &mut part.out)?;
+                let spec = (self.kind, self.k);
+                let states = take_report(w, round, sent, asked, spec, reply, &mut part.out)?;
+                part.states.extend(states);
             }
             // A replayed round was closed already: its entries go.
             if round < window.start {
@@ -704,95 +805,44 @@ impl<In: RemoteInput> RemoteEngine<In> {
                 part.out.end_round();
             }
         }
-        while part.sent < window.end.min(part.read + lead(part.feeds.len())) {
+        while part.sent < stop.min(part.read + lead(part.feeds.len())) {
             let round = part.sent;
             part.sent += 1;
             let chunks = chunks_of(feeds, &part.feeds, s_count, batch, round);
-            if chunks.clone().next().is_none() {
+            let asked: &[usize] = if round == commit.at { &part.asked } else { &[] };
+            if chunks.clone().next().is_none() && asked.is_empty() {
                 continue;
             }
             let fault = self.faults.take(FaultPoint::MidRound(round), w);
+            if fault == Some(FaultKind::Kill) {
+                self.disrupt(w, FaultKind::Kill);
+            }
             let delay_ms = match fault {
                 Some(FaultKind::Delay { ms }) => ms,
                 _ => 0,
             };
-            encode_round(&mut self.frame, round, delay_ms, chunks);
+            encode_round(&mut self.frame, round, delay_ms, chunks, asked);
             self.workers[w]
                 .send(self.frame.as_bytes())
                 .map_err(|err| RemoteError::Transport { worker: w, err })?;
-            if let Some(kind @ (FaultKind::Kill | FaultKind::Sever)) = fault {
-                self.disrupt(w, kind);
+            if fault == Some(FaultKind::Sever) {
+                self.disrupt(w, FaultKind::Sever);
+            }
+            let during = FaultPoint::DuringCheckpoint(round);
+            if commit.periodic && !asked.is_empty() {
+                if let Some(kind) = self.faults.take(during, w) {
+                    self.disrupt(w, kind);
+                }
             }
         }
         Ok(())
     }
 
-    /// Commit a checkpoint cut at the current boundary: pull the state of
-    /// every stale shard, and only once **all** of them arrived capture
-    /// them together. A dead worker is failed over, the rounds closed
-    /// since the last commit (`replay`) are replayed, and the pull is
-    /// retried — snapshots are read-only, so re-requesting is safe.
-    fn sync_checkpoint(
-        &mut self,
-        feeds: &[(SiteId, &[In])],
-        fault_boundary: Option<u64>,
-        replay: Range<u64>,
-    ) -> Result<(), RemoteError> {
-        loop {
-            let mut asked: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-            for sid in (0..self.cfg.shards_count()).filter(|&sid| self.books.stale(sid)) {
-                asked.entry(self.worker_of(sid)).or_default().push(sid);
-            }
-            let mut dead = BTreeSet::new();
-            for (&w, sids) in &asked {
-                let shards = sids.clone();
-                if self.workers[w]
-                    .send(&ToWorker::Checkpoint { shards }.to_bytes())
-                    .is_err()
-                {
-                    dead.insert(w);
-                }
-                let at = fault_boundary.map(FaultPoint::DuringCheckpoint);
-                if let Some(kind) = at.and_then(|at| self.faults.take(at, w)) {
-                    self.disrupt(w, kind);
-                }
-            }
-            let mut staged = Vec::new();
-            for (&w, sids) in &asked {
-                if dead.contains(&w) {
-                    continue;
-                }
-                match self.recv_coord(w) {
-                    Ok(reply) => staged.extend(take_states(w, sids, self.kind, self.k, reply)?),
-                    Err(RemoteError::Transport { .. }) => {
-                        dead.insert(w);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            if dead.is_empty() {
-                for (sid, state) in staged {
-                    self.books.capture(sid, state);
-                }
-                return Ok(());
-            }
-            let lost = self.fail_over(feeds, dead, replay.clone())?;
-            let parts = self.parts(feeds, lost, replay.start);
-            self.pump(feeds, replay.end..replay.end, replay.start, parts)?;
-        }
-    }
-
     /// Fail the `dead` over: respawn each in its slot at generation + 1
     /// (its shards restored from the committed cut) and record the event
-    /// (the caller replays `replay`). Returns the feeds whose shards lost
-    /// their replicas, ascending: they run again from the cut.
-    fn fail_over(
-        &mut self,
-        feeds: &[(SiteId, &[In])],
-        dead: BTreeSet<usize>,
-        replay: Range<u64>,
-    ) -> Result<Vec<usize>, RemoteError> {
-        for &w in &dead {
+    /// (the caller replays `replay`).
+    fn fail_over(&mut self, dead: &BTreeSet<usize>, replay: Range<u64>) -> Result<(), RemoteError> {
+        for &w in dead {
             self.failovers += 1;
             if self.failovers > self.rcfg.max_failovers {
                 return Err(RemoteError::FailoverExhausted { worker: w });
@@ -807,8 +857,7 @@ impl<In: RemoteInput> RemoteEngine<In> {
                 replayed_rounds: replay.end - replay.start,
             });
         }
-        let lost = (0..feeds.len()).filter(|&i| dead.contains(&self.worker_of(feeds[i].0)));
-        Ok(lost.collect())
+        Ok(())
     }
 
     /// Tear slot `w` down: close its connection, which is what ends a
@@ -990,14 +1039,30 @@ fn chunks_of<'a, In>(
     })
 }
 
+/// `(shard, inputs)` for every feed with a chunk in `window`: what each
+/// feed runs there.
+fn window_runs<'a, In>(
+    feeds: &'a [(SiteId, &'a [In])],
+    s_count: usize,
+    batch: usize,
+    window: Range<u64>,
+) -> impl Iterator<Item = (usize, u64)> + 'a {
+    feeds.iter().filter_map(move |&(site, inputs)| {
+        let at = |round: u64| (round as usize).saturating_mul(batch).min(inputs.len());
+        let (lo, hi) = (at(window.start), at(window.end));
+        (lo < hi).then_some((site % s_count, (hi - lo) as u64))
+    })
+}
+
 /// Encode `chunks` as round `round`'s frame into `enc` (cleared first):
-/// the bytes of `ToWorker::Round { round, delay_ms, chunks }.to_bytes()`
-/// without the owned copies.
+/// the bytes of `ToWorker::Round { round, delay_ms, chunks, commit }
+/// .to_bytes()` without the owned copies.
 fn encode_round<'a, In: RemoteInput + 'a>(
     enc: &mut Enc,
     round: u64,
     delay_ms: u64,
     chunks: impl Iterator<Item = (usize, SiteId, &'a [In])> + Clone,
+    commit: &[usize],
 ) {
     enc.clear();
     enc.magic(WIRE_MAGIC, WIRE_VERSION);
@@ -1006,53 +1071,43 @@ fn encode_round<'a, In: RemoteInput + 'a>(
         wire::chunk_header(enc, sid, site);
         In::encode(inputs, enc);
     }
+    wire::commit_list(enc, commit);
 }
 
 /// Take worker `w`'s reply to round `round` into `out`, given the chunks
-/// it was `sent`: one `(estimate, Σδ)` per chunk, in order, so each entry's
-/// shard and length are the chunk's own.
+/// it was `sent` and the shards it was `asked` to snapshot: one
+/// `(estimate, Σδ)` per chunk, in order, so each entry's shard and length
+/// are the chunk's own; then one state per shard asked, in that order,
+/// each of the engine's `(kind, k)`. Returns the states by shard.
 fn take_report<'a, In: 'a>(
     w: usize,
     round: u64,
     sent: impl Iterator<Item = (usize, SiteId, &'a [In])> + Clone,
+    asked: &[usize],
+    (kind, k): (TrackerKind, usize),
     reply: ToCoord,
     out: &mut Rounds,
-) -> Result<(), RemoteError> {
+) -> Result<Vec<(usize, TrackerState)>, RemoteError> {
     let refuse = |what| Err(RemoteError::Protocol { worker: w, what });
-    let entries = match reply {
-        ToCoord::RoundReport { round: r, entries } if r == round => entries,
+    let (entries, states) = match reply {
+        ToCoord::RoundReport {
+            round: r,
+            entries,
+            states,
+        } if r == round => (entries, states),
         _ => return refuse("unexpected reply to a round"),
     };
     if entries.len() != sent.clone().count() {
         return refuse("round report entries are not one per chunk sent");
     }
+    if states.len() != asked.len() {
+        return refuse("round report states are not one per shard asked");
+    }
+    if states.iter().any(|s| s.kind() != kind || s.k() != k) {
+        return refuse("round report state contradicts the engine spec");
+    }
     for ((sid, _, inputs), (estimate, sum)) in sent.zip(entries) {
         out.push((sid, estimate, sum, inputs.len() as u64));
-    }
-    Ok(())
-}
-
-/// Worker `w`'s reply to a pull of the shards `asked`: one state per
-/// shard, in the order asked, each of the engine's kind and `k`.
-fn take_states(
-    w: usize,
-    asked: &[usize],
-    kind: TrackerKind,
-    k: usize,
-    reply: ToCoord,
-) -> Result<Vec<(usize, TrackerState)>, RemoteError> {
-    let refuse = |what| Err(RemoteError::Protocol { worker: w, what });
-    let ToCoord::CheckpointReport { states } = reply else {
-        return refuse("unexpected reply to a checkpoint request");
-    };
-    if states.len() != asked.len() {
-        return refuse("checkpoint reply states are not one per shard asked");
-    }
-    if states
-        .iter()
-        .any(|state| state.kind() != kind || state.k() != k)
-    {
-        return refuse("checkpoint state contradicts the engine spec");
     }
     Ok(asked.iter().copied().zip(states).collect())
 }
@@ -1269,6 +1324,83 @@ mod tests {
     }
 
     #[test]
+    fn a_call_costs_one_frame_each_way_per_worker_and_round() {
+        // 16 rounds on 2 workers, every worker with a chunk every round:
+        // the commits (the end of the call, and every 3 rounds) ride the
+        // round frames, so they cost none of their own.
+        let feeds = walk_feeds(4, 4 * 16 * 100);
+        let mut transports = vec![RemoteTransport::Tcp];
+        #[cfg(unix)]
+        transports.push(RemoteTransport::Uds);
+        for transport in transports {
+            for every in [0, 3] {
+                let cfg = EngineConfig::new(4, 100).workers(2).checkpoint_every(every);
+                let rcfg = RemoteConfig {
+                    transport,
+                    ..fast_rcfg()
+                };
+                let mut remote = RemoteEngine::counters(det_spec(4), cfg, rcfg).unwrap();
+                let before = remote.wire_stats();
+                let report = remote.run_parted(&slices(&feeds)).unwrap();
+                let after = remote.wire_stats();
+                let label = format!("{transport:?}, every {every}");
+                assert_eq!(report.batches, 16, "{label}");
+                assert_eq!(after.frames_sent - before.frames_sent, 2 * 16, "{label}");
+                let received = after.frames_received - before.frames_received;
+                assert_eq!(received, 2 * 16, "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn commits_without_a_chunk_to_ride_stay_bit_identical() {
+        // Five shards on two workers, fed by sites 0..3 only: worker 1's
+        // one feed (site 1) ends in round 2, so from the first commit on
+        // it has no chunk at a commit round, and shards 3 (worker 1) and
+        // 4 (worker 0) have no feed and are never captured until a
+        // commit asks for them. A second call leaves worker 1 idle.
+        let mut feeds = walk_feeds(3, 3 * 3_000);
+        feeds[1].1.truncate(700);
+        let second: Vec<(usize, Vec<i64>)> = vec![(2, feeds[2].1[..900].to_vec())];
+        // States captured after each call: the in-process engine's one
+        // checkpoint a call, and with a period the commits at boundaries
+        // 4 and 8 also capture shards 0 and 2 (four more).
+        for (every, captured) in [(0, [5, 6]), (4, [9, 10])] {
+            let cfg = EngineConfig::new(5, 250).workers(2).checkpoint_every(every);
+            let mut local = ShardedEngine::counters(det_spec(5), cfg).unwrap();
+            let mut remote = RemoteEngine::counters(det_spec(5), cfg, fast_rcfg()).unwrap();
+            for (call, captured) in [&feeds, &second].into_iter().zip(captured) {
+                let local_report = local.run_parted(&slices(call)).unwrap();
+                let report = remote.run_parted(&slices(call)).unwrap();
+                assert!(remote.events().is_empty(), "every {every}");
+                assert_same_run(&mut remote, &report, &mut local, &local_report);
+                let stats = remote.checkpoint_stats();
+                assert_eq!(stats.total_messages(), captured, "every {every}");
+                if every == 0 {
+                    assert_eq!(stats, local.checkpoint_stats());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_never_run_engine_checkpoints_through_rounds_with_no_chunks() {
+        let cfg = EngineConfig::new(4, 100).workers(2);
+        let mut local = ShardedEngine::counters(det_spec(4), cfg).unwrap();
+        let mut remote = RemoteEngine::counters(det_spec(4), cfg, fast_rcfg()).unwrap();
+        let before = remote.wire_stats();
+        assert_eq!(remote.checkpoint().unwrap(), local.checkpoint().unwrap());
+        assert_eq!(remote.checkpoint_stats(), local.checkpoint_stats());
+        // One chunkless round frame and its report per worker; a second
+        // checkpoint finds every shard current and pulls nothing.
+        let pulled = remote.wire_stats();
+        assert_eq!(pulled.frames_sent - before.frames_sent, 2);
+        assert_eq!(pulled.frames_received - before.frames_received, 2);
+        assert_eq!(remote.checkpoint().unwrap(), local.checkpoint().unwrap());
+        assert_eq!(remote.wire_stats(), pulled);
+    }
+
+    #[test]
     fn consumed_but_uncommitted_shards_are_a_typed_error() {
         // The first commit loses worker 1 with no failover budget left:
         // four rounds are closed, and no shard's state was captured.
@@ -1355,8 +1487,10 @@ mod tests {
         let items: &[(u64, i64)] = &[(5, 1), (9, -1)];
         let mut enc = Enc::new();
 
-        // Both input families, each with an empty chunk.
-        encode_round(&mut enc, 7, 0, [(0, 4, counts), (2, 6, &[])].into_iter());
+        // Both input families, each with an empty chunk; the first frame
+        // ends in a commit.
+        let chunks = [(0, 4, counts), (2, 6, &[])];
+        encode_round(&mut enc, 7, 0, chunks.into_iter(), &[0, 2]);
         let owned = ToWorker::Round {
             round: 7,
             delay_ms: 0,
@@ -1364,16 +1498,13 @@ mod tests {
                 chunk(0, Inputs::Counts(counts.to_vec())),
                 chunk(2, Inputs::Counts(Vec::new())),
             ],
+            commit: vec![0, 2],
         };
         assert_eq!(enc.as_bytes(), owned.to_bytes());
 
         // The buffer is reused: nothing of the previous frame survives.
-        encode_round(
-            &mut enc,
-            8,
-            25,
-            [(1, 5, &[][..]), (3, 7, items)].into_iter(),
-        );
+        let chunks = [(1, 5, &[][..]), (3, 7, items)];
+        encode_round(&mut enc, 8, 25, chunks.into_iter(), &[]);
         let owned = ToWorker::Round {
             round: 8,
             delay_ms: 25,
@@ -1381,6 +1512,17 @@ mod tests {
                 chunk(1, Inputs::Items(Vec::new())),
                 chunk(3, Inputs::Items(items.to_vec())),
             ],
+            commit: vec![],
+        };
+        assert_eq!(enc.as_bytes(), owned.to_bytes());
+
+        // A commit with no chunk to ride.
+        encode_round::<i64>(&mut enc, 9, 0, std::iter::empty(), &[3]);
+        let owned = ToWorker::Round {
+            round: 9,
+            delay_ms: 0,
+            chunks: vec![],
+            commit: vec![3],
         };
         assert_eq!(enc.as_bytes(), owned.to_bytes());
     }
@@ -1526,54 +1668,56 @@ mod tests {
         // Worker 1 holds shards 1 and 3 of 4; shard 3 has two feeds, so
         // round 0 sends it three chunks.
         let feeds: Vec<(usize, &[i64])> = vec![(1, run), (3, run), (3, run)];
-        let round = |round, chunks| ToCoord::RoundReport {
-            round,
-            entries: vec![(1, 1); chunks],
-        };
-        let take = |reply| {
-            let mut out = Rounds::default();
-            take_report(
-                1,
-                0,
-                chunks_of(&feeds, &[0, 1, 2], 4, 8, 0),
-                reply,
-                &mut out,
-            )
-        };
-        assert!(take(round(0, 3)).is_ok());
-        let no = ToCoord::AssignAck {
-            error: String::new(),
-        };
-        // Too few, too many, another round's, another message.
-        for hostile in [round(0, 2), round(0, 4), round(1, 3), no.clone()] {
-            let err = take(hostile.clone()).unwrap_err();
-            assert!(
-                matches!(err, RemoteError::Protocol { worker: 1, .. }),
-                "{hostile:?}"
-            );
-        }
-
         let kind = TrackerKind::Deterministic;
         let state = |kind, k| TrackerState::new(kind, k, vec![1; 8]);
         let ok = state(kind, 2);
-        let states = |states: Vec<TrackerState>| ToCoord::CheckpointReport { states };
-        let take = |reply| take_states(1, &[1, 3], kind, 2, reply);
-        let taken = take(states(vec![ok.clone(), ok.clone()])).unwrap();
-        assert_eq!(taken, vec![(1, ok.clone()), (3, ok.clone())]);
-        let alien_kind = state(TrackerKind::Randomized, 2);
-        // Too few, too many, a wrong kind, a wrong `k`, another message.
+        let report = |round, chunks, states| ToCoord::RoundReport {
+            round,
+            entries: vec![(1, 1); chunks],
+            states,
+        };
+        let take = |asked: &[usize], reply| {
+            let mut out = Rounds::default();
+            let sent = chunks_of(&feeds, &[0, 1, 2], 4, 8, 0);
+            take_report(1, 0, sent, asked, (kind, 2), reply, &mut out)
+        };
+        assert_eq!(take(&[], report(0, 3, vec![])), Ok(vec![]));
+        let taken = take(&[1, 3], report(0, 3, vec![ok.clone(), ok.clone()]));
+        assert_eq!(taken, Ok(vec![(1, ok.clone()), (3, ok.clone())]));
+        let no = ToCoord::AssignAck {
+            error: String::new(),
+        };
+        // Entries: too few, too many; another round's, another message.
         for hostile in [
-            states(vec![ok.clone()]),
-            states(vec![ok.clone(); 3]),
-            states(vec![ok.clone(), alien_kind]),
-            states(vec![state(kind, 5), ok.clone()]),
-            no,
+            report(0, 2, vec![]),
+            report(0, 4, vec![]),
+            report(1, 3, vec![]),
+            no.clone(),
         ] {
-            let err = take(hostile.clone()).unwrap_err();
+            let err = take(&[], hostile.clone()).unwrap_err();
             assert!(
                 matches!(err, RemoteError::Protocol { worker: 1, .. }),
                 "{hostile:?}"
             );
         }
+        // States, asked for shards 1 and 3: too few, too many, a wrong
+        // kind, a wrong `k`, another message.
+        let alien_kind = state(TrackerKind::Randomized, 2);
+        for hostile in [
+            report(0, 3, vec![ok.clone()]),
+            report(0, 3, vec![ok.clone(); 3]),
+            report(0, 3, vec![ok.clone(), alien_kind]),
+            report(0, 3, vec![state(kind, 5), ok.clone()]),
+            no,
+        ] {
+            let err = take(&[1, 3], hostile.clone()).unwrap_err();
+            assert!(
+                matches!(err, RemoteError::Protocol { worker: 1, .. }),
+                "{hostile:?}"
+            );
+        }
+        // States on a report that was asked for none.
+        let err = take(&[], report(0, 3, vec![ok])).unwrap_err();
+        assert!(matches!(err, RemoteError::Protocol { worker: 1, .. }));
     }
 }

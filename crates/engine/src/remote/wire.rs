@@ -9,9 +9,11 @@
 //! every byte and flip every byte of each. Round chunks are the per-site
 //! runs `run_parted` dispatches and states the versioned `TrackerState`
 //! envelopes. A reply answers what was sent, in the order it was sent:
-//! one `(estimate, Σδ)` per chunk of a round, one state per shard of a
-//! pull. The coordinator knows each chunk's shard and length, and pairs
-//! them with the reply into the entries the in-process cut closes.
+//! one `(estimate, Σδ)` per chunk of a round, then one state per shard
+//! the round asked to snapshot. The coordinator knows each chunk's shard
+//! and length, and pairs them with the reply into the entries the
+//! in-process cut closes; a checkpoint commit rides the round frame, so
+//! it costs no frame of its own.
 
 use dsv_core::api::TrackerSpec;
 use dsv_core::codec::TrackerState;
@@ -25,7 +27,7 @@ pub const WIRE_MAGIC: [u8; 4] = *b"DSVR";
 /// decoders read exactly this version; any other is a typed
 /// [`CodecError::UnsupportedVersion`], surfaced before any shard state
 /// moves (`MIGRATION.md`, format policy).
-pub const WIRE_VERSION: u16 = 8;
+pub const WIRE_VERSION: u16 = 9;
 
 /// One shard's inputs for one round — the per-problem input payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,8 +132,9 @@ pub enum ToWorker {
         /// The shards this worker hosts, with restore states.
         shards: Vec<ShardInit>,
     },
-    /// Process one round of chunks (in the given order) and reply with a
-    /// [`ToCoord::RoundReport`].
+    /// Process one round of chunks (in the given order), then snapshot
+    /// the `commit` shards, and reply with a [`ToCoord::RoundReport`]. A
+    /// commit with no chunk to ride is a round with no chunks.
     Round {
         /// Round number (0-based within the current ingestion call).
         round: u64,
@@ -142,12 +145,9 @@ pub enum ToWorker {
         delay_ms: u64,
         /// The work, in feed order.
         chunks: Vec<Chunk>,
-    },
-    /// Snapshot the named shards and reply with a
-    /// [`ToCoord::CheckpointReport`] of their states, in this order.
-    Checkpoint {
-        /// The (dirty) shards to snapshot, ascending.
-        shards: Vec<usize>,
+        /// The (stale) shards to snapshot once the chunks ran, ascending:
+        /// empty except on a worker's last frame before a commit.
+        commit: Vec<usize>,
     },
 }
 
@@ -176,19 +176,14 @@ impl ToWorker {
                 round,
                 delay_ms,
                 chunks,
+                commit,
             } => {
                 round_header(&mut enc, *round, *delay_ms, chunks.len());
                 for chunk in chunks {
                     chunk_header(&mut enc, chunk.sid, chunk.site);
                     chunk.inputs.encode(&mut enc);
                 }
-            }
-            ToWorker::Checkpoint { shards } => {
-                enc.u8(4);
-                enc.seq_len(shards.len());
-                for &sid in shards {
-                    enc.usize(sid);
-                }
+                commit_list(&mut enc, commit);
             }
         }
         enc.into_bytes()
@@ -217,16 +212,14 @@ impl ToWorker {
             3 => {
                 let round = dec.u64()?;
                 let delay_ms = dec.u64()?;
+                let chunks = decode_chunks(&mut dec)?;
+                let n = dec.seq_len("commit shards", 8)?;
                 ToWorker::Round {
                     round,
                     delay_ms,
-                    chunks: decode_chunks(&mut dec)?,
+                    chunks,
+                    commit: (0..n).map(|_| dec.usize()).collect::<Result<_, _>>()?,
                 }
-            }
-            4 => {
-                let n = dec.seq_len("checkpoint shards", 8)?;
-                let shards = (0..n).map(|_| dec.usize()).collect::<Result<_, _>>()?;
-                ToWorker::Checkpoint { shards }
             }
             tag => {
                 return Err(CodecError::BadTag {
@@ -249,7 +242,7 @@ fn open_frame(bytes: &[u8]) -> Result<Dec<'_>, CodecError> {
 
 /// Continue a [`ToWorker::Round`] frame after the envelope: tag, round,
 /// delay and chunk count; `chunks` × ([`chunk_header`] + an input run)
-/// follow. The coordinator writes round frames straight from the feed
+/// and the [`commit_list`] follow. The coordinator writes round frames straight from the feed
 /// slices this way, and [`ToWorker::to_bytes`] through the same writers.
 pub(crate) fn round_header(enc: &mut Enc, round: u64, delay_ms: u64, chunks: usize) {
     enc.u8(3);
@@ -263,6 +256,15 @@ pub(crate) fn round_header(enc: &mut Enc, round: u64, delay_ms: u64, chunks: usi
 pub(crate) fn chunk_header(enc: &mut Enc, sid: usize, site: usize) {
     enc.usize(sid);
     enc.usize(site);
+}
+
+/// Close a [`ToWorker::Round`] frame: the shards to snapshot after its
+/// chunks.
+pub(crate) fn commit_list(enc: &mut Enc, shards: &[usize]) {
+    enc.seq_len(shards.len());
+    for &sid in shards {
+        enc.usize(sid);
+    }
 }
 
 fn decode_chunks(dec: &mut Dec) -> Result<Vec<Chunk>, CodecError> {
@@ -280,12 +282,13 @@ fn decode_chunks(dec: &mut Dec) -> Result<Vec<Chunk>, CodecError> {
 }
 
 /// Encoded payload length of a [`ToCoord::RoundReport`] carrying
-/// `entries` chunk entries — what the coordinator bounds each send lead
-/// by (each report it has not read yet sits in a socket buffer).
+/// `entries` chunk entries and no states — what the coordinator bounds
+/// each send lead by (each report it has not read yet sits in a socket
+/// buffer; one carrying states is the last its connection is sent).
 pub(crate) const fn round_report_len(entries: usize) -> usize {
-    // envelope (magic + version), tag, round, entry count; then two
-    // 8-byte words per entry.
-    6 + 1 + 8 + 8 + 16 * entries
+    // envelope (magic + version), tag, round, entry count; two 8-byte
+    // words per entry; then the (zero) state count.
+    6 + 1 + 8 + 8 + 16 * entries + 8
 }
 
 /// Worker → coordinator messages.
@@ -304,10 +307,8 @@ pub enum ToCoord {
         /// Per chunk, in the order sent: its shard's estimate after the
         /// chunk and the chunk's Σδ.
         entries: Vec<(i64, i64)>,
-    },
-    /// Reply to [`ToWorker::Checkpoint`].
-    CheckpointReport {
-        /// The requested shards' whole states, in the order requested.
+        /// The `commit` shards' whole states after the round, in the
+        /// order asked.
         states: Vec<TrackerState>,
     },
 }
@@ -322,7 +323,11 @@ impl ToCoord {
                 enc.u8(1);
                 enc.blob(error.as_bytes());
             }
-            ToCoord::RoundReport { round, entries } => {
+            ToCoord::RoundReport {
+                round,
+                entries,
+                states,
+            } => {
                 enc.u8(2);
                 enc.u64(*round);
                 enc.seq_len(entries.len());
@@ -330,9 +335,6 @@ impl ToCoord {
                     enc.i64(estimate);
                     enc.i64(sum);
                 }
-            }
-            ToCoord::CheckpointReport { states } => {
-                enc.u8(3);
                 enc.seq_len(states.len());
                 for state in states {
                     enc.blob(&state.to_bytes());
@@ -357,15 +359,12 @@ impl ToCoord {
                 let round = dec.u64()?;
                 let n = dec.seq_len("round report entries", 16)?;
                 let entries = (0..n).map(|_| Ok((dec.i64()?, dec.i64()?)));
+                let entries = entries.collect::<Result<_, CodecError>>()?;
+                let n = dec.seq_len("round report states", 8)?;
+                let states = (0..n).map(|_| TrackerState::from_bytes(dec.blob()?));
                 ToCoord::RoundReport {
                     round,
-                    entries: entries.collect::<Result<_, CodecError>>()?,
-                }
-            }
-            3 => {
-                let n = dec.seq_len("checkpoint states", 8)?;
-                let states = (0..n).map(|_| TrackerState::from_bytes(dec.blob()?));
-                ToCoord::CheckpointReport {
+                    entries,
                     states: states.collect::<Result<_, CodecError>>()?,
                 }
             }
@@ -422,9 +421,26 @@ mod tests {
                         inputs: Inputs::Items(vec![(5, 1), (9, -1)]),
                     },
                 ],
+                commit: vec![],
             },
-            ToWorker::Checkpoint { shards: vec![0, 2] },
-            ToWorker::Checkpoint { shards: vec![] },
+            // A round that ends in a commit, and a commit with no chunk
+            // to ride.
+            ToWorker::Round {
+                round: 8,
+                delay_ms: 0,
+                chunks: vec![Chunk {
+                    sid: 2,
+                    site: 2,
+                    inputs: Inputs::Counts(vec![-1]),
+                }],
+                commit: vec![0, 2],
+            },
+            ToWorker::Round {
+                round: 8,
+                delay_ms: 0,
+                chunks: vec![],
+                commit: vec![2],
+            },
         ];
         let to_coord = vec![
             ToCoord::AssignAck {
@@ -436,12 +452,20 @@ mod tests {
             ToCoord::RoundReport {
                 round: 7,
                 entries: vec![(1, 1), (-4, 0)],
+                states: vec![],
             },
-            ToCoord::CheckpointReport {
+            ToCoord::RoundReport {
+                round: 8,
+                entries: vec![(-5, -1)],
                 states: vec![
                     state.clone(),
                     TrackerState::new(TrackerKind::Randomized, 3, vec![7; 40]),
                 ],
+            },
+            ToCoord::RoundReport {
+                round: 8,
+                entries: vec![],
+                states: vec![state.clone()],
             },
         ];
         (to_worker, to_coord)
@@ -464,6 +488,7 @@ mod tests {
             let report = ToCoord::RoundReport {
                 round: 5,
                 entries: vec![(-9, 2); n],
+                states: vec![],
             };
             assert_eq!(report.to_bytes().len(), round_report_len(n));
         }
@@ -510,9 +535,10 @@ mod tests {
         // (v1: untagged states and flag-less pulls; v2: before the
         // `Rounds` envelope; v3: with it; v4: delta-or-full state pulls;
         // v5: `Attach` and the shard count in `Assign`; v6: shard-keyed
-        // report entries and states; v7: `Finish`).
+        // report entries and states; v7: `Finish`; v8: the separate
+        // `Checkpoint` pull and its `CheckpointReport`).
         let (to_worker, to_coord) = sample_messages();
-        assert_eq!(WIRE_VERSION, 8);
+        assert_eq!(WIRE_VERSION, 9);
         for old in 1..WIRE_VERSION {
             let refused = CodecError::UnsupportedVersion {
                 found: old,
@@ -535,7 +561,13 @@ mod tests {
 
     #[test]
     fn envelope_and_tag_corruption_are_specific_errors() {
-        let bytes = ToWorker::Checkpoint { shards: vec![] }.to_bytes();
+        let bytes = ToWorker::Round {
+            round: 0,
+            delay_ms: 0,
+            chunks: vec![],
+            commit: vec![],
+        }
+        .to_bytes();
         let mut alien = bytes.clone();
         alien[0] = b'X';
         assert!(matches!(

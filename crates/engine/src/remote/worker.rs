@@ -1,5 +1,5 @@
 //! The shard-worker side: connect to the coordinator, install replicas,
-//! process rounds, serve checkpoint snapshots.
+//! process rounds and snapshot the shards a round's commit names.
 //!
 //! One serve loop backs a thread inside the coordinator process and a
 //! separate OS process entered through [`shard_server_main`] (the
@@ -84,15 +84,17 @@ pub(crate) fn serve(ep: &Endpoint, worker: u64, generation: u64) -> Result<(), W
 }
 
 /// Run one round's chunks in order, each through the in-process
-/// executor's [`ingest_run`], and send its [`ToCoord::RoundReport`]: the
-/// `(estimate, Σδ)` of every chunk, in that order. Folding a shard's
-/// several chunks is the coordinator's cut's job.
+/// executor's [`ingest_run`], snapshot the `commit` shards, and send its
+/// [`ToCoord::RoundReport`]: the `(estimate, Σδ)` of every chunk, in that
+/// order, then the states, in the order asked. Folding a shard's several
+/// chunks is the coordinator's cut's job.
 fn process_round(
     conn: &mut Conn,
     trackers: &mut BTreeMap<usize, AnyTracker>,
     round: u64,
     delay_ms: u64,
     chunks: &[Chunk],
+    commit: &[usize],
 ) -> Result<(), WorkerError> {
     if delay_ms > 0 {
         std::thread::sleep(Duration::from_millis(delay_ms));
@@ -109,7 +111,24 @@ fn process_round(
         };
         entries.push((estimate, sum));
     }
-    conn.send(&ToCoord::RoundReport { round, entries }.to_bytes())?;
+    let mut states = Vec::with_capacity(commit.len());
+    for sid in commit {
+        let tracker = trackers
+            .get(sid)
+            .ok_or(WorkerError::Protocol("checkpoint of unassigned shard"))?;
+        let state = match tracker {
+            AnyTracker::Counter(t) => t.snapshot(),
+            AnyTracker::Item(t) => t.snapshot(),
+        }
+        .map_err(|_| WorkerError::Protocol("shard state snapshot failed"))?;
+        states.push(state);
+    }
+    let report = ToCoord::RoundReport {
+        round,
+        entries,
+        states,
+    };
+    conn.send(&report.to_bytes())?;
     Ok(())
 }
 
@@ -136,23 +155,9 @@ fn serve_conn(conn: &mut Conn, worker: u64, generation: u64) -> Result<(), Worke
                 round,
                 delay_ms,
                 chunks,
+                commit,
             } => {
-                process_round(conn, &mut trackers, round, delay_ms, &chunks)?;
-            }
-            ToWorker::Checkpoint { shards } => {
-                let mut states = Vec::with_capacity(shards.len());
-                for sid in shards {
-                    let tracker = trackers
-                        .get(&sid)
-                        .ok_or(WorkerError::Protocol("checkpoint of unassigned shard"))?;
-                    let state = match tracker {
-                        AnyTracker::Counter(t) => t.snapshot(),
-                        AnyTracker::Item(t) => t.snapshot(),
-                    }
-                    .map_err(|_| WorkerError::Protocol("shard state snapshot failed"))?;
-                    states.push(state);
-                }
-                conn.send(&ToCoord::CheckpointReport { states }.to_bytes())?;
+                process_round(conn, &mut trackers, round, delay_ms, &chunks, &commit)?;
             }
         }
     }

@@ -390,6 +390,15 @@ impl Books {
         self.captured[sid].as_ref()
     }
 
+    /// Count `n` inputs shard `sid` ran that no cut closed: a remote
+    /// window that failed after they were sent leaves the replica past
+    /// its capture, so the shard reads as stale (and, never captured, as
+    /// uncommitted).
+    #[cfg(feature = "remote")]
+    pub(crate) fn ran_uncut(&mut self, sid: usize, n: u64) {
+        self.dirty[sid] += n;
+    }
+
     /// Record `state` as shard `sid`'s current state, charging the one
     /// [`StateFrame`] that ships it to the checkpoint ledger.
     pub(crate) fn capture(&mut self, sid: usize, state: TrackerState) {

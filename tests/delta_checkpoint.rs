@@ -364,10 +364,12 @@ mod remote {
     fn delta_pull_accounting_agrees_between_wire_and_ledger() {
         // The regression this pins: checkpoint traffic must be charged
         // once on the dedicated checkpoint ledger and once on WireStats,
-        // in agreement. With one shard per worker, every synced state is
-        // exactly one CheckpointReport frame, so the extra frames a
-        // syncing run receives over a non-syncing baseline must equal
-        // the extra messages its checkpoint ledger records.
+        // in agreement. A commit rides the round reports, so a syncing
+        // run receives exactly the frames a non-syncing baseline does;
+        // its extra bytes must be exactly the encoded states its extra
+        // commits (boundaries 4, 8 and 12 of 16) captured, and those
+        // states the extra messages its checkpoint ledger records.
+        use dsv::engine::remote::wire::ToCoord;
         let k = 2;
         let data = feeds(93, k, 16_000);
         let spec = TrackerSpec::new(TrackerKind::Deterministic)
@@ -379,19 +381,53 @@ mod remote {
 
         let mut baseline = RemoteEngine::counters(spec, quiet_cfg, rcfg()).unwrap();
         baseline.run_parted(&part(&data, 0..8_000)).unwrap();
-        let base_frames = baseline.wire_stats().frames_received;
+        let base = baseline.wire_stats();
         let base_msgs = baseline.checkpoint_stats().total_messages();
 
         let mut synced = RemoteEngine::counters(spec, sync_cfg, rcfg()).unwrap();
         synced.run_parted(&part(&data, 0..8_000)).unwrap();
-        let frames = synced.wire_stats().frames_received;
+        let wire = synced.wire_stats();
         let msgs = synced.checkpoint_stats().total_messages();
+
+        // The shards' states at the extra commits, from the in-process
+        // engine run to each boundary.
+        let mut local = ShardedEngine::counters(spec, quiet_cfg).unwrap();
+        let mut extra = Vec::new();
+        for seg in 0..3 {
+            local
+                .run_parted(&part(&data, seg * 2_000..(seg + 1) * 2_000))
+                .unwrap();
+            extra.extend_from_slice(local.checkpoint().unwrap().states());
+        }
+        let report = |states| {
+            let entries = Vec::new();
+            ToCoord::RoundReport {
+                round: 0,
+                entries,
+                states,
+            }
+            .to_bytes()
+            .len()
+        };
+        let extra_bytes: usize = extra
+            .iter()
+            .map(|s| report(vec![s.clone()]) - report(vec![]))
+            .sum();
 
         assert!(msgs > base_msgs, "no mid-run syncs ran");
         assert_eq!(
-            frames - base_frames,
+            wire.frames_received, base.frames_received,
+            "a commit cost a frame of its own"
+        );
+        assert_eq!(
+            wire.bytes_received - base.bytes_received,
+            extra_bytes as u64,
+            "checkpoint bytes on the wire and the states captured disagree"
+        );
+        assert_eq!(
             msgs - base_msgs,
-            "checkpoint frames and ledger messages disagree"
+            extra.len() as u64,
+            "checkpoint states and ledger messages disagree"
         );
     }
 }

@@ -348,11 +348,17 @@ fn corrupted_wire_frames_and_handshakes_never_panic() {
             site: 1,
             inputs: Inputs::Counts(vec![1, -2, 3]),
         }],
+        commit: vec![1],
     }
     .to_bytes();
     let report = ToCoord::RoundReport {
         round: 7,
         entries: vec![(2, 2)],
+        states: vec![TrackerState::new(
+            TrackerKind::Deterministic,
+            4,
+            vec![5; 16],
+        )],
     }
     .to_bytes();
     for frame in [&round, &report] {
