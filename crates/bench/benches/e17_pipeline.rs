@@ -27,7 +27,10 @@
 //! Each mode of each scenario is timed [`TIMINGS`] times, sync and
 //! pipelined alternating, and a scenario reports the median of its
 //! pairwise speedups with their minimum and maximum beside it: one
-//! timing a mode swung the uniform row 0.23×–2.86× between runs.
+//! timing a mode swung the uniform row 0.23×–2.86× between runs. A
+//! scenario is `resolved` only when all its timings fall on one side of
+//! 1.0×; the table prints "unresolved" for the others, whose median
+//! supports no conclusion.
 //!
 //! Results go to `BENCH_e17.json` (schema + gate re-enforced by the
 //! `bench_schema` CI bin).
@@ -306,6 +309,9 @@ fn main() {
         speedups.sort_by(f64::total_cmp);
         let speedup = speedups[TIMINGS / 2];
         let (lo, hi) = (speedups[0], speedups[TIMINGS - 1]);
+        // A conclusion needs every timing on one side of 1.0x; scheduling
+        // noise on a ~10 ms run is as large as what the others measure.
+        let resolved = lo > 1.0 || hi < 1.0;
         if sc.name == "slow-feed" {
             gate_speedup = speedup;
         }
@@ -324,7 +330,11 @@ fn main() {
                 mode.to_string(),
                 format!("{wall_ms:.1}"),
                 format!("{ups:.3e}"),
-                if piped { f(speedup) } else { f(1.0) },
+                match (piped, resolved) {
+                    (false, _) => f(1.0),
+                    (true, true) => f(speedup),
+                    (true, false) => "unresolved".to_string(),
+                },
                 if piped {
                     format!("{lo:.2}-{hi:.2}")
                 } else {
@@ -354,6 +364,7 @@ fn main() {
             ("overlap_speedup", Json::num(speedup)),
             ("overlap_speedup_min", Json::num(lo)),
             ("overlap_speedup_max", Json::num(hi)),
+            ("resolved", Json::Bool(resolved)),
         ]));
     }
     table.print();
@@ -399,7 +410,8 @@ fn main() {
          nothing to overlap; the skewed row shows short feeds finishing\n\
          early without gating the long one. Each mode runs {TIMINGS} times,\n\
          alternating with the other; a row shows its median-wall run, and\n\
-         speedup is the median of the pairwise ratios (min-max beside it).\n\
+         speedup is the median of the pairwise ratios (min-max beside it),\n\
+         or 'unresolved' when the ratios fall on both sides of 1.0x.\n\
          Estimates and both CommStats ledgers are asserted bit-identical\n\
          between the modes on every run before any timing is reported."
     );

@@ -451,7 +451,7 @@ const COMMON: Fields = &[
     ("k", Rule::Pos),
 ];
 
-use Rule::{Above, Count, Eps, Floor, OneOf, Pos, Str};
+use Rule::{Above, Bool, Count, Eps, Floor, OneOf, Pos, Str};
 
 static SCHEMAS: [Schema; 5] = [
     // Sharded throughput. The parted speedup over the sequential Driver is
@@ -498,6 +498,7 @@ static SCHEMAS: [Schema; 5] = [
             ("overlap_speedup", Pos),
             ("overlap_speedup_min", Pos),
             ("overlap_speedup_max", Pos),
+            ("resolved", Bool),
         ],
         rows: &[
             ("mode", OneOf(&["sync", "pipelined"])),
@@ -908,6 +909,8 @@ mod tests {
             "overlap_speedup_min",
         );
         refused(&set(E17, "overlap_speedup_max", "0"), "overlap_speedup_max");
+        // Whether the timings agree on a side of 1.0x is on the record.
+        refused(&set(E17, "resolved", "1"), "a bool");
     }
 
     #[test]

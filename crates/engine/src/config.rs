@@ -1,6 +1,5 @@
 //! Engine configuration and errors.
 
-use crate::Partition;
 use dsv_core::api::{BuildError, RunError};
 use dsv_net::codec::CodecError;
 use dsv_net::Time;
@@ -11,14 +10,17 @@ use dsv_net::Time;
 /// |-----------|---------|---------|
 /// | `shards`  | —       | Number of shard replicas `S` (worker threads for `S > 1`) |
 /// | `batch`   | —       | Updates per ingestion batch (reconciliation period) |
-/// | [`partition`](Self::partition) | [`Partition::SiteAffine`] | Stream → shard routing |
 /// | [`eps`](Self::eps) | `0.1` | Relative error audited at batch boundaries |
-/// | [`workers`](Self::workers) | `min(shards, CPUs)` | Worker threads executing the shard replicas (`= shards` for `run_pipelined` and the remote engine's processes) |
+/// | [`workers`](Self::workers) | `min(shards, CPUs)` | Worker threads executing the shard replicas (`= shards` for the remote engine's processes; not read by `run_pipelined`) |
 /// | [`checkpoint_every`](Self::checkpoint_every) | `0` (off) | Remote commit period, in batch boundaries (remote engine only) |
 /// | [`fleet_cache`](Self::fleet_cache) | `1024` | Live per-key trackers cached per fleet shard (fleet only) |
 /// | [`delta_rebase`](Self::delta_rebase) | `0` (never) | A [`crate::CheckpointStore`]'s rebase period: fresh base every K chained deltas |
 ///
-/// Fixed by rule rather than configured: every boundary records an error
+/// Fixed by rule rather than configured: routed
+/// [`run`](crate::ShardedEngine::run) sends a counter record to shard
+/// `site mod S` and an item record to shard `hash(item) mod S` (pre-parted,
+/// pipelined and remote feeds go by site); `run_pipelined` gives every
+/// shard with a feed its own thread; every boundary records an error
 /// probe, a pipelined feed queue holds `2 × batch` inputs and a full one
 /// blocks `push` (see [`crate::ingest`]), and a fleet shard compacts its
 /// arena once garbage passes 64 KiB and the live bytes.
@@ -31,13 +33,12 @@ use dsv_net::Time;
 /// the *physical* parallelism: how many threads drive those replicas
 /// (worker `w` owns shards `s ≡ w (mod W)`). It is **not** state — any
 /// worker count produces bit-identical estimates and ledgers — which is
-/// exactly what makes live rescaling ([`crate::ShardedEngine::rescale`])
-/// and resuming a checkpoint onto a different number of workers exact.
+/// exactly what makes resuming a checkpoint onto a different number of
+/// workers exact: that is the one way to rescale an engine or a fleet.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
     shards: usize,
     batch: usize,
-    partition: Partition,
     eps: f64,
     workers: usize,
     checkpoint_every: u64,
@@ -52,7 +53,6 @@ impl EngineConfig {
         EngineConfig {
             shards,
             batch,
-            partition: Partition::SiteAffine,
             eps: 0.1,
             workers: 0,
             checkpoint_every: 0,
@@ -99,23 +99,18 @@ impl EngineConfig {
         self
     }
 
-    /// Number of worker threads driving the shard replicas (default: one
-    /// per shard, up to the host's available parallelism; `run_pipelined`,
-    /// whose workers park on their feeds, and the remote engine's
-    /// processes keep one per shard). Clamped to the shard count
-    /// at execution time; `0` restores the default rather than meaning
-    /// "no workers" (the live
-    /// [`crate::ShardedEngine::rescale`], by contrast, rejects 0 with a
-    /// typed error). See the struct docs for the shards-vs-workers
-    /// distinction.
+    /// Number of worker threads driving the shard replicas of routed
+    /// [`run`](crate::ShardedEngine::run),
+    /// [`run_parted`](crate::ShardedEngine::run_parted) and a fleet's
+    /// boundaries (default: one per shard, up to the host's available
+    /// parallelism), and the remote engine's worker processes (default:
+    /// one per shard). [`run_pipelined`](crate::ShardedEngine::run_pipelined)
+    /// does not read it: its workers park on their feeds, so every shard
+    /// gets its own. Clamped to the shard count at execution time; `0`
+    /// restores the default rather than meaning "no workers". See the
+    /// struct docs for the shards-vs-workers distinction.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Stream → shard routing policy (default [`Partition::SiteAffine`]).
-    pub fn partition(mut self, partition: Partition) -> Self {
-        self.partition = partition;
         self
     }
 
@@ -131,9 +126,9 @@ impl EngineConfig {
     }
 
     /// Number of workers (`= shards` unless overridden, and never more
-    /// than the shard count): `run_pipelined`'s threads and the remote
-    /// engine's processes. The other in-process paths cap the default at
-    /// the host's parallelism
+    /// than the shard count): the remote engine's processes. The
+    /// in-process paths cap the default at the host's parallelism, and
+    /// `run_pipelined` runs one thread per shard
     /// ([`EngineReport::workers`](crate::EngineReport::workers) reports
     /// the threads that ran).
     pub fn workers_count(&self) -> usize {
@@ -153,11 +148,6 @@ impl EngineConfig {
     /// Updates per ingestion batch.
     pub fn batch_size(&self) -> usize {
         self.batch
-    }
-
-    /// The routing policy.
-    pub fn partition_policy(&self) -> Partition {
-        self.partition
     }
 
     /// The audited ε.
@@ -216,8 +206,8 @@ pub enum EngineError {
     /// The stream cannot be run on the configured replicas (same
     /// conditions the sequential `Driver` rejects).
     Run(RunError),
-    /// [`Partition::ByItem`] routing was asked of a record without an
-    /// item key (a counter stream).
+    /// An item engine's routed [`run`](crate::ShardedEngine::run) was
+    /// given a record without an item key, so it has no owning shard.
     MissingItemKey {
         /// Timestep of the offending record.
         time: Time,
@@ -235,8 +225,6 @@ pub enum EngineError {
         /// The value found in the checkpoint.
         found: u64,
     },
-    /// [`crate::ShardedEngine::rescale`] needs at least one worker.
-    ZeroWorkers,
     /// A tracker fleet needs room for at least one live tracker per
     /// shard ([`EngineConfig::fleet_cache`] was 0).
     ZeroFleetCache,
@@ -265,7 +253,7 @@ impl std::fmt::Display for EngineError {
             EngineError::Run(e) => write!(fm, "stream rejected: {e}"),
             EngineError::MissingItemKey { time } => write!(
                 fm,
-                "ByItem partitioning needs an item stream, but the record at t = {time} has no item key"
+                "an item engine routes by item, but the record at t = {time} has no item key"
             ),
             EngineError::Codec(e) => write!(fm, "checkpoint codec failure: {e}"),
             EngineError::CheckpointMismatch {
@@ -276,7 +264,6 @@ impl std::fmt::Display for EngineError {
                 fm,
                 "checkpoint mismatch: {what} is {found} in the checkpoint but {expected} in the engine"
             ),
-            EngineError::ZeroWorkers => write!(fm, "need at least one worker"),
             EngineError::ZeroFleetCache => {
                 write!(fm, "a fleet needs room for at least one live tracker per shard")
             }

@@ -7,11 +7,13 @@
 //! a million boxed trackers:
 //!
 //! * **Routing** — a key owns exactly one logical shard via the same
-//!   Fibonacci item hash as [`crate::Partition::ByItem`]
-//!   (`hash(key) mod S`), so per-key state never moves and the per-key
-//!   guarantee is a standalone tracker's guarantee verbatim. Routing
-//!   depends only on the key and the shard count — never on workers —
-//!   which is the rescaling invariant.
+//!   Fibonacci item hash an item engine's routed
+//!   [`run`](crate::ShardedEngine::run) uses (`hash(key) mod S`), so
+//!   per-key state never moves and the per-key guarantee is a standalone
+//!   tracker's guarantee verbatim. Routing depends only on the key and
+//!   the shard count — never on workers — which is the rescaling
+//!   invariant. At a boundary the touched shards are tasks that the
+//!   workers claim from one queue, so a heavy shard holds back no other.
 //! * **Slab storage** — per-key state lives as compact snapshot-payload
 //!   records (the PR 4 state codec's `TrackerState` payload bytes) in a
 //!   per-shard append-only arena, indexed by an open-addressed key
@@ -60,7 +62,7 @@ use crate::config::{EngineConfig, EngineError};
 use crate::fleet_codec::{DeltaShard, FleetHeader, ShardTable, SlotDelta, SlotRow};
 pub use crate::fleet_codec::{FleetCheckpoint, FleetDelta, FLEET_MAGIC, FLEET_VERSION};
 use crate::partition::{hash_item, InputDelta};
-use crate::round::{fork_join, threads, worker_groups};
+use crate::round::{fork_join, threads};
 
 /// Arena garbage a shard tolerates before it compacts, whatever its live
 /// bytes, so a shard with few live keys does not recopy its arena every
@@ -1061,35 +1063,22 @@ where
         // The open run's span ends with this batch.
         self.memo = None;
         let n = self.staged_total as u64;
-        let workers = threads(&self.cfg).min(self.shards.len()).max(1);
         let eps = self.cfg.eps_value();
         let cap = self.cfg.fleet_cache_capacity();
         let factory = Arc::clone(&self.factory);
         let proto = Arc::clone(&self.proto);
         let proto_stats = Arc::clone(&self.proto_stats);
-        // Worker w applies the touched shards of its group s ≡ w (mod W).
-        let mut groups = worker_groups(self.shards.iter_mut().enumerate(), workers);
-        for group in &mut groups {
-            group.retain(|(_, shard)| !shard.touched.is_empty());
-        }
-        groups.retain(|group| !group.is_empty());
-        let results = fork_join(groups, |group| {
-            group
-                .into_iter()
-                .map(|(sid, shard)| {
-                    let out = shard.apply(eps, &*factory, &proto, &proto_stats, cap)?;
-                    Ok((sid, out))
-                })
-                .collect::<Result<Vec<(usize, ApplyOut)>, EngineError>>()
+        // The touched shards are the tasks; their results come back in
+        // shard order, so worker placement never shows in any scalar or
+        // ledger.
+        let touched = self
+            .shards
+            .iter_mut()
+            .filter(|shard| !shard.touched.is_empty());
+        let outs = fork_join(touched, threads(&self.cfg), |shard| {
+            shard.apply(eps, &*factory, &proto, &proto_stats, cap)
         });
-        let mut outs: Vec<(usize, ApplyOut)> = Vec::new();
-        for r in results {
-            outs.extend(r?);
-        }
-        // Reconcile in shard order so worker placement never shows in
-        // any scalar or ledger.
-        outs.sort_unstable_by_key(|&(sid, _)| sid);
-        for (_, out) in &outs {
+        for out in outs.into_iter().collect::<Result<Vec<_>, _>>()? {
             self.head.f += out.f_delta;
             self.agg_estimate += out.est_delta;
             self.head.key_violations += out.violations;
@@ -1169,17 +1158,6 @@ where
         out
     }
 
-    /// Change the worker count for subsequent boundaries. Workers are a
-    /// pure execution knob: estimates, audits, ledgers, and checkpoint
-    /// bytes are bit-identical for any count ≥ 1.
-    pub fn rescale(&mut self, workers: usize) -> Result<(), EngineError> {
-        if workers == 0 {
-            return Err(EngineError::ZeroWorkers);
-        }
-        self.cfg = self.cfg.workers(workers);
-        Ok(())
-    }
-
     /// Run a keyed stream synchronously: stage every `(key, input)` at
     /// site 0 in order, cut the final boundary, and report.
     pub fn run(&mut self, stream: &[(u64, In)]) -> Result<FleetReport, EngineError> {
@@ -1251,43 +1229,35 @@ where
     }
 
     /// [`checkpoint_delta`](Self::checkpoint_delta) against an ancestor,
-    /// at a boundary: W − 1 workers walk the shards (`iter_mut`, as the
-    /// trackers are `Send` but not `Sync`) while one more pins the
-    /// parent; with one worker the calling thread does both.
+    /// at a boundary: pinning the parent is the first task and walking
+    /// each shard (`iter_mut`, as the trackers are `Send` but not `Sync`)
+    /// one more, all claimed by the fleet's workers.
     fn dirty_delta(&mut self, parent: &FleetCheckpoint) -> Result<FleetDelta, EngineError> {
-        let workers = threads(&self.cfg).max(1);
-        let walkers = (workers - 1).clamp(1, self.shards.len());
+        enum Done {
+            Pin(u64),
+            Walked(DeltaShard),
+        }
         let proto = &*self.proto;
-        let jobs = worker_groups(self.shards.iter_mut().enumerate(), walkers)
-            .into_iter()
-            .map(Some)
-            .chain([None]);
-        let work = |job: Option<Vec<(usize, &mut ShardSlab<T, In>)>>| match job {
-            None => Ok((Some(parent.wire_fingerprint()), Vec::new())),
-            Some(group) => group
-                .into_iter()
-                .map(|(s, shard)| Ok((s, shard.delta_against(&parent.shards[s], proto)?)))
-                .collect::<Result<Vec<_>, EngineError>>()
-                .map(|walked| (None, walked)),
-        };
-        let done: Vec<_> = if workers == 1 {
-            jobs.map(work).collect()
-        } else {
-            fork_join(jobs, work)
-        };
+        let tasks = std::iter::once(None).chain(self.shards.iter_mut().enumerate().map(Some));
+        let done = fork_join(tasks, threads(&self.cfg), |task| match task {
+            None => Ok(Done::Pin(parent.wire_fingerprint())),
+            Some((s, shard)) => shard
+                .delta_against(&parent.shards[s], proto)
+                .map(Done::Walked),
+        });
         let mut pin = 0;
         let mut shards = Vec::with_capacity(parent.shards.len());
-        for job in done {
-            let (pinned, walked) = job?;
-            pin = pinned.unwrap_or(pin);
-            shards.extend(walked);
+        for task in done {
+            match task? {
+                Done::Pin(hash) => pin = hash,
+                Done::Walked(shard) => shards.push(shard),
+            }
         }
-        shards.sort_unstable_by_key(|&(s, _)| s);
         Ok(FleetDelta {
             parent_time: parent.head.time,
             parent_hash: pin,
             head: self.head.clone(),
-            shards: shards.into_iter().map(|(_, shard)| shard).collect(),
+            shards,
             lineage: self.lineage,
         })
     }
@@ -1617,22 +1587,28 @@ mod tests {
 
     #[test]
     fn rescale_mid_stream_is_exact() {
-        let mut straight = CounterFleet::counters(spec(), cfg()).unwrap();
-        let mut rescaled = CounterFleet::counters(spec(), cfg()).unwrap();
-        for t in 0..150u64 {
-            straight.update(t % 11, 1).unwrap();
-            rescaled.update(t % 11, 1).unwrap();
-            if t == 70 {
-                rescaled.rescale(5).unwrap();
+        // Rescaling is resuming onto another worker count; the straight
+        // fleet cuts the same early boundary with a flush.
+        for workers in [1, 3] {
+            let mut straight = CounterFleet::counters(spec(), cfg()).unwrap();
+            let mut rescaled = CounterFleet::counters(spec(), cfg()).unwrap();
+            for t in 0..150u64 {
+                straight.update(t % 11, 1).unwrap();
+                rescaled.update(t % 11, 1).unwrap();
+                if t == 70 {
+                    straight.flush().unwrap();
+                    let ckpt = rescaled.checkpoint().unwrap();
+                    rescaled = CounterFleet::resume(spec(), cfg().workers(workers), &ckpt).unwrap();
+                }
             }
+            straight.flush().unwrap();
+            rescaled.flush().unwrap();
+            assert_eq!(
+                straight.checkpoint().unwrap().to_bytes(),
+                rescaled.checkpoint().unwrap().to_bytes(),
+                "W' = {workers}"
+            );
         }
-        straight.flush().unwrap();
-        rescaled.flush().unwrap();
-        assert_eq!(
-            straight.checkpoint().unwrap().to_bytes(),
-            rescaled.checkpoint().unwrap().to_bytes()
-        );
-        assert!(matches!(rescaled.rescale(0), Err(EngineError::ZeroWorkers)));
     }
 
     #[test]

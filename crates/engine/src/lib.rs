@@ -12,9 +12,10 @@
 //! across workers, reconcile at batch boundaries**.
 //!
 //! * [`ShardedEngine`] partitions an update stream across `S` shards
-//!   ([`Partition`]: site-affine or round-robin for counter streams,
-//!   item-hashed for item streams), drives one tracker replica per shard
-//!   on its own worker thread, and feeds each replica its same-site runs
+//!   (by site for counter streams, by item hash for item streams: the
+//!   placement follows the tracker's problem and is not configured),
+//!   drives the replicas on up to one worker thread per shard, and feeds
+//!   each replica its same-site runs
 //!   through [`Tracker::update_run`](dsv_core::api::Tracker::update_run)
 //!   (which routes message-free stretches through the hot kinds'
 //!   `absorb_quiet` kernels instead of the per-update simulator loop).
@@ -40,8 +41,9 @@
 //! [`ShardedEngine::run_parted`] (pre-parted per-site feeds, one
 //! synchronized round at a time), and [`ShardedEngine::run_pipelined`]
 //! (per-feed bounded queues — see the [`ingest`] handle [`ShardFeed`] —
-//! where feeding overlaps shard execution, the workers drain up to 64
-//! rounds before the engine reconciles them once per window, and a fast
+//! where feeding overlaps shard execution, every fed shard's own worker
+//! drains up to 64 rounds before the engine reconciles them once per
+//! window, and a fast
 //! feed leads a slow one by at most those 64 rounds, while estimates and
 //! ledgers stay bit-identical to `run_parted`). All three run on one
 //! window executor. The feed handles also offer runtime-agnostic
@@ -97,6 +99,6 @@ pub use fleet::{
     TrackerFleet, FLEET_MAGIC, FLEET_VERSION,
 };
 pub use ingest::{AsyncPush, AsyncPushBatch, FeedError, ShardFeed};
-pub use partition::{InputDelta, Partition, ShardRecord};
+pub use partition::{InputDelta, ShardRecord};
 pub use report::EngineReport;
 pub use sharded::{CounterEngine, ItemEngine, ShardedEngine};

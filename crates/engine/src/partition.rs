@@ -3,25 +3,12 @@
 use dsv_core::api::StreamRecord;
 use dsv_net::{ItemUpdate, Update};
 
-/// How the engine routes stream records to shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Partition {
-    /// `shard = site mod S`: preserves per-site update order and gives
-    /// each shard long same-site runs — the batched `absorb_quiet` fast
-    /// path's best case. The default for counter streams.
-    SiteAffine,
-    /// `shard = arrival index mod S`: balances load under skewed site
-    /// placement, at the cost of shorter same-site runs per shard.
-    RoundRobin,
-    /// `shard = hash(item) mod S`: item streams only. Every item is owned
-    /// by exactly one shard, so merged per-item estimates are sums of one
-    /// meaningful term and the sharded per-item guarantee is the replica
-    /// guarantee verbatim.
-    ByItem,
-}
-
 /// A stream record the engine can route: a [`StreamRecord`] plus an
-/// optional item key for [`Partition::ByItem`].
+/// optional item key. Routed [`run`](crate::ShardedEngine::run) places a
+/// record by its site on a counter engine and by its item key on an item
+/// engine, where every item is owned by exactly one shard, so merged
+/// per-item estimates are sums of one meaningful term and the sharded
+/// per-item guarantee is the replica guarantee verbatim.
 pub trait ShardRecord: StreamRecord {
     /// The record's item key, if it belongs to an item stream.
     fn item_key(&self) -> Option<u64> {

@@ -24,7 +24,7 @@ use dsv_net::{
     relative_error, CommStats, ErrorProbe, IngestStats, MsgKind, SiteId, StateFrame, Time, WireSize,
 };
 use std::num::NonZeroUsize;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// One shard's contribution to a round: `(shard, estimate after the
@@ -117,9 +117,10 @@ pub(crate) fn rounds_of<In>(feeds: &[(SiteId, &[In])], batch: usize) -> usize {
 /// [`EngineConfig::workers`] as given (at most one per shard), and by
 /// default one per shard up to the host's parallelism, which is read once
 /// per process. More threads than CPUs only queue behind each other, and
-/// results never depend on the count. Pipelined workers and the remote
-/// engine's processes wait on their feeds and sockets, not on a CPU, so
-/// they take [`EngineConfig::workers_count`] instead.
+/// results never depend on the count. Pipelined workers wait on their
+/// feeds, not on a CPU, so `run_pipelined` gives every shard its own
+/// thread; the remote engine's processes take
+/// [`EngineConfig::workers_count`].
 pub(crate) fn threads(cfg: &EngineConfig) -> usize {
     static HOST: OnceLock<usize> = OnceLock::new();
     let count = cfg.workers_count();
@@ -141,44 +142,53 @@ pub(crate) fn worker_groups<X>(shards: impl IntoIterator<Item = X>, workers: usi
     groups
 }
 
-/// The one fork-join: `work` each group — the first on the calling
-/// thread, the others on scoped threads (none for a lone group) — and
-/// return the results in group order. A panic in any group is re-raised
-/// with its own payload once every group has been joined.
+/// The one fork-join: `threads` threads — the caller and up to
+/// `threads − 1` scoped ones, never more than there are tasks — each take
+/// the next task from one queue until it is empty, so a slow task holds
+/// back no other. Results come back in task order; a panic in any task is
+/// re-raised with its own payload once every thread has been joined.
 pub(crate) fn fork_join<X, R>(
-    groups: impl IntoIterator<Item = X>,
+    tasks: impl IntoIterator<Item = X>,
+    threads: usize,
     work: impl Fn(X) -> R + Sync,
 ) -> Vec<R>
 where
     X: Send,
     R: Send,
 {
-    let mut groups = groups.into_iter();
-    let Some(first) = groups.next() else {
-        return Vec::new();
-    };
-    let mut rest = groups.peekable();
-    if rest.peek().is_none() {
-        return vec![work(first)];
+    let tasks: Vec<X> = tasks.into_iter().collect();
+    let helpers = threads.min(tasks.len()).saturating_sub(1);
+    if helpers == 0 {
+        return tasks.into_iter().map(work).collect();
     }
-    let work = &work;
-    std::thread::scope(|scope| {
-        let spawned: Vec<_> = rest.map(|x| scope.spawn(move || work(x))).collect();
-        let mut out = vec![work(first)];
-        let mut panicked = None;
+    let queue = Mutex::new(tasks.into_iter().enumerate());
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            // The guard is dropped at the end of this statement, before the
+            // task runs; a `while let` would hold it for the whole body.
+            let next = queue.lock().expect("no task holds the lock").next();
+            let Some((i, task)) = next else {
+                return done;
+            };
+            done.push((i, work(task)));
+        }
+    };
+    // A panic raised in the scope is re-raised by it once every thread has
+    // been joined.
+    let mut done = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (0..helpers).map(|_| scope.spawn(claim)).collect();
+        let mut done = claim();
         for handle in spawned {
-            match handle.join() {
-                Ok(r) => out.push(r),
-                Err(payload) => {
-                    panicked.get_or_insert(payload);
-                }
-            }
+            let more = handle
+                .join()
+                .unwrap_or_else(|p| std::panic::resume_unwind(p));
+            done.extend(more);
         }
-        if let Some(payload) = panicked {
-            std::panic::resume_unwind(payload);
-        }
-        out
-    })
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Rounds one window holds at most before the cut closes them, in every
@@ -480,6 +490,7 @@ impl Cut<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     /// Everything a cut can move, after closing `rounds` on fresh state.
     fn outcome(rounds: &[Vec<Entry>]) -> (Time, i64, Vec<u64>, i64, CommStats, Vec<ErrorProbe>) {
@@ -599,20 +610,91 @@ mod tests {
 
     #[test]
     fn fork_join_keeps_group_order_and_the_panic_payload() {
-        assert_eq!(fork_join(0..4, |g| g * 10), vec![0, 10, 20, 30]);
-        assert_eq!(fork_join(std::iter::empty::<u8>(), |g| g), vec![]);
-        for bad in [0, 2] {
+        // Results come back in task order, however many threads claim.
+        for threads in 1..=5 {
+            for tasks in [0usize, 3, 4] {
+                let want: Vec<usize> = (0..tasks).map(|t| t * 10).collect();
+                assert_eq!(
+                    fork_join(0..tasks, threads, |t| t * 10),
+                    want,
+                    "{threads} threads, {tasks} tasks"
+                );
+            }
+        }
+        // With one thread the caller runs the panicking task;
+        // `a_spawned_threads_panic_reaches_the_caller` pins the case where
+        // a spawned thread does.
+        for (threads, bad) in [(1, 2), (3, 0), (3, 2), (2, 1)] {
             let caught = std::panic::catch_unwind(|| {
-                fork_join(0..3, |g| {
-                    if g == bad {
-                        panic!("group gave out");
+                fork_join(0..3, threads, |t| {
+                    if t == bad {
+                        panic!("task gave out");
                     }
-                    g
+                    t
                 })
             });
-            let payload = caught.expect_err("the group's panic must reach the caller");
-            assert_eq!(payload.downcast_ref::<&str>(), Some(&"group gave out"));
+            let payload = caught.expect_err("the task's panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"task gave out"),
+                "{threads} threads, task {bad}"
+            );
         }
+    }
+
+    #[test]
+    fn fork_join_runs_every_task_exactly_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for threads in 1..=5 {
+            let runs: Vec<AtomicUsize> = (0..17).map(|_| AtomicUsize::new(0)).collect();
+            fork_join(0..runs.len(), threads, |t| {
+                runs[t].fetch_add(1, Ordering::Relaxed)
+            });
+            assert!(
+                runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                "{threads} threads: {runs:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_spawned_threads_panic_reaches_the_caller() {
+        // Task 0 waits for task 1, so the two run on different threads,
+        // and only the one that is not the caller panics.
+        use std::sync::mpsc;
+        let caller = std::thread::current().id();
+        let (tx, rx) = mpsc::channel();
+        let tasks = vec![Err(rx), Ok(tx)];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            fork_join(tasks, 2, |task| {
+                match task {
+                    Err(rx) => assert!(rx.recv_timeout(Duration::from_secs(5)).is_ok()),
+                    Ok(tx) => tx.send(()).unwrap(),
+                }
+                if std::thread::current().id() != caller {
+                    panic!("spawned task gave out");
+                }
+            })
+        }));
+        let payload = caught.expect_err("the spawned thread's panic must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"spawned task gave out")
+        );
+    }
+
+    #[test]
+    fn a_task_runs_without_the_queue_lock() {
+        // Task 0 waits on task 1's signal: it arrives only if the thread
+        // that claimed task 0 released the queue before running it.
+        use std::sync::mpsc;
+        let (tx, rx) = mpsc::channel();
+        let tasks = vec![Err(rx), Ok(tx)];
+        let out = fork_join(tasks, 2, |task| match task {
+            Err(rx) => rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+            Ok(tx) => tx.send(()).is_ok(),
+        });
+        assert_eq!(out, vec![true, true], "task 0 timed out on task 1's signal");
     }
 
     #[test]

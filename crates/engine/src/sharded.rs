@@ -4,13 +4,13 @@ use crate::checkpoint::EngineCheckpoint;
 use crate::config::{EngineConfig, EngineError};
 use crate::delta::CheckpointStore;
 use crate::ingest::{CloseRings, FeedState, Ring, ShardFeed};
-use crate::partition::{hash_item, InputDelta, Partition, ShardRecord};
+use crate::partition::{hash_item, InputDelta, ShardRecord};
 use crate::report::EngineReport;
 use crate::round::{
     chunk_bounds, fork_join, ingest_run, rounds_of, threads, validate_feeds, validate_sites,
     worker_groups, Books, Cut, Rounds, RunAudit, WINDOW,
 };
-use dsv_core::api::{ItemTracker, RunError, Tracker, TrackerKind, TrackerSpec};
+use dsv_core::api::{ItemTracker, Problem, RunError, Tracker, TrackerKind, TrackerSpec};
 use dsv_net::{CommStats, IngestStats, SiteId, Time};
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -81,7 +81,8 @@ impl<'t, T> Worker<'t, T> {
 }
 
 /// The one in-memory executor: run the window `rounds` on `workers` through
-/// [`fork_join`], then let the cut close them ([`Cut::close_window`]).
+/// [`fork_join`], a thread each, then let the cut close them
+/// ([`Cut::close_window`]).
 /// Returns the rounds closed. `work(sid, replica, round, out)` records the
 /// shard's entries for `round`. A worker's panic is re-raised here after
 /// the join, before any of the window's rounds close; an empty window
@@ -100,7 +101,8 @@ where
     if n == 0 {
         return 0;
     }
-    fork_join(workers.iter_mut(), |w| w.run(rounds.clone(), work));
+    let threads = workers.len();
+    fork_join(workers.iter_mut(), threads, |w| w.run(rounds.clone(), work));
     cut.close_window(workers.iter().map(|w| &w.out), n)
 }
 
@@ -154,7 +156,7 @@ fn run_routed<T, R, In>(
     cut: &mut Cut<'_>,
     stream: &[R],
     can_receive: impl Fn(usize) -> bool,
-    mut place: impl FnMut(&R) -> Result<usize, EngineError>,
+    place: impl Fn(&R) -> Result<usize, EngineError>,
 ) -> Result<(), EngineError>
 where
     T: Tracker<In> + Send,
@@ -226,14 +228,17 @@ where
 /// segments, and shard state, the merged estimate, and both communication
 /// ledgers persist across calls.
 ///
-/// The `S` logical shards are driven by `W ≤ S` worker threads (worker
-/// `w` owns shards `s ≡ w (mod W)`; [`EngineConfig::workers`]). Because
-/// replica state is a pure function of the stream → *shard* routing,
-/// never of the shard → worker assignment, the worker count can change
-/// freely between ingestion calls — [`rescale`](Self::rescale) — and
-/// whole engines can be externalized and resumed at batch boundaries —
-/// [`checkpoint`](Self::checkpoint) / resume constructors — with
-/// bit-identical estimates and ledgers.
+/// Placement is derived, not configured. A counter record goes to shard
+/// `site mod S` and an item record to shard `hash(item) mod S` (so every
+/// item has one owner); pre-parted and pipelined feeds go by site. The
+/// `S` logical shards are driven by `W ≤ S` worker threads (worker `w`
+/// owns shards `s ≡ w (mod W)`; [`EngineConfig::workers`]), except under
+/// [`run_pipelined`](Self::run_pipelined), where every shard with a feed
+/// gets its own. Because replica state is a pure function of the stream
+/// → *shard* routing, never of the shard → worker assignment, whole
+/// engines can be externalized at batch boundaries
+/// ([`checkpoint`](Self::checkpoint)) and resumed onto any worker count
+/// (the resume constructors) with bit-identical estimates and ledgers.
 ///
 /// See the crate docs for the execution model and the guarantee argument.
 #[derive(Debug)]
@@ -293,8 +298,8 @@ where
     ///
     /// `cfg` must agree with the checkpoint on the **logical** shard
     /// count; the **worker** count is free — resuming onto a different
-    /// `cfg.workers` is the rescaling seam, and is exact (see
-    /// [`rescale`](Self::rescale)).
+    /// `cfg.workers` is the rescaling seam, and is exact: the shard →
+    /// worker map never reaches a replica's state or a ledger.
     pub fn with_factory_resume<E>(
         cfg: EngineConfig,
         ckpt: &EngineCheckpoint,
@@ -422,24 +427,13 @@ where
         Ok(time)
     }
 
-    /// Live-rescale the engine: reassign the `S` logical shard replicas
-    /// across `workers` worker threads, effective from the next ingestion
-    /// call. No shard state moves logically and no stream is replayed —
-    /// the shard → worker map is execution detail — so estimates and
-    /// ledgers continue bit-identically at any worker count (values above
-    /// `S` are clamped to one worker per shard).
-    pub fn rescale(&mut self, workers: usize) -> Result<(), EngineError> {
-        if workers == 0 {
-            return Err(EngineError::ZeroWorkers);
-        }
-        self.cfg = self.cfg.workers(workers);
-        Ok(())
-    }
-
     /// Ingest `stream` in batches, reconciling and auditing at every
     /// batch boundary. The calling thread validates and routes the stream
-    /// batch by batch into per-shard buffers of same-site runs, which the
-    /// replicas ingest through [`Tracker::update_run`]. Every window of up
+    /// batch by batch — by site for a counter engine, by item hash for an
+    /// item engine (a record with no item key there is
+    /// [`EngineError::MissingItemKey`]) — into per-shard buffers of
+    /// same-site runs, which the replicas ingest through
+    /// [`Tracker::update_run`]. Every window of up
     /// to 64 batches (fewer once it holds 2²⁰ inputs, one when a single
     /// worker has the work) then runs on the same executor as
     /// [`run_parted`](Self::run_parted), whose workers live for the
@@ -463,20 +457,17 @@ where
         let kind = self.shards[0].kind();
         let k = self.shards[0].k();
         let deletions_ok = kind.supports_deletions();
-        let partition = cfg.partition_policy();
-        // The rotating round-robin cursor, phase-continuous across calls.
-        let mut rr = (self.time() % s_count as u64) as usize;
+        let by_item = kind.problem() == Problem::Frequencies;
         let (shards, mut cut) = self.split(&mut audit);
 
-        // Under site affinity only shards `< k` own a site; any shard can
-        // receive under the other policies.
-        let affine = partition == Partition::SiteAffine;
+        // By site only shards `< k` own a site; by item any shard can
+        // receive.
         run_routed(
             shards,
             &cfg,
             &mut cut,
             stream,
-            |sid| !affine || sid < k,
+            |sid| by_item || sid < k,
             |rec: &R| {
                 // Reject what the sequential `Driver` rejects.
                 let (site, time) = (rec.site(), rec.time());
@@ -486,18 +477,13 @@ where
                 if rec.delta() < 0 && !deletions_ok {
                     return Err(RunError::DeletionUnsupported { kind, time }.into());
                 }
-                Ok(match partition {
-                    Partition::SiteAffine => site % s_count,
-                    Partition::RoundRobin => {
-                        let s = rr;
-                        rr = if rr + 1 == s_count { 0 } else { rr + 1 };
-                        s
-                    }
-                    Partition::ByItem => match rec.item_key() {
-                        Some(item) => (hash_item(item) % s_count as u64) as usize,
-                        None => return Err(EngineError::MissingItemKey { time }),
-                    },
-                })
+                if !by_item {
+                    return Ok(site % s_count);
+                }
+                match rec.item_key() {
+                    Some(item) => Ok((hash_item(item) % s_count as u64) as usize),
+                    None => Err(EngineError::MissingItemKey { time }),
+                }
             },
         )?;
         Ok(self.finish_report(stream.len() as u64, threads(&self.cfg), audit))
@@ -583,11 +569,13 @@ where
     /// Handles stashed beyond the closure are force-closed when it
     /// returns, so the run always terminates.
     ///
-    /// One driver thread runs windows of up to 64 rounds: each worker
-    /// drains its shards' feeds round after round, and once every worker
+    /// One driver thread runs windows of up to 64 rounds: every shard with
+    /// a feed gets a worker thread of its own, whatever
+    /// [`EngineConfig::workers`] says (a worker waits on its feeds, not on
+    /// a CPU), which drains its feeds round after round; once every worker
     /// has finished the window, the cut reconciles and audits its rounds,
-    /// once per window. A lagging feed stalls only the worker draining it;
-    /// the others run on to the end of the window, so a fast feed leads a
+    /// once per window. A lagging feed stalls only its own shard; the
+    /// others run on to the end of the window, so a fast feed leads a
     /// slow one by at most 64 rounds (plus its queue). The call ends at the
     /// first round in which no feed delivers an input.
     ///
@@ -644,10 +632,9 @@ where
         let time_before = self.time();
         let (shards, mut cut) = self.split(&mut audit);
         let mut piped: Vec<_> = shards.iter_mut().zip(feeds).collect();
-        // A worker parks on its feeds, not on a CPU: by default one per
-        // shard, so a lagging feed stalls only its own shard's worker.
-        let count = cfg.workers_count();
-        let mut workers = Worker::for_groups(&mut piped, count, |sid| has_feeds[sid]);
+        // A worker parks on its feeds, not on a CPU: one per shard, so a
+        // lagging feed stalls only its own shard.
+        let mut workers = Worker::for_groups(&mut piped, s_count, |sid| has_feeds[sid]);
         // A shard's round: one `update_run` per feed that delivers, in feed
         // order. A worker that unwinds closes every ring on its way out, so
         // neither the feeder nor another worker waits on it forever.
@@ -680,7 +667,7 @@ where
         for ring in &rings {
             ring.drain_stats(&mut self.ingest_stats);
         }
-        Ok(self.finish_report(self.time() - time_before, count, audit))
+        Ok(self.finish_report(self.time() - time_before, s_count, audit))
     }
 
     /// Split the engine for an ingestion call: the replicas for the shard
@@ -726,8 +713,8 @@ impl CounterEngine {
 
 impl ItemEngine {
     /// Build an item-frequency engine; see [`ShardedEngine::counters`] for
-    /// the replica/seed convention. Pair with [`Partition::ByItem`] so
-    /// every item is owned by exactly one shard.
+    /// the replica/seed convention. Routed [`run`](ShardedEngine::run)
+    /// sends every item to exactly one shard.
     pub fn items(spec: TrackerSpec, cfg: EngineConfig) -> Result<Self, EngineError> {
         Self::with_factory(cfg, |s| spec.shard(s).build_item())
     }
@@ -747,10 +734,10 @@ impl<T> ShardedEngine<T, (u64, i64)>
 where
     T: ItemTracker + Send,
 {
-    /// Merged per-item estimate `Σ_s f̂_ℓ^{(s)}`. Under
-    /// [`Partition::ByItem`] only the owning shard contributes; under the
-    /// other policies this is still within `ε·F1` because the per-shard
-    /// `F1` budgets sum to the global one.
+    /// Merged per-item estimate `Σ_s f̂_ℓ^{(s)}`. After routed
+    /// [`run`](ShardedEngine::run) only the item's owning shard
+    /// contributes; after site-parted ingestion this is still within
+    /// `ε·F1` because the per-shard `F1` budgets sum to the global one.
     pub fn estimate_item(&self, item: u64) -> i64 {
         self.shards.iter().map(|t| t.estimate_item(item)).sum()
     }
@@ -829,37 +816,13 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_partition_spreads_a_single_site_stream() {
-        // k = 1 single-site kind, sharded by arrival index: each shard
-        // tracks a subsequence exactly within ε, and the monotone partial
-        // sums merge within ε.
-        let spec = TrackerSpec::new(TrackerKind::SingleSite).k(1).eps(0.05);
-        let updates = MonotoneGen::ones().updates(30_000, dsv_gen::SingleSite::solo());
-        let mut engine = ShardedEngine::counters(
-            spec,
-            EngineConfig::new(4, 1_000)
-                .partition(Partition::RoundRobin)
-                .eps(0.05),
-        )
-        .unwrap();
-        let report = engine.run(&updates).unwrap();
-        assert_eq!(report.boundary_violations, 0);
-        let spread = engine.shard_estimates();
-        assert!(spread.iter().all(|&e| e > 0), "all shards fed: {spread:?}");
-    }
-
-    #[test]
     fn item_engine_tracks_f1_and_items_under_by_item_partition() {
         let updates = ItemStreamGen::new(7, 256, 1.1, 0.2, 1).updates(40_000, RoundRobin::new(4));
         let spec = TrackerSpec::new(TrackerKind::ExactFreq)
             .k(4)
             .eps(0.1)
             .universe(256);
-        let mut engine = ShardedEngine::items(
-            spec,
-            EngineConfig::new(4, 2_000).partition(Partition::ByItem),
-        )
-        .unwrap();
+        let mut engine = ShardedEngine::items(spec, EngineConfig::new(4, 2_000)).unwrap();
         let report = engine.run(&updates).unwrap();
         assert_eq!(report.boundary_violations, 0);
         // Per-item audit against exact ground truth at the end.
@@ -900,24 +863,9 @@ mod tests {
             EngineError::Run(RunError::DeletionUnsupported { .. })
         ));
 
-        // ByItem partitioning of a counter stream.
-        let mut engine = ShardedEngine::counters(
-            det_spec(2),
-            EngineConfig::new(2, 16).partition(Partition::ByItem),
-        )
-        .unwrap();
-        let err = engine.run(&[Update::new(1, 0, 1)]).unwrap_err();
-        assert_eq!(err, EngineError::MissingItemKey { time: 1 });
-
         // Item streams route fine by item.
         let spec = TrackerSpec::new(TrackerKind::CountMinFreq).k(2).eps(0.2);
-        let mut engine = ShardedEngine::items(
-            spec,
-            EngineConfig::new(2, 16)
-                .partition(Partition::ByItem)
-                .eps(0.2),
-        )
-        .unwrap();
+        let mut engine = ShardedEngine::items(spec, EngineConfig::new(2, 16).eps(0.2)).unwrap();
         assert!(engine.run(&[ItemUpdate::new(1, 0, 5, 1)]).is_ok());
     }
 

@@ -14,7 +14,8 @@
 //!   every shard replica (sites, coordinator, `CommStats`) plus the merge
 //!   coordinator to bytes, the engine is dropped ("the process dies"),
 //!   and `CounterEngine::resume` rebuilds it from those bytes onto
-//!   *fewer workers* (a live rescale) to finish the stream.
+//!   *fewer workers* (resuming is how an engine is rescaled) to finish
+//!   the stream.
 //!
 //! The two runs must agree **bit for bit** — final estimate, per-shard
 //! estimates, tracker ledger, merge ledger — which this example asserts,

@@ -74,8 +74,8 @@ pub mod prelude {
     pub use dsv_engine::{
         CheckpointStore, CounterEngine, CounterFleet, DeltaStats, EngineCheckpoint, EngineConfig,
         EngineError, EngineReport, FeedError, FleetCheckpoint, FleetDelta, FleetMemory,
-        FleetReport, InputDelta, ItemEngine, ItemFleet, KeyAudit, Partition, ShardFeed,
-        ShardRecord, ShardedEngine, TrackerFleet,
+        FleetReport, InputDelta, ItemEngine, ItemFleet, KeyAudit, ShardFeed, ShardRecord,
+        ShardedEngine, TrackerFleet,
     };
     pub use dsv_gen::{
         assign_updates, prefix_values, AdversarialGen, DeltaGen, FlipFamilyGen, HashAssign,

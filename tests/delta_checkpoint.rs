@@ -162,10 +162,7 @@ fn every_frequency_kind_resumes_from_mid_chain_boundaries_bit_identically() {
             .eps(0.25)
             .seed(23)
             .universe(universe as usize);
-        let cfg = EngineConfig::new(shards, batch)
-            .eps(0.25)
-            .partition(Partition::ByItem)
-            .delta_rebase(2);
+        let cfg = EngineConfig::new(shards, batch).eps(0.25).delta_rebase(2);
         let stream = item_stream(3_000 + kind as u64, segments * seg, 3, universe);
 
         let mut store = CheckpointStore::new(cfg.delta_rebase_period());

@@ -3,8 +3,8 @@
 //! serialized to bytes, restored (including onto a different worker
 //! count), and driven to completion produces **bit-identical** final
 //! estimates and `CommStats` ledgers — tracker and merge alike — to the
-//! uninterrupted run. Live `rescale` mid-stream is held to the same
-//! standard.
+//! uninterrupted run. Rescaling mid-stream, a chain of such resumes onto
+//! changing worker counts, is held to the same standard.
 
 use dsv::net::{ItemUpdate, Update};
 use dsv::prelude::*;
@@ -129,9 +129,7 @@ fn every_frequency_kind_resumes_and_rescales_bit_identically() {
             .eps(0.25)
             .seed(23)
             .universe(universe as usize);
-        let cfg = EngineConfig::new(shards, batch)
-            .eps(0.25)
-            .partition(Partition::ByItem);
+        let cfg = EngineConfig::new(shards, batch).eps(0.25);
         let stream = item_stream(77, n, 3, universe);
 
         let mut straight = ShardedEngine::items(spec, cfg).unwrap();
@@ -177,17 +175,18 @@ fn live_rescale_between_runs_is_ledger_identical() {
     let mut steady = ShardedEngine::counters(spec, cfg).unwrap();
     steady.run(&stream).unwrap();
 
-    // Scale 8 → 2 → 5 workers across segment boundaries, live.
+    // Scale 8 → 2 → 5 workers across segment boundaries, each step a
+    // resume of the previous engine's checkpoint onto the new count.
     let mut elastic = ShardedEngine::counters(spec, cfg).unwrap();
     elastic.run(&stream[..8_000]).unwrap();
-    elastic.rescale(2).unwrap();
+    let ckpt = elastic.checkpoint().unwrap();
+    let mut elastic = CounterEngine::resume(spec, cfg.workers(2), &ckpt).unwrap();
     elastic.run(&stream[8_000..16_000]).unwrap();
-    elastic.rescale(5).unwrap();
+    let ckpt = elastic.checkpoint().unwrap();
+    let mut elastic = CounterEngine::resume(spec, cfg.workers(5), &ckpt).unwrap();
     let report = elastic.run(&stream[16_000..]).unwrap();
     assert_eq!(report.workers, 5);
     assert_eq!(fingerprint(&elastic), fingerprint(&steady));
-
-    assert_eq!(elastic.rescale(0).unwrap_err(), EngineError::ZeroWorkers);
 }
 
 #[test]

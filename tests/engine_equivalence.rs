@@ -103,23 +103,6 @@ fn sharded_deterministic_kinds_stay_within_eps_at_boundaries() {
 }
 
 #[test]
-fn sharded_single_site_round_robin_tracks_exactly_within_eps() {
-    let eps = 0.05;
-    let updates = MonotoneGen::jumps(3, 10).updates(40_000, SingleSite::solo());
-    let spec = TrackerSpec::new(TrackerKind::SingleSite).k(1).eps(eps);
-    let mut engine = ShardedEngine::counters(
-        spec,
-        EngineConfig::new(4, 1_000)
-            .partition(Partition::RoundRobin)
-            .eps(eps),
-    )
-    .unwrap();
-    let report = engine.run(&updates).unwrap();
-    assert_eq!(report.boundary_violations, 0);
-    assert!(relative_error(report.final_f, report.final_estimate) <= eps);
-}
-
-#[test]
 fn sharded_randomized_kinds_remain_close_on_monotone_streams() {
     // Randomized kinds only promise each boundary within ε w.p. ≥ 2/3;
     // with fixed seeds the outcome is deterministic, so assert a generous
@@ -182,13 +165,7 @@ fn item_engine_by_item_partition_keeps_per_item_guarantee() {
         .k(4)
         .eps(eps)
         .universe(512);
-    let mut engine = ShardedEngine::items(
-        spec,
-        EngineConfig::new(4, 3_000)
-            .partition(Partition::ByItem)
-            .eps(eps),
-    )
-    .unwrap();
+    let mut engine = ShardedEngine::items(spec, EngineConfig::new(4, 3_000).eps(eps)).unwrap();
     let report = engine.run(&updates).unwrap();
     assert_eq!(report.boundary_violations, 0);
 
@@ -687,13 +664,9 @@ where
 fn routed_ingest_is_bit_identical_at_every_worker_count() {
     let eps = 0.1;
     let kind = TrackerKind::Deterministic;
-    // S = 8: site-affine with k ≤ S routes into per-site runs, with k > S
-    // and round-robin into per-shard tuples.
-    for (k, partition) in [
-        (5, Partition::SiteAffine),
-        (11, Partition::SiteAffine),
-        (3, Partition::RoundRobin),
-    ] {
+    // S = 8: by site with k ≤ S routes into per-site runs, with k > S
+    // into shards that own several sites.
+    for k in [5, 11] {
         let spec = TrackerSpec::new(kind).k(k).eps(eps).seed(31);
         // Past 2²⁰ inputs, the most a routed window holds: batch 4096
         // closes windows at 64 rounds, batch 2¹⁷ + 1 at 8.
@@ -706,7 +679,7 @@ fn routed_ingest_is_bit_identical_at_every_worker_count() {
             } else {
                 &long
             };
-            let cfg = EngineConfig::new(8, batch).eps(eps).partition(partition);
+            let cfg = EngineConfig::new(8, batch).eps(eps);
             let observe = |workers: usize, short_calls: bool| {
                 let engine = ShardedEngine::counters(spec, cfg.workers(workers)).unwrap();
                 observe_routed(engine, updates, short_calls)
@@ -717,7 +690,7 @@ fn routed_ingest_is_bit_identical_at_every_worker_count() {
                 for short_calls in [false, true] {
                     assert!(
                         observe(workers, short_calls) == reference,
-                        "k {k} {partition:?} batch {batch} W={workers} short_calls={short_calls}"
+                        "k {k} batch {batch} W={workers} short_calls={short_calls}"
                     );
                 }
             }
@@ -735,9 +708,7 @@ fn routed_item_ingest_by_item_is_bit_identical_at_every_worker_count() {
     let batch = 7;
     let updates = ItemStreamGen::new(5, 256, 1.1, 0.2, 1)
         .updates((PAST_WINDOW * batch + 3) as u64, RoundRobin::new(4));
-    let cfg = EngineConfig::new(4, batch)
-        .eps(eps)
-        .partition(Partition::ByItem);
+    let cfg = EngineConfig::new(4, batch).eps(eps);
     let observe = |workers: usize, short_calls: bool| {
         let engine = ShardedEngine::items(spec, cfg.workers(workers)).unwrap();
         observe_routed(engine, &updates, short_calls)
@@ -785,57 +756,43 @@ fn bursty_stream(kind: TrackerKind, n: u64, k: usize) -> Vec<Update> {
 
 #[test]
 fn routed_shards_equal_twins_fed_by_step() {
-    // Shards that own several sites (k > S site-affine; round-robin),
-    // over a call that crosses a window edge: every shard's estimate,
-    // ledger and snapshot bytes equal a `spec.shard(s)` twin that `step`s
-    // that shard's records in stream order. Batch 64 drifts the walk far
-    // enough from 0 that sites hold state, so a run credited to the
-    // wrong site shows.
-    let (shards, batch) = (4usize, 64usize);
+    // Shards that own several sites (k > S), over a call that crosses a
+    // window edge: every shard's estimate, ledger and snapshot bytes equal
+    // a `spec.shard(s)` twin that `step`s that shard's records in stream
+    // order. Batch 64 drifts the walk far enough from 0 that sites hold
+    // state, so a run credited to the wrong site shows.
+    let (shards, batch, k) = (4usize, 64usize, 11);
     for kind in [TrackerKind::Deterministic, TrackerKind::Randomized] {
-        for (k, partition) in [
-            (11, Partition::SiteAffine),
-            (2, Partition::RoundRobin),
-            (5, Partition::RoundRobin),
-        ] {
-            let spec = TrackerSpec::new(kind)
-                .k(k)
-                .eps(0.1)
-                .seed(23)
-                .deletions(kind.supports_deletions());
-            let updates = bursty_stream(kind, (PAST_WINDOW * batch + 3) as u64, k);
-            let mut twins: Vec<_> = (0..shards)
-                .map(|s| spec.shard(s).build().unwrap())
-                .collect();
-            for (i, u) in updates.iter().enumerate() {
-                let shard = match partition {
-                    Partition::SiteAffine => u.site % shards,
-                    _ => i % shards,
-                };
-                twins[shard].step(u.site, u.delta);
-            }
-            for workers in [1usize, 2, 3] {
-                let label = format!("{} k {k} {partition:?} W={workers}", kind.label());
-                let cfg = EngineConfig::new(shards, batch)
-                    .eps(0.1)
-                    .partition(partition)
-                    .workers(workers);
-                let mut engine = ShardedEngine::counters(spec, cfg).unwrap();
-                let report = engine.run(&updates).unwrap();
-                assert_eq!(report.batches, PAST_WINDOW as u64 + 1, "{label}");
-                let twin_estimates: Vec<i64> = twins.iter().map(|t| t.estimate()).collect();
-                assert_eq!(engine.shard_estimates(), twin_estimates, "{label}");
-                let ckpt = engine.checkpoint().unwrap();
-                for (s, (state, twin)) in ckpt.states().iter().zip(&twins).enumerate() {
-                    let mut replica = spec.shard(s).build().unwrap();
-                    replica.restore(state).unwrap();
-                    assert_eq!(replica.stats(), twin.stats(), "{label} shard {s}");
-                    assert_eq!(
-                        state.payload(),
-                        twin.snapshot().unwrap().payload(),
-                        "{label} shard {s}"
-                    );
-                }
+        let spec = TrackerSpec::new(kind)
+            .k(k)
+            .eps(0.1)
+            .seed(23)
+            .deletions(kind.supports_deletions());
+        let updates = bursty_stream(kind, (PAST_WINDOW * batch + 3) as u64, k);
+        let mut twins: Vec<_> = (0..shards)
+            .map(|s| spec.shard(s).build().unwrap())
+            .collect();
+        for u in &updates {
+            twins[u.site % shards].step(u.site, u.delta);
+        }
+        for workers in [1usize, 2, 3] {
+            let label = format!("{} k {k} W={workers}", kind.label());
+            let cfg = EngineConfig::new(shards, batch).eps(0.1).workers(workers);
+            let mut engine = ShardedEngine::counters(spec, cfg).unwrap();
+            let report = engine.run(&updates).unwrap();
+            assert_eq!(report.batches, PAST_WINDOW as u64 + 1, "{label}");
+            let twin_estimates: Vec<i64> = twins.iter().map(|t| t.estimate()).collect();
+            assert_eq!(engine.shard_estimates(), twin_estimates, "{label}");
+            let ckpt = engine.checkpoint().unwrap();
+            for (s, (state, twin)) in ckpt.states().iter().zip(&twins).enumerate() {
+                let mut replica = spec.shard(s).build().unwrap();
+                replica.restore(state).unwrap();
+                assert_eq!(replica.stats(), twin.stats(), "{label} shard {s}");
+                assert_eq!(
+                    state.payload(),
+                    twin.snapshot().unwrap().payload(),
+                    "{label} shard {s}"
+                );
             }
         }
     }
@@ -943,9 +900,7 @@ fn a_bad_record_leaves_exactly_the_batches_before_it() {
                 .k(4)
                 .eps(0.1)
                 .universe(64);
-            let cfg = EngineConfig::new(4, batch)
-                .workers(workers)
-                .partition(Partition::ByItem);
+            let cfg = EngineConfig::new(4, batch).workers(workers);
             let mut stream: Vec<MaybeKeyed> = ItemStreamGen::new(9, 64, 1.1, 0.2, 1)
                 .updates(400, RoundRobin::new(4))
                 .into_iter()

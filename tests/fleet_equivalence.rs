@@ -6,7 +6,8 @@
 //! alike — for every registry kind, regardless of worker count, cache
 //! capacity, batch segmentation, or checkpoint → resume → rescale cycles.
 //! Key → shard routing is a pure function of the key and the shard
-//! count, held under proptest across worker counts and `rescale()`.
+//! count, held under proptest across worker counts and mid-stream
+//! rescaling (a resume onto another worker count).
 
 use dsv::prelude::*;
 use proptest::prelude::*;
@@ -246,8 +247,7 @@ fn fleet_checkpoint_resume_rescale_is_bit_identical_for_all_kinds() {
         let wire = straight.checkpoint().unwrap().to_bytes();
         let ckpt = FleetCheckpoint::from_bytes(&wire).unwrap();
         let mut resumed =
-            CounterFleet::resume(spec, fleet_cfg().workers(4).fleet_cache(2), &ckpt).unwrap();
-        resumed.rescale(3).unwrap();
+            CounterFleet::resume(spec, fleet_cfg().workers(3).fleet_cache(2), &ckpt).unwrap();
         let mut s2 = s;
         feed(&mut straight, &mut s, 1_500);
         feed(&mut resumed, &mut s2, 1_500);
@@ -291,8 +291,7 @@ fn fleet_checkpoint_resume_rescale_is_bit_identical_for_all_kinds() {
         let wire = straight.checkpoint().unwrap().to_bytes();
         let ckpt = FleetCheckpoint::from_bytes(&wire).unwrap();
         let mut resumed =
-            ItemFleet::resume(spec, fleet_cfg().workers(4).fleet_cache(2), &ckpt).unwrap();
-        resumed.rescale(2).unwrap();
+            ItemFleet::resume(spec, fleet_cfg().workers(2).fleet_cache(2), &ckpt).unwrap();
         let mut s2 = s;
         feed(&mut straight, &mut s, 1_000);
         feed(&mut resumed, &mut s2, 1_000);
@@ -358,7 +357,12 @@ proptest! {
             baseline.update_at(key, site, 1).unwrap();
             varied.update_at(key, site, 1).unwrap();
             if t == 300 {
-                varied.rescale(workers % 4 + 1).unwrap();
+                // Rescale: resume onto another worker count, cutting the
+                // same early boundary in the baseline.
+                baseline.flush().unwrap();
+                let ckpt = varied.checkpoint().unwrap();
+                let cfg = cfg.workers(workers % 4 + 1).fleet_cache(cache);
+                varied = CounterFleet::resume(spec, cfg, &ckpt).unwrap();
             }
         }
         baseline.flush().unwrap();

@@ -529,3 +529,71 @@ fn the_tightest_queue_stalls_every_chunk_push() {
         report.ingest_stats
     );
 }
+
+#[test]
+fn a_laggy_feed_holds_back_no_other_shard_at_fewer_workers_than_shards() {
+    // Site 0's producer pushes nothing until the other three have pushed
+    // and closed their feeds, each more rounds than its queue holds (but
+    // fewer than a window). That only happens if no other shard waits on
+    // shard 0's feed, whatever `workers` says; a timeout means one did.
+    let (k, batch) = (4usize, 16usize);
+    let spec = TrackerSpec::new(TrackerKind::Deterministic)
+        .k(k)
+        .eps(0.1)
+        .deletions(true);
+    let updates = counter_stream(29, (40 * batch * k) as u64, k, true);
+    let feeds = part_counters(&updates, k);
+    assert!(feeds
+        .iter()
+        .all(|f| f.len() > 2 * batch && f.len() < 60 * batch));
+    let slices: Vec<(usize, &[i64])> = feeds
+        .iter()
+        .enumerate()
+        .map(|(s, v)| (s, v.as_slice()))
+        .collect();
+    let sites: Vec<usize> = (0..k).collect();
+    let cfg = EngineConfig::new(k, batch);
+    let mut parted = ShardedEngine::counters(spec, cfg).unwrap();
+    parted.run_parted(&slices).unwrap();
+    let want = fingerprint(&parted);
+
+    for workers in [1usize, 2, 3] {
+        let mut piped = ShardedEngine::counters(spec, cfg.workers(workers)).unwrap();
+        let mut released = false;
+        piped
+            .run_pipelined(&sites, |handles| {
+                let (done_tx, done_rx) = std::sync::mpsc::channel();
+                std::thread::scope(|s| {
+                    let mut handles = handles.into_iter().zip(&feeds);
+                    let (mut laggy, laggy_data) = handles.next().unwrap();
+                    for (mut handle, data) in handles {
+                        let done = done_tx.clone();
+                        s.spawn(move || {
+                            for chunk in data.chunks(batch) {
+                                handle.push_batch(chunk).unwrap();
+                            }
+                            handle.close();
+                            // The laggy producer stops listening once it
+                            // times out.
+                            let _ = done.send(());
+                        });
+                    }
+                    drop(done_tx);
+                    let released = &mut released;
+                    s.spawn(move || {
+                        let wait = std::time::Duration::from_secs(5);
+                        *released = (1..k).all(|_| done_rx.recv_timeout(wait).is_ok());
+                        for chunk in laggy_data.chunks(batch) {
+                            laggy.push_batch(chunk).unwrap();
+                        }
+                    });
+                });
+            })
+            .unwrap();
+        assert!(
+            released,
+            "W={workers}: the laggy feed's producer was released by its timeout"
+        );
+        assert_eq!(fingerprint(&piped), want, "W={workers}");
+    }
+}
