@@ -35,7 +35,6 @@ use std::time::Instant;
 const EPS: f64 = 0.1;
 const SHARDS: usize = 64;
 const BATCH: usize = 65_536;
-const CACHE: usize = 4_096; // hot trackers per shard
 /// Live keys the full run must end with (the ISSUE's fleet-scale floor).
 const KEYS_GATE: u64 = 1_000_000;
 /// Steady-phase updates/sec the full run must sustain on one CPU.
@@ -84,7 +83,7 @@ fn main() {
     let burst: u64 = 32;
 
     let spec = TrackerSpec::new(TrackerKind::Deterministic).k(1).eps(EPS);
-    let cfg = EngineConfig::new(SHARDS, BATCH).eps(EPS).fleet_cache(CACHE);
+    let cfg = EngineConfig::new(SHARDS, BATCH).eps(EPS);
     let mut fleet = CounterFleet::counters(spec, cfg).expect("valid fleet config");
 
     banner(
@@ -96,7 +95,7 @@ fn main() {
     );
     println!(
         "keys = {keys}, hot set = {hot}, shards = {SHARDS}, batch = {BATCH}, \
-         cache = {CACHE}/shard, burst = {burst}, eps = {EPS}{}",
+         burst = {burst}, eps = {EPS}{}",
         if smoke { "  [SMOKE]" } else { "" }
     );
 
@@ -239,7 +238,6 @@ fn main() {
         ("eps", Json::num(EPS)),
         ("shards", Json::num(SHARDS as f64)),
         ("batch", Json::num(BATCH as f64)),
-        ("fleet_cache", Json::num(CACHE as f64)),
         ("keys_gate", Json::num(KEYS_GATE as f64)),
         ("rate_gate", Json::num(RATE_GATE)),
         ("live_keys", Json::num(live_keys as f64)),

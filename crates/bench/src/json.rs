@@ -521,7 +521,6 @@ static SCHEMAS: [Schema; 5] = [
             ("eps", Eps),
             ("shards", Pos),
             ("batch", Pos),
-            ("fleet_cache", Pos),
             ("keys_gate", Floor(1.0e6, "the fleet-scale floor")),
             ("rate_gate", Floor(1.0e7, "updates/sec")),
             ("live_keys", Pos),

@@ -266,11 +266,6 @@ impl TrackerKind {
     pub fn supports_deletions(self) -> bool {
         self.info().supports_deletions
     }
-
-    /// Whether the algorithm is randomized (consumes the spec's seed).
-    pub fn is_randomized(self) -> bool {
-        self.info().randomized
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -170,13 +170,15 @@ impl BlockSite {
         restore_check(drift.is_none_or(|d| d == self.f_i), "site in-block drift")
     }
 
-    /// Current unsent update count (diagnostics).
-    pub fn pending(&self) -> u64 {
+    /// Current unsent update count.
+    #[cfg(test)]
+    fn pending(&self) -> u64 {
         self.c
     }
 
-    /// Change in `f` at this site since the last broadcast (diagnostics).
-    pub fn drift_since_broadcast(&self) -> i64 {
+    /// Change in `f` at this site since the last broadcast.
+    #[cfg(test)]
+    fn drift_since_broadcast(&self) -> i64 {
         self.f_i
     }
 }

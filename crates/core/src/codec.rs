@@ -36,7 +36,7 @@
 //! [`dsv_net::CommStats`] to an uninterrupted run.
 
 use crate::api::TrackerKind;
-pub use dsv_net::codec::{restore_check, restore_seq, CodecError, Dec, Enc};
+pub use dsv_net::codec::{restore_check, CodecError, Dec, Enc};
 
 /// Magic bytes opening a serialized [`TrackerState`].
 pub const STATE_MAGIC: [u8; 4] = *b"DSVT";

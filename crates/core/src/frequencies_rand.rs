@@ -28,7 +28,7 @@ use crate::blocks::{check_sum, BlockConfig, BlockCoordinator, BlockSite};
 use crate::randomized::{load_probability, load_rng, sampling_probability_with, save_rng};
 use dsv_net::codec::{CodecError, Dec, Enc};
 use dsv_net::{CoordOutbox, CoordinatorNode, Outbox, SiteNode, StarSim, Time, WireSize};
-use dsv_sketch::{CountMinMap, CounterMap, IdentityMap};
+use dsv_sketch::{CounterMap, IdentityMap};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -588,28 +588,6 @@ impl RandFreqTracker {
                 )
             },
             RFreqCoord::new(k, IdentityMap::new(universe), eps, c),
-        )
-    }
-
-    /// Count-Min reduction, sampled drift.
-    pub fn sim_countmin(
-        k: usize,
-        eps: f64,
-        seed: u64,
-    ) -> StarSim<RFreqSite<CountMinMap>, RFreqCoord<CountMinMap>> {
-        let c = DEFAULT_SAMPLE_CONST;
-        StarSim::with_k(
-            k,
-            |i| {
-                RFreqSite::new(
-                    CountMinMap::appendix_h(eps / 3.0, seed),
-                    eps,
-                    k,
-                    c,
-                    seed.wrapping_add(1 + i as u64),
-                )
-            },
-            RFreqCoord::new(k, CountMinMap::appendix_h(eps / 3.0, seed), eps, c),
         )
     }
 }

@@ -53,11 +53,6 @@ pub(crate) fn load_probability(dec: &mut Dec) -> Result<f64, CodecError> {
     Ok(p)
 }
 
-/// The sampling probability `p = min{1, 3/(ε·2^r·√k)}` of block radius `r`.
-pub fn sampling_probability(eps: f64, r: u32, k: usize) -> f64 {
-    sampling_probability_with(3.0, eps, r, k)
-}
-
 /// Generalized sampling probability `p = min{1, c/(ε·2^r·√k)}`.
 ///
 /// The paper picks `c = 3`, which makes Chebyshev's failure bound
@@ -384,6 +379,12 @@ mod tests {
     use crate::blocks::BlockTrace;
     use crate::variability::Variability;
     use dsv_gen::{AdversarialGen, DeltaGen, MonotoneGen, RoundRobin, WalkGen};
+
+    /// The paper's sampling probability `p = min{1, 3/(ε·2^r·√k)}` of
+    /// block radius `r`.
+    fn sampling_probability(eps: f64, r: u32, k: usize) -> f64 {
+        sampling_probability_with(3.0, eps, r, k)
+    }
 
     #[test]
     fn sampling_probability_formula() {

@@ -13,7 +13,6 @@ use dsv_net::Time;
 /// | [`eps`](Self::eps) | `0.1` | Relative error audited at batch boundaries |
 /// | [`workers`](Self::workers) | `min(shards, CPUs)` | Worker threads executing the shard replicas (`= shards` for the remote engine's processes; not read by `run_pipelined`) |
 /// | [`checkpoint_every`](Self::checkpoint_every) | `0` (off) | Remote commit period, in batch boundaries (remote engine only) |
-/// | [`fleet_cache`](Self::fleet_cache) | `1024` | Live per-key trackers cached per fleet shard (fleet only) |
 /// | [`delta_rebase`](Self::delta_rebase) | `0` (never) | A [`crate::CheckpointStore`]'s rebase period: fresh base every K chained deltas |
 ///
 /// Fixed by rule rather than configured: routed
@@ -22,8 +21,9 @@ use dsv_net::Time;
 /// pipelined and remote feeds go by site); `run_pipelined` gives every
 /// shard with a feed its own thread; every boundary records an error
 /// probe, a pipelined feed queue holds `2 × batch` inputs and a full one
-/// blocks `push` (see [`crate::ingest`]), and a fleet shard compacts its
-/// arena once garbage passes 64 KiB and the live bytes.
+/// blocks `push` (see [`crate::ingest`]), a fleet shard keeps at most 1024
+/// live per-key trackers (colder keys stay frozen in its arena), and it
+/// compacts its arena once garbage passes 64 KiB and the live bytes.
 ///
 /// **Shards vs workers.** `shards` is the *logical* partitioning: how many
 /// tracker replicas the stream is split across. It is part of the engine's
@@ -42,7 +42,6 @@ pub struct EngineConfig {
     eps: f64,
     workers: usize,
     checkpoint_every: u64,
-    fleet_cache: Option<usize>,
     delta_rebase: u64,
 }
 
@@ -56,7 +55,6 @@ impl EngineConfig {
             eps: 0.1,
             workers: 0,
             checkpoint_every: 0,
-            fleet_cache: None,
             delta_rebase: 0,
         }
     }
@@ -71,19 +69,6 @@ impl EngineConfig {
     /// same for every value.
     pub fn delta_rebase(mut self, every: u64) -> Self {
         self.delta_rebase = every;
-        self
-    }
-
-    /// Live per-key trackers a [`crate::TrackerFleet`] keeps materialized
-    /// per shard (default 1024). Hot keys stay live across boundaries;
-    /// cold keys are frozen back into the shard's state arena on
-    /// eviction. Purely an execution knob: fleet estimates, ledgers, and
-    /// checkpoints are bit-identical for **any** capacity ≥ 1 (the
-    /// snapshot → restore → snapshot round-trip is byte-identical), so
-    /// size it for your working set, not for correctness. Zero is
-    /// rejected by validation. Ignored by [`crate::ShardedEngine`].
-    pub fn fleet_cache(mut self, capacity: usize) -> Self {
-        self.fleet_cache = Some(capacity);
         self
     }
 
@@ -160,12 +145,6 @@ impl EngineConfig {
         self.checkpoint_every
     }
 
-    /// The fleet's live-tracker cache capacity per shard (1024 unless
-    /// overridden).
-    pub fn fleet_cache_capacity(&self) -> usize {
-        self.fleet_cache.unwrap_or(1024)
-    }
-
     /// The [`crate::CheckpointStore`] rebase period in chained deltas
     /// (0 = never rebase).
     pub fn delta_rebase_period(&self) -> u64 {
@@ -181,9 +160,6 @@ impl EngineConfig {
         }
         if !(self.eps > 0.0 && self.eps < 1.0) {
             return Err(EngineError::InvalidEps { eps: self.eps });
-        }
-        if self.fleet_cache == Some(0) {
-            return Err(EngineError::ZeroFleetCache);
         }
         Ok(())
     }
@@ -225,9 +201,6 @@ pub enum EngineError {
         /// The value found in the checkpoint.
         found: u64,
     },
-    /// A tracker fleet needs room for at least one live tracker per
-    /// shard ([`EngineConfig::fleet_cache`] was 0).
-    ZeroFleetCache,
     /// A fleet operation addressed a key the fleet has never seen.
     UnknownKey {
         /// The unknown key.
@@ -264,9 +237,6 @@ impl std::fmt::Display for EngineError {
                 fm,
                 "checkpoint mismatch: {what} is {found} in the checkpoint but {expected} in the engine"
             ),
-            EngineError::ZeroFleetCache => {
-                write!(fm, "a fleet needs room for at least one live tracker per shard")
-            }
             EngineError::UnknownKey { key } => {
                 write!(fm, "the fleet has never seen key {key}")
             }
@@ -300,6 +270,7 @@ impl From<RunError> for EngineError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsv_core::api::{TrackerKind, TrackerSpec};
 
     #[test]
     fn validation_rejects_degenerate_configs() {
@@ -320,19 +291,21 @@ mod tests {
         assert!(EngineConfig::new(8, 65_536).eps(0.05).validate().is_ok());
         // The smallest valid batch gives the smallest feed queue, 2.
         assert!(EngineConfig::new(2, 1).validate().is_ok());
-        assert_eq!(
-            EngineConfig::new(2, 10).fleet_cache(0).validate(),
-            Err(EngineError::ZeroFleetCache)
-        );
-        assert!(EngineConfig::new(2, 10).fleet_cache(1).validate().is_ok());
     }
 
     #[test]
     fn fleet_knobs_have_documented_defaults() {
-        let cfg = EngineConfig::new(4, 1_000);
-        assert_eq!(cfg.fleet_cache_capacity(), 1024);
-        let cfg = cfg.fleet_cache(16);
-        assert_eq!(cfg.fleet_cache_capacity(), 16);
+        // A fleet shard keeps 1024 live trackers, as the struct docs say:
+        // one key more on a one-shard fleet leaves one frozen.
+        let spec = TrackerSpec::new(TrackerKind::Deterministic).eps(0.1);
+        let mut fleet = crate::CounterFleet::counters(spec, EngineConfig::new(1, 4_096)).unwrap();
+        for key in 0..1_025 {
+            fleet.update(key, 1).unwrap();
+        }
+        fleet.flush().unwrap();
+        let mem = fleet.memory();
+        assert_eq!(mem.keys, 1_025);
+        assert_eq!(mem.cached_trackers, 1_024);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! skip produces, so the two optimizations compose.
 //!
 //! **Chain and rebase invariants.** The first boundary is always a base.
-//! With [`rebase`](CheckpointStore::rebase_period) `K > 0` a fresh base
+//! With a rebase period ([`CheckpointStore::new`]) `K > 0` a fresh base
 //! is forced after every `K` chained deltas, so
 //! [`materialize`](CheckpointStore::materialize) replays at most `K`
 //! links; `K = 0` chains forever. Every link pins the byte length and
@@ -137,11 +137,6 @@ impl CheckpointStore {
             since_base: 0,
             stats: DeltaStats::default(),
         }
-    }
-
-    /// The configured rebase period (0 = never).
-    pub fn rebase_period(&self) -> u64 {
-        self.rebase
     }
 
     /// Retained boundaries, oldest first.
@@ -635,7 +630,7 @@ mod tests {
         let bytes = store.to_bytes();
         let back = CheckpointStore::from_bytes(&bytes).unwrap();
         assert_eq!(back.boundaries(), store.boundaries());
-        assert_eq!(back.rebase_period(), 3);
+        assert_eq!(back.rebase, 3);
         for time in store.boundaries() {
             assert_eq!(
                 back.materialize(time).unwrap(),

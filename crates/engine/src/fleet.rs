@@ -18,10 +18,9 @@
 //!   records (the PR 4 state codec's `TrackerState` payload bytes) in a
 //!   per-shard append-only arena, indexed by an open-addressed key
 //!   table. A small per-shard cache of live trackers (clock-evicted,
-//!   [`crate::EngineConfig::fleet_cache`]) absorbs updates; cold records
-//!   rehydrate through one scratch [`TrackerState`] per shard, so the
-//!   steady state allocates nothing per key. Freezing a tracker
-//!   *snapshots* it, so cache capacity is a pure execution knob: any
+//!   1024 a shard) absorbs updates; cold records rehydrate through one
+//!   scratch [`TrackerState`] per shard, so the steady state allocates
+//!   nothing per key. Freezing a tracker *snapshots* it, so any cache
 //!   capacity ≥ 1 yields bit-identical estimates, ledgers, and
 //!   checkpoint bytes.
 //! * **Keyed batching** — updates stage as runs: a burst of updates to
@@ -63,6 +62,12 @@ use crate::fleet_codec::{DeltaShard, FleetHeader, ShardTable, SlotDelta, SlotRow
 pub use crate::fleet_codec::{FleetCheckpoint, FleetDelta, FLEET_MAGIC, FLEET_VERSION};
 use crate::partition::{hash_item, InputDelta};
 use crate::round::{fork_join, threads};
+
+/// Live per-key trackers a shard keeps materialized; colder keys are
+/// frozen back into its arena. Measured best on e18 and on the
+/// benchmark's `fleet-churn` (a larger cache buys no rate and costs
+/// memory; EXPERIMENTS.md E18).
+const CACHE: usize = 1024;
 
 /// Arena garbage a shard tolerates before it compacts, whatever its live
 /// bytes, so a shard with few live keys does not recopy its arena every
@@ -759,6 +764,10 @@ pub struct TrackerFleet<T, In: Copy> {
     staged_total: usize,
     /// The open run of the last staged update; cleared at every flush.
     memo: Option<Memo>,
+    /// Live trackers a shard keeps: [`CACHE`], less where a unit test
+    /// forces eviction.
+    #[cfg(test)]
+    cache: usize,
 }
 
 /// A fleet of counter trackers (`i64` deltas per key).
@@ -777,8 +786,8 @@ where
     /// The factory is keyless on purpose: every key must behave exactly
     /// like the same standalone tracker (same spec, same seeds), which is
     /// the fleet's bit-identity contract. `cfg.shards` fixes the key →
-    /// shard routing for the fleet's lifetime; `cfg.workers` and
-    /// `cfg.fleet_cache` are pure execution knobs.
+    /// shard routing for the fleet's lifetime; `cfg.workers` is a pure
+    /// execution knob.
     pub fn with_factory<F>(cfg: EngineConfig, factory: F) -> Result<Self, EngineError>
     where
         F: Fn() -> Result<T, BuildError> + Send + Sync + 'static,
@@ -816,14 +825,16 @@ where
             agg_estimate: 0,
             staged_total: 0,
             memo: None,
+            #[cfg(test)]
+            cache: CACHE,
         })
     }
 
     /// Rebuild a fleet from a [`FleetCheckpoint`]: `factory` must
     /// reproduce the original build (same spec — kind, k, ε, seeds), and
     /// `cfg` must agree on the **logical** shard count. The worker count
-    /// and cache capacity are free — resuming onto different ones is the
-    /// rescaling seam, and is exact.
+    /// is free — resuming onto a different one is the rescaling seam, and
+    /// is exact.
     pub fn with_factory_resume<F>(
         cfg: EngineConfig,
         ckpt: &FleetCheckpoint,
@@ -1053,6 +1064,23 @@ where
         });
     }
 
+    /// Live trackers a shard keeps: [`CACHE`].
+    fn cache(&self) -> usize {
+        #[cfg(test)]
+        return self.cache;
+        #[cfg(not(test))]
+        CACHE
+    }
+
+    /// This fleet with room for only `cache` live trackers a shard, so
+    /// a unit test can force eviction with a few keys.
+    #[cfg(test)]
+    fn with_cache(mut self, cache: usize) -> Self {
+        assert!(cache > 0, "a shard needs room for one live tracker");
+        self.cache = cache;
+        self
+    }
+
     /// Cut a batch boundary now: apply every staged chain, audit every
     /// touched key (and the fleet aggregate) against ε, and advance the
     /// clock. A no-op when nothing is staged.
@@ -1064,7 +1092,7 @@ where
         self.memo = None;
         let n = self.staged_total as u64;
         let eps = self.cfg.eps_value();
-        let cap = self.cfg.fleet_cache_capacity();
+        let cap = self.cache();
         let factory = Arc::clone(&self.factory);
         let proto = Arc::clone(&self.proto);
         let proto_stats = Arc::clone(&self.proto_stats);
@@ -1330,7 +1358,7 @@ where
     /// Materializes the key's tracker (possibly evicting another), which
     /// is why this takes `&mut self`; results are unaffected.
     pub fn estimate_item(&mut self, key: u64, item: u64) -> Result<i64, EngineError> {
-        let cap = self.cfg.fleet_cache_capacity();
+        let cap = self.cache();
         let s = self.shard_of(key);
         let factory = Arc::clone(&self.factory);
         let proto = Arc::clone(&self.proto);
@@ -1463,7 +1491,9 @@ mod tests {
     #[test]
     fn tiny_cache_matches_large_cache_bit_for_bit() {
         let run = |cache: usize| {
-            let mut fleet = CounterFleet::counters(spec(), cfg().fleet_cache(cache)).unwrap();
+            let mut fleet = CounterFleet::counters(spec(), cfg())
+                .unwrap()
+                .with_cache(cache);
             let mut state = 0x9E37u64;
             for t in 0..600 {
                 state = state
@@ -1502,7 +1532,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             stream.push(((state >> 33) % keys, 1 + (t % 3)));
         }
-        let mut fleet = CounterFleet::counters(spec(), cfg().fleet_cache(1)).unwrap();
+        let mut fleet = CounterFleet::counters(spec(), cfg()).unwrap().with_cache(1);
         let mut roomy = CounterFleet::counters(spec(), cfg()).unwrap();
         for &(key, delta) in &stream {
             fleet.update(key, delta).unwrap();
@@ -1935,7 +1965,7 @@ mod tests {
         // A one-entry cache strands a frozen record on nearly every touch.
         // Grow the stream until some shard's garbage has crossed the floor
         // and been reset: garbage only ever shrinks by compacting.
-        let mut fleet = CounterFleet::counters(spec(), cfg().fleet_cache(1)).unwrap();
+        let mut fleet = CounterFleet::counters(spec(), cfg()).unwrap().with_cache(1);
         let mut last = vec![0usize; fleet.shards.len()];
         // Whether a boundary ever left more garbage than live bytes: the
         // live-bytes rule alone would have compacted there.
@@ -1981,5 +2011,319 @@ mod tests {
         assert!(mem.arena_bytes > 0);
         assert!(mem.total_bytes() > 0);
         assert_eq!(mem.staged_inputs, 0);
+    }
+
+    // Eviction at a few keys: the facade's fleet suites run at `CACHE`,
+    // which their key counts never fill, so the paths they cover through
+    // a shrunken cache live here.
+
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
+    }
+
+    /// A warm spec for `kind`, as the facade's fleet suites build it:
+    /// multi-site where supported, universe where required, a fixed seed.
+    fn warm_spec(kind: TrackerKind, eps: f64) -> (TrackerSpec, usize) {
+        let k = if kind == TrackerKind::SingleSite {
+            1
+        } else {
+            3
+        };
+        let mut spec = TrackerSpec::new(kind).k(k).eps(eps).seed(17);
+        if kind.info().needs_universe {
+            spec = spec.universe(64);
+        }
+        if kind.supports_deletions() {
+            spec = spec.deletions(true);
+        }
+        (spec, k)
+    }
+
+    /// `checkpoint_delta(parent)` must be exactly the full compare against
+    /// the live checkpoint, and rebuild it.
+    fn assert_matches_full<T, In>(
+        fleet: &mut TrackerFleet<T, In>,
+        parent: &FleetCheckpoint,
+        what: &str,
+    ) where
+        T: Tracker<In> + Send,
+        In: InputDelta + Send,
+    {
+        let delta = fleet.checkpoint_delta(parent).unwrap();
+        let live = fleet.checkpoint().unwrap();
+        let full = FleetDelta::between(parent, &live).unwrap();
+        assert_eq!(delta.to_bytes(), full.to_bytes(), "{what}: delta bytes");
+        assert_eq!(delta.apply(parent).unwrap(), live, "{what}: rebuilt child");
+    }
+
+    /// Segment `seg` of a keyed tape over `k` sites: keys from a window
+    /// of `keys` that slides a third of its width per segment, `len`
+    /// updates, an input per update from `input`.
+    fn tape<In>(
+        seg: u64,
+        (k, keys, len): (usize, u64, usize),
+        input: &dyn Fn(&mut u64) -> In,
+    ) -> Vec<(u64, usize, In)> {
+        let mut s = 1 + seg;
+        (0..len)
+            .map(|_| {
+                let key = keys / 3 * seg + lcg(&mut s) % keys;
+                let site = (lcg(&mut s) % k as u64) as usize;
+                (key, site, input(&mut s))
+            })
+            .collect()
+    }
+
+    /// Every kind of ancestor, on a fleet with one live tracker a shard
+    /// and on one resumed from it, as `tests/fleet_delta.rs` walks them
+    /// at the default cache.
+    fn every_ancestor_through_one_live_tracker<T, In>(
+        label: &str,
+        build: &dyn Fn() -> TrackerFleet<T, In>,
+        resume: &dyn Fn(&FleetCheckpoint) -> TrackerFleet<T, In>,
+        shape: (usize, u64, usize),
+        input: &dyn Fn(&mut u64) -> In,
+    ) where
+        T: Tracker<In> + Send,
+        In: InputDelta + Send,
+    {
+        let play = |fleet: &mut TrackerFleet<T, In>, seg: u64| {
+            for (key, site, x) in tape(seg, shape, input) {
+                fleet.update_at(key, site, x).unwrap();
+            }
+        };
+        let mut fleet = build().with_cache(1);
+        play(&mut fleet, 0);
+        let older = fleet.checkpoint().unwrap();
+        play(&mut fleet, 1);
+        let last = fleet.checkpoint().unwrap();
+        assert!(
+            fleet.memory().cached_trackers < fleet.len() as u64,
+            "{label}: the cache did not evict"
+        );
+        assert_matches_full(&mut fleet, &last, &format!("{label}: the live state"));
+        play(&mut fleet, 2);
+        assert_matches_full(&mut fleet, &last, &format!("{label}: the last checkpoint"));
+        assert_matches_full(&mut fleet, &older, &format!("{label}: an older ancestor"));
+        assert_matches_full(&mut fleet, &last.clone(), &format!("{label}: a clone"));
+
+        let link = fleet.checkpoint_delta(&last).unwrap().apply(&last).unwrap();
+        play(&mut fleet, 3);
+        assert_matches_full(
+            &mut fleet,
+            &link,
+            &format!("{label}: an applied chain link"),
+        );
+
+        let origin = fleet.checkpoint().unwrap();
+        let mut resumed = resume(&origin).with_cache(1);
+        play(&mut resumed, 4);
+        assert_matches_full(&mut resumed, &origin, &format!("{label}: the resume point"));
+        assert_matches_full(
+            &mut resumed,
+            &older,
+            &format!("{label}: the origin's ancestor"),
+        );
+    }
+
+    #[test]
+    fn the_dirty_path_equals_the_full_compare_through_a_cache_of_one() {
+        for workers in [1, 2, 3] {
+            let cfg = EngineConfig::new(4, 16).workers(workers);
+            for kind in TrackerKind::COUNTERS {
+                let (spec, k) = warm_spec(kind, 0.2);
+                let cfg = cfg.eps(0.2);
+                let deletions = kind.supports_deletions();
+                every_ancestor_through_one_live_tracker(
+                    &format!("{} W={workers}", kind.label()),
+                    &|| CounterFleet::counters(spec, cfg).unwrap(),
+                    &|ckpt| CounterFleet::resume(spec, cfg, ckpt).unwrap(),
+                    (k, 24, 240),
+                    &|s| match lcg(s) % 4 {
+                        0 if deletions => -1,
+                        r => 1 + r as i64 % 2,
+                    },
+                );
+            }
+            for kind in TrackerKind::FREQUENCIES {
+                let (spec, k) = warm_spec(kind, 0.5);
+                let cfg = cfg.eps(0.5);
+                let deletions = kind.supports_deletions();
+                every_ancestor_through_one_live_tracker(
+                    &format!("{} W={workers}", kind.label()),
+                    &|| ItemFleet::items(spec, cfg).unwrap(),
+                    &|ckpt| ItemFleet::resume(spec, cfg, ckpt).unwrap(),
+                    (k, 9, 60),
+                    &|s| {
+                        let item = lcg(s) % 64;
+                        let delta = if deletions && lcg(s).is_multiple_of(5) {
+                            -1
+                        } else {
+                            1
+                        };
+                        (item, delta)
+                    },
+                );
+            }
+        }
+    }
+
+    /// Checkpoint → wire round-trip → resume onto other workers and one
+    /// live tracker a shard → continue: the same audits, ledgers and
+    /// next-checkpoint bytes as the straight run, for all ten kinds. (A
+    /// cache of two does not evict the item fleets' six keys over four
+    /// shards.)
+    #[test]
+    fn resuming_onto_a_one_tracker_cache_is_bit_identical_for_all_kinds() {
+        fn check<T, In, F>(
+            label: &str,
+            keys: u64,
+            mut straight: TrackerFleet<T, In>,
+            resume: &dyn Fn(&FleetCheckpoint) -> TrackerFleet<T, In>,
+            feed: F,
+            (before, after): (u64, u64),
+            mut s: u64,
+        ) -> (TrackerFleet<T, In>, TrackerFleet<T, In>)
+        where
+            T: Tracker<In> + Send,
+            In: InputDelta + Send,
+            F: Fn(&mut TrackerFleet<T, In>, &mut u64, u64),
+        {
+            feed(&mut straight, &mut s, before);
+            let wire = straight.checkpoint().unwrap().to_bytes();
+            let ckpt = FleetCheckpoint::from_bytes(&wire).unwrap();
+            let mut resumed = resume(&ckpt).with_cache(1);
+            let mut s2 = s;
+            feed(&mut straight, &mut s, after);
+            feed(&mut resumed, &mut s2, after);
+            straight.flush().unwrap();
+            resumed.flush().unwrap();
+            assert!(
+                resumed.memory().cached_trackers < keys,
+                "{label}: the cache did not evict"
+            );
+            for key in 0..keys {
+                assert_eq!(
+                    resumed.key_audit(key),
+                    straight.key_audit(key),
+                    "{label} key {key}: audit diverged after resume + rescale",
+                );
+            }
+            assert_eq!(resumed.comm_stats(), straight.comm_stats(), "{label}");
+            assert_eq!(
+                resumed.checkpoint().unwrap().to_bytes(),
+                straight.checkpoint().unwrap().to_bytes(),
+                "{label}: checkpoint bytes diverged after resume + rescale",
+            );
+            (straight, resumed)
+        }
+        let cfg = EngineConfig::new(4, 64).eps(0.2);
+        for kind in TrackerKind::COUNTERS {
+            let (spec, k) = warm_spec(kind, 0.2);
+            let keys = 9;
+            check(
+                kind.label(),
+                keys,
+                CounterFleet::counters(spec, cfg).unwrap(),
+                &|ckpt| CounterFleet::resume(spec, cfg.workers(3), ckpt).unwrap(),
+                |fleet: &mut CounterFleet, state: &mut u64, n| {
+                    for _ in 0..n {
+                        let key = lcg(state) % keys;
+                        let site = (lcg(state) % k as u64) as usize;
+                        let delta = if kind.supports_deletions() && lcg(state).is_multiple_of(5) {
+                            -1
+                        } else {
+                            1
+                        };
+                        fleet.update_at(key, site, delta).unwrap();
+                    }
+                },
+                (2_000, 1_500),
+                31,
+            );
+        }
+        for kind in TrackerKind::FREQUENCIES {
+            let (spec, k) = warm_spec(kind, 0.2);
+            let keys = 6;
+            let (mut straight, mut resumed) = check(
+                kind.label(),
+                keys,
+                ItemFleet::items(spec, cfg).unwrap(),
+                &|ckpt| ItemFleet::resume(spec, cfg.workers(2), ckpt).unwrap(),
+                |fleet: &mut ItemFleet, state: &mut u64, n| {
+                    for _ in 0..n {
+                        let key = lcg(state) % keys;
+                        let site = (lcg(state) % k as u64) as usize;
+                        let item = lcg(state) % 64;
+                        fleet.update_at(key, site, (item, 1)).unwrap();
+                    }
+                },
+                (2_000, 1_000),
+                53,
+            );
+            for key in 0..keys {
+                for item in [3u64, 40] {
+                    assert_eq!(
+                        resumed.estimate_item(key, item).unwrap(),
+                        straight.estimate_item(key, item).unwrap(),
+                        "{} key {key} item {item}",
+                        kind.label()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Key → shard routing under cache pressure: worker counts, a
+    /// mid-stream rescale and caches of one to four live trackers never
+    /// move a key or perturb a single checkpoint byte.
+    #[test]
+    fn key_routing_is_stable_under_cache_pressure() {
+        let spec = TrackerSpec::new(TrackerKind::Deterministic).k(2).eps(0.15);
+        let cfg = EngineConfig::new(8, 32).eps(0.15);
+        let mut seeds = 0xCAC4Eu64;
+        for case in 0..16 {
+            let seed = lcg(&mut seeds);
+            let workers = 1 + case % 5;
+            let cache = 1 + case % 4;
+            let mut baseline = CounterFleet::counters(spec, cfg).unwrap();
+            let mut varied = CounterFleet::counters(spec, cfg.workers(workers))
+                .unwrap()
+                .with_cache(cache);
+            let mut s = seed | 1;
+            let mut keys_seen = Vec::new();
+            for t in 0..600u64 {
+                let key = lcg(&mut s) % 97;
+                let site = (lcg(&mut s) % 2) as usize;
+                keys_seen.push(key);
+                baseline.update_at(key, site, 1).unwrap();
+                varied.update_at(key, site, 1).unwrap();
+                if t == 300 {
+                    // Rescale: resume onto another worker count, cutting the
+                    // same early boundary in the baseline.
+                    baseline.flush().unwrap();
+                    let ckpt = varied.checkpoint().unwrap();
+                    let cfg = cfg.workers(workers % 4 + 1);
+                    varied = CounterFleet::resume(spec, cfg, &ckpt)
+                        .unwrap()
+                        .with_cache(cache);
+                }
+            }
+            baseline.flush().unwrap();
+            varied.flush().unwrap();
+            assert!(
+                varied.memory().cached_trackers < varied.len() as u64,
+                "case {case}: the cache did not evict"
+            );
+            for &key in &keys_seen {
+                assert_eq!(baseline.shard_of(key), varied.shard_of(key));
+                assert_eq!(baseline.estimate(key), varied.estimate(key));
+            }
+            let wire = baseline.checkpoint().unwrap().to_bytes();
+            assert_eq!(&wire, &varied.checkpoint().unwrap().to_bytes());
+        }
     }
 }

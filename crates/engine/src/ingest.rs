@@ -17,31 +17,32 @@
 //!
 //! ## The queue
 //!
-//! The queue is a plain monitor on `std` primitives: a `VecDeque` of
-//! rounds, the closed flag, the ledger and the parked async producer's
-//! waker live under **one** mutex, every condition is checked and changed
-//! under it, and the two waits (producer on a full queue, consumer on a
-//! round that has not landed) are untimed `Condvar` waits — an idle feed
-//! costs nothing. Each entry of the deque is one round's buffer: a push
-//! is cut at the feed's round boundaries (every `batch` inputs landed)
-//! and each piece is appended to the round it belongs to, so an input is
-//! copied once, from the producer's slice into its round's buffer. The
-//! worker takes a whole round (or, once the feed has closed, its final
-//! short one) by moving the buffer out under the lock and runs it in
-//! place; the buffer it ran before goes back as the spare the producer
-//! opens its next round in. DESIGN.md §7 has the measurements. Because
-//! close and push serialize on the lock, an input is never acknowledged
-//! behind a close.
+//! The queue is a plain monitor on `std` primitives shared by exactly two
+//! parties, the producer and the consumer: a `VecDeque` of rounds, the
+//! closed flag and the ledger live under **one** mutex, every condition
+//! is checked and changed under it, and the two waits (producer on a full
+//! queue, consumer on a round that has not landed) are untimed `Condvar`
+//! waits — an idle feed costs nothing. Each entry of the deque is one
+//! round's buffer: a push is cut at the feed's round boundaries (every
+//! `batch` inputs landed) and each piece is appended to the round it
+//! belongs to, so an input is copied once, from the producer's slice into
+//! its round's buffer. The worker takes a whole round (or, once the feed
+//! has closed, its final short one) by moving the buffer out under the
+//! lock and runs it in place; the buffer it ran before goes back as the
+//! spare the producer opens its next round in. DESIGN.md §7 has the
+//! measurements. Because close and push serialize on the lock, an input
+//! is never acknowledged behind a close.
 //!
 //! ## Full queues
 //!
 //! On a full queue, [`ShardFeed::push`] and [`ShardFeed::push_batch`]
 //! park until the worker takes a round, so a feed that outruns its shard
 //! is slowed to the shard's pace; [`ShardFeed::try_push`] fails fast with
-//! [`FeedError::Full`] so the caller can shed or reroute load; the async
-//! pushes await space. Stalls, waits, and queue occupancy are charged to
-//! the engine's [`IngestStats`] ledger; the traffic itself is accounted
-//! as [`FeedFrame`]s in the model's word currency.
+//! [`FeedError::Full`] so the caller can shed or reroute load. An async
+//! producer calls `push_batch` from a blocking thread (`spawn_blocking`
+//! or its runtime's equivalent). Stalls, waits, and queue occupancy are
+//! charged to the engine's [`IngestStats`] ledger; the traffic itself is
+//! accounted as [`FeedFrame`]s in the model's word currency.
 //!
 //! ## Ordering discipline
 //!
@@ -64,22 +65,11 @@
 //! round's buffer, unchanged, to the shard tracker's `update_run` — the
 //! same run seam `run_parted` drives — so the queue adds transport and
 //! nothing else to the work a round costs.
-//!
-//! ## Async pushes
-//!
-//! [`ShardFeed::push_async`] / [`ShardFeed::push_batch_async`] are futures
-//! that resolve when the input is enqueued, awaiting capacity instead of
-//! blocking the thread. They are runtime-agnostic (plain `std::future`
-//! wakers — they run on `tokio` or any other executor) and always
-//! compiled: the waker is one more field under the queue's lock.
 
 use crate::partition::InputDelta;
 use dsv_net::{FeedFrame, IngestStats, SiteId};
 use std::collections::VecDeque;
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::task::{Context, Poll, Waker};
 
 /// A typed feeder-side failure. `pushed` is always the number of inputs
 /// of the failing call that *were* enqueued before the error (0 for
@@ -132,9 +122,6 @@ struct Shared<T> {
     /// its next round.
     spare: Option<Vec<T>>,
     closed: bool,
-    /// The producer's waker while an async push is pending on a full
-    /// queue; taken (and woken) by the next take or by the close.
-    waker: Option<Waker>,
     /// The ring's ledger, `dropped` excepted ([`Ring::drain_stats`]
     /// reads it off the queue at teardown).
     stats: IngestStats,
@@ -220,7 +207,6 @@ impl<T: Copy> Ring<T> {
                 rounds: VecDeque::with_capacity(3),
                 spare: None,
                 closed: false,
-                waker: None,
                 stats: IngestStats::new(),
             }),
             not_full: Condvar::new(),
@@ -254,16 +240,10 @@ impl<T: Copy> Ring<T> {
     /// Once this returns no push lands: the flag is set under the lock
     /// every push checks it under.
     pub(crate) fn close(&self) {
-        let waker = {
-            let mut st = self.lock();
-            st.closed = true;
-            self.not_empty.notify_all();
-            self.not_full.notify_all();
-            st.waker.take()
-        };
-        if let Some(waker) = waker {
-            waker.wake();
-        }
+        let mut st = self.lock();
+        st.closed = true;
+        self.not_empty.notify_all();
+        self.not_full.notify_all();
     }
 
     #[cfg(test)]
@@ -300,12 +280,6 @@ impl<T: Copy> Ring<T> {
             st.spare = Some(ran);
         }
         self.not_full.notify_one();
-        let waker = st.waker.take();
-        // Woken outside the lock: a waker may poll inline.
-        drop(st);
-        if let Some(waker) = waker {
-            waker.wake();
-        }
     }
 
     /// Fold this ring's counters into an engine-level ledger (called
@@ -382,7 +356,7 @@ impl<T: Copy> Drop for CloseRings<'_, T> {
 }
 
 /// How far one push call has got: it may span several lock acquisitions
-/// (a full queue mid-chunk) or, on the async path, several polls.
+/// (a full queue mid-chunk).
 #[derive(Debug, Default)]
 struct Progress {
     /// Inputs of the call landed so far.
@@ -475,26 +449,6 @@ impl<In: InputDelta> ShardFeed<In> {
         }
     }
 
-    /// Async push: resolves once the input is enqueued, awaiting
-    /// capacity instead of blocking the thread.
-    pub fn push_async(&mut self, x: In) -> AsyncPush<'_, In> {
-        AsyncPush {
-            feed: self,
-            x,
-            call: Progress::default(),
-        }
-    }
-
-    /// Async chunk push; see [`push_async`](Self::push_async). The
-    /// chunk is enqueued in order, possibly across several polls.
-    pub fn push_batch_async<'a>(&'a mut self, xs: &'a [In]) -> AsyncPushBatch<'a, In> {
-        AsyncPushBatch {
-            feed: self,
-            xs,
-            call: Progress::default(),
-        }
-    }
-
     /// Close the feed: the worker drains what was pushed, finishes the
     /// feed's final (possibly partial) round, and stops expecting data.
     /// Idempotent; also performed on drop. Pushing after a close is a
@@ -557,36 +511,6 @@ impl<In: InputDelta> ShardFeed<In> {
         st.end_frame(call.pushed);
         Some(Ok(()))
     }
-
-    /// One poll of an async push. Ledger semantics match the sync calls:
-    /// inputs are charged as they land (across polls), the frame when the
-    /// call is over, and a call that ever suspends is one push stall.
-    /// The waker is registered under the same lock the consumer takes
-    /// rounds under, so a take cannot slip between the failed offer and
-    /// the registration.
-    fn poll_push(
-        &mut self,
-        cx: &mut Context<'_>,
-        xs: &[In],
-        call: &mut Progress,
-    ) -> Poll<Result<(), FeedError>> {
-        let mut st = if call.pushed == 0 {
-            match self.begin(xs) {
-                Ok(st) => st,
-                Err(e) => return Poll::Ready(Err(e)),
-            }
-        } else {
-            self.ring.lock()
-        };
-        match self.offer(&mut st, xs, call) {
-            Some(done) => Poll::Ready(done),
-            None => {
-                st.stall(call);
-                st.waker = Some(cx.waker().clone());
-                Poll::Pending
-            }
-        }
-    }
 }
 
 impl<In: Copy> Drop for ShardFeed<In> {
@@ -595,51 +519,10 @@ impl<In: Copy> Drop for ShardFeed<In> {
     }
 }
 
-/// Future of [`ShardFeed::push_async`].
-#[derive(Debug)]
-#[must_use = "futures do nothing unless polled"]
-pub struct AsyncPush<'a, In: Copy> {
-    feed: &'a mut ShardFeed<In>,
-    x: In,
-    call: Progress,
-}
-
-/// Future of [`ShardFeed::push_batch_async`].
-#[derive(Debug)]
-#[must_use = "futures do nothing unless polled"]
-pub struct AsyncPushBatch<'a, In: Copy> {
-    feed: &'a mut ShardFeed<In>,
-    xs: &'a [In],
-    call: Progress,
-}
-
-// The futures hold no self-references (the input is plain `Copy` data and
-// the feed a normal `&mut`), so they are always Unpin even when `In`
-// itself is not.
-impl<In: Copy> Unpin for AsyncPush<'_, In> {}
-impl<In: Copy> Unpin for AsyncPushBatch<'_, In> {}
-
-impl<In: InputDelta> Future for AsyncPush<'_, In> {
-    type Output = Result<(), FeedError>;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        this.feed.poll_push(cx, &[this.x], &mut this.call)
-    }
-}
-
-impl<In: InputDelta> Future for AsyncPushBatch<'_, In> {
-    type Output = Result<(), FeedError>;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        this.feed.poll_push(cx, this.xs, &mut this.call)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::task::Wake;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
     /// A feed over a ring of `batch`-input rounds (capacity `2 × batch`),
@@ -1025,42 +908,5 @@ mod tests {
             assert!(stats.high_water <= 2, "two rounds of one at most");
             assert_eq!(stats.dropped, 0);
         }
-    }
-
-    /// A pending async push is woken by the consumer's take and by the
-    /// close, with no executor in the picture: the waker only counts.
-    #[test]
-    fn a_pending_async_push_is_woken_by_a_pop_and_by_close() {
-        struct CountWakes(AtomicUsize);
-        impl Wake for CountWakes {
-            fn wake(self: Arc<Self>) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let wakes = Arc::new(CountWakes(AtomicUsize::new(0)));
-        let waker = Waker::from(Arc::clone(&wakes));
-        let mut cx = Context::from_waker(&waker);
-        let woken = || wakes.0.load(Ordering::SeqCst);
-
-        let (mut feed, ring) = feed_pair(1);
-        let mut state = consumer(&ring);
-        let xs = [1i64, 2, 3, 4, 5];
-        let mut fut = feed.push_batch_async(&xs);
-        assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
-        assert_eq!(woken(), 0);
-        assert_eq!(state.next_round(), Some((0, &[1i64][..])));
-        assert_eq!(woken(), 1, "a take wakes the pending producer");
-        assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
-        assert_eq!(woken(), 1);
-        ring.close();
-        assert_eq!(woken(), 2, "a close wakes the pending producer");
-        assert_eq!(
-            Pin::new(&mut fut).poll(&mut cx),
-            Poll::Ready(Err(FeedError::Closed { pushed: 3 }))
-        );
-        let mut stats = IngestStats::new();
-        ring.drain_stats(&mut stats);
-        assert_eq!((stats.items, stats.frames, stats.push_stalls), (3, 1, 1));
-        assert_eq!(stats.dropped, 2);
     }
 }

@@ -46,8 +46,7 @@
 //! window, and a fast
 //! feed leads a slow one by at most those 64 rounds, while estimates and
 //! ledgers stay bit-identical to `run_parted`). All three run on one
-//! window executor. The feed handles also offer runtime-agnostic
-//! [`ShardFeed::push_async`] futures.
+//! window executor.
 //!
 //! For multi-tenant workloads — millions of independent `(tenant,
 //! metric)` functions rather than one big one — the [`fleet`] module's
@@ -98,7 +97,7 @@ pub use fleet::{
     CounterFleet, FleetCheckpoint, FleetDelta, FleetMemory, FleetReport, ItemFleet, KeyAudit,
     TrackerFleet, FLEET_MAGIC, FLEET_VERSION,
 };
-pub use ingest::{AsyncPush, AsyncPushBatch, FeedError, ShardFeed};
+pub use ingest::{FeedError, ShardFeed};
 pub use partition::{InputDelta, ShardRecord};
 pub use report::EngineReport;
 pub use sharded::{CounterEngine, ItemEngine, ShardedEngine};

@@ -188,7 +188,8 @@ impl FaultPlan {
     }
 
     /// Faults not yet fired.
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    fn pending(&self) -> usize {
         self.faults.len()
     }
 

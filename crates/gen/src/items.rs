@@ -54,7 +54,8 @@ impl ZipfSampler {
     }
 
     /// Probability mass of item `i`.
-    pub fn pmf(&self, i: usize) -> f64 {
+    #[cfg(test)]
+    fn pmf(&self, i: usize) -> f64 {
         assert!(i < self.cdf.len());
         if i == 0 {
             self.cdf[0]

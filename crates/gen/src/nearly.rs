@@ -50,11 +50,6 @@ impl NearlyMonotoneGen {
         self.f
     }
 
-    /// Current total deletions `f⁻(t)`.
-    pub fn total_deletions(&self) -> i64 {
-        self.f_minus
-    }
-
     /// Whether emitting a deletion now would keep the constraint
     /// `f⁻ ≤ β·f` satisfied after the step.
     fn deletion_allowed(&self) -> bool {

@@ -462,8 +462,9 @@ impl<'a> Dec<'a> {
     }
 
     /// Read a length-prefixed `u64` sequence into a slice of exactly that
-    /// length — [`seq_u64`](Self::seq_u64) + [`restore_seq`] without the
-    /// intermediate `Vec`, for state whose shape the restoring node fixes.
+    /// length — [`seq_u64`](Self::seq_u64) without the intermediate `Vec`,
+    /// for state whose shape the restoring node fixes; a sequence of
+    /// another length is [`CodecError::Mismatch`].
     pub fn fill_u64(&mut self, what: &'static str, target: &mut [u64]) -> Result<(), CodecError> {
         self.fill(what, target, u64::from_le_bytes)
     }
@@ -503,24 +504,6 @@ fn words<'a, T>(
 
 fn f64_from_le(word: [u8; 8]) -> f64 {
     f64::from_bits(u64::from_le_bytes(word))
-}
-
-/// Copy a decoded sequence into an existing slice of the same length (the
-/// shape check that ties a payload to the state being restored into).
-pub fn restore_seq<T: Copy>(
-    what: &'static str,
-    target: &mut [T],
-    decoded: &[T],
-) -> Result<(), CodecError> {
-    if target.len() != decoded.len() {
-        return Err(CodecError::Mismatch {
-            what,
-            expected: target.len() as u64,
-            found: decoded.len() as u64,
-        });
-    }
-    target.copy_from_slice(decoded);
-    Ok(())
 }
 
 /// The domain check that ties a decoded value to what the restored
@@ -674,21 +657,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_seq_checks_shape() {
-        let mut target = [0i64; 3];
-        restore_seq("v", &mut target, &[1, 2, 3]).unwrap();
-        assert_eq!(target, [1, 2, 3]);
-        assert_eq!(
-            restore_seq("v", &mut target, &[1, 2]),
-            Err(CodecError::Mismatch {
-                what: "v",
-                expected: 3,
-                found: 2
-            })
-        );
-    }
-
-    #[test]
     fn nested_writer_equals_blob_of_a_side_encoder() {
         // Empty, one-level, and nested-in-nested payloads, each after a
         // prefix the back-patch must not disturb.
@@ -781,7 +749,7 @@ mod tests {
         dec.finish().unwrap();
         assert_eq!((a, b, c), ([1, 2, 3], [-1, 0, 1], [0.5, -2.25]));
 
-        // Wrong target shape: the same Mismatch restore_seq reports.
+        // Wrong target shape: a Mismatch naming both lengths.
         assert_eq!(
             Dec::new(&bytes).fill_u64("a", &mut [0u64; 2]),
             Err(CodecError::Mismatch {

@@ -93,19 +93,6 @@ impl IngestStats {
         IngestStats::default()
     }
 
-    /// Charge one [`FeedFrame`] (one `push` / `push_batch` call),
-    /// sampling the queue occupancy observed as the frame was pushed.
-    pub fn charge_frame(&mut self, frame: &FeedFrame, occupancy: u64) {
-        self.frames += 1;
-        self.items += frame.items as u64;
-        self.words += frame.words() as u64;
-        self.occupancy_sum += occupancy;
-        self.occupancy_samples += 1;
-        if occupancy > self.high_water {
-            self.high_water = occupancy;
-        }
-    }
-
     /// Mean queue occupancy over all samples (0 when nothing was sampled).
     pub fn mean_occupancy(&self) -> f64 {
         if self.occupancy_samples == 0 {
@@ -145,27 +132,37 @@ mod tests {
 
     #[test]
     fn ledger_accumulates_and_merges() {
-        let mut a = IngestStats::new();
-        a.charge_frame(&FeedFrame::for_chunk(0, 10, 1), 4);
-        a.charge_frame(&FeedFrame::for_chunk(1, 5, 2), 8);
-        a.push_stalls += 1;
-        assert_eq!(a.frames, 2);
-        assert_eq!(a.items, 15);
-        assert_eq!(a.words, 20);
-        assert_eq!(a.push_stalls, 1);
-        assert_eq!(a.pop_waits, 0);
+        // Two frames of 10 one-word and 5 two-word inputs, pushed at
+        // occupancies 4 and 8, one of them stalled.
+        let a = IngestStats {
+            frames: 2,
+            items: 15,
+            words: 20,
+            push_stalls: 1,
+            occupancy_sum: 12,
+            occupancy_samples: 2,
+            high_water: 8,
+            ..IngestStats::new()
+        };
         assert!((a.mean_occupancy() - 6.0).abs() < 1e-12);
-        assert_eq!(a.high_water, 8);
 
-        let mut b = IngestStats::new();
-        b.charge_frame(&FeedFrame::for_chunk(2, 1, 1), 20);
-        b.pop_waits += 1;
+        let mut b = IngestStats {
+            frames: 1,
+            items: 1,
+            words: 1,
+            pop_waits: 1,
+            occupancy_sum: 20,
+            occupancy_samples: 1,
+            high_water: 20,
+            ..IngestStats::new()
+        };
         b.merge(&a);
         assert_eq!(b.frames, 3);
         assert_eq!(b.items, 16);
         assert_eq!(b.pop_waits, 1);
         assert_eq!(b.high_water, 20);
         assert_eq!(b.occupancy_samples, 3);
+        assert!((b.mean_occupancy() - 32.0 / 3.0).abs() < 1e-12);
         assert!(IngestStats::new().mean_occupancy() == 0.0);
     }
 }

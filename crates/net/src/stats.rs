@@ -6,7 +6,7 @@
 //! either unit.
 
 use crate::codec::{CodecError, Dec, Enc};
-use crate::message::{bits_per_word, MsgKind};
+use crate::message::MsgKind;
 
 /// Ledger of all communication charged during a simulation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -80,11 +80,6 @@ impl CommStats {
     /// Total payload words.
     pub fn total_words(&self) -> u64 {
         self.words
-    }
-
-    /// Total bits if every word costs `O(log n)` bits for stream length `n`.
-    pub fn total_bits(&self, n: u64) -> u64 {
-        self.words * bits_per_word(n)
     }
 
     /// Number of broadcast operations performed (not messages).
@@ -214,13 +209,5 @@ mod tests {
         let mut rebuilt = snapshot.clone();
         rebuilt.merge(&delta);
         assert_eq!(rebuilt, a);
-    }
-
-    #[test]
-    fn total_bits_scales_with_log_n() {
-        let mut s = CommStats::new();
-        s.charge(MsgKind::Up, 10);
-        assert_eq!(s.total_bits(1023), 10 * 12);
-        assert_eq!(s.total_bits(u64::MAX / 2), 10 * 65);
     }
 }

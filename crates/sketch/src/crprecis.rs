@@ -101,8 +101,9 @@ impl CrPrecis {
 
     /// Min-over-rows estimator (the original Ganguly–Majumder choice).
     /// Never under-estimates on strict-turnstile streams, but is not
-    /// linear in the sketch contents.
-    pub fn estimate_min(&self, item: u64) -> i64 {
+    /// linear in the sketch contents. Kept as the tests' reference.
+    #[cfg(test)]
+    pub(crate) fn estimate_min(&self, item: u64) -> i64 {
         (0..self.rows())
             .map(|r| self.table[self.cell(r, item)])
             .min()

@@ -48,9 +48,9 @@ fn main() {
         .k(k)
         .eps(eps)
         .deletions(true);
-    // 16 shards × 64 hot trackers: ~1/4 of the tenants fit live, the
-    // rest freeze to arena bytes — the realistic regime for the tail.
-    let cfg = EngineConfig::new(16, 8_192).eps(eps).fleet_cache(64);
+    // 2 shards × 1024 hot trackers: half the tenants fit live, the rest
+    // freeze to arena bytes — the realistic regime for the tail.
+    let cfg = EngineConfig::new(2, 8_192).eps(eps);
 
     let mut fleet = CounterFleet::counters(spec, cfg).expect("valid fleet config");
     // Standalone twins for a probe set of tenants: the hottest, one

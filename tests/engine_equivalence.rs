@@ -489,7 +489,7 @@ fn default_workers_are_bit_identical_to_one_worker_per_shard_at_s16() {
         );
         (state, report.workers)
     };
-    let cfg = EngineConfig::new(16, 256).eps(0.1).fleet_cache(8);
+    let cfg = EngineConfig::new(16, 256).eps(0.1);
     let (twin, sixteen) = fleet_run(cfg.workers(16));
     let (state, threads) = fleet_run(cfg);
     assert!(state == twin, "default-worker fleet diverged from its twin");

@@ -5,8 +5,9 @@
 //! whose update count moved), and falls back to `FleetDelta::between`
 //! against a fresh checkpoint for any other parent. Either way the delta
 //! must be byte for byte the full compare's, and `apply` must rebuild the
-//! live checkpoint. The first test holds that for every registry kind,
-//! worker count and cache capacity over every kind of ancestor; the
+//! live checkpoint. The first test holds that for every registry kind
+//! and worker count over every kind of ancestor (through a cache of one
+//! live tracker as well in `dsv-engine`'s fleet unit tests); the
 //! others feed parents that are *not* ancestors but would fool a dirty
 //! walk (equal update counts, different states), so a guard that let
 //! them through shows as a wrong rebuild.
@@ -148,60 +149,55 @@ fn every_ancestor<T, In>(
 #[test]
 fn the_dirty_path_equals_the_full_compare_for_every_kind_worker_count_and_cache() {
     for workers in [1, 2, 3] {
-        for cache in [Some(1), None] {
-            let mut cfg = EngineConfig::new(4, 16).workers(workers);
-            if let Some(cap) = cache {
-                cfg = cfg.fleet_cache(cap);
-            }
-            for kind in TrackerKind::COUNTERS {
-                let (spec, k) = fleet_spec(kind, 0.2);
-                let cfg = cfg.eps(0.2);
-                let deletions = kind.supports_deletions();
-                every_ancestor(
-                    &format!("{} W={workers} cache={cache:?}", kind.label()),
-                    cfg,
-                    &|cfg| CounterFleet::counters(spec, cfg).unwrap(),
-                    &|cfg, ckpt| CounterFleet::resume(spec, cfg, ckpt).unwrap(),
-                    &Shape {
-                        k,
-                        keys: 24,
-                        len: 240,
-                        input: &|s| match lcg(s) % 4 {
-                            0 if deletions => -1,
-                            r => 1 + r as i64 % 2,
-                        },
+        let cfg = EngineConfig::new(4, 16).workers(workers);
+        for kind in TrackerKind::COUNTERS {
+            let (spec, k) = fleet_spec(kind, 0.2);
+            let cfg = cfg.eps(0.2);
+            let deletions = kind.supports_deletions();
+            every_ancestor(
+                &format!("{} W={workers}", kind.label()),
+                cfg,
+                &|cfg| CounterFleet::counters(spec, cfg).unwrap(),
+                &|cfg, ckpt| CounterFleet::resume(spec, cfg, ckpt).unwrap(),
+                &Shape {
+                    k,
+                    keys: 24,
+                    len: 240,
+                    input: &|s| match lcg(s) % 4 {
+                        0 if deletions => -1,
+                        r => 1 + r as i64 % 2,
                     },
-                );
-            }
-            for kind in TrackerKind::FREQUENCIES {
-                // Sketch states are tens of kilobytes a key even at this
-                // ε: fewer keys and updates than the counters get.
-                let (spec, k) = fleet_spec(kind, 0.5);
-                let cfg = cfg.eps(0.5);
-                let deletions = kind.supports_deletions();
-                every_ancestor(
-                    &format!("{} W={workers} cache={cache:?}", kind.label()),
-                    cfg,
-                    &|cfg| ItemFleet::items(spec, cfg).unwrap(),
-                    &|cfg, ckpt| ItemFleet::resume(spec, cfg, ckpt).unwrap(),
-                    &Shape {
-                        k,
-                        keys: 9,
-                        len: 60,
-                        input: &|s| {
-                            let item = lcg(s) % 64;
-                            (
-                                item,
-                                if deletions && lcg(s).is_multiple_of(5) {
-                                    -1
-                                } else {
-                                    1
-                                },
-                            )
-                        },
+                },
+            );
+        }
+        for kind in TrackerKind::FREQUENCIES {
+            // Sketch states are tens of kilobytes a key even at this
+            // ε: fewer keys and updates than the counters get.
+            let (spec, k) = fleet_spec(kind, 0.5);
+            let cfg = cfg.eps(0.5);
+            let deletions = kind.supports_deletions();
+            every_ancestor(
+                &format!("{} W={workers}", kind.label()),
+                cfg,
+                &|cfg| ItemFleet::items(spec, cfg).unwrap(),
+                &|cfg, ckpt| ItemFleet::resume(spec, cfg, ckpt).unwrap(),
+                &Shape {
+                    k,
+                    keys: 9,
+                    len: 60,
+                    input: &|s| {
+                        let item = lcg(s) % 64;
+                        (
+                            item,
+                            if deletions && lcg(s).is_multiple_of(5) {
+                                -1
+                            } else {
+                                1
+                            },
+                        )
                     },
-                );
-            }
+                },
+            );
         }
     }
 }

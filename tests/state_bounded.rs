@@ -111,19 +111,23 @@ fn deterministic_state_is_flat_over_ten_million_loud_updates() {
 
 #[test]
 fn frozen_fleet_slots_do_not_grow() {
-    // 48 loud keys against a cache of one live tracker per shard: every
-    // boundary thaws, steps and re-freezes every key, so a growing state
-    // would show as growing live arena bytes per key.
+    // 1,088 loud keys on one shard, whose cache holds 1,024 live
+    // trackers: walking more keys than it holds in the same order every
+    // boundary misses on every touch, so every boundary thaws, steps and
+    // re-freezes every key, and a growing state would show as growing
+    // live arena bytes per key.
+    const KEYS: u64 = 1_088;
     let spec = spec_for(TrackerKind::Deterministic);
-    let cfg = EngineConfig::new(4, 48 * RUN).eps(0.1).fleet_cache(1);
+    let cfg = EngineConfig::new(1, KEYS as usize * RUN).eps(0.1);
     let mut fleet = CounterFleet::counters(spec, cfg).unwrap();
     let live_bytes_per_key = |fleet: &CounterFleet| {
         let mem = fleet.memory();
-        assert_eq!(mem.keys, 48);
+        assert_eq!(mem.keys, KEYS);
+        assert!(mem.cached_trackers < KEYS, "the cache did not evict");
         (mem.arena_bytes - mem.arena_garbage) / mem.keys
     };
     let boundary = |fleet: &mut CounterFleet, j: usize| {
-        for key in 0..48u64 {
+        for key in 0..KEYS {
             for _ in 0..RUN {
                 fleet
                     .update_at(key, j % 4, sign(TrackerKind::Deterministic, j))
@@ -140,7 +144,7 @@ fn frozen_fleet_slots_do_not_grow() {
         boundary(&mut fleet, j);
     }
     assert_eq!(fleet.boundaries(), 72);
-    assert!(fleet.comm_stats().total_messages() > 4 * 48 * 72 * RUN as u64);
+    assert!(fleet.comm_stats().total_messages() > 4 * KEYS * 72 * RUN as u64);
     let after = live_bytes_per_key(&fleet);
     assert!(
         after <= warm,
